@@ -12,7 +12,17 @@ The Burnside closure is exact. A fast certificate runs the identical
 closure over the prime field F_65521: reaching full rank there proves full
 rank over the rationals, since specializing mod p never increases rank.
 Only when the modular closure stops short does the exact integer closure
-run; its verdict is final either way.
+run; its verdict is final either way. numpy is imported only when the
+certificate runs.
+
+Norton's spinning test (the MeatAxe irreducibility test, run here in exact
+arithmetic) decides the same question at any dimension without building
+the algebra of words: when the top eigenspaces of A and of A^T are lines,
+the module is irreducible exactly when the eigenvector of A spins to the
+whole space under A, Astar and the eigenvector of A^T spins to the whole
+space under A^T, Astar^T. Any endomorphism of the module preserves the
+line ker(A - d I), so the endomorphism algebra is Q and the verdict is
+absolute irreducibility, the one Burnside decides.
 """
 
 from __future__ import annotations
@@ -20,24 +30,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import DimensionGuardError, ReducibleModuleError
-from .linalg import Matrix, determinant, kernel
-from .onsager import ModuleSpec, OnsagerModule
+from .linalg import Matrix, _integer_rows, _strip_gcd, determinant, eigenspace, kernel
+from .onsager import ModuleSpec, OnsagerModule, module_type
 
 ORACLE_GUARD = 64
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
 
 
-def _serialized(a: Fraction) -> str:
-    return str(a)
-
-
 def _canonical_parameter(a: Fraction) -> str:
     """Representative of {a, 1/a}: the lexicographically smaller serialization."""
-    return min(_serialized(a), _serialized(1 / a))
+    return min(str(a), str(1 / a))
 
 
 def equivalence_key(spec: ModuleSpec) -> tuple[tuple[int, str], ...]:
@@ -86,11 +90,49 @@ def _integerized(m: Matrix) -> list[list[int]]:
     return rows
 
 
+class _Echelon:
+    """Incremental integer echelon basis of a subspace of Q^n.
+
+    Each row is gcd-stripped and keyed by the position of its leading
+    entry, which is positive. Reductions are two-term integer combinations
+    with gcd stripping, which realizes exact rational elimination without
+    Fraction overhead.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: list[int]) -> bool:
+        """Extend the span by vec; False when vec already lies in it."""
+        rows = self.rows
+        v = vec
+        for pos in range(self.n):
+            c = v[pos]
+            if not c:
+                continue
+            row = rows.get(pos)
+            if row is None:
+                v = _strip_gcd(v)
+                if v[pos] < 0:
+                    v = [-x for x in v]
+                rows[pos] = v
+                return True
+            p = row[pos]
+            v = _strip_gcd([p * x - c * y for x, y in zip(v, row)])
+        return False
+
+
 def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:
     """True iff the word closure of gens spans all of End(V) over F_p.
 
     A True answer certifies full span over Q as well; False is inconclusive.
     """
+    import numpy as np
+
     nn = n * n
     basis = np.zeros((nn, nn), dtype=np.int64)
     piv_cols: list[int] = []
@@ -134,41 +176,11 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
     """Dimension over Q of the unital algebra generated by integer matrices.
 
     Breadth-first word closure: every accepted word is multiplied on the
-    right by each generator until no product leaves the current span. Spans
-    are tracked in an integer echelon basis; reductions use two-term integer
-    combinations with gcd stripping, which realizes exact rational
-    elimination without Fraction overhead.
+    right by each generator until no product leaves the current span, which
+    is tracked in an integer echelon basis of the flattened words.
     """
     nn = n * n
-    echelon: dict[int, list[int]] = {}
-
-    def strip(v: list[int]) -> list[int]:
-        g = 0
-        for x in v:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    return v
-        if g > 1:
-            return [x // g for x in v]
-        return v
-
-    def try_add(vec: list[int]) -> bool:
-        v = vec
-        for pos in range(nn):
-            c = v[pos]
-            if not c:
-                continue
-            row = echelon.get(pos)
-            if row is None:
-                v = strip(v)
-                if v[pos] < 0:
-                    v = [-x for x in v]
-                echelon[pos] = v
-                return True
-            p = row[pos]
-            v = strip([p * x - c * y for x, y in zip(v, row)])
-        return False
+    span = _Echelon(nn)
 
     def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         out = []
@@ -187,16 +199,37 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
 
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     queue = [ident]
-    try_add([x for row in ident for x in row])
-    while queue and len(echelon) < nn:
+    span.add([x for row in ident for x in row])
+    while queue and len(span) < nn:
         word = queue.pop(0)
         for g in gens:
             product = matmul(word, g)
-            if try_add([x for row in product for x in row]):
+            if span.add([x for row in product for x in row]):
                 queue.append(product)
-                if len(echelon) == nn:
+                if len(span) == nn:
                     return nn
-    return len(echelon)
+    return len(span)
+
+
+def _spins_to_full(vector: list[int], gens: list[list[list[int]]]) -> bool:
+    """True iff the words in gens applied to vector span all of Q^n.
+
+    Every vector that enlarges the span is queued and its images under each
+    generator are offered in turn, so the final span is the smallest
+    gens-invariant subspace containing vector.
+    """
+    n = len(vector)
+    sparse = [[[(j, x) for j, x in enumerate(row) if x] for row in g] for g in gens]
+    span = _Echelon(n)
+    span.add(vector)
+    queue = [vector]
+    while queue and len(span) < n:
+        v = queue.pop()
+        for g in sparse:
+            image = _strip_gcd([sum(x * v[j] for j, x in row) for row in g])
+            if span.add(image):
+                queue.append(image)
+    return len(span) == n
 
 
 def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> int:
@@ -232,6 +265,31 @@ def is_irreducible_burnside(m: OnsagerModule, guard: int = ORACLE_GUARD) -> bool
     """Burnside test: the module is (absolutely) irreducible iff the algebra
     generated by A and Astar has dimension dim^2."""
     return pair_generates_full_algebra(m.A, m.Astar, guard=guard)
+
+
+def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: int = ORACLE_GUARD) -> bool:
+    """Norton's spinning test: the module is (absolutely) irreducible iff the
+    eigenvector v of A at top spins to Q^dim under A, Astar and the
+    eigenvector w of A^T at top spins to Q^dim under A^T, Astar^T.
+
+    top is the largest eigenvalue of A (d for a type-(0,0) module) and is
+    found by module_type when omitted. The spin needs the eigenspace to be
+    a line (ker(A^T - top I) then is one too); otherwise the Burnside test
+    decides, within guard. The spin itself has no size guard.
+    """
+    if top is None:
+        d, alpha, _ = module_type(m)
+        top = d + alpha
+    line = eigenspace(m.A, top)
+    if line.dim != 1:
+        return is_irreducible_burnside(m, guard=guard)
+    dual_line = eigenspace(m.A.transpose(), top)
+    a, astar = _integerized(m.A), _integerized(m.Astar)
+    a_t, astar_t = [list(col) for col in zip(*a)], [list(col) for col in zip(*astar)]
+    return (
+        _spins_to_full(_integer_rows(line.basis_columns())[0], [a, astar])
+        and _spins_to_full(_integer_rows(dual_line.basis_columns())[0], [a_t, astar_t])
+    )
 
 
 def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule, guard: int = ORACLE_GUARD) -> Matrix | None:

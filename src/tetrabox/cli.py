@@ -3,8 +3,9 @@
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed checks or rejected (reducible/shifted)
-build input, 2 unreadable or malformed input (and reducible input for
-`compare`), 3 oracle/criterion disagreement in `compare`.
+build input, 2 unreadable or malformed input or a non-integer
+TETRABOX_DIM_GUARD (and reducible input for `compare`), 3
+oracle/criterion disagreement in `compare`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from .classify import equivalence_key, find_intertwiner, is_irreducible_criterion, is_isomorphic
 from .errors import TetraboxError
 from .flags import four_flags
+from .linalg import dim_guard
 from .onsager import ModuleSpec, OnsagerModule, build_from_spec
 from .serialize import (
     eigentable_to_json,
@@ -106,12 +108,9 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _deep_checks(data, tetra: TetraModule) -> dict:
+def _deep_checks(module: OnsagerModule, tetra: TetraModule) -> dict:
     out = {"pass": True}
     try:
-        module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
-            tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]
-        )
         rebuilt = rebuild_from_standard_generators(tetra)
         out["rebuild_matches"] = rebuilt.x == tetra.x
         out["roundtrip_uniqueness"] = roundtrip_uniqueness(
@@ -129,6 +128,10 @@ def cmd_verify(args) -> int:
     data = _load_json(args.module)
     try:
         tetra = tetra_from_json(data["tetra"] if isinstance(data, dict) and "tetra" in data else data)
+        if args.deep:
+            module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
+                tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]
+            )
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None
     relations = verify_relations(tetra)
@@ -153,7 +156,7 @@ def cmd_verify(args) -> int:
     }
     ok = relations.all_passed and table.all_passed and actions.all_passed and independent
     if args.deep:
-        deep = _deep_checks(data, tetra)
+        deep = _deep_checks(module, tetra)
         report["deep"] = deep
         ok = ok and deep["pass"]
     report["pass"] = ok
@@ -264,6 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        dim_guard()
+    except ValueError as exc:
+        _fail(str(exc))
+        return 2
     try:
         return args.func(args)
     except _InputError as exc:

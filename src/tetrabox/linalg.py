@@ -31,7 +31,10 @@ def dim_guard() -> int:
     raw = os.environ.get("TETRABOX_DIM_GUARD")
     if raw is None:
         return DEFAULT_DIM_GUARD
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TETRABOX_DIM_GUARD must be an integer, got {raw!r}") from None
 
 
 def _as_fraction(value) -> Fraction:

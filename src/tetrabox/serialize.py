@@ -77,15 +77,25 @@ def module_to_json(m: OnsagerModule) -> dict:
     return out
 
 
+def _require_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def module_from_json(data) -> OnsagerModule:
-    if not isinstance(data, dict):
-        raise ValueError("module must be an object")
+    if not isinstance(data, dict) or "A" not in data or "Astar" not in data:
+        raise ValueError("module must be an object with matrices 'A' and 'Astar'")
     a = matrix_from_json(data["A"])
     astar = matrix_from_json(data["Astar"])
-    dim = data.get("dim", a.rows)
+    dim = _require_int(data.get("dim", a.rows), "module dimension 'dim'")
     diameter = data.get("diameter")
+    if diameter is not None:
+        _require_int(diameter, "module diameter")
     type_pair = None
     if "type" in data:
+        if not isinstance(data["type"], list) or len(data["type"]) != 2:
+            raise ValueError("module type must be a pair of rationals")
         type_pair = (fraction_from_str(data["type"][0]), fraction_from_str(data["type"][1]))
     return OnsagerModule(dim, a, astar, diameter=diameter, type_pair=type_pair)
 
@@ -115,10 +125,10 @@ def tetra_from_json(data) -> TetraModule:
     dims = {mat.rows for mat in x.values()}
     if len(dims) != 1:
         raise ValueError("generator matrices have inconsistent sizes")
-    dim = data.get("dim", dims.pop())
+    dim = _require_int(data.get("dim", dims.pop()), "tetra dimension 'dim'")
     if "d" not in data:
         raise ValueError("tetra structure needs its diameter field 'd'")
-    return TetraModule(dim=dim, diameter=data["d"], x=x, flags=None)
+    return TetraModule(dim=dim, diameter=_require_int(data["d"], "diameter 'd'"), x=x, flags=None)
 
 
 def flags_to_json(flags: tuple[Flag, ...]) -> list:

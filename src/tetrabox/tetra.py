@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .classify import ORACLE_GUARD, is_irreducible_burnside, pair_generates_full_algebra
-from .errors import OppositionError, ReducibleModuleError, TypeShiftError
+from .classify import ORACLE_GUARD, is_irreducible_spin, pair_generates_full_algebra
+from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, four_flags, induced_decomposition
 from .linalg import Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
 from .onsager import OnsagerModule, module_type
@@ -89,26 +89,39 @@ class TetraModule:
                 raise ValueError(f"matrix for {pair} does not act on the module")
 
 
-def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
-    """Assemble all twelve generator matrices from the four flags of m.
+def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], tuple[Subspace, ...]]:
+    """Decomposition induced by every ordered pair of the four flags.
 
-    The input must be irreducible of type (0,0). Reducibility is rejected
-    up front by the Burnside test (when the module is within the oracle
-    guard) and again structurally by the flag-opposition scan, which names
-    the first failing pair of flags.
+    Raises OppositionError naming the first pair that is not opposite.
     """
-    d, alpha, alphastar = module_type(m)
-    if alpha != 0 or alphastar != 0:
-        raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if m.dim <= guard and not is_irreducible_burnside(m, guard=guard):
-        raise ReducibleModuleError("module is reducible: the generated algebra is not full")
-    flags = four_flags(m)
     decomps: dict[tuple[int, int], tuple[Subspace, ...]] = {}
     for r, s in ORDERED_PAIRS:
         try:
             decomps[(r, s)] = induced_decomposition(flags[r], flags[s]).subspaces
         except OppositionError as exc:
             raise OppositionError(f"flags {r} and {s} are not opposite: {exc}") from None
+    return decomps
+
+
+def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
+    """Assemble all twelve generator matrices from the four flags of m.
+
+    The input must be irreducible of type (0,0). Reducibility is rejected
+    up front by Norton's spinning test, at any dimension. Only when the top
+    eigenspace of A is not a line does the spin defer to the Burnside test,
+    which is bounded by guard; above it the flag-opposition scan still
+    rejects reducible input, naming the first failing pair of flags.
+    """
+    d, alpha, alphastar = module_type(m)
+    if alpha != 0 or alphastar != 0:
+        raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
+    try:
+        if not is_irreducible_spin(m, Fraction(d), guard=guard):
+            raise ReducibleModuleError("module is reducible: the generated algebra is not full")
+    except DimensionGuardError:
+        pass  # undecided above the guard; the opposition scan below rejects
+    flags = four_flags(m)
+    decomps = _opposite_decompositions(flags)
     x: dict[tuple[int, int], Matrix] = {}
     for (r, s), pieces in decomps.items():
         basis = hstack(*(piece.basis for piece in pieces))

@@ -4,20 +4,27 @@ from itertools import permutations
 import pytest
 
 from tetrabox import (
+    ORACLE_GUARD,
     DimensionGuardError,
+    Matrix,
     ModuleSpec,
+    OnsagerModule,
     ReducibleModuleError,
     are_equivalent,
     build_from_spec,
+    build_tetra,
+    eigenspace,
     equivalence_key,
     evaluation_module,
     find_intertwiner,
     generated_algebra_dimension,
     is_irreducible_burnside,
     is_irreducible_criterion,
+    is_irreducible_spin,
     is_isomorphic,
     trivial_module,
 )
+from tetrabox import classify
 
 
 def spec(*factors, shift=(0, 0)):
@@ -81,6 +88,43 @@ class TestBurnside:
     def test_agrees_with_criterion(self, factors):
         s = ModuleSpec.of(factors)
         assert is_irreducible_burnside(build_from_spec(s)) == is_irreducible_criterion(s)
+
+
+def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    rows = [row + [0] * b.cols for row in a.to_rows()]
+    rows += [[0] * a.cols + row for row in b.to_rows()]
+    return Matrix.from_rows(rows)
+
+
+class TestSpin:
+    def test_agrees_with_burnside_and_criterion_on_grid(self, grid_modules, grid_burnside):
+        for s, module in grid_modules.items():
+            assert is_irreducible_spin(module) == grid_burnside[s] == is_irreducible_criterion(s), s.factors
+
+    def test_shifted_module(self):
+        assert is_irreducible_spin(build_from_spec(spec((1, 2), (1, 3), shift=(3, -1))))
+        assert not is_irreducible_spin(build_from_spec(spec((1, 2), (1, F(1, 2)), shift=(3, -1))))
+
+    def test_direct_sum_takes_the_burnside_fallback(self, monkeypatch):
+        v = evaluation_module(1, F(2))
+        m = OnsagerModule(4, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
+        assert eigenspace(m.A, 1).dim == 2
+        calls = []
+
+        def spy(module, guard):
+            calls.append(module.dim)
+            return is_irreducible_burnside(module, guard=guard)
+
+        monkeypatch.setattr(classify, "is_irreducible_burnside", spy)
+        with pytest.raises(ReducibleModuleError):
+            build_tetra(m)
+        assert calls == [4]
+
+    def test_reducible_beyond_the_oracle_guard(self):
+        m = build_from_spec(spec((4, 2), (12, F(1, 2))))
+        assert m.dim == 65 > ORACLE_GUARD
+        with pytest.raises(ReducibleModuleError):
+            build_tetra(m)
 
 
 class TestEquivalence:

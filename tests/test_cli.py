@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tetrabox
 from tetrabox.cli import main
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
@@ -102,6 +107,22 @@ class TestVerify:
         assert main(["verify", tampered, "--deep"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("module", "Astar", None), ("module", "dim", "4"), ("tetra", "d", "x")],
+    )
+    def test_malformed_field_exits_2(self, built_v2, tmp_path, capsys, section, key, value):
+        data = json.loads(built_v2.read_text())
+        if value is None:
+            del data[section][key]
+        else:
+            data[section][key] = value
+        path = write_json(tmp_path / "malformed.json", data)
+        assert main(["verify", path, "--deep"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -220,3 +241,28 @@ class TestGuardOverride:
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)  # dim 4 module
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert "guard" in capsys.readouterr().err
+
+    def test_non_integer_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TETRABOX_DIM_GUARD", "abc")
+        spec = write_json(tmp_path / "s.json", SPEC_V2)
+        assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: TETRABOX_DIM_GUARD must be an integer, got 'abc'\n"
+
+
+class TestImports:
+    def test_build_and_verify_do_not_load_numpy(self, tmp_path):
+        # -X importtime lists every module the process imports on stderr
+        src = str(Path(tetrabox.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out = str(tmp_path / "m.json")
+        for args in (["build", spec, "-o", out], ["verify", out]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "tetrabox.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+            assert "tetrabox.classify" in imported
+            assert not any(name.split(".")[0] == "numpy" for name in imported), args

@@ -15,6 +15,7 @@ from tetrabox import (
     eigentable,
     evaluation_module,
     flag_independence_check,
+    four_flags,
     is_diagonalizable_with,
     pairwise_burnside,
     roundtrip_uniqueness,
@@ -23,7 +24,7 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
-from tetrabox.tetra import CORNERS, ORDERED_PAIRS, TetraModule
+from tetrabox.tetra import CORNERS, ORDERED_PAIRS, TetraModule, _opposite_decompositions
 
 SAMPLE_SPECS = [
     ModuleSpec.of([(1, 2)]),
@@ -65,10 +66,13 @@ class TestBuild:
             build_tetra(build_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2))])))
 
     def test_reducible_input_fails_opposition_scan(self):
-        # with the Burnside precheck out of reach the flag scan still rejects,
+        # the flag scan behind the irreducibility test rejects on its own,
         # naming the first failing pair
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
         with pytest.raises(OppositionError, match=r"flags \d and \d are not opposite"):
+            _opposite_decompositions(four_flags(m))
+        # spinning needs no guard, so the scan is never reached
+        with pytest.raises(ReducibleModuleError):
             build_tetra(m, guard=0)
 
     def test_shifted_input_rejected(self):
