@@ -28,10 +28,9 @@ absolute irreducibility, the one Burnside decides.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import DimensionGuardError, ReducibleModuleError
-from .linalg import Matrix, _integer_rows, _strip_gcd, determinant, eigenspace, kernel
+from .linalg import Matrix, _integer_rows, _integerized, _strip_gcd, determinant, eigenspace, kernel
 from .onsager import ModuleSpec, OnsagerModule, module_type
 
 ORACLE_GUARD = 64
@@ -73,21 +72,6 @@ def are_equivalent(s1: ModuleSpec, s2: ModuleSpec) -> bool:
         if s.shift != (Fraction(0), Fraction(0)):
             raise ValueError("equivalence is defined for type-(0,0) specs; normalize first")
     return equivalence_key(s1) == equivalence_key(s2)
-
-
-def _integerized(m: Matrix) -> list[list[int]]:
-    """Integer matrix spanning the same line as m (global scale, content stripped)."""
-    denom = 1
-    for x in m.entries:
-        denom = lcm(denom, x.denominator)
-    rows = [[int(x * denom) for x in m.row_list(i)] for i in range(m.rows)]
-    g = 0
-    for row in rows:
-        for x in row:
-            g = gcd(g, x)
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-    return rows
 
 
 class _Echelon:
@@ -238,7 +222,7 @@ def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD)
         raise ValueError("generators must be square matrices of equal size")
     if a.rows > guard:
         raise DimensionGuardError(f"dimension {a.rows} exceeds the oracle guard {guard}")
-    gens = [_integerized(a), _integerized(b)]
+    gens = [_integerized(a)[0], _integerized(b)[0]]
     return _closure_dimension_exact(gens, a.rows)
 
 
@@ -255,7 +239,7 @@ def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD)
         raise DimensionGuardError(f"dimension {n} exceeds the oracle guard {guard}")
     if n == 0:
         return True
-    gens = [_integerized(a), _integerized(b)]
+    gens = [_integerized(a)[0], _integerized(b)[0]]
     if _closure_full_mod_p(gens, n):
         return True
     return _closure_dimension_exact(gens, n) == n * n
@@ -284,7 +268,7 @@ def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: in
     if line.dim != 1:
         return is_irreducible_burnside(m, guard=guard)
     dual_line = eigenspace(m.A.transpose(), top)
-    a, astar = _integerized(m.A), _integerized(m.Astar)
+    a, astar = _integerized(m.A)[0], _integerized(m.Astar)[0]
     a_t, astar_t = [list(col) for col in zip(*a)], [list(col) for col in zip(*astar)]
     return (
         _spins_to_full(_integer_rows(line.basis_columns())[0], [a, astar])

@@ -148,12 +148,18 @@ def generator_eigenspaces(m: OnsagerModule) -> tuple[list[Subspace], list[Subspa
     d, alpha, alphastar = module_type(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
+    return (*_ladder_eigenspaces(m, d), d)
+
+
+def _ladder_eigenspaces(m: OnsagerModule, d: int) -> tuple[list[Subspace], list[Subspace]]:
+    """Eigenspace chains of A and Astar at -d, 2-d, ..., d, for a module
+    already known to have type (0,0) and diameter d."""
     chain_a = [eigenspace(m.A, Fraction(2 * i - d)) for i in range(d + 1)]
     chain_s = [eigenspace(m.Astar, Fraction(2 * i - d)) for i in range(d + 1)]
     for chain in (chain_a, chain_s):
         if any(space.is_zero() for space in chain):
             raise SpectrumError("an expected eigenvalue d-2i is missing")
-    return chain_a, chain_s, d
+    return chain_a, chain_s
 
 
 def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
@@ -163,6 +169,11 @@ def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
     flag 1 downward from +d; flags 2 and 3 do the same for Astar.
     """
     chain_a, chain_s, _ = generator_eigenspaces(m)
+    return _flags_from_chains(chain_a, chain_s)
+
+
+def _flags_from_chains(chain_a: list[Subspace], chain_s: list[Subspace]) -> tuple[Flag, Flag, Flag, Flag]:
+    """The four flags from the ladder eigenspaces of A and Astar."""
     up_a = Decomposition(tuple(chain_a))
     up_s = Decomposition(tuple(chain_s))
     return (

@@ -238,7 +238,37 @@ def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
         denom = 1
         for x in row:
             denom = lcm(denom, x.denominator)
-        out.append(_strip_gcd([int(x * denom) for x in row]))
+        out.append(_strip_gcd([x.numerator * (denom // x.denominator) for x in row]))
+    return out
+
+
+def _integerized(m: Matrix) -> tuple[list[list[int]], Fraction]:
+    """Integer rows of scale * m with one global scale, content stripped.
+
+    scale is positive; m is recovered as rows / scale.
+    """
+    denom = 1
+    for x in m.entries:
+        denom = lcm(denom, x.denominator)
+    rows = [[x.numerator * (denom // x.denominator) for x in m.row_list(i)] for i in range(m.rows)]
+    g = 0
+    for row in rows:
+        for x in row:
+            g = gcd(g, x)
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+    return rows, Fraction(denom, max(g, 1))
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
+    """Product of integer matrices given as row lists; b has cols columns."""
+    out = []
+    for ai in a:
+        row = [0] * cols
+        for s, bk in zip(ai, b):
+            if s:
+                row = [x + s * y for x, y in zip(row, bk)]
+        out.append(row)
     return out
 
 
@@ -447,7 +477,7 @@ def determinant(m: Matrix) -> Fraction:
         for x in row:
             denom = lcm(denom, x.denominator)
         scale *= denom
-        rows.append([int(x * denom) for x in row])
+        rows.append([x.numerator * (denom // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -478,6 +508,70 @@ def inverse(m: Matrix) -> Matrix:
     for i in range(n):
         out.extend(reduced.row_list(i)[n:])
     return Matrix(n, n, tuple(out))
+
+
+class BlockBasis:
+    """Coordinates with respect to independent subspaces V_0, ..., V_k.
+
+    The stacked bases P of the listed subspaces are completed to a basis Q
+    of the whole space by the unit vectors e_j of the non-pivot columns of
+    rref(P^T), and Q is inverted once. A matrix m is then described by its
+    coordinate matrix C = Q^-1 m P, whose column block i holds the
+    coordinates of the images of the basis of V_i. Coordinates in a basis
+    are unique, so m + c I maps V_i into the sum of some listed V_j exactly
+    when column block i of C + c [I on block i] vanishes outside the rows of
+    those blocks; the completion rows belong to no listed subspace.
+    """
+
+    def __init__(self, ambient_dim: int, spaces: Sequence[Subspace]):
+        n = ambient_dim
+        stacked = hstack(Matrix.zeros(n, 0), *(space.basis for space in spaces))
+        k = stacked.cols
+        full = stacked
+        if k < n:
+            reduced, rank = rref(stacked.transpose())
+            if rank != k:
+                raise ValueError("subspaces are not independent")
+            pivots = set(_pivot_columns(reduced, rank))
+            units = [j for j in range(n) if j not in pivots]
+            one, zero = Fraction(1), Fraction(0)
+            completion = Matrix(n, len(units), tuple(one if i == j else zero for i in range(n) for j in units))
+            full = hstack(stacked, completion)
+        self._basis = _integerized(stacked)
+        self._inverse = _integerized(inverse(full))
+        self._starts = [0]
+        self._block_of = []
+        for i, space in enumerate(spaces):
+            self._starts.append(self._starts[-1] + space.dim)
+            self._block_of.extend([i] * space.dim)
+        self._block_of.extend([-1] * (n - k))
+
+    def coordinates(self, m: Matrix) -> tuple[list[list[int]], Fraction]:
+        """Integer rows of scale * C for C = Q^-1 m P, and that scale."""
+        rows, scale = _integerized(m)
+        p, p_scale = self._basis
+        q_inv, q_scale = self._inverse
+        k = self._starts[-1]
+        return _int_matmul(q_inv, _int_matmul(rows, p, k), k), scale * p_scale * q_scale
+
+    def maps_into(self, coords: tuple[list[list[int]], Fraction], i: int,
+                  targets: Iterable[int], shift=0) -> bool:
+        """Does m + shift * I map V_i into the sum of V_j over j in targets?
+
+        coords is coordinates(m); targets outside 0..k name no subspace and
+        are ignored.
+        """
+        rows, scale = coords
+        keep = {j for j in targets if 0 <= j < len(self._starts) - 1}
+        diagonal = -_as_fraction(shift) * scale
+        lo, hi = self._starts[i], self._starts[i + 1]
+        for a, row in enumerate(rows):
+            if self._block_of[a] in keep:
+                continue
+            for c in range(lo, hi):
+                if row[c] != (diagonal if a == c else 0):
+                    return False
+        return True
 
 
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:

@@ -10,19 +10,23 @@ relation [x_rs, x_st] = 2 x_rs + 2 x_st, and the Dolan-Grady relation
 between generators with four distinct indices. Spectral facts (common
 eigenvalue set {d-2i}, eigenspace dimension tables, the action of one
 generator on another's eigenspaces, flag independence) are verified as
-exact subspace statements.
+exact subspace statements. The action of x_tu on the eigenspaces of x_rs
+is read off the coordinate matrix of x_tu in the eigenbasis of x_rs: each
+case is a pattern of zero and nonzero blocks, one change of basis per
+pair of generators. The eigenspace chain of each generator is computed
+once per TetraModule and shared by every check that needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
 from .classify import ORACLE_GUARD, is_irreducible_spin, pair_generates_full_algebra
 from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import Flag, four_flags, induced_decomposition
-from .linalg import Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
+from .flags import Flag, _flags_from_chains, _ladder_eigenspaces, induced_decomposition
+from .linalg import BlockBasis, Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
 from .onsager import OnsagerModule, module_type
 
 CORNERS = (0, 1, 2, 3)
@@ -80,6 +84,7 @@ class TetraModule:
     diameter: int
     x: dict[tuple[int, int], Matrix]
     flags: tuple[Flag, Flag, Flag, Flag] | None = None
+    _chains: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if set(self.x) != set(ORDERED_PAIRS):
@@ -120,7 +125,7 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
             raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     except DimensionGuardError:
         pass  # undecided above the guard; the opposition scan below rejects
-    flags = four_flags(m)
+    flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
     decomps = _opposite_decompositions(flags)
     x: dict[tuple[int, int], Matrix] = {}
     for (r, s), pieces in decomps.items():
@@ -156,10 +161,19 @@ def verify_relations(t: TetraModule) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> list[Subspace]:
-    """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent)."""
-    d = t.diameter
-    return [eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1)]
+def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
+    """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
+
+    Computed once per matrix and kept on t, so the eigenspace table, the
+    action table and the flag-independence check share twelve chains.
+    """
+    mat = t.x[pair]
+    hit = t._chains.get(pair)
+    if hit is None or hit[0] is not mat:
+        d = t.diameter
+        hit = (mat, tuple(eigenspace(mat, Fraction(d - 2 * i)) for i in range(d + 1)))
+        t._chains[pair] = hit
+    return hit[1]
 
 
 def eigentable(t: TetraModule) -> EigenTable:
@@ -176,8 +190,26 @@ def eigentable(t: TetraModule) -> EigenTable:
     return EigenTable(eigenvalues, dims, constant, symmetric, sums)
 
 
-def _maps_into(mat: Matrix, source: Subspace, target: Subspace) -> bool:
-    return all(target.contains_vector(mat.apply(col)) for col in source.basis_columns())
+def _action_case(r: int, s: int, tt: int, u: int) -> tuple[str, int, tuple[int, ...]]:
+    """How x_tu moves the eigenspaces of x_rs.
+
+    Returns the case name, the sign c with which x_tu + c*lam is applied
+    to the eigenspace at lam = d-2i, and the offsets k of the eigenspaces
+    i+k that must contain the image (i-1 holds lam+2, i+1 holds lam-2).
+    """
+    if (tt, u) == (r, s):
+        return "fixes", -1, ()
+    if (tt, u) == (s, r):
+        return "negates", 1, ()
+    if tt == s:
+        return "raises_plus", 1, (-1,)
+    if u == s:
+        return "raises_minus", -1, (-1,)
+    if tt == r:
+        return "lowers_minus", -1, (1,)
+    if u == r:
+        return "lowers_plus", 1, (1,)
+    return "adjacent", 0, (-1, 0, 1)
 
 
 def verify_action_table(t: TetraModule) -> VerificationReport:
@@ -188,44 +220,25 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     as scalars, one shared index shifts the eigenvalue by 2 (up or down, with
     the sign fixed by which index is shared), and four distinct indices keep
     the vector within the three adjacent eigenspaces.
+
+    Each x_tu is written once in the eigenbasis of x_rs (the stacked
+    eigenspace bases, completed by unit vectors when they do not fill the
+    space). Coordinates in a basis are unique, so every inclusion above is
+    the exact statement that one column block of the coordinate matrix,
+    shifted by c*lam on its diagonal, vanishes outside the row blocks of
+    the target eigenspaces: 144 changes of basis decide all 12*12*(d+1)
+    instances.
     """
     d = t.diameter
-    dim = t.dim
-    ident = Matrix.identity(dim)
-    zero = Subspace.zero(dim)
-    chains = {pair: _eigenspace_chain(t, pair) for pair in ORDERED_PAIRS}
-
-    def space_at(pair: tuple[int, int], lam: Fraction) -> Subspace:
-        idx = (d - lam) / 2
-        if idx.denominator != 1 or not (0 <= idx <= d):
-            return zero
-        return chains[pair][int(idx)]
-
     checks: list[CheckResult] = []
     for r, s in ORDERED_PAIRS:
+        blocks = BlockBasis(t.dim, _eigenspace_chain(t, (r, s)))
         for tt, u in ORDERED_PAIRS:
+            case, sign, offsets = _action_case(r, s, tt, u)
+            coords = blocks.coordinates(t.x[(tt, u)])
             for i in range(d + 1):
-                lam = Fraction(d - 2 * i)
-                source = space_at((r, s), lam)
-                mat = t.x[(tt, u)]
-                if (tt, u) == (r, s):
-                    case, shifted, target = "fixes", mat - lam * ident, zero
-                elif (tt, u) == (s, r):
-                    case, shifted, target = "negates", mat + lam * ident, zero
-                elif tt == s:
-                    case, shifted, target = "raises_plus", mat + lam * ident, space_at((r, s), lam + 2)
-                elif u == s:
-                    case, shifted, target = "raises_minus", mat - lam * ident, space_at((r, s), lam + 2)
-                elif tt == r:
-                    case, shifted, target = "lowers_minus", mat - lam * ident, space_at((r, s), lam - 2)
-                elif u == r:
-                    case, shifted, target = "lowers_plus", mat + lam * ident, space_at((r, s), lam - 2)
-                else:
-                    window = subspace_sum(
-                        subspace_sum(space_at((r, s), lam + 2), source), space_at((r, s), lam - 2)
-                    )
-                    case, shifted, target = "adjacent", mat, window
-                passed = _maps_into(shifted, source, target)
+                lam = d - 2 * i
+                passed = blocks.maps_into(coords, i, [i + k for k in offsets], sign * lam)
                 checks.append(CheckResult(f"action_{case}", (r, s, tt, u, str(lam)), passed))
     return VerificationReport(tuple(checks))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .classify import ORACLE_GUARD, pair_generates_full_algebra
 from .errors import SpectrumError
-from .linalg import Matrix, Subspace, eigenspace, minimal_polynomial, rational_roots, subspace_sum
+from .linalg import BlockBasis, Matrix, Subspace, eigenspace, minimal_polynomial, rational_roots
 from .onsager import dolan_grady_holds
 
 
@@ -46,26 +46,23 @@ def _block_tridiagonal_ordering(
     acting: Matrix, spaces: list[Subspace], ambient: int
 ) -> bool:
     """Does `acting` map each listed eigenspace into its three neighbors?"""
-    zero = Subspace.zero(ambient)
-    for i, space in enumerate(spaces):
-        below = spaces[i - 1] if i > 0 else zero
-        above = spaces[i + 1] if i + 1 < len(spaces) else zero
-        window = subspace_sum(subspace_sum(below, space), above)
-        for column in space.basis_columns():
-            if not window.contains_vector(acting.apply(column)):
-                return False
-    return True
+    blocks = BlockBasis(ambient, spaces)
+    coords = blocks.coordinates(acting)
+    return all(blocks.maps_into(coords, i, (i - 1, i, i + 1)) for i in range(len(spaces)))
 
 
 def _standard_ordering(
     acting: Matrix, diagonal: Matrix, eigenvalues: list[Fraction]
 ) -> tuple[Fraction, ...] | None:
-    """Search the descending eigenvalue ordering and its reverse."""
+    """The descending eigenvalue ordering, if `acting` is block tridiagonal on it.
+
+    Reversing an ordering leaves every eigenspace's set of neighbors
+    unchanged, so the reverse ordering passes exactly when this one does;
+    it is not tried, and the result is the same as searching both.
+    """
     spaces = [eigenspace(diagonal, lam) for lam in eigenvalues]
     if _block_tridiagonal_ordering(acting, spaces, diagonal.rows):
         return tuple(eigenvalues)
-    if len(eigenvalues) > 1 and _block_tridiagonal_ordering(acting, spaces[::-1], diagonal.rows):
-        return tuple(reversed(eigenvalues))
     return None
 
 

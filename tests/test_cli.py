@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tetrabox
+from tetrabox import cli
 from tetrabox.cli import main
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
@@ -123,6 +124,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_guard_refusal_is_skipped_not_failed(self, built_v2, monkeypatch, capsys):
+        # run the real pairwise Burnside check under a guard below the dimension
+        real = cli.pairwise_burnside
+        monkeypatch.setattr(cli, "pairwise_burnside", lambda t: real(t, guard=1))
+        assert main(["verify", str(built_v2), "--deep"]) == 0
+        deep = json.loads(capsys.readouterr().out)["deep"]
+        assert deep["pass"] is True
+        assert deep["pairwise_burnside"] == "skipped"
+        assert "guard" in deep["skipped"] and "\n" not in deep["skipped"]
 
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import pytest
 
 from tetrabox import (
     Matrix,
+    Subspace,
     ModuleSpec,
     OppositionError,
     ReducibleModuleError,
@@ -14,6 +15,8 @@ from tetrabox import (
     eigenspace,
     eigentable,
     evaluation_module,
+    hstack,
+    inverse,
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
@@ -147,6 +150,109 @@ class TestActionTable:
 
     def test_trivial_module(self):
         assert verify_action_table(build_tetra(trivial_module())).all_passed
+
+
+def reference_action_table(t):
+    """The action table by vectors: apply each shifted generator to every
+    basis vector of the source eigenspace and test membership in the target
+    subspace by row reduction."""
+    d = t.diameter
+    ident = Matrix.identity(t.dim)
+    zero = Subspace.zero(t.dim)
+    chains = {pair: [eigenspace(t.x[pair], F(d - 2 * i)) for i in range(d + 1)] for pair in ORDERED_PAIRS}
+
+    def space_at(pair, lam):
+        idx = (d - lam) / 2
+        if idx.denominator != 1 or not (0 <= idx <= d):
+            return zero
+        return chains[pair][int(idx)]
+
+    out = []
+    for r, s in ORDERED_PAIRS:
+        for tt, u in ORDERED_PAIRS:
+            for i in range(d + 1):
+                lam = F(d - 2 * i)
+                source = space_at((r, s), lam)
+                mat = t.x[(tt, u)]
+                up, down = space_at((r, s), lam + 2), space_at((r, s), lam - 2)
+                if (tt, u) == (r, s):
+                    case, shifted, target = "fixes", mat - lam * ident, zero
+                elif (tt, u) == (s, r):
+                    case, shifted, target = "negates", mat + lam * ident, zero
+                elif tt == s:
+                    case, shifted, target = "raises_plus", mat + lam * ident, up
+                elif u == s:
+                    case, shifted, target = "raises_minus", mat - lam * ident, up
+                elif tt == r:
+                    case, shifted, target = "lowers_minus", mat - lam * ident, down
+                elif u == r:
+                    case, shifted, target = "lowers_plus", mat + lam * ident, down
+                else:
+                    case, shifted, target = "adjacent", mat, subspace_sum(subspace_sum(up, source), down)
+                passed = all(target.contains_vector(shifted.apply(col)) for col in source.basis_columns())
+                out.append((f"action_{case}", (r, s, tt, u, str(lam)), passed))
+    return out
+
+
+def with_generator(t, pair, mat):
+    x = dict(t.x)
+    x[pair] = mat
+    return TetraModule(dim=t.dim, diameter=t.diameter, x=x, flags=None)
+
+
+def jordan_perturbed(t, pair):
+    """x_pair with one Jordan block joining the first two eigenvectors of its
+    second eigenspace, so it is no longer diagonalizable."""
+    d = t.diameter
+    chain = [eigenspace(t.x[pair], F(d - 2 * i)) for i in range(d + 1)]
+    basis = hstack(*(space.basis for space in chain))
+    diagonal = [F(d - 2 * i) for i, space in enumerate(chain) for _ in range(space.dim)]
+    k = chain[0].dim  # first column of the second eigenspace, which has dim >= 2
+    jordan = Matrix.from_rows([
+        [diagonal[a] if a == b else (1 if (a, b) == (k, k + 1) else 0) for b in range(t.dim)]
+        for a in range(t.dim)
+    ])
+    return with_generator(t, pair, basis * jordan * inverse(basis))
+
+
+class TestActionTableDifferential:
+    """The block-coordinate action table against the vector-by-vector route."""
+
+    def assert_same(self, t):
+        got = [(c.relation, c.instance, c.passed) for c in verify_action_table(t).checks]
+        assert got == reference_action_table(t)
+        return got
+
+    def test_built_modules(self, built):
+        for t in built.values():
+            assert all(passed for _, _, passed in self.assert_same(t))
+
+    def test_trivial_module(self):
+        self.assert_same(build_tetra(trivial_module()))
+
+    def test_one_changed_entry(self, built):
+        t = built[SAMPLE_SPECS[2]]
+        mat = t.x[(0, 2)]
+        entries = list(mat.entries)
+        entries[1] += 1
+        got = self.assert_same(with_generator(t, (0, 2), Matrix(mat.rows, mat.cols, tuple(entries))))
+        assert not all(passed for _, _, passed in got)
+
+    def test_not_diagonalizable(self, built):
+        t = jordan_perturbed(built[SAMPLE_SPECS[1]], (0, 1))
+        d = t.diameter
+        dims = [eigenspace(t.x[(0, 1)], F(d - 2 * i)).dim for i in range(d + 1)]
+        assert sum(dims) < t.dim  # the eigenbasis needs unit-vector completion
+        got = self.assert_same(t)
+        assert not all(passed for _, _, passed in got)
+
+    def test_no_ladder_eigenvalue(self, built):
+        t = built[SAMPLE_SPECS[1]]
+        t = with_generator(t, (0, 2), t.x[(0, 2)] + Matrix.identity(t.dim))
+        d = t.diameter
+        assert all(eigenspace(t.x[(0, 2)], F(d - 2 * i)).is_zero() for i in range(d + 1))
+        got = self.assert_same(t)
+        assert not all(passed for _, _, passed in got)
 
 
 class TestEigenspaceShiftOnGenerators:

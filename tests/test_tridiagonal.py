@@ -15,7 +15,7 @@ from tetrabox import (
     subspace_sum,
     verify_tridiagonal_pair,
 )
-from tetrabox.tridiagonal import eigenvalue_sequences
+from tetrabox.tridiagonal import _block_tridiagonal_ordering, eigenvalue_sequences
 
 H = Matrix.from_rows([[1, 0], [0, -1]])
 
@@ -63,6 +63,34 @@ class TestVerify:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             verify_tridiagonal_pair(Matrix.identity(2), Matrix.identity(3))
+
+
+def reference_block_tridiagonal(acting, spaces, ambient):
+    """Vector by vector: each image must lie in the window of three neighbors."""
+    zero = Subspace.zero(ambient)
+    for i, space in enumerate(spaces):
+        below = spaces[i - 1] if i > 0 else zero
+        above = spaces[i + 1] if i + 1 < len(spaces) else zero
+        window = subspace_sum(subspace_sum(below, space), above)
+        if not all(window.contains_vector(acting.apply(col)) for col in space.basis_columns()):
+            return False
+    return True
+
+
+class TestBlockTridiagonalDifferential:
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(2, 3), (1, F(1, 2))]])
+    def test_agrees_with_vector_route(self, factors):
+        a, astar = pair_of(factors)
+        d = sum(n for n, _ in factors)
+        spaces = [eigenspace(a, F(d - 2 * i)) for i in range(d + 1)]
+        swapped = [spaces[0], spaces[2], spaces[1], *spaces[3:]]  # breaks adjacency
+        verdicts = []
+        for acting in (astar, a, astar + commutator(a, astar)):
+            for order in (spaces, swapped):
+                verdict = _block_tridiagonal_ordering(acting, order, a.rows)
+                assert verdict == reference_block_tridiagonal(acting, order, a.rows)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestSequences:
