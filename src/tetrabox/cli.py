@@ -23,7 +23,6 @@ from .onsager import ModuleSpec, OnsagerModule, build_from_spec
 from .serialize import (
     eigentable_to_json,
     flags_to_json,
-    fraction_to_str,
     module_from_json,
     module_to_json,
     report_to_json,
@@ -68,6 +67,11 @@ def _load_spec(path: str) -> ModuleSpec:
         raise _InputError(f"invalid spec {path}: {exc}") from None
 
 
+def _section(data, key: str):
+    """The named section of a combined build file, or the whole document."""
+    return data[key] if isinstance(data, dict) and key in data else data
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -85,7 +89,7 @@ def cmd_build(args) -> int:
         return 1
     if spec.shift[0] != 0 or spec.shift[1] != 0:
         _fail(
-            f"type shift ({fraction_to_str(spec.shift[0])}, {fraction_to_str(spec.shift[1])}) "
+            f"type shift ({spec.shift[0]}, {spec.shift[1]}) "
             "is not (0, 0); only type-(0,0) modules carry the six-generator structure"
         )
         return 1
@@ -134,7 +138,7 @@ def _deep_checks(module: OnsagerModule, tetra: TetraModule) -> dict:
 def cmd_verify(args) -> int:
     data = _load_json(args.module)
     try:
-        tetra = tetra_from_json(data["tetra"] if isinstance(data, dict) and "tetra" in data else data)
+        tetra = tetra_from_json(_section(data, "tetra"))
         if args.deep:
             module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
                 tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]
@@ -180,7 +184,7 @@ def cmd_classify(args) -> int:
         {
             "irreducible": is_irreducible_criterion(spec),
             "d": module.diameter,
-            "type": [fraction_to_str(alpha), fraction_to_str(alphastar)],
+            "type": [str(alpha), str(alphastar)],
             "equivalence_key": key,
         }
     )
@@ -221,10 +225,10 @@ def cmd_inspect(args) -> int:
     data = _load_json(args.module)
     try:
         if args.flags:
-            module = module_from_json(data["module"] if "module" in data else data)
+            module = module_from_json(_section(data, "module"))
             payload = {"flags": flags_to_json(four_flags(module))}
         else:
-            tetra = tetra_from_json(data["tetra"] if isinstance(data, dict) and "tetra" in data else data)
+            tetra = tetra_from_json(_section(data, "tetra"))
             payload = {"eigentable": eigentable_to_json(eigentable(tetra))}
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None

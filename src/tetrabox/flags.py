@@ -3,20 +3,30 @@
 A decomposition is an ordered direct-sum splitting V_0, ..., V_d of the
 full space; a flag is the increasing chain of its partial sums. Two flags
 are opposite when one decomposition induces the first and its inversion the
-second; that decomposition is recovered componentwise as F_i "intersect"
-G_{d-i}, which is also how opposition is decided here. An Onsager module of
-type (0,0) carries four distinguished flags built from the eigenspace
-chains of its two generators, one per corner index 0..3.
+second; that decomposition is recovered componentwise as P_i = F_i
+"intersect" G_{d-i}, which is also how opposition is decided here: the P_i
+must be nonzero and sum directly to the full space (one rank), and then
+P_0 + ... + P_i, which lies in F_i, equals F_i exactly when the dimensions
+agree (likewise for G). The pair (G, F) induces the same pieces reversed.
+An Onsager module of type (0,0) carries four distinguished flags built
+from the eigenspace chains of its two generators, one per corner index 0..3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import OppositionError, SpectrumError, TypeShiftError
-from .linalg import Subspace, eigenspace, intersect, subspace_sum
+from .linalg import Subspace, eigenspace, hstack, intersect, rref, subspace_sum
 from .onsager import OnsagerModule, module_type
+
+
+def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
+    """Do the spaces sum directly to the full space? One rank of the stacked bases."""
+    n = spaces[0].ambient_dim
+    return sum(space.dim for space in spaces) == n and rref(hstack(*(space.basis for space in spaces)))[1] == n
 
 
 @dataclass(frozen=True)
@@ -29,16 +39,12 @@ class Decomposition:
         if not self.subspaces:
             raise ValueError("a decomposition needs at least one subspace")
         ambient = self.subspaces[0].ambient_dim
-        total = 0
-        running = Subspace.zero(ambient)
         for space in self.subspaces:
             if space.ambient_dim != ambient:
                 raise ValueError("ambient dimension mismatch")
             if space.is_zero():
                 raise ValueError("decomposition subspaces must be nonzero")
-            total += space.dim
-            running = subspace_sum(running, space)
-        if total != ambient or running.dim != ambient:
+        if not _sum_is_direct_and_full(self.subspaces):
             raise ValueError("subspaces do not form a direct sum filling the space")
 
     @property
@@ -96,25 +102,20 @@ def invert_decomposition(dec: Decomposition) -> Decomposition:
 def _induced_subspaces(f: Flag, g: Flag) -> tuple[Subspace, ...] | str:
     """Componentwise intersections, or a reason string when not opposite."""
     d = f.diameter
-    ambient = f.ambient_dim
     pieces = []
-    running = Subspace.zero(ambient)
-    total = 0
     for i in range(d + 1):
         piece = intersect(f.components[i], g.components[d - i])
         if piece.is_zero():
             return f"component intersection {i} is zero"
         pieces.append(piece)
-        total += piece.dim
-        running = subspace_sum(running, piece)
-    if total != ambient or running.dim != ambient:
+    if not _sum_is_direct_and_full(tuple(pieces)):
         return "component intersections do not sum directly to the full space"
-    dec = Decomposition(tuple(pieces))
-    if flag_from_decomposition(dec) != f:
+    dims = [piece.dim for piece in pieces]
+    if list(accumulate(dims)) != [c.dim for c in f.components]:
         return "partial sums do not reproduce the first flag"
-    if flag_from_decomposition(invert_decomposition(dec)) != g:
+    if list(accumulate(reversed(dims))) != [c.dim for c in g.components]:
         return "inverted partial sums do not reproduce the second flag"
-    return dec.subspaces
+    return tuple(pieces)
 
 
 def _require_comparable(f: Flag, g: Flag) -> None:
@@ -139,18 +140,6 @@ def induced_decomposition(f: Flag, g: Flag) -> Decomposition:
     return Decomposition(result)
 
 
-def generator_eigenspaces(m: OnsagerModule) -> tuple[list[Subspace], list[Subspace], int]:
-    """Eigenspace chains of A and Astar ordered by eigenvalue -d, 2-d, ..., d.
-
-    Requires type (0,0); then each generator is diagonalizable with spectrum
-    exactly {d-2i} and every listed eigenspace is nonzero.
-    """
-    d, alpha, alphastar = module_type(m)
-    if alpha != 0 or alphastar != 0:
-        raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
-    return (*_ladder_eigenspaces(m, d), d)
-
-
 def _ladder_eigenspaces(m: OnsagerModule, d: int) -> tuple[list[Subspace], list[Subspace]]:
     """Eigenspace chains of A and Astar at -d, 2-d, ..., d, for a module
     already known to have type (0,0) and diameter d."""
@@ -167,9 +156,12 @@ def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
 
     Flag 0 accumulates the eigenspaces of A upward from eigenvalue -d,
     flag 1 downward from +d; flags 2 and 3 do the same for Astar.
+    Requires type (0,0).
     """
-    chain_a, chain_s, _ = generator_eigenspaces(m)
-    return _flags_from_chains(chain_a, chain_s)
+    d, alpha, alphastar = module_type(m)
+    if alpha != 0 or alphastar != 0:
+        raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
+    return _flags_from_chains(*_ladder_eigenspaces(m, d))
 
 
 def _flags_from_chains(chain_a: list[Subspace], chain_s: list[Subspace]) -> tuple[Flag, Flag, Flag, Flag]:

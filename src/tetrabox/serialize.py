@@ -19,10 +19,6 @@ from .tetra import EigenTable, TetraModule, VerificationReport
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def fraction_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def fraction_from_str(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -30,7 +26,7 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[fraction_to_str(x) for x in m.row_list(i)] for i in range(m.rows)]
+    return [[str(x) for x in m.row_list(i)] for i in range(m.rows)]
 
 
 def matrix_from_json(data) -> Matrix:
@@ -41,13 +37,13 @@ def matrix_from_json(data) -> Matrix:
 
 def spec_to_json(spec: ModuleSpec) -> dict:
     return {
-        "factors": [{"n": n, "a": fraction_to_str(a)} for n, a in spec.factors],
-        "shift": [fraction_to_str(spec.shift[0]), fraction_to_str(spec.shift[1])],
+        "factors": [{"n": n, "a": str(a)} for n, a in spec.factors],
+        "shift": [str(spec.shift[0]), str(spec.shift[1])],
     }
 
 
 def spec_from_json(data) -> ModuleSpec:
-    if not isinstance(data, dict) or "factors" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise ValueError("module spec must be an object with a 'factors' list")
     factors = []
     for item in data["factors"]:
@@ -73,7 +69,7 @@ def module_to_json(m: OnsagerModule) -> dict:
     if m.diameter is not None:
         out["diameter"] = m.diameter
     if m.type_pair is not None:
-        out["type"] = [fraction_to_str(m.type_pair[0]), fraction_to_str(m.type_pair[1])]
+        out["type"] = [str(m.type_pair[0]), str(m.type_pair[1])]
     return out
 
 
@@ -89,9 +85,7 @@ def module_from_json(data) -> OnsagerModule:
     a = matrix_from_json(data["A"])
     astar = matrix_from_json(data["Astar"])
     dim = _require_int(data.get("dim", a.rows), "module dimension 'dim'")
-    diameter = data.get("diameter")
-    if diameter is not None:
-        _require_int(diameter, "module diameter")
+    diameter = _require_int(data["diameter"], "module diameter") if "diameter" in data else None
     type_pair = None
     if "type" in data:
         if not isinstance(data["type"], list) or len(data["type"]) != 2:
@@ -114,7 +108,7 @@ def tetra_to_json(t: TetraModule) -> dict:
 
 
 def tetra_from_json(data) -> TetraModule:
-    if not isinstance(data, dict) or "x" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("x"), dict):
         raise ValueError("tetra structure must be an object with an 'x' table")
     x = {}
     for key, mat in data["x"].items():
@@ -140,7 +134,7 @@ def flags_to_json(flags: tuple[Flag, ...]) -> list:
 
 def eigentable_to_json(table: EigenTable) -> dict:
     return {
-        "eigenvalues": [fraction_to_str(x) for x in table.eigenvalues],
+        "eigenvalues": [str(x) for x in table.eigenvalues],
         "dims": {_pair_key(pair): list(dims) for pair, dims in sorted(table.dims.items())},
         "constant_across_pairs": table.constant_across_pairs,
         "symmetric": table.symmetric,

@@ -3,18 +3,21 @@
 From an irreducible type-(0,0) Onsager module, every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
 the opposite flags r and s), and the generator x_rs acts on its i-th piece
-as the scalar 2i - d. This module assembles all twelve matrices x_rs by an
-explicit change of basis, and verifies against them every defining relation
-of the tetrahedron algebra: antisymmetry x_rs + x_sr = 0, the triangle
-relation [x_rs, x_st] = 2 x_rs + 2 x_st, and the Dolan-Grady relation
-between generators with four distinct indices. Spectral facts (common
-eigenvalue set {d-2i}, eigenspace dimension tables, the action of one
-generator on another's eigenspaces, flag independence) are verified as
-exact subspace statements. The action of x_tu on the eigenspaces of x_rs
-is read off the coordinate matrix of x_tu in the eigenbasis of x_rs: each
-case is a pattern of zero and nonzero blocks, one change of basis per
-pair of generators. The eigenspace chain of each generator is computed
-once per TetraModule and shared by every check that needs it.
+as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
+order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs: this module builds six
+decompositions, forms x_rs for r < s by one change of basis each and
+negates it for x_sr. It verifies against any twelve matrices (a file's are
+independent data) every defining relation of the tetrahedron algebra:
+antisymmetry x_rs + x_sr = 0, the triangle relation
+[x_rs, x_st] = 2 x_rs + 2 x_st, and the Dolan-Grady relation between
+generators with four distinct indices. Spectral facts (common eigenvalue
+set {d-2i}, eigenspace dimension tables, the action of one generator on
+another's eigenspaces, flag independence) are verified as exact subspace
+statements. The action of x_tu on the eigenspaces of x_rs is read off
+the coordinate matrix of x_tu in the eigenbasis of x_rs: each case is a
+pattern of zero and nonzero blocks, one change of basis per pair of
+generators. The eigenspace chain of each generator is computed once per
+TetraModule and shared by every check that needs it.
 """
 
 from __future__ import annotations
@@ -95,12 +98,13 @@ class TetraModule:
 
 
 def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], tuple[Subspace, ...]]:
-    """Decomposition induced by every ordered pair of the four flags.
+    """Decomposition induced by every pair r < s of the four flags.
 
-    Raises OppositionError naming the first pair that is not opposite.
+    Opposition is symmetric, so this decides it for all twelve ordered
+    pairs. Raises OppositionError naming the first pair that is not opposite.
     """
     decomps: dict[tuple[int, int], tuple[Subspace, ...]] = {}
-    for r, s in ORDERED_PAIRS:
+    for r, s in UNORDERED_PAIRS:
         try:
             decomps[(r, s)] = induced_decomposition(flags[r], flags[s]).subspaces
         except OppositionError as exc:
@@ -110,6 +114,11 @@ def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], t
 
 def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
     """Assemble all twelve generator matrices from the four flags of m.
+
+    For each pair r < s, with B the stacked bases of the pieces of the
+    decomposition the flags r and s induce, x_rs is B with the columns of
+    piece i scaled by 2i - d, times B^-1; x_sr is -x_rs, since the pair
+    (s, r) induces the same pieces in reverse order.
 
     The input must be irreducible of type (0,0). Reducibility is rejected
     up front by Norton's spinning test, at any dimension. Only when the top
@@ -126,17 +135,12 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
     except DimensionGuardError:
         pass  # undecided above the guard; the opposition scan below rejects
     flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
-    decomps = _opposite_decompositions(flags)
     x: dict[tuple[int, int], Matrix] = {}
-    for (r, s), pieces in decomps.items():
+    for (r, s), pieces in _opposite_decompositions(flags).items():
         basis = hstack(*(piece.basis for piece in pieces))
-        diag_entries: list[Fraction] = []
-        for i, piece in enumerate(pieces):
-            diag_entries.extend([Fraction(2 * i - d)] * piece.dim)
-        diag = Matrix(m.dim, m.dim, tuple(
-            diag_entries[i] if i == j else Fraction(0) for i in range(m.dim) for j in range(m.dim)
-        ))
-        x[(r, s)] = basis * diag * inverse(basis)
+        scaled = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
+        x[(r, s)] = scaled * inverse(basis)
+        x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x, flags=flags)
 
 

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
 from tetrabox import cli
@@ -277,3 +282,125 @@ class TestImports:
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
             assert "tetrabox.classify" in imported
             assert not any(name.split(".")[0] == "numpy" for name in imported), args
+
+
+def assert_one_error_line(out: str, err: str) -> None:
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestWrongTypes:
+    """A value of the wrong JSON type exits 2 with one error line."""
+
+    @pytest.mark.parametrize("command", ["build", "classify", "compare"])
+    def test_factors_not_a_list(self, tmp_path, capsys, command):
+        spec = write_json(tmp_path / "s.json", {"factors": 5})
+        extra = {"build": ["-o", str(tmp_path / "out.json")], "classify": [],
+                 "compare": [write_json(tmp_path / "v2.json", SPEC_V2)]}[command]
+        assert main([command, spec, *extra]) == 2
+        assert_one_error_line(*capsys.readouterr())
+
+    def test_generator_table_not_an_object(self, built_v2, tmp_path, capsys):
+        data = json.loads(built_v2.read_text())
+        data["tetra"]["x"] = []
+        assert main(["verify", write_json(tmp_path / "m.json", data)]) == 2
+        assert_one_error_line(*capsys.readouterr())
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        assert main(["inspect", write_json(tmp_path / "seven.json", 7), "--flags"]) == 2
+        assert_one_error_line(*capsys.readouterr())
+
+
+OPTIONAL_KEYS = {"shift", "dim", "diameter", "type"}
+VALID_RATIONALS = ("0", "1", "-1", "2", "-3/2", "7/5")
+INVALID_RATIONALS = ("1.5", "1/0", "", "+3", "x", "2/-3")
+OTHER_KINDS = (None, True, 1.5, 7, "x", [], {})
+# each command with the sections of a build file it reads (None: a spec file)
+FUZZ_COMMANDS = (
+    (["build"], None), (["classify"], None), (["compare"], None),
+    (["verify"], ("tetra",)), (["verify", "--deep"], ("tetra", "module")),
+    (["inspect", "--table"], ("tetra",)), (["inspect", "--flags"], ("module",)),
+)
+
+
+def _kind(value):
+    return bool if isinstance(value, bool) else type(value)
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(data, doc, sections):
+    """One random edit of doc: returns the edited document and whether it
+    breaks the file schema (a missing required key, a wrong type, a ragged
+    row or a malformed rational literal)."""
+    # below the root, and only in the sections the command reads, below theirs
+    nodes = [(p, n) for p, n in _nodes(doc) if p and (sections is None or (len(p) > 1 and p[0] in sections))]
+    rows = [(p, n) for p, n in nodes if isinstance(p[-1], int) and isinstance(n, list)]
+    kind = data.draw(st.sampled_from(["remove", "retype", "rational"] + (["ragged"] if rows else [])))
+    if kind == "remove":
+        path, _ = data.draw(st.sampled_from(nodes))
+        # dropping one factor of a spec leaves a valid spec
+        violates = path[-1] not in OPTIONAL_KEYS and path[-2:-1] != ("factors",)
+    elif kind == "retype":
+        path, node = data.draw(st.sampled_from([((), doc), *nodes]))
+        value = data.draw(st.sampled_from([v for v in OTHER_KINDS if _kind(v) != _kind(node)]))
+        violates = True
+    elif kind == "ragged":
+        path, row = data.draw(st.sampled_from(rows))
+        value = data.draw(st.sampled_from([row[:-1], row + ["0"]]))
+        violates = True
+    else:
+        path, _ = data.draw(st.sampled_from([(p, n) for p, n in nodes if isinstance(n, str)]))
+        value = data.draw(st.sampled_from(VALID_RATIONALS + INVALID_RATIONALS))
+        violates = value in INVALID_RATIONALS
+    if not path:
+        return value, violates
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "remove":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc, violates
+
+
+class TestFuzz:
+    """Mutated d4 spec and build files never escape with an exception."""
+
+    @pytest.fixture(scope="class")
+    def d4_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        spec = write_json(root / "d4.json", SPEC_V2_V3)
+        out = root / "d4.module.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        return spec, json.loads(out.read_text())
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_contract(self, d4_files, data):
+        spec_path, built = d4_files
+        argv, sections = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        doc, violates = _mutate(data, SPEC_V2_V3 if sections is None else built, sections)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "input.json", doc)
+            extra = {"build": ["-o", str(Path(tmp) / "out.json")], "compare": [spec_path]}.get(argv[0], [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], path, *argv[1:], *extra])
+        assert code in (0, 1, 2)
+        if violates:
+            assert code == 2, (argv, doc)
+        if code == 2:
+            assert_one_error_line(out.getvalue(), err.getvalue())

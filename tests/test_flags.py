@@ -1,7 +1,8 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tetrabox import (
     Decomposition,
@@ -19,6 +20,7 @@ from tetrabox import (
     induced_decomposition,
     intersect,
     invert_decomposition,
+    subspace_sum,
 )
 
 
@@ -164,3 +166,94 @@ class TestFourFlags:
                 for j in range(d + 1):
                     if i + j < d:
                         assert intersect(f.components[i], g.components[j]).is_zero()
+
+
+def reference_induced(f, g):
+    """The intersections, running sums and rebuilt flags route to opposition."""
+    d, n = f.diameter, f.ambient_dim
+    pieces, running, total = [], Subspace.zero(n), 0
+    for i in range(d + 1):
+        piece = intersect(f.components[i], g.components[d - i])
+        if piece.is_zero():
+            return f"component intersection {i} is zero"
+        pieces.append(piece)
+        total += piece.dim
+        running = subspace_sum(running, piece)
+    if total != n or running.dim != n:
+        return "component intersections do not sum directly to the full space"
+    dec = Decomposition(tuple(pieces))
+    if flag_from_decomposition(dec) != f:
+        return "partial sums do not reproduce the first flag"
+    if flag_from_decomposition(invert_decomposition(dec)) != g:
+        return "inverted partial sums do not reproduce the second flag"
+    return dec.subspaces
+
+
+@st.composite
+def compositions(draw, n, parts):
+    """Dimensions of `parts` nonzero pieces summing to n."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=parts - 1, max_size=parts - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+@st.composite
+def decompositions(draw, dims):
+    """The columns of a random invertible matrix, cut into blocks of the given sizes.
+
+    The matrix is a unit lower times a unit upper triangular matrix, with
+    its columns permuted, so its determinant is +-1.
+    """
+    n = sum(dims)
+    entries = st.integers(-2, 2)
+    lower = [[draw(entries) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(entries) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    basis = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+    order = draw(st.permutations(range(n)))
+    columns = [basis.col_list(j) for j in order]
+    pieces, start = [], 0
+    for k in dims:
+        block = Matrix.from_rows(columns[start:start + k]).transpose()
+        pieces.append(Subspace.span_columns(block))
+        start += k
+    return Decomposition(tuple(pieces))
+
+
+@st.composite
+def flag_pairs(draw):
+    n = draw(st.integers(2, 5))
+    parts = draw(st.integers(1, n))
+    dims = draw(compositions(n, parts))
+    f_dec = draw(decompositions(dims))
+    case = draw(st.sampled_from(["reverse", "self", "unrelated", "mismatched"]))
+    if case == "reverse":
+        g_dec = invert_decomposition(f_dec)
+    elif case == "self":
+        g_dec = f_dec
+    else:
+        other = draw(compositions(n, parts))
+        if case == "mismatched":
+            assume(other != dims)
+        g_dec = draw(decompositions(other))
+    return flag_from_decomposition(f_dec), flag_from_decomposition(g_dec)
+
+
+class TestOppositionDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(flag_pairs())
+    def test_agrees_with_reference(self, pair):
+        f, g = pair
+        expected = reference_induced(f, g)
+        assert are_opposite(f, g) == (not isinstance(expected, str))
+        if isinstance(expected, str):
+            with pytest.raises(OppositionError) as info:
+                induced_decomposition(f, g)
+            assert str(info.value) == f"flags are not opposite: {expected}"
+        else:
+            assert induced_decomposition(f, g).subspaces == expected
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(3, 2), (3, 3)]])
+    def test_other_order_reverses_the_pieces(self, factors):
+        flags = four_flags(build_from_spec(ModuleSpec.of(factors)))
+        for r, s in permutations(range(4), 2):
+            forward = induced_decomposition(flags[r], flags[s]).subspaces
+            assert induced_decomposition(flags[s], flags[r]).subspaces == forward[::-1]

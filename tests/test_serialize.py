@@ -5,7 +5,6 @@ import pytest
 from tetrabox import Matrix, ModuleSpec, build_from_spec, build_tetra, evaluation_module
 from tetrabox.serialize import (
     fraction_from_str,
-    fraction_to_str,
     matrix_from_json,
     matrix_to_json,
     module_from_json,
@@ -20,7 +19,7 @@ from tetrabox.serialize import (
 class TestFractionStrings:
     @pytest.mark.parametrize("value,text", [(F(2), "2"), (F(-1, 2), "-1/2"), (F(0), "0"), (F(7, 3), "7/3")])
     def test_to_str(self, value, text):
-        assert fraction_to_str(value) == text
+        assert matrix_to_json(Matrix.from_rows([[value]])) == [[text]]
 
     @pytest.mark.parametrize("text,value", [("2", F(2)), ("-1/2", F(-1, 2)), ("0", F(0)), ("10/4", F(5, 2))])
     def test_from_str(self, text, value):
@@ -84,6 +83,12 @@ class TestModuleJson:
         decoded = module_from_json(encoded)
         assert decoded.A == m.A and decoded.Astar == m.Astar
         assert decoded.diameter == 2 and decoded.type_pair == (F(0), F(0))
+
+    def test_rejects_null_diameter(self):
+        encoded = module_to_json(evaluation_module(1, F(2)))
+        encoded["diameter"] = None
+        with pytest.raises(ValueError):
+            module_from_json(encoded)
 
 
 class TestTetraJson:
