@@ -8,11 +8,14 @@ generates is the full matrix algebra, of dimension dim^2. Isomorphism is
 decided either by equivalence of evaluation data (permutations and
 parameter inversions) or by an explicit intertwiner search.
 
-The Burnside closure is exact. A fast certificate runs the identical
-closure over the prime field F_65521: reaching full rank there proves full
-rank over the rationals, since specializing mod p never increases rank.
-Only when the modular closure stops short does the exact integer closure
-run; its verdict is final either way. numpy is imported only when the
+The Burnside closure is exact: the algebra is the spin of the identity
+matrix under right multiplication by each generator, computed by the same
+routine and the same integer echelon (linalg._Echelon) as Norton's spin
+below. A fast certificate runs the word closure over the prime field
+F_65521: reaching full rank there proves full rank over the rationals,
+since specializing mod p never increases rank. Only when the modular
+closure stops short does the exact closure run; its verdict is final
+either way. numpy is imported only when the
 certificate runs.
 
 Norton's spinning test (the MeatAxe irreducibility test, run here in exact
@@ -27,10 +30,12 @@ absolute irreducibility, the one Burnside decides.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import DimensionGuardError, ReducibleModuleError
-from .linalg import Matrix, _integer_rows, _integerized, _strip_gcd, determinant, eigenspace, kernel
+from .linalg import Matrix, _Echelon, _integerized, _strip_gcd, determinant, eigenspace, kernel
 from .onsager import ModuleSpec, OnsagerModule, module_type
 
 ORACLE_GUARD = 64
@@ -72,42 +77,6 @@ def are_equivalent(s1: ModuleSpec, s2: ModuleSpec) -> bool:
         if s.shift != (Fraction(0), Fraction(0)):
             raise ValueError("equivalence is defined for type-(0,0) specs; normalize first")
     return equivalence_key(s1) == equivalence_key(s2)
-
-
-class _Echelon:
-    """Incremental integer echelon basis of a subspace of Q^n.
-
-    Each row is gcd-stripped and keyed by the position of its leading
-    entry, which is positive. Reductions are two-term integer combinations
-    with gcd stripping, which realizes exact rational elimination without
-    Fraction overhead.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec: list[int]) -> bool:
-        """Extend the span by vec; False when vec already lies in it."""
-        rows = self.rows
-        v = vec
-        for pos in range(self.n):
-            c = v[pos]
-            if not c:
-                continue
-            row = rows.get(pos)
-            if row is None:
-                v = _strip_gcd(v)
-                if v[pos] < 0:
-                    v = [-x for x in v]
-                rows[pos] = v
-                return True
-            p = row[pos]
-            v = _strip_gcd([p * x - c * y for x, y in zip(v, row)])
-        return False
 
 
 def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:
@@ -156,64 +125,46 @@ def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:
     return size == nn
 
 
-def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
-    """Dimension over Q of the unital algebra generated by integer matrices.
+def _spin_dimension(vector: list[int], sparse_gens: list[list[list[tuple[int, int]]]]) -> int:
+    """Dimension of the smallest subspace that contains vector and is
+    invariant under the operators in sparse_gens.
 
-    Breadth-first word closure: every accepted word is multiplied on the
-    right by each generator until no product leaves the current span, which
-    is tracked in an integer echelon basis of the flattened words.
-    """
-    nn = n * n
-    span = _Echelon(nn)
-
-    def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        out = []
-        for i in range(n):
-            ai = a[i]
-            row = [0] * n
-            for k in range(n):
-                s = ai[k]
-                if s:
-                    bk = b[k]
-                    for j in range(n):
-                        if bk[j]:
-                            row[j] += s * bk[j]
-            out.append(row)
-        return out
-
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    queue = [ident]
-    span.add([x for row in ident for x in row])
-    while queue and len(span) < nn:
-        word = queue.pop(0)
-        for g in gens:
-            product = matmul(word, g)
-            if span.add([x for row in product for x in row]):
-                queue.append(product)
-                if len(span) == nn:
-                    return nn
-    return len(span)
-
-
-def _spins_to_full(vector: list[int], gens: list[list[list[int]]]) -> bool:
-    """True iff the words in gens applied to vector span all of Q^n.
-
-    Every vector that enlarges the span is queued and its images under each
-    generator are offered in turn, so the final span is the smallest
-    gens-invariant subspace containing vector.
+    Each operator is given by its rows as (column, entry) pairs. Every
+    vector that enlarges the span is queued, oldest first, and its images
+    under each operator are offered in turn.
     """
     n = len(vector)
-    sparse = [[[(j, x) for j, x in enumerate(row) if x] for row in g] for g in gens]
     span = _Echelon(n)
     span.add(vector)
-    queue = [vector]
+    queue = deque([vector])
     while queue and len(span) < n:
-        v = queue.pop()
-        for g in sparse:
+        v = queue.popleft()
+        for g in sparse_gens:
             image = _strip_gcd([sum(x * v[j] for j, x in row) for row in g])
             if span.add(image):
                 queue.append(image)
-    return len(span) == n
+    return len(span)
+
+
+def _sparse_rows(g: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Rows of an integer matrix as (column, entry) pairs of their nonzeros."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in g]
+
+
+def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
+    """Dimension over Q of the unital algebra generated by integer matrices.
+
+    The algebra is the spin of the identity under right multiplication by
+    each generator. On flattened n x n matrices, entry (i, j) of W g is
+    sum_k W[i][k] g[k][j], so that operator's row (i, j) holds the nonzero
+    entries of column j of g.
+    """
+    operators = []
+    for g in gens:
+        columns = _sparse_rows(zip(*g))
+        operators.append([[(i * n + k, x) for k, x in columns[j]] for i in range(n) for j in range(n)])
+    identity = [1 if i == j else 0 for i in range(n) for j in range(n)]
+    return _spin_dimension(identity, operators)
 
 
 def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> int:
@@ -269,10 +220,11 @@ def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: in
         return is_irreducible_burnside(m, guard=guard)
     dual_line = eigenspace(m.A.transpose(), top)
     a, astar = _integerized(m.A)[0], _integerized(m.Astar)[0]
-    a_t, astar_t = [list(col) for col in zip(*a)], [list(col) for col in zip(*astar)]
+    v = _integerized(line.basis.transpose())[0][0]
+    w = _integerized(dual_line.basis.transpose())[0][0]
     return (
-        _spins_to_full(_integer_rows(line.basis_columns())[0], [a, astar])
-        and _spins_to_full(_integer_rows(dual_line.basis_columns())[0], [a_t, astar_t])
+        _spin_dimension(v, [_sparse_rows(a), _sparse_rows(astar)]) == m.dim
+        and _spin_dimension(w, [_sparse_rows(zip(*a)), _sparse_rows(zip(*astar))]) == m.dim
     )
 
 

@@ -5,9 +5,14 @@ full space; a flag is the increasing chain of its partial sums. Two flags
 are opposite when one decomposition induces the first and its inversion the
 second; that decomposition is recovered componentwise as P_i = F_i
 "intersect" G_{d-i}, which is also how opposition is decided here: the P_i
-must be nonzero and sum directly to the full space (one rank), and then
-P_0 + ... + P_i, which lies in F_i, equals F_i exactly when the dimensions
-agree (likewise for G). The pair (G, F) induces the same pieces reversed.
+must be nonzero and sum directly to the full space (one rank). Nothing more
+is needed. Write P_{<=i} and P_{>i} for the sums of the P_j with j <= i and
+j > i. Then P_{<=i} lies in F_i and P_{>i} in G_{d-i-1}, so by the modular
+law F_i = P_{<=i} + (F_i "intersect" P_{>i}), and F_i "intersect" P_{>i}
+lies in F_i "intersect" G_{d-i-1}, inside P_i, which meets P_{>i} only in
+0. Hence F_i = P_{<=i}, and likewise G_i = P_{>=d-i}: the pieces induce both
+flags. The pair (G, F) induces the same pieces reversed.
+
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.
 """
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import OppositionError, SpectrumError, TypeShiftError
 from .linalg import Subspace, eigenspace, hstack, intersect, rref, subspace_sum
@@ -110,11 +114,6 @@ def _induced_subspaces(f: Flag, g: Flag) -> tuple[Subspace, ...] | str:
         pieces.append(piece)
     if not _sum_is_direct_and_full(tuple(pieces)):
         return "component intersections do not sum directly to the full space"
-    dims = [piece.dim for piece in pieces]
-    if list(accumulate(dims)) != [c.dim for c in f.components]:
-        return "partial sums do not reproduce the first flag"
-    if list(accumulate(reversed(dims))) != [c.dim for c in g.components]:
-        return "inverted partial sums do not reproduce the second flag"
     return tuple(pieces)
 
 

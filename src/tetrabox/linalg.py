@@ -5,10 +5,15 @@ there are no tolerances anywhere. Subspaces are kept in a canonical reduced
 column-echelon form, so two subspaces are equal as sets exactly when their
 representations compare equal.
 
-Row reduction is done fraction-free on integer rows (each row scaled by the
-lcm of its denominators, gcd-stripped after every update) and converted back
-to rationals at the end; this is much faster than eliminating on Fraction
-objects and produces the identical reduced echelon form.
+Exact elimination has one engine and one conversion. A matrix becomes
+integer rows once, with one common scale (``_integerized``), and every
+elimination runs in the incremental integer echelon ``_Echelon``: two-term
+integer row combinations, gcd-stripped after every update, converted back to
+rationals only at the end. rref (and with it ranks, kernels, inverses and
+intersections), the minimal polynomial and the spins and closures of
+``classify`` all use it; this is much faster than eliminating on Fraction
+objects and gives the identical reduced echelon form. The determinant runs
+Bareiss elimination on the same integer rows.
 """
 
 from __future__ import annotations
@@ -228,20 +233,6 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return row
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row to integers and strip its content.
-
-    Row scaling leaves the row space, the rank and the kernel unchanged.
-    """
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        out.append(_strip_gcd([x.numerator * (denom // x.denominator) for x in row]))
-    return out
-
-
 def _integerized(m: Matrix) -> tuple[list[list[int]], Fraction]:
     """Integer rows of scale * m with one global scale, content stripped.
 
@@ -272,50 +263,85 @@ def _int_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[
     return out
 
 
-def _rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free reduced row echelon; returns rows and pivot columns.
+class _Echelon:
+    """Incremental integer echelon basis of a subspace of Q^n.
 
-    The returned pivot rows are integral and gcd-stripped; dividing each by
-    its pivot entry yields the rational reduced row echelon form.
+    Each row is gcd-stripped and keyed by the position of its leading
+    entry, which is positive. Reductions are two-term integer combinations
+    with gcd stripping, which realizes exact rational elimination without
+    Fraction overhead. Vectors may be longer than n: only the first n
+    positions are eliminated, and the tail is carried along, so a tail of
+    unit vectors records which combination of the inputs a residual is.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            ci = rows[i][c]
-            if ci:
-                ri, rr = rows[i], rows[r]
-                rows[i] = _strip_gcd([p * x - ci * y for x, y in zip(ri, rr)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        p = rows[k][c]
-        for i in range(k):
-            ci = rows[i][c]
-            if ci:
-                ri, rk = rows[i], rows[k]
-                rows[i] = _strip_gcd([p * x - ci * y for x, y in zip(ri, rk)])
-    return rows, pivots
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: dict[int, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list[int]) -> tuple[int | None, list[int]]:
+        """Eliminate the first n positions of vec against the basis.
+
+        Returns the leading position of the residual, None when its first n
+        entries all vanish, and the residual itself, tail included.
+        """
+        rows = self.rows
+        v = vec
+        for pos in range(self.n):
+            c = v[pos]
+            if not c:
+                continue
+            row = rows.get(pos)
+            if row is None:
+                return pos, v
+            p = row[pos]
+            v = _strip_gcd([p * x - c * y for x, y in zip(v, row)])
+        return None, v
+
+    def add(self, vec: list[int]) -> bool:
+        """Extend the span by vec; False when vec already lies in it."""
+        lead, v = self.reduce(vec)
+        if lead is None:
+            return False
+        v = _strip_gcd(v)
+        if v[lead] < 0:
+            v = [-x for x in v]
+        self.rows[lead] = v
+        return True
+
+    def reduced_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Back-substituted basis rows in pivot order, and their pivots.
+
+        Each returned row vanishes in every other row's pivot column, so
+        dividing it by its pivot entry gives a row of the reduced echelon form.
+        """
+        pivots = sorted(self.rows)
+        rows = [self.rows[c] for c in pivots]
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            rk = rows[k]
+            p = rk[c]
+            for i in range(k):
+                ci = rows[i][c]
+                if ci:
+                    rows[i] = _strip_gcd([p * x - ci * y for x, y in zip(rows[i], rk)])
+        return rows, pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank, computed exactly."""
     if m.rows == 0 or m.cols == 0:
         return m, 0
-    rows, pivots = _rref_int(_integer_rows(m.to_rows()), m.cols)
+    echelon = _Echelon(m.cols)
+    for row in _integerized(m)[0]:
+        echelon.add(row)
+    rows, pivots = echelon.reduced_rows()
     out: list[Fraction] = []
-    for k, c in enumerate(pivots):
-        p = rows[k][c]
-        out.extend(Fraction(x, p) for x in rows[k])
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.extend(Fraction(x, p) for x in row)
     zero_fill = (Fraction(0),) * ((m.rows - len(pivots)) * m.cols)
     return Matrix(m.rows, m.cols, tuple(out) + zero_fill), len(pivots)
 
@@ -470,14 +496,7 @@ def determinant(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    rows = []
-    scale = 1
-    for row in m.to_rows():
-        denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        scale *= denom
-        rows.append([x.numerator * (denom // x.denominator) for x in row])
+    rows, scale = _integerized(m)  # det m = det(rows) / scale^n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -493,7 +512,7 @@ def determinant(m: Matrix) -> Fraction:
             ci = ri[k]
             rows[i] = [(pk * ri[j] - ci * rk_[j]) // prev for j in range(n)]
         prev = pk
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return sign * rows[n - 1][n - 1] / scale**n
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -577,8 +596,11 @@ class BlockBasis:
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     """Monic minimal polynomial coefficients, constant term first.
 
-    Found as the first linear dependence among I, m, m^2, ... with the
-    dependence coefficients tracked through an incremental echelon basis.
+    Found as the first linear dependence among I, M, M^2, ... for the
+    integer matrix M = scale * m: each flattened power M^k, followed by the
+    unit tail e_k, is reduced in one echelon, and the first residual whose
+    leading n^2 entries vanish carries sum_j b_j M^j = 0 in its tail, so
+    sum_j b_j scale^j m^j = 0.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
@@ -586,31 +608,19 @@ def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     if n == 0:
         return (Fraction(0), Fraction(1))
     nn = n * n
-    echelon: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
-    power = Matrix.identity(n)
-    k = 0
-    while True:
-        vec = list(power.entries)
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        for pos in range(nn):
-            c = vec[pos]
-            if not c:
-                continue
-            hit = echelon.get(pos)
-            if hit is None:
-                inv = 1 / c
-                echelon[pos] = ([x * inv for x in vec], [x * inv for x in coeffs])
-                break
-            row, row_coeffs = hit
-            vec = [x - c * y for x, y in zip(vec, row)]
-            for idx, y in enumerate(row_coeffs):
-                coeffs[idx] -= c * y
-        else:
-            return tuple(coeffs)
-        if k > n:  # cannot happen: the minimal polynomial has degree <= n
-            raise RuntimeError("minimal polynomial search did not terminate")
-        power = power * m
-        k += 1
+    a, scale = _integerized(m)
+    echelon = _Echelon(nn)
+    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(n + 1):
+        tail = [0] * (n + 1)
+        tail[k] = 1
+        lead, residual = echelon.reduce([x for row in power for x in row] + tail)
+        if lead is None:
+            coeffs = [b * scale**j for j, b in enumerate(residual[nn : nn + k + 1])]
+            return tuple(c / coeffs[k] for c in coeffs)
+        echelon.add(residual)
+        power = _int_matmul(power, a, n)
+    raise RuntimeError("minimal polynomial search did not terminate")  # degree <= n
 
 
 def _divisors(n: int) -> list[int]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import SpectrumError
-from .linalg import Matrix, commutator, kron, minimal_polynomial
+from .errors import DimensionGuardError, SpectrumError
+from .linalg import Matrix, commutator, dim_guard, kron, minimal_polynomial
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -149,7 +149,16 @@ def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
 
 
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
-    """Left-fold tensor of the evaluation factors, then apply the type shift."""
+    """Left-fold tensor of the evaluation factors, then apply the type shift.
+
+    A spec above the dimension guard is refused before any factor is built.
+    """
+    guard = dim_guard()
+    if spec.dim > guard:
+        raise DimensionGuardError(
+            f"module dimension {spec.dim} exceeds the dimension guard {guard} "
+            "(set TETRABOX_DIM_GUARD to raise it)"
+        )
     module = None
     for n, a in spec.factors:
         factor = evaluation_module(n, a)

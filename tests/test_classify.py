@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -25,6 +26,7 @@ from tetrabox import (
     trivial_module,
 )
 from tetrabox import classify
+from tetrabox.linalg import _Echelon, _integerized
 
 
 def spec(*factors, shift=(0, 0)):
@@ -125,6 +127,57 @@ class TestSpin:
         assert m.dim == 65 > ORACLE_GUARD
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
+
+
+def word_closure_dimension(a: Matrix, b: Matrix) -> int:
+    """Reference: the word closure the spin replaced. Every accepted word,
+    oldest first, is multiplied on the right by each generator with a dense
+    integer matmul, and the flattened words are kept in an integer echelon."""
+    n = a.rows
+    gens = [_integerized(a)[0], _integerized(b)[0]]
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    span = _Echelon(n * n)
+    span.add([x for row in identity for x in row])
+    queue = deque([identity])
+    while queue:
+        word = queue.popleft()
+        for g in gens:
+            product = matmul(word, g)
+            if span.add([x for row in product for x in row]):
+                queue.append(product)
+    return len(span)
+
+
+class TestClosureDifferential:
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [(1, 1)],
+            [(2, -1), (1, 2)],
+            [(2, 2), (2, F(1, 2))],
+            [(1, 2), (2, 3)],
+            [(2, 3), (2, 5)],
+        ],
+    )
+    def test_grid_modules(self, factors):
+        m = build_from_spec(spec(*factors))
+        expected = word_closure_dimension(m.A, m.Astar)
+        assert generated_algebra_dimension(m.A, m.Astar) == expected
+        assert (expected == m.dim**2) == is_irreducible_criterion(spec(*factors))
+
+    def test_reducible_grid_module_dimension(self):
+        m = build_from_spec(spec((3, 2), (3, F(1, 2))))
+        assert generated_algebra_dimension(m.A, m.Astar) == word_closure_dimension(m.A, m.Astar) == 84
+
+    def test_direct_sum(self):
+        v, w = evaluation_module(1, F(2)), evaluation_module(2, F(3))
+        a, b = block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar)
+        # End(V) + End(W) plus nothing else: the summands are not isomorphic
+        assert generated_algebra_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
 
 
 class TestEquivalence:

@@ -258,6 +258,14 @@ class TestGuardOverride:
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert "guard" in capsys.readouterr().err
 
+    def test_oversized_spec_refused_by_classify(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "2"}] * 4, "shift": ["0", "0"]})
+        assert main(["classify", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: module dimension 16 exceeds the dimension guard 8 (set TETRABOX_DIM_GUARD to raise it)\n"
+
     def test_non_integer_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TETRABOX_DIM_GUARD", "abc")
         spec = write_json(tmp_path / "s.json", SPEC_V2)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from tetrabox import (
+    DimensionGuardError,
     Matrix,
     ModuleSpec,
     OnsagerModule,
@@ -17,6 +18,7 @@ from tetrabox import (
     tensor,
     trivial_module,
 )
+from tetrabox import onsager
 
 SAMPLE_FACTORS = [(1, F(2)), (2, F(3)), (3, F(1, 2)), (1, F(-1)), (2, F(1)), (2, F(5))]
 
@@ -159,6 +161,25 @@ class TestBuildFromSpec:
             ModuleSpec.of([(1, 0)])
         with pytest.raises(ValueError):
             ModuleSpec.of([(-1, 2)])
+
+    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
+        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        calls = []
+        for name in ("kron", "sl2_irreducible"):
+            original = getattr(onsager, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(onsager, name, spy)
+        with pytest.raises(DimensionGuardError, match="dimension 16 exceeds the dimension guard 8"):
+            build_from_spec(ModuleSpec.of([(1, 2)] * 4))
+        assert calls == []
+
+    def test_spec_at_the_guard_builds(self, monkeypatch):
+        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        assert build_from_spec(ModuleSpec.of([(1, 2)] * 3)).dim == 8
 
 
 class TestModuleType:
