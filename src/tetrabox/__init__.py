@@ -66,6 +66,7 @@ from .tetra import (
     TetraModule,
     VerificationReport,
     build_tetra,
+    build_tetra_from_spec,
     eigentable,
     flag_independence_check,
     pairwise_burnside,

@@ -1,5 +1,12 @@
 """Command-line front end: build, verify, classify, compare, inspect.
 
+`build` has the spec, so it folds the twelve generators from the spec's
+evaluation factors (tetra.build_tetra_from_spec). `verify --deep` has only
+the file's matrices: it rebuilds them from x_01, x_23 by the flag route,
+runs the round trip (its first build is that rebuild whenever x_01, x_23
+are the module's A, Astar) and, when the file echoes its spec, checks that
+the spec's fold gives the file's twelve matrices.
+
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed checks or rejected (reducible/shifted)
@@ -33,7 +40,8 @@ from .serialize import (
 )
 from .tetra import (
     TetraModule,
-    build_tetra,
+    _is_fixed_point,
+    build_tetra_from_spec,
     eigentable,
     flag_independence_check,
     pairwise_burnside,
@@ -95,7 +103,7 @@ def cmd_build(args) -> int:
         return 1
     module = build_from_spec(spec)
     try:
-        tetra = build_tetra(module)
+        tetra = build_tetra_from_spec(spec)
     except TetraboxError as exc:
         _fail(str(exc))
         return 1
@@ -113,22 +121,28 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _deep_checks(module: OnsagerModule, tetra: TetraModule) -> dict:
+def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | None) -> dict:
     out = {"pass": True}
     try:
         rebuilt = rebuild_from_standard_generators(tetra)
         out["rebuild_matches"] = rebuilt.x == tetra.x
-        out["roundtrip_uniqueness"] = roundtrip_uniqueness(
-            OnsagerModule(module.dim, module.A, module.Astar)
-        )
+        bare = OnsagerModule(module.dim, module.A, module.Astar)
+        if tetra.x[(0, 1)] == module.A and tetra.x[(2, 3)] == module.Astar:
+            # the round trip's first build would repeat this rebuild
+            out["roundtrip_uniqueness"] = _is_fixed_point(bare, rebuilt)
+        else:
+            out["roundtrip_uniqueness"] = roundtrip_uniqueness(bare)
+        checks = [out["rebuild_matches"], out["roundtrip_uniqueness"]]
+        if spec is not None:
+            out["spec_matches"] = spec.dim == tetra.dim and build_tetra_from_spec(spec).x == tetra.x
+            checks.append(out["spec_matches"])
         try:
             out["pairwise_burnside"] = pairwise_burnside(tetra)
         except DimensionGuardError as exc:
             # a refused check is not a failed one
             out["pairwise_burnside"] = "skipped"
             out["skipped"] = str(exc)
-        out["pass"] = all((out["rebuild_matches"], out["roundtrip_uniqueness"],
-                           out["pairwise_burnside"] is not False))
+        out["pass"] = all(checks) and out["pairwise_burnside"] is not False
     except TetraboxError as exc:
         out["pass"] = False
         out["error"] = str(exc)
@@ -143,6 +157,7 @@ def cmd_verify(args) -> int:
             module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
                 tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]
             )
+            spec = spec_from_json(data["spec"]) if "spec" in data else None
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None
     relations = verify_relations(tetra)
@@ -167,7 +182,7 @@ def cmd_verify(args) -> int:
     }
     ok = relations.all_passed and table.all_passed and actions.all_passed and independent
     if args.deep:
-        deep = _deep_checks(module, tetra)
+        deep = _deep_checks(module, tetra, spec)
         report["deep"] = deep
         ok = ok and deep["pass"]
     report["pass"] = ok

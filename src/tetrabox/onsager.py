@@ -148,17 +148,22 @@ def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
     return OnsagerModule(m1.dim * m2.dim, A, Astar, diameter=diameter, type_pair=type_pair)
 
 
-def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
-    """Left-fold tensor of the evaluation factors, then apply the type shift.
-
-    A spec above the dimension guard is refused before any factor is built.
-    """
+def _require_within_guard(spec: ModuleSpec) -> None:
+    """Raise DimensionGuardError when the spec's module exceeds the dimension guard."""
     guard = dim_guard()
     if spec.dim > guard:
         raise DimensionGuardError(
             f"module dimension {spec.dim} exceeds the dimension guard {guard} "
             "(set TETRABOX_DIM_GUARD to raise it)"
         )
+
+
+def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
+    """Left-fold tensor of the evaluation factors, then apply the type shift.
+
+    A spec above the dimension guard is refused before any factor is built.
+    """
+    _require_within_guard(spec)
     module = None
     for n, a in spec.factors:
         factor = evaluation_module(n, a)

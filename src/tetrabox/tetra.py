@@ -1,6 +1,18 @@
 """Assembly and verification of the full six-generator module structure.
 
-From an irreducible type-(0,0) Onsager module, every ordered pair (r, s) of
+Two routes build the twelve matrices, and they agree entry for entry.
+
+From a spec, build_tetra_from_spec follows the paper's classification:
+an irreducible module is a tensor product of evaluation modules, and the
+tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. So each
+small evaluation factor is built by the flag route below and the twelve
+matrices are folded by Kronecker sums, in the left-fold order of
+onsager.build_from_spec. The fold is a tetrahedron structure with
+x_01 = A and x_23 = Astar; its four flags are the eigenspace flags of
+x_01, x_10, x_23 and x_32, and those flags fix every x_rs, so it is the
+structure the flag route derives.
+
+From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
 the opposite flags r and s), and the generator x_rs acts on its i-th piece
 as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
@@ -26,11 +38,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .classify import ORACLE_GUARD, is_irreducible_spin, pair_generates_full_algebra
+from .classify import ORACLE_GUARD, is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
 from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import Flag, _flags_from_chains, _ladder_eigenspaces, induced_decomposition
+from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
 from .linalg import BlockBasis, Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
-from .onsager import OnsagerModule, module_type
+from .onsager import (
+    ModuleSpec,
+    OnsagerModule,
+    _require_within_guard,
+    evaluation_module,
+    kronecker_sum,
+    module_type,
+    trivial_module,
+)
 
 CORNERS = (0, 1, 2, 3)
 
@@ -105,10 +125,10 @@ def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], t
     """
     decomps: dict[tuple[int, int], tuple[Subspace, ...]] = {}
     for r, s in UNORDERED_PAIRS:
-        try:
-            decomps[(r, s)] = induced_decomposition(flags[r], flags[s]).subspaces
-        except OppositionError as exc:
-            raise OppositionError(f"flags {r} and {s} are not opposite: {exc}") from None
+        pieces = _induced_subspaces(flags[r], flags[s])
+        if isinstance(pieces, str):
+            raise OppositionError(f"flags {r} and {s} are not opposite: flags are not opposite: {pieces}")
+        decomps[(r, s)] = pieces
     return decomps
 
 
@@ -142,6 +162,35 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
         x[(r, s)] = scaled * inverse(basis)
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x, flags=flags)
+
+
+def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
+    """The twelve generator matrices of a spec's module, folded from its factors.
+
+    Each evaluation factor (n_i, a_i) is built by build_tetra, and the
+    factors' matrices are combined by Kronecker sums in the left-fold order
+    of build_from_spec, so x_01 and x_23 equal its A and Astar entry for
+    entry and every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
+    The four flags are not recovered (flags is None): four_flags of the
+    spec's module gives them.
+
+    Raises the errors build_tetra(build_from_spec(spec)) raises:
+    DimensionGuardError above the dimension guard, before any factor is
+    built; TypeShiftError on a nonzero shift; ReducibleModuleError when the
+    evaluation-parameter criterion fails (a collision between two factors
+    is invisible to each factor alone).
+    """
+    _require_within_guard(spec)
+    alpha, alphastar = spec.shift
+    if alpha != 0 or alphastar != 0:
+        raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
+    if not is_irreducible_criterion(spec):
+        raise ReducibleModuleError("module is reducible: the parameters a_i, a_i^-1 are not mutually distinct")
+    x = build_tetra(trivial_module()).x  # the 1x1 zeros, the unit of the fold
+    for n, a in spec.factors:
+        factor = build_tetra(evaluation_module(n, a)).x
+        x = {pair: kronecker_sum(x[pair], factor[pair]) for pair in ORDERED_PAIRS}
+    return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
 def verify_relations(t: TetraModule) -> VerificationReport:
@@ -287,7 +336,11 @@ def roundtrip_uniqueness(m: OnsagerModule) -> bool:
     generators x_01, x_23 of the result, rebuilds everything, and demands a
     bit-identical outcome with x_01 = A and x_23 = Astar.
     """
-    first = build_tetra(m)
+    return _is_fixed_point(m, build_tetra(m))
+
+
+def _is_fixed_point(m: OnsagerModule, first: TetraModule) -> bool:
+    """Second half of the round trip, given first = build_tetra(m)."""
     if first.x[(0, 1)] != m.A or first.x[(2, 3)] != m.Astar:
         return False
     second = rebuild_from_standard_generators(first)

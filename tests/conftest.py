@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from tetrabox import ModuleSpec, build_from_spec, is_irreducible_burnside
+from tetrabox import ModuleSpec, build_from_spec, build_tetra, is_irreducible_burnside, is_irreducible_criterion
 
 GRID_WEIGHTS = (1, 2, 3)
 GRID_PARAMETERS = (
@@ -50,3 +50,13 @@ def grid_modules(grid_specs):
 @pytest.fixture(scope="session")
 def grid_burnside(grid_modules):
     return {spec: is_irreducible_burnside(module) for spec, module in grid_modules.items()}
+
+
+@pytest.fixture(scope="session")
+def built_irreducible_grid(grid_specs, grid_modules):
+    """The flag-route structure of every irreducible grid spec."""
+    return {
+        spec: build_tetra(grid_modules[spec])
+        for spec in grid_specs
+        if is_irreducible_criterion(spec)
+    }

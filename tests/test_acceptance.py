@@ -53,15 +53,6 @@ def built_suite(relation_suite_specs):
     return {spec: build_tetra(build_from_spec(spec)) for spec in relation_suite_specs}
 
 
-@pytest.fixture(scope="module")
-def built_irreducible_grid(grid_specs, grid_modules):
-    return {
-        spec: build_tetra(grid_modules[spec])
-        for spec in grid_specs
-        if is_irreducible_criterion(spec)
-    }
-
-
 def test_criterion_1_relation_suite(relation_suite_specs, built_suite):
     start = time.monotonic()
     failures = []

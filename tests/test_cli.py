@@ -1,19 +1,24 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import cli
+from tetrabox import cli, tetra
 from tetrabox.cli import main
+from tetrabox.errors import DimensionGuardError, TetraboxError
+from tetrabox.onsager import OnsagerModule
+from tetrabox.serialize import module_from_json, tetra_from_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
 SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
@@ -73,6 +78,22 @@ class TestBuild:
         spec = write_json(tmp_path / "zero.json", {"factors": [{"n": 1, "a": "0"}]})
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "factors, digest",
+        [
+            ([(1, "2"), (1, "3")], "b7a65d0933d32bdd3f32ceafea93b91547351eb574c5f3e62d9ddd155cc3a7ce"),
+            ([(3, "2"), (3, "-1/3")], "ce1a1010f339cb0ed85d8ed89722461b0a38d804c65610e2d2f8f982058c7f96"),
+            ([(2, "2"), (2, "-1/3"), (2, "5")], "056f895e357a00e6c816875523d489473c9a527bd96402210e220bf935f91493"),
+        ],
+        ids=["d4", "d16", "d27"],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, factors, digest):
+        # the bytes the flag route writes; the Kronecker route must reproduce them
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors], "shift": ["0", "0"]})
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_trivial_spec_builds(self, tmp_path):
         spec = write_json(tmp_path / "trivial.json", SPEC_TRIVIAL)
         out = tmp_path / "trivial.module.json"
@@ -93,7 +114,40 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["deep"]["pass"] is True
         assert report["deep"]["roundtrip_uniqueness"] is True
+        assert report["deep"]["spec_matches"] is True
         assert report["deep"]["pairwise_burnside"] is True
+        assert list(report["deep"]) == ["pass", "rebuild_matches", "roundtrip_uniqueness",
+                                        "spec_matches", "pairwise_burnside"]
+
+    def test_deep_without_spec_has_no_spec_key(self, built_v2, tmp_path, capsys):
+        data = json.loads(built_v2.read_text())
+        del data["spec"]
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 0
+        assert "spec_matches" not in json.loads(capsys.readouterr().out)["deep"]
+
+    def test_deep_spec_with_other_parameter_fails(self, built_v2, tmp_path, capsys):
+        data = json.loads(built_v2.read_text())
+        data["spec"]["factors"][0]["a"] = "3"
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
+        deep = json.loads(capsys.readouterr().out)["deep"]
+        assert deep["spec_matches"] is False and deep["pass"] is False
+        assert deep["rebuild_matches"] is True and deep["roundtrip_uniqueness"] is True
+
+    def test_deep_spec_of_other_dimension_builds_nothing(self, built_v2, tmp_path, monkeypatch, capsys):
+        def refuse(spec):
+            raise AssertionError("a spec of another dimension was built")
+
+        monkeypatch.setattr(cli, "build_tetra_from_spec", refuse)
+        data = json.loads(built_v2.read_text())
+        data["spec"]["factors"][0]["n"] = 2
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
+        assert json.loads(capsys.readouterr().out)["deep"]["spec_matches"] is False
+
+    def test_deep_malformed_spec_exits_2(self, built_v2, tmp_path, capsys):
+        data = json.loads(built_v2.read_text())
+        data["spec"]["factors"][0]["a"] = "1.5"
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 2
+        assert_one_error_line(*capsys.readouterr())
 
     def test_tampered_entry_fails(self, built_v2, tmp_path, capsys):
         data = json.loads(built_v2.read_text())
@@ -274,6 +328,73 @@ class TestGuardOverride:
         assert err == "error: TETRABOX_DIM_GUARD must be an integer, got 'abc'\n"
 
 
+def three_build_deep_checks(module, t):
+    """The deep checks as they were before the rebuild was shared with the
+    round trip: rebuild, then a round trip that builds twice more."""
+    out = {"pass": True}
+    try:
+        rebuilt = tetra.rebuild_from_standard_generators(t)
+        out["rebuild_matches"] = rebuilt.x == t.x
+        out["roundtrip_uniqueness"] = tetra.roundtrip_uniqueness(
+            OnsagerModule(module.dim, module.A, module.Astar)
+        )
+        try:
+            out["pairwise_burnside"] = tetra.pairwise_burnside(t)
+        except DimensionGuardError as exc:
+            out["pairwise_burnside"] = "skipped"
+            out["skipped"] = str(exc)
+        out["pass"] = all((out["rebuild_matches"], out["roundtrip_uniqueness"],
+                           out["pairwise_burnside"] is not False))
+    except TetraboxError as exc:
+        out["pass"] = False
+        out["error"] = str(exc)
+    return out
+
+
+def _tamper_x13(data):
+    data["tetra"]["x"]["13"][1][0] = "-7"
+
+
+def _module_a_is_not_x01(data):
+    # (-A, Astar) is again an irreducible module, so its round trip passes
+    data["module"]["A"] = [[str(-F(x)) for x in row] for row in data["module"]["A"]]
+
+
+def _no_module(data):
+    del data["module"]
+
+
+class TestDeepChecksDifferential:
+    """The two-build deep checks against the three-build reference."""
+
+    @pytest.fixture(scope="class")
+    def d4_build(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("deep")
+        out = root / "d4.module.json"
+        assert main(["build", write_json(root / "d4.json", SPEC_V2_V3), "-o", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize(
+        "edit, builds",
+        [(None, 2), (_tamper_x13, 2), (_module_a_is_not_x01, 3), (_no_module, 2)],
+        ids=["clean", "x13", "module_A", "no_module"],
+    )
+    def test_same_report(self, d4_build, monkeypatch, edit, builds):
+        data = copy.deepcopy(d4_build)
+        if edit is not None:
+            edit(data)
+        t = tetra_from_json(data["tetra"])
+        module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
+            t.dim, t.x[(0, 1)], t.x[(2, 3)]
+        )
+        expected = three_build_deep_checks(module, t)
+        calls = []
+        real = tetra.build_tetra
+        monkeypatch.setattr(tetra, "build_tetra", lambda m: calls.append(m) or real(m))
+        assert cli._deep_checks(module, t, None) == expected
+        assert len(calls) == builds
+
+
 class TestImports:
     def test_build_and_verify_do_not_load_numpy(self, tmp_path):
         # -X importtime lists every module the process imports on stderr
@@ -326,7 +447,7 @@ OTHER_KINDS = (None, True, 1.5, 7, "x", [], {})
 # each command with the sections of a build file it reads (None: a spec file)
 FUZZ_COMMANDS = (
     (["build"], None), (["classify"], None), (["compare"], None),
-    (["verify"], ("tetra",)), (["verify", "--deep"], ("tetra", "module")),
+    (["verify"], ("tetra",)), (["verify", "--deep"], ("tetra", "module", "spec")),
     (["inspect", "--table"], ("tetra",)), (["inspect", "--flags"], ("module",)),
 )
 

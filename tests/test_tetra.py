@@ -1,16 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrabox import (
+    DimensionGuardError,
     Matrix,
     Subspace,
     ModuleSpec,
     OppositionError,
     ReducibleModuleError,
+    TetraboxError,
     TypeShiftError,
     build_from_spec,
     build_tetra,
+    build_tetra_from_spec,
     commutator,
     eigenspace,
     eigentable,
@@ -27,6 +31,7 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
+from tetrabox import onsager
 from tetrabox.tetra import CORNERS, ORDERED_PAIRS, TetraModule, _opposite_decompositions
 
 SAMPLE_SPECS = [
@@ -82,6 +87,75 @@ class TestBuild:
         m = build_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))
         with pytest.raises(TypeShiftError):
             build_tetra(m)
+
+
+PARAMETER_POOL = (F(2), F(3), F(5), F(1, 2), F(-1, 3), F(-2))
+
+
+@st.composite
+def small_specs(draw):
+    """Three factors of dimension at most 5 (n = 0 allowed), module dimension at most 18."""
+    factors = []
+    dim = 1
+    for _ in range(3):
+        n = draw(st.integers(0, min(4, 18 // dim - 1)))
+        factors.append((n, draw(st.sampled_from(PARAMETER_POOL))))
+        dim *= n + 1
+    return ModuleSpec(tuple(factors))
+
+
+def assert_same_structure(got: TetraModule, expected: TetraModule) -> None:
+    assert (got.dim, got.diameter) == (expected.dim, expected.diameter)
+    assert got.x == expected.x
+
+
+class TestBuildFromSpec:
+    """The Kronecker fold of the factors against the flag route on the whole module."""
+
+    def test_matches_flag_route_on_the_grid(self, built_irreducible_grid):
+        for spec, expected in built_irreducible_grid.items():
+            assert_same_structure(build_tetra_from_spec(spec), expected)
+
+    def test_empty_spec(self):
+        spec = ModuleSpec(())
+        assert_same_structure(build_tetra_from_spec(spec), build_tetra(build_from_spec(spec)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_specs())
+    def test_matches_flag_route_on_drawn_specs(self, spec):
+        try:
+            expected = build_tetra(build_from_spec(spec))
+        except TetraboxError as exc:
+            with pytest.raises(type(exc)):
+                build_tetra_from_spec(spec)
+        else:
+            assert_same_structure(build_tetra_from_spec(spec), expected)
+
+    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
+        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        calls = []
+        for name in ("kron", "sl2_irreducible"):
+            original = getattr(onsager, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(onsager, name, spy)
+        with pytest.raises(DimensionGuardError, match="dimension 16 exceeds the dimension guard 8"):
+            build_tetra_from_spec(ModuleSpec.of([(1, 2)] * 4))
+        assert calls == []
+
+    def test_collision_between_factors_rejected(self):
+        # each factor alone is irreducible; only the criterion sees 2 = (1/2)^-1
+        with pytest.raises(ReducibleModuleError):
+            build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2))]))
+        with pytest.raises(ReducibleModuleError):
+            build_tetra_from_spec(ModuleSpec.of([(1, 1)]))
+
+    def test_shifted_spec_rejected(self):
+        with pytest.raises(TypeShiftError):
+            build_tetra_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))
 
 
 class TestRelations:
