@@ -233,15 +233,25 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return row
 
 
+def _common_scale_rows(mats: Sequence[Matrix]) -> tuple[list[list[list[int]]], int]:
+    """Integer rows of D * m for every m, with D the least common denominator
+    of all their entries; each m is recovered as its rows / D."""
+    denom = lcm(*{x.denominator for m in mats for x in m.entries})
+    return [[[x.numerator * (denom // x.denominator) for x in m.row_list(i)] for i in range(m.rows)]
+            for m in mats], denom
+
+
+def _scaled_matrix(rows: list[list[int]], scale: int, cols: int) -> Matrix:
+    """The rational matrix rows / scale, with cols columns."""
+    return Matrix(len(rows), cols, tuple(Fraction(v, scale) for row in rows for v in row))
+
+
 def _integerized(m: Matrix) -> tuple[list[list[int]], Fraction]:
     """Integer rows of scale * m with one global scale, content stripped.
 
     scale is positive; m is recovered as rows / scale.
     """
-    denom = 1
-    for x in m.entries:
-        denom = lcm(denom, x.denominator)
-    rows = [[x.numerator * (denom // x.denominator) for x in m.row_list(i)] for i in range(m.rows)]
+    (rows,), denom = _common_scale_rows([m])
     g = 0
     for row in rows:
         for x in row:
@@ -261,6 +271,16 @@ def _int_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[
                 row = [x + s * y for x, y in zip(row, bk)]
         out.append(row)
     return out
+
+
+def _int_commutator(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """ab - ba for square integer matrices given as row lists."""
+    n = len(a)
+    return [[x - y for x, y in zip(p, q)] for p, q in zip(_int_matmul(a, b, n), _int_matmul(b, a, n))]
+
+
+def _is_zero_rows(rows: list[list[int]]) -> bool:
+    return not any(any(row) for row in rows)
 
 
 class _Echelon:

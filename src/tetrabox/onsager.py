@@ -15,7 +15,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionGuardError, SpectrumError
-from .linalg import Matrix, commutator, dim_guard, kron, minimal_polynomial
+from .linalg import (
+    Matrix,
+    _common_scale_rows,
+    _int_commutator,
+    _is_zero_rows,
+    commutator,
+    dim_guard,
+    kron,
+    minimal_polynomial,
+)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -161,7 +170,12 @@ def _require_within_guard(spec: ModuleSpec) -> None:
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     """Left-fold tensor of the evaluation factors, then apply the type shift.
 
-    A spec above the dimension guard is refused before any factor is built.
+    The diameter and type are read off the spec, not recomputed: each factor
+    (n, a) has A and Astar diagonalizable with spectrum {n, n-2, ..., -n},
+    a Kronecker sum of diagonalizable matrices is diagonalizable with the
+    sums of their eigenvalues, so the module has diameter sum n_i and type
+    equal to the shift. A spec above the dimension guard is refused before
+    any factor is built.
     """
     _require_within_guard(spec)
     module = None
@@ -174,8 +188,7 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     if alpha or alphastar:
         ident = Matrix.identity(module.dim)
         module = OnsagerModule(module.dim, module.A + alpha * ident, module.Astar + alphastar * ident)
-    d, a0, a1 = module_type(module)
-    return OnsagerModule(module.dim, module.A, module.Astar, diameter=d, type_pair=(a0, a1))
+    return OnsagerModule(module.dim, module.A, module.Astar, diameter=spec.degree_sum, type_pair=spec.shift)
 
 
 def _arithmetic_spectrum_top(m: Matrix) -> tuple[int, Fraction]:
@@ -235,10 +248,26 @@ def normalize_type(m: OnsagerModule) -> OnsagerModule:
     )
 
 
+def _dolan_grady_residual(a: list[list[int]], inner: list[list[int]], scale: int) -> list[list[int]]:
+    """Integer rows of scale^4 ([x, [x, [x, y]]] - 4 [x, y]).
+
+    a holds scale * x and inner holds scale^2 [x, y], both integer rows.
+    """
+    outer = _int_commutator(a, _int_commutator(a, inner))
+    four = 4 * scale * scale
+    return [[p - four * q for p, q in zip(row, inner_row)] for row, inner_row in zip(outer, inner)]
+
+
 def dolan_grady_holds(x: Matrix, y: Matrix) -> bool:
-    """Exact check of both Dolan-Grady relations for the pair (x, y)."""
-    xy = commutator(x, y)
-    if commutator(x, commutator(x, xy)) != 4 * xy:
+    """Exact check of both Dolan-Grady relations for the pair (x, y).
+
+    Both matrices are put on one common denominator, and each relation is
+    decided by whether its integer residual vanishes.
+    """
+    if not (x.is_square and y.is_square and x.rows == y.rows):
+        raise ValueError(f"shape mismatch: {x.rows}x{x.cols} and {y.rows}x{y.cols}")
+    (a, b), scale = _common_scale_rows([x, y])
+    xy = _int_commutator(a, b)
+    if not _is_zero_rows(_dolan_grady_residual(a, xy, scale)):
         return False
-    yx = -xy
-    return commutator(y, commutator(y, yx)) == 4 * yx
+    return _is_zero_rows(_dolan_grady_residual(b, [[-v for v in row] for row in xy], scale))

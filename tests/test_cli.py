@@ -194,6 +194,30 @@ class TestVerify:
         assert deep["pairwise_burnside"] == "skipped"
         assert "guard" in deep["skipped"] and "\n" not in deep["skipped"]
 
+    @pytest.mark.parametrize(
+        "factors, tampered, code, digest",
+        [
+            ([(2, "2"), (2, "-1/3"), (2, "5")], False, 0,
+             "ef7b30a9710276312ec40137217f06f961f57dbfe64c62a7d5dfa4c889f7db8c"),
+            ([(3, "2"), (3, "-1/3")], True, 1,
+             "4786ff8f5c1245a9edbd30733e8fa178ccfdbd996bd9e61f3517ad6d9aeb35a1"),
+        ],
+        ids=["d27", "d16-tampered"],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, factors, tampered, code, digest):
+        # the report the Fraction-matrix relations wrote, failure residuals included
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors], "shift": ["0", "0"]})
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        if tampered:
+            data = json.loads(out.read_text())
+            x02 = data["tetra"]["x"]["02"]
+            x02[0][1] = str(F(x02[0][1]) + F(1, 7))
+            write_json(out, data)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrabox import (
     DimensionGuardError,
@@ -180,6 +181,38 @@ class TestBuildFromSpec:
     def test_spec_at_the_guard_builds(self, monkeypatch):
         monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
         assert build_from_spec(ModuleSpec.of([(1, 2)] * 3)).dim == 8
+
+
+SPEC_PARAMETERS = (F(2), F(-3), F(1, 2), F(1), F(-1), F(5, 3))
+
+SHIFTS = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def shifted_specs(draw):
+    """Up to three factors (n = 0 allowed, reducible parameters included), dimension at most 16."""
+    factors = []
+    dim = 1
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, min(3, 16 // dim - 1)))
+        factors.append((n, draw(st.sampled_from(SPEC_PARAMETERS))))
+        dim *= n + 1
+    shift = draw(st.tuples(SHIFTS, SHIFTS))
+    return ModuleSpec.of(factors, shift=shift)
+
+
+class TestStoredType:
+    """build_from_spec reads diameter and type off the spec; module_type recomputes them."""
+
+    def test_acceptance_grid(self, grid_modules):
+        for m in grid_modules.values():  # reducible specs included
+            assert (m.diameter, *m.type_pair) == module_type(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shifted_specs())
+    def test_drawn_specs(self, spec):
+        m = build_from_spec(spec)
+        assert (m.diameter, *m.type_pair) == module_type(m)
 
 
 class TestModuleType:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from tetrabox import (
     build_tetra,
     build_tetra_from_spec,
     commutator,
+    dolan_grady_holds,
     eigenspace,
     eigentable,
     evaluation_module,
@@ -32,7 +34,14 @@ from tetrabox import (
     verify_relations,
 )
 from tetrabox import onsager
-from tetrabox.tetra import CORNERS, ORDERED_PAIRS, TetraModule, _opposite_decompositions
+from tetrabox.tetra import (
+    CORNERS,
+    ORDERED_PAIRS,
+    UNORDERED_PAIRS,
+    CheckResult,
+    TetraModule,
+    _opposite_decompositions,
+)
 
 SAMPLE_SPECS = [
     ModuleSpec.of([(1, 2)]),
@@ -327,6 +336,119 @@ class TestActionTableDifferential:
         assert all(eigenspace(t.x[(0, 2)], F(d - 2 * i)).is_zero() for i in range(d + 1))
         got = self.assert_same(t)
         assert not all(passed for _, _, passed in got)
+
+
+def reference_relations(t):
+    """Every relation instance on Fraction matrices, each product formed afresh."""
+    x = t.x
+    checks = []
+
+    def record(relation, instance, residual):
+        checks.append(CheckResult(relation, instance, residual.is_zero(), None if residual.is_zero() else residual))
+
+    for r, s in UNORDERED_PAIRS:
+        record("antisymmetry", (r, s), x[(r, s)] + x[(s, r)])
+    for r, s, tt in permutations(CORNERS, 3):
+        record("triangle", (r, s, tt), commutator(x[(r, s)], x[(s, tt)]) - 2 * x[(r, s)] - 2 * x[(s, tt)])
+    for r, s, tt, u in permutations(CORNERS, 4):
+        a, b = x[(r, s)], x[(tt, u)]
+        inner = commutator(a, b)
+        record("dolan_grady", (r, s, tt, u), commutator(a, commutator(a, inner)) - 4 * inner)
+    return tuple(checks)
+
+
+def reference_dolan_grady(x, y):
+    xy = commutator(x, y)
+    return commutator(x, commutator(x, xy)) == 4 * xy and commutator(y, commutator(y, -xy)) == -4 * xy
+
+
+def with_entry_changed(mat, i, j, delta):
+    entries = list(mat.entries)
+    entries[i * mat.cols + j] += delta
+    return Matrix(mat.rows, mat.cols, tuple(entries))
+
+
+def rational_matrices(n):
+    entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7)))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(Matrix.from_rows)
+
+
+NEW_DENOMINATORS = st.builds(F, st.integers(-6, 6).filter(bool), st.sampled_from((1, 7, 11, 49)))
+
+
+class TestRelationsDifferential:
+    """The common-denominator integer relations against the Fraction route."""
+
+    def assert_same(self, t):
+        got = verify_relations(t).checks
+        assert got == reference_relations(t)
+        return got
+
+    def test_built_irreducible_grid(self, built_irreducible_grid):
+        for t in built_irreducible_grid.values():
+            assert all(c.passed for c in self.assert_same(t))
+
+    def test_trivial_module(self):
+        self.assert_same(build_tetra(trivial_module()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(SAMPLE_SPECS),
+        pair=st.sampled_from(ORDERED_PAIRS),
+        cell=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        delta=NEW_DENOMINATORS,
+    )
+    def test_one_changed_entry(self, built, spec, pair, cell, delta):
+        t = built[spec]
+        i, j = cell[0] % t.dim, cell[1] % t.dim
+        got = self.assert_same(with_generator(t, pair, with_entry_changed(t.x[pair], i, j, delta)))
+        assert not all(c.passed for c in got)
+
+    @pytest.mark.parametrize(
+        "replace",
+        [lambda m: m, lambda m: -m.transpose(), lambda m: -2 * m],
+        ids=["x_rs", "minus_transpose", "minus_twice"],
+    )
+    def test_reversed_generator_not_the_negative(self, built, replace):
+        t = built[SAMPLE_SPECS[2]]
+        for r, s in [(0, 1), (3, 1)]:
+            got = self.assert_same(with_generator(t, (s, r), replace(t.x[(r, s)])))
+            failed = {c.relation for c in got if not c.passed}
+            assert "antisymmetry" in failed
+
+    def test_every_matrix_scaled_by_a_third(self, built):
+        t = built[SAMPLE_SPECS[1]]
+        scaled = TetraModule(dim=t.dim, diameter=t.diameter, x={p: F(1, 3) * m for p, m in t.x.items()})
+        got = self.assert_same(scaled)
+        assert {c.relation for c in got if not c.passed} == {"triangle", "dolan_grady"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(rational_matrices(n), rational_matrices(n))))
+    def test_dolan_grady_holds_on_random_pairs(self, pair):
+        x, y = pair
+        assert dolan_grady_holds(x, y) == reference_dolan_grady(x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        a=st.sampled_from(PARAMETER_POOL),
+        shifts=st.tuples(NEW_DENOMINATORS, NEW_DENOMINATORS),
+        cell=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        delta=st.one_of(st.just(F(0)), NEW_DENOMINATORS),
+    )
+    def test_dolan_grady_holds_near_a_module(self, n, a, shifts, cell, delta):
+        # an evaluation module satisfies both relations, also after scalar shifts
+        m = evaluation_module(n, a)
+        ident = Matrix.identity(m.dim)
+        x = with_entry_changed(m.A + shifts[0] * ident, cell[0] % m.dim, cell[1] % m.dim, delta)
+        y = m.Astar + shifts[1] * ident
+        expected = reference_dolan_grady(x, y)
+        assert dolan_grady_holds(x, y) == dolan_grady_holds(y, x) == expected
+        assert expected or delta != 0
+
+    def test_dolan_grady_holds_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            dolan_grady_holds(Matrix.identity(2), Matrix.identity(3))
 
 
 class TestEigenspaceShiftOnGenerators:
