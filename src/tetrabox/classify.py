@@ -167,30 +167,30 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
     return _spin_dimension(identity, operators)
 
 
-def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> int:
-    """Exact dimension of the unital algebra generated by a and b."""
+def _integer_generators(a: Matrix, b: Matrix, guard: int) -> list[list[list[int]]]:
+    """Integer rows of a and b, each on its own scale, for the closures.
+
+    Scaling a generator rescales every word, which leaves all spans
+    unchanged, so the integerized generators give the same algebra.
+    """
     if not (a.is_square and b.is_square) or a.rows != b.rows:
         raise ValueError("generators must be square matrices of equal size")
     if a.rows > guard:
         raise DimensionGuardError(f"dimension {a.rows} exceeds the oracle guard {guard}")
-    gens = [_integerized(a)[0], _integerized(b)[0]]
-    return _closure_dimension_exact(gens, a.rows)
+    return [_integerized(a)[0], _integerized(b)[0]]
+
+
+def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> int:
+    """Exact dimension of the unital algebra generated by a and b."""
+    return _closure_dimension_exact(_integer_generators(a, b, guard), a.rows)
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
-    """True iff the algebra generated by a, b is all of End(V).
-
-    Scaling a generator rescales every word, which leaves all spans
-    unchanged, so the integerized generators give the same answer.
-    """
-    if not (a.is_square and b.is_square) or a.rows != b.rows:
-        raise ValueError("generators must be square matrices of equal size")
+    """True iff the algebra generated by a, b is all of End(V)."""
+    gens = _integer_generators(a, b, guard)
     n = a.rows
-    if n > guard:
-        raise DimensionGuardError(f"dimension {n} exceeds the oracle guard {guard}")
     if n == 0:
         return True
-    gens = [_integerized(a)[0], _integerized(b)[0]]
     if _closure_full_mod_p(gens, n):
         return True
     return _closure_dimension_exact(gens, n) == n * n

@@ -23,14 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OppositionError, SpectrumError, TypeShiftError
-from .linalg import Subspace, eigenspace, hstack, intersect, rref, subspace_sum
+from .linalg import Subspace, _echelon, _integer_columns, eigenspace, intersect, subspace_sum
 from .onsager import OnsagerModule, module_type
 
 
 def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
     """Do the spaces sum directly to the full space? One rank of the stacked bases."""
     n = spaces[0].ambient_dim
-    return sum(space.dim for space in spaces) == n and rref(hstack(*(space.basis for space in spaces)))[1] == n
+    columns = [column for space in spaces for column in _integer_columns(space.basis)]
+    return len(columns) == n and len(_echelon(n, columns)) == n
 
 
 @dataclass(frozen=True)

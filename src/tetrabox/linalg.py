@@ -9,11 +9,14 @@ Exact elimination has one engine and one conversion. A matrix becomes
 integer rows once, with one common scale (``_integerized``), and every
 elimination runs in the incremental integer echelon ``_Echelon``: two-term
 integer row combinations, gcd-stripped after every update, converted back to
-rationals only at the end. rref (and with it ranks, kernels, inverses and
-intersections), the minimal polynomial and the spins and closures of
-``classify`` all use it; this is much faster than eliminating on Fraction
-objects and gives the identical reduced echelon form. The determinant runs
-Bareiss elimination on the same integer rows.
+rationals only at the end. Subspaces go to it directly: a span, a sum or a
+membership test is the echelon of integer basis columns (its rank, or its
+reduced rows as the canonical basis), and a kernel or an intersection reads
+the dependencies among columns off tails carried through the elimination.
+The public rref, inverses, the minimal polynomial and the spins and closures
+of ``classify`` use the same echelon; this is much faster than eliminating
+on Fraction objects and gives the identical reduced echelon form. The
+determinant runs Bareiss elimination on the same integer rows.
 """
 
 from __future__ import annotations
@@ -350,28 +353,57 @@ class _Echelon:
         return rows, pivots
 
 
+def _echelon(n: int, vectors: Iterable[list[int]]) -> _Echelon:
+    """The integer echelon of the vectors, eliminated on their first n positions."""
+    echelon = _Echelon(n)
+    for v in vectors:
+        echelon.add(v)
+    return echelon
+
+
+def _integer_columns(m: Matrix) -> list[list[int]]:
+    """The columns of scale * m as integer vectors, on _integerized's one scale."""
+    rows = _integerized(m)[0]
+    return [[row[j] for row in rows] for j in range(m.cols)]
+
+
+def _span(n: int, vectors: Iterable[list[int]]) -> Subspace:
+    """The canonical subspace of Q^n spanned by integer vectors of length n.
+
+    Its basis columns are the rows of the reduced echelon form of the
+    vectors, each divided by its pivot entry.
+    """
+    rows, pivots = _echelon(n, vectors).reduced_rows()
+    entries = tuple(Fraction(row[i], row[c]) for i in range(n) for row, c in zip(rows, pivots))
+    return Subspace(n, Matrix(n, len(rows), entries))
+
+
+def _dependencies(n: int, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> list[list[int]]:
+    """Tails of the vanishing combinations of the heads, one per dependent head.
+
+    Each head (length n) is reduced with its tail in one echelon. When head
+    j reduces to zero, the residual is a combination sum_i c_i heads[i] = 0
+    with c_j != 0 and c_i = 0 for i > j, and its tail is sum_i c_i tails[i].
+    These combinations are a basis of all vanishing ones, so the tails span
+    their image: with unit tails, the dependencies among the heads.
+    """
+    echelon = _Echelon(n)
+    found = []
+    for head, tail in zip(heads, tails):
+        lead, residual = echelon.reduce(head + tail)
+        if lead is None:
+            found.append(residual[n:])
+        else:
+            echelon.add(residual)
+    return found
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank, computed exactly."""
-    if m.rows == 0 or m.cols == 0:
-        return m, 0
-    echelon = _Echelon(m.cols)
-    for row in _integerized(m)[0]:
-        echelon.add(row)
-    rows, pivots = echelon.reduced_rows()
-    out: list[Fraction] = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.extend(Fraction(x, p) for x in row)
+    rows, pivots = _echelon(m.cols, _integerized(m)[0]).reduced_rows()
+    out = tuple(Fraction(x, row[c]) for row, c in zip(rows, pivots) for x in row)
     zero_fill = (Fraction(0),) * ((m.rows - len(pivots)) * m.cols)
-    return Matrix(m.rows, m.cols, tuple(out) + zero_fill), len(pivots)
-
-
-def _pivot_columns(reduced: Matrix, rank: int) -> list[int]:
-    pivots = []
-    for i in range(rank):
-        row = reduced.row_list(i)
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    return pivots
+    return Matrix(m.rows, m.cols, out + zero_fill), len(pivots)
 
 
 @dataclass(frozen=True)
@@ -401,14 +433,7 @@ class Subspace:
     @classmethod
     def span_columns(cls, mat: Matrix) -> "Subspace":
         """Subspace spanned by the columns of ``mat``, canonicalized."""
-        if mat.cols == 0:
-            return cls.zero(mat.rows)
-        reduced, rank = rref(mat.transpose())
-        if rank == 0:
-            return cls.zero(mat.rows)
-        cols = [reduced.row_list(i) for i in range(rank)]
-        basis = Matrix(mat.rows, rank, tuple(cols[k][i] for i in range(mat.rows) for k in range(rank)))
-        return cls(mat.rows, basis)
+        return _span(mat.rows, _integer_columns(mat))
 
     @property
     def dim(self) -> int:
@@ -423,20 +448,13 @@ class Subspace:
     def contains_vector(self, vector: Sequence[Fraction]) -> bool:
         if len(vector) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if all(x == 0 for x in vector):
-            return True
-        if self.dim == 0:
-            return False
-        stacked = hstack(self.basis, Matrix(self.ambient_dim, 1, tuple(_as_fraction(x) for x in vector)))
-        return rref(stacked)[1] == self.dim
+        (column,) = _integer_columns(Matrix(self.ambient_dim, 1, tuple(_as_fraction(x) for x in vector)))
+        return len(_echelon(self.ambient_dim, _integer_columns(self.basis) + [column])) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
-        if other.dim == 0:
-            return True
-        if other.dim > self.dim:
-            return False
-        return rref(hstack(self.basis, other.basis))[1] == self.dim
+        columns = _integer_columns(self.basis) + _integer_columns(other.basis)
+        return len(_echelon(self.ambient_dim, columns)) == self.dim
 
     def _require_same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -444,50 +462,28 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of the null space of ``m``."""
-    if m.cols == 0:
-        return Subspace.zero(0)
-    reduced, rank = rref(m)
-    pivots = _pivot_columns(reduced, rank)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    if not free:
-        return Subspace.zero(m.cols)
-    cols = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -reduced[k, j]
-        cols.append(v)
-    span = Matrix(m.cols, len(cols), tuple(cols[k][i] for i in range(m.cols) for k in range(len(cols))))
-    return Subspace.span_columns(span)
+    """Canonical basis of the null space of ``m``: the dependencies among its columns."""
+    units = [[int(i == j) for i in range(m.cols)] for j in range(m.cols)]
+    return _span(m.cols, _dependencies(m.rows, _integer_columns(m), units))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     """Canonical basis of u + v."""
     u._require_same_ambient(v)
-    if u.dim == 0:
-        return v
-    if v.dim == 0:
-        return u
-    return Subspace.span_columns(hstack(u.basis, v.basis))
+    return _span(u.ambient_dim, _integer_columns(u.basis) + _integer_columns(v.basis))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of u ∩ v, via the kernel of the stacked basis system."""
+    """Canonical basis of u ∩ v (Zassenhaus).
+
+    A dependency sum_i a_i u_i + sum_j b_j v_j = 0 between the two bases
+    gives the common vector sum_i a_i u_i, and every common vector arises
+    so; each u_i carries itself as its tail and each v_j a zero tail.
+    """
     u._require_same_ambient(v)
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    stacked = hstack(u.basis, v.basis)
-    null = kernel(stacked)
-    if null.is_zero():
-        return Subspace.zero(u.ambient_dim)
-    cols = []
-    for coeffs in null.basis_columns():
-        cols.append(u.basis.apply(coeffs[: u.dim]))
-    span = Matrix(u.ambient_dim, len(cols), tuple(cols[k][i] for i in range(u.ambient_dim) for k in range(len(cols))))
-    return Subspace.span_columns(span)
+    n = u.ambient_dim
+    first, second = _integer_columns(u.basis), _integer_columns(v.basis)
+    return _span(n, _dependencies(n, first + second, first + [[0] * n] * len(second)))
 
 
 def eigenspace(m: Matrix, lam) -> Subspace:
@@ -540,26 +536,28 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.rows
-    reduced, rank = rref(hstack(m, Matrix.identity(n)))
-    if rank < n or _pivot_columns(reduced, rank) != list(range(n)):
+    rows, scale = _integerized(m)
+    # [m | I] on one common scale: scale = p/q turns it into the integer rows [q rows | p I]
+    p, q = scale.numerator, scale.denominator
+    augmented = ([q * x for x in row] + [p if i == j else 0 for j in range(n)] for i, row in enumerate(rows))
+    echelon = _echelon(n, augmented)
+    if len(echelon) < n:
         raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        out.extend(reduced.row_list(i)[n:])
-    return Matrix(n, n, tuple(out))
+    reduced, _ = echelon.reduced_rows()
+    return Matrix(n, n, tuple(Fraction(x, row[i]) for i, row in enumerate(reduced) for x in row[n:]))
 
 
 class BlockBasis:
     """Coordinates with respect to independent subspaces V_0, ..., V_k.
 
     The stacked bases P of the listed subspaces are completed to a basis Q
-    of the whole space by the unit vectors e_j of the non-pivot columns of
-    rref(P^T), and Q is inverted once. A matrix m is then described by its
-    coordinate matrix C = Q^-1 m P, whose column block i holds the
-    coordinates of the images of the basis of V_i. Coordinates in a basis
-    are unique, so m + c I maps V_i into the sum of some listed V_j exactly
-    when column block i of C + c [I on block i] vanishes outside the rows of
-    those blocks; the completion rows belong to no listed subspace.
+    of the whole space by the unit vectors e_j at the non-pivot positions of
+    the echelon of P's columns, and Q is inverted once. A matrix m is then
+    described by its coordinate matrix C = Q^-1 m P, whose column block i
+    holds the coordinates of the images of the basis of V_i. Coordinates in
+    a basis are unique, so m + c I maps V_i into the sum of some listed V_j
+    exactly when column block i of C + c [I on block i] vanishes outside the
+    rows of those blocks; the completion rows belong to no listed subspace.
     """
 
     def __init__(self, ambient_dim: int, spaces: Sequence[Subspace]):
@@ -568,10 +566,9 @@ class BlockBasis:
         k = stacked.cols
         full = stacked
         if k < n:
-            reduced, rank = rref(stacked.transpose())
-            if rank != k:
+            pivots = _echelon(n, _integer_columns(stacked)).rows
+            if len(pivots) != k:
                 raise ValueError("subspaces are not independent")
-            pivots = set(_pivot_columns(reduced, rank))
             units = [j for j in range(n) if j not in pivots]
             one, zero = Fraction(1), Fraction(0)
             completion = Matrix(n, len(units), tuple(one if i == j else zero for i in range(n) for j in units))

@@ -142,10 +142,11 @@ def eigentable_to_json(table: EigenTable) -> dict:
     }
 
 
-def report_to_json(report: VerificationReport, include_passes: bool = False) -> list:
+def report_to_json(report: VerificationReport) -> list:
+    """The failed checks of a report, in order."""
     out = []
     for check in report.checks:
-        if check.passed and not include_passes:
+        if check.passed:
             continue
         entry = {
             "relation": check.relation,

@@ -111,8 +111,8 @@ def eigenvalue_sequences(
     report = verify_tridiagonal_pair(a, astar, guard=guard)
     if not report.verdict:
         raise ValueError("not a tridiagonal pair")
-    seq = tuple(sorted(report.standard_ordering_A, reverse=True))
-    dual = tuple(sorted(report.standard_ordering_Astar, reverse=True))
+    seq = report.standard_ordering_A
+    dual = report.standard_ordering_Astar
     for name, s in (("eigenvalue", seq), ("dual eigenvalue", dual)):
         if not _is_arithmetic_step_two(s):
             raise SpectrumError(f"{name} sequence {tuple(map(str, s))} is not arithmetic with difference 2")
@@ -127,8 +127,8 @@ def check_onsager_equivalence(a: Matrix, astar: Matrix, guard: int = ORACLE_GUAR
     report = verify_tridiagonal_pair(a, astar, guard=guard)
     side_tdp = (
         report.verdict
-        and _is_arithmetic_step_two(tuple(sorted(report.standard_ordering_A, reverse=True)))
-        and _is_arithmetic_step_two(tuple(sorted(report.standard_ordering_Astar, reverse=True)))
+        and _is_arithmetic_step_two(report.standard_ordering_A)
+        and _is_arithmetic_step_two(report.standard_ordering_Astar)
     )
     side_onsager = dolan_grady_holds(a, astar) and report.irreducible
     return side_tdp == side_onsager

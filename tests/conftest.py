@@ -5,7 +5,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from tetrabox import ModuleSpec, build_from_spec, build_tetra, is_irreducible_burnside, is_irreducible_criterion
+from tetrabox import (
+    ModuleSpec,
+    OnsagerModule,
+    build_from_spec,
+    build_tetra,
+    is_irreducible_burnside,
+    is_irreducible_criterion,
+)
 
 GRID_WEIGHTS = (1, 2, 3)
 GRID_PARAMETERS = (
@@ -60,3 +67,23 @@ def built_irreducible_grid(grid_specs, grid_modules):
         for spec in grid_specs
         if is_irreducible_criterion(spec)
     }
+
+
+@pytest.fixture(scope="session")
+def fixed_point_roundtrip():
+    """The round trip as two builds decided it, given first = build_tetra(m):
+    x_01 = A and x_23 = Astar, and a rebuild from x_01, x_23 that repeats
+    first's twelve matrices and four flags. The reference for the one-build
+    round trip."""
+    def second_half(m, first):
+        if first.x[(0, 1)] != m.A or first.x[(2, 3)] != m.Astar:
+            return False
+        second = build_tetra(OnsagerModule(first.dim, first.x[(0, 1)], first.x[(2, 3)]))
+        return second.x == first.x and second.flags == first.flags
+    return second_half
+
+
+@pytest.fixture(scope="session")
+def two_build_roundtrip(fixed_point_roundtrip):
+    """The two-build round trip of a module."""
+    return lambda m: fixed_point_roundtrip(m, build_tetra(m))

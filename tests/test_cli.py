@@ -352,16 +352,14 @@ class TestGuardOverride:
         assert err == "error: TETRABOX_DIM_GUARD must be an integer, got 'abc'\n"
 
 
-def three_build_deep_checks(module, t):
+def three_build_deep_checks(module, t, two_build_roundtrip):
     """The deep checks as they were before the rebuild was shared with the
     round trip: rebuild, then a round trip that builds twice more."""
     out = {"pass": True}
     try:
         rebuilt = tetra.rebuild_from_standard_generators(t)
         out["rebuild_matches"] = rebuilt.x == t.x
-        out["roundtrip_uniqueness"] = tetra.roundtrip_uniqueness(
-            OnsagerModule(module.dim, module.A, module.Astar)
-        )
+        out["roundtrip_uniqueness"] = two_build_roundtrip(OnsagerModule(module.dim, module.A, module.Astar))
         try:
             out["pairwise_burnside"] = tetra.pairwise_burnside(t)
         except DimensionGuardError as exc:
@@ -389,7 +387,7 @@ def _no_module(data):
 
 
 class TestDeepChecksDifferential:
-    """The two-build deep checks against the three-build reference."""
+    """The deep checks against the three-build reference."""
 
     @pytest.fixture(scope="class")
     def d4_build(self, tmp_path_factory):
@@ -400,10 +398,10 @@ class TestDeepChecksDifferential:
 
     @pytest.mark.parametrize(
         "edit, builds",
-        [(None, 2), (_tamper_x13, 2), (_module_a_is_not_x01, 3), (_no_module, 2)],
+        [(None, 1), (_tamper_x13, 1), (_module_a_is_not_x01, 2), (_no_module, 1)],
         ids=["clean", "x13", "module_A", "no_module"],
     )
-    def test_same_report(self, d4_build, monkeypatch, edit, builds):
+    def test_same_report(self, d4_build, monkeypatch, two_build_roundtrip, edit, builds):
         data = copy.deepcopy(d4_build)
         if edit is not None:
             edit(data)
@@ -411,12 +409,36 @@ class TestDeepChecksDifferential:
         module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
             t.dim, t.x[(0, 1)], t.x[(2, 3)]
         )
-        expected = three_build_deep_checks(module, t)
+        bare = OnsagerModule(module.dim, module.A, module.Astar)
+        assert tetra.roundtrip_uniqueness(bare) == two_build_roundtrip(bare)
+        expected = three_build_deep_checks(module, t, two_build_roundtrip)
         calls = []
         real = tetra.build_tetra
         monkeypatch.setattr(tetra, "build_tetra", lambda m: calls.append(m) or real(m))
         assert cli._deep_checks(module, t, None) == expected
         assert len(calls) == builds
+
+
+class TestCrossProcessDeterminism:
+    def test_build_and_deep_verify_bytes_ignore_the_hash_seed(self, tmp_path):
+        # string hashing, and with it set and dict iteration order, changes
+        # with PYTHONHASHSEED; the output bytes must not
+        src = str(Path(tetrabox.__file__).resolve().parent.parent)
+        spec = write_json(tmp_path / "d16.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "-1/3"}],
+                                                  "shift": ["0", "0"]})
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = tmp_path / f"d16.{seed}.module.json"
+            build = subprocess.run([sys.executable, "-m", "tetrabox.cli", "build", spec, "-o", str(out)],
+                                   capture_output=True, env=env, timeout=300)
+            assert build.returncode == 0, build.stderr
+            verify = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", "--deep", str(out)],
+                                    capture_output=True, env=env, timeout=300)
+            assert verify.returncode == 0, verify.stderr
+            outputs.append((out.read_bytes(), verify.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestImports:

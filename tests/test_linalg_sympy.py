@@ -15,12 +15,15 @@ from tetrabox import (  # noqa: E402
     Matrix,
     Subspace,
     determinant,
+    hstack,
     intersect,
     inverse,
     kernel,
     minimal_polynomial,
     rref,
+    subspace_sum,
 )
+from tetrabox.linalg import BlockBasis  # noqa: E402
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # many zero entries make rank deficiency and repeated eigenvalues common
@@ -33,6 +36,23 @@ def matrices(draw, max_dim=5, square=False, rows=None):
     cols = rows if square else draw(st.integers(1, max_dim))
     data = draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     return Matrix.from_rows(data)
+
+
+def _grid(draw, rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, tuple(draw(st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols))))
+
+
+@st.composite
+def edge_matrices(draw, rows=None, cols=None):
+    """Products (rows x k)(k x cols) with every size from 0 to 4: 0 rows,
+    0 columns and rank below min(rows, cols) (k small) are all common."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    inner = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    return _grid(draw, rows, inner) * _grid(draw, inner, cols)
+
+
+edge_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(edge_matrices(rows=n), edge_matrices(rows=n)))
 
 
 def to_sympy(m: Matrix):
@@ -53,6 +73,18 @@ def span(ambient: int, vectors) -> Subspace:
     if not vectors:
         return Subspace.zero(ambient)
     return Subspace.span_columns(from_sympy(sympy.Matrix.hstack(*vectors)))
+
+
+def sympy_span_basis(ambient: int, vectors) -> Matrix:
+    """The canonical basis of the span of SymPy column vectors, by SymPy
+    alone: the nonzero rows of the rref of their transpose, as columns."""
+    stacked = sympy.Matrix.hstack(sympy.zeros(ambient, 0), *vectors)
+    reduced, pivots = stacked.T.rref()
+    return from_sympy(reduced[: len(pivots), :].T)
+
+
+def columns(m):
+    return [m[:, j] for j in range(m.cols)]
 
 
 def orthogonal_complement(ambient: int, vectors):
@@ -126,3 +158,90 @@ def test_minimal_polynomial(m):
     (null,) = stacked.nullspace()
     expected = tuple(to_fraction(c / null[-1]) for c in null)
     assert minimal_polynomial(m) == expected
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_matrices())
+def test_rref_and_rank_at_the_edges(m):
+    reduced, pivots = to_sympy(m).rref()
+    assert rref(m) == (from_sympy(reduced), len(pivots))
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_matrices())
+def test_span_columns(m):
+    assert Subspace.span_columns(m).basis == sympy_span_basis(m.rows, columns(to_sympy(m)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_matrices())
+def test_kernel_at_the_edges(m):
+    assert kernel(m).basis == sympy_span_basis(m.cols, to_sympy(m).nullspace())
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_pairs)
+def test_sum_and_containment(pair):
+    a, b = pair
+    u, v = Subspace.span_columns(a), Subspace.span_columns(b)
+    sa, sb = to_sympy(a), to_sympy(b)
+    rank_a = sa.rank()
+    assert subspace_sum(u, v).basis == sympy_span_basis(a.rows, columns(sa) + columns(sb))
+    assert u.contains(v) == (sympy.Matrix.hstack(sa, sb).rank() == rank_a)
+    for j in range(b.cols):
+        expected = sympy.Matrix.hstack(sa, sb[:, j]).rank() == rank_a
+        assert u.contains_vector(b.col_list(j)) == expected
+    assert u.contains_vector([F(0)] * a.rows)
+
+
+@settings(deadline=None, max_examples=80)
+@given(edge_pairs)
+def test_intersect_at_the_edges(pair):
+    a, b = pair
+    n = a.rows
+    complements = orthogonal_complement(n, columns(to_sympy(a))) + orthogonal_complement(n, columns(to_sympy(b)))
+    expected = sympy_span_basis(n, orthogonal_complement(n, complements))
+    assert intersect(Subspace.span_columns(a), Subspace.span_columns(b)).basis == expected
+
+
+@st.composite
+def column_groups(draw):
+    """Up to three groups of columns of one matrix; groups that share or
+    combine columns span dependent subspaces."""
+    m = draw(edge_matrices())
+    group = st.lists(st.integers(0, m.cols - 1), max_size=3) if m.cols else st.just([])
+    groups = draw(st.lists(group, min_size=1, max_size=3))
+    return m.rows, [Matrix(m.rows, len(g), tuple(m[i, j] for i in range(m.rows) for j in g)) for g in groups]
+
+
+@settings(deadline=None, max_examples=80)
+@given(column_groups())
+def test_block_basis_refuses_dependent_subspaces(drawn):
+    """BlockBasis accepts the listed subspaces exactly when their bases
+    together are independent (SymPy rank), and then each one maps into
+    itself under the identity and into no other listed one."""
+    n, mats = drawn
+    spaces = [Subspace.span_columns(m) for m in mats]
+    stacked = to_sympy(hstack(Matrix.zeros(n, 0), *(space.basis for space in spaces)))
+    if stacked.rank() < stacked.cols:
+        # short of n columns the rank check refuses; otherwise inverting them does
+        with pytest.raises(ValueError, match="not independent" if stacked.cols < n else None):
+            BlockBasis(n, spaces)
+        return
+    blocks = BlockBasis(n, spaces)
+    coords = blocks.coordinates(Matrix.identity(n))
+    for i, space in enumerate(spaces):
+        assert blocks.maps_into(coords, i, [i])
+        others = [j for j in range(len(spaces)) if j != i]
+        assert blocks.maps_into(coords, i, others) == space.is_zero()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 4).flatmap(lambda n: edge_matrices(rows=n, cols=n)))
+def test_inverse_at_the_edges(m):
+    reference = to_sympy(m)
+    if reference.rank() < m.rows:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert inverse(m) == from_sympy(reference.inv())

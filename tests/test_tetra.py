@@ -492,6 +492,12 @@ class TestGlobalStructure:
 
 
 class TestRoundtrip:
+    def test_agrees_with_two_builds_on_grid(self, grid_modules, built_irreducible_grid, fixed_point_roundtrip):
+        # the first build of the two-build reference is the grid's own build
+        for spec, first in built_irreducible_grid.items():
+            module = grid_modules[spec]
+            assert roundtrip_uniqueness(module) is fixed_point_roundtrip(module, first) is True, spec.factors
+
     def test_trivial(self):
         assert roundtrip_uniqueness(trivial_module())
 
