@@ -15,17 +15,32 @@ below. A fast certificate runs the word closure over the prime field
 F_65521: reaching full rank there proves full rank over the rationals,
 since specializing mod p never increases rank. Only when the modular
 closure stops short does the exact closure run; its verdict is final
-either way. numpy is imported only when the
-certificate runs.
+either way. numpy is imported only when the certificate runs.
 
 Norton's spinning test (the MeatAxe irreducibility test, run here in exact
-arithmetic) decides the same question at any dimension without building
-the algebra of words: when the top eigenspaces of A and of A^T are lines,
-the module is irreducible exactly when the eigenvector of A spins to the
-whole space under A, Astar and the eigenvector of A^T spins to the whole
-space under A^T, Astar^T. Any endomorphism of the module preserves the
-line ker(A - d I), so the endomorphism algebra is Q and the verdict is
-absolute irreducibility, the one Burnside decides.
+arithmetic) decides the same question without building the algebra of
+words, for any pair (X, Y) where ker(X - c I) is a line <v>; then
+ker(X^T - c I) is a line <w> too. The pair generates End(V) exactly when v
+spins to V under X, Y and w spins to V* under X^T, Y^T:
+
+- Let U be a proper nonzero invariant subspace. If c is an eigenvalue of X
+  on U, then U contains v, and the spin of v stays inside U. Otherwise c is
+  an eigenvalue of X on V/U, so the annihilator of U, which is (V/U)* in
+  V*, contains w, and the spin of w stays inside it. Either way a spin
+  stops short. Conversely, a short spin of v is a proper invariant subspace
+  of V, and a short spin of w one of V*, whose annihilator is one of V.
+- So both spins full means V is irreducible. An endomorphism commuting
+  with X and Y maps v to c' v, hence every word applied to v to c' times
+  it, so it is the scalar c': End = Q, and Burnside's theorem gives the
+  full algebra. Spins are ranks, unchanged over any extension field, so
+  this is absolute irreducibility, the question the closure decides.
+
+pair_generates_full_algebra (pairwise Burnside, the tridiagonal-pair
+check) and is_irreducible_spin take Norton's verdict whenever the top
+eigenspace is a line and fall back to the closure otherwise.
+is_irreducible_burnside takes only the refutation from the spin; its
+"full" verdict always comes from the closure, which keeps it an
+independent second route.
 """
 
 from __future__ import annotations
@@ -34,9 +49,9 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionGuardError, ReducibleModuleError
-from .linalg import Matrix, _Echelon, _integerized, _strip_gcd, determinant, eigenspace, kernel
-from .onsager import ModuleSpec, OnsagerModule, module_type
+from .errors import DimensionGuardError, ReducibleModuleError, SpectrumError
+from .linalg import Matrix, _Echelon, _integer_columns, _integerized, _strip_gcd, determinant, eigenspace, kernel
+from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top, module_type
 
 ORACLE_GUARD = 64
 
@@ -185,21 +200,70 @@ def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD)
     return _closure_dimension_exact(_integer_generators(a, b, guard), a.rows)
 
 
+def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
+    """Norton's test on the pair (a, b) at the eigenvalue top.
+
+    When ker(a - top I) is a line, spanned by v, and ker(a^T - top I) by w:
+    True iff v spins to Q^n under a, b and w spins to Q^n under a^T, b^T,
+    which is exactly when a and b generate End(V) (see the module
+    docstring). A False verdict is a spin that stopped short: a proper
+    invariant subspace of V, or of V* under the transposes. None when top is
+    None or the eigenspace is not a line; the test then says nothing. The
+    spin has no size guard.
+    """
+    line = None if top is None else eigenspace(a, top)
+    if line is None or line.dim != 1:
+        return None
+    gens = [_integerized(a)[0], _integerized(b)[0]]
+    if _spin_dimension(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens]) < a.rows:
+        return False
+    dual_line = _integer_columns(eigenspace(a.transpose(), top).basis)[0]
+    return _spin_dimension(dual_line, [_sparse_rows(zip(*g)) for g in gens]) == a.rows
+
+
+def _spectrum_top(a: Matrix) -> Fraction | None:
+    """Top eigenvalue c of a diagonalizable a with spectrum {c, c-2, ...}, else None.
+
+    c is read off the minimal polynomial and checked by one product of
+    linear factors. Unlike rational_roots there is no search over the
+    divisors of a coefficient, whose length grows with the entries.
+    """
+    try:
+        return _arithmetic_spectrum_top(a)[1]
+    except SpectrumError:
+        return None
+
+
+def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
+    """The Burnside closure: the mod-p certificate, then the exact closure."""
+    return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
+
+
 def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
-    """True iff the algebra generated by a, b is all of End(V)."""
+    """True iff the algebra generated by a, b is all of End(V).
+
+    Norton's test decides when a has an arithmetic spectrum {c, c-2, ...}
+    whose top eigenspace is a line; otherwise the Burnside closure does.
+    The guard is checked first either way.
+    """
     gens = _integer_generators(a, b, guard)
-    n = a.rows
-    if n == 0:
-        return True
-    if _closure_full_mod_p(gens, n):
-        return True
-    return _closure_dimension_exact(gens, n) == n * n
+    verdict = _norton(a, b, _spectrum_top(a))
+    return _closure_is_full(gens, a.rows) if verdict is None else verdict
 
 
 def is_irreducible_burnside(m: OnsagerModule, guard: int = ORACLE_GUARD) -> bool:
     """Burnside test: the module is (absolutely) irreducible iff the algebra
-    generated by A and Astar has dimension dim^2."""
-    return pair_generates_full_algebra(m.A, m.Astar, guard=guard)
+    generated by A and Astar has dimension dim^2.
+
+    A "full" verdict always comes from the closure, so this stays a route
+    independent of Norton's test. Only reducible input is refuted early: a
+    spin of the top eigenline of A (or of A^T) that stops short is a proper
+    invariant subspace, which proves the algebra is not End(V).
+    """
+    gens = _integer_generators(m.A, m.Astar, guard)
+    if _norton(m.A, m.Astar, _spectrum_top(m.A)) is False:
+        return False
+    return _closure_is_full(gens, m.dim)
 
 
 def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: int = ORACLE_GUARD) -> bool:
@@ -209,23 +273,14 @@ def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: in
 
     top is the largest eigenvalue of A (d for a type-(0,0) module) and is
     found by module_type when omitted. The spin needs the eigenspace to be
-    a line (ker(A^T - top I) then is one too); otherwise the Burnside test
-    decides, within guard. The spin itself has no size guard.
+    a line; otherwise the Burnside test decides, within guard. The spin
+    itself has no size guard.
     """
     if top is None:
         d, alpha, _ = module_type(m)
         top = d + alpha
-    line = eigenspace(m.A, top)
-    if line.dim != 1:
-        return is_irreducible_burnside(m, guard=guard)
-    dual_line = eigenspace(m.A.transpose(), top)
-    a, astar = _integerized(m.A)[0], _integerized(m.Astar)[0]
-    v = _integerized(line.basis.transpose())[0][0]
-    w = _integerized(dual_line.basis.transpose())[0][0]
-    return (
-        _spin_dimension(v, [_sparse_rows(a), _sparse_rows(astar)]) == m.dim
-        and _spin_dimension(w, [_sparse_rows(zip(*a)), _sparse_rows(zip(*astar))]) == m.dim
-    )
+    verdict = _norton(m.A, m.Astar, top)
+    return is_irreducible_burnside(m, guard=guard) if verdict is None else verdict
 
 
 def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule, guard: int = ORACLE_GUARD) -> Matrix | None:

@@ -531,20 +531,36 @@ def determinant(m: Matrix) -> Fraction:
     return sign * rows[n - 1][n - 1] / scale**n
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on singular input."""
+def _inverse_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer rows R and a positive integer scale s with m^-1 = R / s.
+
+    Raises ValueError on singular input. [m | I] is reduced on one common
+    scale: with m = rows / (p/q) it is the integer rows [q rows | p I], and
+    reduced row i reads r_i e_i in front and r_i times row i of m^-1 behind.
+    s is the lcm of the r_i; R and s are then divided by their common gcd.
+    """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.rows
     rows, scale = _integerized(m)
-    # [m | I] on one common scale: scale = p/q turns it into the integer rows [q rows | p I]
     p, q = scale.numerator, scale.denominator
     augmented = ([q * x for x in row] + [p if i == j else 0 for j in range(n)] for i, row in enumerate(rows))
     echelon = _echelon(n, augmented)
     if len(echelon) < n:
         raise ValueError("matrix is singular")
     reduced, _ = echelon.reduced_rows()
-    return Matrix(n, n, tuple(Fraction(x, row[i]) for i, row in enumerate(reduced) for x in row[n:]))
+    s = lcm(*(row[i] for i, row in enumerate(reduced)))
+    out = [[x * (s // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
+    g = gcd(s, *(x for row in out for x in row))
+    if g > 1:
+        out, s = [[x // g for x in row] for row in out], s // g
+    return out, s
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse; raises ValueError on singular input."""
+    rows, scale = _inverse_rows(m)
+    return _scaled_matrix(rows, scale, m.cols)
 
 
 class BlockBasis:
@@ -574,7 +590,7 @@ class BlockBasis:
             completion = Matrix(n, len(units), tuple(one if i == j else zero for i in range(n) for j in units))
             full = hstack(stacked, completion)
         self._basis = _integerized(stacked)
-        self._inverse = _integerized(inverse(full))
+        self._inverse = _inverse_rows(full)
         self._starts = [0]
         self._block_of = []
         for i, space in enumerate(spaces):

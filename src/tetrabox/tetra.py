@@ -52,11 +52,11 @@ from .linalg import (
     _common_scale_rows,
     _int_commutator,
     _int_matmul,
+    _inverse_rows,
     _is_zero_rows,
     _scaled_matrix,
     eigenspace,
     hstack,
-    inverse,
     subspace_sum,
 )
 from .onsager import (
@@ -176,10 +176,11 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
     x: dict[tuple[int, int], Matrix] = {}
     for (r, s), pieces in _opposite_decompositions(flags).items():
         basis = hstack(*(piece.basis for piece in pieces))
-        (b, b_inv), scale = _common_scale_rows([basis, inverse(basis)])
+        (b,), scale = _common_scale_rows([basis])
+        b_inv, inv_scale = _inverse_rows(basis)
         weights = [2 * i - d for i, piece in enumerate(pieces) for _ in range(piece.dim)]
         scaled = [[v * w for v, w in zip(row, weights)] for row in b]
-        x[(r, s)] = _scaled_matrix(_int_matmul(scaled, b_inv, m.dim), scale * scale, m.dim)
+        x[(r, s)] = _scaled_matrix(_int_matmul(scaled, b_inv, m.dim), scale * inv_scale, m.dim)
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x, flags=flags)
 
@@ -357,7 +358,13 @@ def flag_independence_check(t: TetraModule) -> bool:
 
 
 def pairwise_burnside(t: TetraModule, guard: int = ORACLE_GUARD) -> bool:
-    """Each of the three disjoint generator pairs alone generates End(V)."""
+    """Each of the three disjoint generator pairs alone generates End(V).
+
+    Each pair goes to pair_generates_full_algebra, so Norton's test decides
+    it when the top eigenspace of the first matrix is a line, as it is on
+    every irreducible structure; otherwise the Burnside closure does. The
+    guard is checked first either way.
+    """
     return all(
         pair_generates_full_algebra(t.x[p1], t.x[p2], guard=guard)
         for p1, p2 in OPPOSITE_PAIRS

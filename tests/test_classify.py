@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrabox import (
     ORACLE_GUARD,
@@ -19,14 +20,18 @@ from tetrabox import (
     evaluation_module,
     find_intertwiner,
     generated_algebra_dimension,
+    inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
     is_irreducible_spin,
     is_isomorphic,
+    pair_generates_full_algebra,
+    pairwise_burnside,
     trivial_module,
 )
 from tetrabox import classify
 from tetrabox.linalg import _Echelon, _integerized
+from tetrabox.tetra import OPPOSITE_PAIRS
 
 
 def spec(*factors, shift=(0, 0)):
@@ -178,6 +183,131 @@ class TestClosureDifferential:
         a, b = block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar)
         # End(V) + End(W) plus nothing else: the summands are not isomorphic
         assert generated_algebra_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
+
+
+def closure_only_full(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
+    """Reference: pair_generates_full_algebra as a Burnside closure only, the
+    mod-p certificate and then the exact closure, with no spin."""
+    gens = classify._integer_generators(a, b, guard)
+    n = a.rows
+    if n == 0:
+        return True
+    if classify._closure_full_mod_p(gens, n):
+        return True
+    return classify._closure_dimension_exact(gens, n) == n * n
+
+
+def unitriangular_product(n: int, entries: list) -> Matrix:
+    """L U with L unit lower and U unit upper triangular: determinant 1."""
+    lower = [[F(1) if i == j else (entries.pop() if j < i else F(0)) for j in range(n)] for i in range(n)]
+    upper = [[F(1) if i == j else (entries.pop() if j > i else F(0)) for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(lower) * Matrix.from_rows(upper)
+
+
+SMALL = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def conjugated_pairs(draw):
+    """(kind, a, b) with a = P D P^-1 and b = P T P^-1 for a random invertible P.
+
+    generic: D a ladder diag(c, c-2, ...) in random order, T random.
+    triangular: the same ladder, T block upper triangular with a nonzero
+        corner, so P's first k columns span an invariant subspace and b is
+        not block diagonal in P's basis; the ladder's order decides whether
+        the top line lies in that subspace or the dual line in its
+        annihilator.
+    repeated_top: D two ladders with the same top, so that eigenspace is
+        not a line; T block diagonal or random.
+    non_ladder: D with steps of 1, or a Jordan block, which has no
+        arithmetic spectrum of step 2; T random.
+    """
+    kind = draw(st.sampled_from(("generic", "triangular", "repeated_top", "non_ladder")))
+    n = draw(st.integers(2, 5))
+    c = draw(SMALL)
+    k = draw(st.integers(1, n - 1))
+    t = [[draw(SMALL) for _ in range(n)] for _ in range(n)]
+    d = [[F(0)] * n for _ in range(n)]
+    if kind in ("generic", "triangular"):
+        for i, lam in enumerate(draw(st.permutations([c - 2 * i for i in range(n)]))):
+            d[i][i] = lam
+    elif kind == "repeated_top":
+        for i, lam in enumerate([c - 2 * i for i in range(k)] + [c - 2 * i for i in range(n - k)]):
+            d[i][i] = lam
+    else:
+        jordan = draw(st.booleans())
+        for i in range(n):
+            d[i][i] = c if jordan else c - i
+            if jordan and i + 1 < n:
+                d[i][i + 1] = F(1)
+    if kind == "triangular" or (kind == "repeated_top" and draw(st.booleans())):
+        for i in range(k, n):
+            for j in range(k):
+                t[i][j] = F(0)
+        if kind == "triangular":
+            t[0][k] = draw(SMALL.filter(bool))
+        else:
+            for i in range(k):
+                for j in range(k, n):
+                    t[i][j] = F(0)
+    p = unitriangular_product(n, [draw(SMALL) for _ in range(n * (n - 1))])
+    p_inv = inverse(p)
+    return kind, p * Matrix.from_rows(d) * p_inv, p * Matrix.from_rows(t) * p_inv
+
+
+class TestNortonDifferential:
+    """Norton's verdicts against the closure they replace."""
+
+    def test_grid_modules(self, grid_modules, grid_burnside):
+        for s, m in grid_modules.items():
+            expected = closure_only_full(m.A, m.Astar)
+            assert pair_generates_full_algebra(m.A, m.Astar) == expected, s.factors
+            assert pair_generates_full_algebra(m.Astar, m.A) == expected, s.factors
+            assert grid_burnside[s] == expected, s.factors
+
+    def test_disjoint_pairs_of_built_grid(self, built_irreducible_grid):
+        for s, t in built_irreducible_grid.items():
+            for p1, p2 in OPPOSITE_PAIRS:
+                assert closure_only_full(t.x[p1], t.x[p2]), (s.factors, p1, p2)
+                assert pair_generates_full_algebra(t.x[p1], t.x[p2]), (s.factors, p1, p2)
+                assert pair_generates_full_algebra(t.x[p2], t.x[p1]), (s.factors, p2, p1)
+
+    def test_h_h_and_v1(self):
+        h = Matrix.from_rows([[1, 0], [0, -1]])
+        v = evaluation_module(1, F(1))
+        for a, b in ((h, h), (v.A, v.Astar)):
+            assert not closure_only_full(a, b)
+            assert not pair_generates_full_algebra(a, b)
+            assert not is_irreducible_burnside(OnsagerModule(2, a, b))
+
+    @settings(max_examples=80, deadline=None)
+    @given(conjugated_pairs())
+    def test_conjugated_pairs(self, drawn):
+        kind, a, b = drawn
+        n = a.rows
+        expected = generated_algebra_dimension(a, b) == n * n
+        assert closure_only_full(a, b) == expected
+        assert pair_generates_full_algebra(a, b) == expected
+        assert is_irreducible_burnside(OnsagerModule(n, a, b)) == expected
+        verdict = classify._norton(a, b, classify._spectrum_top(a))
+        if kind == "triangular":
+            assert verdict is False
+        elif kind in ("repeated_top", "non_ladder"):
+            assert verdict is None
+
+    def test_burnside_keeps_its_closure_and_pairwise_needs_none(self, monkeypatch, grid_modules,
+                                                                built_irreducible_grid):
+        calls = []
+        for name in ("_closure_full_mod_p", "_closure_dimension_exact"):
+            real = getattr(classify, name)
+            monkeypatch.setattr(classify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        for s, t in built_irreducible_grid.items():
+            assert pairwise_burnside(t), s.factors
+        assert calls == []
+        for s in built_irreducible_grid:
+            calls.clear()
+            assert is_irreducible_burnside(grid_modules[s]), s.factors
+            assert calls, s.factors
 
 
 class TestEquivalence:

@@ -442,13 +442,13 @@ class TestCrossProcessDeterminism:
 
 
 class TestImports:
-    def test_build_and_verify_do_not_load_numpy(self, tmp_path):
+    def test_build_verify_and_deep_verify_do_not_load_numpy(self, tmp_path):
         # -X importtime lists every module the process imports on stderr
         src = str(Path(tetrabox.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
         out = str(tmp_path / "m.json")
-        for args in (["build", spec, "-o", out], ["verify", out]):
+        for args in (["build", spec, "-o", out], ["verify", out], ["verify", out, "--deep"]):
             proc = subprocess.run(
                 [sys.executable, "-X", "importtime", "-m", "tetrabox.cli", *args],
                 capture_output=True, text=True, env=env, timeout=120,
