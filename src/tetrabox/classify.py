@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionGuardError, ReducibleModuleError, SpectrumError
@@ -183,10 +184,11 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
 
 
 def _integer_generators(a: Matrix, b: Matrix, guard: int) -> list[list[list[int]]]:
-    """Integer rows of a and b, each on its own scale, for the closures.
+    """The stored integer rows of a and b, each over its own denominator, for
+    the closures.
 
     Scaling a generator rescales every word, which leaves all spans
-    unchanged, so the integerized generators give the same algebra.
+    unchanged, so the integer rows generate an algebra of the same dimension.
     """
     if not (a.is_square and b.is_square) or a.rows != b.rows:
         raise ValueError("generators must be square matrices of equal size")
@@ -289,25 +291,30 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule, guard: int = ORACLE_G
     The joint intertwining conditions form a linear system in the entries of
     S; each kernel basis vector is reshaped and tested for invertibility by
     an exact determinant. For absolutely irreducible inputs the solution
-    space has dimension at most one, so a single test decides.
+    space has dimension at most one, so a single test decides. The system
+    is integer rows: the equations of S A1 = A2 S are scaled by the common
+    denominator of A1 and A2, those of S Astar1 = Astar2 S by that of Astar1
+    and Astar2, and scaling an equation leaves the kernel unchanged.
     """
     if max(m1.dim, m2.dim) > guard:
         raise DimensionGuardError(f"dimension exceeds the oracle guard {guard}")
     if m1.dim != m2.dim:
         return None
     n = m1.dim
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for lhs, rhs in ((m1.A, m2.A), (m1.Astar, m2.Astar)):
+        (left, left_den), (right, right_den) = _integerized(lhs), _integerized(rhs)
+        den = lcm(left_den, right_den)
+        p, q = den // left_den, den // right_den
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for v in range(n):
-                    row[i * n + v] += lhs[v, j]
+                    row[i * n + v] += p * left[v][j]
                 for u in range(n):
-                    row[u * n + j] -= rhs[i, u]
+                    row[u * n + j] -= q * right[i][u]
                 rows.append(row)
-    system = Matrix(2 * n * n, n * n, tuple(x for row in rows for x in row))
-    solutions = kernel(system)
+    solutions = kernel(Matrix.from_rows(rows))
     for coords in solutions.basis_columns():
         candidate = Matrix(n, n, tuple(coords))
         if determinant(candidate) != 0:

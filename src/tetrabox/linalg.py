@@ -1,22 +1,28 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices store ``fractions.Fraction`` entries and every operation is exact;
-there are no tolerances anywhere. Subspaces are kept in a canonical reduced
-column-echelon form, so two subspaces are equal as sets exactly when their
-representations compare equal.
+A matrix is stored as integer numerator rows over one positive common
+denominator, reduced so that the denominator and all numerators have gcd 1.
+That form is canonical, so two matrices are equal exactly when their stored
+forms are, and every operation (sums, scalar and matrix products, transpose,
+Kronecker products, stacking, commutators, inverses) runs on the integers.
+``fractions.Fraction`` objects are made only by the views that read
+single entries out (``entries``, indexing, ``row_list``, ``col_list``,
+``to_rows``, ``apply``) and by the scalar results (determinant, minimal
+polynomial); there are no tolerances anywhere. Subspaces are kept in a
+canonical reduced column-echelon form, so two subspaces are equal as sets
+exactly when their representations compare equal.
 
-Exact elimination has one engine and one conversion. A matrix becomes
-integer rows once, with one common scale (``_integerized``), and every
-elimination runs in the incremental integer echelon ``_Echelon``: two-term
-integer row combinations, gcd-stripped after every update, converted back to
-rationals only at the end. Subspaces go to it directly: a span, a sum or a
-membership test is the echelon of integer basis columns (its rank, or its
-reduced rows as the canonical basis), and a kernel or an intersection reads
-the dependencies among columns off tails carried through the elimination.
-The public rref, inverses, the minimal polynomial and the spins and closures
-of ``classify`` use the same echelon; this is much faster than eliminating
-on Fraction objects and gives the identical reduced echelon form. The
-determinant runs Bareiss elimination on the same integer rows.
+Exact elimination has one engine: the incremental integer echelon
+``_Echelon``, which reads the stored integer rows or columns directly
+(two-term integer row combinations, gcd-stripped after every update).
+Subspaces go to it directly: a span, a sum or a membership test is the
+echelon of integer basis columns (its rank, or its reduced rows as the
+canonical basis), and a kernel or an intersection reads the dependencies
+among columns off tails carried through the elimination. The public rref,
+inverses, the minimal polynomial and the spins and closures of ``classify``
+use the same echelon; this is much faster than eliminating on Fraction
+objects and gives the identical reduced echelon form. The determinant runs
+Bareiss elimination on the same integer rows.
 """
 
 from __future__ import annotations
@@ -24,14 +30,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionGuardError
 
 DEFAULT_DIM_GUARD = 4096
-
-Scalar = Fraction
 
 
 def dim_guard() -> int:
@@ -45,25 +50,70 @@ def dim_guard() -> int:
         raise ValueError(f"TETRABOX_DIM_GUARD must be an integer, got {raw!r}") from None
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value) -> int | Fraction:
+    """An int or Fraction as it is; a string literal parsed to a Fraction."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """Product of integer matrices given as row lists; b has cols columns."""
+    out = []
+    for ai in a:
+        row = [0] * cols
+        for s, bk in zip(ai, b):
+            if s:
+                row = [x + s * y for x, y in zip(row, bk)]
+        out.append(row)
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense matrix with row-major rational entries."""
+    """Immutable dense rational matrix: integer numerator rows over one denominator.
+
+    The stored form is _num, a tuple of rows of integers, and _den, a
+    positive integer, with the matrix equal to _num / _den and gcd(_den, all
+    numerators) = 1. The form is canonical, so == and hash compare it
+    directly. Matrix(rows, cols, entries) takes row-major int, Fraction or
+    string entries; entries and the other views give Fraction objects.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    _num: tuple[tuple[int, ...], ...]
+    _den: int
+
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        values = [_as_rational(x) for x in entries]
+        if len(values) != rows * cols:
+            raise ValueError("entry count does not match matrix shape")
+        den = lcm(*(x.denominator for x in values))
+        flat = [x.numerator * (den // x.denominator) for x in values]
+        self._store(rows, cols, [flat[i * cols : (i + 1) * cols] for i in range(rows)], den)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, num: Iterable[Sequence[int]], den: int) -> "Matrix":
+        """The matrix num / den, for integer rows num and a positive integer den."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, num, den)
+        return m
+
+    def _store(self, rows: int, cols: int, num: Iterable[Sequence[int]], den: int) -> None:
+        num = tuple(map(tuple, num))
+        g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+        if g > 1:
+            num = tuple([tuple([x // g for x in row]) for row in num])
+            den //= g
+        for name, value in (("rows", rows), ("cols", cols), ("_num", num), ("_den", den)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validation shared by every constructor: the shape and the dimension guard."""
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         guard = dim_guard()
@@ -72,71 +122,79 @@ class Matrix:
                 f"matrix size {self.rows}x{self.cols} exceeds the dimension "
                 f"guard {guard} (set TETRABOX_DIM_GUARD to raise it)"
             )
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match matrix shape")
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "Matrix":
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        flat = []
-        for row in data:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(_as_fraction(x) for x in row)
-        return cls(nrows, ncols, tuple(flat))
+        if any(len(row) != ncols for row in data):
+            raise ValueError("ragged rows")
+        return cls(nrows, ncols, [x for row in data for x in row])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls._of(n, n, ([int(i == j) for j in range(n)] for i in range(n)), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._of(rows, cols, [[0] * cols] * rows, 1)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row-major entries, each a Fraction in lowest terms."""
+        den = self._den
+        return tuple(Fraction(x, den) for row in self._num for x in row)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i * self.cols + j]
+        return Fraction(self._num[i][j], self._den)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(map(any, self._num))
 
     def row_list(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return [Fraction(x, self._den) for x in self._num[i]]
 
     def col_list(self, j: int) -> list[Fraction]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return [Fraction(row[j], self._den) for row in self._num]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row_list(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        e = self.entries
-        c = self.cols
-        return Matrix(c, self.rows, tuple(e[i * c + j] for j in range(c) for i in range(self.rows)))
+        return Matrix._of(self.cols, self.rows, zip(*self._num) if self.rows else [()] * self.cols, self._den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, on the least common denominator."""
         self._require_same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        den = lcm(self._den, other._den)
+        p, q = den // self._den, sign * (den // other._den)
+        num = ([p * x + q * y for x, y in zip(r, s)] for r, s in zip(self._num, other._num))
+        return Matrix._of(self.rows, self.cols, num, den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._of(self.rows, self.cols, ([-x for x in row] for row in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            return self._matmul(other)
+            if self.cols != other.rows:
+                raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+            num = _int_matmul(self._num, other._num, other.cols)
+            return Matrix._of(self.rows, other.cols, num, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            s = _as_fraction(other)
-            return Matrix(self.rows, self.cols, tuple(a * s for a in self.entries))
+            p = other.numerator
+            num = ([p * x for x in row] for row in self._num)
+            return Matrix._of(self.rows, self.cols, num, self._den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -144,40 +202,11 @@ class Matrix:
             return self * other
         return NotImplemented
 
-    def _matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        zero = Fraction(0)
-        out = [zero] * (n * m)
-        for i in range(n):
-            base = i * k
-            obase = i * m
-            for l in range(k):
-                s = a[base + l]
-                if s:
-                    bbase = l * m
-                    for j in range(m):
-                        t = b[bbase + j]
-                        if t:
-                            out[obase + j] += s * t
-        return Matrix(n, m, tuple(out))
-
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        e = self.entries
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = Fraction(0)
-            for j, x in enumerate(vector):
-                if x:
-                    s += e[base + j] * x
-            out.append(s)
-        return out
+        return (self * Matrix(self.cols, 1, vector)).col_list(0)
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -185,7 +214,12 @@ class Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a * b - b * a
+    """ab - ba for square matrices of one size, on the denominator of ab."""
+    if not (a.is_square and b.is_square and a.rows == b.rows):
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    n = a.rows
+    ab, ba = _int_matmul(a._num, b._num, n), _int_matmul(b._num, a._num, n)
+    return Matrix._of(n, n, ([x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)), a._den * b._den)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -193,33 +227,15 @@ def hstack(*mats: Matrix) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch")
-    out_rows = []
-    for i in range(rows):
-        row: list[Fraction] = []
-        for m in mats:
-            row.extend(m.row_list(i))
-        out_rows.append(row)
-    total_cols = sum(m.cols for m in mats)
-    return Matrix(rows, total_cols, tuple(x for row in out_rows for x in row))
+    den = lcm(*(m._den for m in mats))
+    scaled = [[[x * (den // m._den) for x in row] for row in m._num] for m in mats]
+    return Matrix._of(rows, sum(m.cols for m in mats), (chain(*parts) for parts in zip(*scaled)), den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with row-major index convention."""
-    n = a.rows * b.rows
-    m = a.cols * b.cols
-    out = [Fraction(0)] * (n * m)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            s = a[i1, j1]
-            if not s:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * m + j1 * b.cols
-                for j2 in range(b.cols):
-                    t = b[i2, j2]
-                    if t:
-                        out[base + j2] = s * t
-    return Matrix(n, m, tuple(out))
+    num = ([x * y for x in ra for y in rb] for ra in a._num for rb in b._num)
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols, num, a._den * b._den)
 
 
 # -- integer elimination core -------------------------------------------------
@@ -236,54 +252,9 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return row
 
 
-def _common_scale_rows(mats: Sequence[Matrix]) -> tuple[list[list[list[int]]], int]:
-    """Integer rows of D * m for every m, with D the least common denominator
-    of all their entries; each m is recovered as its rows / D."""
-    denom = lcm(*{x.denominator for m in mats for x in m.entries})
-    return [[[x.numerator * (denom // x.denominator) for x in m.row_list(i)] for i in range(m.rows)]
-            for m in mats], denom
-
-
-def _scaled_matrix(rows: list[list[int]], scale: int, cols: int) -> Matrix:
-    """The rational matrix rows / scale, with cols columns."""
-    return Matrix(len(rows), cols, tuple(Fraction(v, scale) for row in rows for v in row))
-
-
-def _integerized(m: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Integer rows of scale * m with one global scale, content stripped.
-
-    scale is positive; m is recovered as rows / scale.
-    """
-    (rows,), denom = _common_scale_rows([m])
-    g = 0
-    for row in rows:
-        for x in row:
-            g = gcd(g, x)
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
-    return rows, Fraction(denom, max(g, 1))
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
-    """Product of integer matrices given as row lists; b has cols columns."""
-    out = []
-    for ai in a:
-        row = [0] * cols
-        for s, bk in zip(ai, b):
-            if s:
-                row = [x + s * y for x, y in zip(row, bk)]
-        out.append(row)
-    return out
-
-
-def _int_commutator(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """ab - ba for square integer matrices given as row lists."""
-    n = len(a)
-    return [[x - y for x, y in zip(p, q)] for p, q in zip(_int_matmul(a, b, n), _int_matmul(b, a, n))]
-
-
-def _is_zero_rows(rows: list[list[int]]) -> bool:
-    return not any(any(row) for row in rows)
+def _integerized(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The stored integer rows of m and its denominator: m = rows / den."""
+    return m._num, m._den
 
 
 class _Echelon:
@@ -362,20 +333,28 @@ def _echelon(n: int, vectors: Iterable[list[int]]) -> _Echelon:
 
 
 def _integer_columns(m: Matrix) -> list[list[int]]:
-    """The columns of scale * m as integer vectors, on _integerized's one scale."""
-    rows = _integerized(m)[0]
-    return [[row[j] for row in rows] for j in range(m.cols)]
+    """The columns of den * m as integer vectors, read from the stored rows."""
+    return [[row[j] for row in m._num] for j in range(m.cols)]
+
+
+def _reduced_echelon(n: int, vectors: Iterable[list[int]], height: int = 0) -> tuple[Matrix, int]:
+    """The reduced row-echelon form of integer vectors of length n, and its rank.
+
+    Each back-substituted echelon row is divided by its pivot entry; zero
+    rows pad the result to height rows.
+    """
+    rows, pivots = _echelon(n, vectors).reduced_rows()
+    den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    num = [[x * (den // row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return Matrix._of(max(height, len(num)), n, num + [[0] * n] * (height - len(num)), den), len(num)
 
 
 def _span(n: int, vectors: Iterable[list[int]]) -> Subspace:
     """The canonical subspace of Q^n spanned by integer vectors of length n.
 
-    Its basis columns are the rows of the reduced echelon form of the
-    vectors, each divided by its pivot entry.
+    Its basis columns are the rows of the reduced echelon form of the vectors.
     """
-    rows, pivots = _echelon(n, vectors).reduced_rows()
-    entries = tuple(Fraction(row[i], row[c]) for i in range(n) for row, c in zip(rows, pivots))
-    return Subspace(n, Matrix(n, len(rows), entries))
+    return Subspace(n, _reduced_echelon(n, vectors)[0].transpose())
 
 
 def _dependencies(n: int, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> list[list[int]]:
@@ -400,10 +379,7 @@ def _dependencies(n: int, heads: Sequence[list[int]], tails: Sequence[list[int]]
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank, computed exactly."""
-    rows, pivots = _echelon(m.cols, _integerized(m)[0]).reduced_rows()
-    out = tuple(Fraction(x, row[c]) for row, c in zip(rows, pivots) for x in row)
-    zero_fill = (Fraction(0),) * ((m.rows - len(pivots)) * m.cols)
-    return Matrix(m.rows, m.cols, out + zero_fill), len(pivots)
+    return _reduced_echelon(m.cols, m._num, m.rows)
 
 
 @dataclass(frozen=True)
@@ -448,7 +424,7 @@ class Subspace:
     def contains_vector(self, vector: Sequence[Fraction]) -> bool:
         if len(vector) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        (column,) = _integer_columns(Matrix(self.ambient_dim, 1, tuple(_as_fraction(x) for x in vector)))
+        (column,) = _integer_columns(Matrix(self.ambient_dim, 1, vector))
         return len(_echelon(self.ambient_dim, _integer_columns(self.basis) + [column])) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
@@ -461,10 +437,16 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
 
+def _kernel(height: int, columns: list[list[int]]) -> Subspace:
+    """Null space of the integer matrix with the given columns of length height."""
+    width = len(columns)
+    units = [[int(i == j) for i in range(width)] for j in range(width)]
+    return _span(width, _dependencies(height, columns, units))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the null space of ``m``: the dependencies among its columns."""
-    units = [[int(i == j) for i in range(m.cols)] for j in range(m.cols)]
-    return _span(m.cols, _dependencies(m.rows, _integer_columns(m), units))
+    return _kernel(m.rows, _integer_columns(m))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -490,15 +472,20 @@ def eigenspace(m: Matrix, lam) -> Subspace:
     """All vectors v with m v = lam v; zero subspace when lam is not an eigenvalue."""
     if not m.is_square:
         raise ValueError("eigenspace requires a square matrix")
-    lam = _as_fraction(lam)
-    return kernel(m - lam * Matrix.identity(m.rows))
+    lam = Fraction(lam)
+    # q den (m - lam I) with lam = p/q: the columns of q * num, less p * den on the diagonal
+    q, shift = lam.denominator, lam.numerator * m._den
+    columns = [[q * x for x in column] for column in _integer_columns(m)]
+    for j, column in enumerate(columns):
+        column[j] -= shift
+    return _kernel(m.rows, columns)
 
 
 def is_diagonalizable_with(m: Matrix, eigenvalues: Sequence) -> bool:
     """True iff the eigenspaces of the listed eigenvalues fill the whole space."""
     if not m.is_square:
         raise ValueError("diagonalizability requires a square matrix")
-    vals = [_as_fraction(x) for x in eigenvalues]
+    vals = [Fraction(x) for x in eigenvalues]
     if len(set(vals)) != len(vals):
         raise ValueError("eigenvalues must be distinct")
     total = sum(eigenspace(m, lam).dim for lam in vals)
@@ -512,7 +499,7 @@ def determinant(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    rows, scale = _integerized(m)  # det m = det(rows) / scale^n
+    rows, scale = list(m._num), m._den  # det m = det(rows) / scale^n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -528,39 +515,26 @@ def determinant(m: Matrix) -> Fraction:
             ci = ri[k]
             rows[i] = [(pk * ri[j] - ci * rk_[j]) // prev for j in range(n)]
         prev = pk
-    return sign * rows[n - 1][n - 1] / scale**n
+    return Fraction(sign * rows[n - 1][n - 1], scale**n)
 
 
-def _inverse_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Integer rows R and a positive integer scale s with m^-1 = R / s.
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse; raises ValueError on singular input.
 
-    Raises ValueError on singular input. [m | I] is reduced on one common
-    scale: with m = rows / (p/q) it is the integer rows [q rows | p I], and
-    reduced row i reads r_i e_i in front and r_i times row i of m^-1 behind.
-    s is the lcm of the r_i; R and s are then divided by their common gcd.
+    With m = num / den, [m | I] is reduced as the integer rows [num | den I],
+    and reduced row i reads r_i e_i in front and r_i times row i of m^-1
+    behind; the inverse is those tails over the lcm of the r_i.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.rows
-    rows, scale = _integerized(m)
-    p, q = scale.numerator, scale.denominator
-    augmented = ([q * x for x in row] + [p if i == j else 0 for j in range(n)] for i, row in enumerate(rows))
+    augmented = (list(row) + [m._den if i == j else 0 for j in range(n)] for i, row in enumerate(m._num))
     echelon = _echelon(n, augmented)
     if len(echelon) < n:
         raise ValueError("matrix is singular")
     reduced, _ = echelon.reduced_rows()
     s = lcm(*(row[i] for i, row in enumerate(reduced)))
-    out = [[x * (s // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
-    g = gcd(s, *(x for row in out for x in row))
-    if g > 1:
-        out, s = [[x // g for x in row] for row in out], s // g
-    return out, s
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on singular input."""
-    rows, scale = _inverse_rows(m)
-    return _scaled_matrix(rows, scale, m.cols)
+    return Matrix._of(n, n, ([x * (s // row[i]) for x in row[n:]] for i, row in enumerate(reduced)), s)
 
 
 class BlockBasis:
@@ -586,11 +560,10 @@ class BlockBasis:
             if len(pivots) != k:
                 raise ValueError("subspaces are not independent")
             units = [j for j in range(n) if j not in pivots]
-            one, zero = Fraction(1), Fraction(0)
-            completion = Matrix(n, len(units), tuple(one if i == j else zero for i in range(n) for j in units))
+            completion = Matrix._of(n, len(units), ([int(i == j) for j in units] for i in range(n)), 1)
             full = hstack(stacked, completion)
-        self._basis = _integerized(stacked)
-        self._inverse = _inverse_rows(full)
+        self._basis = stacked
+        self._inverse = inverse(full)
         self._starts = [0]
         self._block_of = []
         for i, space in enumerate(spaces):
@@ -598,15 +571,13 @@ class BlockBasis:
             self._block_of.extend([i] * space.dim)
         self._block_of.extend([-1] * (n - k))
 
-    def coordinates(self, m: Matrix) -> tuple[list[list[int]], Fraction]:
+    def coordinates(self, m: Matrix) -> tuple[list[list[int]], int]:
         """Integer rows of scale * C for C = Q^-1 m P, and that scale."""
-        rows, scale = _integerized(m)
-        p, p_scale = self._basis
-        q_inv, q_scale = self._inverse
+        p, q_inv = self._basis, self._inverse
         k = self._starts[-1]
-        return _int_matmul(q_inv, _int_matmul(rows, p, k), k), scale * p_scale * q_scale
+        return _int_matmul(q_inv._num, _int_matmul(m._num, p._num, k), k), m._den * p._den * q_inv._den
 
-    def maps_into(self, coords: tuple[list[list[int]], Fraction], i: int,
+    def maps_into(self, coords: tuple[list[list[int]], int], i: int,
                   targets: Iterable[int], shift=0) -> bool:
         """Does m + shift * I map V_i into the sum of V_j over j in targets?
 
@@ -615,7 +586,7 @@ class BlockBasis:
         """
         rows, scale = coords
         keep = {j for j in targets if 0 <= j < len(self._starts) - 1}
-        diagonal = -_as_fraction(shift) * scale
+        diagonal = -Fraction(shift) * scale
         lo, hi = self._starts[i], self._starts[i + 1]
         for a, row in enumerate(rows):
             if self._block_of[a] in keep:
@@ -641,7 +612,7 @@ def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     if n == 0:
         return (Fraction(0), Fraction(1))
     nn = n * n
-    a, scale = _integerized(m)
+    a, scale = m._num, m._den
     echelon = _Echelon(nn)
     power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n + 1):
@@ -650,7 +621,7 @@ def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
         lead, residual = echelon.reduce([x for row in power for x in row] + tail)
         if lead is None:
             coeffs = [b * scale**j for j, b in enumerate(residual[nn : nn + k + 1])]
-            return tuple(c / coeffs[k] for c in coeffs)
+            return tuple(Fraction(c, coeffs[k]) for c in coeffs)
         echelon.add(residual)
         power = _int_matmul(power, a, n)
     raise RuntimeError("minimal polynomial search did not terminate")  # degree <= n
@@ -682,7 +653,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int] | None:
     Returns None when the polynomial does not split into rational linear
     factors. Coefficients are constant term first.
     """
-    poly = [_as_fraction(c) for c in coeffs]
+    poly = [Fraction(c) for c in coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
     if len(poly) <= 1:

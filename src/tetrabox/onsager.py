@@ -15,16 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionGuardError, SpectrumError
-from .linalg import (
-    Matrix,
-    _common_scale_rows,
-    _int_commutator,
-    _is_zero_rows,
-    commutator,
-    dim_guard,
-    kron,
-    minimal_polynomial,
-)
+from .linalg import Matrix, commutator, dim_guard, kron, minimal_polynomial
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -248,26 +239,12 @@ def normalize_type(m: OnsagerModule) -> OnsagerModule:
     )
 
 
-def _dolan_grady_residual(a: list[list[int]], inner: list[list[int]], scale: int) -> list[list[int]]:
-    """Integer rows of scale^4 ([x, [x, [x, y]]] - 4 [x, y]).
-
-    a holds scale * x and inner holds scale^2 [x, y], both integer rows.
-    """
-    outer = _int_commutator(a, _int_commutator(a, inner))
-    four = 4 * scale * scale
-    return [[p - four * q for p, q in zip(row, inner_row)] for row, inner_row in zip(outer, inner)]
+def _dolan_grady_residual(x: Matrix, inner: Matrix) -> Matrix:
+    """[x, [x, [x, y]]] - 4 [x, y], given inner = [x, y]."""
+    return commutator(x, commutator(x, inner)) - 4 * inner
 
 
 def dolan_grady_holds(x: Matrix, y: Matrix) -> bool:
-    """Exact check of both Dolan-Grady relations for the pair (x, y).
-
-    Both matrices are put on one common denominator, and each relation is
-    decided by whether its integer residual vanishes.
-    """
-    if not (x.is_square and y.is_square and x.rows == y.rows):
-        raise ValueError(f"shape mismatch: {x.rows}x{x.cols} and {y.rows}x{y.cols}")
-    (a, b), scale = _common_scale_rows([x, y])
-    xy = _int_commutator(a, b)
-    if not _is_zero_rows(_dolan_grady_residual(a, xy, scale)):
-        return False
-    return _is_zero_rows(_dolan_grady_residual(b, [[-v for v in row] for row in xy], scale))
+    """Exact check of both Dolan-Grady relations for the pair (x, y)."""
+    xy = commutator(x, y)
+    return _dolan_grady_residual(x, xy).is_zero() and _dolan_grady_residual(y, -xy).is_zero()

@@ -18,17 +18,18 @@ the opposite flags r and s), and the generator x_rs acts on its i-th piece
 as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
 order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs: this module builds six
 decompositions, forms x_rs for r < s by one change of basis each and
-negates it for x_sr; each change of basis is one integer product.
+negates it for x_sr; each change of basis is one matrix product.
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
 x_rs + x_sr = 0, the triangle relation [x_rs, x_st] = 2 x_rs + 2 x_st, and
 the Dolan-Grady relation between generators with four distinct indices.
-The relations are decided in integer arithmetic: the twelve matrices are
-put on one common denominator once, and each instance is the test that an
-integer matrix vanishes. Spectral facts (common eigenvalue set {d-2i},
-eigenspace dimension tables, the action of one generator on another's
-eigenspaces, flag independence) are verified as exact subspace statements.
+The relations are decided by plain matrix algebra, which runs on integer
+rows over one denominator per matrix (see linalg), and each instance is the
+test that its residual matrix vanishes. Spectral facts (common eigenvalue
+set {d-2i}, eigenspace dimension tables, the action of one generator on
+another's eigenspaces, flag independence) are verified as exact subspace
+statements.
 The action of x_tu on the eigenspaces of x_rs is read off the coordinate
 matrix of x_tu in the eigenbasis of x_rs: each case is a pattern of zero
 and nonzero blocks, one change of basis per pair of generators. The
@@ -45,20 +46,7 @@ from itertools import permutations
 from .classify import ORACLE_GUARD, is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
 from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
-from .linalg import (
-    BlockBasis,
-    Matrix,
-    Subspace,
-    _common_scale_rows,
-    _int_commutator,
-    _int_matmul,
-    _inverse_rows,
-    _is_zero_rows,
-    _scaled_matrix,
-    eigenspace,
-    hstack,
-    subspace_sum,
-)
+from .linalg import BlockBasis, Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
 from .onsager import (
     ModuleSpec,
     OnsagerModule,
@@ -175,12 +163,8 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
     flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
     x: dict[tuple[int, int], Matrix] = {}
     for (r, s), pieces in _opposite_decompositions(flags).items():
-        basis = hstack(*(piece.basis for piece in pieces))
-        (b,), scale = _common_scale_rows([basis])
-        b_inv, inv_scale = _inverse_rows(basis)
-        weights = [2 * i - d for i, piece in enumerate(pieces) for _ in range(piece.dim)]
-        scaled = [[v * w for v, w in zip(row, weights)] for row in b]
-        x[(r, s)] = _scaled_matrix(_int_matmul(scaled, b_inv, m.dim), scale * inv_scale, m.dim)
+        weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
+        x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x, flags=flags)
 
@@ -217,41 +201,32 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
 def verify_relations(t: TetraModule) -> VerificationReport:
     """Evaluate every defining relation instance as an exact matrix identity.
 
-    The twelve matrices are put once on one common denominator D, so each
-    identity is an integer matrix that must vanish: antisymmetry carries the
-    scale D, the triangle relation D^2 and Dolan-Grady D^4. A failing
-    residual is divided back by its scale, which gives the rational residual
-    entry for entry. Antisymmetry is not assumed anywhere; the only product
-    shared between instances is the inner commutator of Dolan-Grady, since
+    Each residual is a Matrix, and a Matrix is exact integer rows over one
+    denominator, so an instance passes exactly when its residual is zero.
+    Antisymmetry is not assumed anywhere; the only product shared between
+    instances is the inner commutator of Dolan-Grady, since
     [x_tu, x_rs] = -[x_rs, x_tu] for any two matrices.
     """
-    n = t.dim
-    ints, scale = _common_scale_rows([t.x[pair] for pair in ORDERED_PAIRS])
-    x = dict(zip(ORDERED_PAIRS, ints))
+    x = t.x
     checks: list[CheckResult] = []
 
-    def record(relation: str, instance: tuple, residual: list[list[int]], power: int) -> None:
-        if _is_zero_rows(residual):
-            checks.append(CheckResult(relation, instance, True))
-        else:
-            checks.append(CheckResult(relation, instance, False, _scaled_matrix(residual, scale**power, n)))
+    def record(relation: str, instance: tuple, residual: Matrix) -> None:
+        passed = residual.is_zero()
+        checks.append(CheckResult(relation, instance, passed, None if passed else residual))
 
     for r, s in UNORDERED_PAIRS:
-        residual = [[p + q for p, q in zip(*rows)] for rows in zip(x[(r, s)], x[(s, r)])]
-        record("antisymmetry", (r, s), residual, 1)
-    two = 2 * scale
+        record("antisymmetry", (r, s), x[(r, s)] + x[(s, r)])
     for r, s, tt in permutations(CORNERS, 3):
         a, b = x[(r, s)], x[(s, tt)]
-        residual = [[c - two * (p + q) for c, p, q in zip(*rows)] for rows in zip(_int_commutator(a, b), a, b)]
-        record("triangle", (r, s, tt), residual, 2)
+        record("triangle", (r, s, tt), commutator(a, b) - 2 * (a + b))
     inner: dict = {}
     for r, s, tt, u in permutations(CORNERS, 4):
         first, second = (r, s), (tt, u)
         if (second, first) in inner:
-            bracket = [[-v for v in row] for row in inner[(second, first)]]
+            bracket = -inner[(second, first)]
         else:
-            bracket = inner[(first, second)] = _int_commutator(x[first], x[second])
-        record("dolan_grady", (r, s, tt, u), _dolan_grady_residual(x[first], bracket, scale), 4)
+            bracket = inner[(first, second)] = commutator(x[first], x[second])
+        record("dolan_grady", (r, s, tt, u), _dolan_grady_residual(x[first], bracket))
     return VerificationReport(tuple(checks))
 
 

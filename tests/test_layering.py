@@ -1,0 +1,32 @@
+"""The stored form of a Matrix stays inside linalg.
+
+A Matrix is integer rows over one denominator. Modules that only do matrix
+algebra must not reach for linalg's private helpers, or that representation
+leaks into them again. classify (the spins and closures) and flags (one rank)
+work on the integer echelon itself and are not listed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tetrabox
+
+PACKAGE = Path(tetrabox.__file__).parent
+
+
+def private_linalg_imports(module: str) -> list[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", ["tetra", "onsager", "tridiagonal", "serialize", "cli"])
+def test_no_private_linalg_names(module):
+    assert private_linalg_imports(module) == []

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from tetrabox import (
     DimensionGuardError,
     Matrix,
     Subspace,
+    commutator,
     determinant,
     eigenspace,
     hstack,
@@ -15,6 +17,7 @@ from tetrabox import (
     is_diagonalizable_with,
     kernel,
     kron,
+    kronecker_sum,
     minimal_polynomial,
     rational_roots,
     rref,
@@ -273,3 +276,106 @@ class TestGuardsAndPlumbing:
             Matrix.identity(2) + Matrix.identity(3)
         with pytest.raises(ValueError):
             Matrix.from_rows([[1, 2]]) * Matrix.from_rows([[1, 2]])
+
+
+# -- Matrix arithmetic against a Fraction list-of-lists reference -------------
+#
+# Matrix stores integer rows over one denominator; these references work on
+# plain lists of Fraction rows and share no code with it. Shapes include 0.
+
+ref_entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+sizes = st.integers(0, 3)
+scalars = st.one_of(st.integers(-3, 3), ref_entries)
+
+
+def fraction_rows(rows, cols):
+    return st.lists(st.lists(ref_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def as_matrix(ref, cols):
+    return Matrix(len(ref), cols, [x for row in ref for x in row])
+
+
+def ref_mul(a, b, cols):
+    inner = len(b)
+    return [[sum((row[k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)] for row in a]
+
+
+def ref_kron(a, b, b_cols):
+    a_cols = len(a[0]) if a else 0
+    return [[a[i][j] * b[k][l] for j in range(a_cols) for l in range(b_cols)] for i in range(len(a)) for k in range(len(b))]
+
+
+def ref_identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def assert_matches(m, ref, cols):
+    """m has the reference's shape, views, zero test and canonical stored form."""
+    flat = [x for row in ref for x in row]
+    assert (m.rows, m.cols) == (len(ref), cols)
+    assert list(m.entries) == flat
+    assert all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in m.entries)
+    assert [m[i, j] for i in range(m.rows) for j in range(cols)] == flat
+    assert [m.row_list(i) for i in range(m.rows)] == ref
+    assert [m.col_list(j) for j in range(cols)] == [[row[j] for row in ref] for j in range(cols)]
+    assert m.to_rows() == ref
+    assert m.is_zero() == all(x == 0 for x in flat)
+    rebuilt = as_matrix(ref, cols)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+class TestMatrixAgainstFractionReference:
+    @settings(deadline=None, max_examples=80)
+    @given(st.data(), sizes, sizes, scalars)
+    def test_elementwise_and_transpose(self, data, rows, cols, s):
+        a = data.draw(fraction_rows(rows, cols))
+        b = data.draw(fraction_rows(rows, cols))
+        ma, mb = as_matrix(a, cols), as_matrix(b, cols)
+        assert_matches(ma, a, cols)
+        assert_matches(ma + mb, [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)], cols)
+        assert_matches(ma - mb, [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)], cols)
+        assert_matches(-ma, [[-x for x in r] for r in a], cols)
+        assert_matches(s * ma, [[s * x for x in r] for r in a], cols)
+        assert_matches(ma * s, [[x * s for x in r] for r in a], cols)
+        assert_matches(ma.transpose(), [[r[j] for r in a] for j in range(cols)], rows)
+        assert (ma == mb) == (a == b)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data(), sizes, sizes, sizes)
+    def test_matmul(self, data, n, k, m):
+        a, b = data.draw(fraction_rows(n, k)), data.draw(fraction_rows(k, m))
+        assert_matches(as_matrix(a, k) * as_matrix(b, m), ref_mul(a, b, m), m)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), sizes, sizes, sizes, sizes)
+    def test_kron(self, data, r1, c1, r2, c2):
+        a, b = data.draw(fraction_rows(r1, c1)), data.draw(fraction_rows(r2, c2))
+        assert_matches(kron(as_matrix(a, c1), as_matrix(b, c2)), ref_kron(a, b, c2), c1 * c2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), sizes, st.lists(sizes, min_size=1, max_size=3))
+    def test_hstack(self, data, rows, widths):
+        parts = [data.draw(fraction_rows(rows, w)) for w in widths]
+        expected = [[x for part in parts for x in part[i]] for i in range(rows)]
+        assert_matches(hstack(*(as_matrix(p, w) for p, w in zip(parts, widths))), expected, sum(widths))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), sizes, sizes)
+    def test_commutator_and_kronecker_sum(self, data, n, m):
+        a, b, c = data.draw(fraction_rows(n, n)), data.draw(fraction_rows(n, n)), data.draw(fraction_rows(m, m))
+        ma, mb, mc = as_matrix(a, n), as_matrix(b, n), as_matrix(c, m)
+        ab, ba = ref_mul(a, b, n), ref_mul(b, a, n)
+        assert_matches(commutator(ma, mb), [[x - y for x, y in zip(r, q)] for r, q in zip(ab, ba)], n)
+        left, right = ref_kron(a, ref_identity(m), m), ref_kron(ref_identity(n), c, m)
+        expected = [[x + y for x, y in zip(r, q)] for r, q in zip(left, right)]
+        assert_matches(kronecker_sum(ma, mc), expected, n * m)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), sizes, sizes, st.integers(1, 12).map(lambda q: F(1, q)))
+    def test_one_matrix_reached_two_ways_is_stored_once(self, data, rows, cols, unit):
+        a = data.draw(fraction_rows(rows, cols))
+        m = as_matrix(a, cols)
+        for other in ((2 * m) * F(1, 2), (m * unit) * unit.denominator, m + m - m, -(-m), m.transpose().transpose()):
+            assert other == m and hash(other) == hash(m)
+            assert_matches(other, a, cols)

@@ -339,7 +339,11 @@ class TestActionTableDifferential:
 
 
 def reference_relations(t):
-    """Every relation instance on Fraction matrices, each product formed afresh."""
+    """Every relation instance by Matrix algebra, each product formed afresh.
+
+    It shares Matrix arithmetic with verify_relations; that arithmetic is
+    checked against a Fraction list-of-lists reference in test_linalg.
+    """
     x = t.x
     checks = []
 
@@ -377,7 +381,7 @@ NEW_DENOMINATORS = st.builds(F, st.integers(-6, 6).filter(bool), st.sampled_from
 
 
 class TestRelationsDifferential:
-    """The common-denominator integer relations against the Fraction route."""
+    """verify_relations, with its shared Dolan-Grady brackets, against every product formed afresh."""
 
     def assert_same(self, t):
         got = verify_relations(t).checks
