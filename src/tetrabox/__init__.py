@@ -33,6 +33,7 @@ from .flags import (
 from .linalg import (
     Matrix,
     Subspace,
+    annihilates,
     commutator,
     determinant,
     eigenspace,

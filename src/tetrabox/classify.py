@@ -241,6 +241,15 @@ def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
     return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
 
 
+def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None, guard: int) -> bool:
+    """pair_generates_full_algebra for a caller that knows an eigenvalue top
+    of a (None: none known). Norton's test is sound at any eigenvalue whose
+    eigenspace is a line, so it decides there; otherwise the closure does."""
+    gens = _integer_generators(a, b, guard)
+    verdict = _norton(a, b, top)
+    return _closure_is_full(gens, a.rows) if verdict is None else verdict
+
+
 def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
     """True iff the algebra generated by a, b is all of End(V).
 
@@ -248,9 +257,8 @@ def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD)
     whose top eigenspace is a line; otherwise the Burnside closure does.
     The guard is checked first either way.
     """
-    gens = _integer_generators(a, b, guard)
-    verdict = _norton(a, b, _spectrum_top(a))
-    return _closure_is_full(gens, a.rows) if verdict is None else verdict
+    _integer_generators(a, b, guard)
+    return _full_algebra_with_top(a, b, _spectrum_top(a), guard)
 
 
 def is_irreducible_burnside(m: OnsagerModule, guard: int = ORACLE_GUARD) -> bool:

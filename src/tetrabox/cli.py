@@ -15,6 +15,9 @@ build input, 2 unreadable or malformed input or a non-integer
 TETRABOX_DIM_GUARD (and reducible input for `compare`), 3
 oracle/criterion disagreement in `compare`. A deep check that the oracle
 guard refuses is reported as "skipped" and does not fail verification.
+A module file whose diameter d is at least its dimension is malformed
+(exit 2, before any eigenspace is computed); a smaller d that is no
+generator's eigenvalue fails verification (exit 1).
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | N
             out["roundtrip_uniqueness"] = roundtrip_uniqueness(OnsagerModule(module.dim, module.A, module.Astar))
         checks = [out["rebuild_matches"], out["roundtrip_uniqueness"]]
         if spec is not None:
-            out["spec_matches"] = spec.dim == tetra.dim and build_tetra_from_spec(spec).x == tetra.x
+            same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
+            out["spec_matches"] = same_shape and build_tetra_from_spec(spec).x == tetra.x
             checks.append(out["spec_matches"])
         try:
             out["pairwise_burnside"] = pairwise_burnside(tetra)

@@ -23,6 +23,11 @@ inverses, the minimal polynomial and the spins and closures of ``classify``
 use the same echelon; this is much faster than eliminating on Fraction
 objects and gives the identical reduced echelon form. The determinant runs
 Bareiss elimination on the same integer rows.
+
+Whether vectors lie in a sum of eigenspaces of one matrix x needs no
+elimination: for distinct mu_j the kernel of prod_j (x - mu_j I) is the
+direct sum of the kernels of the factors, so annihilates decides it by
+integer products with x alone, whether or not x is diagonalizable.
 """
 
 from __future__ import annotations
@@ -537,64 +542,36 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix._of(n, n, ([x * (s // row[i]) for x in row[n:]] for i, row in enumerate(reduced)), s)
 
 
-class BlockBasis:
-    """Coordinates with respect to independent subspaces V_0, ..., V_k.
+def annihilates(x: Matrix, m: Matrix, blocks: Sequence[tuple[int, Sequence]]) -> list[bool]:
+    """For each block (width, roots) of consecutive columns of m, left to
+    right: is the product of (x - mu I) over mu in roots zero on that block?
 
-    The stacked bases P of the listed subspaces are completed to a basis Q
-    of the whole space by the unit vectors e_j at the non-pivot positions of
-    the echelon of P's columns, and Q is inverted once. A matrix m is then
-    described by its coordinate matrix C = Q^-1 m P, whose column block i
-    holds the coordinates of the images of the basis of V_i. Coordinates in
-    a basis are unique, so m + c I maps V_i into the sum of some listed V_j
-    exactly when column block i of C + c [I on block i] vanishes outside the
-    rows of those blocks; the completion rows belong to no listed subspace.
+    For distinct roots the product is squarefree, so by Bezout its kernel is
+    the direct sum of the eigenspaces ker(x - mu I), for any square x: this
+    decides whether the block lies in the sum of those eigenspaces, with no
+    eigenbasis, completion or inverse; with no roots the block must vanish.
+    On the stored integer rows, with x = X / den and a root mu = p / q, a
+    factor maps an integer column y to q (X y) - p den y, a nonzero multiple
+    of (x - mu I) y. The k-th factors of all blocks take one product with X.
     """
-
-    def __init__(self, ambient_dim: int, spaces: Sequence[Subspace]):
-        n = ambient_dim
-        stacked = hstack(Matrix.zeros(n, 0), *(space.basis for space in spaces))
-        k = stacked.cols
-        full = stacked
-        if k < n:
-            pivots = _echelon(n, _integer_columns(stacked)).rows
-            if len(pivots) != k:
-                raise ValueError("subspaces are not independent")
-            units = [j for j in range(n) if j not in pivots]
-            completion = Matrix._of(n, len(units), ([int(i == j) for j in units] for i in range(n)), 1)
-            full = hstack(stacked, completion)
-        self._basis = stacked
-        self._inverse = inverse(full)
-        self._starts = [0]
-        self._block_of = []
-        for i, space in enumerate(spaces):
-            self._starts.append(self._starts[-1] + space.dim)
-            self._block_of.extend([i] * space.dim)
-        self._block_of.extend([-1] * (n - k))
-
-    def coordinates(self, m: Matrix) -> tuple[list[list[int]], int]:
-        """Integer rows of scale * C for C = Q^-1 m P, and that scale."""
-        p, q_inv = self._basis, self._inverse
-        k = self._starts[-1]
-        return _int_matmul(q_inv._num, _int_matmul(m._num, p._num, k), k), m._den * p._den * q_inv._den
-
-    def maps_into(self, coords: tuple[list[list[int]], int], i: int,
-                  targets: Iterable[int], shift=0) -> bool:
-        """Does m + shift * I map V_i into the sum of V_j over j in targets?
-
-        coords is coordinates(m); targets outside 0..k name no subspace and
-        are ignored.
-        """
-        rows, scale = coords
-        keep = {j for j in targets if 0 <= j < len(self._starts) - 1}
-        diagonal = -Fraction(shift) * scale
-        lo, hi = self._starts[i], self._starts[i + 1]
-        for a, row in enumerate(rows):
-            if self._block_of[a] in keep:
-                continue
-            for c in range(lo, hi):
-                if row[c] != (diagonal if a == c else 0):
-                    return False
-        return True
+    if not x.is_square or x.cols != m.rows:
+        raise ValueError(f"shape mismatch: {x.rows}x{x.cols} acting on {m.rows}x{m.cols}")
+    if sum(width for width, _ in blocks) != m.cols:
+        raise ValueError("block widths do not add up to the column count")
+    column_roots = [[_as_rational(mu) for mu in roots] for width, roots in blocks for _ in range(width)]
+    y = m._num
+    for k in range(max(map(len, column_roots), default=0)):
+        if not any(map(any, y)):
+            break
+        # per column, (q, p den) of its k-th root p/q, or (0, -1), which keeps the column
+        scales = [(mu[k].denominator, mu[k].numerator * x._den) if k < len(mu) else (0, -1) for mu in column_roots]
+        xy = _int_matmul(x._num, y, m.cols)
+        y = [[q * a - s * b for (q, s), a, b in zip(scales, r, t)] for r, t in zip(xy, y)]
+    verdicts, lo = [], 0
+    for width, _ in blocks:
+        verdicts.append(not any(any(row[lo : lo + width]) for row in y))
+        lo += width
+    return verdicts
 
 
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:

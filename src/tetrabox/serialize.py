@@ -122,7 +122,10 @@ def tetra_from_json(data) -> TetraModule:
     dim = _require_int(data.get("dim", dims.pop()), "tetra dimension 'dim'")
     if "d" not in data:
         raise ValueError("tetra structure needs its diameter field 'd'")
-    return TetraModule(dim=dim, diameter=_require_int(data["d"], "diameter 'd'"), x=x, flags=None)
+    d = _require_int(data["d"], "diameter 'd'")
+    if d >= dim:
+        raise ValueError(f"diameter d = {d} needs d + 1 distinct eigenvalues, more than the dimension {dim}")
+    return TetraModule(dim=dim, diameter=d, x=x, flags=None)
 
 
 def flags_to_json(flags: tuple[Flag, ...]) -> list:
@@ -133,13 +136,17 @@ def flags_to_json(flags: tuple[Flag, ...]) -> list:
 
 
 def eigentable_to_json(table: EigenTable) -> dict:
-    return {
+    """The table as JSON; "diameter_attained" appears only when that check fails."""
+    out = {
         "eigenvalues": [str(x) for x in table.eigenvalues],
         "dims": {_pair_key(pair): list(dims) for pair, dims in sorted(table.dims.items())},
         "constant_across_pairs": table.constant_across_pairs,
         "symmetric": table.symmetric,
         "sums_to_dim": table.sums_to_dim,
     }
+    if not table.diameter_attained:
+        out["diameter_attained"] = False
+    return out
 
 
 def report_to_json(report: VerificationReport) -> list:

@@ -30,11 +30,11 @@ test that its residual matrix vanishes. Spectral facts (common eigenvalue
 set {d-2i}, eigenspace dimension tables, the action of one generator on
 another's eigenspaces, flag independence) are verified as exact subspace
 statements.
-The action of x_tu on the eigenspaces of x_rs is read off the coordinate
-matrix of x_tu in the eigenbasis of x_rs: each case is a pattern of zero
-and nonzero blocks, one change of basis per pair of generators. The
-eigenspace chain of each generator is computed once per TetraModule and
-shared by every check that needs it.
+Each inclusion of the image of an eigenspace of x_rs under a shifted x_tu
+in a sum of eigenspaces of x_rs is the test that a product of factors
+x_rs - mu I annihilates that image (linalg.annihilates): no change of basis
+and no inverse. The eigenspace chain of each generator is computed once
+per TetraModule and shared by every check that needs it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from itertools import permutations
 from .classify import ORACLE_GUARD, is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
 from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
-from .linalg import BlockBasis, Matrix, Subspace, commutator, eigenspace, hstack, inverse, subspace_sum
+from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstack, inverse, subspace_sum
 from .onsager import (
     ModuleSpec,
     OnsagerModule,
@@ -92,17 +92,22 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class EigenTable:
-    """Eigenspace dimensions of every generator at every eigenvalue d-2i."""
+    """Eigenspace dimensions of every generator at every eigenvalue d-2i.
+
+    diameter_attained: d is an eigenvalue of some generator, so of all of
+    them when constant_across_pairs holds, and the declared d is no mere bound.
+    """
 
     eigenvalues: tuple[Fraction, ...]
     dims: dict[tuple[int, int], tuple[int, ...]]
     constant_across_pairs: bool
     symmetric: bool
     sums_to_dim: bool
+    diameter_attained: bool
 
     @property
     def all_passed(self) -> bool:
-        return self.constant_across_pairs and self.symmetric and self.sums_to_dim
+        return self.constant_across_pairs and self.symmetric and self.sums_to_dim and self.diameter_attained
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +261,8 @@ def eigentable(t: TetraModule) -> EigenTable:
     constant = all(row == rows[0] for row in rows)
     symmetric = all(row == row[::-1] for row in rows)
     sums = all(sum(row) == t.dim for row in rows)
-    return EigenTable(eigenvalues, dims, constant, symmetric, sums)
+    attained = any(row[0] > 0 for row in rows)
+    return EigenTable(eigenvalues, dims, constant, symmetric, sums, attained)
 
 
 def _action_case(r: int, s: int, tt: int, u: int) -> tuple[str, int, tuple[int, ...]]:
@@ -290,24 +296,28 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     the sign fixed by which index is shared), and four distinct indices keep
     the vector within the three adjacent eigenspaces.
 
-    Each x_tu is written once in the eigenbasis of x_rs (the stacked
-    eigenspace bases, completed by unit vectors when they do not fill the
-    space). Coordinates in a basis are unique, so every inclusion above is
-    the exact statement that one column block of the coordinate matrix,
-    shifted by c*lam on its diagonal, vanishes outside the row blocks of
-    the target eigenspaces: 144 changes of basis decide all 12*12*(d+1)
-    instances.
+    With P_i the basis of the eigenspace E_i of x_rs at lam_i = d-2i, the
+    inclusion (x_tu + c lam_i) E_i in the sum of the E_j over the targets j
+    (those in 0..d; none means the image is zero) holds exactly when
+    prod_j (x_rs - lam_j) (x_tu + c lam_i) P_i = 0, since for distinct lam_j
+    the kernel of that product is the sum of the E_j (linalg.annihilates).
+    x_rs P_i = lam_i P_i, so (x_tu + c lam_i) P_i is block i of
+    (x_tu + c x_rs) P: one product per pair of generators, then at most
+    three products of x_rs with it, shared by all d+1 blocks.
     """
     d = t.diameter
+    ladder = [d - 2 * i for i in range(d + 1)]
     checks: list[CheckResult] = []
     for r, s in ORDERED_PAIRS:
-        blocks = BlockBasis(t.dim, _eigenspace_chain(t, (r, s)))
+        chain = _eigenspace_chain(t, (r, s))
+        stacked = hstack(*(space.basis for space in chain))
+        x_rs = t.x[(r, s)]
         for tt, u in ORDERED_PAIRS:
             case, sign, offsets = _action_case(r, s, tt, u)
-            coords = blocks.coordinates(t.x[(tt, u)])
-            for i in range(d + 1):
-                lam = d - 2 * i
-                passed = blocks.maps_into(coords, i, [i + k for k in offsets], sign * lam)
+            image = (t.x[(tt, u)] + sign * x_rs) * stacked
+            targets = [[lam - 2 * k for k in offsets if abs(lam - 2 * k) <= d] for lam in ladder]
+            blocks = [(space.dim, roots) for space, roots in zip(chain, targets)]
+            for lam, passed in zip(ladder, annihilates(x_rs, image, blocks)):
                 checks.append(CheckResult(f"action_{case}", (r, s, tt, u, str(lam)), passed))
     return VerificationReport(tuple(checks))
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .classify import ORACLE_GUARD, pair_generates_full_algebra
+from .classify import ORACLE_GUARD, _full_algebra_with_top
 from .errors import SpectrumError
-from .linalg import BlockBasis, Matrix, Subspace, eigenspace, minimal_polynomial, rational_roots
+from .linalg import Matrix, annihilates, eigenspace, hstack, minimal_polynomial, rational_roots
 from .onsager import dolan_grady_holds
 
 
@@ -42,28 +43,17 @@ def _rational_spectrum(m: Matrix) -> list[Fraction] | None:
     return sorted(roots, reverse=True)
 
 
-def _block_tridiagonal_ordering(
-    acting: Matrix, spaces: list[Subspace], ambient: int
-) -> bool:
-    """Does `acting` map each listed eigenspace into its three neighbors?"""
-    blocks = BlockBasis(ambient, spaces)
-    coords = blocks.coordinates(acting)
-    return all(blocks.maps_into(coords, i, (i - 1, i, i + 1)) for i in range(len(spaces)))
+def _block_tridiagonal_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[Fraction]) -> bool:
+    """Does `acting` map each eigenspace of `diagonal` (D), in the listed order
+    of its distinct eigenvalues theta_i, into the sum of it and its neighbors?
 
-
-def _standard_ordering(
-    acting: Matrix, diagonal: Matrix, eigenvalues: list[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """The descending eigenvalue ordering, if `acting` is block tridiagonal on it.
-
-    Reversing an ordering leaves every eigenspace's set of neighbors
-    unchanged, so the reverse ordering passes exactly when this one does;
-    it is not tried, and the result is the same as searching both.
+    That sum is the kernel of (D - theta_{i-1})(D - theta_i)(D - theta_{i+1})
+    (linalg.annihilates), so with P_i the basis of the eigenspace at theta_i
+    the test is that this product kills block i of acting * P.
     """
-    spaces = [eigenspace(diagonal, lam) for lam in eigenvalues]
-    if _block_tridiagonal_ordering(acting, spaces, diagonal.rows):
-        return tuple(eigenvalues)
-    return None
+    spaces = [eigenspace(diagonal, lam).basis for lam in eigenvalues]
+    blocks = [(p.cols, eigenvalues[max(i - 1, 0) : i + 2]) for i, p in enumerate(spaces)]
+    return all(annihilates(diagonal, acting * hstack(*spaces), blocks))
 
 
 def verify_tridiagonal_pair(a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD) -> TdpReport:
@@ -74,18 +64,15 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD)
     spec_s = _rational_spectrum(astar)
     ordering_a = None
     ordering_s = None
-    if spec_a is not None:
-        ordering_a = _standard_ordering(astar, a, spec_a)
-    if spec_s is not None:
-        ordering_s = _standard_ordering(a, astar, spec_s)
-    irreducible = pair_generates_full_algebra(a, astar, guard=guard)
-    verdict = (
-        spec_a is not None
-        and spec_s is not None
-        and ordering_a is not None
-        and ordering_s is not None
-        and irreducible
-    )
+    # only the descending ordering is tried: reversing an ordering keeps every
+    # eigenspace's neighbors, so the reverse passes exactly when it does
+    if spec_a is not None and _block_tridiagonal_ordering(astar, a, spec_a):
+        ordering_a = tuple(spec_a)
+    if spec_s is not None and _block_tridiagonal_ordering(a, astar, spec_s):
+        ordering_s = tuple(spec_s)
+    # the top of A's spectrum, already in hand, spares Norton's test a second minimal polynomial
+    irreducible = _full_algebra_with_top(a, astar, spec_a[0] if spec_a else None, guard)
+    verdict = ordering_a is not None and ordering_s is not None and irreducible
     return TdpReport(
         diagonalizable_A=spec_a is not None,
         diagonalizable_Astar=spec_s is not None,

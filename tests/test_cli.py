@@ -218,6 +218,39 @@ class TestVerify:
         assert main(["verify", str(out)]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_unattained_diameter_fails(self, tmp_path, capsys):
+        # (3,2)(3,3) has d = 6; a declared 8 only adds zero eigenspaces at both ends
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}],
+                                                "shift": ["0", "0"]})
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["d"] = 8
+        path = write_json(tmp_path / "d8.json", data)
+        for deep in ([], ["--deep"]):
+            capsys.readouterr()
+            assert main(["verify", path, *deep]) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["d"] == 8 and report["pass"] is False
+            assert report["eigentable"]["diameter_attained"] is False
+            assert report["relations"]["failures"] == [] and report["action_table"]["failures"] == []
+        assert report["deep"]["spec_matches"] is False
+
+    @pytest.mark.parametrize("d, code", [(3, 1), (4, 2), (2000, 2)])
+    def test_diameter_at_least_dim_exits_2_without_a_chain(self, tmp_path, monkeypatch, capsys, d, code):
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["d"] = d
+        path = write_json(tmp_path / "d.json", data)
+        if code == 2:
+            monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: pytest.fail("a chain was computed"))
+        capsys.readouterr()
+        assert main(["verify", path]) == code
+        if code == 2:
+            assert_one_error_line(*capsys.readouterr())
+
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")

@@ -14,6 +14,7 @@ sympy = pytest.importorskip("sympy")
 from tetrabox import (  # noqa: E402
     Matrix,
     Subspace,
+    annihilates,
     determinant,
     hstack,
     intersect,
@@ -23,7 +24,6 @@ from tetrabox import (  # noqa: E402
     rref,
     subspace_sum,
 )
-from tetrabox.linalg import BlockBasis  # noqa: E402
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # many zero entries make rank deficiency and repeated eigenvalues common
@@ -204,36 +204,71 @@ def test_intersect_at_the_edges(pair):
     assert intersect(Subspace.span_columns(a), Subspace.span_columns(b)).basis == expected
 
 
+# eigenvalues of the drawn x and candidate roots; two of them are not integers
+ROOT_POOL = (F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3))
+
+
 @st.composite
-def column_groups(draw):
-    """Up to three groups of columns of one matrix; groups that share or
-    combine columns span dependent subspaces."""
-    m = draw(edge_matrices())
-    group = st.lists(st.integers(0, m.cols - 1), max_size=3) if m.cols else st.just([])
-    groups = draw(st.lists(group, min_size=1, max_size=3))
-    return m.rows, [Matrix(m.rows, len(g), tuple(m[i, j] for i in range(m.rows) for j in g)) for g in groups]
+def annihilator_cases(draw):
+    """A square x, and m as up to three blocks of columns, each with its
+    own distinct roots from ROOT_POOL.
+
+    Half the x are S T S^-1 with T upper triangular over ROOT_POOL, so
+    repeated eigenvalues and Jordan blocks (non-diagonalizable x) are common;
+    the rest are plain random. Half the blocks are combinations of vectors
+    in the kernels of x - mu I, or of (x - mu I)^2, at their roots, plus
+    perhaps one random column; the rest are random.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        eigenvalues = draw(st.lists(st.sampled_from(ROOT_POOL), min_size=n, max_size=n))
+        triangular = [[eigenvalues[i] if i == j else draw(sparse_entries) if i < j else 0 for j in range(n)]
+                      for i in range(n)]
+        s = Matrix.from_rows([[1 if i == j else draw(sparse_entries) if i > j else 0 for j in range(n)]
+                              for i in range(n)])
+        s = s * s.transpose()  # unit lower times unit upper: invertible
+        x = s * Matrix.from_rows(triangular) * inverse(s)
+    else:
+        x = draw(matrices(square=True, rows=n))
+    xs = to_sympy(x)
+    blocks, parts = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        roots = draw(st.lists(st.sampled_from(ROOT_POOL), unique=True, max_size=3))
+        width = draw(st.integers(0, 3))
+        power = draw(st.sampled_from([1, 2]))
+        vectors = [v for mu in roots for v in ((xs - mu * sympy.eye(n)) ** power).nullspace()]
+        if vectors and draw(st.booleans()):
+            part = from_sympy(sympy.Matrix.hstack(*vectors)) * _grid(draw, len(vectors), width)
+            if draw(st.booleans()):
+                part = hstack(part, _grid(draw, n, 1))
+        else:
+            part = _grid(draw, n, width)
+        blocks.append((part.cols, roots))
+        parts.append(part)
+    return x, hstack(*parts), blocks
 
 
-@settings(deadline=None, max_examples=80)
-@given(column_groups())
-def test_block_basis_refuses_dependent_subspaces(drawn):
-    """BlockBasis accepts the listed subspaces exactly when their bases
-    together are independent (SymPy rank), and then each one maps into
-    itself under the identity and into no other listed one."""
-    n, mats = drawn
-    spaces = [Subspace.span_columns(m) for m in mats]
-    stacked = to_sympy(hstack(Matrix.zeros(n, 0), *(space.basis for space in spaces)))
-    if stacked.rank() < stacked.cols:
-        # short of n columns the rank check refuses; otherwise inverting them does
-        with pytest.raises(ValueError, match="not independent" if stacked.cols < n else None):
-            BlockBasis(n, spaces)
-        return
-    blocks = BlockBasis(n, spaces)
-    coords = blocks.coordinates(Matrix.identity(n))
-    for i, space in enumerate(spaces):
-        assert blocks.maps_into(coords, i, [i])
-        others = [j for j in range(len(spaces)) if j != i]
-        assert blocks.maps_into(coords, i, others) == space.is_zero()
+@settings(deadline=None, max_examples=150)
+@given(annihilator_cases())
+def test_annihilates_against_sympy(case):
+    """Each block's verdict equals SymPy's prod (x - mu I) block == 0, and
+    equals the Bezout statement that the block's columns lie in the sum of
+    SymPy's nullspaces of the x - mu I."""
+    x, m, blocks = case
+    n = x.rows
+    xs, ms = to_sympy(x), to_sympy(m)
+    killed, inside, lo = [], [], 0
+    for width, roots in blocks:
+        block = ms[:, lo : lo + width]
+        lo += width
+        product = sympy.eye(n)
+        for mu in roots:
+            product = (xs - mu * sympy.eye(n)) * product
+        killed.append((product * block).is_zero_matrix)
+        kernels = [v for mu in roots for v in (xs - mu * sympy.eye(n)).nullspace()]
+        eigenvectors = sympy.Matrix.hstack(sympy.zeros(n, 0), *kernels)
+        inside.append(sympy.Matrix.hstack(eigenvectors, block).rank() == eigenvectors.rank())
+    assert annihilates(x, m, blocks) == killed == inside
 
 
 @settings(deadline=None, max_examples=80)

@@ -206,6 +206,12 @@ class TestSpectra:
         assert table.eigenvalues == (F(0),)
         assert all(dims == (1,) for dims in table.dims.values())
 
+    def test_eigentable_misdeclared_diameter(self, built):
+        t = built[SAMPLE_SPECS[2]]
+        table = eigentable(TetraModule(dim=t.dim, diameter=t.diameter + 2, x=t.x))
+        assert table.constant_across_pairs and table.symmetric and table.sums_to_dim
+        assert not table.diameter_attained and not table.all_passed
+
     def test_every_generator_diagonalizable_with_ladder_spectrum(self, built):
         for spec, t in built.items():
             d = t.diameter
@@ -299,7 +305,7 @@ def jordan_perturbed(t, pair):
 
 
 class TestActionTableDifferential:
-    """The block-coordinate action table against the vector-by-vector route."""
+    """The annihilator action table against the vector-by-vector route."""
 
     def assert_same(self, t):
         got = [(c.relation, c.instance, c.passed) for c in verify_action_table(t).checks]
@@ -325,9 +331,15 @@ class TestActionTableDifferential:
         t = jordan_perturbed(built[SAMPLE_SPECS[1]], (0, 1))
         d = t.diameter
         dims = [eigenspace(t.x[(0, 1)], F(d - 2 * i)).dim for i in range(d + 1)]
-        assert sum(dims) < t.dim  # the eigenbasis needs unit-vector completion
+        assert sum(dims) < t.dim  # the eigenspaces do not fill the space
         got = self.assert_same(t)
         assert not all(passed for _, _, passed in got)
+
+    def test_misdeclared_diameter(self, built):
+        # every eigenspace outside the true ladder is zero, so every inclusion holds
+        t = built[SAMPLE_SPECS[2]]
+        got = self.assert_same(TetraModule(dim=t.dim, diameter=t.diameter + 2, x=t.x))
+        assert all(passed for _, _, passed in got)
 
     def test_no_ladder_eigenvalue(self, built):
         t = built[SAMPLE_SPECS[1]]

@@ -12,9 +12,11 @@ from tetrabox import (
     commutator,
     eigenspace,
     evaluation_module,
+    inverse,
     subspace_sum,
     verify_tridiagonal_pair,
 )
+from tetrabox import linalg, onsager, tridiagonal
 from tetrabox.tridiagonal import _block_tridiagonal_ordering, eigenvalue_sequences
 
 H = Matrix.from_rows([[1, 0], [0, -1]])
@@ -77,20 +79,58 @@ def reference_block_tridiagonal(acting, spaces, ambient):
     return True
 
 
+def conjugated(s, rows):
+    return s * Matrix.from_rows(rows) * inverse(s)
+
+
 class TestBlockTridiagonalDifferential:
+    """The annihilator test against the vector route, on the given ordering
+    and on one with its second and third eigenvalues swapped."""
+
+    def verdicts(self, acting, diagonal, eigenvalues):
+        swapped = [eigenvalues[0], eigenvalues[2], eigenvalues[1], *eigenvalues[3:]]  # breaks adjacency
+        out = []
+        for order in (eigenvalues, swapped):
+            verdict = _block_tridiagonal_ordering(acting, diagonal, order)
+            spaces = [eigenspace(diagonal, lam) for lam in order]
+            assert verdict == reference_block_tridiagonal(acting, spaces, diagonal.rows)
+            out.append(verdict)
+        return out
+
     @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(2, 3), (1, F(1, 2))]])
     def test_agrees_with_vector_route(self, factors):
         a, astar = pair_of(factors)
         d = sum(n for n, _ in factors)
-        spaces = [eigenspace(a, F(d - 2 * i)) for i in range(d + 1)]
-        swapped = [spaces[0], spaces[2], spaces[1], *spaces[3:]]  # breaks adjacency
+        eigenvalues = [F(d - 2 * i) for i in range(d + 1)]
         verdicts = []
         for acting in (astar, a, astar + commutator(a, astar)):
-            for order in (spaces, swapped):
-                verdict = _block_tridiagonal_ordering(acting, order, a.rows)
-                assert verdict == reference_block_tridiagonal(acting, order, a.rows)
-                verdicts.append(verdict)
+            verdicts += self.verdicts(acting, a, eigenvalues)
         assert True in verdicts and False in verdicts
+
+    def test_non_integer_eigenvalues(self):
+        # blocks of sizes 1, 2, 1, 1 at the eigenvalues 1/2, -1/3, 5, -2/7, in
+        # the basis s: a p/q root is applied as q (X Y) - p den Y
+        eigenvalues = [F(1, 2), F(-1, 3), F(5), F(-2, 7)]
+        block = [0, 1, 1, 2, 3]
+        s = Matrix.from_rows([[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [0, -1, 1, 0, 0], [1, 0, 3, 1, 0], [0, 2, 0, -1, 1]])
+        s = s * s.transpose()
+        diagonal = conjugated(s, [[eigenvalues[block[i]] if i == j else 0 for j in range(5)] for i in range(5)])
+        near = [[F(i + 2 * j + 1, 3) if abs(block[i] - block[j]) <= 1 else 0 for j in range(5)] for i in range(5)]
+        jump = [[1 if (i, j) == (0, 4) else near[i][j] for j in range(5)] for i in range(5)]
+        assert self.verdicts(conjugated(s, near), diagonal, eigenvalues) == [True, False]
+        assert self.verdicts(diagonal, diagonal, eigenvalues) == [True, True]
+        assert self.verdicts(conjugated(s, jump), diagonal, eigenvalues) == [False, False]
+
+
+class TestSpectrumReuse:
+    def test_two_minimal_polynomials_on_d16(self, monkeypatch):
+        # one for A and one for Astar; Norton's test reuses A's spectrum
+        calls = []
+        real = linalg.minimal_polynomial
+        for module in (tridiagonal, onsager):
+            monkeypatch.setattr(module, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+        assert verify_tridiagonal_pair(*pair_of([(3, 2), (3, 3)])).verdict
+        assert len(calls) == 2
 
 
 class TestSequences:
