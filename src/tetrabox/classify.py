@@ -41,6 +41,9 @@ eigenspace is a line and fall back to the closure otherwise.
 is_irreducible_burnside takes only the refutation from the spin; its
 "full" verdict always comes from the closure, which keeps it an
 independent second route.
+
+The spin has no size bound. The closure and the intertwiner system have
+size dim^2 and refuse dim above ORACLE_GUARD (read at call time).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionGuardError, ReducibleModuleError, SpectrumError
-from .linalg import Matrix, _Echelon, _integer_columns, _integerized, _strip_gcd, determinant, eigenspace, kernel
+from .linalg import Matrix, _Echelon, _integer_columns, _strip_gcd, determinant, eigenspace, kernel
 from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top, module_type
 
 ORACLE_GUARD = 64
@@ -183,23 +186,23 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
     return _spin_dimension(identity, operators)
 
 
-def _integer_generators(a: Matrix, b: Matrix, guard: int) -> list[list[list[int]]]:
-    """The stored integer rows of a and b, each over its own denominator, for
-    the closures.
+def _require_within_oracle_guard(n: int) -> None:
+    """Refuse a problem of size n^2 (a closure or an intertwiner system) above ORACLE_GUARD."""
+    if n > ORACLE_GUARD:
+        raise DimensionGuardError(f"dimension {n} exceeds the oracle guard {ORACLE_GUARD}")
 
-    Scaling a generator rescales every word, which leaves all spans
-    unchanged, so the integer rows generate an algebra of the same dimension.
-    """
+
+def _require_square_pair(a: Matrix, b: Matrix) -> None:
     if not (a.is_square and b.is_square) or a.rows != b.rows:
         raise ValueError("generators must be square matrices of equal size")
-    if a.rows > guard:
-        raise DimensionGuardError(f"dimension {a.rows} exceeds the oracle guard {guard}")
-    return [_integerized(a)[0], _integerized(b)[0]]
 
 
-def generated_algebra_dimension(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> int:
-    """Exact dimension of the unital algebra generated by a and b."""
-    return _closure_dimension_exact(_integer_generators(a, b, guard), a.rows)
+def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
+    """Exact dimension of the unital algebra generated by a and b, run on their
+    integer rows: scaling a generator rescales every word and keeps every span."""
+    _require_square_pair(a, b)
+    _require_within_oracle_guard(a.rows)
+    return _closure_dimension_exact([a._num, b._num], a.rows)
 
 
 def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
@@ -216,7 +219,7 @@ def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
     line = None if top is None else eigenspace(a, top)
     if line is None or line.dim != 1:
         return None
-    gens = [_integerized(a)[0], _integerized(b)[0]]
+    gens = [a._num, b._num]
     if _spin_dimension(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens]) < a.rows:
         return False
     dual_line = _integer_columns(eigenspace(a.transpose(), top).basis)[0]
@@ -237,63 +240,62 @@ def _spectrum_top(a: Matrix) -> Fraction | None:
 
 
 def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
-    """The Burnside closure: the mod-p certificate, then the exact closure."""
+    """The Burnside closure within the oracle guard: the mod-p certificate, then the exact closure."""
+    _require_within_oracle_guard(n)
     return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
 
 
-def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None, guard: int) -> bool:
+def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None) -> bool:
     """pair_generates_full_algebra for a caller that knows an eigenvalue top
     of a (None: none known). Norton's test is sound at any eigenvalue whose
     eigenspace is a line, so it decides there; otherwise the closure does."""
-    gens = _integer_generators(a, b, guard)
     verdict = _norton(a, b, top)
-    return _closure_is_full(gens, a.rows) if verdict is None else verdict
+    return _closure_is_full([a._num, b._num], a.rows) if verdict is None else verdict
 
 
-def pair_generates_full_algebra(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
+def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
     """True iff the algebra generated by a, b is all of End(V).
 
-    Norton's test decides when a has an arithmetic spectrum {c, c-2, ...}
-    whose top eigenspace is a line; otherwise the Burnside closure does.
-    The guard is checked first either way.
+    Norton's test decides, at any dimension, when a has an arithmetic
+    spectrum {c, c-2, ...} whose top eigenspace is a line; otherwise the
+    Burnside closure does, within the oracle guard.
     """
-    _integer_generators(a, b, guard)
-    return _full_algebra_with_top(a, b, _spectrum_top(a), guard)
+    _require_square_pair(a, b)
+    return _full_algebra_with_top(a, b, _spectrum_top(a))
 
 
-def is_irreducible_burnside(m: OnsagerModule, guard: int = ORACLE_GUARD) -> bool:
+def is_irreducible_burnside(m: OnsagerModule) -> bool:
     """Burnside test: the module is (absolutely) irreducible iff the algebra
     generated by A and Astar has dimension dim^2.
 
-    A "full" verdict always comes from the closure, so this stays a route
-    independent of Norton's test. Only reducible input is refuted early: a
-    spin of the top eigenline of A (or of A^T) that stops short is a proper
-    invariant subspace, which proves the algebra is not End(V).
+    A "full" verdict always comes from the closure, within the oracle guard,
+    so this stays a route independent of Norton's test. Only reducible input
+    is refuted early: a spin of the top eigenline of A (or of A^T) that stops
+    short is a proper invariant subspace, which proves the algebra is not
+    End(V).
     """
-    gens = _integer_generators(m.A, m.Astar, guard)
     if _norton(m.A, m.Astar, _spectrum_top(m.A)) is False:
         return False
-    return _closure_is_full(gens, m.dim)
+    return _closure_is_full([m.A._num, m.Astar._num], m.dim)
 
 
-def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None, guard: int = ORACLE_GUARD) -> bool:
+def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None) -> bool:
     """Norton's spinning test: the module is (absolutely) irreducible iff the
     eigenvector v of A at top spins to Q^dim under A, Astar and the
     eigenvector w of A^T at top spins to Q^dim under A^T, Astar^T.
 
     top is the largest eigenvalue of A (d for a type-(0,0) module) and is
     found by module_type when omitted. The spin needs the eigenspace to be
-    a line; otherwise the Burnside test decides, within guard. The spin
-    itself has no size guard.
+    a line and then decides at any dimension; otherwise the Burnside
+    closure decides, within the oracle guard.
     """
     if top is None:
         d, alpha, _ = module_type(m)
         top = d + alpha
-    verdict = _norton(m.A, m.Astar, top)
-    return is_irreducible_burnside(m, guard=guard) if verdict is None else verdict
+    return _full_algebra_with_top(m.A, m.Astar, top)
 
 
-def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule, guard: int = ORACLE_GUARD) -> Matrix | None:
+def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     """Invertible S with S A1 = A2 S and S Astar1 = Astar2 S, if one exists.
 
     The joint intertwining conditions form a linear system in the entries of
@@ -302,16 +304,16 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule, guard: int = ORACLE_G
     space has dimension at most one, so a single test decides. The system
     is integer rows: the equations of S A1 = A2 S are scaled by the common
     denominator of A1 and A2, those of S Astar1 = Astar2 S by that of Astar1
-    and Astar2, and scaling an equation leaves the kernel unchanged.
+    and Astar2, and scaling an equation leaves the kernel unchanged. The
+    system has dim^2 unknowns, so it is refused above the oracle guard.
     """
-    if max(m1.dim, m2.dim) > guard:
-        raise DimensionGuardError(f"dimension exceeds the oracle guard {guard}")
+    _require_within_oracle_guard(max(m1.dim, m2.dim))
     if m1.dim != m2.dim:
         return None
     n = m1.dim
     rows: list[list[int]] = []
     for lhs, rhs in ((m1.A, m2.A), (m1.Astar, m2.Astar)):
-        (left, left_den), (right, right_den) = _integerized(lhs), _integerized(rhs)
+        (left, left_den), (right, right_den) = (lhs._num, lhs._den), (rhs._num, rhs._den)
         den = lcm(left_den, right_den)
         p, q = den // left_den, den // right_den
         for i in range(n):

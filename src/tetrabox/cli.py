@@ -13,8 +13,10 @@ invocations produce byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed checks or rejected (reducible/shifted)
 build input, 2 unreadable or malformed input or a non-integer
 TETRABOX_DIM_GUARD (and reducible input for `compare`), 3
-oracle/criterion disagreement in `compare`. A deep check that the oracle
-guard refuses is reported as "skipped" and does not fail verification.
+oracle/criterion disagreement in `compare`. When the oracle guard refuses
+a deep check (a module above it whose irreducibility the spin cannot
+decide), that check and every later one read "skipped", "skipped" holds
+the reason, and the refusal does not fail verification.
 A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1).
@@ -104,12 +106,13 @@ def cmd_build(args) -> int:
             "is not (0, 0); only type-(0,0) modules carry the six-generator structure"
         )
         return 1
-    module = build_from_spec(spec)
     try:
         tetra = build_tetra_from_spec(spec)
     except TetraboxError as exc:
         _fail(str(exc))
         return 1
+    # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
+    module = OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)], diameter=tetra.diameter, type_pair=spec.shift)
     payload = {
         "spec": spec_to_json(spec),
         "module": module_to_json(module),
@@ -126,6 +129,9 @@ def cmd_build(args) -> int:
 
 def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | None) -> dict:
     out = {"pass": True}
+    keys = ["rebuild_matches", "roundtrip_uniqueness", "spec_matches", "pairwise_burnside"]
+    if spec is None:
+        keys.remove("spec_matches")
     try:
         rebuilt = rebuild_from_standard_generators(tetra)
         out["rebuild_matches"] = rebuilt.x == tetra.x
@@ -134,21 +140,20 @@ def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | N
             out["roundtrip_uniqueness"] = rebuilt.x[(0, 1)] == module.A and rebuilt.x[(2, 3)] == module.Astar
         else:
             out["roundtrip_uniqueness"] = roundtrip_uniqueness(OnsagerModule(module.dim, module.A, module.Astar))
-        checks = [out["rebuild_matches"], out["roundtrip_uniqueness"]]
         if spec is not None:
             same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
             out["spec_matches"] = same_shape and build_tetra_from_spec(spec).x == tetra.x
-            checks.append(out["spec_matches"])
-        try:
-            out["pairwise_burnside"] = pairwise_burnside(tetra)
-        except DimensionGuardError as exc:
-            # a refused check is not a failed one
-            out["pairwise_burnside"] = "skipped"
-            out["skipped"] = str(exc)
-        out["pass"] = all(checks) and out["pairwise_burnside"] is not False
+        out["pairwise_burnside"] = pairwise_burnside(tetra)
+    except DimensionGuardError as exc:
+        # a refused check is not a failed one
+        for key in keys:
+            out.setdefault(key, "skipped")
+        out["skipped"] = str(exc)
     except TetraboxError as exc:
         out["pass"] = False
         out["error"] = str(exc)
+        return out
+    out["pass"] = all(out[key] is not False for key in keys)
     return out
 
 

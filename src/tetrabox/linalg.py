@@ -257,11 +257,6 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return row
 
 
-def _integerized(m: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The stored integer rows of m and its denominator: m = rows / den."""
-    return m._num, m._den
-
-
 class _Echelon:
     """Incremental integer echelon basis of a subspace of Q^n.
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .classify import ORACLE_GUARD, is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
-from .errors import DimensionGuardError, OppositionError, ReducibleModuleError, TypeShiftError
+from .classify import is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
+from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
 from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstack, inverse, subspace_sum
 from .onsager import (
@@ -55,7 +55,6 @@ from .onsager import (
     evaluation_module,
     kronecker_sum,
     module_type,
-    trivial_module,
 )
 
 CORNERS = (0, 1, 2, 3)
@@ -143,7 +142,7 @@ def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], t
     return decomps
 
 
-def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
+def build_tetra(m: OnsagerModule) -> TetraModule:
     """Assemble all twelve generator matrices from the four flags of m.
 
     For each pair r < s, with B the stacked bases of the pieces of the
@@ -151,20 +150,17 @@ def build_tetra(m: OnsagerModule, guard: int = ORACLE_GUARD) -> TetraModule:
     piece i scaled by 2i - d, times B^-1; x_sr is -x_rs, since the pair
     (s, r) induces the same pieces in reverse order.
 
-    The input must be irreducible of type (0,0). Reducibility is rejected
-    up front by Norton's spinning test, at any dimension. Only when the top
-    eigenspace of A is not a line does the spin defer to the Burnside test,
-    which is bounded by guard; above it the flag-opposition scan still
-    rejects reducible input, naming the first failing pair of flags.
+    The input must be irreducible of type (0,0). Norton's spinning test
+    decides that at any dimension when the top eigenspace of A is a line, as
+    on every irreducible module; otherwise the Burnside closure decides, and
+    above the oracle guard it raises DimensionGuardError rather than build:
+    the flag-opposition scan passes some reducible modules, such as V + V.
     """
     d, alpha, alphastar = module_type(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    try:
-        if not is_irreducible_spin(m, Fraction(d), guard=guard):
-            raise ReducibleModuleError("module is reducible: the generated algebra is not full")
-    except DimensionGuardError:
-        pass  # undecided above the guard; the opposition scan below rejects
+    if not is_irreducible_spin(m, Fraction(d)):
+        raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
     x: dict[tuple[int, int], Matrix] = {}
     for (r, s), pieces in _opposite_decompositions(flags).items():
@@ -196,7 +192,7 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
     if not is_irreducible_criterion(spec):
         raise ReducibleModuleError("module is reducible: the parameters a_i, a_i^-1 are not mutually distinct")
-    x = build_tetra(trivial_module()).x  # the 1x1 zeros, the unit of the fold
+    x = {pair: Matrix.zeros(1, 1) for pair in ORDERED_PAIRS}  # the trivial module, the unit of the fold
     for n, a in spec.factors:
         factor = build_tetra(evaluation_module(n, a)).x
         x = {pair: kronecker_sum(x[pair], factor[pair]) for pair in ORDERED_PAIRS}
@@ -342,18 +338,15 @@ def flag_independence_check(t: TetraModule) -> bool:
     return True
 
 
-def pairwise_burnside(t: TetraModule, guard: int = ORACLE_GUARD) -> bool:
+def pairwise_burnside(t: TetraModule) -> bool:
     """Each of the three disjoint generator pairs alone generates End(V).
 
     Each pair goes to pair_generates_full_algebra, so Norton's test decides
-    it when the top eigenspace of the first matrix is a line, as it is on
-    every irreducible structure; otherwise the Burnside closure does. The
-    guard is checked first either way.
+    it at any dimension when the top eigenspace of the first matrix is a
+    line, as it is on every irreducible structure; otherwise the Burnside
+    closure does, within the oracle guard.
     """
-    return all(
-        pair_generates_full_algebra(t.x[p1], t.x[p2], guard=guard)
-        for p1, p2 in OPPOSITE_PAIRS
-    )
+    return all(pair_generates_full_algebra(t.x[p1], t.x[p2]) for p1, p2 in OPPOSITE_PAIRS)
 
 
 def rebuild_from_standard_generators(t: TetraModule) -> TetraModule:

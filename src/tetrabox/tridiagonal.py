@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import ORACLE_GUARD, _full_algebra_with_top
+from .classify import _full_algebra_with_top
 from .errors import SpectrumError
 from .linalg import Matrix, annihilates, eigenspace, hstack, minimal_polynomial, rational_roots
 from .onsager import dolan_grady_holds
@@ -56,8 +56,9 @@ def _block_tridiagonal_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: S
     return all(annihilates(diagonal, acting * hstack(*spaces), blocks))
 
 
-def verify_tridiagonal_pair(a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD) -> TdpReport:
-    """Check all four tridiagonal-pair axioms for (a, astar)."""
+def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
+    """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
+    decided as in classify.pair_generates_full_algebra."""
     if not (a.is_square and astar.is_square) or a.rows != astar.rows:
         raise ValueError("expected square matrices of equal size")
     spec_a = _rational_spectrum(a)
@@ -71,7 +72,7 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD)
     if spec_s is not None and _block_tridiagonal_ordering(a, astar, spec_s):
         ordering_s = tuple(spec_s)
     # the top of A's spectrum, already in hand, spares Norton's test a second minimal polynomial
-    irreducible = _full_algebra_with_top(a, astar, spec_a[0] if spec_a else None, guard)
+    irreducible = _full_algebra_with_top(a, astar, spec_a[0] if spec_a else None)
     verdict = ordering_a is not None and ordering_s is not None and irreducible
     return TdpReport(
         diagonalizable_A=spec_a is not None,
@@ -87,15 +88,13 @@ def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
     return all(seq[i - 1] - seq[i] == 2 for i in range(1, len(seq)))
 
 
-def eigenvalue_sequences(
-    a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Descending eigenvalue sequence and dual sequence of a tridiagonal pair.
 
     Raises SpectrumError when either sequence is not arithmetic with common
     difference 2 (a pair outside this package's scope).
     """
-    report = verify_tridiagonal_pair(a, astar, guard=guard)
+    report = verify_tridiagonal_pair(a, astar)
     if not report.verdict:
         raise ValueError("not a tridiagonal pair")
     seq = report.standard_ordering_A
@@ -106,12 +105,12 @@ def eigenvalue_sequences(
     return seq, dual
 
 
-def check_onsager_equivalence(a: Matrix, astar: Matrix, guard: int = ORACLE_GUARD) -> bool:
+def check_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
     """Equivalence test: [tridiagonal pair with both sequences arithmetic-2]
     against [both Dolan-Grady relations hold and the pair generates the full
     matrix algebra], the two sides computed independently.
     """
-    report = verify_tridiagonal_pair(a, astar, guard=guard)
+    report = verify_tridiagonal_pair(a, astar)
     side_tdp = (
         report.verdict
         and _is_arithmetic_step_two(report.standard_ordering_A)

@@ -6,13 +6,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from tetrabox import (
+    Matrix,
     ModuleSpec,
     OnsagerModule,
     build_from_spec,
     build_tetra,
+    build_tetra_from_spec,
     is_irreducible_burnside,
     is_irreducible_criterion,
 )
+from tetrabox.onsager import kronecker_sum
+from tetrabox.tetra import TetraModule
 
 GRID_WEIGHTS = (1, 2, 3)
 GRID_PARAMETERS = (
@@ -67,6 +71,17 @@ def built_irreducible_grid(grid_specs, grid_modules):
         for spec in grid_specs
         if is_irreducible_criterion(spec)
     }
+
+
+@pytest.fixture(scope="session")
+def doubled_v():
+    """The twelve matrices of V + V for V = (1,2)(1,3), as V (x) Q^2 with Q^2
+    trivial: each is kronecker_sum(x_rs, 0). The module is reducible and the
+    top eigenspace of A is a plane, so the spin cannot decide it; only the
+    Burnside closure can."""
+    t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 3)]))
+    x = {pair: kronecker_sum(mat, Matrix.zeros(2, 2)) for pair, mat in t.x.items()}
+    return TetraModule(dim=8, diameter=t.diameter, x=x)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from tetrabox import (
     are_equivalent,
     build_from_spec,
     build_tetra,
+    build_tetra_from_spec,
     eigenspace,
     equivalence_key,
     evaluation_module,
@@ -28,9 +29,10 @@ from tetrabox import (
     pair_generates_full_algebra,
     pairwise_burnside,
     trivial_module,
+    verify_tridiagonal_pair,
 )
 from tetrabox import classify
-from tetrabox.linalg import _Echelon, _integerized
+from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
 
 
@@ -76,10 +78,11 @@ class TestBurnside:
         assert generated_algebra_dimension(m.A, m.Astar) == 2
         assert not is_irreducible_burnside(m)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         m = build_from_spec(spec((1, 2), (1, 3)))
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 2)
         with pytest.raises(DimensionGuardError):
-            is_irreducible_burnside(m, guard=2)
+            is_irreducible_burnside(m)
 
     @pytest.mark.parametrize(
         "factors",
@@ -118,11 +121,13 @@ class TestSpin:
         assert eigenspace(m.A, 1).dim == 2
         calls = []
 
-        def spy(module, guard):
-            calls.append(module.dim)
-            return is_irreducible_burnside(module, guard=guard)
+        real = classify._closure_is_full
 
-        monkeypatch.setattr(classify, "is_irreducible_burnside", spy)
+        def spy(gens, n):
+            calls.append(n)
+            return real(gens, n)
+
+        monkeypatch.setattr(classify, "_closure_is_full", spy)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
         assert calls == [4]
@@ -139,7 +144,7 @@ def word_closure_dimension(a: Matrix, b: Matrix) -> int:
     oldest first, is multiplied on the right by each generator with a dense
     integer matmul, and the flattened words are kept in an integer echelon."""
     n = a.rows
-    gens = [_integerized(a)[0], _integerized(b)[0]]
+    gens = [a._num, b._num]
 
     def matmul(x, y):
         return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -185,10 +190,10 @@ class TestClosureDifferential:
         assert generated_algebra_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
 
 
-def closure_only_full(a: Matrix, b: Matrix, guard: int = ORACLE_GUARD) -> bool:
+def closure_only_full(a: Matrix, b: Matrix) -> bool:
     """Reference: pair_generates_full_algebra as a Burnside closure only, the
     mod-p certificate and then the exact closure, with no spin."""
-    gens = classify._integer_generators(a, b, guard)
+    gens = [a._num, b._num]
     n = a.rows
     if n == 0:
         return True
@@ -310,6 +315,31 @@ class TestNortonDifferential:
             assert calls, s.factors
 
 
+@pytest.mark.parametrize(
+    "check, refuses",
+    [
+        (lambda t, m: pairwise_burnside(t), False),
+        (lambda t, m: pair_generates_full_algebra(t.x[(0, 2)], t.x[(1, 3)]), False),
+        (lambda t, m: verify_tridiagonal_pair(m.A, m.Astar).verdict, False),
+        (lambda t, m: is_irreducible_burnside(m), True),
+        (lambda t, m: generated_algebra_dimension(m.A, m.Astar), True),
+        (lambda t, m: find_intertwiner(m, m), True),
+    ],
+    ids=["pairwise_burnside", "pair_generates_full_algebra", "verify_tridiagonal_pair",
+         "is_irreducible_burnside", "generated_algebra_dimension", "find_intertwiner"],
+)
+def test_oracle_guard_binds_only_the_closures(monkeypatch, check, refuses):
+    # on a d16 above the guard the spin still answers, and the dim^2 oracles refuse
+    t = build_tetra_from_spec(spec((3, 2), (3, 3)))
+    m = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
+    monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+    if refuses:
+        with pytest.raises(DimensionGuardError):
+            check(t, m)
+    else:
+        assert check(t, m) is True
+
+
 class TestEquivalence:
     def test_permutation_and_inversion(self):
         assert are_equivalent(spec((1, 2), (1, 3)), spec((1, 3), (1, F(1, 2))))
@@ -360,10 +390,11 @@ class TestIntertwiner:
     def test_dim_mismatch(self):
         assert find_intertwiner(evaluation_module(1, F(2)), evaluation_module(2, F(2))) is None
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         m = build_from_spec(spec((3, 2), (1, 3)))
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
         with pytest.raises(DimensionGuardError):
-            find_intertwiner(m, m, guard=4)
+            find_intertwiner(m, m)
 
 
 class TestIsomorphism:

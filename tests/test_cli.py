@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import cli, tetra
+from tetrabox import classify, cli, tetra
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
 from tetrabox.onsager import OnsagerModule
-from tetrabox.serialize import module_from_json, tetra_from_json
+from tetrabox.serialize import module_from_json, module_to_json, tetra_from_json, tetra_to_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
 SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
@@ -184,14 +184,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    def test_guard_refusal_is_skipped_not_failed(self, built_v2, monkeypatch, capsys):
-        # run the real pairwise Burnside check under a guard below the dimension
-        real = cli.pairwise_burnside
-        monkeypatch.setattr(cli, "pairwise_burnside", lambda t: real(t, guard=1))
-        assert main(["verify", str(built_v2), "--deep"]) == 0
+    def test_guard_refusal_is_skipped_not_failed(self, doubled_v, tmp_path, monkeypatch, capsys):
+        # V + V above the guard: the spin cannot decide it and the closure refuses
+        module = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
+        path = write_json(tmp_path / "vv.json", {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)})
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+        assert main(["verify", path, "--deep"]) == 0
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep["pass"] is True
         assert deep["pairwise_burnside"] == "skipped"
+        assert deep["rebuild_matches"] == "skipped"
         assert "guard" in deep["skipped"] and "\n" not in deep["skipped"]
 
     @pytest.mark.parametrize(

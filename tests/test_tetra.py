@@ -9,6 +9,7 @@ from tetrabox import (
     Matrix,
     Subspace,
     ModuleSpec,
+    OnsagerModule,
     OppositionError,
     ReducibleModuleError,
     TetraboxError,
@@ -33,7 +34,7 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
-from tetrabox import onsager
+from tetrabox import classify, onsager
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -82,15 +83,25 @@ class TestBuild:
         with pytest.raises(ReducibleModuleError):
             build_tetra(build_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2))])))
 
-    def test_reducible_input_fails_opposition_scan(self):
+    def test_reducible_input_fails_opposition_scan(self, monkeypatch):
         # the flag scan behind the irreducibility test rejects on its own,
         # naming the first failing pair
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
         with pytest.raises(OppositionError, match=r"flags \d and \d are not opposite"):
             _opposite_decompositions(four_flags(m))
         # spinning needs no guard, so the scan is never reached
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 0)
         with pytest.raises(ReducibleModuleError):
-            build_tetra(m, guard=0)
+            build_tetra(m)
+
+    def test_undecided_reducible_input_is_refused(self, doubled_v, monkeypatch):
+        # V + V passes the flag-opposition scan, so only the closure rejects it
+        m = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
+        with pytest.raises(ReducibleModuleError):
+            build_tetra(m)
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+        with pytest.raises(DimensionGuardError):
+            build_tetra(m)
 
     def test_shifted_input_rejected(self):
         m = build_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))
