@@ -16,7 +16,9 @@ TETRABOX_DIM_GUARD (and reducible input for `compare`), 3
 oracle/criterion disagreement in `compare`. When the oracle guard refuses
 a deep check (a module above it whose irreducibility the spin cannot
 decide), that check and every later one read "skipped", "skipped" holds
-the reason, and the refusal does not fail verification.
+the reason, and the refusal does not fail verification. Likewise, when the
+guard refuses the intertwiner of `compare --oracle`, "intertwiner_found" and
+"oracle_agrees" read "skipped" and the exit code is the criterion's (0 or 1).
 A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1).
@@ -231,16 +233,18 @@ def cmd_compare(args) -> int:
         m2 = build_from_spec(s2)
         try:
             witness = find_intertwiner(m1, m2)
+        except DimensionGuardError as exc:
+            # a refused cross-check is not a failed one: the criterion decides
+            result.update(intertwiner_found="skipped", oracle_agrees="skipped", skipped=str(exc))
         except TetraboxError as exc:
             raise _InputError(str(exc)) from None
-        result["intertwiner_found"] = witness is not None
-        result["oracle_agrees"] = (witness is not None) == isomorphic
-        _emit(result)
-        if not result["oracle_agrees"]:
-            _fail("intertwiner oracle disagrees with the equivalence criterion")
-            return 3
-        return 0 if isomorphic else 1
+        else:
+            result["intertwiner_found"] = witness is not None
+            result["oracle_agrees"] = (witness is not None) == isomorphic
     _emit(result)
+    if result.get("oracle_agrees") is False:
+        _fail("intertwiner oracle disagrees with the equivalence criterion")
+        return 3
     return 0 if isomorphic else 1
 
 

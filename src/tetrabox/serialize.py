@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .flags import Flag
 from .linalg import Matrix
@@ -19,20 +20,38 @@ from .tetra import EigenTable, TetraModule, VerificationReport
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def fraction_from_str(text: str) -> Fraction:
+def _rational_parts(text: str) -> tuple[int, int]:
+    """Numerator and positive denominator of a validated literal, as written."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
+
+
+def fraction_from_str(text: str) -> Fraction:
+    return Fraction(*_rational_parts(text))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in m.row_list(i)] for i in range(m.rows)]
+    """Each entry as str(Fraction) would write it, from the stored integer rows."""
+    den = m._den
+
+    def literal(x: int) -> str:
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    return [[literal(x) for x in row] for row in m._num]
 
 
 def matrix_from_json(data) -> Matrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("matrix must be a list of rows")
-    return Matrix.from_rows([[fraction_from_str(x) for x in row] for row in data])
+    parts = [[_rational_parts(x) for x in row] for row in data]
+    cols = len(parts[0]) if parts else 0
+    if any(len(row) != cols for row in parts):
+        raise ValueError("ragged rows")
+    den = lcm(*(q for row in parts for _, q in row))
+    return Matrix._of(len(parts), cols, ([p * (den // q) for p, q in row] for row in parts), den)
 
 
 def spec_to_json(spec: ModuleSpec) -> dict:

@@ -35,6 +35,14 @@ in a sum of eigenspaces of x_rs is the test that a product of factors
 x_rs - mu I annihilates that image (linalg.annihilates): no change of basis
 and no inverse. The eigenspace chain of each generator is computed once
 per TetraModule and shared by every check that needs it.
+
+Verification runs on six generators once antisymmetry is shown. Wherever
+a file's own x_sr equals -x_rs exactly (one comparison of canonical forms,
+never assumed), every check on x_sr is the same check on x_rs read through
+the sign: its eigenspace chain is x_rs's reversed, its action-table rows and
+columns repeat x_rs's verdicts, and its triangle and Dolan-Grady residuals
+are x_rs's up to sign. So the reports equal those of twelve independent
+generators, and a pair that is not antisymmetric is computed in full.
 """
 
 from __future__ import annotations
@@ -137,7 +145,7 @@ def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], t
     for r, s in UNORDERED_PAIRS:
         pieces = _induced_subspaces(flags[r], flags[s])
         if isinstance(pieces, str):
-            raise OppositionError(f"flags {r} and {s} are not opposite: flags are not opposite: {pieces}")
+            raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
         decomps[(r, s)] = pieces
     return decomps
 
@@ -199,51 +207,90 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
+def _antisymmetric_pairs(t: TetraModule) -> frozenset[tuple[int, int]]:
+    """The ordered pairs (r, s), both orders, on which x_sr = -x_rs holds exactly.
+
+    Decided on t's own matrices by one comparison of canonical forms per
+    pair r < s, never assumed. On such a pair every check on x_sr is a check
+    on x_rs read through the sign, so the checks of the pair are computed once
+    (see _eigenspace_chain, verify_relations and verify_action_table).
+    """
+    pairs = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == -t.x[(r, s)]]
+    return frozenset(pairs + [(s, r) for r, s in pairs])
+
+
+def _oriented(pair: tuple[int, int], antisymmetric: frozenset) -> tuple[tuple[int, int], int]:
+    """The pair whose checks decide pair's, and the sign: (s, r) and -1 when
+    r > s and x_rs = -x_sr, else pair itself and 1."""
+    r, s = pair
+    return ((s, r), -1) if r > s and pair in antisymmetric else (pair, 1)
+
+
 def verify_relations(t: TetraModule) -> VerificationReport:
     """Evaluate every defining relation instance as an exact matrix identity.
 
     Each residual is a Matrix, and a Matrix is exact integer rows over one
     denominator, so an instance passes exactly when its residual is zero.
-    Antisymmetry is not assumed anywhere; the only product shared between
-    instances is the inner commutator of Dolan-Grady, since
+    Antisymmetry is checked on every pair and assumed nowhere. Where it
+    holds, the other instances are computed on six generators: triangle
+    (t, s, r) has residual -residual(r, s, t) once x_sr = -x_rs and
+    x_ts = -x_st, and Dolan-Grady is odd in each of its two generators, so
+    the four orientations of {r, s}, {t, u} share one residual up to sign.
+    The inner commutator of Dolan-Grady is shared too, since
     [x_tu, x_rs] = -[x_rs, x_tu] for any two matrices.
     """
     x = t.x
+    antisymmetric = _antisymmetric_pairs(t)
     checks: list[CheckResult] = []
 
-    def record(relation: str, instance: tuple, residual: Matrix) -> None:
+    def record(relation: str, instance: tuple, residual: Matrix, sign: int = 1) -> None:
         passed = residual.is_zero()
-        checks.append(CheckResult(relation, instance, passed, None if passed else residual))
+        checks.append(CheckResult(relation, instance, passed, None if passed else sign * residual))
 
     for r, s in UNORDERED_PAIRS:
         record("antisymmetry", (r, s), x[(r, s)] + x[(s, r)])
+    triangles: dict = {}
     for r, s, tt in permutations(CORNERS, 3):
+        if r > tt and {(r, s), (s, tt)} <= antisymmetric:
+            record("triangle", (r, s, tt), triangles[(tt, s, r)], -1)
+            continue
         a, b = x[(r, s)], x[(s, tt)]
-        record("triangle", (r, s, tt), commutator(a, b) - 2 * (a + b))
+        triangles[(r, s, tt)] = residual = commutator(a, b) - 2 * (a + b)
+        record("triangle", (r, s, tt), residual)
     inner: dict = {}
+    dolan_grady: dict = {}
     for r, s, tt, u in permutations(CORNERS, 4):
-        first, second = (r, s), (tt, u)
-        if (second, first) in inner:
-            bracket = -inner[(second, first)]
-        else:
-            bracket = inner[(first, second)] = commutator(x[first], x[second])
-        record("dolan_grady", (r, s, tt, u), _dolan_grady_residual(x[first], bracket))
+        first, sign_first = _oriented((r, s), antisymmetric)
+        second, sign_second = _oriented((tt, u), antisymmetric)
+        residual = dolan_grady.get((first, second))
+        if residual is None:
+            if (second, first) in inner:
+                bracket = -inner[(second, first)]
+            else:
+                bracket = inner[(first, second)] = commutator(x[first], x[second])
+            residual = dolan_grady[(first, second)] = _dolan_grady_residual(x[first], bracket)
+        record("dolan_grady", (r, s, tt, u), residual, sign_first * sign_second)
     return VerificationReport(tuple(checks))
 
 
 def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
     """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
 
-    Computed once per matrix and kept on t, so the eigenspace table, the
-    action table and the flag-independence check share twelve chains.
+    Computed once per matrix and kept on t. For r > s with x_rs = -x_sr
+    exactly, the chain of x_rs is the chain of x_sr reversed, so on a file
+    that passes antisymmetry the eigenspace table, the action table and the
+    flag-independence check share six chains, and twelve otherwise.
     """
-    mat = t.x[pair]
+    mat, partner = t.x[pair], t.x[pair[::-1]]
     hit = t._chains.get(pair)
-    if hit is None or hit[0] is not mat:
-        d = t.diameter
-        hit = (mat, tuple(eigenspace(mat, Fraction(d - 2 * i)) for i in range(d + 1)))
-        t._chains[pair] = hit
-    return hit[1]
+    if hit is None or hit[0] is not mat or hit[1] is not partner:
+        if pair[0] > pair[1] and pair in _antisymmetric_pairs(t):
+            chain = _eigenspace_chain(t, pair[::-1])[::-1]
+        else:
+            d = t.diameter
+            chain = tuple(eigenspace(mat, Fraction(d - 2 * i)) for i in range(d + 1))
+        hit = t._chains[pair] = (mat, partner, chain)
+    return hit[2]
 
 
 def eigentable(t: TetraModule) -> EigenTable:
@@ -300,20 +347,37 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     x_rs P_i = lam_i P_i, so (x_tu + c lam_i) P_i is block i of
     (x_tu + c x_rs) P: one product per pair of generators, then at most
     three products of x_rs with it, shared by all d+1 blocks.
+
+    Each antisymmetric pair is checked on one generator. With x_sr = -x_rs,
+    check (s, r, t, u, lam) states what (r, s, t, u, -lam) does, since c and
+    the offsets both change sign (fixes and negates, raises_plus and
+    lowers_minus, raises_minus and lowers_plus trade places); with
+    x_ut = -x_tu, column (u, t) states what column (t, u) does at every lam.
+    So a file that passes antisymmetry takes 36 of the 144 pairs.
     """
     d = t.diameter
     ladder = [d - 2 * i for i in range(d + 1)]
-    checks: list[CheckResult] = []
-    for r, s in ORDERED_PAIRS:
+    antisymmetric = _antisymmetric_pairs(t)
+    oriented = {pair: _oriented(pair, antisymmetric) for pair in ORDERED_PAIRS}
+    own = [pair for pair in ORDERED_PAIRS if oriented[pair][0] == pair]
+    verdicts: dict = {}
+    for r, s in own:
         chain = _eigenspace_chain(t, (r, s))
         stacked = hstack(*(space.basis for space in chain))
         x_rs = t.x[(r, s)]
-        for tt, u in ORDERED_PAIRS:
-            case, sign, offsets = _action_case(r, s, tt, u)
+        for tt, u in own:
+            _, sign, offsets = _action_case(r, s, tt, u)
             image = (t.x[(tt, u)] + sign * x_rs) * stacked
             targets = [[lam - 2 * k for k in offsets if abs(lam - 2 * k) <= d] for lam in ladder]
             blocks = [(space.dim, roots) for space, roots in zip(chain, targets)]
-            for lam, passed in zip(ladder, annihilates(x_rs, image, blocks)):
+            verdicts[((r, s), (tt, u))] = annihilates(x_rs, image, blocks)
+    checks: list[CheckResult] = []
+    for r, s in ORDERED_PAIRS:
+        row, row_sign = oriented[(r, s)]
+        for tt, u in ORDERED_PAIRS:
+            case = _action_case(r, s, tt, u)[0]
+            # row_sign -1 reverses: x_rs at lam is read off x_sr at -lam
+            for lam, passed in zip(ladder, verdicts[(row, oriented[(tt, u)][0])][::row_sign]):
                 checks.append(CheckResult(f"action_{case}", (r, s, tt, u, str(lam)), passed))
     return VerificationReport(tuple(checks))
 

@@ -327,6 +327,27 @@ class TestCompare:
         assert self.run(tmp_path, SPEC_V2, SPEC_REDUCIBLE) == 2
         assert "reducible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "other,code",
+        [
+            ({"factors": [{"n": 1, "a": "1/3"}, {"n": 1, "a": "1/2"}]}, 0),
+            ({"factors": [{"n": 1, "a": "5"}, {"n": 1, "a": "2"}]}, 1),
+        ],
+        ids=["isomorphic", "not_isomorphic"],
+    )
+    def test_oracle_guard_refusal_is_skipped(self, tmp_path, monkeypatch, capsys, other, code):
+        # a refused cross-check is neither malformed input (2) nor a disagreement (3)
+        monkeypatch.setattr(classify, "ORACLE_GUARD", 3)
+        assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "isomorphic": code == 0,
+            "intertwiner_found": "skipped",
+            "oracle_agrees": "skipped",
+            "skipped": "dimension 4 exceeds the oracle guard 3",
+        }
+        assert captured.err == ""
+
 
 class TestInspect:
     def test_table(self, built_v2, capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrabox import Matrix, ModuleSpec, build_from_spec, build_tetra, evaluation_module
 from tetrabox.serialize import (
@@ -41,6 +42,56 @@ class TestMatrixJson:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             matrix_from_json([["1", "2"], "nope"])
+
+    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "1.5", " 3", "3 ", "+3", "", "0x3", 3, None])
+    def test_rejects_non_rational_entries(self, bad):
+        with pytest.raises(ValueError):
+            matrix_from_json([["1", bad]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            matrix_from_json([["1", "2"], ["3"]])
+
+    @pytest.mark.parametrize("data", [[], [[]], [[], []]])
+    def test_empty_shapes(self, data):
+        assert matrix_from_json(data) == Matrix.from_rows(data)
+
+
+# literals as a file may hold them: unreduced, zero numerators over any
+# denominator, a signed zero, leading zeros
+LITERALS = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-60, 60), st.integers(1, 60)),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["4/2", "-0/3", "-0", "0/7", "007", "-0012/8", "6/4"]),
+)
+
+
+class TestMatrixJsonAgainstFraction:
+    """The integer codec against str(Fraction) and Fraction(text), entry by entry."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda c: st.lists(st.lists(LITERALS, min_size=c, max_size=c), max_size=4)))
+    def test_parse_then_write(self, rows):
+        reference = Matrix.from_rows([[F(x) for x in row] for row in rows])
+        parsed = matrix_from_json(rows)
+        assert parsed == reference
+        cols = len(rows[0]) if rows else 0
+        assert matrix_to_json(parsed) == [[str(F(x)) for x in row] for row in rows]
+        assert (parsed.rows, parsed.cols) == (len(rows), cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**6)), min_size=3, max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_write_then_parse(self, rows):
+        m = Matrix.from_rows(rows)
+        encoded = matrix_to_json(m)
+        assert encoded == [[str(x) for x in row] for row in rows]
+        assert matrix_from_json(encoded) == m
 
 
 class TestSpecJson:

@@ -34,13 +34,14 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
-from tetrabox import classify, onsager
+from tetrabox import classify, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
     UNORDERED_PAIRS,
     CheckResult,
     TetraModule,
+    _antisymmetric_pairs,
     _opposite_decompositions,
 )
 
@@ -87,8 +88,11 @@ class TestBuild:
         # the flag scan behind the irreducibility test rejects on its own,
         # naming the first failing pair
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
-        with pytest.raises(OppositionError, match=r"flags \d and \d are not opposite"):
+        with pytest.raises(OppositionError) as raised:
             _opposite_decompositions(four_flags(m))
+        assert str(raised.value) == (
+            "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
+        )
         # spinning needs no guard, so the scan is never reached
         monkeypatch.setattr(classify, "ORACLE_GUARD", 0)
         with pytest.raises(ReducibleModuleError):
@@ -300,6 +304,16 @@ def with_generator(t, pair, mat):
     return TetraModule(dim=t.dim, diameter=t.diameter, x=x, flags=None)
 
 
+def with_mirrored_change(t, pair, delta):
+    """x_pair + E and x_reversed - E, with E = delta in entry (0, 1): still
+    antisymmetric, but no longer a module."""
+    e = Matrix.from_rows([[delta if (i, j) == (0, 1) else 0 for j in range(t.dim)] for i in range(t.dim)])
+    changed = with_generator(t, pair, t.x[pair] + e)
+    changed = with_generator(changed, pair[::-1], t.x[pair[::-1]] - e)
+    assert pair in _antisymmetric_pairs(changed)
+    return changed
+
+
 def jordan_perturbed(t, pair):
     """x_pair with one Jordan block joining the first two eigenvectors of its
     second eigenspace, so it is no longer diagonalizable."""
@@ -338,6 +352,23 @@ class TestActionTableDifferential:
         got = self.assert_same(with_generator(t, (0, 2), Matrix(mat.rows, mat.cols, tuple(entries))))
         assert not all(passed for _, _, passed in got)
 
+    @pytest.mark.parametrize("pair", [(2, 0), (1, 0), (3, 2)])
+    def test_reversed_generator_changed_alone(self, built, pair):
+        # x_sr is no longer -x_rs, so that row and column are computed in full
+        t = built[SAMPLE_SPECS[2]]
+        t = with_generator(t, pair, with_entry_changed(t.x[pair], 1, 2, F(1, 7)))
+        assert pair not in _antisymmetric_pairs(t)
+        got = self.assert_same(t)
+        assert not all(passed for _, _, passed in got)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 3)])
+    def test_antisymmetric_change(self, built, pair):
+        # still antisymmetric, so the mirrored verdicts are read off, also where they fail
+        t = with_mirrored_change(built[SAMPLE_SPECS[2]], pair, F(2, 3))
+        got = self.assert_same(t)
+        failed = {instance[:2] for _, instance, passed in got if not passed}
+        assert pair in failed and pair[::-1] in failed
+
     def test_not_diagonalizable(self, built):
         t = jordan_perturbed(built[SAMPLE_SPECS[1]], (0, 1))
         d = t.diameter
@@ -359,6 +390,46 @@ class TestActionTableDifferential:
         assert all(eigenspace(t.x[(0, 2)], F(d - 2 * i)).is_zero() for i in range(d + 1))
         got = self.assert_same(t)
         assert not all(passed for _, _, passed in got)
+
+
+class TestSixGenerators:
+    """Where x_sr = -x_rs holds, the chains and the action table are computed once per pair."""
+
+    @pytest.fixture(scope="class")
+    def d16(self):
+        return build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
+
+    def count_work(self, t, monkeypatch):
+        calls = {"eigenspace": 0, "annihilates": 0}
+        for name in calls:
+            original = getattr(tetra, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tetra, name, spy)
+        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        for check in (verify_relations, eigentable, verify_action_table, flag_independence_check):
+            check(fresh)
+        return calls
+
+    def test_built_module(self, d16, monkeypatch):
+        assert _antisymmetric_pairs(d16) == frozenset(ORDERED_PAIRS)
+        assert self.count_work(d16, monkeypatch) == {"eigenspace": 6 * (d16.diameter + 1), "annihilates": 36}
+
+    def test_one_reversed_generator_changed(self, d16, monkeypatch):
+        t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
+        assert _antisymmetric_pairs(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
+        assert self.count_work(t, monkeypatch) == {"eigenspace": 7 * (t.diameter + 1), "annihilates": 49}
+
+    def test_mirrored_chain_is_the_reversed_chain(self, d16):
+        t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
+        d = t.diameter
+        for r, s in UNORDERED_PAIRS:
+            chain = tetra._eigenspace_chain(t, (s, r))
+            assert chain == tetra._eigenspace_chain(t, (r, s))[::-1]
+            assert chain == tuple(eigenspace(t.x[(s, r)], F(d - 2 * i)) for i in range(d + 1))
 
 
 def reference_relations(t):
@@ -430,6 +501,20 @@ class TestRelationsDifferential:
         i, j = cell[0] % t.dim, cell[1] % t.dim
         got = self.assert_same(with_generator(t, pair, with_entry_changed(t.x[pair], i, j, delta)))
         assert not all(c.passed for c in got)
+
+    @pytest.mark.parametrize("pair", [(1, 0), (2, 1), (3, 0)])
+    def test_reversed_generator_changed_alone(self, built, pair):
+        t = built[SAMPLE_SPECS[2]]
+        got = self.assert_same(with_generator(t, pair, with_entry_changed(t.x[pair], 0, 1, F(1, 7))))
+        assert (pair[1], pair[0]) in {c.instance for c in got if not c.passed and c.relation == "antisymmetry"}
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=st.sampled_from(SAMPLE_SPECS[1:]), pair=st.sampled_from(UNORDERED_PAIRS), delta=NEW_DENOMINATORS)
+    def test_antisymmetric_change(self, built, spec, pair, delta):
+        # the mirrored residuals are negated copies, also where they fail
+        got = self.assert_same(with_mirrored_change(built[spec], pair, delta))
+        failed = {c.relation for c in got if not c.passed}
+        assert "antisymmetry" not in failed and failed
 
     @pytest.mark.parametrize(
         "replace",
