@@ -2,7 +2,6 @@
 tetrahedron-algebra and Onsager-algebra modules over the rationals."""
 
 from .classify import (
-    ORACLE_GUARD,
     are_equivalent,
     equivalence_key,
     find_intertwiner,

@@ -42,8 +42,10 @@ is_irreducible_burnside takes only the refutation from the spin; its
 "full" verdict always comes from the closure, which keeps it an
 independent second route.
 
-The spin has no size bound. The closure and the intertwiner system have
-size dim^2 and refuse dim above ORACLE_GUARD (read at call time).
+The spin has no size bound. The closure works in End(V), of dimension
+dim^2, and the intertwiner system has 2 dim^2 rows; each refuses a size
+above linalg.DIM_GUARD before it starts, so at the default 4096 the closure
+runs up to dim 64 and the intertwiner up to dim 45.
 """
 
 from __future__ import annotations
@@ -53,11 +55,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionGuardError, ReducibleModuleError, SpectrumError
-from .linalg import Matrix, _Echelon, _integer_columns, _strip_gcd, determinant, eigenspace, kernel
+from .errors import ReducibleModuleError, SpectrumError
+from .linalg import (
+    Matrix,
+    _Echelon,
+    _integer_columns,
+    _strip_gcd,
+    determinant,
+    eigenspace,
+    kernel,
+    require_within_guard,
+)
 from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top, module_type
-
-ORACLE_GUARD = 64
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
 
@@ -186,12 +195,6 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
     return _spin_dimension(identity, operators)
 
 
-def _require_within_oracle_guard(n: int) -> None:
-    """Refuse a problem of size n^2 (a closure or an intertwiner system) above ORACLE_GUARD."""
-    if n > ORACLE_GUARD:
-        raise DimensionGuardError(f"dimension {n} exceeds the oracle guard {ORACLE_GUARD}")
-
-
 def _require_square_pair(a: Matrix, b: Matrix) -> None:
     if not (a.is_square and b.is_square) or a.rows != b.rows:
         raise ValueError("generators must be square matrices of equal size")
@@ -201,7 +204,7 @@ def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
     """Exact dimension of the unital algebra generated by a and b, run on their
     integer rows: scaling a generator rescales every word and keeps every span."""
     _require_square_pair(a, b)
-    _require_within_oracle_guard(a.rows)
+    require_within_guard(a.rows * a.rows, "Burnside closure dimension")
     return _closure_dimension_exact([a._num, b._num], a.rows)
 
 
@@ -240,8 +243,8 @@ def _spectrum_top(a: Matrix) -> Fraction | None:
 
 
 def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
-    """The Burnside closure within the oracle guard: the mod-p certificate, then the exact closure."""
-    _require_within_oracle_guard(n)
+    """The Burnside closure within the guard: the mod-p certificate, then the exact closure."""
+    require_within_guard(n * n, "Burnside closure dimension")
     return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
 
 
@@ -258,7 +261,7 @@ def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
 
     Norton's test decides, at any dimension, when a has an arithmetic
     spectrum {c, c-2, ...} whose top eigenspace is a line; otherwise the
-    Burnside closure does, within the oracle guard.
+    Burnside closure does, within the guard.
     """
     _require_square_pair(a, b)
     return _full_algebra_with_top(a, b, _spectrum_top(a))
@@ -268,7 +271,7 @@ def is_irreducible_burnside(m: OnsagerModule) -> bool:
     """Burnside test: the module is (absolutely) irreducible iff the algebra
     generated by A and Astar has dimension dim^2.
 
-    A "full" verdict always comes from the closure, within the oracle guard,
+    A "full" verdict always comes from the closure, within the guard,
     so this stays a route independent of Norton's test. Only reducible input
     is refuted early: a spin of the top eigenline of A (or of A^T) that stops
     short is a proper invariant subspace, which proves the algebra is not
@@ -287,7 +290,7 @@ def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None) -> bool:
     top is the largest eigenvalue of A (d for a type-(0,0) module) and is
     found by module_type when omitted. The spin needs the eigenspace to be
     a line and then decides at any dimension; otherwise the Burnside
-    closure decides, within the oracle guard.
+    closure decides, within the guard.
     """
     if top is None:
         d, alpha, _ = module_type(m)
@@ -305,12 +308,13 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     is integer rows: the equations of S A1 = A2 S are scaled by the common
     denominator of A1 and A2, those of S Astar1 = Astar2 S by that of Astar1
     and Astar2, and scaling an equation leaves the kernel unchanged. The
-    system has dim^2 unknowns, so it is refused above the oracle guard.
+    system has 2 dim^2 rows, so it is refused above the guard before any
+    row is built.
     """
-    _require_within_oracle_guard(max(m1.dim, m2.dim))
     if m1.dim != m2.dim:
         return None
     n = m1.dim
+    require_within_guard(2 * n * n, "intertwiner system rows")
     rows: list[list[int]] = []
     for lhs, rhs in ((m1.A, m2.A), (m1.Astar, m2.Astar)):
         (left, left_den), (right, right_den) = (lhs._num, lhs._den), (rhs._num, rhs._den)

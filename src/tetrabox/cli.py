@@ -10,15 +10,16 @@ file's twelve matrices.
 
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
-Exit codes: 0 success, 1 failed checks or rejected (reducible/shifted)
-build input, 2 unreadable or malformed input or a non-integer
-TETRABOX_DIM_GUARD (and reducible input for `compare`), 3
-oracle/criterion disagreement in `compare`. When the oracle guard refuses
-a deep check (a module above it whose irreducibility the spin cannot
-decide), that check and every later one read "skipped", "skipped" holds
-the reason, and the refusal does not fail verification. Likewise, when the
-guard refuses the intertwiner of `compare --oracle`, "intertwiner_found" and
-"oracle_agrees" read "skipped" and the exit code is the criterion's (0 or 1).
+Exit codes: 0 success, 1 failed checks or input above the dimension guard
+or rejected (reducible/shifted) build input, 2 unreadable or malformed
+input (and reducible input for `compare`), 3 oracle/criterion disagreement
+in `compare`. When the guard refuses a deep check (a module whose
+irreducibility the spin cannot decide and whose closure is above it), that
+check and every later one read "skipped", "skipped" holds the reason, and
+the refusal does not fail verification. Likewise, when the guard refuses
+the modules or the intertwiner of `compare --oracle`, "intertwiner_found"
+and "oracle_agrees" read "skipped" and the exit code is the criterion's
+(0 or 1).
 A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1).
@@ -33,7 +34,7 @@ import sys
 from .classify import equivalence_key, find_intertwiner, is_irreducible_criterion, is_isomorphic
 from .errors import DimensionGuardError, TetraboxError
 from .flags import four_flags
-from .linalg import dim_guard
+from .linalg import require_within_guard
 from .onsager import ModuleSpec, OnsagerModule, build_from_spec
 from .serialize import (
     eigentable_to_json,
@@ -202,13 +203,14 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
-    module = build_from_spec(spec)
+    # diameter and type are the spec's degree sum and shift; nothing is built
+    require_within_guard(spec.dim, "module dimension")
     key = [[n, a] for n, a in equivalence_key(spec)]
-    alpha, alphastar = module.type_pair
+    alpha, alphastar = spec.shift
     _emit(
         {
             "irreducible": is_irreducible_criterion(spec),
-            "d": module.diameter,
+            "d": spec.degree_sum,
             "type": [str(alpha), str(alphastar)],
             "equivalence_key": key,
         }
@@ -229,10 +231,8 @@ def cmd_compare(args) -> int:
     isomorphic = is_isomorphic(s1, s2)
     result = {"isomorphic": isomorphic}
     if args.oracle:
-        m1 = build_from_spec(s1)
-        m2 = build_from_spec(s2)
         try:
-            witness = find_intertwiner(m1, m2)
+            witness = find_intertwiner(build_from_spec(s1), build_from_spec(s2))
         except DimensionGuardError as exc:
             # a refused cross-check is not a failed one: the criterion decides
             result.update(intertwiner_found="skipped", oracle_agrees="skipped", skipped=str(exc))
@@ -305,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        dim_guard()
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
     try:
         return args.func(args)
     except _InputError as exc:

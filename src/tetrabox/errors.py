@@ -6,7 +6,7 @@ class TetraboxError(Exception):
 
 
 class DimensionGuardError(TetraboxError):
-    """A matrix or closure computation exceeds the configured size guard."""
+    """A problem is above linalg.DIM_GUARD on its own side (see linalg.require_within_guard)."""
 
 
 class SpectrumError(TetraboxError):

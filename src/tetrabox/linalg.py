@@ -28,11 +28,15 @@ Whether vectors lie in a sum of eigenspaces of one matrix x needs no
 elimination: for distinct mu_j the kernel of prod_j (x - mu_j I) is the
 direct sum of the kernels of the factors, so annihilates decides it by
 integer products with x alone, whether or not x is diagonalizable.
+
+Every size bound in the package is the one constant DIM_GUARD, checked by
+require_within_guard on the side of each problem: a matrix's larger side
+here, a spec's module dimension, a Burnside closure's dim^2 and an
+intertwiner system's 2 dim^2 rows, each before that problem is built.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -41,18 +45,13 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionGuardError
 
-DEFAULT_DIM_GUARD = 4096
+DIM_GUARD = 4096  # read at call time, so a test can lower it
 
 
-def dim_guard() -> int:
-    """Current matrix-size guard; TETRABOX_DIM_GUARD overrides the default."""
-    raw = os.environ.get("TETRABOX_DIM_GUARD")
-    if raw is None:
-        return DEFAULT_DIM_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TETRABOX_DIM_GUARD must be an integer, got {raw!r}") from None
+def require_within_guard(side: int, what: str) -> None:
+    """Refuse a problem whose side (rows, dimension or unknowns) is above DIM_GUARD."""
+    if side > DIM_GUARD:
+        raise DimensionGuardError(f"{what} {side} exceeds the dimension guard {DIM_GUARD}")
 
 
 def _as_rational(value) -> int | Fraction:
@@ -121,12 +120,7 @@ class Matrix:
         """Validation shared by every constructor: the shape and the dimension guard."""
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        guard = dim_guard()
-        if self.rows > guard or self.cols > guard:
-            raise DimensionGuardError(
-                f"matrix size {self.rows}x{self.cols} exceeds the dimension "
-                f"guard {guard} (set TETRABOX_DIM_GUARD to raise it)"
-            )
+        require_within_guard(max(self.rows, self.cols), "matrix side")
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "Matrix":

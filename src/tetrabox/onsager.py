@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionGuardError, SpectrumError
-from .linalg import Matrix, commutator, dim_guard, kron, minimal_polynomial
+from .errors import SpectrumError
+from .linalg import Matrix, commutator, kron, minimal_polynomial, require_within_guard
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -148,16 +148,6 @@ def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
     return OnsagerModule(m1.dim * m2.dim, A, Astar, diameter=diameter, type_pair=type_pair)
 
 
-def _require_within_guard(spec: ModuleSpec) -> None:
-    """Raise DimensionGuardError when the spec's module exceeds the dimension guard."""
-    guard = dim_guard()
-    if spec.dim > guard:
-        raise DimensionGuardError(
-            f"module dimension {spec.dim} exceeds the dimension guard {guard} "
-            "(set TETRABOX_DIM_GUARD to raise it)"
-        )
-
-
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     """Left-fold tensor of the evaluation factors, then apply the type shift.
 
@@ -168,7 +158,7 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     equal to the shift. A spec above the dimension guard is refused before
     any factor is built.
     """
-    _require_within_guard(spec)
+    require_within_guard(spec.dim, "module dimension")
     module = None
     for n, a in spec.factors:
         factor = evaluation_module(n, a)

@@ -17,12 +17,12 @@ from .linalg import Matrix
 from .onsager import ModuleSpec, OnsagerModule
 from .tetra import EigenTable, TetraModule, VerificationReport
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _rational_parts(text: str) -> tuple[int, int]:
     """Numerator and positive denominator of a validated literal, as written."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
     return int(num), int(den or 1)

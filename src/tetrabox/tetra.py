@@ -54,12 +54,21 @@ from itertools import permutations
 from .classify import is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
-from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstack, inverse, subspace_sum
+from .linalg import (
+    Matrix,
+    Subspace,
+    annihilates,
+    commutator,
+    eigenspace,
+    hstack,
+    inverse,
+    require_within_guard,
+    subspace_sum,
+)
 from .onsager import (
     ModuleSpec,
     OnsagerModule,
     _dolan_grady_residual,
-    _require_within_guard,
     evaluation_module,
     kronecker_sum,
     module_type,
@@ -161,8 +170,9 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     The input must be irreducible of type (0,0). Norton's spinning test
     decides that at any dimension when the top eigenspace of A is a line, as
     on every irreducible module; otherwise the Burnside closure decides, and
-    above the oracle guard it raises DimensionGuardError rather than build:
-    the flag-opposition scan passes some reducible modules, such as V + V.
+    when dim^2 is above linalg.DIM_GUARD it raises DimensionGuardError
+    rather than build: the flag-opposition scan passes some reducible
+    modules, such as V + V.
     """
     d, alpha, alphastar = module_type(m)
     if alpha != 0 or alphastar != 0:
@@ -189,12 +199,12 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     spec's module gives them.
 
     Raises the errors build_tetra(build_from_spec(spec)) raises:
-    DimensionGuardError above the dimension guard, before any factor is
-    built; TypeShiftError on a nonzero shift; ReducibleModuleError when the
-    evaluation-parameter criterion fails (a collision between two factors
-    is invisible to each factor alone).
+    DimensionGuardError when spec.dim is above linalg.DIM_GUARD, before any
+    factor is built; TypeShiftError on a nonzero shift; ReducibleModuleError
+    when the evaluation-parameter criterion fails (a collision between two
+    factors is invisible to each factor alone).
     """
-    _require_within_guard(spec)
+    require_within_guard(spec.dim, "module dimension")
     alpha, alphastar = spec.shift
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
@@ -408,7 +418,7 @@ def pairwise_burnside(t: TetraModule) -> bool:
     Each pair goes to pair_generates_full_algebra, so Norton's test decides
     it at any dimension when the top eigenspace of the first matrix is a
     line, as it is on every irreducible structure; otherwise the Burnside
-    closure does, within the oracle guard.
+    closure does, within the guard.
     """
     return all(pair_generates_full_algebra(t.x[p1], t.x[p2]) for p1, p2 in OPPOSITE_PAIRS)
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrabox import (
-    ORACLE_GUARD,
     DimensionGuardError,
     Matrix,
     ModuleSpec,
@@ -31,7 +30,7 @@ from tetrabox import (
     trivial_module,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify
+from tetrabox import classify, linalg
 from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
 
@@ -80,7 +79,7 @@ class TestBurnside:
 
     def test_guard(self, monkeypatch):
         m = build_from_spec(spec((1, 2), (1, 3)))
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 2)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 4)
         with pytest.raises(DimensionGuardError):
             is_irreducible_burnside(m)
 
@@ -134,7 +133,7 @@ class TestSpin:
 
     def test_reducible_beyond_the_oracle_guard(self):
         m = build_from_spec(spec((4, 2), (12, F(1, 2))))
-        assert m.dim == 65 > ORACLE_GUARD
+        assert m.dim == 65 and m.dim * m.dim > linalg.DIM_GUARD
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
 
@@ -329,15 +328,39 @@ class TestNortonDifferential:
          "is_irreducible_burnside", "generated_algebra_dimension", "find_intertwiner"],
 )
 def test_oracle_guard_binds_only_the_closures(monkeypatch, check, refuses):
-    # on a d16 above the guard the spin still answers, and the dim^2 oracles refuse
+    # on a d16 whose dim^2 is above the guard the spin still answers, and the dim^2 oracles refuse
     t = build_tetra_from_spec(spec((3, 2), (3, 3)))
     m = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
-    monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+    monkeypatch.setattr(linalg, "DIM_GUARD", 64)
     if refuses:
         with pytest.raises(DimensionGuardError):
             check(t, m)
     else:
         assert check(t, m) is True
+
+
+def test_one_guard_bounds_each_problem_by_its_own_side(monkeypatch):
+    # a matrix by its larger side, a closure by dim^2, an intertwiner system by its 2 dim^2 rows
+    monkeypatch.setattr(linalg, "DIM_GUARD", 32)
+    assert Matrix.zeros(1, 32).cols == 32
+    with pytest.raises(DimensionGuardError, match="matrix side 33 exceeds the dimension guard 32"):
+        Matrix.zeros(1, 33)
+    d5, d6 = evaluation_module(4, 2), evaluation_module(5, 2)
+    assert generated_algebra_dimension(d5.A, d5.Astar) == 25
+    with pytest.raises(DimensionGuardError, match="Burnside closure dimension 36 exceeds the dimension guard 32"):
+        generated_algebra_dimension(d6.A, d6.Astar)
+    systems = []
+
+    def spy(m):
+        systems.append(m.rows)
+        return linalg.kernel(m)
+
+    monkeypatch.setattr(classify, "kernel", spy)
+    d4 = build_from_spec(spec((1, 2), (1, 3)))
+    assert find_intertwiner(d4, d4) is not None and systems == [32]
+    with pytest.raises(DimensionGuardError, match="intertwiner system rows 50 exceeds the dimension guard 32"):
+        find_intertwiner(d5, d5)
+    assert systems == [32]
 
 
 class TestEquivalence:
@@ -392,7 +415,7 @@ class TestIntertwiner:
 
     def test_guard(self, monkeypatch):
         m = build_from_spec(spec((3, 2), (1, 3)))
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 64)
         with pytest.raises(DimensionGuardError):
             find_intertwiner(m, m)
 

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import classify, cli, tetra
+from tetrabox import cli, linalg, tetra
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
-from tetrabox.onsager import OnsagerModule
-from tetrabox.serialize import module_from_json, module_to_json, tetra_from_json, tetra_to_json
+from tetrabox.onsager import OnsagerModule, build_from_spec
+from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
 SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
@@ -188,7 +188,7 @@ class TestVerify:
         # V + V above the guard: the spin cannot decide it and the closure refuses
         module = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
         path = write_json(tmp_path / "vv.json", {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)})
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
         assert main(["verify", path, "--deep"]) == 0
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep["pass"] is True
@@ -297,6 +297,18 @@ class TestClassify:
         assert out["type"] == ["0", "0"]
         assert out["equivalence_key"] == []
 
+    def test_reads_diameter_and_type_off_the_spec(self, tmp_path, monkeypatch, capsys):
+        # build_from_spec only copies them from the spec, so classify builds nothing
+        data = {"factors": [{"n": 2, "a": "3"}, {"n": 0, "a": "5"}], "shift": ["1/2", "-3"]}
+        module = build_from_spec(spec_from_json(data))
+        calls = []
+        monkeypatch.setattr(cli, "build_from_spec", lambda s: calls.append(s))
+        assert main(["classify", write_json(tmp_path / "s.json", data)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert calls == []
+        assert out["d"] == module.diameter == 2
+        assert out["type"] == [str(x) for x in module.type_pair] == ["1/2", "-3"]
+
     def test_parse_error(self, tmp_path):
         assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
@@ -337,14 +349,29 @@ class TestCompare:
     )
     def test_oracle_guard_refusal_is_skipped(self, tmp_path, monkeypatch, capsys, other, code):
         # a refused cross-check is neither malformed input (2) nor a disagreement (3)
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 3)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
         assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == code
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {
             "isomorphic": code == 0,
             "intertwiner_found": "skipped",
             "oracle_agrees": "skipped",
-            "skipped": "dimension 4 exceeds the oracle guard 3",
+            "skipped": "intertwiner system rows 32 exceeds the dimension guard 16",
+        }
+        assert captured.err == ""
+
+    def test_oracle_refusal_of_a_module_build_is_skipped(self, tmp_path, monkeypatch, capsys):
+        # build_from_spec refuses each d16 module; the criterion still decides
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        d16 = {"factors": [{"n": 1, "a": a} for a in ("2", "3", "5", "7")], "shift": ["0", "0"]}
+        other = {"factors": [{"n": 1, "a": a} for a in ("7", "1/5", "1/3", "2")], "shift": ["0", "0"]}
+        assert self.run(tmp_path, d16, other, "--oracle") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "isomorphic": True,
+            "intertwiner_found": "skipped",
+            "oracle_agrees": "skipped",
+            "skipped": "module dimension 16 exceeds the dimension guard 8",
         }
         assert captured.err == ""
 
@@ -386,26 +413,19 @@ class TestInspect:
 
 
 class TestGuardOverride:
-    def test_env_var_limits_build(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "3")
+    def test_guard_limits_build(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)  # dim 4 module
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert "guard" in capsys.readouterr().err
 
     def test_oversized_spec_refused_by_classify(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "2"}] * 4, "shift": ["0", "0"]})
         assert main(["classify", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: module dimension 16 exceeds the dimension guard 8 (set TETRABOX_DIM_GUARD to raise it)\n"
-
-    def test_non_integer_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "abc")
-        spec = write_json(tmp_path / "s.json", SPEC_V2)
-        assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: TETRABOX_DIM_GUARD must be an integer, got 'abc'\n"
+        assert captured.err == "error: module dimension 16 exceeds the dimension guard 8\n"
 
 
 def three_build_deep_checks(module, t, two_build_roundtrip):

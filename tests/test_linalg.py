@@ -23,6 +23,7 @@ from tetrabox import (
     rref,
     subspace_sum,
 )
+from tetrabox import linalg
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -250,8 +251,8 @@ class TestScalarHelpers:
 
 
 class TestGuardsAndPlumbing:
-    def test_dimension_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+    def test_dimension_guard_override(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         assert Matrix.identity(8).rows == 8
         with pytest.raises(DimensionGuardError):
             Matrix.identity(9)

@@ -19,7 +19,7 @@ from tetrabox import (
     tensor,
     trivial_module,
 )
-from tetrabox import onsager
+from tetrabox import linalg, onsager
 
 SAMPLE_FACTORS = [(1, F(2)), (2, F(3)), (3, F(1, 2)), (1, F(-1)), (2, F(1)), (2, F(5))]
 
@@ -121,7 +121,7 @@ class TestTensor:
 
         m1 = evaluation_module(2, F(2))
         m2 = evaluation_module(3, F(3))
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         with pytest.raises(DimensionGuardError):
             tensor(m1, m2)  # 3 * 4 = 12 > 8
 
@@ -164,7 +164,7 @@ class TestBuildFromSpec:
             ModuleSpec.of([(-1, 2)])
 
     def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
             original = getattr(onsager, name)
@@ -179,7 +179,7 @@ class TestBuildFromSpec:
         assert calls == []
 
     def test_spec_at_the_guard_builds(self, monkeypatch):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         assert build_from_spec(ModuleSpec.of([(1, 2)] * 3)).dim == 8
 
 

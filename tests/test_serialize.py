@@ -26,7 +26,7 @@ class TestFractionStrings:
     def test_from_str(self, text, value):
         assert fraction_from_str(text) == value
 
-    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "+3", "", "2/-3", "1e3", 3])
+    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "+3", "", "2/-3", "1e3", 3, "3\n", "1/2\n", "٣", "３"])
     def test_rejects_non_rational_literals(self, bad):
         with pytest.raises(ValueError):
             fraction_from_str(bad)
@@ -43,7 +43,7 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json([["1", "2"], "nope"])
 
-    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "1.5", " 3", "3 ", "+3", "", "0x3", 3, None])
+    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "1.5", " 3", "3 ", "+3", "", "0x3", 3, None, "3\n", "1/2\n", "٣", "３"])
     def test_rejects_non_rational_entries(self, bad):
         with pytest.raises(ValueError):
             matrix_from_json([["1", bad]])

@@ -34,7 +34,7 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
-from tetrabox import classify, onsager, tetra
+from tetrabox import linalg, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -94,7 +94,7 @@ class TestBuild:
             "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
         )
         # spinning needs no guard, so the scan is never reached
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 0)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
 
@@ -103,7 +103,7 @@ class TestBuild:
         m = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
-        monkeypatch.setattr(classify, "ORACLE_GUARD", 4)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
         with pytest.raises(DimensionGuardError):
             build_tetra(m)
 
@@ -156,7 +156,7 @@ class TestBuildFromSpec:
             assert_same_structure(build_tetra_from_spec(spec), expected)
 
     def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
-        monkeypatch.setenv("TETRABOX_DIM_GUARD", "8")
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
             original = getattr(onsager, name)
