@@ -72,7 +72,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise _InputError(f"cannot read {path}: {exc}") from None
 
 

@@ -17,8 +17,13 @@ Exact elimination has one engine: the incremental integer echelon
 (two-term integer row combinations, gcd-stripped after every update).
 Subspaces go to it directly: a span, a sum or a membership test is the
 echelon of integer basis columns (its rank, or its reduced rows as the
-canonical basis), and a kernel or an intersection reads the dependencies
-among columns off tails carried through the elimination. The public rref,
+canonical basis). A kernel is one elimination of the matrix's rows with
+their columns taken in reverse order: each reduced row then writes its
+pivot unknown through free unknowns of smaller index, so the null vector of
+each free unknown leads there and vanishes at the other free positions, and
+these vectors are the canonical basis as they stand. An intersection reads
+the dependencies between two bases off tails carried through the
+elimination. The public rref,
 inverses, the minimal polynomial and the spins and closures of ``classify``
 use the same echelon; this is much faster than eliminating on Fraction
 objects and gives the identical reduced echelon form. The determinant runs
@@ -240,15 +245,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # -- integer elimination core -------------------------------------------------
 
 def _strip_gcd(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class _Echelon:
@@ -351,26 +349,6 @@ def _span(n: int, vectors: Iterable[list[int]]) -> Subspace:
     return Subspace(n, _reduced_echelon(n, vectors)[0].transpose())
 
 
-def _dependencies(n: int, heads: Sequence[list[int]], tails: Sequence[list[int]]) -> list[list[int]]:
-    """Tails of the vanishing combinations of the heads, one per dependent head.
-
-    Each head (length n) is reduced with its tail in one echelon. When head
-    j reduces to zero, the residual is a combination sum_i c_i heads[i] = 0
-    with c_j != 0 and c_i = 0 for i > j, and its tail is sum_i c_i tails[i].
-    These combinations are a basis of all vanishing ones, so the tails span
-    their image: with unit tails, the dependencies among the heads.
-    """
-    echelon = _Echelon(n)
-    found = []
-    for head, tail in zip(heads, tails):
-        lead, residual = echelon.reduce(head + tail)
-        if lead is None:
-            found.append(residual[n:])
-        else:
-            echelon.add(residual)
-    return found
-
-
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank, computed exactly."""
     return _reduced_echelon(m.cols, m._num, m.rows)
@@ -431,16 +409,34 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
 
-def _kernel(height: int, columns: list[list[int]]) -> Subspace:
-    """Null space of the integer matrix with the given columns of length height."""
-    width = len(columns)
-    units = [[int(i == j) for i in range(width)] for j in range(width)]
-    return _span(width, _dependencies(height, columns, units))
+def _kernel(width: int, rows: Iterable[Sequence[int]]) -> Subspace:
+    """Null space of the integer matrix with the given rows of length width.
+
+    The rows are reduced with their columns in reverse order, so a reduced
+    row with its pivot at unknown p reads that unknown off free unknowns of
+    smaller index only. The null vector that sets free unknown f to 1 and the
+    other free unknowns to 0 then leads at f and vanishes at every other free
+    position: these vectors are the canonical basis, read off directly.
+    """
+    last = width - 1
+    reduced, pivots = _echelon(width, (list(row[::-1]) for row in rows)).reduced_rows()
+    bound = {last - c: row for row, c in zip(reduced, pivots)}  # pivot unknown -> its reversed row
+    free = [j for j in range(width) if j not in bound]
+    den = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for j in range(width):
+        row = bound.get(j)
+        if row is None:
+            basis.append([den if f == j else 0 for f in free])
+        else:
+            scale = den // row[last - j]
+            basis.append([-scale * row[last - f] for f in free])
+    return Subspace(width, Matrix._of(width, len(free), basis, den))
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of the null space of ``m``: the dependencies among its columns."""
-    return _kernel(m.rows, _integer_columns(m))
+    """Canonical basis of the null space of ``m``."""
+    return _kernel(m.cols, m._num)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -454,12 +450,21 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
 
     A dependency sum_i a_i u_i + sum_j b_j v_j = 0 between the two bases
     gives the common vector sum_i a_i u_i, and every common vector arises
-    so; each u_i carries itself as its tail and each v_j a zero tail.
+    so. Each u_i carries itself as its tail and each v_j a zero tail; the
+    u_i are independent, so the v_j that reduce to zero leave a basis of the
+    dependencies, and their tails span u ∩ v.
     """
     u._require_same_ambient(v)
     n = u.ambient_dim
-    first, second = _integer_columns(u.basis), _integer_columns(v.basis)
-    return _span(n, _dependencies(n, first + second, first + [[0] * n] * len(second)))
+    echelon = _echelon(n, (column + column for column in _integer_columns(u.basis)))
+    common = []
+    for column in _integer_columns(v.basis):
+        lead, residual = echelon.reduce(column + [0] * n)
+        if lead is None:
+            common.append(residual[n:])
+        else:
+            echelon.add(residual)
+    return _span(n, common)
 
 
 def eigenspace(m: Matrix, lam) -> Subspace:
@@ -467,12 +472,12 @@ def eigenspace(m: Matrix, lam) -> Subspace:
     if not m.is_square:
         raise ValueError("eigenspace requires a square matrix")
     lam = Fraction(lam)
-    # q den (m - lam I) with lam = p/q: the columns of q * num, less p * den on the diagonal
+    # q den (m - lam I) with lam = p/q: the rows of q * num, less p * den on the diagonal
     q, shift = lam.denominator, lam.numerator * m._den
-    columns = [[q * x for x in column] for column in _integer_columns(m)]
-    for j, column in enumerate(columns):
-        column[j] -= shift
-    return _kernel(m.rows, columns)
+    rows = [[q * x for x in row] for row in m._num]
+    for i, row in enumerate(rows):
+        row[i] -= shift
+    return _kernel(m.cols, rows)
 
 
 def is_diagonalizable_with(m: Matrix, eigenvalues: Sequence) -> bool:

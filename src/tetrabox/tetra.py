@@ -31,10 +31,12 @@ set {d-2i}, eigenspace dimension tables, the action of one generator on
 another's eigenspaces, flag independence) are verified as exact subspace
 statements.
 Each inclusion of the image of an eigenspace of x_rs under a shifted x_tu
-in a sum of eigenspaces of x_rs is the test that a product of factors
-x_rs - mu I annihilates that image (linalg.annihilates): no change of basis
-and no inverse. The eigenspace chain of each generator is computed once
-per TetraModule and shared by every check that needs it.
+in a sum of eigenspaces of x_rs, and each inclusion of an eigenspace of x_rt
+in a partial eigenspace sum of x_rs (flag independence), is the test that a
+product of factors x_rs - mu I annihilates it (linalg.annihilates): no
+change of basis, no inverse and no subspace sum. The eigenspace chain of
+each generator is computed once per TetraModule and shared by every check
+that needs it.
 
 Verification runs on six generators once antisymmetry is shown. Wherever
 a file's own x_sr equals -x_rs exactly (one comparison of canonical forms,
@@ -63,7 +65,6 @@ from .linalg import (
     hstack,
     inverse,
     require_within_guard,
-    subspace_sum,
 )
 from .onsager import (
     ModuleSpec,
@@ -393,21 +394,29 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
 
 
 def flag_independence_check(t: TetraModule) -> bool:
-    """Partial eigenspace sums of x_rs and x_rt agree for every r and lambda."""
+    """Partial eigenspace sums of x_rs and x_rt agree for every r and lambda.
+
+    Accumulated upward from -d, the k-th partial sum of x_rs is the direct
+    sum of its eigenspaces at theta_0, ..., theta_k (theta_j = 2j - d), which
+    is the kernel of prod_{j<=k} (x_rs - theta_j) by Bezout. So, with s the
+    first corner other than r, the sums of x_rt equal those of x_rs exactly
+    when the eigenspace dimensions of the two agree step by step (the sums
+    then have equal dimensions) and that product annihilates the k-th
+    eigenspace of x_rt for every k (each sum of x_rt then lies in the one of
+    x_rs): one linalg.annihilates call for each of the two other t, and no
+    subspace sum.
+    """
     d = t.diameter
+    thetas = [2 * j - d for j in range(d + 1)]
     for r in CORNERS:
-        others = [s for s in CORNERS if s != r]
-        partials = {}
-        for s in others:
-            chain = _eigenspace_chain(t, (r, s))  # eigenvalues d down to -d
-            sums = []
-            acc = Subspace.zero(t.dim)
-            for space in reversed(chain):  # accumulate upward from -d
-                acc = subspace_sum(acc, space)
-                sums.append(acc)
-            partials[s] = sums
-        for s, tt in ((others[0], others[1]), (others[0], others[2]), (others[1], others[2])):
-            if partials[s] != partials[tt]:
+        s, *others = [c for c in CORNERS if c != r]
+        dims = [space.dim for space in reversed(_eigenspace_chain(t, (r, s)))]
+        for tt in others:
+            chain = _eigenspace_chain(t, (r, tt))[::-1]  # eigenvalues -d up to d
+            if [space.dim for space in chain] != dims:
+                return False
+            blocks = [(space.dim, thetas[: k + 1]) for k, space in enumerate(chain)]
+            if not all(annihilates(t.x[(r, s)], hstack(*(space.basis for space in chain)), blocks)):
                 return False
     return True
 

@@ -562,6 +562,21 @@ class TestWrongTypes:
         assert_one_error_line(*capsys.readouterr())
 
 
+class TestDeeplyNestedJson:
+    """JSON nested too deep to decode is unreadable input, not a crash."""
+
+    @pytest.mark.parametrize("command", [["build"], ["verify"], ["classify"], ["compare"], ["inspect", "--table"]])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100000)
+        extra = {"build": ["-o", str(tmp_path / "out.json")],
+                 "compare": [write_json(tmp_path / "v2.json", SPEC_V2)]}.get(command[0], [])
+        assert main([command[0], str(nested), *command[1:], *extra]) == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(out, err)
+        assert "Traceback" not in err
+
+
 OPTIONAL_KEYS = {"shift", "dim", "diameter", "type"}
 VALID_RATIONALS = ("0", "1", "-1", "2", "-3/2", "7/5")
 INVALID_RATIONALS = ("1.5", "1/0", "", "+3", "x", "2/-3")

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from tetrabox import (
     DimensionGuardError,
     Matrix,
+    ModuleSpec,
     Subspace,
+    build_from_spec,
+    build_tetra_from_spec,
     commutator,
     determinant,
     eigenspace,
@@ -23,7 +26,7 @@ from tetrabox import (
     rref,
     subspace_sum,
 )
-from tetrabox import linalg
+from tetrabox import classify, linalg
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -380,3 +383,82 @@ class TestMatrixAgainstFractionReference:
         for other in ((2 * m) * F(1, 2), (m * unit) * unit.denominator, m + m - m, -(-m), m.transpose().transpose()):
             assert other == m and hash(other) == hash(m)
             assert_matches(other, a, cols)
+
+
+# -- The one-elimination kernel against the unit-tail route -------------------
+
+
+def reference_kernel(m: Matrix) -> Subspace:
+    """The null space by unit tails: each column of m, followed by its unit
+    vector, is reduced in one echelon; a column that reduces to zero leaves a
+    dependency among the columns in its tail, those tails span the null
+    space, and a second elimination makes their span canonical."""
+    echelon = linalg._Echelon(m.rows)
+    dependencies = []
+    for j, column in enumerate(linalg._integer_columns(m)):
+        lead, residual = echelon.reduce(column + [int(i == j) for i in range(m.cols)])
+        if lead is None:
+            dependencies.append(residual[m.rows :])
+        else:
+            echelon.add(residual)
+    return linalg._span(m.cols, dependencies)
+
+
+def reference_eigenspace(m: Matrix, lam) -> Subspace:
+    return reference_kernel(m - lam * Matrix.identity(m.rows))
+
+
+sparse_entries = st.one_of(st.just(F(0)), entries)
+
+
+@st.composite
+def any_shape(draw):
+    """A rows x cols matrix for every shape from 0x0 to 6x8: sparse entries,
+    or a product through an inner size 0..3, so low rank is common."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+
+    def grid(r, c):
+        return Matrix(r, c, draw(st.lists(sparse_entries, min_size=r * c, max_size=r * c)))
+
+    if draw(st.booleans()):
+        return grid(rows, cols)
+    inner = draw(st.integers(0, 3))
+    return grid(rows, inner) * grid(inner, cols)
+
+
+class TestKernelDifferential:
+    """kernel and eigenspace against the unit-tail route, basis for basis."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(any_shape())
+    def test_every_shape(self, m):
+        assert kernel(m).basis == reference_kernel(m).basis
+
+    @pytest.mark.parametrize("first, second, solutions", [
+        ([(3, 2)], [(3, F(1, 2))], 1),  # isomorphic: S is unique up to scale
+        ([(1, 2), (2, 3)], [(2, F(1, 3)), (1, 2)], 1),
+        ([(1, 2), (2, 3)], [(1, 2), (2, 5)], 0),  # not isomorphic
+        ([(1, 2), (1, 3), (1, 5)], [(1, 2), (1, 3), (1, 5)], 1),
+    ])
+    def test_intertwiner_systems(self, monkeypatch, first, second, solutions):
+        # the tall 2n^2 x n^2 systems of find_intertwiner at diameter 3
+        systems = []
+
+        def spy(m):
+            systems.append(m)
+            return linalg.kernel(m)
+
+        monkeypatch.setattr(classify, "kernel", spy)
+        classify.find_intertwiner(build_from_spec(ModuleSpec.of(first)), build_from_spec(ModuleSpec.of(second)))
+        (system,) = systems
+        assert system.rows == 2 * system.cols
+        assert kernel(system).basis == reference_kernel(system).basis
+        assert kernel(system).dim == solutions
+
+    @pytest.mark.parametrize("factors", [[(3, 2), (3, 3)], [(2, 2), (2, 3), (2, 5)]])
+    def test_generators_of_built_modules(self, factors):
+        t = build_tetra_from_spec(ModuleSpec.of(factors))
+        d = t.diameter
+        for mat in t.x.values():
+            for lam in range(-d - 1, d + 2):
+                assert eigenspace(mat, lam).basis == reference_eigenspace(mat, lam).basis

@@ -16,6 +16,7 @@ from tetrabox import (  # noqa: E402
     Subspace,
     annihilates,
     determinant,
+    eigenspace,
     hstack,
     intersect,
     inverse,
@@ -269,6 +270,42 @@ def test_annihilates_against_sympy(case):
         eigenvectors = sympy.Matrix.hstack(sympy.zeros(n, 0), *kernels)
         inside.append(sympy.Matrix.hstack(eigenvectors, block).rank() == eigenvectors.rank())
     assert annihilates(x, m, blocks) == killed == inside
+
+
+# eigenvalues of none of the drawn matrices: two integers and a proper fraction
+NON_EIGENVALUES = (F(3), F(-5, 2), F(1, 3))
+
+
+@st.composite
+def jordan_conjugates(draw):
+    """S J S^-1 for a Jordan form J of size 1 to 5, its blocks of size 1 to
+    3 at eigenvalues from ROOT_POOL (repeated eigenvalues and blocks above
+    size 1, so non-diagonalizable matrices, are common), and S unit lower
+    times unit upper triangular, so invertible."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda sizes: sum(sizes) <= 5))
+    n = sum(sizes)
+    jordan = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for size in sizes:
+        mu = draw(st.sampled_from(ROOT_POOL))
+        for k in range(at, at + size):
+            jordan[k][k] = mu
+            if k + 1 < at + size:
+                jordan[k][k + 1] = F(1)
+        at += size
+    s = Matrix.from_rows([[1 if i == j else draw(sparse_entries) if i > j else 0 for j in range(n)]
+                          for i in range(n)])
+    s = s * s.transpose()
+    return s * Matrix.from_rows(jordan) * inverse(s)
+
+
+@settings(deadline=None, max_examples=150)
+@given(jordan_conjugates(), st.sampled_from(ROOT_POOL + NON_EIGENVALUES))
+def test_eigenspace_against_sympy(x, lam):
+    """The canonical basis of ker(x - lam I), from SymPy's nullspace."""
+    n = x.rows
+    shifted = to_sympy(x) - sympy.Rational(lam.numerator, lam.denominator) * sympy.eye(n)
+    assert eigenspace(x, lam).basis == sympy_span_basis(n, shifted.nullspace())
 
 
 @settings(deadline=None, max_examples=80)

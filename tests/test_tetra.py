@@ -400,6 +400,7 @@ class TestSixGenerators:
         return build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
 
     def count_work(self, t, monkeypatch):
+        """Eigenspace calls over the four checks, and annihilates calls per check."""
         calls = {"eigenspace": 0, "annihilates": 0}
         for name in calls:
             original = getattr(tetra, name)
@@ -410,18 +411,30 @@ class TestSixGenerators:
 
             monkeypatch.setattr(tetra, name, spy)
         fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        annihilators = {}
         for check in (verify_relations, eigentable, verify_action_table, flag_independence_check):
+            before = calls["annihilates"]
             check(fresh)
-        return calls
+            annihilators[check.__name__] = calls["annihilates"] - before
+        return calls["eigenspace"], annihilators
 
     def test_built_module(self, d16, monkeypatch):
         assert _antisymmetric_pairs(d16) == frozenset(ORDERED_PAIRS)
-        assert self.count_work(d16, monkeypatch) == {"eigenspace": 6 * (d16.diameter + 1), "annihilates": 36}
+        eigenspaces, annihilators = self.count_work(d16, monkeypatch)
+        assert eigenspaces == 6 * (d16.diameter + 1)
+        # flag independence: two calls per corner
+        assert annihilators == {"verify_relations": 0, "eigentable": 0,
+                                "verify_action_table": 36, "flag_independence_check": 8}
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
         assert _antisymmetric_pairs(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
-        assert self.count_work(t, monkeypatch) == {"eigenspace": 7 * (t.diameter + 1), "annihilates": 49}
+        eigenspaces, annihilators = self.count_work(t, monkeypatch)
+        assert eigenspaces == 7 * (t.diameter + 1)
+        # flag independence: corner 0 passes with its two calls, and corner 1
+        # fails on the dimensions of x_10's chain before any call
+        assert annihilators == {"verify_relations": 0, "eigentable": 0,
+                                "verify_action_table": 49, "flag_independence_check": 2}
 
     def test_mirrored_chain_is_the_reversed_chain(self, d16):
         t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
@@ -580,6 +593,83 @@ class TestEigenspaceShiftOnGenerators:
                 shifted = b + lam * Matrix.identity(t.dim)
                 for col in space.basis_columns():
                     assert target.contains_vector(shifted.apply(col))
+
+
+def reference_flag_independence(t):
+    """Flag independence by canonical subspace sums: for each corner r, the
+    partial sums of the eigenspaces of x_rs, accumulated upward from -d, are
+    the same for the three s != r. Eigenspaces are computed afresh."""
+    d = t.diameter
+    for r in CORNERS:
+        partials = []
+        for s in CORNERS:
+            if s == r:
+                continue
+            acc, sums = Subspace.zero(t.dim), []
+            for i in range(d, -1, -1):
+                acc = subspace_sum(acc, eigenspace(t.x[(r, s)], F(d - 2 * i)))
+                sums.append(acc)
+            partials.append(sums)
+        if any(sums != partials[0] for sums in partials[1:]):
+            return False
+    return True
+
+
+def chain_dims(t, pair):
+    d = t.diameter
+    return [eigenspace(t.x[pair], F(d - 2 * i)).dim for i in range(d + 1)]
+
+
+class TestFlagIndependenceDifferential:
+    """The annihilator flag-independence check against canonical subspace sums."""
+
+    def assert_same(self, t):
+        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        verdict = flag_independence_check(fresh)
+        assert verdict is reference_flag_independence(t)
+        return verdict
+
+    def test_irreducible_grid(self, built_irreducible_grid):
+        for t in built_irreducible_grid.values():
+            assert self.assert_same(t)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(ORDERED_PAIRS), st.integers(0, 5), st.integers(0, 5),
+           st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool), st.booleans())
+    def test_one_entry_changed(self, built, pair, i, j, delta, mirrored):
+        # the d3 module (2,2)(1,3) of dim 6; mirrored keeps x_sr = -x_rs
+        t = built[SAMPLE_SPECS[2]]
+        changed = with_generator(t, pair, with_entry_changed(t.x[pair], i, j, delta))
+        if mirrored:
+            changed = with_generator(changed, pair[::-1], -changed.x[pair])
+        self.assert_same(changed)
+
+    def test_same_weights_other_parameter(self):
+        # x_02 and x_20 of (1,2)(1,5) in the file of (1,2)(1,3): every chain
+        # has the same dimensions, so the annihilators decide, and a sum differs
+        t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 3)]))
+        other = build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 5)]))
+        t = with_generator(with_generator(t, (0, 2), other.x[(0, 2)]), (2, 0), other.x[(2, 0)])
+        assert all(chain_dims(t, pair) == chain_dims(t, (0, 1)) for pair in ORDERED_PAIRS)
+        assert self.assert_same(t) is False
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2)])
+    def test_one_not_diagonalizable(self, built, pair):
+        # x_02's smaller eigenspaces still lie in the sums of x_01, the first
+        # generator at corner 0, so only the dimensions tell them apart
+        t = jordan_perturbed(built[SAMPLE_SPECS[1]], pair)
+        assert sum(chain_dims(t, pair)) < t.dim
+        assert self.assert_same(t) is False
+
+    def test_not_diagonalizable_and_independent(self, built):
+        # x_01 = x_02 = x_03, not diagonalizable, and the other nine as built:
+        # the sums at corner 0 agree, and Bezout decides them through x_01
+        t = built[SAMPLE_SPECS[1]]
+        jordan = jordan_perturbed(t, (0, 1)).x[(0, 1)]
+        for pair in ((0, 1), (0, 2), (0, 3)):
+            t = with_generator(t, pair, jordan)
+        assert sum(chain_dims(t, (0, 1))) < t.dim
+        assert self.assert_same(t) is True
 
 
 class TestGlobalStructure:
