@@ -6,7 +6,7 @@ a_n, a_n^-1 mutually distinct) or by a Burnside test: the pair acts
 absolutely irreducibly exactly when the unital associative algebra it
 generates is the full matrix algebra, of dimension dim^2. Isomorphism is
 decided either by equivalence of evaluation data (permutations and
-parameter inversions) or by an explicit intertwiner search.
+parameter inversions) or by an explicit intertwiner, one spin in M1 + M2.
 
 The Burnside closure is exact: the algebra is the spin of the identity
 matrix under right multiplication by each generator, computed by the same
@@ -42,10 +42,9 @@ is_irreducible_burnside takes only the refutation from the spin; its
 "full" verdict always comes from the closure, which keeps it an
 independent second route.
 
-The spin has no size bound. The closure works in End(V), of dimension
-dim^2, and the intertwiner system has 2 dim^2 rows; each refuses a size
-above linalg.DIM_GUARD before it starts, so at the default 4096 the closure
-runs up to dim 64 and the intertwiner up to dim 45.
+The spins, the intertwiner's included, have no size bound. The closure
+works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
+starts, so at the default 4096 it runs up to dim 64.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ from .linalg import (
     _Echelon,
     _integer_columns,
     _strip_gcd,
+    _tails,
     determinant,
     eigenspace,
-    kernel,
     require_within_guard,
 )
 from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top, module_type
@@ -153,8 +152,8 @@ def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:
     return size == nn
 
 
-def _spin_dimension(vector: list[int], sparse_gens: list[list[list[tuple[int, int]]]]) -> int:
-    """Dimension of the smallest subspace that contains vector and is
+def _spin(vector: list[int], sparse_gens: list[list[list[tuple[int, int]]]]) -> _Echelon:
+    """Echelon basis of the smallest subspace that contains vector and is
     invariant under the operators in sparse_gens.
 
     Each operator is given by its rows as (column, entry) pairs. Every
@@ -171,7 +170,7 @@ def _spin_dimension(vector: list[int], sparse_gens: list[list[list[tuple[int, in
             image = _strip_gcd([sum(x * v[j] for j, x in row) for row in g])
             if span.add(image):
                 queue.append(image)
-    return len(span)
+    return span
 
 
 def _sparse_rows(g: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
@@ -192,7 +191,7 @@ def _closure_dimension_exact(gens: list[list[list[int]]], n: int) -> int:
         columns = _sparse_rows(zip(*g))
         operators.append([[(i * n + k, x) for k, x in columns[j]] for i in range(n) for j in range(n)])
     identity = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    return _spin_dimension(identity, operators)
+    return len(_spin(identity, operators))
 
 
 def _require_square_pair(a: Matrix, b: Matrix) -> None:
@@ -223,10 +222,10 @@ def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
     if line is None or line.dim != 1:
         return None
     gens = [a._num, b._num]
-    if _spin_dimension(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens]) < a.rows:
+    if len(_spin(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens])) < a.rows:
         return False
     dual_line = _integer_columns(eigenspace(a.transpose(), top).basis)[0]
-    return _spin_dimension(dual_line, [_sparse_rows(zip(*g)) for g in gens]) == a.rows
+    return len(_spin(dual_line, [_sparse_rows(zip(*g)) for g in gens])) == a.rows
 
 
 def _spectrum_top(a: Matrix) -> Fraction | None:
@@ -298,42 +297,46 @@ def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None) -> bool:
     return _full_algebra_with_top(m.A, m.Astar, top)
 
 
+def _direct_sum_rows(x1: Matrix, x2: Matrix) -> list[list[tuple[int, int]]]:
+    """diag(x1, x2) on one integer scale, the lcm of their denominators, as sparse rows."""
+    den, zeros = lcm(x1._den, x2._den), [0] * x1.rows
+    p, q = den // x1._den, den // x2._den
+    return _sparse_rows([[p * x for x in r] + zeros for r in x1._num] + [zeros + [q * x for x in r] for r in x2._num])
+
+
 def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     """Invertible S with S A1 = A2 S and S Astar1 = Astar2 S, if one exists.
 
-    The joint intertwining conditions form a linear system in the entries of
-    S; each kernel basis vector is reshaped and tested for invertibility by
-    an exact determinant. For absolutely irreducible inputs the solution
-    space has dimension at most one, so a single test decides. The system
-    is integer rows: the equations of S A1 = A2 S are scaled by the common
-    denominator of A1 and A2, those of S Astar1 = Astar2 S by that of Astar1
-    and Astar2, and scaling an equation leaves the kernel unchanged. The
-    system has 2 dim^2 rows, so it is refused above the guard before any
-    row is built.
+    The domain is an m1 whose A1 has a top eigenline <v1> = ker(A1 - c I),
+    c = d + alpha (from m1's diameter and type, else from the spectrum of
+    A1); every irreducible module has one. An intertwiner T maps v1 to t v2,
+    <v2> = ker(A2 - c I), so (v1, v2) is spun in M1 + M2 under diag(A1, A2)
+    and diag(Astar1, Astar2). The spin projects onto the spin of v1, so a
+    pivot missing among 0..dim-1, like a top eigenspace of A1 that is not a
+    line, raises ReducibleModuleError. An invertible T makes the graph of
+    T / t invariant, with (v1, v2) in it and dimension dim, so it is the
+    spin: an extra pivot rules T out. Otherwise the spin is the graph of an
+    intertwiner S, read as linalg.inverse reads an inverse, scaled to a first
+    nonzero entry 1 (unique for irreducible m1); its determinant decides.
     """
     if m1.dim != m2.dim:
         return None
-    n = m1.dim
-    require_within_guard(2 * n * n, "intertwiner system rows")
-    rows: list[list[int]] = []
-    for lhs, rhs in ((m1.A, m2.A), (m1.Astar, m2.Astar)):
-        (left, left_den), (right, right_den) = (lhs._num, lhs._den), (rhs._num, rhs._den)
-        den = lcm(left_den, right_den)
-        p, q = den // left_den, den // right_den
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for v in range(n):
-                    row[i * n + v] += p * left[v][j]
-                for u in range(n):
-                    row[u * n + j] -= q * right[i][u]
-                rows.append(row)
-    solutions = kernel(Matrix.from_rows(rows))
-    for coords in solutions.basis_columns():
-        candidate = Matrix(n, n, tuple(coords))
-        if determinant(candidate) != 0:
-            return candidate
-    return None
+    n, known = m1.dim, m1.diameter is not None and m1.type_pair is not None
+    c = m1.diameter + m1.type_pair[0] if known else _arithmetic_spectrum_top(m1.A)[1]
+    line1, line2 = eigenspace(m1.A, c), eigenspace(m2.A, c)
+    if line1.dim != 1:
+        raise ReducibleModuleError(f"m1 is reducible: A1 has a {line1.dim}-dimensional eigenspace at its top {c}")
+    if line2.dim != 1:
+        return None
+    (v1,), (v2,) = _integer_columns(line1.basis), _integer_columns(line2.basis)
+    graph = _spin(v1 + v2, [_direct_sum_rows(x1, x2) for x1, x2 in ((m1.A, m2.A), (m1.Astar, m2.Astar))])
+    if sorted(graph.rows)[:n] != list(range(n)):
+        raise ReducibleModuleError("m1 is reducible: the top eigenline of A1 spins to a proper invariant subspace")
+    if len(graph) > n:
+        return None
+    witness = _tails(graph, n).transpose()  # reduced row j is r_j (e_j, S e_j)
+    witness = witness * (1 / next(x for x in witness.entries if x))
+    return witness if determinant(witness) != 0 else None
 
 
 def is_isomorphic(s1: ModuleSpec, s2: ModuleSpec) -> bool:

@@ -17,9 +17,9 @@ in `compare`. When the guard refuses a deep check (a module whose
 irreducibility the spin cannot decide and whose closure is above it), that
 check and every later one read "skipped", "skipped" holds the reason, and
 the refusal does not fail verification. Likewise, when the guard refuses
-the modules or the intertwiner of `compare --oracle`, "intertwiner_found"
-and "oracle_agrees" read "skipped" and the exit code is the criterion's
-(0 or 1).
+the modules of `compare --oracle`, "intertwiner_found" and
+"oracle_agrees" read "skipped" and the exit code is the criterion's (0 or
+1).
 A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1).

@@ -36,8 +36,8 @@ integer products with x alone, whether or not x is diagonalizable.
 
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
-here, a spec's module dimension, a Burnside closure's dim^2 and an
-intertwiner system's 2 dim^2 rows, each before that problem is built.
+here, a spec's module dimension and a Burnside closure's dim^2, each before
+that problem is built.
 """
 
 from __future__ import annotations
@@ -531,6 +531,12 @@ def inverse(m: Matrix) -> Matrix:
     echelon = _echelon(n, augmented)
     if len(echelon) < n:
         raise ValueError("matrix is singular")
+    return _tails(echelon, n)
+
+
+def _tails(echelon: _Echelon, n: int) -> Matrix:
+    """The n x n matrix T of an echelon of n rows of length 2n with pivots
+    0..n-1: reduced row i is r_i (e_i, t_i), and t_i is row i of T."""
     reduced, _ = echelon.reduced_rows()
     s = lcm(*(row[i] for i, row in enumerate(reduced)))
     return Matrix._of(n, n, ([x * (s // row[i]) for x in row[n:]] for i, row in enumerate(reduced)), s)
@@ -631,29 +637,20 @@ def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int] | None:
         raise ValueError("polynomial must have positive degree")
     roots: dict[Fraction, int] = {}
     while len(poly) > 1:
-        denom = 1
-        for c in poly:
-            denom = lcm(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in poly))
         ints = [int(c * denom) for c in poly]
-        root = None
         if ints[0] == 0:
             root = Fraction(0)
         else:
-            found = False
-            for p in _divisors(ints[0]):
-                for q in _divisors(ints[-1]):
-                    if gcd(p, q) != 1:
-                        continue
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if _eval_poly(poly, cand) == 0:
-                            root = cand
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
+            candidates = (
+                Fraction(sign * p, q)
+                for p in _divisors(ints[0])
+                for q in _divisors(ints[-1])
+                if gcd(p, q) == 1
+                for sign in (1, -1)
+            )
+            root = next((x for x in candidates if _eval_poly(poly, x) == 0), None)
+            if root is None:
                 return None
         roots[root] = roots.get(root, 0) + 1
         # synthetic division by (x - root); the remainder is zero by construction

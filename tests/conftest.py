@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 
@@ -12,8 +13,10 @@ from tetrabox import (
     build_from_spec,
     build_tetra,
     build_tetra_from_spec,
+    determinant,
     is_irreducible_burnside,
     is_irreducible_criterion,
+    kernel,
 )
 from tetrabox.onsager import kronecker_sum
 from tetrabox.tetra import TetraModule
@@ -102,3 +105,49 @@ def fixed_point_roundtrip():
 def two_build_roundtrip(fixed_point_roundtrip):
     """The two-build round trip of a module."""
     return lambda m: fixed_point_roundtrip(m, build_tetra(m))
+
+
+def _intertwiner_system(m1: OnsagerModule, m2: OnsagerModule) -> Matrix:
+    """The 2 dim^2 x dim^2 integer system of S A1 = A2 S and S Astar1 =
+    Astar2 S in the row-major entries of S. The equations of each relation
+    are scaled by the common denominator of its two matrices, which leaves
+    the kernel unchanged."""
+    n = m1.dim
+    rows = []
+    for lhs, rhs in ((m1.A, m2.A), (m1.Astar, m2.Astar)):
+        den = lcm(lhs._den, rhs._den)
+        p, q = den // lhs._den, den // rhs._den
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for v in range(n):
+                    row[i * n + v] += p * lhs._num[v][j]
+                for u in range(n):
+                    row[u * n + j] -= q * rhs._num[i][u]
+                rows.append(row)
+    return Matrix._of(len(rows), n * n, rows, 1)
+
+
+def _reference_intertwiner(m1: OnsagerModule, m2: OnsagerModule):
+    """The intertwiner by the linear system: the first canonical kernel basis
+    vector, reshaped row-major, whose determinant is nonzero; None if none."""
+    if m1.dim != m2.dim:
+        return None
+    n = m1.dim
+    for coords in kernel(_intertwiner_system(m1, m2)).basis_columns():
+        candidate = Matrix(n, n, coords)
+        if determinant(candidate) != 0:
+            return candidate
+    return None
+
+
+@pytest.fixture(scope="session")
+def intertwiner_system():
+    """Builder of the tall 2 dim^2 x dim^2 intertwiner system, the reference route."""
+    return _intertwiner_system
+
+
+@pytest.fixture(scope="session")
+def reference_intertwiner():
+    """find_intertwiner as the kernel of that system: the differential reference."""
+    return _reference_intertwiner

@@ -151,8 +151,8 @@ def test_criterion_6_classification_agreement(grid_specs, grid_modules, grid_bur
     for spec in grid_specs:
         if is_irreducible_criterion(spec) != grid_burnside[spec]:
             failures.append((spec.factors, "criterion vs burnside"))
-    small = [s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 8]
-    for s1, s2 in combinations_with_replacement(small, 2):
+    irreducible = [s for s in grid_specs if is_irreducible_criterion(s)]
+    for s1, s2 in combinations_with_replacement(irreducible, 2):
         iso = is_isomorphic(s1, s2)
         witness = find_intertwiner(grid_modules[s1], grid_modules[s2])
         if iso != (witness is not None):

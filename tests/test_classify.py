@@ -322,7 +322,7 @@ class TestNortonDifferential:
         (lambda t, m: verify_tridiagonal_pair(m.A, m.Astar).verdict, False),
         (lambda t, m: is_irreducible_burnside(m), True),
         (lambda t, m: generated_algebra_dimension(m.A, m.Astar), True),
-        (lambda t, m: find_intertwiner(m, m), True),
+        (lambda t, m: find_intertwiner(m, m) is not None, False),
     ],
     ids=["pairwise_burnside", "pair_generates_full_algebra", "verify_tridiagonal_pair",
          "is_irreducible_burnside", "generated_algebra_dimension", "find_intertwiner"],
@@ -340,7 +340,7 @@ def test_oracle_guard_binds_only_the_closures(monkeypatch, check, refuses):
 
 
 def test_one_guard_bounds_each_problem_by_its_own_side(monkeypatch):
-    # a matrix by its larger side, a closure by dim^2, an intertwiner system by its 2 dim^2 rows
+    # a matrix by its larger side, a closure by dim^2; the intertwiner is a spin, with no side of its own
     monkeypatch.setattr(linalg, "DIM_GUARD", 32)
     assert Matrix.zeros(1, 32).cols == 32
     with pytest.raises(DimensionGuardError, match="matrix side 33 exceeds the dimension guard 32"):
@@ -349,18 +349,8 @@ def test_one_guard_bounds_each_problem_by_its_own_side(monkeypatch):
     assert generated_algebra_dimension(d5.A, d5.Astar) == 25
     with pytest.raises(DimensionGuardError, match="Burnside closure dimension 36 exceeds the dimension guard 32"):
         generated_algebra_dimension(d6.A, d6.Astar)
-    systems = []
-
-    def spy(m):
-        systems.append(m.rows)
-        return linalg.kernel(m)
-
-    monkeypatch.setattr(classify, "kernel", spy)
-    d4 = build_from_spec(spec((1, 2), (1, 3)))
-    assert find_intertwiner(d4, d4) is not None and systems == [32]
-    with pytest.raises(DimensionGuardError, match="intertwiner system rows 50 exceeds the dimension guard 32"):
-        find_intertwiner(d5, d5)
-    assert systems == [32]
+    assert find_intertwiner(d5, d5) == Matrix.identity(5)
+    assert find_intertwiner(d6, d6) == Matrix.identity(6)
 
 
 class TestEquivalence:
@@ -410,14 +400,123 @@ class TestIntertwiner:
     def test_distinct_parameters_no_intertwiner(self):
         assert find_intertwiner(evaluation_module(1, F(2)), evaluation_module(1, F(3))) is None
 
+    def test_shifted_module(self):
+        # the top eigenvalue of A is d + alpha
+        m = build_from_spec(spec((1, 2), (1, 3), shift=(3, -1)))
+        assert find_intertwiner(m, m) == Matrix.identity(4)
+
     def test_dim_mismatch(self):
         assert find_intertwiner(evaluation_module(1, F(2)), evaluation_module(2, F(2))) is None
 
     def test_guard(self, monkeypatch):
-        m = build_from_spec(spec((3, 2), (1, 3)))
+        # the spin is 2 dim wide: a d16 decides where its dim^2 is above the guard
+        m = build_from_spec(spec((3, 2), (3, 3)))
         monkeypatch.setattr(linalg, "DIM_GUARD", 64)
-        with pytest.raises(DimensionGuardError):
+        assert find_intertwiner(m, m) == Matrix.identity(16)
+
+
+class TestIntertwinerDifferential:
+    """find_intertwiner, one spin in M1 + M2, against reference_intertwiner,
+    the kernel of the 2 dim^2 x dim^2 system, matrix for matrix."""
+
+    def test_grid_pairs(self, grid_specs, grid_modules, reference_intertwiner):
+        small = [s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]
+        pairs = [(s1, s2) for s1 in small for s2 in small if s1.dim == s2.dim]
+        assert len(pairs) == 338
+        for s1, s2 in pairs:
+            m1, m2 = grid_modules[s1], grid_modules[s2]
+            expected = reference_intertwiner(m1, m2)
+            assert find_intertwiner(m1, m2) == expected, (s1.factors, s2.factors)
+            assert (expected is not None) == is_isomorphic(s1, s2), (s1.factors, s2.factors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_conjugates(self, grid_specs, grid_modules, reference_intertwiner, data):
+        # (m, P m P^-1) in either order; the conjugate carries no diameter or
+        # type, so as m1 its top eigenvalue is read off the spectrum of A
+        s = data.draw(st.sampled_from([s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]))
+        m, n = grid_modules[s], grid_modules[s].dim
+        p = unitriangular_product(n, [data.draw(SMALL) for _ in range(n * (n - 1))])
+        p_inv = inverse(p)
+        conjugate = OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+        m1, m2 = (conjugate, m) if data.draw(st.booleans()) else (m, conjugate)
+        witness = find_intertwiner(m1, m2)
+        assert witness is not None and witness == reference_intertwiner(m1, m2)
+
+    def test_equal_tables_not_isomorphic(self, reference_intertwiner):
+        def table(m):
+            d = m.diameter
+            return [[eigenspace(x, lam).dim for lam in range(-d, d + 1)] for x in (m.A, m.Astar)]
+
+        m1, m2 = build_from_spec(spec((2, 2), (2, 3))), build_from_spec(spec((2, 2), (2, 5)))
+        assert table(m1) == table(m2)
+        assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
+        # d27, where the reference system would take about 10 s
+        m1, m2 = build_from_spec(spec((2, 2), (2, 3), (2, 5))), build_from_spec(spec((2, 2), (2, 3), (2, 7)))
+        assert table(m1) == table(m2)
+        assert find_intertwiner(m1, m2) is None
+
+    def test_d27_isomorphic(self):
+        m1 = build_from_spec(spec((2, 2), (2, 3), (2, 5)))
+        m2 = build_from_spec(spec((2, F(1, 5)), (2, 2), (2, F(1, 3))))
+        s = find_intertwiner(m1, m2)
+        assert s is not None and s * m1.A == m2.A * s and s * m1.Astar == m2.Astar * s
+
+    @pytest.mark.parametrize("factors", [[(1, 1)], [(2, 3), (2, 3)]], ids=["v1", "v3_v3"])
+    def test_reducible_spin_raises(self, reference_intertwiner, factors):
+        # the top eigenline spins to a proper submodule; the system still finds a matrix
+        m = build_from_spec(ModuleSpec.of(factors))
+        assert reference_intertwiner(m, m) is not None
+        with pytest.raises(ReducibleModuleError, match="spins to a proper invariant subspace"):
             find_intertwiner(m, m)
+
+    def test_reducible_m1_with_pivots_past_its_head(self):
+        # v1 spins to a line of the d2 (1,1), v2 to all of the d2 (1,2): pivots 0, 2, 3
+        with pytest.raises(ReducibleModuleError, match="spins to a proper invariant subspace"):
+            find_intertwiner(evaluation_module(1, 1), evaluation_module(1, 2))
+
+    def test_top_eigenspace_not_a_line_raises(self, doubled_v):
+        m = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
+        with pytest.raises(ReducibleModuleError, match="2-dimensional eigenspace"):
+            find_intertwiner(m, m)
+
+    def test_no_line_in_a2(self, reference_intertwiner):
+        # A2 = diag(A, A) of a d2 has no eigenvalue 2, the top of the d4's A1
+        m1, v = build_from_spec(spec((1, 2), (1, 3))), evaluation_module(1, F(2))
+        m2 = OnsagerModule(4, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
+        assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 2)], [(1, 2), (1, 1)]], ids=["v2_v2", "v2_v1"])
+    def test_reducible_m2_extra_pivots(self, reference_intertwiner, factors):
+        # the spin of (v1, v2) meets 0 + M2 in a proper submodule: pivots past dim
+        m1, m2 = build_from_spec(spec((1, 2), (1, 3))), build_from_spec(ModuleSpec.of(factors))
+        assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
+
+    def test_singular_graph(self, reference_intertwiner):
+        # a reducible m1 spun from its top line onto the graph of a singular S: the determinant decides
+        a, b1 = Matrix.from_rows([[1, 0], [0, -1]]), Matrix.from_rows([[0, 0], [1, 0]])
+        m1, m2 = OnsagerModule(2, a, b1), OnsagerModule(2, a, Matrix.zeros(2, 2))
+        assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
+
+    def test_no_elimination_wider_than_the_spin(self, monkeypatch):
+        widths = []
+
+        class Spy(linalg._Echelon):
+            def __init__(self, n):
+                widths.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(linalg, "_Echelon", Spy)
+        monkeypatch.setattr(classify, "_Echelon", Spy)
+        for first, second, found in [
+            ([(3, 2), (3, 3)], [(3, F(1, 3)), (3, 2)], True),
+            ([(3, 2), (3, 3)], [(3, 2), (3, 5)], False),
+            ([(2, 2), (2, 3), (2, 5)], [(2, 5), (2, 3), (2, F(1, 2))], True),
+        ]:
+            m1, m2 = build_from_spec(ModuleSpec.of(first)), build_from_spec(ModuleSpec.of(second))
+            widths.clear()
+            assert (find_intertwiner(m1, m2) is not None) == found
+            assert max(widths) == 2 * m1.dim, (first, second, widths)
 
 
 class TestIsomorphism:

@@ -347,16 +347,15 @@ class TestCompare:
         ],
         ids=["isomorphic", "not_isomorphic"],
     )
-    def test_oracle_guard_refusal_is_skipped(self, tmp_path, monkeypatch, capsys, other, code):
-        # a refused cross-check is neither malformed input (2) nor a disagreement (3)
+    def test_oracle_decides_under_a_low_guard(self, tmp_path, monkeypatch, capsys, other, code):
+        # the oracle is a spin 2 dim wide: a d4 decides at guard 16, where its dim^2 is at the guard
         monkeypatch.setattr(linalg, "DIM_GUARD", 16)
         assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == code
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {
             "isomorphic": code == 0,
-            "intertwiner_found": "skipped",
-            "oracle_agrees": "skipped",
-            "skipped": "intertwiner system rows 32 exceeds the dimension guard 16",
+            "intertwiner_found": code == 0,
+            "oracle_agrees": True,
         }
         assert captured.err == ""
 

@@ -26,7 +26,7 @@ from tetrabox import (
     rref,
     subspace_sum,
 )
-from tetrabox import classify, linalg
+from tetrabox import linalg
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -440,17 +440,9 @@ class TestKernelDifferential:
         ([(1, 2), (2, 3)], [(1, 2), (2, 5)], 0),  # not isomorphic
         ([(1, 2), (1, 3), (1, 5)], [(1, 2), (1, 3), (1, 5)], 1),
     ])
-    def test_intertwiner_systems(self, monkeypatch, first, second, solutions):
-        # the tall 2n^2 x n^2 systems of find_intertwiner at diameter 3
-        systems = []
-
-        def spy(m):
-            systems.append(m)
-            return linalg.kernel(m)
-
-        monkeypatch.setattr(classify, "kernel", spy)
-        classify.find_intertwiner(build_from_spec(ModuleSpec.of(first)), build_from_spec(ModuleSpec.of(second)))
-        (system,) = systems
+    def test_intertwiner_systems(self, intertwiner_system, first, second, solutions):
+        # the tall 2n^2 x n^2 systems of the reference intertwiner at diameter 3
+        system = intertwiner_system(build_from_spec(ModuleSpec.of(first)), build_from_spec(ModuleSpec.of(second)))
         assert system.rows == 2 * system.cols
         assert kernel(system).basis == reference_kernel(system).basis
         assert kernel(system).dim == solutions

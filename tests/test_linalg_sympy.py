@@ -22,6 +22,7 @@ from tetrabox import (  # noqa: E402
     inverse,
     kernel,
     minimal_polynomial,
+    rational_roots,
     rref,
     subspace_sum,
 )
@@ -317,3 +318,26 @@ def test_inverse_at_the_edges(m):
             inverse(m)
     else:
         assert inverse(m) == from_sympy(reference.inv())
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=0, max_size=5),
+    st.sampled_from([None, 2, 3, -1]),
+    entries.filter(bool),
+)
+def test_rational_roots_against_sympy(roots, square, lead):
+    # lead * prod (x - r), times x^2 - square when one is drawn (irrational or complex roots)
+    x = sympy.Symbol("x")
+    expr = sympy.Rational(lead.numerator, lead.denominator) * (x**2 - square if square else 1)
+    for r in roots:
+        expr *= x - sympy.Rational(r.numerator, r.denominator)
+    poly = sympy.Poly(expr, x)
+    if poly.degree() < 1:
+        return
+    found = rational_roots([to_fraction(c) for c in reversed(poly.all_coeffs())])
+    expected = sympy.roots(poly)
+    if all(r.is_rational for r in expected):
+        assert found == {to_fraction(r): k for r, k in expected.items()}
+    else:
+        assert found is None
