@@ -35,12 +35,12 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
   full algebra. Spins are ranks, unchanged over any extension field, so
   this is absolute irreducibility, the question the closure decides.
 
-pair_generates_full_algebra (pairwise Burnside, the tridiagonal-pair
-check) and is_irreducible_spin take Norton's verdict whenever the top
-eigenspace is a line and fall back to the closure otherwise.
-is_irreducible_burnside takes only the refutation from the spin; its
-"full" verdict always comes from the closure, which keeps it an
-independent second route.
+pair_generates_full_algebra, is_irreducible_spin, tetra.build_tetra and
+tetra.pairwise_burnside (at the diameter d) and the tridiagonal-pair check
+take Norton's verdict whenever the eigenspace is a line and fall back to
+the closure otherwise. is_irreducible_burnside takes only the refutation
+from the spin; its "full" verdict always comes from the closure, which
+keeps it an independent second route.
 
 The spins, the intertwiner's included, have no size bound. The closure
 works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
@@ -270,31 +270,30 @@ def is_irreducible_burnside(m: OnsagerModule) -> bool:
     """Burnside test: the module is (absolutely) irreducible iff the algebra
     generated by A and Astar has dimension dim^2.
 
-    A "full" verdict always comes from the closure, within the guard,
-    so this stays a route independent of Norton's test. Only reducible input
-    is refuted early: a spin of the top eigenline of A (or of A^T) that stops
-    short is a proper invariant subspace, which proves the algebra is not
-    End(V).
+    A "full" verdict always comes from the closure, so this stays a route
+    independent of Norton's test. The closure's guard is checked first: a
+    dim^2 above linalg.DIM_GUARD raises DimensionGuardError before any
+    spin, for reducible input too. Within it, reducible input is refuted
+    early: a spin of the top eigenline of A (or of A^T) that stops short is
+    a proper invariant subspace, which proves the algebra is not End(V).
     """
+    require_within_guard(m.dim * m.dim, "Burnside closure dimension")
     if _norton(m.A, m.Astar, _spectrum_top(m.A)) is False:
         return False
     return _closure_is_full([m.A._num, m.Astar._num], m.dim)
 
 
-def is_irreducible_spin(m: OnsagerModule, top: Fraction | None = None) -> bool:
+def is_irreducible_spin(m: OnsagerModule) -> bool:
     """Norton's spinning test: the module is (absolutely) irreducible iff the
-    eigenvector v of A at top spins to Q^dim under A, Astar and the
-    eigenvector w of A^T at top spins to Q^dim under A^T, Astar^T.
+    eigenvector v of A at its top eigenvalue d + alpha (from module_type)
+    spins to Q^dim under A, Astar and the eigenvector w of A^T there spins
+    to Q^dim under A^T, Astar^T.
 
-    top is the largest eigenvalue of A (d for a type-(0,0) module) and is
-    found by module_type when omitted. The spin needs the eigenspace to be
-    a line and then decides at any dimension; otherwise the Burnside
-    closure decides, within the guard.
+    The spin needs the eigenspace to be a line and then decides at any
+    dimension; otherwise the Burnside closure decides, within the guard.
     """
-    if top is None:
-        d, alpha, _ = module_type(m)
-        top = d + alpha
-    return _full_algebra_with_top(m.A, m.Astar, top)
+    d, alpha, _ = module_type(m)
+    return _full_algebra_with_top(m.A, m.Astar, d + alpha)
 
 
 def _direct_sum_rows(x1: Matrix, x2: Matrix) -> list[list[tuple[int, int]]]:

@@ -109,11 +109,7 @@ def cmd_build(args) -> int:
             "is not (0, 0); only type-(0,0) modules carry the six-generator structure"
         )
         return 1
-    try:
-        tetra = build_tetra_from_spec(spec)
-    except TetraboxError as exc:
-        _fail(str(exc))
-        return 1
+    tetra = build_tetra_from_spec(spec)
     # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
     module = OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)], diameter=tetra.diameter, type_pair=spec.shift)
     payload = {
@@ -259,9 +255,6 @@ def cmd_inspect(args) -> int:
             payload = {"eigentable": eigentable_to_json(eigentable(tetra))}
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None
-    except TetraboxError as exc:
-        _fail(str(exc))
-        return 1
     _emit(payload)
     return 0
 
@@ -311,7 +304,7 @@ def main(argv=None) -> int:
         _fail(str(exc))
         return 2
     except TetraboxError as exc:
-        # rejected input outside the per-command handlers (e.g. size guards)
+        # a library refusal (a size guard, reducible or shifted input): one line, exit 1
         _fail(str(exc))
         return 1
 

@@ -7,7 +7,7 @@ forms are, and every operation (sums, scalar and matrix products, transpose,
 Kronecker products, stacking, commutators, inverses) runs on the integers.
 ``fractions.Fraction`` objects are made only by the views that read
 single entries out (``entries``, indexing, ``row_list``, ``col_list``,
-``to_rows``, ``apply``) and by the scalar results (determinant, minimal
+``to_rows``) and by the scalar results (determinant, minimal
 polynomial); there are no tolerances anywhere. Subspaces are kept in a
 canonical reduced column-echelon form, so two subspaces are equal as sets
 exactly when their representations compare equal.
@@ -206,12 +206,6 @@ class Matrix:
             return self * other
         return NotImplemented
 
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """Matrix-vector product."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return (self * Matrix(self.cols, 1, vector)).col_list(0)
-
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -392,12 +386,6 @@ class Subspace:
 
     def basis_columns(self) -> list[list[Fraction]]:
         return [self.basis.col_list(j) for j in range(self.dim)]
-
-    def contains_vector(self, vector: Sequence[Fraction]) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        (column,) = _integer_columns(Matrix(self.ambient_dim, 1, vector))
-        return len(_echelon(self.ambient_dim, _integer_columns(self.basis) + [column])) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)

@@ -65,7 +65,11 @@ def sl2_irreducible(n: int) -> Sl2Triple:
 
 @dataclass(frozen=True)
 class OnsagerModule:
-    """Actions A, Astar of the two standard Onsager generators on Q^dim."""
+    """Actions A, Astar of the two standard Onsager generators on Q^dim.
+
+    diameter and type_pair are set only by the constructors that derive
+    them (evaluation_module, build_from_spec, normalize_type), else None.
+    """
 
     dim: int
     A: Matrix
@@ -136,16 +140,11 @@ def kronecker_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
-    """Tensor product module: each generator acts as a Kronecker sum."""
+    """Tensor product module: each generator acts as a Kronecker sum. It sets
+    no diameter or type; build_from_spec derives them from the spec."""
     A = kronecker_sum(m1.A, m2.A)
     Astar = kronecker_sum(m1.Astar, m2.Astar)
-    diameter = None
-    type_pair = None
-    if m1.diameter is not None and m2.diameter is not None:
-        diameter = m1.diameter + m2.diameter
-    if m1.type_pair is not None and m2.type_pair is not None:
-        type_pair = (m1.type_pair[0] + m2.type_pair[0], m1.type_pair[1] + m2.type_pair[1])
-    return OnsagerModule(m1.dim * m2.dim, A, Astar, diameter=diameter, type_pair=type_pair)
+    return OnsagerModule(m1.dim * m2.dim, A, Astar)
 
 
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:

@@ -99,18 +99,21 @@ def _require_int(value, what: str) -> int:
 
 
 def module_from_json(data) -> OnsagerModule:
+    """The module's dim, A and Astar. A "diameter" or "type" field is
+    validated but not stored: the matrices fix both (module_type)."""
     if not isinstance(data, dict) or "A" not in data or "Astar" not in data:
         raise ValueError("module must be an object with matrices 'A' and 'Astar'")
     a = matrix_from_json(data["A"])
     astar = matrix_from_json(data["Astar"])
     dim = _require_int(data.get("dim", a.rows), "module dimension 'dim'")
-    diameter = _require_int(data["diameter"], "module diameter") if "diameter" in data else None
-    type_pair = None
+    if "diameter" in data:
+        _require_int(data["diameter"], "module diameter")
     if "type" in data:
         if not isinstance(data["type"], list) or len(data["type"]) != 2:
             raise ValueError("module type must be a pair of rationals")
-        type_pair = (fraction_from_str(data["type"][0]), fraction_from_str(data["type"][1]))
-    return OnsagerModule(dim, a, astar, diameter=diameter, type_pair=type_pair)
+        for literal in data["type"]:
+            fraction_from_str(literal)
+    return OnsagerModule(dim, a, astar)
 
 
 def _pair_key(pair: tuple[int, int]) -> str:
@@ -144,7 +147,7 @@ def tetra_from_json(data) -> TetraModule:
     d = _require_int(data["d"], "diameter 'd'")
     if d >= dim:
         raise ValueError(f"diameter d = {d} needs d + 1 distinct eigenvalues, more than the dimension {dim}")
-    return TetraModule(dim=dim, diameter=d, x=x, flags=None)
+    return TetraModule(dim=dim, diameter=d, x=x)
 
 
 def flags_to_json(flags: tuple[Flag, ...]) -> list:

@@ -34,9 +34,9 @@ Each inclusion of the image of an eigenspace of x_rs under a shifted x_tu
 in a sum of eigenspaces of x_rs, and each inclusion of an eigenspace of x_rt
 in a partial eigenspace sum of x_rs (flag independence), is the test that a
 product of factors x_rs - mu I annihilates it (linalg.annihilates): no
-change of basis, no inverse and no subspace sum. The eigenspace chain of
-each generator is computed once per TetraModule and shared by every check
-that needs it.
+change of basis, no inverse and no subspace sum. A TetraModule's matrices
+are read-only, so the eigenspace chain of each generator is computed once
+per TetraModule and shared by every check that needs it.
 
 Verification runs on six generators once antisymmetry is shown. Wherever
 a file's own x_sr equals -x_rs exactly (one comparison of canonical forms,
@@ -52,8 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
-from .classify import is_irreducible_criterion, is_irreducible_spin, pair_generates_full_algebra
+from .classify import _full_algebra_with_top, is_irreducible_criterion
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
 from .linalg import (
@@ -129,15 +130,16 @@ class EigenTable:
 
 @dataclass(frozen=True, eq=False)
 class TetraModule:
-    """The twelve generator matrices x_rs on one module, plus its four flags."""
+    """The twelve generator matrices x_rs on one module, as a read-only copy
+    of the table given; the four flags are four_flags of (x_01, x_23)."""
 
     dim: int
     diameter: int
-    x: dict[tuple[int, int], Matrix]
-    flags: tuple[Flag, Flag, Flag, Flag] | None = None
+    x: MappingProxyType[tuple[int, int], Matrix]
     _chains: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "x", MappingProxyType(dict(self.x)))
         if set(self.x) != set(ORDERED_PAIRS):
             raise ValueError("expected one matrix per ordered pair of distinct corners")
         for pair, mat in self.x.items():
@@ -169,16 +171,16 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     (s, r) induces the same pieces in reverse order.
 
     The input must be irreducible of type (0,0). Norton's spinning test
-    decides that at any dimension when the top eigenspace of A is a line, as
-    on every irreducible module; otherwise the Burnside closure decides, and
-    when dim^2 is above linalg.DIM_GUARD it raises DimensionGuardError
-    rather than build: the flag-opposition scan passes some reducible
-    modules, such as V + V.
+    decides that at any dimension at d, whose eigenspace is a line on every
+    irreducible module; otherwise the Burnside closure decides, and when
+    dim^2 is above linalg.DIM_GUARD it raises DimensionGuardError rather
+    than build: the flag-opposition scan passes some reducible modules,
+    such as V + V. The flags are not returned: four_flags(m) gives them.
     """
     d, alpha, alphastar = module_type(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if not is_irreducible_spin(m, Fraction(d)):
+    if not _full_algebra_with_top(m.A, m.Astar, Fraction(d)):
         raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
     x: dict[tuple[int, int], Matrix] = {}
@@ -186,7 +188,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
         weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
         x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
         x[(s, r)] = -x[(r, s)]
-    return TetraModule(dim=m.dim, diameter=d, x=x, flags=flags)
+    return TetraModule(dim=m.dim, diameter=d, x=x)
 
 
 def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
@@ -196,8 +198,6 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     factors' matrices are combined by Kronecker sums in the left-fold order
     of build_from_spec, so x_01 and x_23 equal its A and Astar entry for
     entry and every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
-    The four flags are not recovered (flags is None): four_flags of the
-    spec's module gives them.
 
     Raises the errors build_tetra(build_from_spec(spec)) raises:
     DimensionGuardError when spec.dim is above linalg.DIM_GUARD, before any
@@ -287,21 +287,21 @@ def verify_relations(t: TetraModule) -> VerificationReport:
 def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
     """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
 
-    Computed once per matrix and kept on t. For r > s with x_rs = -x_sr
-    exactly, the chain of x_rs is the chain of x_sr reversed, so on a file
-    that passes antisymmetry the eigenspace table, the action table and the
+    Computed once per pair and kept on t; t.x is read-only, so the chain
+    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr exactly, the
+    chain of x_rs is the chain of x_sr reversed, so on a file that passes
+    antisymmetry the eigenspace table, the action table and the
     flag-independence check share six chains, and twelve otherwise.
     """
-    mat, partner = t.x[pair], t.x[pair[::-1]]
-    hit = t._chains.get(pair)
-    if hit is None or hit[0] is not mat or hit[1] is not partner:
+    chain = t._chains.get(pair)
+    if chain is None:
         if pair[0] > pair[1] and pair in _antisymmetric_pairs(t):
             chain = _eigenspace_chain(t, pair[::-1])[::-1]
         else:
             d = t.diameter
-            chain = tuple(eigenspace(mat, Fraction(d - 2 * i)) for i in range(d + 1))
-        hit = t._chains[pair] = (mat, partner, chain)
-    return hit[2]
+            chain = tuple(eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1))
+        t._chains[pair] = chain
+    return chain
 
 
 def eigentable(t: TetraModule) -> EigenTable:
@@ -424,12 +424,13 @@ def flag_independence_check(t: TetraModule) -> bool:
 def pairwise_burnside(t: TetraModule) -> bool:
     """Each of the three disjoint generator pairs alone generates End(V).
 
-    Each pair goes to pair_generates_full_algebra, so Norton's test decides
-    it at any dimension when the top eigenspace of the first matrix is a
-    line, as it is on every irreducible structure; otherwise the Burnside
-    closure does, within the guard.
+    Norton's test is sound at any eigenvalue whose eigenspace is a line, so
+    each pair is asked at t's diameter d, the top line of every irreducible
+    structure, and decided at any dimension; where ker(x_p - d) is not a
+    line, the Burnside closure decides, within the guard.
     """
-    return all(pair_generates_full_algebra(t.x[p1], t.x[p2]) for p1, p2 in OPPOSITE_PAIRS)
+    d = Fraction(t.diameter)
+    return all(_full_algebra_with_top(t.x[p1], t.x[p2], d) for p1, p2 in OPPOSITE_PAIRS)
 
 
 def rebuild_from_standard_generators(t: TetraModule) -> TetraModule:
@@ -444,7 +445,7 @@ def roundtrip_uniqueness(m: OnsagerModule) -> bool:
     One build decides it. When t passes, a rebuild from t's standard
     generators x_01, x_23 would hand build_tetra exactly m's dim, A and
     Astar, which is all of its input that build_tetra reads, so the rebuild
-    would repeat t (matrices and flags) and its comparison with t could not
+    would repeat t's twelve matrices and its comparison with t could not
     fail.
     """
     t = build_tetra(m)

@@ -109,7 +109,7 @@ def test_criterion_4_flag_suite(relation_suite_specs, built_suite):
     failures = []
     for spec in relation_suite_specs:
         tetra = built_suite[spec]
-        flags = tetra.flags
+        flags = four_flags(build_from_spec(spec))
         d = tetra.diameter
         for f, g in combinations(flags, 2):
             if not are_opposite(f, g):

@@ -83,6 +83,18 @@ class TestBurnside:
         with pytest.raises(DimensionGuardError):
             is_irreducible_burnside(m)
 
+    def test_guard_refuses_reducible_input_before_the_spin(self, monkeypatch):
+        # the d9 (2,3)(2,3) is reducible, and a spin would refute it; above the
+        # closure's guard it is refused instead, before any spin
+        m = build_from_spec(spec((2, 3), (2, 3)))
+        calls = []
+        real = classify._spin
+        monkeypatch.setattr(classify, "_spin", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(linalg, "DIM_GUARD", 64)
+        with pytest.raises(DimensionGuardError, match="Burnside closure dimension 81"):
+            is_irreducible_burnside(m)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "factors",
         [

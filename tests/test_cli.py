@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import cli, linalg, tetra
+from tetrabox import Matrix, cli, linalg, tetra
+from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
 from tetrabox.onsager import OnsagerModule, build_from_spec
@@ -59,12 +60,16 @@ class TestBuild:
     def test_reducible_spec_rejected(self, tmp_path, capsys):
         spec = write_json(tmp_path / "red.json", SPEC_REDUCIBLE)
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
-        assert "reducible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reducible" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
     def test_shifted_spec_rejected(self, tmp_path, capsys):
         spec = write_json(tmp_path / "shifted.json", {"factors": [{"n": 1, "a": "2"}], "shift": ["3", "0"]})
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
-        assert "type shift" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "type shift" in err and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -170,7 +175,8 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("module", "Astar", None), ("module", "dim", "4"), ("tetra", "d", "x")],
+        [("module", "Astar", None), ("module", "dim", "4"), ("tetra", "d", "x"), ("module", "diameter", -1),
+         ("module", "diameter", "1"), ("module", "type", ["0"]), ("module", "type", ["x", "0"])],
     )
     def test_malformed_field_exits_2(self, built_v2, tmp_path, capsys, section, key, value):
         data = json.loads(built_v2.read_text())
@@ -403,12 +409,43 @@ class TestInspect:
         assert table["eigenvalues"] == ["2", "0", "-2"]
         assert all(dims == [1, 2, 1] for dims in table["dims"].values())
 
+    def test_shifted_module_exits_1_with_one_line(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out_path = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        shifted = module_from_json(data["module"])
+        data["module"]["A"] = module_to_json(OnsagerModule(4, shifted.A + Matrix.identity(4), shifted.Astar))["A"]
+        path = write_json(tmp_path / "shifted.json", data)
+        capsys.readouterr()
+        assert main(["inspect", path, "--flags"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: module has type (1, 0), expected (0, 0)\n"
+
     def test_requires_exactly_one_mode(self, built_v2):
         with pytest.raises(SystemExit):
             main(["inspect", str(built_v2)])
 
     def test_parse_error(self, tmp_path):
         assert main(["inspect", str(tmp_path / "missing.json"), "--table"]) == 2
+
+
+class TestModuleMetadata:
+    """A module file's "diameter" and "type" are validated, not trusted: the
+    matrices fix both."""
+
+    @pytest.mark.parametrize("key, value", [("type", ["1", "0"]), ("diameter", 0)])
+    def test_wrong_metadata_does_not_reach_the_intertwiner(self, tmp_path, key, value):
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out_path = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        data["module"][key] = value
+        module = module_from_json(data["module"])
+        assert module.diameter is None and module.type_pair is None
+        witness = find_intertwiner(module, build_from_spec(spec_from_json(SPEC_V2_V3)))
+        assert witness == Matrix.identity(4)
 
 
 class TestGuardOverride:

@@ -192,8 +192,8 @@ def test_sum_and_containment(pair):
     assert u.contains(v) == (sympy.Matrix.hstack(sa, sb).rank() == rank_a)
     for j in range(b.cols):
         expected = sympy.Matrix.hstack(sa, sb[:, j]).rank() == rank_a
-        assert u.contains_vector(b.col_list(j)) == expected
-    assert u.contains_vector([F(0)] * a.rows)
+        assert u.contains(Subspace.span_columns(Matrix(a.rows, 1, b.col_list(j)))) == expected
+    assert u.contains(Subspace.span_columns(Matrix(a.rows, 1, [F(0)] * a.rows)))
 
 
 @settings(deadline=None, max_examples=80)

@@ -86,7 +86,7 @@ class TestTensor:
     def test_dims_multiply(self):
         m = tensor(evaluation_module(1, F(2)), evaluation_module(2, F(3)))
         assert m.dim == 6
-        assert m.diameter == 3
+        assert module_type(m)[0] == 3
 
     def test_kronecker_sum_spectrum(self):
         m = tensor(evaluation_module(1, F(2)), evaluation_module(1, F(3)))

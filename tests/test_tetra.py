@@ -27,6 +27,7 @@ from tetrabox import (
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
+    pair_generates_full_algebra,
     pairwise_burnside,
     roundtrip_uniqueness,
     subspace_sum,
@@ -34,7 +35,7 @@ from tetrabox import (
     verify_action_table,
     verify_relations,
 )
-from tetrabox import linalg, onsager, tetra
+from tetrabox import classify, linalg, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -43,6 +44,7 @@ from tetrabox.tetra import (
     TetraModule,
     _antisymmetric_pairs,
     _opposite_decompositions,
+    rebuild_from_standard_generators,
 )
 
 SAMPLE_SPECS = [
@@ -196,7 +198,7 @@ class TestRelations:
         t = build_tetra(evaluation_module(1, F(2)))
         x = dict(t.x)
         x[(0, 1)] = x[(0, 1)] + Matrix.identity(2)
-        tampered = TetraModule(dim=t.dim, diameter=t.diameter, x=x, flags=None)
+        tampered = TetraModule(dim=t.dim, diameter=t.diameter, x=x)
         report = verify_relations(tampered)
         assert not report.all_passed
         failure = next(c for c in report.failures() if c.relation == "antisymmetry")
@@ -293,7 +295,10 @@ def reference_action_table(t):
                     case, shifted, target = "lowers_plus", mat + lam * ident, down
                 else:
                     case, shifted, target = "adjacent", mat, subspace_sum(subspace_sum(up, source), down)
-                passed = all(target.contains_vector(shifted.apply(col)) for col in source.basis_columns())
+                passed = all(
+                    target.contains(Subspace.span_columns(shifted * Matrix(t.dim, 1, col)))
+                    for col in source.basis_columns()
+                )
                 out.append((f"action_{case}", (r, s, tt, u, str(lam)), passed))
     return out
 
@@ -301,7 +306,7 @@ def reference_action_table(t):
 def with_generator(t, pair, mat):
     x = dict(t.x)
     x[pair] = mat
-    return TetraModule(dim=t.dim, diameter=t.diameter, x=x, flags=None)
+    return TetraModule(dim=t.dim, diameter=t.diameter, x=x)
 
 
 def with_mirrored_change(t, pair, delta):
@@ -592,7 +597,7 @@ class TestEigenspaceShiftOnGenerators:
                 target = eigenspace(a, lam + 2)
                 shifted = b + lam * Matrix.identity(t.dim)
                 for col in space.basis_columns():
-                    assert target.contains_vector(shifted.apply(col))
+                    assert target.contains(Subspace.span_columns(shifted * Matrix(t.dim, 1, col)))
 
 
 def reference_flag_independence(t):
@@ -683,6 +688,7 @@ class TestGlobalStructure:
 
     def test_partial_sums_match_flags(self, built):
         t = built[SAMPLE_SPECS[1]]
+        flags = four_flags(build_from_spec(SAMPLE_SPECS[1]))
         d = t.diameter
         for r in CORNERS:
             s = next(c for c in CORNERS if c != r)
@@ -690,7 +696,57 @@ class TestGlobalStructure:
             for i in range(d + 1):
                 space = eigenspace(t.x[(r, s)], F(2 * i - d))
                 acc = space if acc is None else subspace_sum(acc, space)
-                assert acc == t.flags[r].components[i]
+                assert acc == flags[r].components[i]
+
+
+class TestPairwiseBurnsideAtD:
+    """pairwise_burnside asks Norton's test at the structure's d, against
+    pair_generates_full_algebra, which finds each top from a minimal polynomial."""
+
+    def assert_same(self, t, monkeypatch):
+        expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
+        calls = []
+        real = onsager.minimal_polynomial
+        with monkeypatch.context() as patch:
+            patch.setattr(onsager, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+            assert pairwise_burnside(t) is expected
+        assert calls == []
+        return expected
+
+    def test_irreducible_grid(self, built_irreducible_grid, monkeypatch):
+        for t in built_irreducible_grid.values():
+            assert self.assert_same(t, monkeypatch)
+
+    def test_doubled_v(self, doubled_v, monkeypatch):
+        # the top eigenspace at d is a plane: the closure decides
+        assert self.assert_same(doubled_v, monkeypatch) is False
+
+    def test_declared_d_not_an_eigenvalue(self, monkeypatch):
+        # the d6 (3,2)(3,3) declared d = 8: ker(x_p - 8) is zero, so the closure decides
+        t = build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
+        misdeclared = TetraModule(dim=t.dim, diameter=8, x=t.x)
+        closures = []
+        real = classify._closure_is_full
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_closure_is_full", lambda gens, n: closures.append(n) or real(gens, n))
+            assert pairwise_burnside(misdeclared)
+        assert closures == [16, 16, 16]
+        assert self.assert_same(misdeclared, monkeypatch) is True
+
+
+class TestReadOnlyMatrices:
+    def test_assignment_raises(self, built):
+        t = built[SAMPLE_SPECS[1]]
+        with pytest.raises(TypeError):
+            t.x[(0, 1)] = t.x[(1, 0)]
+        assert rebuild_from_standard_generators(t).x == t.x
+
+    def test_the_given_table_is_copied(self, built):
+        t = built[SAMPLE_SPECS[0]]
+        table = dict(t.x)
+        copy = TetraModule(dim=t.dim, diameter=t.diameter, x=table)
+        table[(0, 1)] = Matrix.zeros(2, 2)
+        assert copy.x == t.x
 
 
 class TestRoundtrip:

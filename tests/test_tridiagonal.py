@@ -74,7 +74,8 @@ def reference_block_tridiagonal(acting, spaces, ambient):
         below = spaces[i - 1] if i > 0 else zero
         above = spaces[i + 1] if i + 1 < len(spaces) else zero
         window = subspace_sum(subspace_sum(below, space), above)
-        if not all(window.contains_vector(acting.apply(col)) for col in space.basis_columns()):
+        images = (acting * Matrix(ambient, 1, col) for col in space.basis_columns())
+        if not all(window.contains(Subspace.span_columns(image)) for image in images):
             return False
     return True
 
@@ -192,13 +193,11 @@ class TestEigenspaceShiftEquivalence:
             space = eigenspace(a, F(lam))
             if space.is_zero():
                 continue
-            vanishes = all(
-                all(x == 0 for x in phi.apply(col)) for col in space.basis_columns()
-            )
+            vanishes = all((phi * Matrix(dim, 1, col)).is_zero() for col in space.basis_columns())
             window = subspace_sum(
                 subspace_sum(eigenspace(a, F(lam + 2)), space), eigenspace(a, F(lam - 2))
             )
             included = all(
-                window.contains_vector(astar.apply(col)) for col in space.basis_columns()
+                window.contains(Subspace.span_columns(astar * Matrix(dim, 1, col))) for col in space.basis_columns()
             )
             assert vanishes == included
