@@ -8,7 +8,6 @@ from .classify import (
     generated_algebra_dimension,
     is_irreducible_burnside,
     is_irreducible_criterion,
-    is_irreducible_spin,
     is_isomorphic,
     pair_generates_full_algebra,
 )

@@ -35,12 +35,12 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
   full algebra. Spins are ranks, unchanged over any extension field, so
   this is absolute irreducibility, the question the closure decides.
 
-pair_generates_full_algebra, is_irreducible_spin, tetra.build_tetra and
-tetra.pairwise_burnside (at the diameter d) and the tridiagonal-pair check
-take Norton's verdict whenever the eigenspace is a line and fall back to
-the closure otherwise. is_irreducible_burnside takes only the refutation
-from the spin; its "full" verdict always comes from the closure, which
-keeps it an independent second route.
+So the matrix side has one route. pair_generates_full_algebra (and with it
+is_irreducible_burnside), tetra.build_tetra and tetra.pairwise_burnside (at
+the diameter d) and the tridiagonal-pair check take Norton's verdict, in
+both directions, whenever the top eigenspace is a line. The closure decides
+only otherwise: when there is no spectrum {c, c-2, ...} or its top
+eigenspace is wider. generated_algebra_dimension is the closure alone.
 
 The spins, the intertwiner's included, have no size bound. The closure
 works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
@@ -65,7 +65,7 @@ from .linalg import (
     eigenspace,
     require_within_guard,
 )
-from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top, module_type
+from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
 
@@ -267,33 +267,9 @@ def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
 
 
 def is_irreducible_burnside(m: OnsagerModule) -> bool:
-    """Burnside test: the module is (absolutely) irreducible iff the algebra
-    generated by A and Astar has dimension dim^2.
-
-    A "full" verdict always comes from the closure, so this stays a route
-    independent of Norton's test. The closure's guard is checked first: a
-    dim^2 above linalg.DIM_GUARD raises DimensionGuardError before any
-    spin, for reducible input too. Within it, reducible input is refuted
-    early: a spin of the top eigenline of A (or of A^T) that stops short is
-    a proper invariant subspace, which proves the algebra is not End(V).
-    """
-    require_within_guard(m.dim * m.dim, "Burnside closure dimension")
-    if _norton(m.A, m.Astar, _spectrum_top(m.A)) is False:
-        return False
-    return _closure_is_full([m.A._num, m.Astar._num], m.dim)
-
-
-def is_irreducible_spin(m: OnsagerModule) -> bool:
-    """Norton's spinning test: the module is (absolutely) irreducible iff the
-    eigenvector v of A at its top eigenvalue d + alpha (from module_type)
-    spins to Q^dim under A, Astar and the eigenvector w of A^T there spins
-    to Q^dim under A^T, Astar^T.
-
-    The spin needs the eigenspace to be a line and then decides at any
-    dimension; otherwise the Burnside closure decides, within the guard.
-    """
-    d, alpha, _ = module_type(m)
-    return _full_algebra_with_top(m.A, m.Astar, d + alpha)
+    """Burnside test: the module is (absolutely) irreducible iff A and Astar
+    generate End(V), as pair_generates_full_algebra decides it."""
+    return pair_generates_full_algebra(m.A, m.Astar)
 
 
 def _direct_sum_rows(x1: Matrix, x2: Matrix) -> list[list[tuple[int, int]]]:

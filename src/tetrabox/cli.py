@@ -22,13 +22,16 @@ the modules of `compare --oracle`, "intertwiner_found" and
 1).
 A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
-generator's eigenvalue fails verification (exit 1).
+generator's eigenvalue fails verification (exit 1). A stdout closed early
+(`tetrabox verify m.json | head -1`) ends the process by SIGPIPE, as it ends
+other filters, with no traceback and not with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .classify import equivalence_key, find_intertwiner, is_irreducible_criterion, is_isomorphic
@@ -310,6 +313,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -540,21 +540,25 @@ def annihilates(x: Matrix, m: Matrix, blocks: Sequence[tuple[int, Sequence]]) ->
     eigenbasis, completion or inverse; with no roots the block must vanish.
     On the stored integer rows, with x = X / den and a root mu = p / q, a
     factor maps an integer column y to q (X y) - p den y, a nonzero multiple
-    of (x - mu I) y. The k-th factors of all blocks take one product with X.
+    of (x - mu I) y. The k-th factors of all blocks take one product with X,
+    on the columns that still have a k-th root; the others stay as they are.
     """
     if not x.is_square or x.cols != m.rows:
         raise ValueError(f"shape mismatch: {x.rows}x{x.cols} acting on {m.rows}x{m.cols}")
     if sum(width for width, _ in blocks) != m.cols:
         raise ValueError("block widths do not add up to the column count")
     column_roots = [[_as_rational(mu) for mu in roots] for width, roots in blocks for _ in range(width)]
-    y = m._num
+    y = [list(row) for row in m._num]
     for k in range(max(map(len, column_roots), default=0)):
         if not any(map(any, y)):
             break
-        # per column, (q, p den) of its k-th root p/q, or (0, -1), which keeps the column
-        scales = [(mu[k].denominator, mu[k].numerator * x._den) if k < len(mu) else (0, -1) for mu in column_roots]
-        xy = _int_matmul(x._num, y, m.cols)
-        y = [[q * a - s * b for (q, s), a, b in zip(scales, r, t)] for r, t in zip(xy, y)]
+        # the columns with a k-th root p/q, and (q, p den) for each
+        live = [j for j, mu in enumerate(column_roots) if k < len(mu)]
+        scales = [(column_roots[j][k].denominator, column_roots[j][k].numerator * x._den) for j in live]
+        xy = _int_matmul(x._num, [[row[j] for j in live] for row in y], len(live))
+        for row, products in zip(y, xy):
+            for j, (q, s), a in zip(live, scales, products):
+                row[j] = q * a - s * row[j]
     verdicts, lo = [], 0
     for width, _ in blocks:
         verdicts.append(not any(any(row[lo : lo + width]) for row in y))

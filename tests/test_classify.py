@@ -23,7 +23,6 @@ from tetrabox import (
     inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
-    is_irreducible_spin,
     is_isomorphic,
     pair_generates_full_algebra,
     pairwise_burnside,
@@ -78,22 +77,21 @@ class TestBurnside:
         assert not is_irreducible_burnside(m)
 
     def test_guard(self, monkeypatch):
-        m = build_from_spec(spec((1, 2), (1, 3)))
+        # V + V has no top line, so only the closure can decide, and its dim^2 is above the guard
+        m = doubled(evaluation_module(1, F(2)))
         monkeypatch.setattr(linalg, "DIM_GUARD", 4)
-        with pytest.raises(DimensionGuardError):
+        with pytest.raises(DimensionGuardError, match="Burnside closure dimension 16"):
             is_irreducible_burnside(m)
 
-    def test_guard_refuses_reducible_input_before_the_spin(self, monkeypatch):
-        # the d9 (2,3)(2,3) is reducible, and a spin would refute it; above the
-        # closure's guard it is refused instead, before any spin
+    def test_spin_refutes_reducible_input_above_the_guard(self, monkeypatch):
+        # the d9 (2,3)(2,3) is reducible, and its top line spins short: no closure, so no guard
         m = build_from_spec(spec((2, 3), (2, 3)))
         calls = []
         real = classify._spin
         monkeypatch.setattr(classify, "_spin", lambda *args: calls.append(args) or real(*args))
         monkeypatch.setattr(linalg, "DIM_GUARD", 64)
-        with pytest.raises(DimensionGuardError, match="Burnside closure dimension 81"):
-            is_irreducible_burnside(m)
-        assert calls == []
+        assert not is_irreducible_burnside(m)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "factors",
@@ -117,35 +115,46 @@ def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+def doubled(v: OnsagerModule) -> OnsagerModule:
+    """V + V: the top eigenspace of A is a plane, so Norton's test says nothing."""
+    return OnsagerModule(2 * v.dim, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
+
+
+def spy_closures(monkeypatch) -> list[int]:
+    """The dimensions at which classify._closure_is_full runs from now on."""
+    calls = []
+    real = classify._closure_is_full
+    monkeypatch.setattr(classify, "_closure_is_full", lambda gens, n: calls.append(n) or real(gens, n))
+    return calls
+
+
 class TestSpin:
-    def test_agrees_with_burnside_and_criterion_on_grid(self, grid_modules, grid_burnside):
+    """is_irreducible_burnside decides by Norton's spin wherever A has a top line."""
+
+    def test_agrees_with_burnside_and_criterion_on_grid(self, monkeypatch, grid_modules):
+        # every grid module's top eigenspace is a line, so no verdict needs the closure
+        closures = spy_closures(monkeypatch)
         for s, module in grid_modules.items():
-            assert is_irreducible_spin(module) == grid_burnside[s] == is_irreducible_criterion(s), s.factors
+            assert is_irreducible_burnside(module) == is_irreducible_criterion(s), s.factors
+        assert closures == []
 
     def test_shifted_module(self):
-        assert is_irreducible_spin(build_from_spec(spec((1, 2), (1, 3), shift=(3, -1))))
-        assert not is_irreducible_spin(build_from_spec(spec((1, 2), (1, F(1, 2)), shift=(3, -1))))
+        assert is_irreducible_burnside(build_from_spec(spec((1, 2), (1, 3), shift=(3, -1))))
+        assert not is_irreducible_burnside(build_from_spec(spec((1, 2), (1, F(1, 2)), shift=(3, -1))))
 
     def test_direct_sum_takes_the_burnside_fallback(self, monkeypatch):
-        v = evaluation_module(1, F(2))
-        m = OnsagerModule(4, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
+        m = doubled(evaluation_module(1, F(2)))
         assert eigenspace(m.A, 1).dim == 2
-        calls = []
-
-        real = classify._closure_is_full
-
-        def spy(gens, n):
-            calls.append(n)
-            return real(gens, n)
-
-        monkeypatch.setattr(classify, "_closure_is_full", spy)
+        closures = spy_closures(monkeypatch)
+        assert not is_irreducible_burnside(m)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
-        assert calls == [4]
+        assert closures == [4, 4]
 
     def test_reducible_beyond_the_oracle_guard(self):
         m = build_from_spec(spec((4, 2), (12, F(1, 2))))
         assert m.dim == 65 and m.dim * m.dim > linalg.DIM_GUARD
+        assert not is_irreducible_burnside(m)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
 
@@ -311,19 +320,17 @@ class TestNortonDifferential:
         elif kind in ("repeated_top", "non_ladder"):
             assert verdict is None
 
-    def test_burnside_keeps_its_closure_and_pairwise_needs_none(self, monkeypatch, grid_modules,
-                                                                built_irreducible_grid):
+    def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
         calls = []
         for name in ("_closure_full_mod_p", "_closure_dimension_exact"):
             real = getattr(classify, name)
             monkeypatch.setattr(classify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
         for s, t in built_irreducible_grid.items():
             assert pairwise_burnside(t), s.factors
-        assert calls == []
-        for s in built_irreducible_grid:
-            calls.clear()
             assert is_irreducible_burnside(grid_modules[s]), s.factors
-            assert calls, s.factors
+        assert calls == []
+        assert not is_irreducible_burnside(doubled(evaluation_module(1, F(2))))
+        assert calls
 
 
 @pytest.mark.parametrize(
@@ -332,7 +339,7 @@ class TestNortonDifferential:
         (lambda t, m: pairwise_burnside(t), False),
         (lambda t, m: pair_generates_full_algebra(t.x[(0, 2)], t.x[(1, 3)]), False),
         (lambda t, m: verify_tridiagonal_pair(m.A, m.Astar).verdict, False),
-        (lambda t, m: is_irreducible_burnside(m), True),
+        (lambda t, m: is_irreducible_burnside(m), False),
         (lambda t, m: generated_algebra_dimension(m.A, m.Astar), True),
         (lambda t, m: find_intertwiner(m, m) is not None, False),
     ],
@@ -495,7 +502,7 @@ class TestIntertwinerDifferential:
     def test_no_line_in_a2(self, reference_intertwiner):
         # A2 = diag(A, A) of a d2 has no eigenvalue 2, the top of the d4's A1
         m1, v = build_from_spec(spec((1, 2), (1, 3))), evaluation_module(1, F(2))
-        m2 = OnsagerModule(4, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
+        m2 = doubled(v)
         assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
 
     @pytest.mark.parametrize("factors", [[(1, 2), (1, 2)], [(1, 2), (1, 1)]], ids=["v2_v2", "v2_v1"])

@@ -27,6 +27,12 @@ SPEC_REDUCIBLE = {"factors": [{"n": 1, "a": "1"}], "shift": ["0", "0"]}
 SPEC_TRIVIAL = {"factors": [{"n": 0, "a": "1"}], "shift": ["0", "0"]}
 
 
+def subprocess_env(**extra) -> dict:
+    """The environment of a child python that imports this tetrabox."""
+    src = str(Path(tetrabox.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -535,13 +541,11 @@ class TestCrossProcessDeterminism:
     def test_build_and_deep_verify_bytes_ignore_the_hash_seed(self, tmp_path):
         # string hashing, and with it set and dict iteration order, changes
         # with PYTHONHASHSEED; the output bytes must not
-        src = str(Path(tetrabox.__file__).resolve().parent.parent)
         spec = write_json(tmp_path / "d16.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "-1/3"}],
                                                   "shift": ["0", "0"]})
         outputs = []
         for seed in ("0", "1"):
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            env = subprocess_env(PYTHONHASHSEED=seed)
             out = tmp_path / f"d16.{seed}.module.json"
             build = subprocess.run([sys.executable, "-m", "tetrabox.cli", "build", spec, "-o", str(out)],
                                    capture_output=True, env=env, timeout=300)
@@ -556,8 +560,7 @@ class TestCrossProcessDeterminism:
 class TestImports:
     def test_build_verify_and_deep_verify_do_not_load_numpy(self, tmp_path):
         # -X importtime lists every module the process imports on stderr
-        src = str(Path(tetrabox.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env = subprocess_env()
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
         out = str(tmp_path / "m.json")
         for args in (["build", spec, "-o", out], ["verify", out], ["verify", out, "--deep"]):
@@ -569,6 +572,28 @@ class TestImports:
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
             assert "tetrabox.classify" in imported
             assert not any(name.split(".")[0] == "numpy" for name in imported), args
+
+    def test_burnside_on_an_irreducible_build_does_not_load_numpy(self):
+        # Norton's spin decides; the mod-p certificate, and numpy with it, never runs
+        code = ("import sys; from tetrabox import ModuleSpec, build_from_spec, is_irreducible_burnside; "
+                "assert is_irreducible_burnside(build_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))); "
+                "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [["verify"], ["inspect", "--table"]], ids=["verify", "inspect"])
+    def test_no_traceback_and_not_a_failed_check(self, built_v2, command):
+        # the reader is gone before the report is written, as in `tetrabox verify m.json | true`
+        with subprocess.Popen([sys.executable, "-m", "tetrabox.cli", *command, str(built_v2)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env()) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode != 1
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 def assert_one_error_line(out: str, err: str) -> None:

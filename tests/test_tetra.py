@@ -676,6 +676,16 @@ class TestFlagIndependenceDifferential:
         assert sum(chain_dims(t, (0, 1))) < t.dim
         assert self.assert_same(t) is True
 
+    def test_only_columns_with_a_factor_left_are_multiplied(self, monkeypatch):
+        # at d27, 864 column products carry a factor; multiplying every column at every step takes 1512
+        t = build_tetra_from_spec(ModuleSpec.of([(2, 2), (2, 3), (2, 5)]))
+        eigentable(t)  # the chains, which the check reuses, are not counted
+        columns = []
+        real = linalg._int_matmul
+        monkeypatch.setattr(linalg, "_int_matmul", lambda a, b, cols: columns.append(cols) or real(a, b, cols))
+        assert flag_independence_check(t)
+        assert 0 < sum(columns) <= 864
+
 
 class TestGlobalStructure:
     def test_flag_independence(self, built):
