@@ -24,7 +24,9 @@ A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1). A stdout closed early
 (`tetrabox verify m.json | head -1`) ends the process by SIGPIPE, as it ends
-other filters, with no traceback and not with exit 1.
+other filters, with no traceback and not with exit 1. The same entry point
+lifts Python's limit on the digits of an int-string conversion, so a file's
+rational literals and a failed check's residual may be of any length.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import signal
 import sys
 
-from .classify import equivalence_key, find_intertwiner, is_irreducible_criterion, is_isomorphic
+from .classify import _intertwiner_with_top, equivalence_key, is_irreducible_criterion, is_isomorphic
 from .errors import DimensionGuardError, TetraboxError
 from .flags import four_flags
 from .linalg import require_within_guard
@@ -114,12 +116,10 @@ def cmd_build(args) -> int:
         return 1
     tetra = build_tetra_from_spec(spec)
     # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
-    module = OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)], diameter=tetra.diameter, type_pair=spec.shift)
-    payload = {
-        "spec": spec_to_json(spec),
-        "module": module_to_json(module),
-        "tetra": tetra_to_json(tetra),
-    }
+    module = module_to_json(OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]))
+    # the spec's diameter and type, which module_type would recompute from the matrices
+    module.update(diameter=spec.degree_sum, type=[str(x) for x in spec.shift])
+    payload = {"spec": spec_to_json(spec), "module": module, "tetra": tetra_to_json(tetra)}
     text = json.dumps(payload, indent=2) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -141,7 +141,7 @@ def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | N
             # the round trip's one build would repeat this rebuild
             out["roundtrip_uniqueness"] = rebuilt.x[(0, 1)] == module.A and rebuilt.x[(2, 3)] == module.Astar
         else:
-            out["roundtrip_uniqueness"] = roundtrip_uniqueness(OnsagerModule(module.dim, module.A, module.Astar))
+            out["roundtrip_uniqueness"] = roundtrip_uniqueness(module)
         if spec is not None:
             same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
             out["spec_matches"] = same_shape and build_tetra_from_spec(spec).x == tetra.x
@@ -231,7 +231,8 @@ def cmd_compare(args) -> int:
     result = {"isomorphic": isomorphic}
     if args.oracle:
         try:
-            witness = find_intertwiner(build_from_spec(s1), build_from_spec(s2))
+            # the top eigenvalue of s1's A is its degree sum: the shift is (0, 0)
+            witness = _intertwiner_with_top(build_from_spec(s1), build_from_spec(s2), s1.degree_sum)
         except DimensionGuardError as exc:
             # a refused cross-check is not a failed one: the criterion decides
             result.update(intertwiner_found="skipped", oracle_agrees="skipped", skipped=str(exc))
@@ -315,6 +316,8 @@ def main(argv=None) -> int:
 def run() -> None:
     if hasattr(signal, "SIGPIPE"):  # not on Windows
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+, and 3.10.7+
+        sys.set_int_max_str_digits(0)  # exact entries and residuals have no length limit
     sys.exit(main())
 
 

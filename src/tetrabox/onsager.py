@@ -67,15 +67,14 @@ def sl2_irreducible(n: int) -> Sl2Triple:
 class OnsagerModule:
     """Actions A, Astar of the two standard Onsager generators on Q^dim.
 
-    diameter and type_pair are set only by the constructors that derive
-    them (evaluation_module, build_from_spec, normalize_type), else None.
+    The module is its matrices: equality and hash compare dim, A and Astar
+    only, whatever built them. Its diameter and type are facts of the
+    matrices, derived by module_type.
     """
 
     dim: int
     A: Matrix
     Astar: Matrix
-    diameter: int | None = None
-    type_pair: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         if not (self.A.is_square and self.Astar.is_square):
@@ -127,7 +126,7 @@ def evaluation_module(n: int, a) -> OnsagerModule:
     triple = sl2_irreducible(n)
     A = triple.e + triple.f
     Astar = a * triple.e + (1 / a) * triple.f
-    return OnsagerModule(n + 1, A, Astar, diameter=n, type_pair=(Q0, Q0))
+    return OnsagerModule(n + 1, A, Astar)
 
 
 def trivial_module() -> OnsagerModule:
@@ -140,8 +139,7 @@ def kronecker_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
-    """Tensor product module: each generator acts as a Kronecker sum. It sets
-    no diameter or type; build_from_spec derives them from the spec."""
+    """Tensor product module: each generator acts as a Kronecker sum."""
     A = kronecker_sum(m1.A, m2.A)
     Astar = kronecker_sum(m1.Astar, m2.Astar)
     return OnsagerModule(m1.dim * m2.dim, A, Astar)
@@ -150,12 +148,12 @@ def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     """Left-fold tensor of the evaluation factors, then apply the type shift.
 
-    The diameter and type are read off the spec, not recomputed: each factor
-    (n, a) has A and Astar diagonalizable with spectrum {n, n-2, ..., -n},
-    a Kronecker sum of diagonalizable matrices is diagonalizable with the
-    sums of their eigenvalues, so the module has diameter sum n_i and type
-    equal to the shift. A spec above the dimension guard is refused before
-    any factor is built.
+    The module has diameter spec.degree_sum and type spec.shift, which
+    module_type recomputes from the matrices: each factor (n, a) has A and
+    Astar diagonalizable with spectrum {n, n-2, ..., -n}, and a Kronecker
+    sum of diagonalizable matrices is diagonalizable with the sums of their
+    eigenvalues. A spec above the dimension guard is refused before any
+    factor is built.
     """
     require_within_guard(spec.dim, "module dimension")
     module = None
@@ -168,7 +166,7 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     if alpha or alphastar:
         ident = Matrix.identity(module.dim)
         module = OnsagerModule(module.dim, module.A + alpha * ident, module.Astar + alphastar * ident)
-    return OnsagerModule(module.dim, module.A, module.Astar, diameter=spec.degree_sum, type_pair=spec.shift)
+    return module
 
 
 def _arithmetic_spectrum_top(m: Matrix) -> tuple[int, Fraction]:
@@ -214,18 +212,11 @@ def module_type(m: OnsagerModule) -> tuple[int, Fraction, Fraction]:
 
 
 def normalize_type(m: OnsagerModule) -> OnsagerModule:
-    """Shift both generators so the module has type (0,0)."""
-    d, alpha, alphastar = module_type(m)
-    if alpha == 0 and alphastar == 0:
-        return OnsagerModule(m.dim, m.A, m.Astar, diameter=d, type_pair=(Q0, Q0))
+    """The module with both generators shifted to type (0,0); a module of
+    type (0,0) comes back equal to m."""
+    _, alpha, alphastar = module_type(m)
     ident = Matrix.identity(m.dim)
-    return OnsagerModule(
-        m.dim,
-        m.A - alpha * ident,
-        m.Astar - alphastar * ident,
-        diameter=d,
-        type_pair=(Q0, Q0),
-    )
+    return OnsagerModule(m.dim, m.A - alpha * ident, m.Astar - alphastar * ident)
 
 
 def _dolan_grady_residual(x: Matrix, inner: Matrix) -> Matrix:

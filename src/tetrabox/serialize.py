@@ -80,16 +80,7 @@ def spec_from_json(data) -> ModuleSpec:
 
 
 def module_to_json(m: OnsagerModule) -> dict:
-    out = {
-        "dim": m.dim,
-        "A": matrix_to_json(m.A),
-        "Astar": matrix_to_json(m.Astar),
-    }
-    if m.diameter is not None:
-        out["diameter"] = m.diameter
-    if m.type_pair is not None:
-        out["type"] = [str(m.type_pair[0]), str(m.type_pair[1])]
-    return out
+    return {"dim": m.dim, "A": matrix_to_json(m.A), "Astar": matrix_to_json(m.Astar)}
 
 
 def _require_int(value, what: str) -> int:
@@ -99,8 +90,9 @@ def _require_int(value, what: str) -> int:
 
 
 def module_from_json(data) -> OnsagerModule:
-    """The module's dim, A and Astar. A "diameter" or "type" field is
-    validated but not stored: the matrices fix both (module_type)."""
+    """The module's dim, A and Astar, which is all an OnsagerModule holds. A
+    "diameter" or "type" field, as `tetrabox build` writes them, is validated
+    and dropped: the matrices fix both (module_type)."""
     if not isinstance(data, dict) or "A" not in data or "Astar" not in data:
         raise ValueError("module must be an object with matrices 'A' and 'Astar'")
     a = matrix_from_json(data["A"])

@@ -24,6 +24,7 @@ from tetrabox import (
     is_irreducible_burnside,
     is_irreducible_criterion,
     is_isomorphic,
+    module_type,
     pair_generates_full_algebra,
     pairwise_burnside,
     trivial_module,
@@ -451,8 +452,7 @@ class TestIntertwinerDifferential:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_conjugates(self, grid_specs, grid_modules, reference_intertwiner, data):
-        # (m, P m P^-1) in either order; the conjugate carries no diameter or
-        # type, so as m1 its top eigenvalue is read off the spectrum of A
+        # (m, P m P^-1) in either order
         s = data.draw(st.sampled_from([s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]))
         m, n = grid_modules[s], grid_modules[s].dim
         p = unitriangular_product(n, [data.draw(SMALL) for _ in range(n * (n - 1))])
@@ -464,7 +464,7 @@ class TestIntertwinerDifferential:
 
     def test_equal_tables_not_isomorphic(self, reference_intertwiner):
         def table(m):
-            d = m.diameter
+            d = module_type(m)[0]
             return [[eigenspace(x, lam).dim for lam in range(-d, d + 1)] for x in (m.A, m.Astar)]
 
         m1, m2 = build_from_spec(spec((2, 2), (2, 3))), build_from_spec(spec((2, 2), (2, 5)))
@@ -532,10 +532,22 @@ class TestIntertwinerDifferential:
             ([(3, 2), (3, 3)], [(3, 2), (3, 5)], False),
             ([(2, 2), (2, 3), (2, 5)], [(2, 5), (2, 3), (2, F(1, 2))], True),
         ]:
-            m1, m2 = build_from_spec(ModuleSpec.of(first)), build_from_spec(ModuleSpec.of(second))
+            s1 = ModuleSpec.of(first)
+            m1, m2 = build_from_spec(s1), build_from_spec(ModuleSpec.of(second))
             widths.clear()
-            assert (find_intertwiner(m1, m2) is not None) == found
+            # the form compare --oracle calls, with the top the spec gives
+            assert (classify._intertwiner_with_top(m1, m2, s1.degree_sum) is not None) == found
             assert max(widths) == 2 * m1.dim, (first, second, widths)
+
+    def test_top_from_the_spec_gives_the_same_witness(self, grid_specs, grid_modules):
+        # compare --oracle passes d; find_intertwiner reads the top off the spectrum of A1
+        irreducible = [s for s in grid_specs if is_irreducible_criterion(s)]
+        pairs = [(s1, s2) for s1 in irreducible for s2 in irreducible if s1.dim == s2.dim]
+        assert len(pairs) == 463
+        for s1, s2 in pairs:
+            m1, m2 = grid_modules[s1], grid_modules[s2]
+            expected = find_intertwiner(m1, m2)
+            assert classify._intertwiner_with_top(m1, m2, s1.degree_sum) == expected, (s1.factors, s2.factors)
 
 
 class TestIsomorphism:

@@ -18,7 +18,7 @@ from tetrabox import Matrix, cli, linalg, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
-from tetrabox.onsager import OnsagerModule, build_from_spec
+from tetrabox.onsager import OnsagerModule, build_from_spec, module_type
 from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
@@ -310,16 +310,16 @@ class TestClassify:
         assert out["equivalence_key"] == []
 
     def test_reads_diameter_and_type_off_the_spec(self, tmp_path, monkeypatch, capsys):
-        # build_from_spec only copies them from the spec, so classify builds nothing
+        # they are the module's diameter and type (module_type), so classify builds nothing
         data = {"factors": [{"n": 2, "a": "3"}, {"n": 0, "a": "5"}], "shift": ["1/2", "-3"]}
-        module = build_from_spec(spec_from_json(data))
+        d, alpha, alphastar = module_type(build_from_spec(spec_from_json(data)))
         calls = []
         monkeypatch.setattr(cli, "build_from_spec", lambda s: calls.append(s))
         assert main(["classify", write_json(tmp_path / "s.json", data)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert calls == []
-        assert out["d"] == module.diameter == 2
-        assert out["type"] == [str(x) for x in module.type_pair] == ["1/2", "-3"]
+        assert out["d"] == d == 2
+        assert out["type"] == [str(alpha), str(alphastar)] == ["1/2", "-3"]
 
     def test_parse_error(self, tmp_path):
         assert main(["classify", str(tmp_path / "missing.json")]) == 2
@@ -386,6 +386,28 @@ class TestCompare:
         }
         assert captured.err == ""
 
+    def test_oracle_reads_the_top_off_the_spec(self, tmp_path, monkeypatch, capsys):
+        # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
+        calls, widths = [], []
+        for module in (linalg, tetrabox.onsager, tetrabox.tridiagonal):
+            real = module.minimal_polynomial
+            monkeypatch.setattr(module, "minimal_polynomial", lambda m, real=real: calls.append(m) or real(m))
+
+        class Spy(linalg._Echelon):
+            def __init__(self, n):
+                widths.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(linalg, "_Echelon", Spy)
+        monkeypatch.setattr(tetrabox.classify, "_Echelon", Spy)
+        d16 = {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}], "shift": ["0", "0"]}
+        for other, code in (({"factors": [{"n": 3, "a": "1/3"}, {"n": 3, "a": "2"}]}, 0),
+                            ({"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "5"}]}, 1)):
+            assert self.run(tmp_path, d16, other, "--oracle") == code
+            assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
+        assert calls == []
+        assert max(widths) == 32
+
 
 class TestInspect:
     def test_table(self, built_v2, capsys):
@@ -448,10 +470,9 @@ class TestModuleMetadata:
         assert main(["build", spec, "-o", str(out_path)]) == 0
         data = json.loads(out_path.read_text())
         data["module"][key] = value
-        module = module_from_json(data["module"])
-        assert module.diameter is None and module.type_pair is None
-        witness = find_intertwiner(module, build_from_spec(spec_from_json(SPEC_V2_V3)))
-        assert witness == Matrix.identity(4)
+        module, built = module_from_json(data["module"]), build_from_spec(spec_from_json(SPEC_V2_V3))
+        assert module == built and hash(module) == hash(built)
+        assert find_intertwiner(module, built) == Matrix.identity(4)
 
 
 class TestGuardOverride:
@@ -594,6 +615,24 @@ class TestClosedStdout:
             err = proc.stderr.read().decode()
         assert proc.returncode != 1
         assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+class TestLongIntegers:
+    @pytest.mark.parametrize("literal", ["7" * 4000, "1/" + "7" * 4000], ids=["numerator", "denominator"])
+    @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["verify", "deep"])
+    def test_a_residual_past_python_s_digit_limit_is_reported(self, tmp_path, literal, deep):
+        # the residual of a 4000-digit entry has about 8000 digits, past the default 4300 of str(int)
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["x"]["02"][0][1] = literal
+        tampered = write_json(tmp_path / "tampered.json", data)
+        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", *deep, tampered],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is False
 
 
 def assert_one_error_line(out: str, err: str) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from tetrabox import (
     trivial_module,
 )
 from tetrabox import linalg, onsager
+from tetrabox.serialize import module_from_json, module_to_json
 
 SAMPLE_FACTORS = [(1, F(2)), (2, F(3)), (3, F(1, 2)), (1, F(-1)), (2, F(1)), (2, F(5))]
 
@@ -130,32 +132,32 @@ class TestBuildFromSpec:
     def test_single_factor(self):
         m = build_from_spec(ModuleSpec.of([(1, 2)]))
         ref = evaluation_module(1, F(2))
-        assert m.A == ref.A and m.Astar == ref.Astar
-        assert m.diameter == 1 and m.type_pair == (0, 0)
+        assert m == ref
+        assert module_type(m) == (1, 0, 0)
 
     def test_two_factor_diameter(self):
         m = build_from_spec(ModuleSpec.of([(1, 2), (1, 3)]))
-        assert m.dim == 4 and m.diameter == 2
+        assert m.dim == 4 and module_type(m)[0] == 2
 
     def test_shift_moves_spectrum(self):
         m = build_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))
         assert eigenspace(m.A, 4).dim == 1 and eigenspace(m.A, 2).dim == 1
-        assert m.type_pair == (3, 0)
+        assert module_type(m) == (1, 3, 0)
 
     def test_empty_spec_is_trivial(self):
         m = build_from_spec(ModuleSpec(()))
-        assert m.dim == 1 and m.diameter == 0
+        assert m == trivial_module() and module_type(m) == (0, 0, 0)
 
     def test_weight_zero_factors_are_trivial(self):
         m = build_from_spec(ModuleSpec.of([(0, 5), (0, 7)]))
-        assert m.dim == 1 and m.diameter == 0 and m.type_pair == (0, 0)
+        assert m == trivial_module() and module_type(m) == (0, 0, 0)
 
     @pytest.mark.parametrize(
         "factors", [[(1, 2)], [(1, 2), (2, 3)], [(1, 2), (1, 3), (1, 5)], [(0, 3), (2, F(1, 2))]]
     )
     def test_diameter_is_weight_sum(self, factors):
         spec = ModuleSpec.of(factors)
-        assert build_from_spec(spec).diameter == spec.degree_sum
+        assert module_type(build_from_spec(spec))[0] == spec.degree_sum
 
     def test_invalid_factors_rejected(self):
         with pytest.raises(ValueError):
@@ -202,17 +204,39 @@ def shifted_specs(draw):
 
 
 class TestStoredType:
-    """build_from_spec reads diameter and type off the spec; module_type recomputes them."""
+    """The spec's degree sum and shift, which `tetrabox build` writes as the
+    module's diameter and type, are what module_type reads off the matrices."""
 
     def test_acceptance_grid(self, grid_modules):
-        for m in grid_modules.values():  # reducible specs included
-            assert (m.diameter, *m.type_pair) == module_type(m)
+        for spec, m in grid_modules.items():  # reducible specs included
+            assert module_type(m) == (spec.degree_sum, *spec.shift)
 
     @settings(max_examples=40, deadline=None)
     @given(shifted_specs())
     def test_drawn_specs(self, spec):
-        m = build_from_spec(spec)
-        assert (m.diameter, *m.type_pair) == module_type(m)
+        assert module_type(build_from_spec(spec)) == (spec.degree_sum, *spec.shift)
+
+
+class TestModuleEquality:
+    """A module is its matrices: whatever built it, equal matrices give equal
+    modules with equal hashes."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(OnsagerModule)] == ["dim", "A", "Astar"]
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(2, 3)], [(1, 2), (0, 5), (2, F(1, 2))]])
+    def test_equal_matrices_are_equal_modules(self, factors):
+        m = build_from_spec(ModuleSpec.of(factors))
+        folded = trivial_module()
+        for n, a in factors:
+            folded = tensor(folded, evaluation_module(n, a))
+        same = [folded, module_from_json(module_to_json(m)), OnsagerModule(m.dim, m.A, m.Astar), normalize_type(m)]
+        assert all(x == m for x in same)
+        assert {hash(x) for x in same} == {hash(m)}
+
+    def test_d4_build_is_the_tensor(self):
+        spec = ModuleSpec.of([(1, 2), (1, 3)])
+        assert build_from_spec(spec) == tensor(evaluation_module(1, 2), evaluation_module(1, 3))
 
 
 class TestModuleType:

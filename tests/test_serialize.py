@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetrabox import Matrix, ModuleSpec, build_from_spec, build_tetra, evaluation_module
+from tetrabox.cli import main
 from tetrabox.serialize import (
     fraction_from_str,
     matrix_from_json,
@@ -125,17 +127,19 @@ class TestSpecJson:
 
 
 class TestModuleJson:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         m = build_from_spec(ModuleSpec.of([(1, 2), (1, 5)]))
         encoded = module_to_json(m)
-        assert encoded["dim"] == 4
-        assert encoded["diameter"] == 2
-        assert encoded["type"] == ["0", "0"]
-        assert list(encoded) == ["dim", "A", "Astar", "diameter", "type"]
-        decoded = module_from_json(encoded)
-        assert decoded.A == m.A and decoded.Astar == m.Astar
-        # the file's diameter and type are validated, not stored: the matrices fix them
-        assert decoded.diameter is None and decoded.type_pair is None
+        assert list(encoded) == ["dim", "A", "Astar"] and encoded["dim"] == 4
+        assert module_from_json(encoded) == m
+        # `tetrabox build` adds the spec's diameter and type; they are validated, not stored
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(spec_to_json(ModuleSpec.of([(1, 2), (1, 5)]))))
+        assert main(["build", str(spec), "-o", str(tmp_path / "m.json")]) == 0
+        written = json.loads((tmp_path / "m.json").read_text())["module"]
+        assert list(written) == ["dim", "A", "Astar", "diameter", "type"]
+        assert written["diameter"] == 2 and written["type"] == ["0", "0"]
+        assert module_from_json(written) == m
 
     def test_rejects_null_diameter(self):
         encoded = module_to_json(evaluation_module(1, F(2)))
