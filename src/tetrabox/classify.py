@@ -98,6 +98,15 @@ def is_irreducible_criterion(spec: ModuleSpec) -> bool:
     return len(set(values)) == len(values)
 
 
+def _reducibility_diagnostic(spec: ModuleSpec) -> str | None:
+    """Why spec fails the criterion, as one line; None when it passes."""
+    if is_irreducible_criterion(spec):
+        return None
+    if any(n >= 1 and a * a == 1 for n, a in spec.factors):
+        return "reducible: a = ±1 in an evaluation factor"
+    return "reducible: the parameters a_i, a_i^-1 are not mutually distinct"
+
+
 def are_equivalent(s1: ModuleSpec, s2: ModuleSpec) -> bool:
     """Equal up to factor permutation and replacing parameters by inverses."""
     for s in (s1, s2):

@@ -1,12 +1,11 @@
 """Command-line front end: build, verify, classify, compare, inspect.
 
 `build` has the spec, so it folds the twelve generators from the spec's
-evaluation factors (tetra.build_tetra_from_spec). `verify --deep` has only
-the file's matrices: it rebuilds them from x_01, x_23 by the flag route,
-runs the round trip (read off that rebuild whenever x_01, x_23 are the
-module's A, Astar, since the round trip's one build would repeat it) and,
-when the file echoes its spec, checks that the spec's fold gives the
-file's twelve matrices.
+evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
+`verify --deep` reads every key off the file's matrices and one flag-route
+build of the module (x_01, x_23), of which the module section is a copy:
+the rebuild, the round trip of that pair and, when the file echoes its
+spec, whether the spec's module is that pair and folds to the file.
 
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
@@ -36,7 +35,13 @@ import json
 import signal
 import sys
 
-from .classify import _intertwiner_with_top, equivalence_key, is_irreducible_criterion, is_isomorphic
+from .classify import (
+    _intertwiner_with_top,
+    _reducibility_diagnostic,
+    equivalence_key,
+    is_irreducible_criterion,
+    is_isomorphic,
+)
 from .errors import DimensionGuardError, TetraboxError
 from .flags import four_flags
 from .linalg import require_within_guard
@@ -54,12 +59,11 @@ from .serialize import (
 )
 from .tetra import (
     TetraModule,
+    build_tetra,
     build_tetra_from_spec,
     eigentable,
     flag_independence_check,
     pairwise_burnside,
-    rebuild_from_standard_generators,
-    roundtrip_uniqueness,
     verify_action_table,
     verify_relations,
 )
@@ -97,24 +101,9 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _reducibility_diagnostic(spec: ModuleSpec) -> str:
-    if any(n >= 1 and a * a == 1 for n, a in spec.factors):
-        return "reducible: a = ±1 in an evaluation factor"
-    return "reducible: the parameters a_i, a_i^-1 are not mutually distinct"
-
-
 def cmd_build(args) -> int:
     spec = _load_spec(args.spec)
-    if not is_irreducible_criterion(spec):
-        _fail(_reducibility_diagnostic(spec))
-        return 1
-    if spec.shift[0] != 0 or spec.shift[1] != 0:
-        _fail(
-            f"type shift ({spec.shift[0]}, {spec.shift[1]}) "
-            "is not (0, 0); only type-(0,0) modules carry the six-generator structure"
-        )
-        return 1
-    tetra = build_tetra_from_spec(spec)
+    tetra = build_tetra_from_spec(spec)  # its refusals (reducible, shifted, guard) exit 1 in main
     # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
     module = module_to_json(OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]))
     # the spec's diameter and type, which module_type would recompute from the matrices
@@ -129,22 +118,24 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _deep_checks(module: OnsagerModule, tetra: TetraModule, spec: ModuleSpec | None) -> dict:
+def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleSpec | None) -> dict:
     out = {"pass": True}
     keys = ["rebuild_matches", "roundtrip_uniqueness", "spec_matches", "pairwise_burnside"]
     if spec is None:
         keys.remove("spec_matches")
     try:
-        rebuilt = rebuild_from_standard_generators(tetra)
+        # the module section is a copy of x_01, x_23: every key is read off this one build
+        standard = OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)])
+        rebuilt = build_tetra(standard)
         out["rebuild_matches"] = rebuilt.x == tetra.x
-        if tetra.x[(0, 1)] == module.A and tetra.x[(2, 3)] == module.Astar:
-            # the round trip's one build would repeat this rebuild
-            out["roundtrip_uniqueness"] = rebuilt.x[(0, 1)] == module.A and rebuilt.x[(2, 3)] == module.Astar
-        else:
-            out["roundtrip_uniqueness"] = roundtrip_uniqueness(module)
+        gives_back = rebuilt.x[(0, 1)] == standard.A and rebuilt.x[(2, 3)] == standard.Astar
+        # an absent module section counts as the pair itself
+        out["roundtrip_uniqueness"] = (module is None or module == standard) and gives_back
         if spec is not None:
+            # only a spec whose module is the pair is folded, and the pair has just built
             same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
-            out["spec_matches"] = same_shape and build_tetra_from_spec(spec).x == tetra.x
+            same_module = same_shape and build_from_spec(spec) == standard
+            out["spec_matches"] = same_module and build_tetra_from_spec(spec).x == tetra.x
         out["pairwise_burnside"] = pairwise_burnside(tetra)
     except DimensionGuardError as exc:
         # a refused check is not a failed one
@@ -164,9 +155,7 @@ def cmd_verify(args) -> int:
     try:
         tetra = tetra_from_json(_section(data, "tetra"))
         if args.deep:
-            module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
-                tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]
-            )
+            module = module_from_json(data["module"]) if "module" in data else None
             spec = spec_from_json(data["spec"]) if "spec" in data else None
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None
@@ -221,8 +210,9 @@ def cmd_compare(args) -> int:
     s1 = _load_spec(args.spec1)
     s2 = _load_spec(args.spec2)
     for path, spec in ((args.spec1, s1), (args.spec2, s2)):
-        if not is_irreducible_criterion(spec):
-            _fail(f"{path}: {_reducibility_diagnostic(spec)}")
+        reason = _reducibility_diagnostic(spec)
+        if reason is not None:
+            _fail(f"{path}: {reason}")
             return 2
         if spec.shift[0] != 0 or spec.shift[1] != 0:
             _fail(f"{path}: type shift is not (0, 0); normalize before comparing")

@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
 
-from .classify import _full_algebra_with_top, is_irreducible_criterion
+from .classify import _full_algebra_with_top, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
 from .linalg import (
@@ -199,18 +199,21 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     of build_from_spec, so x_01 and x_23 equal its A and Astar entry for
     entry and every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
 
-    Raises the errors build_tetra(build_from_spec(spec)) raises:
-    DimensionGuardError when spec.dim is above linalg.DIM_GUARD, before any
-    factor is built; TypeShiftError on a nonzero shift; ReducibleModuleError
-    when the evaluation-parameter criterion fails (a collision between two
-    factors is invisible to each factor alone).
+    Refuses the specs build_tetra(build_from_spec(spec)) refuses, before any
+    factor is built, in this order and with the one-line texts `tetrabox
+    build` prints: ReducibleModuleError when the evaluation-parameter
+    criterion fails (a collision between two factors is invisible to each
+    factor alone), TypeShiftError on a nonzero shift, DimensionGuardError
+    when spec.dim is above linalg.DIM_GUARD.
     """
-    require_within_guard(spec.dim, "module dimension")
+    reason = _reducibility_diagnostic(spec)
+    if reason is not None:
+        raise ReducibleModuleError(reason)
     alpha, alphastar = spec.shift
     if alpha != 0 or alphastar != 0:
-        raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if not is_irreducible_criterion(spec):
-        raise ReducibleModuleError("module is reducible: the parameters a_i, a_i^-1 are not mutually distinct")
+        raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
+                             "only type-(0,0) modules carry the six-generator structure")
+    require_within_guard(spec.dim, "module dimension")
     x = {pair: Matrix.zeros(1, 1) for pair in ORDERED_PAIRS}  # the trivial module, the unit of the fold
     for n, a in spec.factors:
         factor = build_tetra(evaluation_module(n, a)).x
@@ -431,11 +434,6 @@ def pairwise_burnside(t: TetraModule) -> bool:
     """
     d = Fraction(t.diameter)
     return all(_full_algebra_with_top(t.x[p1], t.x[p2], d) for p1, p2 in OPPOSITE_PAIRS)
-
-
-def rebuild_from_standard_generators(t: TetraModule) -> TetraModule:
-    """Rebuild all twelve matrices from x_01 and x_23 of the given structure."""
-    return build_tetra(OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)]))
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

@@ -19,6 +19,7 @@ from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
 from tetrabox.onsager import OnsagerModule, build_from_spec, module_type
+from tetrabox.tetra import build_tetra
 from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
@@ -104,6 +105,26 @@ class TestBuild:
         out = tmp_path / "m.json"
         assert main(["build", spec, "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "factors, shift, line",
+        [
+            ([(1, "2"), (1, "1/2")], "0", "reducible: the parameters a_i, a_i^-1 are not mutually distinct"),
+            ([(1, "-1"), (1, "2")], "0", "reducible: a = ±1 in an evaluation factor"),
+            ([(1, "2"), (1, "3")], "1", "type shift (1, 0) is not (0, 0); "
+                                        "only type-(0,0) modules carry the six-generator structure"),
+            ([(1, "2"), (1, "1/2")], "1", "reducible: the parameters a_i, a_i^-1 are not mutually distinct"),
+            ([(1, a) for a in ("2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37", "41")], "0",
+             "module dimension 8192 exceeds the dimension guard 4096"),
+        ],
+        ids=["reducible", "unit", "shifted", "reducible_shifted", "d8192"],
+    )
+    def test_refusal_lines_are_pinned(self, tmp_path, capsys, factors, shift, line):
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors],
+                                                "shift": [shift, "0"]})
+        assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_trivial_spec_builds(self, tmp_path):
         spec = write_json(tmp_path / "trivial.json", SPEC_TRIVIAL)
@@ -491,14 +512,16 @@ class TestGuardOverride:
         assert captured.err == "error: module dimension 16 exceeds the dimension guard 8\n"
 
 
-def three_build_deep_checks(module, t, two_build_roundtrip):
-    """The deep checks as they were before the rebuild was shared with the
-    round trip: rebuild, then a round trip that builds twice more."""
+def reference_deep_checks(module, t, two_build_roundtrip):
+    """The deep checks of a file without a spec, from their definitions: the
+    file's pair (x_01, x_23) rebuilt, the module section compared with that
+    pair matrix by matrix, and the pair's two-build round trip."""
     out = {"pass": True}
     try:
-        rebuilt = tetra.rebuild_from_standard_generators(t)
-        out["rebuild_matches"] = rebuilt.x == t.x
-        out["roundtrip_uniqueness"] = two_build_roundtrip(OnsagerModule(module.dim, module.A, module.Astar))
+        standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
+        out["rebuild_matches"] = build_tetra(standard).x == t.x
+        is_pair = module is None or (module.dim, module.A, module.Astar) == (t.dim, t.x[(0, 1)], t.x[(2, 3)])
+        out["roundtrip_uniqueness"] = is_pair and two_build_roundtrip(standard)
         try:
             out["pairwise_burnside"] = tetra.pairwise_burnside(t)
         except DimensionGuardError as exc:
@@ -517,45 +540,88 @@ def _tamper_x13(data):
 
 
 def _module_a_is_not_x01(data):
-    # (-A, Astar) is again an irreducible module, so its round trip passes
+    # (-A, Astar) is again an irreducible module, with a round trip of its own
     data["module"]["A"] = [[str(-F(x)) for x in row] for row in data["module"]["A"]]
+
+
+def _module_of_dim_two(data):
+    data["module"] = module_to_json(build_from_spec(spec_from_json(SPEC_V2)))
 
 
 def _no_module(data):
     del data["module"]
 
 
-class TestDeepChecksDifferential:
-    """The deep checks against the three-build reference."""
+def _reducible_spec(data):
+    data["spec"] = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "1/2"}], "shift": ["0", "0"]}
 
-    @pytest.fixture(scope="class")
-    def d4_build(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("deep")
-        out = root / "d4.module.json"
-        assert main(["build", write_json(root / "d4.json", SPEC_V2_V3), "-o", str(out)]) == 0
-        return json.loads(out.read_text())
+
+def _shifted_spec(data):
+    data["spec"]["shift"] = ["1", "0"]
+
+
+@pytest.fixture(scope="module")
+def d4_build(tmp_path_factory):
+    root = tmp_path_factory.mktemp("deep")
+    out = root / "d4.module.json"
+    assert main(["build", write_json(root / "d4.json", SPEC_V2_V3), "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def spy_flag_route_builds(monkeypatch):
+    """The modules cli hands to the flag-route build_tetra, in call order."""
+    calls = []
+    real = cli.build_tetra
+    monkeypatch.setattr(cli, "build_tetra", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+class TestDeepChecksDifferential:
+    """The deep checks against a reference that builds the file's pair itself."""
 
     @pytest.mark.parametrize(
-        "edit, builds",
-        [(None, 1), (_tamper_x13, 1), (_module_a_is_not_x01, 2), (_no_module, 1)],
-        ids=["clean", "x13", "module_A", "no_module"],
+        "edit, roundtrip",
+        [(None, True), (_tamper_x13, True), (_module_a_is_not_x01, False), (_module_of_dim_two, False),
+         (_no_module, True)],
+        ids=["clean", "x13", "module_A", "module_dim2", "no_module"],
     )
-    def test_same_report(self, d4_build, monkeypatch, two_build_roundtrip, edit, builds):
+    def test_same_report(self, d4_build, monkeypatch, two_build_roundtrip, edit, roundtrip):
         data = copy.deepcopy(d4_build)
         if edit is not None:
             edit(data)
         t = tetra_from_json(data["tetra"])
-        module = module_from_json(data["module"]) if "module" in data else OnsagerModule(
-            t.dim, t.x[(0, 1)], t.x[(2, 3)]
-        )
-        bare = OnsagerModule(module.dim, module.A, module.Astar)
-        assert tetra.roundtrip_uniqueness(bare) == two_build_roundtrip(bare)
-        expected = three_build_deep_checks(module, t, two_build_roundtrip)
-        calls = []
-        real = tetra.build_tetra
-        monkeypatch.setattr(tetra, "build_tetra", lambda m: calls.append(m) or real(m))
+        module = module_from_json(data["module"]) if "module" in data else None
+        expected = reference_deep_checks(module, t, two_build_roundtrip)
+        assert expected["roundtrip_uniqueness"] is roundtrip
+        calls = spy_flag_route_builds(monkeypatch)
         assert cli._deep_checks(module, t, None) == expected
-        assert len(calls) == builds
+        assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
+
+
+class TestDeepReadsTheFile:
+    """A file that contradicts itself fails verify --deep, with every key decided."""
+
+    @pytest.mark.parametrize("edit", [_module_a_is_not_x01, _module_of_dim_two], ids=["module_A", "module_dim2"])
+    def test_module_section_other_than_the_pair_fails(self, d4_build, tmp_path, monkeypatch, capsys, edit):
+        data = copy.deepcopy(d4_build)
+        edit(data)
+        calls = spy_flag_route_builds(monkeypatch)
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
+        deep = json.loads(capsys.readouterr().out)["deep"]
+        assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": False,
+                        "spec_matches": True, "pairwise_burnside": True}
+        assert [m.dim for m in calls] == [4]
+
+    @pytest.mark.parametrize("edit", [_reducible_spec, _shifted_spec], ids=["reducible", "shifted"])
+    def test_echoed_spec_of_another_module_reads_false(self, d4_build, tmp_path, monkeypatch, capsys, edit):
+        data = copy.deepcopy(d4_build)
+        edit(data)
+        calls = spy_flag_route_builds(monkeypatch)
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
+        deep = json.loads(capsys.readouterr().out)["deep"]
+        assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": True,
+                        "spec_matches": False, "pairwise_burnside": True}
+        assert [m.dim for m in calls] == [4]
 
 
 class TestCrossProcessDeterminism:

@@ -44,7 +44,6 @@ from tetrabox.tetra import (
     TetraModule,
     _antisymmetric_pairs,
     _opposite_decompositions,
-    rebuild_from_standard_generators,
 )
 
 SAMPLE_SPECS = [
@@ -169,8 +168,25 @@ class TestBuildFromSpec:
 
             monkeypatch.setattr(onsager, name, spy)
         with pytest.raises(DimensionGuardError, match="dimension 16 exceeds the dimension guard 8"):
+            build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 3), (1, 5), (1, 7)]))
+        # the criterion comes before the guard: (1,2) x 4 is reducible
+        with pytest.raises(ReducibleModuleError, match="not mutually distinct"):
             build_tetra_from_spec(ModuleSpec.of([(1, 2)] * 4))
         assert calls == []
+
+    def test_refusals_in_the_cli_order(self, monkeypatch):
+        # criterion, then shift, then guard, each with the one line `tetrabox build` prints
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        shifted_and_large = ModuleSpec.of([(1, 2), (1, 3), (1, 5), (1, 7)], shift=(1, 0))
+        with pytest.raises(ReducibleModuleError, match=r"^reducible: a = ±1 in an evaluation factor$"):
+            build_tetra_from_spec(ModuleSpec.of([(1, -1), (1, 2)] * 2, shift=(1, 0)))
+        with pytest.raises(ReducibleModuleError, match=r"^reducible: the parameters a_i, a_i\^-1 are not"):
+            build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2)), (1, 3), (1, 5)], shift=(1, 0)))
+        with pytest.raises(TypeShiftError) as refused:
+            build_tetra_from_spec(shifted_and_large)
+        assert str(refused.value) == (
+            "type shift (1, 0) is not (0, 0); only type-(0,0) modules carry the six-generator structure"
+        )
 
     def test_collision_between_factors_rejected(self):
         # each factor alone is irreducible; only the criterion sees 2 = (1/2)^-1
@@ -749,7 +765,7 @@ class TestReadOnlyMatrices:
         t = built[SAMPLE_SPECS[1]]
         with pytest.raises(TypeError):
             t.x[(0, 1)] = t.x[(1, 0)]
-        assert rebuild_from_standard_generators(t).x == t.x
+        assert build_tetra(OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])).x == t.x
 
     def test_the_given_table_is_copied(self, built):
         t = built[SAMPLE_SPECS[0]]
