@@ -34,6 +34,7 @@ from .linalg import (
     annihilates,
     commutator,
     determinant,
+    diagonal_spectrum,
     eigenspace,
     hstack,
     intersect,

@@ -60,12 +60,14 @@ from .linalg import (
     _Echelon,
     _integer_columns,
     _strip_gcd,
+    _ladder_top,
     _tails,
     determinant,
     eigenspace,
+    minimal_polynomial,
     require_within_guard,
 )
-from .onsager import ModuleSpec, OnsagerModule, _arithmetic_spectrum_top
+from .onsager import _NOT_A_LADDER, ModuleSpec, OnsagerModule
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
 
@@ -241,13 +243,11 @@ def _spectrum_top(a: Matrix) -> Fraction | None:
     """Top eigenvalue c of a diagonalizable a with spectrum {c, c-2, ...}, else None.
 
     c is read off the minimal polynomial and checked by one product of
-    linear factors. Unlike rational_roots there is no search over the
-    divisors of a coefficient, whose length grows with the entries.
+    linear factors (linalg._ladder_top). Unlike rational_roots there is no
+    search over the divisors of a coefficient, whose length grows with the
+    entries, and unlike linalg.diagonal_spectrum no eigenspace is computed.
     """
-    try:
-        return _arithmetic_spectrum_top(a)[1]
-    except SpectrumError:
-        return None
+    return _ladder_top(minimal_polynomial(a))
 
 
 def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
@@ -299,7 +299,10 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     """
     if m1.dim != m2.dim:
         return None
-    return _intertwiner_with_top(m1, m2, _arithmetic_spectrum_top(m1.A)[1])
+    c = _spectrum_top(m1.A)
+    if c is None:
+        raise SpectrumError(_NOT_A_LADDER)
+    return _intertwiner_with_top(m1, m2, c)
 
 
 def _intertwiner_with_top(m1: OnsagerModule, m2: OnsagerModule, c: Fraction) -> Matrix | None:

@@ -6,6 +6,8 @@ evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
 build of the module (x_01, x_23), of which the module section is a copy:
 the rebuild, the round trip of that pair and, when the file echoes its
 spec, whether the spec's module is that pair and folds to the file.
+`inspect --flags` on a build file likewise refuses (exit 1) a module
+section that is not that pair, after checking its type as for any module.
 
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
@@ -244,6 +246,11 @@ def cmd_inspect(args) -> int:
         if args.flags:
             module = module_from_json(_section(data, "module"))
             payload = {"flags": flags_to_json(four_flags(module))}
+            # a build file's module section is a copy of its x_01, x_23, as verify --deep reads it
+            tetra = tetra_from_json(data["tetra"]) if "tetra" in data else None
+            if tetra is not None and module != OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]):
+                _fail(f"{args.module}: the module section is not the tetra section's (x_01, x_23)")
+                return 1
         else:
             tetra = tetra_from_json(_section(data, "tetra"))
             payload = {"eigentable": eigentable_to_json(eigentable(tetra))}

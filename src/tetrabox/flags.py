@@ -20,11 +20,11 @@ from the eigenspace chains of its two generators, one per corner index 0..3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 from .errors import OppositionError, TypeShiftError
-from .linalg import Subspace, _echelon, _integer_columns, eigenspace, intersect, subspace_sum
-from .onsager import OnsagerModule, module_type
+from .linalg import Subspace, _echelon, _integer_columns, intersect, subspace_sum
+from .onsager import OnsagerModule, _module_spectra
 
 
 def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
@@ -140,30 +140,22 @@ def induced_decomposition(f: Flag, g: Flag) -> Decomposition:
     return Decomposition(result)
 
 
-def _ladder_eigenspaces(m: OnsagerModule, d: int) -> tuple[list[Subspace], list[Subspace]]:
-    """Eigenspace chains of A and Astar at -d, 2-d, ..., d, for a module
-    that module_type has shown to have type (0,0) and diameter d: it has
-    proved every d-2i an eigenvalue of both, so no space here is zero."""
-    chain_a = [eigenspace(m.A, Fraction(2 * i - d)) for i in range(d + 1)]
-    chain_s = [eigenspace(m.Astar, Fraction(2 * i - d)) for i in range(d + 1)]
-    return chain_a, chain_s
-
-
 def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
     """The four flags attached to a type-(0,0) module, indexed 0..3.
 
     Flag 0 accumulates the eigenspaces of A upward from eigenvalue -d,
-    flag 1 downward from +d; flags 2 and 3 do the same for Astar.
+    flag 1 downward from +d; flags 2 and 3 do the same for Astar. The
+    eigenspaces are the ones module_type certifies the spectra with.
     Requires type (0,0).
     """
-    d, alpha, alphastar = module_type(m)
+    _, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
-    return _flags_from_chains(*_ladder_eigenspaces(m, d))
+    return _flags_from_chains(spaces_a[::-1], spaces_s[::-1])
 
 
-def _flags_from_chains(chain_a: list[Subspace], chain_s: list[Subspace]) -> tuple[Flag, Flag, Flag, Flag]:
-    """The four flags from the ladder eigenspaces of A and Astar."""
+def _flags_from_chains(chain_a: Sequence[Subspace], chain_s: Sequence[Subspace]) -> tuple[Flag, Flag, Flag, Flag]:
+    """The four flags from the eigenspaces of A and Astar at -d, 2-d, ..., d."""
     up_a = Decomposition(tuple(chain_a))
     up_s = Decomposition(tuple(chain_s))
     return (

@@ -34,6 +34,18 @@ elimination: for distinct mu_j the kernel of prod_j (x - mu_j I) is the
 direct sum of the kernels of the factors, so annihilates decides it by
 integer products with x alone, whether or not x is diagonalizable.
 
+The spectrum of a matrix m that should be diagonalizable is read off one
+pass, diagonal_spectrum: the minimal polynomial mu_v of m on one fixed
+vector v (a Krylov sequence, an echelon n wide where minimal_polynomial
+needs n^2) gives the candidate eigenvalues, a ladder c, c-2, ... without a
+divisor search. mu_v divides the minimal polynomial of m, so a repeated or
+irrational root refutes diagonalizability at once. Otherwise the
+eigenspaces at the roots are independent, and when their dimensions add up
+to n they are the certificate: m is diagonalizable with exactly those
+eigenvalues, and the eigenspaces are returned for the caller to use. Only
+when they fall short (v missed an eigenvalue, or m has a Jordan block) does
+the minimal polynomial of m decide.
+
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
 here, a spec's module dimension and a Burnside closure's dim^2, each before
@@ -46,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionGuardError
 
@@ -566,34 +578,125 @@ def annihilates(x: Matrix, m: Matrix, blocks: Sequence[tuple[int, Sequence]]) ->
     return verdicts
 
 
+def _first_dependence(m: Matrix, width: int, powers: Iterator[list[int]]) -> tuple[Fraction, ...]:
+    """Monic coefficients, constant term first, of the first linear dependence
+    among the vectors M^0 s, M^1 s, ... of length width, for the integer
+    matrix M = scale * m acting on some start s.
+
+    Each vector, followed by the unit tail e_k, is reduced in one echelon,
+    and the first residual whose leading width entries vanish carries
+    sum_j b_j M^j s = 0 in its tail, so sum_j b_j scale^j m^j s = 0. Its
+    degree is at most n, the side of m.
+    """
+    n, scale = m.rows, m._den
+    echelon = _Echelon(width)
+    for k, vector in zip(range(n + 1), powers):
+        tail = [0] * (n + 1)
+        tail[k] = 1
+        lead, residual = echelon.reduce(vector + tail)
+        if lead is None:
+            coeffs = [b * scale**j for j, b in enumerate(residual[width : width + k + 1])]
+            return tuple(Fraction(c, coeffs[k]) for c in coeffs)
+        echelon.add(residual)
+    raise RuntimeError("minimal polynomial search did not terminate")  # degree <= n
+
+
 def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     """Monic minimal polynomial coefficients, constant term first.
 
-    Found as the first linear dependence among I, M, M^2, ... for the
-    integer matrix M = scale * m: each flattened power M^k, followed by the
-    unit tail e_k, is reduced in one echelon, and the first residual whose
-    leading n^2 entries vanish carries sum_j b_j M^j = 0 in its tail, so
-    sum_j b_j scale^j m^j = 0.
+    The first linear dependence among the flattened powers I, M, M^2, ... of
+    M = scale * m, an echelon n^2 wide. M^(k+1) is formed as M M^k, which
+    equals M^k M and skips the zeros of the sparse M.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     n = m.rows
     if n == 0:
         return (Fraction(0), Fraction(1))
-    nn = n * n
-    a, scale = m._num, m._den
-    echelon = _Echelon(nn)
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(n + 1):
-        tail = [0] * (n + 1)
-        tail[k] = 1
-        lead, residual = echelon.reduce([x for row in power for x in row] + tail)
-        if lead is None:
-            coeffs = [b * scale**j for j, b in enumerate(residual[nn : nn + k + 1])]
-            return tuple(Fraction(c, coeffs[k]) for c in coeffs)
-        echelon.add(residual)
-        power = _int_matmul(power, a, n)
-    raise RuntimeError("minimal polynomial search did not terminate")  # degree <= n
+    a = m._num
+
+    def powers():
+        power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        while True:
+            yield [x for row in power for x in row]
+            power = _int_matmul(a, power, n)
+
+    return _first_dependence(m, n * n, powers())
+
+
+def _krylov_start(n: int) -> list[int]:
+    """A fixed integer vector with no symmetry. (With modulus 13 it would
+    start 1, 3, 5, 7, which misses the eigenvalue -2 of A on every (1, a)(1, b).)"""
+    return [1 + (7919 * i) % 101 for i in range(n)]
+
+
+def _krylov_polynomial(m: Matrix) -> tuple[Fraction, ...]:
+    """The minimal polynomial of m on the start vector s, which divides that
+    of m: the first linear dependence among s, M s, M^2 s, ..., n wide."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m._num]
+
+    def powers():
+        vector = _krylov_start(m.rows)
+        while True:
+            yield vector
+            vector = [sum(x * vector[j] for j, x in row) for row in rows]
+
+    return _first_dependence(m, m.rows, powers())
+
+
+def _ladder_top(poly: Sequence[Fraction]) -> Fraction | None:
+    """The top root c when the monic poly is prod_{i=0}^{d} (x - c + 2i), of
+    degree d + 1; else None.
+
+    The degree gives d and the sum of the roots, (d + 1)(c - d), gives c;
+    the product of the d + 1 linear factors is then compared with poly.
+    """
+    d = len(poly) - 2
+    c = Fraction(-poly[d], d + 1) + d
+    expected = [Fraction(1)]
+    for i in range(d + 1):
+        lam = c - 2 * i
+        expected = [Fraction(0)] + expected
+        for k in range(len(expected) - 1):
+            expected[k] = expected[k] - lam * expected[k + 1]
+    return c if tuple(expected) == tuple(poly) else None
+
+
+def _distinct_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
+    """The roots of poly in descending order when they are rational and
+    simple, else None. A ladder c, c-2, ... is read off without a divisor search."""
+    c = _ladder_top(poly)
+    if c is not None:
+        return [c - 2 * i for i in range(len(poly) - 1)]
+    roots = rational_roots(poly)
+    if roots is None or any(mult > 1 for mult in roots.values()):
+        return None
+    return sorted(roots, reverse=True)
+
+
+def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
+    """The distinct eigenvalues of m in descending order and their
+    eigenspaces, when m is diagonalizable over Q; None otherwise.
+
+    Candidates are the roots of mu_v, the minimal polynomial of m on one
+    vector; their eigenspaces certify them when their dimensions add up to
+    n (see the module docstring). Only a shortfall runs the minimal
+    polynomial of m, and the eigenspaces already found are kept.
+    """
+    if not m.is_square:
+        raise ValueError("a spectrum requires a square matrix")
+    if m.rows == 0:
+        return (), ()
+    roots = _distinct_roots(_krylov_polynomial(m))
+    if roots is None:
+        return None
+    spaces = {lam: eigenspace(m, lam) for lam in roots}
+    if sum(space.dim for space in spaces.values()) < m.rows:
+        roots = _distinct_roots(minimal_polynomial(m))
+        if roots is None:
+            return None
+        spaces = {lam: spaces[lam] if lam in spaces else eigenspace(m, lam) for lam in roots}
+    return tuple(roots), tuple(spaces[lam] for lam in roots)
 
 
 def _divisors(n: int) -> list[int]:

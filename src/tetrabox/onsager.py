@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SpectrumError
-from .linalg import Matrix, commutator, kron, minimal_polynomial, require_within_guard
+from .linalg import Matrix, Subspace, commutator, diagonal_spectrum, kron, require_within_guard
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -169,46 +169,54 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     return module
 
 
-def _arithmetic_spectrum_top(m: Matrix) -> tuple[int, Fraction]:
-    """Diameter d and top eigenvalue c of a matrix whose spectrum must be
-    {c, c-2, ..., c-2d} with the matrix diagonalizable.
+# the refusal of a generator that is not diagonalizable with spectrum c, c-2, ..., c-2d
+_NOT_A_LADDER = (
+    "spectrum is not of the form {c, c-2, ..., c-2d} with the matrix "
+    "diagonalizable; not an irreducible Onsager module candidate"
+)
 
-    The minimal polynomial determines both: its degree is d+1 and the sum of
-    its roots is (d+1)(c-d). The matrix is diagonalizable exactly when the
-    minimal polynomial equals the product of the d+1 distinct linear factors,
-    which is verified by direct multiplication.
-    """
-    poly = minimal_polynomial(m)
-    d = len(poly) - 2
-    if d < 0:
+
+def _is_arithmetic_step_two(seq: Sequence[Fraction]) -> bool:
+    return all(seq[i - 1] - seq[i] == 2 for i in range(1, len(seq)))
+
+
+def _ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]]:
+    """The eigenvalues c, c-2, ..., c-2d of m and its eigenspaces at them,
+    as linalg.diagonal_spectrum certifies them; SpectrumError when m is not
+    diagonalizable over Q or its eigenvalues do not step down by 2."""
+    spectrum = diagonal_spectrum(m)
+    if spectrum is None:
+        raise SpectrumError(_NOT_A_LADDER)
+    eigenvalues = spectrum[0]
+    if not eigenvalues:
         raise SpectrumError("scalar spectrum could not be extracted")
-    root_sum = -poly[d]
-    c = Fraction(root_sum, d + 1) + d
-    expected = [Q1]
-    for i in range(d + 1):
-        lam = c - 2 * i
-        expected = [Q0] + expected
-        for k in range(len(expected) - 1):
-            expected[k] = expected[k] - lam * expected[k + 1]
-    if tuple(expected) != poly:
-        raise SpectrumError(
-            "spectrum is not of the form {c, c-2, ..., c-2d} with the matrix "
-            "diagonalizable; not an irreducible Onsager module candidate"
-        )
-    return d, c
+    if not _is_arithmetic_step_two(eigenvalues):
+        raise SpectrumError(_NOT_A_LADDER)
+    return spectrum
+
+
+def _module_spectra(m: OnsagerModule) -> tuple[int, Fraction, Fraction, tuple[Subspace, ...], tuple[Subspace, ...]]:
+    """module_type of m, with the eigenspaces of A and of Astar at their
+    eigenvalues c, c-2, ..., c-2d from the same spectral pass."""
+    values_a, spaces_a = _ladder_spectrum(m.A)
+    values_s, spaces_s = _ladder_spectrum(m.Astar)
+    d_a, d_s = len(values_a) - 1, len(values_s) - 1
+    if d_a != d_s:
+        raise SpectrumError(f"generator spectra have different lengths ({d_a + 1} vs {d_s + 1})")
+    return d_a, values_a[0] - d_a, values_s[0] - d_s, spaces_a, spaces_s
 
 
 def module_type(m: OnsagerModule) -> tuple[int, Fraction, Fraction]:
     """Diameter d and type (alpha, alphastar) of a module candidate.
 
-    Raises SpectrumError when either generator is not diagonalizable with a
-    spectrum of the form {c, c-2, ..., c-2d}, or when the two diameters differ.
+    Each generator's distinct eigenvalues come from linalg.diagonal_spectrum,
+    certified by its eigenspaces, and must step down by 2 from a top c: then
+    d + 1 is their number and c - d the type. Raises SpectrumError when
+    either generator is not diagonalizable over Q with a spectrum of the form
+    {c, c-2, ..., c-2d} (a 0 x 0 generator has no spectrum), or when the two
+    diameters differ.
     """
-    d_a, c_a = _arithmetic_spectrum_top(m.A)
-    d_s, c_s = _arithmetic_spectrum_top(m.Astar)
-    if d_a != d_s:
-        raise SpectrumError(f"generator spectra have different lengths ({d_a + 1} vs {d_s + 1})")
-    return d_a, c_a - d_a, c_s - d_s
+    return _module_spectra(m)[:3]
 
 
 def normalize_type(m: OnsagerModule) -> OnsagerModule:

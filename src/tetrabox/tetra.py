@@ -18,7 +18,10 @@ the opposite flags r and s), and the generator x_rs acts on its i-th piece
 as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
 order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs: this module builds six
 decompositions, forms x_rs for r < s by one change of basis each and
-negates it for x_sr; each change of basis is one matrix product.
+negates it for x_sr; each change of basis is one matrix product. The
+decompositions of (0, 1) and (2, 3) are the eigenspace chains of A and
+Astar that certify their spectra (onsager.module_type), so only the four
+pairs that mix A and Astar intersect flags.
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
@@ -53,10 +56,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .classify import _full_algebra_with_top, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import Flag, _flags_from_chains, _induced_subspaces, _ladder_eigenspaces
+from .flags import Flag, _flags_from_chains, _induced_subspaces
 from .linalg import (
     Matrix,
     Subspace,
@@ -71,9 +75,9 @@ from .onsager import (
     ModuleSpec,
     OnsagerModule,
     _dolan_grady_residual,
+    _module_spectra,
     evaluation_module,
     kronecker_sum,
-    module_type,
 )
 
 CORNERS = (0, 1, 2, 3)
@@ -147,15 +151,19 @@ class TetraModule:
                 raise ValueError(f"matrix for {pair} does not act on the module")
 
 
-def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], tuple[Subspace, ...]]:
+def _opposite_decompositions(
+    flags: tuple[Flag, ...], known: Mapping[tuple[int, int], Sequence[Subspace]] = MappingProxyType({})
+) -> dict[tuple[int, int], tuple[Subspace, ...]]:
     """Decomposition induced by every pair r < s of the four flags.
 
     Opposition is symmetric, so this decides it for all twelve ordered
-    pairs. Raises OppositionError naming the first pair that is not opposite.
+    pairs. The pieces of a pair in known are taken as given; the others are
+    Zassenhaus intersections of the flags. Raises OppositionError naming the
+    first pair that is not opposite.
     """
     decomps: dict[tuple[int, int], tuple[Subspace, ...]] = {}
     for r, s in UNORDERED_PAIRS:
-        pieces = _induced_subspaces(flags[r], flags[s])
+        pieces = tuple(known[(r, s)]) if (r, s) in known else _induced_subspaces(flags[r], flags[s])
         if isinstance(pieces, str):
             raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
         decomps[(r, s)] = pieces
@@ -170,6 +178,13 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     piece i scaled by 2i - d, times B^-1; x_sr is -x_rs, since the pair
     (s, r) induces the same pieces in reverse order.
 
+    Flag 1 is flag 0's decomposition inverted, so (flags docstring) the
+    pieces of (0, 1) are F0_i intersect F1_(d-i) = the eigenspace of A at
+    2i - d, and those of (2, 3) the eigenspaces of Astar: they are the
+    chains module_type certified the spectra with, in the canonical form an
+    intersection would give, and only the four pairs that mix A and Astar
+    run Zassenhaus intersections.
+
     The input must be irreducible of type (0,0). Norton's spinning test
     decides that at any dimension at d, whose eigenspace is a line on every
     irreducible module; otherwise the Burnside closure decides, and when
@@ -177,14 +192,15 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     than build: the flag-opposition scan passes some reducible modules,
     such as V + V. The flags are not returned: four_flags(m) gives them.
     """
-    d, alpha, alphastar = module_type(m)
+    d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
     if not _full_algebra_with_top(m.A, m.Astar, Fraction(d)):
         raise ReducibleModuleError("module is reducible: the generated algebra is not full")
-    flags = _flags_from_chains(*_ladder_eigenspaces(m, d))
+    chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
+    flags = _flags_from_chains(*chains.values())
     x: dict[tuple[int, int], Matrix] = {}
-    for (r, s), pieces in _opposite_decompositions(flags).items():
+    for (r, s), pieces in _opposite_decompositions(flags, chains).items():
         weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
         x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
         x[(s, r)] = -x[(r, s)]

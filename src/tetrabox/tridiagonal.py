@@ -7,8 +7,10 @@ eigenvalue sequences are arithmetic with common difference 2 are exactly
 the generator actions of irreducible Onsager modules, and that equivalence
 is checked here with both sides computed independently.
 
-Diagonalizability is decided over Q, the working field of this package:
-the minimal polynomial must split into distinct rational linear factors.
+Diagonalizability is decided over Q, the working field of this package, by
+linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
+minimal polynomial on one vector, certified when their eigenspaces fill the
+space, and those eigenspaces are the ones the ordering test reads.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 
 from .classify import _full_algebra_with_top
 from .errors import SpectrumError
-from .linalg import Matrix, annihilates, eigenspace, hstack, minimal_polynomial, rational_roots
-from .onsager import dolan_grady_holds
+from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
+from .onsager import _is_arithmetic_step_two, dolan_grady_holds
 
 
 @dataclass(frozen=True)
@@ -35,25 +37,21 @@ class TdpReport:
     verdict: bool
 
 
-def _rational_spectrum(m: Matrix) -> list[Fraction] | None:
-    """Distinct eigenvalues when m is diagonalizable over Q, else None."""
-    roots = rational_roots(minimal_polynomial(m))
-    if roots is None or any(mult > 1 for mult in roots.values()):
-        return None
-    return sorted(roots, reverse=True)
-
-
-def _block_tridiagonal_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[Fraction]) -> bool:
+def _block_tridiagonal_ordering(
+    acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[Fraction], spaces: Sequence[Subspace]
+) -> bool:
     """Does `acting` map each eigenspace of `diagonal` (D), in the listed order
-    of its distinct eigenvalues theta_i, into the sum of it and its neighbors?
+    of its distinct eigenvalues theta_i with their eigenspaces, into the sum
+    of it and its neighbors?
 
     That sum is the kernel of (D - theta_{i-1})(D - theta_i)(D - theta_{i+1})
     (linalg.annihilates), so with P_i the basis of the eigenspace at theta_i
     the test is that this product kills block i of acting * P.
     """
-    spaces = [eigenspace(diagonal, lam).basis for lam in eigenvalues]
-    blocks = [(p.cols, eigenvalues[max(i - 1, 0) : i + 2]) for i, p in enumerate(spaces)]
-    return all(annihilates(diagonal, acting * hstack(*spaces), blocks))
+    if not spaces:  # a 0 x 0 operator has no eigenspace to move
+        return True
+    blocks = [(space.dim, eigenvalues[max(i - 1, 0) : i + 2]) for i, space in enumerate(spaces)]
+    return all(annihilates(diagonal, acting * hstack(*(space.basis for space in spaces)), blocks))
 
 
 def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
@@ -61,18 +59,18 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
     decided as in classify.pair_generates_full_algebra."""
     if not (a.is_square and astar.is_square) or a.rows != astar.rows:
         raise ValueError("expected square matrices of equal size")
-    spec_a = _rational_spectrum(a)
-    spec_s = _rational_spectrum(astar)
+    spec_a = diagonal_spectrum(a)
+    spec_s = diagonal_spectrum(astar)
     ordering_a = None
     ordering_s = None
     # only the descending ordering is tried: reversing an ordering keeps every
     # eigenspace's neighbors, so the reverse passes exactly when it does
-    if spec_a is not None and _block_tridiagonal_ordering(astar, a, spec_a):
-        ordering_a = tuple(spec_a)
-    if spec_s is not None and _block_tridiagonal_ordering(a, astar, spec_s):
-        ordering_s = tuple(spec_s)
-    # the top of A's spectrum, already in hand, spares Norton's test a second minimal polynomial
-    irreducible = _full_algebra_with_top(a, astar, spec_a[0] if spec_a else None)
+    if spec_a is not None and _block_tridiagonal_ordering(astar, a, *spec_a):
+        ordering_a = spec_a[0]
+    if spec_s is not None and _block_tridiagonal_ordering(a, astar, *spec_s):
+        ordering_s = spec_s[0]
+    # the top of A's spectrum, already in hand, spares Norton's test a minimal polynomial
+    irreducible = _full_algebra_with_top(a, astar, spec_a[0][0] if spec_a and spec_a[0] else None)
     verdict = ordering_a is not None and ordering_s is not None and irreducible
     return TdpReport(
         diagonalizable_A=spec_a is not None,
@@ -82,10 +80,6 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
         irreducible=irreducible,
         verdict=verdict,
     )
-
-
-def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
-    return all(seq[i - 1] - seq[i] == 2 for i in range(1, len(seq)))
 
 
 def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -18,7 +18,7 @@ from tetrabox import Matrix, cli, linalg, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
-from tetrabox.onsager import OnsagerModule, build_from_spec, module_type
+from tetrabox.onsager import ModuleSpec, OnsagerModule, build_from_spec, module_type
 from tetrabox.tetra import build_tetra
 from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
 
@@ -410,7 +410,7 @@ class TestCompare:
     def test_oracle_reads_the_top_off_the_spec(self, tmp_path, monkeypatch, capsys):
         # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
         calls, widths = [], []
-        for module in (linalg, tetrabox.onsager, tetrabox.tridiagonal):
+        for module in (linalg, tetrabox.classify):
             real = module.minimal_polynomial
             monkeypatch.setattr(module, "minimal_polynomial", lambda m, real=real: calls.append(m) or real(m))
 
@@ -471,6 +471,28 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: module has type (1, 0), expected (0, 0)\n"
+
+    @pytest.mark.parametrize("tamper", ["swapped", "negated_A"])
+    def test_module_section_not_the_files_pair_exits_1(self, tmp_path, capsys, tamper):
+        # the flags of a module section that is not (x_01, x_23) do not belong to the file
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out_path = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        if tamper == "swapped":
+            data["module"] = module_to_json(build_from_spec(ModuleSpec.of([(1, 2)])))
+        else:
+            module = module_from_json(data["module"])
+            data["module"]["A"] = module_to_json(OnsagerModule(4, -module.A, module.Astar))["A"]
+        path = write_json(tmp_path / f"{tamper}.json", data)
+        capsys.readouterr()
+        assert main(["inspect", path, "--flags"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the module section is not the tetra section's (x_01, x_23)\n"
+        # the bare module document is a module like any other
+        bare = write_json(tmp_path / f"{tamper}.bare.json", data["module"])
+        assert main(["inspect", bare, "--flags"]) == 0
 
     def test_requires_exactly_one_mode(self, built_v2):
         with pytest.raises(SystemExit):

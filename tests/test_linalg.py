@@ -454,3 +454,103 @@ class TestKernelDifferential:
         for mat in t.x.values():
             for lam in range(-d - 1, d + 2):
                 assert eigenspace(mat, lam).basis == reference_eigenspace(mat, lam).basis
+
+
+# -- diagonal_spectrum against the minimal-polynomial route ---------------------
+
+def reference_spectrum(m):
+    """Distinct eigenvalues (descending) and eigenspaces from the roots of the
+    full minimal polynomial, or None when m is not diagonalizable over Q."""
+    roots = rational_roots(minimal_polynomial(m))
+    if roots is None or any(mult > 1 for mult in roots.values()):
+        return None
+    eigenvalues = tuple(sorted(roots, reverse=True))
+    return eigenvalues, tuple(eigenspace(m, lam) for lam in eigenvalues)
+
+
+spectrum_values = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-5, 3)])
+
+
+@st.composite
+def blocks(draw):
+    """One diagonal block: a scalar, a Jordan block of size 2 or 3, or the
+    companion matrix of x^2 - 2."""
+    kind = draw(st.sampled_from(["scalar", "scalar", "scalar", "jordan", "irrational"]))
+    if kind == "scalar":
+        return [[draw(spectrum_values)]]
+    if kind == "irrational":
+        return [[F(0), F(2)], [F(1), F(0)]]
+    lam, size = draw(spectrum_values), draw(st.integers(2, 3))
+    return [[lam if i == j else F(int(j == i + 1)) for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def conjugated_block_matrices(draw, max_dim=6):
+    """S T S^-1 with T block diagonal and S = L U, L and U unitriangular."""
+    parts = draw(st.lists(blocks(), min_size=1, max_size=4))
+    n = sum(map(len, parts))
+    if n > max_dim:
+        parts, n = parts[:1], len(parts[0])
+    t = [[F(0)] * n for _ in range(n)]
+    offset = 0
+    for block in parts:
+        for i, row in enumerate(block):
+            t[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    small = st.integers(-2, 2)
+    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    s = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+    return s * Matrix.from_rows(t) * inverse(s)
+
+
+class TestDiagonalSpectrum:
+    @settings(deadline=None, max_examples=150)
+    @given(conjugated_block_matrices())
+    def test_against_the_minimal_polynomial_route(self, m):
+        assert linalg.diagonal_spectrum(m) == reference_spectrum(m)
+
+    @settings(deadline=None, max_examples=40)
+    @given(matrices(square=True))
+    def test_any_matrix(self, m):
+        assert linalg.diagonal_spectrum(m) == reference_spectrum(m)
+
+    def test_start_vector_is_an_eigenvector(self, monkeypatch):
+        # the minimal polynomial of m on the start vector is x - 2: its one
+        # eigenspace is a line, so the full minimal polynomial must decide
+        n = 3
+        columns = [linalg._krylov_start(n), [0, 1, 0], [0, 0, 1]]
+        s = Matrix.from_rows(columns).transpose()
+        m = s * Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]) * inverse(s)
+        calls = []
+        real = linalg.minimal_polynomial
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        spectrum = linalg.diagonal_spectrum(m)
+        assert calls == [m]
+        assert spectrum == reference_spectrum(m)
+        assert spectrum[0] == (F(2), F(0), F(-2))
+        assert spectrum[1][0] == Subspace.span_columns(Matrix.from_rows([columns[0]]).transpose())
+
+    def test_jordan_block_behind_an_eigenvector(self, monkeypatch):
+        # the start vector is an eigenvector of a matrix with a Jordan block:
+        # the fallback's minimal polynomial has a double root
+        n = 3
+        columns = [linalg._krylov_start(n), [0, 1, 0], [0, 0, 1]]
+        s = Matrix.from_rows(columns).transpose()
+        m = s * Matrix.from_rows([[1, 0, 0], [0, 3, 1], [0, 0, 3]]) * inverse(s)
+        calls = []
+        real = linalg.minimal_polynomial
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        assert linalg.diagonal_spectrum(m) is None
+        assert calls == [m]
+
+    def test_repeated_root_needs_no_fallback(self, monkeypatch):
+        monkeypatch.setattr(linalg, "minimal_polynomial", None)
+        assert linalg.diagonal_spectrum(Matrix.from_rows([[1, 1], [0, 1]])) is None
+        assert linalg.diagonal_spectrum(Matrix.from_rows([[0, 2], [1, 0]])) is None  # x^2 - 2
+
+    def test_edge_shapes(self):
+        assert linalg.diagonal_spectrum(Matrix.zeros(0, 0)) == ((), ())
+        assert linalg.diagonal_spectrum(Matrix.identity(3) * 2) == ((F(2),), (Subspace.full(3),))
+        with pytest.raises(ValueError):
+            linalg.diagonal_spectrum(Matrix.zeros(2, 3))

@@ -27,6 +27,7 @@ from tetrabox import (
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
+    module_type,
     pair_generates_full_algebra,
     pairwise_burnside,
     roundtrip_uniqueness,
@@ -34,6 +35,7 @@ from tetrabox import (
     trivial_module,
     verify_action_table,
     verify_relations,
+    verify_tridiagonal_pair,
 )
 from tetrabox import classify, linalg, onsager, tetra
 from tetrabox.tetra import (
@@ -732,9 +734,10 @@ class TestPairwiseBurnsideAtD:
     def assert_same(self, t, monkeypatch):
         expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
         calls = []
-        real = onsager.minimal_polynomial
+        real = linalg.minimal_polynomial
         with monkeypatch.context() as patch:
-            patch.setattr(onsager, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+            for module in (linalg, classify):
+                patch.setattr(module, "minimal_polynomial", lambda m: calls.append(m) or real(m))
             assert pairwise_burnside(t) is expected
         assert calls == []
         return expected
@@ -758,6 +761,35 @@ class TestPairwiseBurnsideAtD:
             assert pairwise_burnside(misdeclared)
         assert closures == [16, 16, 16]
         assert self.assert_same(misdeclared, monkeypatch) is True
+
+
+class TestOneSpectralPass:
+    """module_type, four_flags, build_tetra and verify_tridiagonal_pair read
+    each generator's eigenvalues and eigenspaces off one certificate
+    (linalg.diagonal_spectrum)."""
+
+    def test_no_minimal_polynomial_on_the_irreducible_grid(self, grid_modules, built_irreducible_grid, monkeypatch):
+        # every mu_v is a ladder whose eigenspaces fill the space: no fallback, no divisor search
+        calls = []
+        real_poly, real_roots = linalg.minimal_polynomial, linalg.rational_roots
+        for module in (linalg, classify):
+            monkeypatch.setattr(module, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
+        monkeypatch.setattr(linalg, "rational_roots", lambda p: calls.append(p) or real_roots(p))
+        for spec, t in built_irreducible_grid.items():
+            m = grid_modules[spec]
+            assert module_type(m) == (t.diameter, 0, 0)
+            assert four_flags(m)[0].diameter == t.diameter
+            assert build_tetra(m).x == t.x
+            assert verify_tridiagonal_pair(m.A, m.Astar).verdict
+        assert calls == []
+
+    def test_chains_are_the_pieces_of_their_pair(self, grid_modules, built_irreducible_grid):
+        # F0_i meet F1_(d-i) is the eigenspace of A at 2i - d, in the canonical form of an intersection
+        for spec, t in built_irreducible_grid.items():
+            m, d = grid_modules[spec], t.diameter
+            decomps = _opposite_decompositions(four_flags(m))
+            assert decomps[(0, 1)] == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
+            assert decomps[(2, 3)] == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
 
 
 class TestReadOnlyMatrices:
