@@ -44,7 +44,11 @@ eigenspaces at the roots are independent, and when their dimensions add up
 to n they are the certificate: m is diagonalizable with exactly those
 eigenvalues, and the eigenspaces are returned for the caller to use. Only
 when they fall short (v missed an eigenvalue, or m has a Jordan block) does
-the minimal polynomial of m decide.
+the minimal polynomial of m decide. Only a mu_v that is no ladder goes to
+rational_roots, whose divisor search grows with the entries. The generators
+of an Onsager module must have a ladder spectrum, and ladder_spectrum
+reads theirs by the ladder test alone: a mu_v that is no ladder may have
+missed a rung, so the minimal polynomial of m decides, by the same test.
 
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionGuardError
 
@@ -662,16 +666,38 @@ def _ladder_top(poly: Sequence[Fraction]) -> Fraction | None:
     return c if tuple(expected) == tuple(poly) else None
 
 
+def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
+    """The roots c, c-2, ... of poly in descending order when it is a ladder
+    (_ladder_top), else None."""
+    c = _ladder_top(poly)
+    return None if c is None else [c - 2 * i for i in range(len(poly) - 1)]
+
+
 def _distinct_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
     """The roots of poly in descending order when they are rational and
     simple, else None. A ladder c, c-2, ... is read off without a divisor search."""
-    c = _ladder_top(poly)
-    if c is not None:
-        return [c - 2 * i for i in range(len(poly) - 1)]
+    roots = _ladder_roots(poly)
+    if roots is not None:
+        return roots
     roots = rational_roots(poly)
     if roots is None or any(mult > 1 for mult in roots.values()):
         return None
     return sorted(roots, reverse=True)
+
+
+def _certified_spectrum(
+    m: Matrix, roots: Sequence[Fraction], read_roots: Callable[[Sequence[Fraction]], list[Fraction] | None]
+) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
+    """The candidate roots with their eigenspaces when those fill the space;
+    otherwise read_roots on the minimal polynomial of m decides, reusing the
+    eigenspaces already found, and None is its refutation."""
+    spaces = {lam: eigenspace(m, lam) for lam in roots}
+    if sum(space.dim for space in spaces.values()) < m.rows:
+        roots = read_roots(minimal_polynomial(m))
+        if roots is None:
+            return None
+        spaces = {lam: spaces[lam] if lam in spaces else eigenspace(m, lam) for lam in roots}
+    return tuple(roots), tuple(spaces[lam] for lam in roots)
 
 
 def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
@@ -688,15 +714,21 @@ def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, 
     if m.rows == 0:
         return (), ()
     roots = _distinct_roots(_krylov_polynomial(m))
-    if roots is None:
-        return None
-    spaces = {lam: eigenspace(m, lam) for lam in roots}
-    if sum(space.dim for space in spaces.values()) < m.rows:
-        roots = _distinct_roots(minimal_polynomial(m))
-        if roots is None:
-            return None
-        spaces = {lam: spaces[lam] if lam in spaces else eigenspace(m, lam) for lam in roots}
-    return tuple(roots), tuple(spaces[lam] for lam in roots)
+    return None if roots is None else _certified_spectrum(m, roots, _distinct_roots)
+
+
+def ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
+    """The eigenvalues c, c-2, ..., c-2d of m and its eigenspaces at them,
+    when m is diagonalizable with such a spectrum; None otherwise.
+
+    As diagonal_spectrum, but only the ladder test reads roots: a mu_v that
+    is no ladder may still miss an eigenvalue of a ladder, so the minimal
+    polynomial of m decides, and neither polynomial reaches the divisor
+    search of rational_roots, whose length grows with the entries.
+    """
+    if not m.is_square or m.rows == 0:
+        raise ValueError("a ladder spectrum requires a nonempty square matrix")
+    return _certified_spectrum(m, _ladder_roots(_krylov_polynomial(m)) or [], _ladder_roots)
 
 
 def _divisors(n: int) -> list[int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SpectrumError
-from .linalg import Matrix, Subspace, commutator, diagonal_spectrum, kron, require_within_guard
+from .linalg import Matrix, Subspace, commutator, kron, ladder_spectrum, require_within_guard
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -176,21 +176,14 @@ _NOT_A_LADDER = (
 )
 
 
-def _is_arithmetic_step_two(seq: Sequence[Fraction]) -> bool:
-    return all(seq[i - 1] - seq[i] == 2 for i in range(1, len(seq)))
-
-
-def _ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]]:
-    """The eigenvalues c, c-2, ..., c-2d of m and its eigenspaces at them,
-    as linalg.diagonal_spectrum certifies them; SpectrumError when m is not
-    diagonalizable over Q or its eigenvalues do not step down by 2."""
-    spectrum = diagonal_spectrum(m)
-    if spectrum is None:
-        raise SpectrumError(_NOT_A_LADDER)
-    eigenvalues = spectrum[0]
-    if not eigenvalues:
+def _generator_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]]:
+    """The eigenvalues c, c-2, ..., c-2d of a generator m and its eigenspaces
+    at them (linalg.ladder_spectrum); SpectrumError when m is not
+    diagonalizable over Q with such a spectrum, or is 0 x 0."""
+    if m.rows == 0:
         raise SpectrumError("scalar spectrum could not be extracted")
-    if not _is_arithmetic_step_two(eigenvalues):
+    spectrum = ladder_spectrum(m)
+    if spectrum is None:
         raise SpectrumError(_NOT_A_LADDER)
     return spectrum
 
@@ -198,8 +191,8 @@ def _ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, .
 def _module_spectra(m: OnsagerModule) -> tuple[int, Fraction, Fraction, tuple[Subspace, ...], tuple[Subspace, ...]]:
     """module_type of m, with the eigenspaces of A and of Astar at their
     eigenvalues c, c-2, ..., c-2d from the same spectral pass."""
-    values_a, spaces_a = _ladder_spectrum(m.A)
-    values_s, spaces_s = _ladder_spectrum(m.Astar)
+    values_a, spaces_a = _generator_spectrum(m.A)
+    values_s, spaces_s = _generator_spectrum(m.Astar)
     d_a, d_s = len(values_a) - 1, len(values_s) - 1
     if d_a != d_s:
         raise SpectrumError(f"generator spectra have different lengths ({d_a + 1} vs {d_s + 1})")
@@ -209,12 +202,13 @@ def _module_spectra(m: OnsagerModule) -> tuple[int, Fraction, Fraction, tuple[Su
 def module_type(m: OnsagerModule) -> tuple[int, Fraction, Fraction]:
     """Diameter d and type (alpha, alphastar) of a module candidate.
 
-    Each generator's distinct eigenvalues come from linalg.diagonal_spectrum,
-    certified by its eigenspaces, and must step down by 2 from a top c: then
-    d + 1 is their number and c - d the type. Raises SpectrumError when
-    either generator is not diagonalizable over Q with a spectrum of the form
-    {c, c-2, ..., c-2d} (a 0 x 0 generator has no spectrum), or when the two
-    diameters differ.
+    Each generator's distinct eigenvalues must step down by 2 from a top c:
+    linalg.ladder_spectrum reads them by the ladder test off its minimal
+    polynomial on one vector, certified by their eigenspaces, or off its
+    minimal polynomial when those fall short. Then d + 1 is their number
+    and c - d the type. Raises SpectrumError when either generator is not
+    diagonalizable over Q with a spectrum of the form {c, c-2, ..., c-2d}
+    (a 0 x 0 generator has no spectrum), or when the two diameters differ.
     """
     return _module_spectra(m)[:3]
 

@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from .classify import _full_algebra_with_top, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
@@ -151,23 +150,22 @@ class TetraModule:
                 raise ValueError(f"matrix for {pair} does not act on the module")
 
 
-def _opposite_decompositions(
-    flags: tuple[Flag, ...], known: Mapping[tuple[int, int], Sequence[Subspace]] = MappingProxyType({})
-) -> dict[tuple[int, int], tuple[Subspace, ...]]:
+def _opposite_pieces(flags: tuple[Flag, ...], r: int, s: int) -> tuple[Subspace, ...]:
+    """Pieces of the decomposition the flags r and s induce, by Zassenhaus
+    intersections. Raises OppositionError when the two are not opposite."""
+    pieces = _induced_subspaces(flags[r], flags[s])
+    if isinstance(pieces, str):
+        raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
+    return pieces
+
+
+def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], tuple[Subspace, ...]]:
     """Decomposition induced by every pair r < s of the four flags.
 
     Opposition is symmetric, so this decides it for all twelve ordered
-    pairs. The pieces of a pair in known are taken as given; the others are
-    Zassenhaus intersections of the flags. Raises OppositionError naming the
-    first pair that is not opposite.
+    pairs. Raises OppositionError naming the first pair that is not opposite.
     """
-    decomps: dict[tuple[int, int], tuple[Subspace, ...]] = {}
-    for r, s in UNORDERED_PAIRS:
-        pieces = tuple(known[(r, s)]) if (r, s) in known else _induced_subspaces(flags[r], flags[s])
-        if isinstance(pieces, str):
-            raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
-        decomps[(r, s)] = pieces
-    return decomps
+    return {(r, s): _opposite_pieces(flags, r, s) for r, s in UNORDERED_PAIRS}
 
 
 def build_tetra(m: OnsagerModule) -> TetraModule:
@@ -200,7 +198,8 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
     flags = _flags_from_chains(*chains.values())
     x: dict[tuple[int, int], Matrix] = {}
-    for (r, s), pieces in _opposite_decompositions(flags, chains).items():
+    for r, s in UNORDERED_PAIRS:
+        pieces = chains[(r, s)] if (r, s) in chains else _opposite_pieces(flags, r, s)
         weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
         x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
         x[(s, r)] = -x[(r, s)]

@@ -22,7 +22,7 @@ from typing import Sequence
 from .classify import _full_algebra_with_top
 from .errors import SpectrumError
 from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
-from .onsager import _is_arithmetic_step_two, dolan_grady_holds
+from .onsager import dolan_grady_holds
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,10 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
         irreducible=irreducible,
         verdict=verdict,
     )
+
+
+def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
+    return all(seq[i - 1] - seq[i] == 2 for i in range(1, len(seq)))
 
 
 def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

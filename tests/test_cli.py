@@ -646,6 +646,43 @@ class TestDeepReadsTheFile:
         assert [m.dim for m in calls] == [4]
 
 
+class TestNonLadderGenerator:
+    """A generator whose minimal polynomial is x^2 - (10^30 + 1) is refused by
+    the ladder test, with no search over the divisors of 10^30 + 1."""
+
+    BIG = [["0", str(10**30 + 1)], ["1", "0"]]
+
+    @pytest.fixture
+    def no_divisor_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "rational_roots", lambda poly: calls.append(poly) or None)
+        return calls
+
+    def test_inspect_flags_exits_1(self, tmp_path, capsys, no_divisor_search):
+        module = module_to_json(build_from_spec(ModuleSpec.of([(1, 2)])))
+        module["A"] = self.BIG
+        out_path = tmp_path / "m.json"
+        assert main(["build", write_json(tmp_path / "s.json", SPEC_V2), "-o", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        data["module"]["A"] = self.BIG
+        for path in (write_json(tmp_path / "bare.json", module), write_json(tmp_path / "build.json", data)):
+            capsys.readouterr()
+            assert main(["inspect", path, "--flags"]) == 1
+            assert_one_error_line(*capsys.readouterr())
+        assert no_divisor_search == []
+
+    def test_verify_deep_exits_1(self, tmp_path, capsys, no_divisor_search):
+        out_path = tmp_path / "m.json"
+        assert main(["build", write_json(tmp_path / "s.json", SPEC_V2), "-o", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        data["tetra"]["x"]["01"] = self.BIG
+        data["tetra"]["x"]["10"] = [["0", str(-(10**30 + 1))], ["-1", "0"]]
+        capsys.readouterr()
+        assert main(["verify", write_json(tmp_path / "big.json", data), "--deep"]) == 1
+        assert json.loads(capsys.readouterr().out)["deep"]["pass"] is False
+        assert no_divisor_search == []
+
+
 class TestCrossProcessDeterminism:
     def test_build_and_deep_verify_bytes_ignore_the_hash_seed(self, tmp_path):
         # string hashing, and with it set and dict iteration order, changes

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -549,8 +550,43 @@ class TestDiagonalSpectrum:
         assert linalg.diagonal_spectrum(Matrix.from_rows([[1, 1], [0, 1]])) is None
         assert linalg.diagonal_spectrum(Matrix.from_rows([[0, 2], [1, 0]])) is None  # x^2 - 2
 
+    @settings(deadline=None, max_examples=100)
+    @given(conjugated_block_matrices())
+    def test_ladder_route_against_the_minimal_polynomial_route(self, m):
+        expected = reference_spectrum(m)
+        if expected is not None and any(a - b != 2 for a, b in zip(expected[0], expected[0][1:])):
+            expected = None
+        with mock.patch.object(linalg, "rational_roots", side_effect=AssertionError("divisor search")):
+            assert linalg.ladder_spectrum(m) == expected
+
+    def test_ladder_route_with_a_missed_rung(self, monkeypatch):
+        # the start vector has no component at eigenvalue 0: mu_v = x^2 - 4 is
+        # no ladder, so the minimal polynomial of m decides, by the ladder test
+        n = 3
+        columns = [[x - (i == 1) for i, x in enumerate(linalg._krylov_start(n))], [0, 0, 1], [0, 1, 0]]
+        s = Matrix.from_rows(columns).transpose()
+        m = s * Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]) * inverse(s)
+        assert linalg._krylov_polynomial(m) == (F(-4), F(0), F(1))
+        expected = reference_spectrum(m)
+        calls = []
+        real = linalg.minimal_polynomial
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        monkeypatch.setattr(linalg, "rational_roots", None)
+        assert linalg.ladder_spectrum(m) == expected
+        assert calls == [m]
+
+    def test_ladder_route_refuses_large_entries_without_a_divisor_search(self, monkeypatch):
+        # x^2 - (10^30 + 1): rational_roots would try about 10^15 divisors
+        monkeypatch.setattr(linalg, "rational_roots", None)
+        assert linalg.ladder_spectrum(Matrix.from_rows([[0, 10**30 + 1], [1, 0]])) is None
+        assert linalg.ladder_spectrum(Matrix.from_rows([[1, 1], [0, 1]])) is None
+
     def test_edge_shapes(self):
         assert linalg.diagonal_spectrum(Matrix.zeros(0, 0)) == ((), ())
         assert linalg.diagonal_spectrum(Matrix.identity(3) * 2) == ((F(2),), (Subspace.full(3),))
         with pytest.raises(ValueError):
             linalg.diagonal_spectrum(Matrix.zeros(2, 3))
+        assert linalg.ladder_spectrum(Matrix.identity(3) * 2) == ((F(2),), (Subspace.full(3),))
+        for shape in ((0, 0), (2, 3)):
+            with pytest.raises(ValueError):
+                linalg.ladder_spectrum(Matrix.zeros(*shape))

@@ -766,7 +766,7 @@ class TestPairwiseBurnsideAtD:
 class TestOneSpectralPass:
     """module_type, four_flags, build_tetra and verify_tridiagonal_pair read
     each generator's eigenvalues and eigenspaces off one certificate
-    (linalg.diagonal_spectrum)."""
+    (linalg.ladder_spectrum and linalg.diagonal_spectrum)."""
 
     def test_no_minimal_polynomial_on_the_irreducible_grid(self, grid_modules, built_irreducible_grid, monkeypatch):
         # every mu_v is a ladder whose eigenspaces fill the space: no fallback, no divisor search
