@@ -42,6 +42,19 @@ both directions, whenever the top eigenspace is a line. The closure decides
 only otherwise: when there is no spectrum {c, c-2, ...} or its top
 eigenspace is wider. generated_algebra_dimension is the closure alone.
 
+Norton's verdict on a pair is kept on its first generator, a, in a dict
+that _full_algebra_with_top creates in a's instance __dict__ on its first
+call, keyed by (b, top). A Matrix is immutable, so the bool stays true of
+a, and is_irreducible_burnside, build_tetra, pairwise_burnside and the
+tridiagonal checks spin once per pair of matrix objects. The dict is no
+dataclass field, so ==, hash and repr of a Matrix do not see it; it lives
+and dies with its matrix, and an equal matrix built separately runs its own
+test, so there is no process-wide table to bound. Only Norton's bools are
+kept. The closure's verdict is not: its guard is read at call time, so a
+pair it decided is refused again once the guard is lowered, and a
+DimensionGuardError is raised on every call. No subspace is kept either:
+eigenspaces would live as long as every matrix that produced one.
+
 The spins, the intertwiner's included, have no size bound. The closure
 works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
 starts, so at the default 4096 it runs up to dim 64.
@@ -57,6 +70,7 @@ from typing import Iterable, Sequence
 from .errors import ReducibleModuleError, SpectrumError
 from .linalg import (
     Matrix,
+    Subspace,
     _Echelon,
     _integer_columns,
     _strip_gcd,
@@ -218,7 +232,7 @@ def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
     return _closure_dimension_exact([a._num, b._num], a.rows)
 
 
-def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
+def _norton(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool | None:
     """Norton's test on the pair (a, b) at the eigenvalue top.
 
     When ker(a - top I) is a line, spanned by v, and ker(a^T - top I) by w:
@@ -226,10 +240,12 @@ def _norton(a: Matrix, b: Matrix, top: Fraction | None) -> bool | None:
     which is exactly when a and b generate End(V) (see the module
     docstring). A False verdict is a spin that stopped short: a proper
     invariant subspace of V, or of V* under the transposes. None when top is
-    None or the eigenspace is not a line; the test then says nothing. The
-    spin has no size guard.
+    None or the eigenspace is not a line; the test then says nothing. A
+    caller that holds ker(a - top I) passes it as line, and it is not
+    computed again. The spin has no size guard.
     """
-    line = None if top is None else eigenspace(a, top)
+    if line is None and top is not None:
+        line = eigenspace(a, top)
     if line is None or line.dim != 1:
         return None
     gens = [a._num, b._num]
@@ -256,12 +272,20 @@ def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
     return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
 
 
-def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None) -> bool:
+def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool:
     """pair_generates_full_algebra for a caller that knows an eigenvalue top
-    of a (None: none known). Norton's test is sound at any eigenvalue whose
-    eigenspace is a line, so it decides there; otherwise the closure does."""
-    verdict = _norton(a, b, top)
-    return _closure_is_full([a._num, b._num], a.rows) if verdict is None else verdict
+    of a (None: none known) and perhaps its eigenspace line. Norton's test is
+    sound at any eigenvalue whose eigenspace is a line, so it decides there;
+    otherwise the closure does. Norton's verdict is kept on a, keyed by
+    (b, top), and read back by a later call (see the module docstring)."""
+    verdicts = a.__dict__.setdefault("_norton_verdicts", {})
+    verdict = verdicts.get((b, top))
+    if verdict is None:
+        verdict = _norton(a, b, top, line)
+        if verdict is None:
+            return _closure_is_full([a._num, b._num], a.rows)
+        verdicts[(b, top)] = verdict
+    return verdict
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:

@@ -193,7 +193,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if not _full_algebra_with_top(m.A, m.Astar, Fraction(d)):
+    if not _full_algebra_with_top(m.A, m.Astar, Fraction(d), spaces_a[0]):
         raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
     flags = _flags_from_chains(*chains.values())
@@ -445,10 +445,15 @@ def pairwise_burnside(t: TetraModule) -> bool:
     Norton's test is sound at any eigenvalue whose eigenspace is a line, so
     each pair is asked at t's diameter d, the top line of every irreducible
     structure, and decided at any dimension; where ker(x_p - d) is not a
-    line, the Burnside closure decides, within the guard.
+    line, the Burnside closure decides, within the guard. Once eigentable
+    has computed the chain of x_p, its first space is that kernel and Norton
+    reads it there; a verdict already kept on x_p (classify) is read back.
     """
     d = Fraction(t.diameter)
-    return all(_full_algebra_with_top(t.x[p1], t.x[p2], d) for p1, p2 in OPPOSITE_PAIRS)
+    return all(
+        _full_algebra_with_top(t.x[p1], t.x[p2], d, t._chains[p1][0] if p1 in t._chains else None)
+        for p1, p2 in OPPOSITE_PAIRS
+    )
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

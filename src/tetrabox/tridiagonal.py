@@ -5,7 +5,8 @@ such that each acts block-tridiagonally on some ordering of the other's
 eigenspaces and the two admit no common invariant subspace. Pairs whose
 eigenvalue sequences are arithmetic with common difference 2 are exactly
 the generator actions of irreducible Onsager modules, and that equivalence
-is checked here with both sides computed independently.
+is checked here. Irreducibility is a condition of both sides, so the check
+decides it first, once, and computes the rest only for a pair that passes.
 
 Diagonalizability is decided over Q, the working field of this package, by
 linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
@@ -54,12 +55,20 @@ def _block_tridiagonal_ordering(
     return all(annihilates(diagonal, acting * hstack(*(space.basis for space in spaces)), blocks))
 
 
-def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
-    """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
-    decided as in classify.pair_generates_full_algebra."""
+def _require_square_pair(a: Matrix, astar: Matrix) -> None:
     if not (a.is_square and astar.is_square) or a.rows != astar.rows:
         raise ValueError("expected square matrices of equal size")
-    spec_a = diagonal_spectrum(a)
+
+
+def _irreducible(a: Matrix, astar: Matrix, spec_a) -> bool:
+    """Norton's verdict at the top of a's spectrum, read off its eigenspace
+    there, which spec_a (diagonal_spectrum(a)) already holds."""
+    top, line = (spec_a[0][0], spec_a[1][0]) if spec_a and spec_a[0] else (None, None)
+    return _full_algebra_with_top(a, astar, top, line)
+
+
+def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:
+    """The four axioms, given a's spectrum and the irreducibility verdict."""
     spec_s = diagonal_spectrum(astar)
     ordering_a = None
     ordering_s = None
@@ -69,8 +78,6 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
         ordering_a = spec_a[0]
     if spec_s is not None and _block_tridiagonal_ordering(a, astar, *spec_s):
         ordering_s = spec_s[0]
-    # the top of A's spectrum, already in hand, spares Norton's test a minimal polynomial
-    irreducible = _full_algebra_with_top(a, astar, spec_a[0][0] if spec_a and spec_a[0] else None)
     verdict = ordering_a is not None and ordering_s is not None and irreducible
     return TdpReport(
         diagonalizable_A=spec_a is not None,
@@ -80,6 +87,14 @@ def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
         irreducible=irreducible,
         verdict=verdict,
     )
+
+
+def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
+    """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
+    decided as in classify.pair_generates_full_algebra."""
+    _require_square_pair(a, astar)
+    spec_a = diagonal_spectrum(a)
+    return _report(a, astar, spec_a, _irreducible(a, astar, spec_a))
 
 
 def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
@@ -106,13 +121,22 @@ def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...]
 def check_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
     """Equivalence test: [tridiagonal pair with both sequences arithmetic-2]
     against [both Dolan-Grady relations hold and the pair generates the full
-    matrix algebra], the two sides computed independently.
+    matrix algebra].
+
+    Irreducibility is a condition of both sides, so it is decided first: on
+    a pair that does not generate End(V) both sides are false and the
+    equivalence holds, with no spectrum of astar, no ordering and no
+    Dolan-Grady relation computed. Otherwise both sides are computed in full,
+    on a's spectrum and the one irreducibility verdict.
     """
-    report = verify_tridiagonal_pair(a, astar)
+    _require_square_pair(a, astar)
+    spec_a = diagonal_spectrum(a)
+    if not _irreducible(a, astar, spec_a):
+        return True
+    report = _report(a, astar, spec_a, True)
     side_tdp = (
         report.verdict
         and _is_arithmetic_step_two(report.standard_ordering_A)
         and _is_arithmetic_step_two(report.standard_ordering_Astar)
     )
-    side_onsager = dolan_grady_holds(a, astar) and report.irreducible
-    return side_tdp == side_onsager
+    return side_tdp == dolan_grady_holds(a, astar)

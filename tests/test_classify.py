@@ -1,3 +1,5 @@
+import dataclasses
+import weakref
 from collections import deque
 from fractions import Fraction as F
 from itertools import permutations
@@ -15,7 +17,9 @@ from tetrabox import (
     build_from_spec,
     build_tetra,
     build_tetra_from_spec,
+    check_onsager_equivalence,
     eigenspace,
+    eigentable,
     equivalence_key,
     evaluation_module,
     find_intertwiner,
@@ -30,7 +34,7 @@ from tetrabox import (
     trivial_module,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, linalg
+from tetrabox import classify, linalg, tetra
 from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
 
@@ -565,3 +569,116 @@ class TestIsomorphism:
     def test_reducible_rejected(self):
         with pytest.raises(ReducibleModuleError):
             is_isomorphic(spec((1, 1)), spec((1, 2)))
+
+
+def spy_norton(monkeypatch) -> list:
+    """The pairs (a, b) on which classify._norton runs from now on."""
+    calls = []
+    real = classify._norton
+    monkeypatch.setattr(classify, "_norton", lambda a, b, *args: calls.append((a, b)) or real(a, b, *args))
+    return calls
+
+
+def spy_eigenspaces(monkeypatch) -> list:
+    """(matrix, eigenvalue) of every eigenspace kernel from now on. The list
+    holds each matrix, so no two of them share an id while it lives."""
+    calls = []
+    real = linalg.eigenspace
+    for module in (linalg, classify, tetra):
+        monkeypatch.setattr(module, "eigenspace", lambda m, lam: calls.append((m, lam)) or real(m, lam))
+    return calls
+
+
+def recomputed(calls: list) -> list:
+    """The (size, eigenvalue) of every call that repeats an earlier one on the same matrix object."""
+    keys = [(id(m), lam) for m, lam in calls]
+    return [(m.rows, lam) for i, (m, lam) in enumerate(calls) if keys[i] in keys[:i]]
+
+
+class TestOneNortonVerdictPerPair:
+    """Norton's verdict is kept on the first generator, keyed by the second
+    and the top, so every entry point on the same matrices spins once."""
+
+    @pytest.mark.parametrize("factors, irreducible", [([(1, 2), (2, 3)], True), ([(1, 2), (2, F(1, 2))], False)])
+    def test_three_entry_points_one_test(self, monkeypatch, factors, irreducible):
+        m = build_from_spec(spec(*factors))
+        calls = spy_norton(monkeypatch)
+        assert is_irreducible_burnside(m) == irreducible
+        if irreducible:
+            assert build_tetra(m).x[(0, 1)] == m.A
+        else:
+            with pytest.raises(ReducibleModuleError):
+                build_tetra(m)
+        assert check_onsager_equivalence(m.A, m.Astar)
+        assert verify_tridiagonal_pair(m.A, m.Astar).irreducible == irreducible
+        assert len(calls) == 1 and calls[0][0] is m.A and calls[0][1] is m.Astar
+
+    def test_pairwise_burnside_reads_the_build_verdict(self, monkeypatch):
+        # verify --deep: the flag-route rebuild of a file's (x_01, x_23), then pairwise_burnside on the file
+        t = build_tetra_from_spec(spec((3, 2), (3, 3)))
+        standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
+        calls = spy_norton(monkeypatch)
+        assert build_tetra(standard).x == t.x
+        assert pairwise_burnside(t)
+        # build_tetra's test answers for (x_01, x_23); the other two pairs run their own
+        assert calls == [(t.x[p1], t.x[p2]) for p1, p2 in OPPOSITE_PAIRS]
+        assert calls[0][0] is standard.A and calls[0][1] is standard.Astar
+
+    def test_equal_modules_each_run_their_own_test(self, monkeypatch):
+        first, second = (build_from_spec(spec((2, 3), (1, 5))) for _ in range(2))
+        assert first.A == second.A and first.A is not second.A
+        before = (hash(first.A), repr(first.A))
+        assert "_norton_verdicts" not in vars(first.A)
+        calls = spy_norton(monkeypatch)
+        assert is_irreducible_burnside(first) and is_irreducible_burnside(first)
+        assert len(calls) == 1
+        assert is_irreducible_burnside(second)
+        assert len(calls) == 2 and calls[1][0] is second.A
+        # the verdict sits in the instance __dict__, outside the fields that ==, hash and repr read
+        assert vars(first.A)["_norton_verdicts"] == {(first.Astar, F(3)): True}
+        assert "_norton_verdicts" not in {f.name for f in dataclasses.fields(Matrix)}
+        assert first.A == second.A
+        assert (hash(first.A), repr(first.A)) == before == (hash(second.A), repr(second.A))
+
+    def test_verdict_dies_with_its_matrix(self):
+        m = build_from_spec(spec((1, 2), (1, 3)))
+        assert is_irreducible_burnside(m)
+        a, astar = weakref.ref(m.A), weakref.ref(m.Astar)
+        del m
+        assert a() is None and astar() is None
+
+    def test_guard_refusal_is_raised_on_every_call(self, monkeypatch):
+        # V + V has no top line, so only the closure decides, and its dim^2 16 is above the guard
+        m = doubled(evaluation_module(1, F(2)))
+        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        checks = (is_irreducible_burnside, build_tetra, lambda m: verify_tridiagonal_pair(m.A, m.Astar),
+                  lambda m: check_onsager_equivalence(m.A, m.Astar))
+        for _ in range(2):
+            for check in checks:
+                with pytest.raises(DimensionGuardError, match="Burnside closure dimension 16"):
+                    check(m)
+        assert vars(m.A).get("_norton_verdicts", {}) == {}
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (2, 3)], [(1, 2), (2, F(1, 2))]], ids=["irreducible", "reducible"])
+    def test_no_eigenspace_recomputes_a_line_in_hand(self, monkeypatch, factors):
+        # Norton takes ker(A - d) from the spectrum or the chain its caller holds
+        s = spec(*factors)
+        calls = spy_eigenspaces(monkeypatch)
+        entry_points = [
+            lambda m: build_tetra(m),
+            lambda m: verify_tridiagonal_pair(m.A, m.Astar),
+            lambda m: check_onsager_equivalence(m.A, m.Astar),
+        ]
+        for run in entry_points:
+            calls.clear()
+            try:
+                run(build_from_spec(s))
+            except ReducibleModuleError:
+                pass
+            assert calls and recomputed(calls) == []
+        if is_irreducible_criterion(s):
+            t = build_tetra_from_spec(s)
+            calls.clear()
+            eigentable(t)
+            assert pairwise_burnside(t)
+            assert recomputed(calls) == []

@@ -1,23 +1,28 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetrabox import (
     Matrix,
     ModuleSpec,
     SpectrumError,
     Subspace,
+    TdpReport,
     build_from_spec,
     check_onsager_equivalence,
     commutator,
+    diagonal_spectrum,
+    dolan_grady_holds,
     eigenspace,
     evaluation_module,
     inverse,
+    is_irreducible_criterion,
     subspace_sum,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, linalg
-from tetrabox.tridiagonal import _block_tridiagonal_ordering, eigenvalue_sequences
+from tetrabox import classify, linalg, tridiagonal
+from tetrabox.tridiagonal import _block_tridiagonal_ordering, _is_arithmetic_step_two, eigenvalue_sequences
 
 H = Matrix.from_rows([[1, 0], [0, -1]])
 
@@ -174,6 +179,106 @@ class TestOnsagerEquivalence:
         # 3A stretches the eigenvalue gaps and violates Dolan-Grady together
         a, astar = pair_of([(1, 2)])
         assert check_onsager_equivalence(3 * a, astar)
+
+
+def fresh(m: Matrix) -> Matrix:
+    """An equal matrix object, which carries no verdict an earlier call kept."""
+    return Matrix._of(m.rows, m.cols, m._num, m._den)
+
+
+def reference_report(a: Matrix, astar: Matrix) -> TdpReport:
+    """verify_tridiagonal_pair as one pass over all four axioms: both spectra,
+    both orderings, then Norton's test at the top of a's spectrum, on fresh
+    copies of the two matrices."""
+    a, astar = fresh(a), fresh(astar)
+    spec_a, spec_s = diagonal_spectrum(a), diagonal_spectrum(astar)
+    ordering_a = spec_a[0] if spec_a is not None and _block_tridiagonal_ordering(astar, a, *spec_a) else None
+    ordering_s = spec_s[0] if spec_s is not None and _block_tridiagonal_ordering(a, astar, *spec_s) else None
+    irreducible = classify._full_algebra_with_top(a, astar, spec_a[0][0] if spec_a and spec_a[0] else None)
+    return TdpReport(spec_a is not None, spec_s is not None, ordering_a, ordering_s, irreducible,
+                     ordering_a is not None and ordering_s is not None and irreducible)
+
+
+def reference_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
+    """check_onsager_equivalence with no early return: the full report, then
+    both sides, the Dolan-Grady relations computed whatever the report says."""
+    report = reference_report(a, astar)
+    side_tdp = (
+        report.verdict
+        and _is_arithmetic_step_two(report.standard_ordering_A)
+        and _is_arithmetic_step_two(report.standard_ordering_Astar)
+    )
+    side_onsager = dolan_grady_holds(a, astar) and report.irreducible
+    return side_tdp == side_onsager
+
+
+def assert_agrees_with_reference(a: Matrix, astar: Matrix) -> None:
+    assert verify_tridiagonal_pair(a, astar) == reference_report(a, astar)
+    assert check_onsager_equivalence(a, astar) == reference_onsager_equivalence(a, astar)
+
+
+# a = 1 and -1 and the pair 2, 1/2 make reducible modules
+CONJUGATION_POOL = (F(2), F(3), F(1, 2), F(-1), F(1))
+
+
+@st.composite
+def conjugated_modules(draw):
+    """(A, Astar) of a 1- or 2-factor spec, possibly shifted, conjugated by
+    one unitriangular P: P A P^-1 and P Astar P^-1."""
+    factors = draw(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(CONJUGATION_POOL)), min_size=1, max_size=2))
+    shift = draw(st.sampled_from(((0, 0), (1, 0), (0, F(-1, 2)))))
+    m = build_from_spec(ModuleSpec.of(factors, shift=shift))
+    n, entry = m.dim, st.integers(-2, 2)
+    lower = Matrix.from_rows([[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows([[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)])
+    p = lower * upper
+    p_inv = inverse(p)
+    return p * m.A * p_inv, p * m.Astar * p_inv
+
+
+class TestIrreducibilityFirst:
+    """check_onsager_equivalence decides irreducibility first and stops on a
+    reducible pair; its answers and verify_tridiagonal_pair's reports equal
+    those of the full report."""
+
+    def test_grid_modules(self, grid_modules):
+        for s, m in grid_modules.items():
+            assert_agrees_with_reference(m.A, m.Astar)
+            assert check_onsager_equivalence(m.A, m.Astar), s.factors
+
+    @settings(max_examples=30, deadline=None)
+    @given(conjugated_modules())
+    def test_conjugated_modules(self, pair):
+        assert_agrees_with_reference(*pair)
+
+    def test_designed_pairs(self):
+        a, astar = pair_of([(1, 2)])
+        v1 = evaluation_module(1, F(1))
+        for pair in ((H, H), (v1.A, v1.Astar), (3 * a, astar), (Matrix.zeros(1, 1), Matrix.zeros(1, 1))):
+            assert_agrees_with_reference(*pair)
+            assert check_onsager_equivalence(*pair)
+
+    def spy(self, monkeypatch) -> dict[str, list]:
+        calls = {"diagonal_spectrum": [], "annihilates": [], "dolan_grady_holds": []}
+        for name, seen in calls.items():
+            real = getattr(tridiagonal, name)
+            monkeypatch.setattr(tridiagonal, name, lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args))
+        return calls
+
+    def test_reducible_pair_reads_only_the_spectrum_of_a(self, grid_specs, grid_modules, monkeypatch):
+        reducible = [grid_modules[s] for s in grid_specs if not is_irreducible_criterion(s)]
+        calls = self.spy(monkeypatch)
+        for m in reducible:
+            assert check_onsager_equivalence(m.A, m.Astar)
+        assert len(calls["diagonal_spectrum"]) == len(reducible)
+        assert all(seen is m.A for seen, m in zip(calls["diagonal_spectrum"], reducible))
+        assert calls["annihilates"] == [] and calls["dolan_grady_holds"] == []
+
+    def test_irreducible_pair_computes_both_sides(self, monkeypatch):
+        a, astar = pair_of([(1, 2), (2, 3)])
+        calls = self.spy(monkeypatch)
+        assert check_onsager_equivalence(a, astar)
+        assert [len(calls[name]) for name in calls] == [2, 2, 1]
 
 
 class TestEigenspaceShiftEquivalence:
