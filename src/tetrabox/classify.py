@@ -47,7 +47,7 @@ that _full_algebra_with_top creates in a's instance __dict__ on its first
 call, keyed by (b, top). A Matrix is immutable, so the bool stays true of
 a, and is_irreducible_burnside, build_tetra, pairwise_burnside and the
 tridiagonal checks spin once per pair of matrix objects. The dict is no
-dataclass field, so ==, hash and repr of a Matrix do not see it; it lives
+Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
 and dies with its matrix, and an equal matrix built separately runs its own
 test, so there is no process-wide table to bound. Only Norton's bools are
 kept. The closure's verdict is not: its guard is read at call time, so a

@@ -19,9 +19,9 @@ from the eigenspace chains of its two generators, one per corner index 0..3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .errors import OppositionError, TypeShiftError
 from .linalg import Subspace, _echelon, _integer_columns, intersect, subspace_sum
 from .onsager import OnsagerModule, _module_spectra
@@ -34,11 +34,11 @@ def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
     return len(columns) == n and len(_echelon(n, columns)) == n
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Ordered list of nonzero subspaces whose direct sum is the full space."""
 
     subspaces: tuple[Subspace, ...]
+    _fields = ("subspaces",)
 
     def __post_init__(self):
         if not self.subspaces:
@@ -61,11 +61,11 @@ class Decomposition:
         return len(self.subspaces) - 1
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """Strictly increasing chain of subspaces ending at the full space."""
 
     components: tuple[Subspace, ...]
+    _fields = ("components",)
 
     def __post_init__(self):
         if not self.components:

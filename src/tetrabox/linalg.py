@@ -58,12 +58,12 @@ that problem is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import DimensionGuardError
 
 DIM_GUARD = 4096  # read at call time, so a test can lower it
@@ -96,8 +96,7 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: in
     return out
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Matrix(Record):
     """Immutable dense rational matrix: integer numerator rows over one denominator.
 
     The stored form is _num, a tuple of rows of integers, and _den, a
@@ -111,6 +110,7 @@ class Matrix:
     cols: int
     _num: tuple[tuple[int, ...], ...]
     _den: int
+    _fields = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         values = [_as_rational(x) for x in entries]
@@ -364,8 +364,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return _reduced_echelon(m.cols, m._num, m.rows)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n given by a canonical column-echelon basis matrix.
 
     Canonical form: the basis columns are the nonzero rows of the reduced
@@ -375,9 +374,14 @@ class Subspace:
 
     ambient_dim: int
     basis: Matrix
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
+    # its own positional __init__, as Matrix has: a lib-grid pass builds about
+    # a thousand subspaces, and Record's generic one costs more per call
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+        if basis.rows != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
 
     @classmethod

@@ -10,10 +10,10 @@ type shift (alpha, alphastar) describe the spectra {d - 2i + alpha} and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import SpectrumError
 from .linalg import Matrix, Subspace, commutator, kron, ladder_spectrum, require_within_guard
 
@@ -21,13 +21,13 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(Record):
     """Matrices of e, f, h acting on a weight-basis sl2 module."""
 
     e: Matrix
     f: Matrix
     h: Matrix
+    _fields = ("e", "f", "h")
 
     @property
     def dim(self) -> int:
@@ -63,8 +63,7 @@ def sl2_irreducible(n: int) -> Sl2Triple:
     return Sl2Triple(Matrix.from_rows(e), Matrix.from_rows(f), Matrix.from_rows(h))
 
 
-@dataclass(frozen=True)
-class OnsagerModule:
+class OnsagerModule(Record):
     """Actions A, Astar of the two standard Onsager generators on Q^dim.
 
     The module is its matrices: equality and hash compare dim, A and Astar
@@ -75,6 +74,7 @@ class OnsagerModule:
     dim: int
     A: Matrix
     Astar: Matrix
+    _fields = ("dim", "A", "Astar")
 
     def __post_init__(self):
         if not (self.A.is_square and self.Astar.is_square):
@@ -83,8 +83,7 @@ class OnsagerModule:
             raise ValueError("generator size does not match module dimension")
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Record):
     """Serializable identity of a module: evaluation factors plus a type shift.
 
     Each factor (n, a) stands for the (n+1)-dimensional evaluation module
@@ -93,6 +92,7 @@ class ModuleSpec:
 
     factors: tuple[tuple[int, Fraction], ...]
     shift: tuple[Fraction, Fraction] = (Q0, Q0)
+    _fields = ("factors", "shift")
 
     def __post_init__(self):
         for n, a in self.factors:

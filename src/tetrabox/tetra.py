@@ -52,11 +52,11 @@ generators, and a pair that is not antisymmetric is computed in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from types import MappingProxyType
 
+from ._record import Record
 from .classify import _full_algebra_with_top, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import Flag, _flags_from_chains, _induced_subspaces
@@ -89,19 +89,19 @@ UNORDERED_PAIRS = tuple((r, s) for r in CORNERS for s in CORNERS if r < s)
 OPPOSITE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One verified identity or inclusion, with the residual on failure."""
 
     relation: str
     instance: tuple
     passed: bool
     residual: Matrix | None = None
+    _fields = ("relation", "instance", "passed", "residual")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     checks: tuple[CheckResult, ...]
+    _fields = ("checks",)
 
     @property
     def all_passed(self) -> bool:
@@ -111,8 +111,7 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-@dataclass(frozen=True)
-class EigenTable:
+class EigenTable(Record):
     """Eigenspace dimensions of every generator at every eigenvalue d-2i.
 
     diameter_attained: d is an eigenvalue of some generator, so of all of
@@ -125,24 +124,28 @@ class EigenTable:
     symmetric: bool
     sums_to_dim: bool
     diameter_attained: bool
+    _fields = ("eigenvalues", "dims", "constant_across_pairs", "symmetric", "sums_to_dim", "diameter_attained")
 
     @property
     def all_passed(self) -> bool:
         return self.constant_across_pairs and self.symmetric and self.sums_to_dim and self.diameter_attained
 
 
-@dataclass(frozen=True, eq=False)
-class TetraModule:
+class TetraModule(Record):
     """The twelve generator matrices x_rs on one module, as a read-only copy
     of the table given; the four flags are four_flags of (x_01, x_23)."""
 
     dim: int
     diameter: int
     x: MappingProxyType[tuple[int, int], Matrix]
-    _chains: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("dim", "diameter", "x")
+    # compared by identity: x is a mapping proxy, which has no hash
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "x", MappingProxyType(dict(self.x)))
+        object.__setattr__(self, "_chains", {})
         if set(self.x) != set(ORDERED_PAIRS):
             raise ValueError("expected one matrix per ordered pair of distinct corners")
         for pair, mat in self.x.items():

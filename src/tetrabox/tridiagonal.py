@@ -16,18 +16,17 @@ space, and those eigenspaces are the ones the ordering test reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .classify import _full_algebra_with_top
 from .errors import SpectrumError
 from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
 from .onsager import dolan_grady_holds
 
 
-@dataclass(frozen=True)
-class TdpReport:
+class TdpReport(Record):
     """Outcome of the four tridiagonal-pair axioms for one ordered pair."""
 
     diagonalizable_A: bool
@@ -36,6 +35,8 @@ class TdpReport:
     standard_ordering_Astar: tuple[Fraction, ...] | None
     irreducible: bool
     verdict: bool
+    _fields = ("diagonalizable_A", "diagonalizable_Astar", "standard_ordering_A", "standard_ordering_Astar",
+               "irreducible", "verdict")
 
 
 def _block_tridiagonal_ordering(

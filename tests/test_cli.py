@@ -704,20 +704,22 @@ class TestCrossProcessDeterminism:
 
 
 class TestImports:
-    def test_build_verify_and_deep_verify_do_not_load_numpy(self, tmp_path):
-        # -X importtime lists every module the process imports on stderr
+    def test_build_verify_and_deep_verify_load_no_dataclasses_inspect_or_numpy(self, tmp_path):
+        # -X importtime lists every module the process imports on stderr; -S
+        # keeps out what the site hooks import, so the list is tetrabox's own
         env = subprocess_env()
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
         out = str(tmp_path / "m.json")
         for args in (["build", spec, "-o", out], ["verify", out], ["verify", out, "--deep"]):
             proc = subprocess.run(
-                [sys.executable, "-X", "importtime", "-m", "tetrabox.cli", *args],
+                [sys.executable, "-S", "-X", "importtime", "-m", "tetrabox.cli", *args],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
             assert "tetrabox.classify" in imported
-            assert not any(name.split(".")[0] == "numpy" for name in imported), args
+            loaded = {name.split(".")[0] for name in imported} & {"dataclasses", "inspect", "numpy"}
+            assert not loaded, (args, loaded)
 
     def test_burnside_on_an_irreducible_build_does_not_load_numpy(self):
         # Norton's spin decides; the mod-p certificate, and numpy with it, never runs
