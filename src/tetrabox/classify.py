@@ -63,9 +63,9 @@ starts, so at the default 4096 it runs up to dim 64.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from .errors import ReducibleModuleError, SpectrumError
 from .linalg import (

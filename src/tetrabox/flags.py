@@ -13,18 +13,35 @@ lies in F_i "intersect" G_{d-i-1}, inside P_i, which meets P_{>i} only in
 0. Hence F_i = P_{<=i}, and likewise G_i = P_{>=d-i}: the pieces induce both
 flags. The pair (G, F) induces the same pieces reversed.
 
+A flag's components are the partial sums of its decomposition, read off one
+echelon that takes each piece's basis in turn and is read canonically after
+each (_partial_sums). Records are built only at the public API: build_tetra
+intersects the component tuples of _flag_components and builds no Flag.
+
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import OppositionError, TypeShiftError
-from .linalg import Subspace, _echelon, _integer_columns, intersect, subspace_sum
+from .linalg import Subspace, _Echelon, _echelon, _integer_columns, _reduced_echelon, intersect
 from .onsager import OnsagerModule, _module_spectra
+
+
+def _partial_sums(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
+    """The canonical sums V_0, V_0 + V_1, ... of the spaces, read off one echelon."""
+    n = spaces[0].ambient_dim
+    echelon = _Echelon(n)
+    sums = []
+    for space in spaces:
+        for column in _integer_columns(space.basis):
+            echelon.add(column)
+        sums.append(Subspace(n, _reduced_echelon(echelon)[0].transpose()))
+    return tuple(sums)
 
 
 def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
@@ -92,24 +109,19 @@ class Flag(Record):
 
 def flag_from_decomposition(dec: Decomposition) -> Flag:
     """The flag of partial sums V_0, V_0 + V_1, ..."""
-    partial = Subspace.zero(dec.ambient_dim)
-    components = []
-    for space in dec.subspaces:
-        partial = subspace_sum(partial, space)
-        components.append(partial)
-    return Flag(tuple(components))
+    return Flag(_partial_sums(dec.subspaces))
 
 
 def invert_decomposition(dec: Decomposition) -> Decomposition:
     return Decomposition(tuple(reversed(dec.subspaces)))
 
 
-def _induced_subspaces(f: Flag, g: Flag) -> tuple[Subspace, ...] | str:
-    """Componentwise intersections, or a reason string when not opposite."""
-    d = f.diameter
+def _induced_subspaces(f: Sequence[Subspace], g: Sequence[Subspace]) -> tuple[Subspace, ...] | str:
+    """Componentwise intersections of flag components, or a reason string when not opposite."""
+    d = len(f) - 1
     pieces = []
     for i in range(d + 1):
-        piece = intersect(f.components[i], g.components[d - i])
+        piece = intersect(f[i], g[d - i])
         if piece.is_zero():
             return f"component intersection {i} is zero"
         pieces.append(piece)
@@ -128,13 +140,13 @@ def _require_comparable(f: Flag, g: Flag) -> None:
 def are_opposite(f: Flag, g: Flag) -> bool:
     """True iff some decomposition induces f and its inversion induces g."""
     _require_comparable(f, g)
-    return not isinstance(_induced_subspaces(f, g), str)
+    return not isinstance(_induced_subspaces(f.components, g.components), str)
 
 
 def induced_decomposition(f: Flag, g: Flag) -> Decomposition:
     """The unique decomposition inducing the opposite flags f and g."""
     _require_comparable(f, g)
-    result = _induced_subspaces(f, g)
+    result = _induced_subspaces(f.components, g.components)
     if isinstance(result, str):
         raise OppositionError(f"flags are not opposite: {result}")
     return Decomposition(result)
@@ -151,16 +163,10 @@ def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
     _, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
-    return _flags_from_chains(spaces_a[::-1], spaces_s[::-1])
+    return tuple(Flag(components) for components in _flag_components(spaces_a[::-1], spaces_s[::-1]))
 
 
-def _flags_from_chains(chain_a: Sequence[Subspace], chain_s: Sequence[Subspace]) -> tuple[Flag, Flag, Flag, Flag]:
-    """The four flags from the eigenspaces of A and Astar at -d, 2-d, ..., d."""
-    up_a = Decomposition(tuple(chain_a))
-    up_s = Decomposition(tuple(chain_s))
-    return (
-        flag_from_decomposition(up_a),
-        flag_from_decomposition(invert_decomposition(up_a)),
-        flag_from_decomposition(up_s),
-        flag_from_decomposition(invert_decomposition(up_s)),
-    )
+def _flag_components(chain_a: Sequence[Subspace], chain_s: Sequence[Subspace]) -> tuple[tuple[Subspace, ...], ...]:
+    """Components of flags 0..3 from the eigenspaces of A and Astar at
+    -d, 2-d, ..., d: each chain summed upward, then downward."""
+    return (_partial_sums(chain_a), _partial_sums(chain_a[::-1]), _partial_sums(chain_s), _partial_sums(chain_s[::-1]))

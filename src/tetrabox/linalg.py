@@ -58,10 +58,10 @@ that problem is built.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .errors import DimensionGuardError
@@ -339,13 +339,14 @@ def _integer_columns(m: Matrix) -> list[list[int]]:
     return [[row[j] for row in m._num] for j in range(m.cols)]
 
 
-def _reduced_echelon(n: int, vectors: Iterable[list[int]], height: int = 0) -> tuple[Matrix, int]:
-    """The reduced row-echelon form of integer vectors of length n, and its rank.
+def _reduced_echelon(echelon: _Echelon, height: int = 0) -> tuple[Matrix, int]:
+    """The reduced row-echelon form of the echelon's span, and its rank.
 
     Each back-substituted echelon row is divided by its pivot entry; zero
-    rows pad the result to height rows.
+    rows pad the result to height rows. The echelon may go on taking vectors.
     """
-    rows, pivots = _echelon(n, vectors).reduced_rows()
+    n = echelon.n
+    rows, pivots = echelon.reduced_rows()
     den = lcm(*(row[c] for row, c in zip(rows, pivots)))
     num = [[x * (den // row[c]) for x in row] for row, c in zip(rows, pivots)]
     return Matrix._of(max(height, len(num)), n, num + [[0] * n] * (height - len(num)), den), len(num)
@@ -356,12 +357,12 @@ def _span(n: int, vectors: Iterable[list[int]]) -> Subspace:
 
     Its basis columns are the rows of the reduced echelon form of the vectors.
     """
-    return Subspace(n, _reduced_echelon(n, vectors)[0].transpose())
+    return Subspace(n, _reduced_echelon(_echelon(n, vectors))[0].transpose())
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row-echelon form and rank, computed exactly."""
-    return _reduced_echelon(m.cols, m._num, m.rows)
+    return _reduced_echelon(_echelon(m.cols, m._num), m.rows)
 
 
 class Subspace(Record):

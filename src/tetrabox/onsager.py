@@ -10,8 +10,8 @@ type shift (alpha, alphastar) describe the spectra {d - 2i + alpha} and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
 from .errors import SpectrumError

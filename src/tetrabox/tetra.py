@@ -5,12 +5,12 @@ Two routes build the twelve matrices, and they agree entry for entry.
 From a spec, build_tetra_from_spec follows the paper's classification:
 an irreducible module is a tensor product of evaluation modules, and the
 tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. So each
-small evaluation factor is built by the flag route below and the twelve
-matrices are folded by Kronecker sums, in the left-fold order of
-onsager.build_from_spec. The fold is a tetrahedron structure with
-x_01 = A and x_23 = Astar; its four flags are the eigenspace flags of
-x_01, x_10, x_23 and x_32, and those flags fix every x_rs, so it is the
-structure the flag route derives.
+small evaluation factor is built by the flag route below and the six x_rs
+with r < s are folded by Kronecker sums, in the left-fold order of
+onsager.build_from_spec, and negated for x_sr. The fold is a tetrahedron
+structure with x_01 = A and x_23 = Astar; its four flags are the
+eigenspace flags of x_01, x_10, x_23 and x_32, and those flags fix every
+x_rs, so it is the structure the flag route derives.
 
 From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
@@ -59,7 +59,7 @@ from types import MappingProxyType
 from ._record import Record
 from .classify import _full_algebra_with_top, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import Flag, _flags_from_chains, _induced_subspaces
+from .flags import _flag_components, _induced_subspaces
 from .linalg import (
     Matrix,
     Subspace,
@@ -153,22 +153,13 @@ class TetraModule(Record):
                 raise ValueError(f"matrix for {pair} does not act on the module")
 
 
-def _opposite_pieces(flags: tuple[Flag, ...], r: int, s: int) -> tuple[Subspace, ...]:
-    """Pieces of the decomposition the flags r and s induce, by Zassenhaus
-    intersections. Raises OppositionError when the two are not opposite."""
+def _opposite_pieces(flags: tuple[tuple[Subspace, ...], ...], r: int, s: int) -> tuple[Subspace, ...]:
+    """Pieces of the decomposition the flags r and s (component tuples) induce,
+    by Zassenhaus intersections. Raises OppositionError when not opposite."""
     pieces = _induced_subspaces(flags[r], flags[s])
     if isinstance(pieces, str):
         raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
     return pieces
-
-
-def _opposite_decompositions(flags: tuple[Flag, ...]) -> dict[tuple[int, int], tuple[Subspace, ...]]:
-    """Decomposition induced by every pair r < s of the four flags.
-
-    Opposition is symmetric, so this decides it for all twelve ordered
-    pairs. Raises OppositionError naming the first pair that is not opposite.
-    """
-    return {(r, s): _opposite_pieces(flags, r, s) for r, s in UNORDERED_PAIRS}
 
 
 def build_tetra(m: OnsagerModule) -> TetraModule:
@@ -191,7 +182,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     irreducible module; otherwise the Burnside closure decides, and when
     dim^2 is above linalg.DIM_GUARD it raises DimensionGuardError rather
     than build: the flag-opposition scan passes some reducible modules,
-    such as V + V. The flags are not returned: four_flags(m) gives them.
+    such as V + V. No Flag record is built: four_flags(m) gives the flags.
     """
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
@@ -199,7 +190,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     if not _full_algebra_with_top(m.A, m.Astar, Fraction(d), spaces_a[0]):
         raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
-    flags = _flags_from_chains(*chains.values())
+    flags = _flag_components(*chains.values())
     x: dict[tuple[int, int], Matrix] = {}
     for r, s in UNORDERED_PAIRS:
         pieces = chains[(r, s)] if (r, s) in chains else _opposite_pieces(flags, r, s)
@@ -216,6 +207,8 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     factors' matrices are combined by Kronecker sums in the left-fold order
     of build_from_spec, so x_01 and x_23 equal its A and Astar entry for
     entry and every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
+    Only x_rs with r < s is folded: x_sr = -x_rs on each factor, and a
+    Kronecker sum is linear.
 
     Refuses the specs build_tetra(build_from_spec(spec)) refuses, before any
     factor is built, in this order and with the one-line texts `tetrabox
@@ -232,10 +225,11 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
         raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
                              "only type-(0,0) modules carry the six-generator structure")
     require_within_guard(spec.dim, "module dimension")
-    x = {pair: Matrix.zeros(1, 1) for pair in ORDERED_PAIRS}  # the trivial module, the unit of the fold
+    x = {pair: Matrix.zeros(1, 1) for pair in UNORDERED_PAIRS}  # the trivial module, the unit of the fold
     for n, a in spec.factors:
         factor = build_tetra(evaluation_module(n, a)).x
-        x = {pair: kronecker_sum(x[pair], factor[pair]) for pair in ORDERED_PAIRS}
+        x = {pair: kronecker_sum(x[pair], factor[pair]) for pair in UNORDERED_PAIRS}
+    x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 

@@ -16,11 +16,11 @@ space, and those eigenspaces are the ones the ordering test reads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
-from .classify import _full_algebra_with_top
+from .classify import _full_algebra_with_top, _require_square_pair
 from .errors import SpectrumError
 from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
 from .onsager import dolan_grady_holds
@@ -54,11 +54,6 @@ def _block_tridiagonal_ordering(
         return True
     blocks = [(space.dim, eigenvalues[max(i - 1, 0) : i + 2]) for i, space in enumerate(spaces)]
     return all(annihilates(diagonal, acting * hstack(*(space.basis for space in spaces)), blocks))
-
-
-def _require_square_pair(a: Matrix, astar: Matrix) -> None:
-    if not (a.is_square and astar.is_square) or a.rows != astar.rows:
-        raise ValueError("expected square matrices of equal size")
 
 
 def _irreducible(a: Matrix, astar: Matrix, spec_a) -> bool:

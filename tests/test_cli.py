@@ -718,7 +718,7 @@ class TestImports:
             assert proc.returncode == 0, proc.stderr
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
             assert "tetrabox.classify" in imported
-            loaded = {name.split(".")[0] for name in imported} & {"dataclasses", "inspect", "numpy"}
+            loaded = {name.split(".")[0] for name in imported} & {"dataclasses", "inspect", "numpy", "typing"}
             assert not loaded, (args, loaded)
 
     def test_burnside_on_an_irreducible_build_does_not_load_numpy(self):

@@ -22,6 +22,8 @@ from tetrabox import (
     invert_decomposition,
     subspace_sum,
 )
+from tetrabox.flags import _partial_sums
+from tetrabox.onsager import _module_spectra
 
 
 def line(*coords):
@@ -257,3 +259,30 @@ class TestOppositionDifferential:
         for r, s in permutations(range(4), 2):
             forward = induced_decomposition(flags[r], flags[s]).subspaces
             assert induced_decomposition(flags[s], flags[r]).subspaces == forward[::-1]
+
+
+def running_sums(spaces):
+    """The partial sums by a running subspace_sum, one sum per step: the reference."""
+    running, sums = Subspace.zero(spaces[0].ambient_dim), []
+    for space in spaces:
+        running = subspace_sum(running, space)
+        sums.append(running)
+    return tuple(sums)
+
+
+class TestPartialSums:
+    def test_grid_chains_in_both_directions(self, grid_modules):
+        for spec, m in grid_modules.items():
+            for chain in _module_spectra(m)[3:]:
+                assert _partial_sums(chain) == running_sums(chain), spec.factors
+                assert _partial_sums(chain[::-1]) == running_sums(chain[::-1]), spec.factors
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_decompositions(self, data):
+        n = data.draw(st.integers(2, 6))
+        dims = data.draw(compositions(n, data.draw(st.integers(1, n))))
+        spaces = data.draw(decompositions(dims)).subspaces
+        assert _partial_sums(spaces) == running_sums(spaces)
+        # the sums need not be direct: a repeated piece adds nothing
+        assert _partial_sums(spaces + spaces[:1]) == running_sums(spaces + spaces[:1])

@@ -37,7 +37,7 @@ from tetrabox import (
     verify_relations,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, linalg, onsager, tetra
+from tetrabox import classify, flags, linalg, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -45,7 +45,7 @@ from tetrabox.tetra import (
     CheckResult,
     TetraModule,
     _antisymmetric_pairs,
-    _opposite_decompositions,
+    _opposite_pieces,
 )
 
 SAMPLE_SPECS = [
@@ -91,8 +91,10 @@ class TestBuild:
         # the flag scan behind the irreducibility test rejects on its own,
         # naming the first failing pair
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
+        components = tuple(f.components for f in four_flags(m))
         with pytest.raises(OppositionError) as raised:
-            _opposite_decompositions(four_flags(m))
+            for r, s in UNORDERED_PAIRS:
+                _opposite_pieces(components, r, s)
         assert str(raised.value) == (
             "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
         )
@@ -157,6 +159,15 @@ class TestBuildFromSpec:
                 build_tetra_from_spec(spec)
         else:
             assert_same_structure(build_tetra_from_spec(spec), expected)
+
+    def test_folds_six_generators_per_factor(self, monkeypatch):
+        # x_sr = -x_rs on each factor, and a Kronecker sum is linear
+        calls = []
+        real = tetra.kronecker_sum
+        monkeypatch.setattr(tetra, "kronecker_sum", lambda a, b: calls.append(1) or real(a, b))
+        t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (2, 3), (1, 5)]))
+        assert len(calls) == 6 * 3
+        assert all(t.x[(s, r)] == -t.x[(r, s)] for r, s in UNORDERED_PAIRS)
 
     def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
         monkeypatch.setattr(linalg, "DIM_GUARD", 8)
@@ -787,9 +798,27 @@ class TestOneSpectralPass:
         # F0_i meet F1_(d-i) is the eigenspace of A at 2i - d, in the canonical form of an intersection
         for spec, t in built_irreducible_grid.items():
             m, d = grid_modules[spec], t.diameter
-            decomps = _opposite_decompositions(four_flags(m))
-            assert decomps[(0, 1)] == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
-            assert decomps[(2, 3)] == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
+            components = tuple(f.components for f in four_flags(m))
+            assert _opposite_pieces(components, 0, 1) == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
+            assert _opposite_pieces(components, 2, 3) == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
+
+
+class TestFlagComponents:
+    def test_builds_no_flag_record_and_no_subspace_sum(self, grid_modules, built_irreducible_grid, monkeypatch):
+        # build_tetra intersects the flags' component tuples; only four_flags wraps them in Flag records
+        made = []
+        for record in (flags.Flag, flags.Decomposition):
+            real = record.__post_init__
+            monkeypatch.setattr(record, "__post_init__", lambda self, real=real: made.append(type(self)) or real(self))
+        real_sum = linalg.subspace_sum
+        for module in (linalg, flags, tetra):
+            if hasattr(module, "subspace_sum"):
+                monkeypatch.setattr(module, "subspace_sum", lambda u, v: made.append("subspace_sum") or real_sum(u, v))
+        for spec, t in built_irreducible_grid.items():
+            assert build_tetra(grid_modules[spec]).x == t.x
+        assert made == []
+        four_flags(grid_modules[next(iter(built_irreducible_grid))])
+        assert made == [flags.Flag] * 4
 
 
 class TestReadOnlyMatrices:
