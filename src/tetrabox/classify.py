@@ -8,14 +8,14 @@ generates is the full matrix algebra, of dimension dim^2. Isomorphism is
 decided either by equivalence of evaluation data (permutations and
 parameter inversions) or by an explicit intertwiner, one spin in M1 + M2.
 
-The Burnside closure is exact: the algebra is the spin of the identity
-matrix under right multiplication by each generator, computed by the same
-routine and the same integer echelon (linalg._Echelon) as Norton's spin
-below. A fast certificate runs the word closure over the prime field
-F_65521: reaching full rank there proves full rank over the rationals,
-since specializing mod p never increases rank. Only when the modular
-closure stops short does the exact closure run; its verdict is final
-either way. numpy is imported only when the certificate runs.
+The Burnside closure has one entry, generated_algebra_dimension. It runs
+the word closure over the prime field F_65521 first: full rank there proves
+full rank over the rationals, since specializing mod p never increases
+rank. Only when that certificate stops short does the exact closure run,
+the spin of the identity matrix under right multiplication by each
+generator, by the same routine and the same integer echelon
+(linalg._Echelon) as Norton's spin below. numpy is imported only when the
+certificate runs.
 
 Norton's spinning test (the MeatAxe irreducibility test, run here in exact
 arithmetic) decides the same question without building the algebra of
@@ -36,16 +36,17 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
   this is absolute irreducibility, the question the closure decides.
 
 So the matrix side has one route. pair_generates_full_algebra (and with it
-is_irreducible_burnside), tetra.build_tetra and tetra.pairwise_burnside (at
-the diameter d) and the tridiagonal-pair check take Norton's verdict, in
-both directions, whenever the top eigenspace is a line. The closure decides
-only otherwise: when there is no spectrum {c, c-2, ...} or its top
-eigenspace is wider. generated_algebra_dimension is the closure alone.
+is_irreducible_burnside), tetra.build_tetra, tetra.pairwise_burnside (at
+the first eigenline of the chain it holds, else at the diameter d) and the
+tridiagonal-pair check take Norton's verdict, in both directions, whenever
+the eigenspace they ask at is a line. The closure decides only otherwise:
+when there is no spectrum {c, c-2, ...} or that eigenspace is not a line.
 
 Norton's verdict on a pair is kept on its first generator, a, in a dict
 that _full_algebra_with_top creates in a's instance __dict__ on its first
-call, keyed by (b, top). A Matrix is immutable, so the bool stays true of
-a, and is_irreducible_burnside, build_tetra, pairwise_burnside and the
+call, keyed by the partner b: the verdict is exact whichever eigenline
+decided it. A Matrix is immutable, so the bool stays true of a, and
+is_irreducible_burnside, build_tetra, pairwise_burnside and the
 tridiagonal checks spin once per pair of matrix objects. The dict is no
 Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
 and dies with its matrix, and an equal matrix built separately runs its own
@@ -225,11 +226,14 @@ def _require_square_pair(a: Matrix, b: Matrix) -> None:
 
 
 def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
-    """Exact dimension of the unital algebra generated by a and b, run on their
-    integer rows: scaling a generator rescales every word and keeps every span."""
+    """Dimension of the unital algebra generated by a and b: the package's one
+    Burnside closure, within the guard, run on their integer rows (scaling a
+    generator rescales every word and keeps every span). dim^2 when the mod-p
+    certificate reaches full rank, which proves it, else the exact closure."""
     _require_square_pair(a, b)
-    require_within_guard(a.rows * a.rows, "Burnside closure dimension")
-    return _closure_dimension_exact([a._num, b._num], a.rows)
+    gens, n = [a._num, b._num], a.rows
+    require_within_guard(n * n, "Burnside closure dimension")
+    return n * n if _closure_full_mod_p(gens, n) else _closure_dimension_exact(gens, n)
 
 
 def _norton(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool | None:
@@ -266,25 +270,19 @@ def _spectrum_top(a: Matrix) -> Fraction | None:
     return _ladder_top(minimal_polynomial(a))
 
 
-def _closure_is_full(gens: list[list[list[int]]], n: int) -> bool:
-    """The Burnside closure within the guard: the mod-p certificate, then the exact closure."""
-    require_within_guard(n * n, "Burnside closure dimension")
-    return _closure_full_mod_p(gens, n) or _closure_dimension_exact(gens, n) == n * n
-
-
 def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool:
     """pair_generates_full_algebra for a caller that knows an eigenvalue top
     of a (None: none known) and perhaps its eigenspace line. Norton's test is
     sound at any eigenvalue whose eigenspace is a line, so it decides there;
-    otherwise the closure does. Norton's verdict is kept on a, keyed by
-    (b, top), and read back by a later call (see the module docstring)."""
+    otherwise the closure does. Norton's verdict, exact at any line, is kept
+    on a, keyed by b, and read back at any top (see the module docstring)."""
     verdicts = a.__dict__.setdefault("_norton_verdicts", {})
-    verdict = verdicts.get((b, top))
+    verdict = verdicts.get(b)
     if verdict is None:
         verdict = _norton(a, b, top, line)
         if verdict is None:
-            return _closure_is_full([a._num, b._num], a.rows)
-        verdicts[(b, top)] = verdict
+            return generated_algebra_dimension(a, b) == a.rows**2
+        verdicts[b] = verdict
     return verdict
 
 

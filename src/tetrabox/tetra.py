@@ -440,17 +440,18 @@ def pairwise_burnside(t: TetraModule) -> bool:
     """Each of the three disjoint generator pairs alone generates End(V).
 
     Norton's test is sound at any eigenvalue whose eigenspace is a line, so
-    each pair is asked at t's diameter d, the top line of every irreducible
-    structure, and decided at any dimension; where ker(x_p - d) is not a
-    line, the Burnside closure decides, within the guard. Once eigentable
-    has computed the chain of x_p, its first space is that kernel and Norton
-    reads it there; a verdict already kept on x_p (classify) is read back.
+    each pair is decided at any dimension by one spin: at the first line of
+    the chain of x_p (d, d-2, ...) once eigentable has computed it, which is
+    ker(x_p - d) on every irreducible structure, else at t's diameter d.
+    Where that eigenspace is not a line, the Burnside closure decides, within
+    the guard; a verdict already kept on x_p (classify) is read back.
     """
-    d = Fraction(t.diameter)
-    return all(
-        _full_algebra_with_top(t.x[p1], t.x[p2], d, t._chains[p1][0] if p1 in t._chains else None)
-        for p1, p2 in OPPOSITE_PAIRS
-    )
+    for p1, p2 in OPPOSITE_PAIRS:
+        chain = t._chains.get(p1, ())
+        i = next((i for i, space in enumerate(chain) if space.dim == 1), 0)
+        if not _full_algebra_with_top(t.x[p1], t.x[p2], Fraction(t.diameter - 2 * i), chain[i] if chain else None):
+            return False
+    return True
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

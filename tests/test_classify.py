@@ -125,10 +125,10 @@ def doubled(v: OnsagerModule) -> OnsagerModule:
 
 
 def spy_closures(monkeypatch) -> list[int]:
-    """The dimensions at which classify._closure_is_full runs from now on."""
+    """The dimensions at which classify.generated_algebra_dimension runs from now on."""
     calls = []
-    real = classify._closure_is_full
-    monkeypatch.setattr(classify, "_closure_is_full", lambda gens, n: calls.append(n) or real(gens, n))
+    real = classify.generated_algebra_dimension
+    monkeypatch.setattr(classify, "generated_algebra_dimension", lambda a, b: calls.append(a.rows) or real(a, b))
     return calls
 
 
@@ -186,6 +186,11 @@ def word_closure_dimension(a: Matrix, b: Matrix) -> int:
     return len(span)
 
 
+def exact_closure_dimension(a: Matrix, b: Matrix) -> int:
+    """Reference: the exact closure alone, with no mod-p certificate."""
+    return classify._closure_dimension_exact([a._num, b._num], a.rows)
+
+
 class TestClosureDifferential:
     @pytest.mark.parametrize(
         "factors",
@@ -200,30 +205,20 @@ class TestClosureDifferential:
     def test_grid_modules(self, factors):
         m = build_from_spec(spec(*factors))
         expected = word_closure_dimension(m.A, m.Astar)
-        assert generated_algebra_dimension(m.A, m.Astar) == expected
+        assert exact_closure_dimension(m.A, m.Astar) == generated_algebra_dimension(m.A, m.Astar) == expected
         assert (expected == m.dim**2) == is_irreducible_criterion(spec(*factors))
 
     def test_reducible_grid_module_dimension(self):
         m = build_from_spec(spec((3, 2), (3, F(1, 2))))
-        assert generated_algebra_dimension(m.A, m.Astar) == word_closure_dimension(m.A, m.Astar) == 84
+        assert exact_closure_dimension(m.A, m.Astar) == word_closure_dimension(m.A, m.Astar) == 84
+        assert generated_algebra_dimension(m.A, m.Astar) == 84
 
     def test_direct_sum(self):
         v, w = evaluation_module(1, F(2)), evaluation_module(2, F(3))
         a, b = block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar)
         # End(V) + End(W) plus nothing else: the summands are not isomorphic
-        assert generated_algebra_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
-
-
-def closure_only_full(a: Matrix, b: Matrix) -> bool:
-    """Reference: pair_generates_full_algebra as a Burnside closure only, the
-    mod-p certificate and then the exact closure, with no spin."""
-    gens = [a._num, b._num]
-    n = a.rows
-    if n == 0:
-        return True
-    if classify._closure_full_mod_p(gens, n):
-        return True
-    return classify._closure_dimension_exact(gens, n) == n * n
+        assert exact_closure_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
+        assert generated_algebra_dimension(a, b) == 4 + 9
 
 
 def unitriangular_product(n: int, entries: list) -> Matrix:
@@ -289,7 +284,7 @@ class TestNortonDifferential:
 
     def test_grid_modules(self, grid_modules, grid_burnside):
         for s, m in grid_modules.items():
-            expected = closure_only_full(m.A, m.Astar)
+            expected = generated_algebra_dimension(m.A, m.Astar) == m.dim**2
             assert pair_generates_full_algebra(m.A, m.Astar) == expected, s.factors
             assert pair_generates_full_algebra(m.Astar, m.A) == expected, s.factors
             assert grid_burnside[s] == expected, s.factors
@@ -297,7 +292,7 @@ class TestNortonDifferential:
     def test_disjoint_pairs_of_built_grid(self, built_irreducible_grid):
         for s, t in built_irreducible_grid.items():
             for p1, p2 in OPPOSITE_PAIRS:
-                assert closure_only_full(t.x[p1], t.x[p2]), (s.factors, p1, p2)
+                assert generated_algebra_dimension(t.x[p1], t.x[p2]) == t.dim**2, (s.factors, p1, p2)
                 assert pair_generates_full_algebra(t.x[p1], t.x[p2]), (s.factors, p1, p2)
                 assert pair_generates_full_algebra(t.x[p2], t.x[p1]), (s.factors, p2, p1)
 
@@ -305,7 +300,7 @@ class TestNortonDifferential:
         h = Matrix.from_rows([[1, 0], [0, -1]])
         v = evaluation_module(1, F(1))
         for a, b in ((h, h), (v.A, v.Astar)):
-            assert not closure_only_full(a, b)
+            assert generated_algebra_dimension(a, b) < 4
             assert not pair_generates_full_algebra(a, b)
             assert not is_irreducible_burnside(OnsagerModule(2, a, b))
 
@@ -314,8 +309,8 @@ class TestNortonDifferential:
     def test_conjugated_pairs(self, drawn):
         kind, a, b = drawn
         n = a.rows
-        expected = generated_algebra_dimension(a, b) == n * n
-        assert closure_only_full(a, b) == expected
+        expected = exact_closure_dimension(a, b) == n * n
+        assert (generated_algebra_dimension(a, b) == n * n) == expected
         assert pair_generates_full_algebra(a, b) == expected
         assert is_irreducible_burnside(OnsagerModule(n, a, b)) == expected
         verdict = classify._norton(a, b, classify._spectrum_top(a))
@@ -326,7 +321,7 @@ class TestNortonDifferential:
 
     def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
         calls = []
-        for name in ("_closure_full_mod_p", "_closure_dimension_exact"):
+        for name in ("generated_algebra_dimension", "_closure_full_mod_p", "_closure_dimension_exact"):
             real = getattr(classify, name)
             monkeypatch.setattr(classify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
         for s, t in built_irreducible_grid.items():
@@ -634,7 +629,7 @@ class TestOneNortonVerdictPerPair:
         assert is_irreducible_burnside(second)
         assert len(calls) == 2 and calls[1][0] is second.A
         # the verdict sits in the instance __dict__, outside the fields that ==, hash and repr read
-        assert vars(first.A)["_norton_verdicts"] == {(first.Astar, F(3)): True}
+        assert vars(first.A)["_norton_verdicts"] == {first.Astar: True}
         assert "_norton_verdicts" not in Matrix._fields
         assert first.A == second.A
         assert (hash(first.A), repr(first.A)) == before == (hash(second.A), repr(second.A))

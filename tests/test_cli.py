@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import Matrix, cli, linalg, tetra
+from tetrabox import Matrix, classify, cli, linalg, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
@@ -253,7 +253,7 @@ class TestVerify:
         assert main(["verify", str(out)]) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    def test_unattained_diameter_fails(self, tmp_path, capsys):
+    def test_unattained_diameter_fails(self, tmp_path, monkeypatch, capsys):
         # (3,2)(3,3) has d = 6; a declared 8 only adds zero eigenspaces at both ends
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}],
                                                 "shift": ["0", "0"]})
@@ -262,6 +262,8 @@ class TestVerify:
         data = json.loads(out.read_text())
         data["tetra"]["d"] = 8
         path = write_json(tmp_path / "d8.json", data)
+        # pairwise_burnside asks Norton at the first line of each chain, at 6, so no closure runs
+        monkeypatch.setattr(classify, "generated_algebra_dimension", lambda a, b: pytest.fail("a closure ran"))
         for deep in ([], ["--deep"]):
             capsys.readouterr()
             assert main(["verify", path, *deep]) == 1
@@ -760,6 +762,22 @@ class TestLongIntegers:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert json.loads(proc.stdout)["pass"] is False
+
+    def test_deep_closure_on_long_entries_is_decided_by_the_certificate(self, tmp_path):
+        # two 4000-digit entries leave x_02 no eigenline, so the Burnside closure decides (x_02, x_13):
+        # the mod-p certificate in milliseconds, where the exact closure alone runs for more than a minute
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}],
+                                                "shift": ["0", "0"]})
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["x"]["02"][0][1] = data["tetra"]["x"]["02"][1][0] = "7" * 4000
+        tampered = write_json(tmp_path / "tampered.json", data)
+        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", "--deep", tampered],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=30)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert json.loads(proc.stdout)["deep"]["pairwise_burnside"] is True
 
 
 def assert_one_error_line(out: str, err: str) -> None:

@@ -739,8 +739,9 @@ class TestGlobalStructure:
 
 
 class TestPairwiseBurnsideAtD:
-    """pairwise_burnside asks Norton's test at the structure's d, against
-    pair_generates_full_algebra, which finds each top from a minimal polynomial."""
+    """pairwise_burnside asks Norton's test at the first line of a chain it
+    holds, else at the structure's d, against pair_generates_full_algebra,
+    which finds each top from a minimal polynomial."""
 
     def assert_same(self, t, monkeypatch):
         expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
@@ -762,13 +763,13 @@ class TestPairwiseBurnsideAtD:
         assert self.assert_same(doubled_v, monkeypatch) is False
 
     def test_declared_d_not_an_eigenvalue(self, monkeypatch):
-        # the d6 (3,2)(3,3) declared d = 8: ker(x_p - 8) is zero, so the closure decides
+        # the d6 (3,2)(3,3) declared d = 8, no chain held: ker(x_p - 8) is zero, so the closure decides
         t = build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
         misdeclared = TetraModule(dim=t.dim, diameter=8, x=t.x)
         closures = []
-        real = classify._closure_is_full
+        real = classify.generated_algebra_dimension
         with monkeypatch.context() as patch:
-            patch.setattr(classify, "_closure_is_full", lambda gens, n: closures.append(n) or real(gens, n))
+            patch.setattr(classify, "generated_algebra_dimension", lambda a, b: closures.append(a.rows) or real(a, b))
             assert pairwise_burnside(misdeclared)
         assert closures == [16, 16, 16]
         assert self.assert_same(misdeclared, monkeypatch) is True
