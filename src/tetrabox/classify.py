@@ -35,17 +35,19 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
   full algebra. Spins are ranks, unchanged over any extension field, so
   this is absolute irreducibility, the question the closure decides.
 
-So the matrix side has one route. pair_generates_full_algebra (and with it
-is_irreducible_burnside), tetra.build_tetra, tetra.pairwise_burnside (at
-the first eigenline of the chain it holds, else at the diameter d) and the
-tridiagonal-pair check take Norton's verdict, in both directions, whenever
-the eigenspace they ask at is a line. The closure decides only otherwise:
-when there is no spectrum {c, c-2, ...} or that eigenspace is not a line.
+So the matrix side has one route, _full_algebra. Each caller hands it the
+(eigenvalue, eigenspace) pairs of the first generator that it already
+holds: build_tetra and pairwise_burnside their eigenspace chains at d,
+d-2, ..., the tridiagonal-pair checks a's diagonal spectrum, and
+pair_generates_full_algebra (with it is_irreducible_burnside) the
+eigenspaces at the roots of a ladder minimal polynomial, computed one at a
+time. Norton's test decides, in both directions, at the first of them that
+is a line. The closure decides only when none is.
 
 Norton's verdict on a pair is kept on its first generator, a, in a dict
-that _full_algebra_with_top creates in a's instance __dict__ on its first
-call, keyed by the partner b: the verdict is exact whichever eigenline
-decided it. A Matrix is immutable, so the bool stays true of a, and
+that _full_algebra creates in a's instance __dict__ on its first call,
+keyed by the partner b: the verdict is exact whichever eigenline decided
+it. A Matrix is immutable, so the bool stays true of a, and
 is_irreducible_burnside, build_tetra, pairwise_burnside and the
 tridiagonal checks spin once per pair of matrix objects. The dict is no
 Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
@@ -75,7 +77,7 @@ from .linalg import (
     _Echelon,
     _integer_columns,
     _strip_gcd,
-    _ladder_top,
+    _ladder_roots,
     _tails,
     determinant,
     eigenspace,
@@ -236,65 +238,48 @@ def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
     return n * n if _closure_full_mod_p(gens, n) else _closure_dimension_exact(gens, n)
 
 
-def _norton(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool | None:
-    """Norton's test on the pair (a, b) at the eigenvalue top.
-
-    When ker(a - top I) is a line, spanned by v, and ker(a^T - top I) by w:
-    True iff v spins to Q^n under a, b and w spins to Q^n under a^T, b^T,
-    which is exactly when a and b generate End(V) (see the module
+def _norton(a: Matrix, b: Matrix, lam: Fraction | int, line: Subspace) -> bool:
+    """Norton's test on the pair (a, b) at an eigenvalue lam whose eigenspace
+    line = ker(a - lam I) is a line, spanned by v; then ker(a^T - lam I) is a
+    line <w>. True iff v spins to Q^n under a, b and w spins to Q^n under
+    a^T, b^T, which is exactly when a and b generate End(V) (see the module
     docstring). A False verdict is a spin that stopped short: a proper
-    invariant subspace of V, or of V* under the transposes. None when top is
-    None or the eigenspace is not a line; the test then says nothing. A
-    caller that holds ker(a - top I) passes it as line, and it is not
-    computed again. The spin has no size guard.
+    invariant subspace of V, or of V* under the transposes. The spin has no
+    size guard.
     """
-    if line is None and top is not None:
-        line = eigenspace(a, top)
-    if line is None or line.dim != 1:
-        return None
     gens = [a._num, b._num]
     if len(_spin(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens])) < a.rows:
         return False
-    dual_line = _integer_columns(eigenspace(a.transpose(), top).basis)[0]
+    dual_line = _integer_columns(eigenspace(a.transpose(), lam).basis)[0]
     return len(_spin(dual_line, [_sparse_rows(zip(*g)) for g in gens])) == a.rows
 
 
-def _spectrum_top(a: Matrix) -> Fraction | None:
-    """Top eigenvalue c of a diagonalizable a with spectrum {c, c-2, ...}, else None.
-
-    c is read off the minimal polynomial and checked by one product of
-    linear factors (linalg._ladder_top). Unlike rational_roots there is no
-    search over the divisors of a coefficient, whose length grows with the
-    entries, and unlike linalg.diagonal_spectrum no eigenspace is computed.
-    """
-    return _ladder_top(minimal_polynomial(a))
-
-
-def _full_algebra_with_top(a: Matrix, b: Matrix, top: Fraction | None, line: Subspace | None = None) -> bool:
-    """pair_generates_full_algebra for a caller that knows an eigenvalue top
-    of a (None: none known) and perhaps its eigenspace line. Norton's test is
-    sound at any eigenvalue whose eigenspace is a line, so it decides there;
-    otherwise the closure does. Norton's verdict, exact at any line, is kept
-    on a, keyed by b, and read back at any top (see the module docstring)."""
+def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> bool:
+    """pair_generates_full_algebra for a caller that holds (eigenvalue,
+    eigenspace) pairs of a. They are read lazily, and Norton's test runs at
+    the first eigenspace that is a line; only when none is offered does the
+    closure decide. Norton's verdict, exact at any line, is kept on a, keyed
+    by b, and read back before any pair is read (see the module docstring)."""
     verdicts = a.__dict__.setdefault("_norton_verdicts", {})
-    verdict = verdicts.get(b)
-    if verdict is None:
-        verdict = _norton(a, b, top, line)
-        if verdict is None:
+    if b not in verdicts:
+        found = next(((lam, space) for lam, space in eigenpairs if space.dim == 1), None)
+        if found is None:
             return generated_algebra_dimension(a, b) == a.rows**2
-        verdicts[b] = verdict
-    return verdict
+        verdicts[b] = _norton(a, b, *found)
+    return verdicts[b]
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
     """True iff the algebra generated by a, b is all of End(V).
 
-    Norton's test decides, at any dimension, when a has an arithmetic
-    spectrum {c, c-2, ...} whose top eigenspace is a line; otherwise the
-    Burnside closure does, within the guard.
+    When a is diagonalizable with a spectrum {c, c-2, ...}, read off its
+    minimal polynomial, its eigenspaces are offered from the top down, one
+    at a time, and Norton's test decides at any dimension at the first that
+    is a line; otherwise the Burnside closure decides, within the guard.
     """
     _require_square_pair(a, b)
-    return _full_algebra_with_top(a, b, _spectrum_top(a))
+    roots = _ladder_roots(minimal_polynomial(a)) or ()
+    return _full_algebra(a, b, ((lam, eigenspace(a, lam)) for lam in roots))
 
 
 def is_irreducible_burnside(m: OnsagerModule) -> bool:
@@ -321,10 +306,10 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     """
     if m1.dim != m2.dim:
         return None
-    c = _spectrum_top(m1.A)
-    if c is None:
+    roots = _ladder_roots(minimal_polynomial(m1.A))
+    if roots is None:
         raise SpectrumError(_NOT_A_LADDER)
-    return _intertwiner_with_top(m1, m2, c)
+    return _intertwiner_with_top(m1, m2, roots[0])
 
 
 def _intertwiner_with_top(m1: OnsagerModule, m2: OnsagerModule, c: Fraction) -> Matrix | None:

@@ -57,7 +57,7 @@ from itertools import permutations
 from types import MappingProxyType
 
 from ._record import Record
-from .classify import _full_algebra_with_top, _reducibility_diagnostic
+from .classify import _full_algebra, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import _flag_components, _induced_subspaces
 from .linalg import (
@@ -178,16 +178,18 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     run Zassenhaus intersections.
 
     The input must be irreducible of type (0,0). Norton's spinning test
-    decides that at any dimension at d, whose eigenspace is a line on every
-    irreducible module; otherwise the Burnside closure decides, and when
-    dim^2 is above linalg.DIM_GUARD it raises DimensionGuardError rather
-    than build: the flag-opposition scan passes some reducible modules,
-    such as V + V. No Flag record is built: four_flags(m) gives the flags.
+    decides that at any dimension at the first eigenline of A at d, d-2,
+    ..., the eigenspaces the spectral pass holds; on every irreducible
+    module that is the one at d. Where A has no eigenline the Burnside
+    closure decides, and when dim^2 is above linalg.DIM_GUARD it raises
+    DimensionGuardError rather than build: the flag-opposition scan passes
+    some reducible modules, such as V + V. No Flag record is built:
+    four_flags(m) gives the flags.
     """
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if not _full_algebra_with_top(m.A, m.Astar, Fraction(d), spaces_a[0]):
+    if not _full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
         raise ReducibleModuleError("module is reducible: the generated algebra is not full")
     chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
     flags = _flag_components(*chains.values())
@@ -440,18 +442,16 @@ def pairwise_burnside(t: TetraModule) -> bool:
     """Each of the three disjoint generator pairs alone generates End(V).
 
     Norton's test is sound at any eigenvalue whose eigenspace is a line, so
-    each pair is decided at any dimension by one spin: at the first line of
-    the chain of x_p (d, d-2, ...) once eigentable has computed it, which is
-    ker(x_p - d) on every irreducible structure, else at t's diameter d.
-    Where that eigenspace is not a line, the Burnside closure decides, within
-    the guard; a verdict already kept on x_p (classify) is read back.
+    each pair is decided at any dimension by one spin, at the first line of
+    the eigenspace chain of x_p (d, d-2, ...), which eigentable has already
+    computed and kept on t; on every irreducible structure that is
+    ker(x_p - d). Where the chain has no line, the Burnside closure
+    decides, within the guard; a verdict already kept on x_p (classify) is
+    read back.
     """
-    for p1, p2 in OPPOSITE_PAIRS:
-        chain = t._chains.get(p1, ())
-        i = next((i for i, space in enumerate(chain) if space.dim == 1), 0)
-        if not _full_algebra_with_top(t.x[p1], t.x[p2], Fraction(t.diameter - 2 * i), chain[i] if chain else None):
-            return False
-    return True
+    d = t.diameter
+    return all(_full_algebra(t.x[p1], t.x[p2], zip(range(d, -d - 1, -2), _eigenspace_chain(t, p1)))
+               for p1, p2 in OPPOSITE_PAIRS)
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

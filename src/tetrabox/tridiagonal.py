@@ -11,7 +11,10 @@ decides it first, once, and computes the rest only for a pair that passes.
 Diagonalizability is decided over Q, the working field of this package, by
 linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
 minimal polynomial on one vector, certified when their eigenspaces fill the
-space, and those eigenspaces are the ones the ordering test reads.
+space, and those eigenspaces are the ones the ordering test reads. They
+are also the ones irreducibility is asked at: classify._full_algebra runs
+Norton's test at the first of them, from the top down, that is a line, and
+the Burnside closure only when none is (or a is not diagonalizable).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .classify import _full_algebra_with_top, _require_square_pair
+from .classify import _full_algebra, _require_square_pair
 from .errors import SpectrumError
 from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
 from .onsager import dolan_grady_holds
@@ -56,13 +59,6 @@ def _block_tridiagonal_ordering(
     return all(annihilates(diagonal, acting * hstack(*(space.basis for space in spaces)), blocks))
 
 
-def _irreducible(a: Matrix, astar: Matrix, spec_a) -> bool:
-    """Norton's verdict at the top of a's spectrum, read off its eigenspace
-    there, which spec_a (diagonal_spectrum(a)) already holds."""
-    top, line = (spec_a[0][0], spec_a[1][0]) if spec_a and spec_a[0] else (None, None)
-    return _full_algebra_with_top(a, astar, top, line)
-
-
 def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:
     """The four axioms, given a's spectrum and the irreducibility verdict."""
     spec_s = diagonal_spectrum(astar)
@@ -87,10 +83,10 @@ def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:
 
 def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
     """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
-    decided as in classify.pair_generates_full_algebra."""
+    decided at a's diagonal spectrum (see the module docstring)."""
     _require_square_pair(a, astar)
     spec_a = diagonal_spectrum(a)
-    return _report(a, astar, spec_a, _irreducible(a, astar, spec_a))
+    return _report(a, astar, spec_a, _full_algebra(a, astar, zip(*spec_a) if spec_a else ()))
 
 
 def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
@@ -127,7 +123,7 @@ def check_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
     """
     _require_square_pair(a, astar)
     spec_a = diagonal_spectrum(a)
-    if not _irreducible(a, astar, spec_a):
+    if not _full_algebra(a, astar, zip(*spec_a) if spec_a else ()):
         return True
     report = _report(a, astar, spec_a, True)
     side_tdp = (

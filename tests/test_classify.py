@@ -120,7 +120,7 @@ def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
 
 
 def doubled(v: OnsagerModule) -> OnsagerModule:
-    """V + V: the top eigenspace of A is a plane, so Norton's test says nothing."""
+    """V + V: every eigenspace of A is a plane, so Norton's test says nothing."""
     return OnsagerModule(2 * v.dim, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
 
 
@@ -133,7 +133,7 @@ def spy_closures(monkeypatch) -> list[int]:
 
 
 class TestSpin:
-    """is_irreducible_burnside decides by Norton's spin wherever A has a top line."""
+    """is_irreducible_burnside decides by Norton's spin wherever A has an eigenline."""
 
     def test_agrees_with_burnside_and_criterion_on_grid(self, monkeypatch, grid_modules):
         # every grid module's top eigenspace is a line, so no verdict needs the closure
@@ -313,11 +313,29 @@ class TestNortonDifferential:
         assert (generated_algebra_dimension(a, b) == n * n) == expected
         assert pair_generates_full_algebra(a, b) == expected
         assert is_irreducible_burnside(OnsagerModule(n, a, b)) == expected
-        verdict = classify._norton(a, b, classify._spectrum_top(a))
+        # a Norton verdict is kept on a exactly when the entry found an eigenline to spin
+        verdicts = vars(a)["_norton_verdicts"]
         if kind == "triangular":
-            assert verdict is False
-        elif kind in ("repeated_top", "non_ladder"):
-            assert verdict is None
+            assert verdicts == {b: False}
+        elif kind == "generic":
+            assert verdicts == {b: expected}
+        elif kind == "repeated_top":
+            # two ladders of lengths k and n - k share their top: a line below it unless k = n - k
+            assert (b in verdicts) == (2 * (len(linalg.minimal_polynomial(a)) - 1) != n)
+        else:
+            assert verdicts == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugated_pairs(), st.data())
+    def test_any_order_of_eigenpairs(self, drawn, data):
+        # _full_algebra at whichever eigenline it meets first, against the exact closure
+        _, a, b = drawn
+        expected = exact_closure_dimension(a, b) == a.rows**2
+        roots = sorted(linalg.rational_roots(linalg.minimal_polynomial(a)), reverse=True)
+        eigenpairs = [(lam, eigenspace(a, lam)) for lam in roots]
+        for order in (eigenpairs, eigenpairs[::-1], data.draw(st.permutations(eigenpairs))):
+            vars(a).pop("_norton_verdicts", None)
+            assert classify._full_algebra(a, b, order) == expected
 
     def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
         calls = []
@@ -330,6 +348,28 @@ class TestNortonDifferential:
         assert calls == []
         assert not is_irreducible_burnside(doubled(evaluation_module(1, F(2))))
         assert calls
+
+
+def lower_eigenline_module() -> OnsagerModule:
+    """evaluation_module(2, 2) plus a 1 x 1 block 2 in both generators: A has
+    a plane at its top 2 and lines at 0 and -2."""
+    v, two = evaluation_module(2, F(2)), Matrix.from_rows([[2]])
+    return OnsagerModule(4, block_diagonal(v.A, two), block_diagonal(v.Astar, two))
+
+
+def test_a_lower_eigenline_decides_where_the_top_is_a_plane(monkeypatch):
+    # each check on its own matrices, so each finds the line at 0 itself; a closure of dim^2 16 would be refused
+    assert [eigenspace(lower_eigenline_module().A, lam).dim for lam in (2, 0, -2)] == [2, 1, 1]
+    monkeypatch.setattr(linalg, "DIM_GUARD", 15)
+    closures = spy_closures(monkeypatch)
+    assert not is_irreducible_burnside(lower_eigenline_module())
+    with pytest.raises(ReducibleModuleError):
+        build_tetra(lower_eigenline_module())
+    m = lower_eigenline_module()
+    assert not verify_tridiagonal_pair(m.A, m.Astar).irreducible
+    m = lower_eigenline_module()
+    assert check_onsager_equivalence(m.A, m.Astar)
+    assert closures == []
 
 
 @pytest.mark.parametrize(
@@ -590,8 +630,8 @@ def recomputed(calls: list) -> list:
 
 
 class TestOneNortonVerdictPerPair:
-    """Norton's verdict is kept on the first generator, keyed by the second
-    and the top, so every entry point on the same matrices spins once."""
+    """Norton's verdict is kept on the first generator, keyed by the second,
+    so every entry point on the same matrices spins once."""
 
     @pytest.mark.parametrize("factors, irreducible", [([(1, 2), (2, 3)], True), ([(1, 2), (2, F(1, 2))], False)])
     def test_three_entry_points_one_test(self, monkeypatch, factors, irreducible):

@@ -739,9 +739,9 @@ class TestGlobalStructure:
 
 
 class TestPairwiseBurnsideAtD:
-    """pairwise_burnside asks Norton's test at the first line of a chain it
-    holds, else at the structure's d, against pair_generates_full_algebra,
-    which finds each top from a minimal polynomial."""
+    """pairwise_burnside asks Norton's test at the first line of each chain
+    at the structure's d, d-2, ..., against pair_generates_full_algebra,
+    which reads each spectrum off a minimal polynomial."""
 
     def assert_same(self, t, monkeypatch):
         expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
@@ -763,7 +763,7 @@ class TestPairwiseBurnsideAtD:
         assert self.assert_same(doubled_v, monkeypatch) is False
 
     def test_declared_d_not_an_eigenvalue(self, monkeypatch):
-        # the d6 (3,2)(3,3) declared d = 8, no chain held: ker(x_p - 8) is zero, so the closure decides
+        # the d6 (3,2)(3,3) declared d = 8: ker(x_p - 8) is zero, and the chain's first line is at 6
         t = build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
         misdeclared = TetraModule(dim=t.dim, diameter=8, x=t.x)
         closures = []
@@ -771,7 +771,7 @@ class TestPairwiseBurnsideAtD:
         with monkeypatch.context() as patch:
             patch.setattr(classify, "generated_algebra_dimension", lambda a, b: closures.append(a.rows) or real(a, b))
             assert pairwise_burnside(misdeclared)
-        assert closures == [16, 16, 16]
+        assert closures == []
         assert self.assert_same(misdeclared, monkeypatch) is True
 
 

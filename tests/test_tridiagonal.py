@@ -188,13 +188,13 @@ def fresh(m: Matrix) -> Matrix:
 
 def reference_report(a: Matrix, astar: Matrix) -> TdpReport:
     """verify_tridiagonal_pair as one pass over all four axioms: both spectra,
-    both orderings, then Norton's test at the top of a's spectrum, on fresh
-    copies of the two matrices."""
+    both orderings, then irreducibility by classify._full_algebra on a's
+    spectrum, on fresh copies of the two matrices."""
     a, astar = fresh(a), fresh(astar)
     spec_a, spec_s = diagonal_spectrum(a), diagonal_spectrum(astar)
     ordering_a = spec_a[0] if spec_a is not None and _block_tridiagonal_ordering(astar, a, *spec_a) else None
     ordering_s = spec_s[0] if spec_s is not None and _block_tridiagonal_ordering(a, astar, *spec_s) else None
-    irreducible = classify._full_algebra_with_top(a, astar, spec_a[0][0] if spec_a and spec_a[0] else None)
+    irreducible = classify._full_algebra(a, astar, zip(*spec_a) if spec_a else ())
     return TdpReport(spec_a is not None, spec_s is not None, ordering_a, ordering_s, irreducible,
                      ordering_a is not None and ordering_s is not None and irreducible)
 
