@@ -75,11 +75,11 @@ from .linalg import (
     Matrix,
     Subspace,
     _Echelon,
+    _echelon,
     _integer_columns,
     _strip_gcd,
     _ladder_roots,
     _tails,
-    determinant,
     eigenspace,
     minimal_polynomial,
     require_within_guard,
@@ -322,8 +322,8 @@ def _intertwiner_with_top(m1: OnsagerModule, m2: OnsagerModule, c: Fraction) -> 
     An invertible T makes the graph of T / t invariant, with (v1, v2) in it
     and dimension dim, so it is the spin: an extra pivot rules T out.
     Otherwise the spin is the graph of an intertwiner S, read as
-    linalg.inverse reads an inverse, scaled to a first nonzero entry 1
-    (unique for irreducible m1); its determinant decides.
+    linalg._solve reads a solve, scaled to a first nonzero entry 1 (unique
+    for irreducible m1); the rank of its integer rows decides.
     """
     if m1.dim != m2.dim:
         return None
@@ -341,7 +341,7 @@ def _intertwiner_with_top(m1: OnsagerModule, m2: OnsagerModule, c: Fraction) -> 
         return None
     witness = _tails(graph, n).transpose()  # reduced row j is r_j (e_j, S e_j)
     witness = witness * (1 / next(x for x in witness.entries if x))
-    return witness if determinant(witness) != 0 else None
+    return witness if len(_echelon(n, witness._num)) == n else None
 
 
 def is_isomorphic(s1: ModuleSpec, s2: ModuleSpec) -> bool:

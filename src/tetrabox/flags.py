@@ -16,7 +16,8 @@ flags. The pair (G, F) induces the same pieces reversed.
 A flag's components are the partial sums of its decomposition, read off one
 echelon that takes each piece's basis in turn and is read canonically after
 each (_partial_sums). Records are built only at the public API: build_tetra
-intersects the component tuples of _flag_components and builds no Flag.
+intersects the component tuples of _flag_components, builds no Flag and
+reads each generator off one solve of its pieces' bases (_acting_as).
 
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.
@@ -24,11 +25,11 @@ from the eigenspace chains of its two generators, one per corner index 0..3.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import OppositionError, TypeShiftError
-from .linalg import Subspace, _Echelon, _echelon, _integer_columns, _reduced_echelon, intersect
+from .linalg import Matrix, Subspace, _Echelon, _echelon, _integer_columns, _reduced_echelon, _solve, intersect
 from .onsager import OnsagerModule, _module_spectra
 
 
@@ -49,6 +50,14 @@ def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
     n = spaces[0].ambient_dim
     columns = [column for space in spaces for column in _integer_columns(space.basis)]
     return len(columns) == n and len(_echelon(n, columns)) == n
+
+
+def _acting_as(eigenvalues: Iterable[int], pieces: Sequence[Subspace]) -> Matrix:
+    """The X with X B = B D, B the stacked piece bases and D their scalars:
+    one solve of B^T X^T = (B D)^T, whose rows are (b, lam b). Raises
+    ValueError unless the pieces sum directly to the full space."""
+    rows = [b + [lam * x for x in b] for lam, piece in zip(eigenvalues, pieces) for b in _integer_columns(piece.basis)]
+    return _solve(pieces[0].ambient_dim, rows).transpose()
 
 
 class Decomposition(Record):

@@ -23,11 +23,11 @@ pivot unknown through free unknowns of smaller index, so the null vector of
 each free unknown leads there and vanishes at the other free positions, and
 these vectors are the canonical basis as they stand. An intersection reads
 the dependencies between two bases off tails carried through the
-elimination. The public rref,
-inverses, the minimal polynomial and the spins and closures of ``classify``
-use the same echelon; this is much faster than eliminating on Fraction
-objects and gives the identical reduced echelon form. The determinant runs
-Bareiss elimination on the same integer rows.
+elimination. The public rref, the minimal polynomial, the spins and
+closures of ``classify`` and every solve M T = N (_solve, one elimination
+of the integer rows [M | N]; an inverse solves [num | den I]) use the same
+echelon: the identical reduced echelon form, much faster than on Fractions.
+The public determinant runs Bareiss elimination; no runtime path calls it.
 
 Whether vectors lie in a sum of eigenspaces of one matrix x needs no
 elimination: for distinct mu_j the kernel of prod_j (x - mu_j I) is the
@@ -527,17 +527,20 @@ def determinant(m: Matrix) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on singular input.
-
-    With m = num / den, [m | I] is reduced as the integer rows [num | den I],
-    and reduced row i reads r_i e_i in front and r_i times row i of m^-1
-    behind; the inverse is those tails over the lcm of the r_i.
-    """
+    """Exact inverse of m = num / den, the solve of the integer rows
+    [num | den I]; raises ValueError on singular input."""
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.rows
-    augmented = (list(row) + [m._den if i == j else 0 for j in range(n)] for i, row in enumerate(m._num))
-    echelon = _echelon(n, augmented)
+    return _solve(n, [list(row) + [m._den if i == j else 0 for j in range(n)] for i, row in enumerate(m._num)])
+
+
+def _solve(n: int, rows: Sequence[list[int]]) -> Matrix:
+    """T with M T = N, for the integer rows [M | N] of length 2n: reduced row
+    i reads r_i (e_i, row i of T). Raises ValueError unless M is invertible."""
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} rows for {n} unknowns")
+    echelon = _echelon(n, rows)
     if len(echelon) < n:
         raise ValueError("matrix is singular")
     return _tails(echelon, n)

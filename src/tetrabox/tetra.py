@@ -17,11 +17,11 @@ distinct corner indices determines a decomposition of the space (induced by
 the opposite flags r and s), and the generator x_rs acts on its i-th piece
 as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
 order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs: this module builds six
-decompositions, forms x_rs for r < s by one change of basis each and
-negates it for x_sr; each change of basis is one matrix product. The
-decompositions of (0, 1) and (2, 3) are the eigenspace chains of A and
-Astar that certify their spectra (onsager.module_type), so only the four
-pairs that mix A and Astar intersect flags.
+decompositions, reads x_rs for r < s off one integer elimination each
+(flags._acting_as) and negates it for x_sr. The decompositions of (0, 1)
+and (2, 3) are the eigenspace chains of A and Astar that certify their
+spectra (onsager.module_type), so only the four pairs that mix A and Astar
+intersect flags.
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
@@ -59,7 +59,7 @@ from types import MappingProxyType
 from ._record import Record
 from .classify import _full_algebra, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import _flag_components, _induced_subspaces
+from .flags import _acting_as, _flag_components, _induced_subspaces
 from .linalg import (
     Matrix,
     Subspace,
@@ -67,7 +67,6 @@ from .linalg import (
     commutator,
     eigenspace,
     hstack,
-    inverse,
     require_within_guard,
 )
 from .onsager import (
@@ -153,29 +152,18 @@ class TetraModule(Record):
                 raise ValueError(f"matrix for {pair} does not act on the module")
 
 
-def _opposite_pieces(flags: tuple[tuple[Subspace, ...], ...], r: int, s: int) -> tuple[Subspace, ...]:
-    """Pieces of the decomposition the flags r and s (component tuples) induce,
-    by Zassenhaus intersections. Raises OppositionError when not opposite."""
-    pieces = _induced_subspaces(flags[r], flags[s])
-    if isinstance(pieces, str):
-        raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
-    return pieces
-
-
 def build_tetra(m: OnsagerModule) -> TetraModule:
     """Assemble all twelve generator matrices from the four flags of m.
 
-    For each pair r < s, with B the stacked bases of the pieces of the
-    decomposition the flags r and s induce, x_rs is B with the columns of
-    piece i scaled by 2i - d, times B^-1; x_sr is -x_rs, since the pair
+    For each pair r < s, x_rs is the one matrix that acts on piece i of the
+    decomposition the flags r and s induce as the scalar 2i - d, read off
+    one elimination (flags._acting_as); x_sr is -x_rs, since the pair
     (s, r) induces the same pieces in reverse order.
 
-    Flag 1 is flag 0's decomposition inverted, so (flags docstring) the
-    pieces of (0, 1) are F0_i intersect F1_(d-i) = the eigenspace of A at
-    2i - d, and those of (2, 3) the eigenspaces of Astar: they are the
-    chains module_type certified the spectra with, in the canonical form an
-    intersection would give, and only the four pairs that mix A and Astar
-    run Zassenhaus intersections.
+    Flag 1 is flag 0's decomposition inverted, so the pieces of (0, 1) are
+    the eigenspaces of A at 2i - d that module_type certified the spectra
+    with, in the canonical form an intersection gives, and those of (2, 3)
+    are Astar's: only the four pairs that mix A and Astar intersect flags.
 
     The input must be irreducible of type (0,0). Norton's spinning test
     decides that at any dimension at the first eigenline of A at d, d-2,
@@ -183,8 +171,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     module that is the one at d. Where A has no eigenline the Burnside
     closure decides, and when dim^2 is above linalg.DIM_GUARD it raises
     DimensionGuardError rather than build: the flag-opposition scan passes
-    some reducible modules, such as V + V. No Flag record is built:
-    four_flags(m) gives the flags.
+    some reducible modules, such as V + V. four_flags(m) gives the flags.
     """
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
@@ -195,9 +182,10 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     flags = _flag_components(*chains.values())
     x: dict[tuple[int, int], Matrix] = {}
     for r, s in UNORDERED_PAIRS:
-        pieces = chains[(r, s)] if (r, s) in chains else _opposite_pieces(flags, r, s)
-        weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
-        x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
+        pieces = chains[(r, s)] if (r, s) in chains else _induced_subspaces(flags[r], flags[s])
+        if isinstance(pieces, str):
+            raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
+        x[(r, s)] = _acting_as(range(-d, d + 1, 2), pieces)
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x)
 

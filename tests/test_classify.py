@@ -2,6 +2,7 @@ import weakref
 from collections import deque
 from fractions import Fraction as F
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from tetrabox import (
     build_tetra,
     build_tetra_from_spec,
     check_onsager_equivalence,
+    determinant,
     eigenspace,
     eigentable,
     equivalence_key,
@@ -279,6 +281,35 @@ def conjugated_pairs(draw):
     return kind, p * Matrix.from_rows(d) * p_inv, p * Matrix.from_rows(t) * p_inv
 
 
+@st.composite
+def quotient_pairs(draw):
+    """(m1, m2, split): m1 = P (D, T) P^-1 with D a ladder in random order
+    and T block upper triangular, so the first k coordinates span a
+    submodule K, and m2 = Q (D, T') Q^-1 with T' = T, or (split) T with its
+    corner block zeroed. Split, the map of m1 onto its quotient by K is an
+    intertwiner that kills K, so the spin from the top line can be the graph
+    of a singular S."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    c = draw(SMALL)
+    # the top eigenvalue c sits outside K, so the top line is no vector of K
+    ladder = draw(st.permutations([c - 2 * i for i in range(n)]))
+    top = draw(st.integers(k, n - 1))
+    ladder[ladder.index(c)], ladder[top] = ladder[top], c
+    d = [[F(0)] * n for _ in range(n)]
+    for i, lam in enumerate(ladder):
+        d[i][i] = lam
+    t = [[F(0) if i >= k > j else draw(SMALL) for j in range(n)] for i in range(n)]
+    split = draw(st.booleans())
+    t_split = [[F(0) if split and i < k <= j else x for j, x in enumerate(row)] for i, row in enumerate(t)]
+    modules = []
+    for b in (t, t_split):
+        p = unitriangular_product(n, [draw(SMALL) for _ in range(n * (n - 1))])
+        p_inv = inverse(p)
+        modules.append(OnsagerModule(n, p * Matrix.from_rows(d) * p_inv, p * Matrix.from_rows(b) * p_inv))
+    return modules[0], modules[1], split
+
+
 class TestNortonDifferential:
     """Norton's verdicts against the closure they replace."""
 
@@ -473,6 +504,27 @@ class TestIntertwiner:
         assert find_intertwiner(m, m) == Matrix.identity(16)
 
 
+def decided_as_by_the_determinant(m1, m2):
+    """find_intertwiner on (m1, m2), checked against the determinant of the
+    candidate S it read off the spin: the witness is S scaled exactly when
+    det S != 0. Returns whether S is invertible, None with no candidate."""
+    candidates = []
+    real_tails = classify._tails
+    spy = lambda graph, n: candidates.append(real_tails(graph, n)) or candidates[-1]  # noqa: E731
+    with mock.patch.object(classify, "_tails", spy):
+        try:
+            witness = find_intertwiner(m1, m2)
+        except ReducibleModuleError:
+            return None
+    if not candidates:
+        assert witness is None
+        return None
+    s = candidates[0].transpose()
+    invertible = determinant(s) != 0
+    assert witness == (s * (1 / next(x for x in s.entries if x)) if invertible else None)
+    return invertible
+
+
 class TestIntertwinerDifferential:
     """find_intertwiner, one spin in M1 + M2, against reference_intertwiner,
     the kernel of the 2 dim^2 x dim^2 system, matrix for matrix."""
@@ -554,6 +606,23 @@ class TestIntertwinerDifferential:
         a, b1 = Matrix.from_rows([[1, 0], [0, -1]]), Matrix.from_rows([[0, 0], [1, 0]])
         m1, m2 = OnsagerModule(2, a, b1), OnsagerModule(2, a, Matrix.zeros(2, 2))
         assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
+
+    def test_rank_decides_as_the_determinant_on_grid_pairs(self, grid_specs, grid_modules):
+        irreducible = [s for s in grid_specs if is_irreducible_criterion(s)]
+        pairs = [(s1, s2) for s1 in irreducible for s2 in irreducible if s1.dim == s2.dim]
+        verdicts = [decided_as_by_the_determinant(grid_modules[s1], grid_modules[s2]) for s1, s2 in pairs]
+        # Schur: S from an irreducible m1 with S v1 = v2 != 0 is invertible
+        assert False not in verdicts and True in verdicts
+        # the singular graph: det S = 0, so no witness
+        a, b1 = Matrix.from_rows([[1, 0], [0, -1]]), Matrix.from_rows([[0, 0], [1, 0]])
+        assert decided_as_by_the_determinant(OnsagerModule(2, a, b1), OnsagerModule(2, a, Matrix.zeros(2, 2))) is False
+
+    @settings(max_examples=80, deadline=None)
+    @given(quotient_pairs())
+    def test_rank_decides_as_the_determinant_on_conjugations(self, drawn):
+        m1, m2, split = drawn
+        verdict = decided_as_by_the_determinant(m1, m2)
+        assert not (verdict is False and not split)  # m2 isomorphic to m1: S invertible
 
     def test_no_elimination_wider_than_the_spin(self, monkeypatch):
         widths = []

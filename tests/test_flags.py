@@ -17,12 +17,14 @@ from tetrabox import (
     evaluation_module,
     flag_from_decomposition,
     four_flags,
+    hstack,
     induced_decomposition,
+    inverse,
     intersect,
     invert_decomposition,
     subspace_sum,
 )
-from tetrabox.flags import _partial_sums
+from tetrabox.flags import _acting_as, _partial_sums
 from tetrabox.onsager import _module_spectra
 
 
@@ -286,3 +288,31 @@ class TestPartialSums:
         assert _partial_sums(spaces) == running_sums(spaces)
         # the sums need not be direct: a repeated piece adds nothing
         assert _partial_sums(spaces + spaces[:1]) == running_sums(spaces + spaces[:1])
+
+
+class TestActingAs:
+    """_acting_as, one solve, against the change of basis B D B^-1 it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_decompositions(self, data):
+        n = data.draw(st.integers(1, 6))
+        dims = data.draw(compositions(n, data.draw(st.integers(1, n)))) if n > 1 else [1]
+        pieces = data.draw(decompositions(dims)).subspaces
+        scalars = data.draw(st.lists(st.integers(-4, 4), min_size=len(pieces), max_size=len(pieces)))
+        x = _acting_as(scalars, pieces)
+        weighted = hstack(*(c * piece.basis for c, piece in zip(scalars, pieces)))
+        assert x == weighted * inverse(hstack(*(piece.basis for piece in pieces)))
+        assert all(x * piece.basis == c * piece.basis for c, piece in zip(scalars, pieces))
+
+    def test_refuses_pieces_that_are_not_a_direct_sum(self):
+        with pytest.raises(ValueError, match="singular"):
+            _acting_as([1, -1], [line(1, 1), line(2, 2)])
+        with pytest.raises(ValueError, match="1 rows for 2 unknowns"):
+            _acting_as([1], [line(1, 1)])
+
+    def test_refuses_too_many_columns(self):
+        with pytest.raises(ValueError, match="3 rows for 2 unknowns"):
+            _acting_as([1, 0, -1], [line(1, 0), line(0, 1), line(1, 1)])
+        with pytest.raises(ValueError, match="3 rows for 2 unknowns"):
+            _acting_as([1, -1], [Subspace.full(2), line(1, 1)])

@@ -2,8 +2,8 @@
 
 A Matrix is integer rows over one denominator. Modules that only do matrix
 algebra must not reach for linalg's private helpers, or that representation
-leaks into them again. classify (the spins and closures) and flags (one rank)
-work on the integer echelon itself and are not listed.
+leaks into them again. classify (the spins and closures) and flags (one rank
+and one solve) work on the integer echelon itself and are not listed.
 
 No module reads the environment either: the one size bound is the constant
 linalg.DIM_GUARD, so no setting can change a result from outside.

@@ -199,6 +199,31 @@ class TestDiagonalizability:
             is_diagonalizable_with(Matrix.identity(2), [1, 1])
 
 
+class TestSolve:
+    """linalg._solve: T with M T = N from the integer rows [M | N]."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_against_the_inverse(self, data):
+        n = data.draw(st.integers(1, 4))
+        grid = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        m, rhs = data.draw(grid), data.draw(grid)
+        rows = [a + b for a, b in zip(m, rhs)]
+        if determinant(Matrix.from_rows(m)) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                linalg._solve(n, rows)
+        else:
+            assert linalg._solve(n, rows) == inverse(Matrix.from_rows(m)) * Matrix.from_rows(rhs)
+
+    def test_refuses_a_row_count_other_than_n(self):
+        rows = [[1, 0, 5, 6], [0, 1, 7, 8], [1, 1, 0, 0]]
+        assert linalg._solve(2, rows[:2]) == Matrix.from_rows([[5, 6], [7, 8]])
+        with pytest.raises(ValueError, match="3 rows for 2 unknowns"):
+            linalg._solve(2, rows)
+        with pytest.raises(ValueError, match="1 rows for 2 unknowns"):
+            linalg._solve(2, rows[:1])
+
+
 class TestScalarHelpers:
     def test_determinant_2x2(self):
         m = Matrix.from_rows([[F(1, 2), 2], [3, 4]])

@@ -10,7 +10,6 @@ from tetrabox import (
     Subspace,
     ModuleSpec,
     OnsagerModule,
-    OppositionError,
     ReducibleModuleError,
     TetraboxError,
     TypeShiftError,
@@ -27,6 +26,7 @@ from tetrabox import (
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
+    is_irreducible_criterion,
     module_type,
     pair_generates_full_algebra,
     pairwise_burnside,
@@ -45,7 +45,6 @@ from tetrabox.tetra import (
     CheckResult,
     TetraModule,
     _antisymmetric_pairs,
-    _opposite_pieces,
 )
 
 SAMPLE_SPECS = [
@@ -89,13 +88,12 @@ class TestBuild:
 
     def test_reducible_input_fails_opposition_scan(self, monkeypatch):
         # the flag scan behind the irreducibility test rejects on its own,
-        # naming the first failing pair
+        # naming the first failing pair in the text build_tetra raises
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
         components = tuple(f.components for f in four_flags(m))
-        with pytest.raises(OppositionError) as raised:
-            for r, s in UNORDERED_PAIRS:
-                _opposite_pieces(components, r, s)
-        assert str(raised.value) == (
+        reasons = [(r, s, flags._induced_subspaces(components[r], components[s])) for r, s in UNORDERED_PAIRS]
+        r, s, reason = next(failure for failure in reasons if isinstance(failure[2], str))
+        assert f"flags {r} and {s} are not opposite: {reason}" == (
             "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
         )
         # spinning needs no guard, so the scan is never reached
@@ -800,8 +798,10 @@ class TestOneSpectralPass:
         for spec, t in built_irreducible_grid.items():
             m, d = grid_modules[spec], t.diameter
             components = tuple(f.components for f in four_flags(m))
-            assert _opposite_pieces(components, 0, 1) == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
-            assert _opposite_pieces(components, 2, 3) == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
+            pieces_01 = flags._induced_subspaces(components[0], components[1])
+            pieces_23 = flags._induced_subspaces(components[2], components[3])
+            assert pieces_01 == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
+            assert pieces_23 == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
 
 
 class TestFlagComponents:
@@ -820,6 +820,63 @@ class TestFlagComponents:
         assert made == []
         four_flags(grid_modules[next(iter(built_irreducible_grid))])
         assert made == [flags.Flag] * 4
+
+
+def change_of_basis_generators(m):
+    """The twelve x_rs by the change of basis the one solve replaces:
+    hstack(theta_i P_i) times inverse(hstack(P_i)), with P_i the pieces
+    the flags r and s induce and theta_i = 2i - d."""
+    components = tuple(f.components for f in four_flags(m))
+    d = len(components[0]) - 1
+    x = {}
+    for r, s in UNORDERED_PAIRS:
+        pieces = flags._induced_subspaces(components[r], components[s])
+        weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
+        x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
+        x[(s, r)] = -x[(r, s)]
+    return x
+
+
+class TestOneSolvePerGenerator:
+    """build_tetra reads each x_rs off one elimination, with the change of
+    basis as the differential reference."""
+
+    def test_grid(self, grid_modules, built_irreducible_grid):
+        for spec, t in built_irreducible_grid.items():
+            assert t.x == change_of_basis_generators(grid_modules[spec]), spec.factors
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_conjugates(self, grid_specs, grid_modules, data):
+        # P m P^-1 for a unit lower times unit upper triangular P
+        spec = data.draw(st.sampled_from([s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]))
+        m, n = grid_modules[spec], grid_modules[spec].dim
+        small = st.integers(-2, 2)
+        lower = [[data.draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        upper = [[data.draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+        p_inv = inverse(p)
+        conjugate = OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+        assert build_tetra(conjugate).x == change_of_basis_generators(conjugate)
+
+    def test_no_inverse_hstack_product_or_determinant(self, grid_modules, built_irreducible_grid, monkeypatch):
+        # spies on every module that could hold the names, so an import by name is seen too
+        calls = []
+        for name in ("inverse", "hstack", "determinant"):
+            real = getattr(linalg, name)
+            spy = (lambda real, name: lambda *args: calls.append(name) or real(*args))(real, name)
+            for module in (linalg, flags, tetra, classify):
+                monkeypatch.setattr(module, name, spy, raising=False)
+        real_mul = Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__",
+                            lambda a, b: (isinstance(b, Matrix) and calls.append("product")) or real_mul(a, b))
+        for spec, t in built_irreducible_grid.items():
+            m = grid_modules[spec]
+            assert build_tetra(m).x == t.x
+            assert calls == [], spec.factors
+            assert classify.find_intertwiner(m, m) == Matrix.identity(m.dim)
+            assert "determinant" not in calls, spec.factors
+            calls.clear()
 
 
 class TestReadOnlyMatrices:
