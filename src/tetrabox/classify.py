@@ -45,11 +45,11 @@ time. Norton's test decides, in both directions, at the first of them that
 is a line. The closure decides only when none is.
 
 Norton's verdict on a pair is kept on its first generator, a, in a dict
-that _full_algebra creates in a's instance __dict__ on its first call,
-keyed by the partner b: the verdict is exact whichever eigenline decided
-it. A Matrix is immutable, so the bool stays true of a, and
-is_irreducible_burnside, build_tetra, pairwise_burnside and the
-tridiagonal checks spin once per pair of matrix objects. The dict is no
+keyed by the partner b, set by object.__setattr__ as TetraModule's chains
+are (a.__dict__ would materialize and slow every field read): the verdict
+is exact whichever eigenline decided it. A Matrix is immutable, so the bool
+stays true of a, and is_irreducible_burnside, build_tetra, pairwise_burnside
+and the tridiagonal checks spin once per pair of matrix objects. The dict is no
 Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
 and dies with its matrix, and an equal matrix built separately runs its own
 test, so there is no process-wide table to bound. Only Norton's bools are
@@ -260,7 +260,10 @@ def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | in
     the first eigenspace that is a line; only when none is offered does the
     closure decide. Norton's verdict, exact at any line, is kept on a, keyed
     by b, and read back before any pair is read (see the module docstring)."""
-    verdicts = a.__dict__.setdefault("_norton_verdicts", {})
+    verdicts = getattr(a, "_norton_verdicts", None)
+    if verdicts is None:
+        verdicts = {}
+        object.__setattr__(a, "_norton_verdicts", verdicts)
     if b not in verdicts:
         found = next(((lam, space) for lam, space in eigenpairs if space.dim == 1), None)
         if found is None:

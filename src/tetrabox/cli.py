@@ -5,7 +5,8 @@ evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
 `verify --deep` reads every key off the file's matrices and one flag-route
 build of the module (x_01, x_23), of which the module section is a copy:
 the rebuild, the round trip of that pair and, when the file echoes its
-spec, whether the spec's module is that pair and folds to the file.
+spec, whether the spec's module is that pair and the rebuild matches: such
+a spec is irreducible and unshifted, so its fold would be that one build.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
@@ -134,10 +135,9 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
         # an absent module section counts as the pair itself
         out["roundtrip_uniqueness"] = (module is None or module == standard) and gives_back
         if spec is not None:
-            # only a spec whose module is the pair is folded, and the pair has just built
+            # the spec's fold would be the rebuild (module docstring)
             same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
-            same_module = same_shape and build_from_spec(spec) == standard
-            out["spec_matches"] = same_module and build_tetra_from_spec(spec).x == tetra.x
+            out["spec_matches"] = same_shape and build_from_spec(spec) == standard and out["rebuild_matches"]
         out["pairwise_burnside"] = pairwise_burnside(tetra)
     except DimensionGuardError as exc:
         # a refused check is not a failed one

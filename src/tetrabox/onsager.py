@@ -10,7 +10,7 @@ type shift (alpha, alphastar) describe the spectra {d - 2i + alpha} and
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record
@@ -140,13 +140,19 @@ def kronecker_sum(a: Matrix, b: Matrix) -> Matrix:
 
 def tensor(m1: OnsagerModule, m2: OnsagerModule) -> OnsagerModule:
     """Tensor product module: each generator acts as a Kronecker sum."""
-    A = kronecker_sum(m1.A, m2.A)
-    Astar = kronecker_sum(m1.Astar, m2.Astar)
-    return OnsagerModule(m1.dim * m2.dim, A, Astar)
+    return OnsagerModule(m1.dim * m2.dim, kronecker_sum(m1.A, m2.A), kronecker_sum(m1.Astar, m2.Astar))
+
+
+def _fold(matrices: Iterable[Matrix]) -> Matrix:
+    """Left fold of the matrices by Kronecker sums, from the 1 x 1 zero of the trivial module."""
+    folded = Matrix.zeros(1, 1)
+    for m in matrices:
+        folded = kronecker_sum(folded, m)
+    return folded
 
 
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
-    """Left-fold tensor of the evaluation factors, then apply the type shift.
+    """Tensor product of the evaluation factors (A and Astar each by _fold), then the type shift.
 
     The module has diameter spec.degree_sum and type spec.shift, which
     module_type recomputes from the matrices: each factor (n, a) has A and
@@ -156,12 +162,8 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     factor is built.
     """
     require_within_guard(spec.dim, "module dimension")
-    module = None
-    for n, a in spec.factors:
-        factor = evaluation_module(n, a)
-        module = factor if module is None else tensor(module, factor)
-    if module is None:
-        module = trivial_module()
+    factors = [evaluation_module(n, a) for n, a in spec.factors]
+    module = OnsagerModule(spec.dim, _fold(f.A for f in factors), _fold(f.Astar for f in factors))
     alpha, alphastar = spec.shift
     if alpha or alphastar:
         ident = Matrix.identity(module.dim)

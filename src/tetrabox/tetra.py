@@ -5,12 +5,12 @@ Two routes build the twelve matrices, and they agree entry for entry.
 From a spec, build_tetra_from_spec follows the paper's classification:
 an irreducible module is a tensor product of evaluation modules, and the
 tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. So each
-small evaluation factor is built by the flag route below and the six x_rs
-with r < s are folded by Kronecker sums, in the left-fold order of
-onsager.build_from_spec, and negated for x_sr. The fold is a tetrahedron
-structure with x_01 = A and x_23 = Astar; its four flags are the
-eigenspace flags of x_01, x_10, x_23 and x_32, and those flags fix every
-x_rs, so it is the structure the flag route derives.
+small evaluation factor is built by the flag route below, whose x_01 and
+x_23 are its A and Astar, and the six x_rs with r < s are folded by
+onsager._fold, as build_from_spec folds A and Astar, and negated for x_sr.
+So x_01 = A and x_23 = Astar by construction; the four flags of the fold
+are the eigenspace flags of x_01, x_10, x_23 and x_32, and those flags fix
+every x_rs, so it is the structure the flag route derives.
 
 From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
@@ -73,9 +73,9 @@ from .onsager import (
     ModuleSpec,
     OnsagerModule,
     _dolan_grady_residual,
+    _fold,
     _module_spectra,
     evaluation_module,
-    kronecker_sum,
 )
 
 CORNERS = (0, 1, 2, 3)
@@ -194,9 +194,9 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     """The twelve generator matrices of a spec's module, folded from its factors.
 
     Each evaluation factor (n_i, a_i) is built by build_tetra, and the
-    factors' matrices are combined by Kronecker sums in the left-fold order
-    of build_from_spec, so x_01 and x_23 equal its A and Astar entry for
-    entry and every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
+    factors' matrices are folded by onsager._fold, as build_from_spec folds
+    A and Astar, so x_01 and x_23 equal its A and Astar entry for entry and
+    every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
     Only x_rs with r < s is folded: x_sr = -x_rs on each factor, and a
     Kronecker sum is linear.
 
@@ -215,10 +215,8 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
         raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
                              "only type-(0,0) modules carry the six-generator structure")
     require_within_guard(spec.dim, "module dimension")
-    x = {pair: Matrix.zeros(1, 1) for pair in UNORDERED_PAIRS}  # the trivial module, the unit of the fold
-    for n, a in spec.factors:
-        factor = build_tetra(evaluation_module(n, a)).x
-        x = {pair: kronecker_sum(x[pair], factor[pair]) for pair in UNORDERED_PAIRS}
+    factors = [build_tetra(evaluation_module(n, a)).x for n, a in spec.factors]
+    x = {pair: _fold(factor[pair] for factor in factors) for pair in UNORDERED_PAIRS}
     x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 

@@ -11,21 +11,24 @@ decides it first, once, and computes the rest only for a pair that passes.
 Diagonalizability is decided over Q, the working field of this package, by
 linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
 minimal polynomial on one vector, certified when their eigenspaces fill the
-space, and those eigenspaces are the ones the ordering test reads. They
-are also the ones irreducibility is asked at: classify._full_algebra runs
-Norton's test at the first of them, from the top down, that is a line, and
-the Burnside closure only when none is (or a is not diagonalizable).
+space, and those eigenspaces are the ones the ordering test reads (the
+descending order first, else the one the other operator's joins between
+them allow, _standard_ordering). They are also the ones irreducibility is
+asked at: classify._full_algebra runs Norton's test at the first of them,
+from the top down, that is a line, and the Burnside closure only when none
+is (or a is not diagonalizable).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import product
 
 from ._record import Record
 from .classify import _full_algebra, _require_square_pair
 from .errors import SpectrumError
-from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack
+from .linalg import Matrix, Subspace, annihilates, diagonal_spectrum, hstack, inverse
 from .onsager import dolan_grady_holds
 
 
@@ -59,17 +62,39 @@ def _block_tridiagonal_ordering(
     return all(annihilates(diagonal, acting * hstack(*(space.basis for space in spaces)), blocks))
 
 
+def _standard_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[Fraction],
+                       spaces: Sequence[Subspace]) -> tuple[Fraction, ...] | None:
+    """An ordering of the eigenvalues of `diagonal` on which `acting` is block
+    tridiagonal, or None. The descending one is tried first. Otherwise E_i and
+    E_j are joined when block (i, j) or (j, i) of acting in the eigenbasis is
+    nonzero. An order exists exactly when the joins form disjoint paths; a path
+    reversed keeps its joins, so each is read from its larger end, larger first."""
+    if _block_tridiagonal_ordering(acting, diagonal, eigenvalues, spaces):
+        return tuple(eigenvalues)
+    basis = hstack(*(space.basis for space in spaces))
+    block = inverse(basis) * acting * basis
+    owner = [i for i, space in enumerate(spaces) for _ in range(space.dim)]
+    nonzero = {(owner[p], owner[q]) for p, q in product(range(block.rows), repeat=2) if block[p, q]}
+    joins = [{j for j in range(len(spaces)) if j != i and {(i, j), (j, i)} & nonzero} for i in range(len(spaces))]
+    if any(len(joined) > 2 for joined in joins):
+        return None
+    order = []  # each path walked from its end not yet reached, the larger ends first
+    for end in sorted((i for i, joined in enumerate(joins) if len(joined) < 2), key=lambda i: -eigenvalues[i]):
+        step, previous = (None if end in order else end), None
+        while step is not None:
+            order.append(step)
+            step, previous = next(iter(joins[step] - {previous}), None), step
+    if len(order) < len(spaces):  # the rest are cycles
+        return None
+    ordering = tuple(eigenvalues[i] for i in order)
+    return ordering if _block_tridiagonal_ordering(acting, diagonal, ordering, [spaces[i] for i in order]) else None
+
+
 def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:
     """The four axioms, given a's spectrum and the irreducibility verdict."""
     spec_s = diagonal_spectrum(astar)
-    ordering_a = None
-    ordering_s = None
-    # only the descending ordering is tried: reversing an ordering keeps every
-    # eigenspace's neighbors, so the reverse passes exactly when it does
-    if spec_a is not None and _block_tridiagonal_ordering(astar, a, *spec_a):
-        ordering_a = spec_a[0]
-    if spec_s is not None and _block_tridiagonal_ordering(a, astar, *spec_s):
-        ordering_s = spec_s[0]
+    ordering_a = None if spec_a is None else _standard_ordering(astar, a, *spec_a)
+    ordering_s = None if spec_s is None else _standard_ordering(a, astar, *spec_s)
     verdict = ordering_a is not None and ordering_s is not None and irreducible
     return TdpReport(
         diagonalizable_A=spec_a is not None,

@@ -536,22 +536,27 @@ class TestGuardOverride:
         assert captured.err == "error: module dimension 16 exceeds the dimension guard 8\n"
 
 
-def reference_deep_checks(module, t, two_build_roundtrip):
-    """The deep checks of a file without a spec, from their definitions: the
-    file's pair (x_01, x_23) rebuilt, the module section compared with that
-    pair matrix by matrix, and the pair's two-build round trip."""
+def reference_deep_checks(module, t, two_build_roundtrip, spec=None):
+    """The deep checks from their definitions: the file's pair (x_01, x_23)
+    rebuilt, the module section compared with that pair matrix by matrix, the
+    pair's two-build round trip and, for an echoed spec, the spec's module
+    compared with the pair and its Kronecker fold with the file."""
     out = {"pass": True}
     try:
         standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
         out["rebuild_matches"] = build_tetra(standard).x == t.x
         is_pair = module is None or (module.dim, module.A, module.Astar) == (t.dim, t.x[(0, 1)], t.x[(2, 3)])
         out["roundtrip_uniqueness"] = is_pair and two_build_roundtrip(standard)
+        if spec is not None:
+            same_shape = spec.dim == t.dim and spec.degree_sum == t.diameter
+            out["spec_matches"] = (same_shape and build_from_spec(spec) == standard
+                                   and tetra.build_tetra_from_spec(spec).x == t.x)
         try:
             out["pairwise_burnside"] = tetra.pairwise_burnside(t)
         except DimensionGuardError as exc:
             out["pairwise_burnside"] = "skipped"
             out["skipped"] = str(exc)
-        out["pass"] = all((out["rebuild_matches"], out["roundtrip_uniqueness"],
+        out["pass"] = all((out["rebuild_matches"], out["roundtrip_uniqueness"], out.get("spec_matches", True),
                            out["pairwise_burnside"] is not False))
     except TetraboxError as exc:
         out["pass"] = False
@@ -592,6 +597,54 @@ def d4_build(tmp_path_factory):
     return json.loads(out.read_text())
 
 
+@pytest.fixture(scope="module")
+def d16_build(tmp_path_factory):
+    root = tmp_path_factory.mktemp("deep")
+    out = root / "d16.module.json"
+    spec = {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}], "shift": ["0", "0"]}
+    assert main(["build", write_json(root / "d16.json", spec), "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _spec_a(factor, a):
+    def edit(data):
+        data["spec"]["factors"][factor]["a"] = a(data["spec"]["factors"])
+    return edit
+
+
+def _spec_swapped(data):
+    data["spec"]["factors"].reverse()
+
+
+def _spec_other_n(data):
+    data["spec"]["factors"][0]["n"] += 1
+
+
+def _misdeclared_d(data):
+    data["tetra"]["d"] += 1
+
+
+def _tamper_x02(data):
+    row = data["tetra"]["x"]["02"][0]
+    row[1] = str(F(row[1]) + F(1, 7))
+
+
+# echoed-spec files: the spec edited, the rest of the file edited, or the file as built
+ECHOED_SPEC_EDITS = {
+    "clean": None,
+    "other_a": _spec_a(0, lambda factors: "5"),
+    "swapped": _spec_swapped,
+    "a_inverted": _spec_a(0, lambda factors: str(1 / F(factors[0]["a"]))),
+    "reducible": _spec_a(1, lambda factors: str(1 / F(factors[0]["a"]))),
+    "a_is_1": _spec_a(0, lambda factors: "1"),
+    "shifted": _shifted_spec,
+    "other_n": _spec_other_n,
+    "misdeclared_d": _misdeclared_d,
+    "x02": _tamper_x02,
+    "module_A": _module_a_is_not_x01,
+}
+
+
 def spy_flag_route_builds(monkeypatch):
     """The modules cli hands to the flag-route build_tetra, in call order."""
     calls = []
@@ -620,6 +673,34 @@ class TestDeepChecksDifferential:
         calls = spy_flag_route_builds(monkeypatch)
         assert cli._deep_checks(module, t, None) == expected
         assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
+
+    @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
+    @pytest.mark.parametrize("build", ["d4_build", "d16_build"])
+    def test_same_report_with_the_spec_folded(self, request, two_build_roundtrip, build, edit):
+        # the reference folds the spec by the Kronecker route; the CLI reads the rebuild
+        data = copy.deepcopy(request.getfixturevalue(build))
+        if edit is not None:
+            edit(data)
+        t, spec = tetra_from_json(data["tetra"]), spec_from_json(data["spec"])
+        module = module_from_json(data["module"])
+        assert cli._deep_checks(module, t, spec) == reference_deep_checks(module, t, two_build_roundtrip, spec)
+
+    @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
+    def test_one_flag_route_build_and_no_fold(self, d16_build, tmp_path, monkeypatch, capsys, edit):
+        data = copy.deepcopy(d16_build)
+        if edit is not None:
+            edit(data)
+        path = write_json(tmp_path / "m.json", data)
+        calls = spy_flag_route_builds(monkeypatch)
+        factor_builds, folds = [], []
+        real_build, real_fold = tetra.build_tetra, cli.build_tetra_from_spec
+        monkeypatch.setattr(tetra, "build_tetra", lambda m: factor_builds.append(m) or real_build(m))
+        monkeypatch.setattr(cli, "build_tetra_from_spec", lambda spec: folds.append(spec) or real_fold(spec))
+        main(["verify", path, "--deep"])
+        assert "deep" in json.loads(capsys.readouterr().out)
+        t = tetra_from_json(data["tetra"])
+        assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
+        assert factor_builds == [] and folds == []
 
 
 class TestDeepReadsTheFile:

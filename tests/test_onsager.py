@@ -127,6 +127,34 @@ class TestTensor:
             tensor(m1, m2)  # 3 * 4 = 12 > 8
 
 
+def left_fold_of_tensor(spec: ModuleSpec) -> OnsagerModule:
+    """build_from_spec as a left fold of tensor over the evaluation factors,
+    the trivial module when there are none, then the type shift."""
+    module = None
+    for n, a in spec.factors:
+        factor = evaluation_module(n, a)
+        module = factor if module is None else tensor(module, factor)
+    if module is None:
+        module = trivial_module()
+    ident = Matrix.identity(module.dim)
+    return OnsagerModule(module.dim, module.A + spec.shift[0] * ident, module.Astar + spec.shift[1] * ident)
+
+
+class TestFold:
+    def test_no_matrices_fold_to_the_trivial_module(self):
+        assert onsager._fold([]) == Matrix.zeros(1, 1) == trivial_module().A
+
+    def test_matches_the_left_fold_of_tensor_on_the_grid(self, grid_specs):
+        for spec in grid_specs:
+            assert build_from_spec(spec) == left_fold_of_tensor(spec), spec.factors
+
+    @pytest.mark.parametrize("factors", [[], [(0, 3)], [(1, 2), (2, 3), (1, 5)], [(2, F(1, 2)), (0, 7), (1, -3)]])
+    @pytest.mark.parametrize("shift", [(0, 0), (1, F(-1, 2))])
+    def test_matches_the_left_fold_of_tensor(self, factors, shift):
+        spec = ModuleSpec.of(factors, shift=shift)
+        assert build_from_spec(spec) == left_fold_of_tensor(spec)
+
+
 class TestBuildFromSpec:
     def test_single_factor(self):
         m = build_from_spec(ModuleSpec.of([(1, 2)]))

@@ -159,10 +159,10 @@ class TestBuildFromSpec:
             assert_same_structure(build_tetra_from_spec(spec), expected)
 
     def test_folds_six_generators_per_factor(self, monkeypatch):
-        # x_sr = -x_rs on each factor, and a Kronecker sum is linear
+        # x_sr = -x_rs on each factor, and a Kronecker sum is linear; the fold is onsager's
         calls = []
-        real = tetra.kronecker_sum
-        monkeypatch.setattr(tetra, "kronecker_sum", lambda a, b: calls.append(1) or real(a, b))
+        real = onsager.kronecker_sum
+        monkeypatch.setattr(onsager, "kronecker_sum", lambda a, b: calls.append(1) or real(a, b))
         t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (2, 3), (1, 5)]))
         assert len(calls) == 6 * 3
         assert all(t.x[(s, r)] == -t.x[(r, s)] for r, s in UNORDERED_PAIRS)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,12 +60,15 @@ class TestVerify:
 
     def test_tridiagonality_failure(self):
         # full-diameter jumps: Astar maps the top eigenspace of A straight
-        # to the bottom one, three eigenvalues apart
+        # to the bottom one, three eigenvalues apart, and 1 to -1; in the
+        # order (3, -3, 1, -1) those are neighbors, but span(e1, e4) is
+        # invariant, so the pair is reducible
         a = Matrix.from_rows([[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]])
         b = Matrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
         report = verify_tridiagonal_pair(a, b)
         assert report.diagonalizable_A and report.diagonalizable_Astar
-        assert report.standard_ordering_A is None
+        assert report.standard_ordering_A == (F(3), F(-3), F(1), F(-1))
+        assert not report.irreducible
         assert not report.verdict
 
     def test_size_mismatch(self):
@@ -188,8 +192,10 @@ def fresh(m: Matrix) -> Matrix:
 
 def reference_report(a: Matrix, astar: Matrix) -> TdpReport:
     """verify_tridiagonal_pair as one pass over all four axioms: both spectra,
-    both orderings, then irreducibility by classify._full_algebra on a's
-    spectrum, on fresh copies of the two matrices."""
+    both descending orderings (no other order is tried), then irreducibility
+    by classify._full_algebra on a's spectrum, on fresh copies of the two
+    matrices. Every Kronecker sum of ladders passes in the descending order,
+    so on modules it is the report field for field."""
     a, astar = fresh(a), fresh(astar)
     spec_a, spec_s = diagonal_spectrum(a), diagonal_spectrum(astar)
     ordering_a = spec_a[0] if spec_a is not None and _block_tridiagonal_ordering(astar, a, *spec_a) else None
@@ -241,10 +247,14 @@ class TestIrreducibilityFirst:
     reducible pair; its answers and verify_tridiagonal_pair's reports equal
     those of the full report."""
 
-    def test_grid_modules(self, grid_modules):
+    def test_grid_modules(self, grid_modules, monkeypatch):
+        # every grid pair passes in the descending order, so no eigenbasis is inverted
+        inverted = []
+        monkeypatch.setattr(tridiagonal, "inverse", lambda m: inverted.append(m) or inverse(m))
         for s, m in grid_modules.items():
             assert_agrees_with_reference(m.A, m.Astar)
             assert check_onsager_equivalence(m.A, m.Astar), s.factors
+        assert inverted == []
 
     @settings(max_examples=30, deadline=None)
     @given(conjugated_modules())
@@ -306,3 +316,75 @@ class TestEigenspaceShiftEquivalence:
                 window.contains(Subspace.span_columns(astar * Matrix(dim, 1, col))) for col in space.basis_columns()
             )
             assert vanishes == included
+
+
+# the split form of a Leonard pair with theta = theta* = (1, -2, 4) and
+# phi = (12, -15): each is irreducible tridiagonal in the other's eigenbasis
+# in the order 1, -2, 4, which is not monotone
+LEONARD_A = Matrix.from_rows([[1, 0, 0], [1, -2, 0], [0, 1, 4]])
+LEONARD_ASTAR = Matrix.from_rows([[1, 12, 0], [0, -2, -15], [0, 0, 4]])
+LEONARD_ORDER = (F(4), F(-2), F(1))
+
+
+def reference_ordering_exists(acting: Matrix, diagonal: Matrix) -> bool:
+    """Some order of the eigenvalues of diagonal passes the block test, by trying them all."""
+    eigenvalues, _ = diagonal_spectrum(diagonal)
+    return any(_block_tridiagonal_ordering(acting, diagonal, order, [eigenspace(diagonal, lam) for lam in order])
+               for order in permutations(eigenvalues))
+
+
+@st.composite
+def diagonal_and_acting(draw):
+    """A diagonalizable D = P diag(values) P^-1 with 2 to 4 distinct values,
+    some repeated, and a sparse integer matrix acting on the same space."""
+    values = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True))
+    mult = [draw(st.integers(1, 2)) for _ in values]
+    diag = [v for v, k in zip(values, mult) for _ in range(k)]
+    n = len(diag)
+    d = Matrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    acting = Matrix.from_rows([[draw(st.sampled_from((0, 0, 0, 1, -2))) for _ in range(n)] for _ in range(n)])
+    lower = Matrix.from_rows([[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0 for j in range(n)]
+                              for i in range(n)])
+    return lower * acting * inverse(lower), lower * d * inverse(lower)
+
+
+class TestStandardOrdering:
+    """An ordering that is not descending: read off which eigenspaces the
+    other operator joins, whenever the joins form disjoint paths."""
+
+    def test_leonard_pair_with_a_non_monotone_ordering(self):
+        report = verify_tridiagonal_pair(LEONARD_A, LEONARD_ASTAR)
+        assert report == TdpReport(True, True, LEONARD_ORDER, LEONARD_ORDER, True, True)
+        assert check_onsager_equivalence(LEONARD_A, LEONARD_ASTAR)
+        with pytest.raises(SpectrumError, match="not arithmetic"):
+            eigenvalue_sequences(LEONARD_A, LEONARD_ASTAR)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    def test_conjugated_leonard_pair(self, entries):
+        lower = Matrix.from_rows([[1, 0, 0], [entries[0], 1, 0], [entries[1], entries[2], 1]])
+        upper = Matrix.from_rows([[1, entries[3], entries[4]], [0, 1, entries[5]], [0, 0, 1]])
+        p = lower * upper
+        p_inv = inverse(p)
+        a, astar = p * LEONARD_A * p_inv, p * LEONARD_ASTAR * p_inv
+        assert verify_tridiagonal_pair(a, astar) == TdpReport(True, True, LEONARD_ORDER, LEONARD_ORDER, True, True)
+        assert check_onsager_equivalence(a, astar)
+
+    def test_three_cycle_has_no_ordering(self):
+        # each eigenspace of the diagonal is joined to both others
+        diagonal = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        acting = Matrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        report = verify_tridiagonal_pair(diagonal, acting)
+        assert report.diagonalizable_A and report.standard_ordering_A is None
+        assert not report.verdict
+        assert not reference_ordering_exists(acting, diagonal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonal_and_acting())
+    def test_an_ordering_is_found_exactly_when_one_exists(self, pair):
+        acting, diagonal = pair
+        ordering = tridiagonal._standard_ordering(acting, diagonal, *diagonal_spectrum(diagonal))
+        assert (ordering is not None) == reference_ordering_exists(acting, diagonal)
+        if ordering is not None:
+            spaces = [eigenspace(diagonal, lam) for lam in ordering]
+            assert _block_tridiagonal_ordering(acting, diagonal, ordering, spaces)
