@@ -4,7 +4,7 @@
 evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
 `verify --deep` reads every key off the file's matrices and one flag-route
 build of the module (x_01, x_23), of which the module section is a copy:
-the rebuild, the round trip of that pair and, when the file echoes its
+the rebuild (matrices and d), the pair's round trip and, for an echoed
 spec, whether the spec's module is that pair and the rebuild matches: such
 a spec is irreducible and unshifted, so its fold would be that one build.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
@@ -130,7 +130,7 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
         # the module section is a copy of x_01, x_23: every key is read off this one build
         standard = OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)])
         rebuilt = build_tetra(standard)
-        out["rebuild_matches"] = rebuilt.x == tetra.x
+        out["rebuild_matches"] = rebuilt.diameter == tetra.diameter and rebuilt.x == tetra.x
         gives_back = rebuilt.x[(0, 1)] == standard.A and rebuilt.x[(2, 3)] == standard.Astar
         # an absent module section counts as the pair itself
         out["roundtrip_uniqueness"] = (module is None or module == standard) and gives_back

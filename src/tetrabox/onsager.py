@@ -223,12 +223,9 @@ def normalize_type(m: OnsagerModule) -> OnsagerModule:
     return OnsagerModule(m.dim, m.A - alpha * ident, m.Astar - alphastar * ident)
 
 
-def _dolan_grady_residual(x: Matrix, inner: Matrix) -> Matrix:
-    """[x, [x, [x, y]]] - 4 [x, y], given inner = [x, y]."""
-    return commutator(x, commutator(x, inner)) - 4 * inner
-
-
 def dolan_grady_holds(x: Matrix, y: Matrix) -> bool:
-    """Exact check of both Dolan-Grady relations for the pair (x, y)."""
+    """Exact check of both Dolan-Grady relations for the pair (x, y): with
+    xy = [x, y], [x, [x, xy]] = 4xy and, negated, [y, [y, xy]] = 4xy."""
     xy = commutator(x, y)
-    return _dolan_grady_residual(x, xy).is_zero() and _dolan_grady_residual(y, -xy).is_zero()
+    four = 4 * xy
+    return commutator(x, commutator(x, xy)) == four and commutator(y, commutator(y, xy)) == four

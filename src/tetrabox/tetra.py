@@ -28,11 +28,11 @@ every defining relation of the tetrahedron algebra: antisymmetry
 x_rs + x_sr = 0, the triangle relation [x_rs, x_st] = 2 x_rs + 2 x_st, and
 the Dolan-Grady relation between generators with four distinct indices.
 The relations are decided by plain matrix algebra, which runs on integer
-rows over one denominator per matrix (see linalg), and each instance is the
-test that its residual matrix vanishes. Spectral facts (common eigenvalue
-set {d-2i}, eigenspace dimension tables, the action of one generator on
-another's eigenspaces, flag independence) are verified as exact subspace
-statements.
+rows over one denominator per matrix (see linalg), and each instance is one
+exact equality of its two sides; its residual is formed only when it fails.
+Spectral facts (common eigenvalue set {d-2i}, eigenspace dimension tables,
+the action of one generator on another's eigenspaces, flag independence) are
+verified as exact subspace statements.
 Each inclusion of the image of an eigenspace of x_rs under a shifted x_tu
 in a sum of eigenspaces of x_rs, and each inclusion of an eigenspace of x_rt
 in a partial eigenspace sum of x_rs (flag independence), is the test that a
@@ -45,8 +45,8 @@ Verification runs on six generators once antisymmetry is shown. Wherever
 a file's own x_sr equals -x_rs exactly (one comparison of canonical forms,
 never assumed), every check on x_sr is the same check on x_rs read through
 the sign: its eigenspace chain is x_rs's reversed, its action-table rows and
-columns repeat x_rs's verdicts, and its triangle and Dolan-Grady residuals
-are x_rs's up to sign. So the reports equal those of twelve independent
+columns repeat x_rs's verdicts, and its triangle and Dolan-Grady sides are
+x_rs's up to sign. So the reports equal those of twelve independent
 generators, and a pair that is not antisymmetric is computed in full.
 """
 
@@ -72,7 +72,6 @@ from .linalg import (
 from .onsager import (
     ModuleSpec,
     OnsagerModule,
-    _dolan_grady_residual,
     _fold,
     _module_spectra,
     evaluation_module,
@@ -226,8 +225,8 @@ def _antisymmetric_pairs(t: TetraModule) -> frozenset[tuple[int, int]]:
 
     Decided on t's own matrices by one comparison of canonical forms per
     pair r < s, never assumed. On such a pair every check on x_sr is a check
-    on x_rs read through the sign, so the checks of the pair are computed once
-    (see _eigenspace_chain, verify_relations and verify_action_table).
+    on x_rs read through the sign, so verify_action_table computes the
+    pair's row and column once.
     """
     pairs = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == -t.x[(r, s)]]
     return frozenset(pairs + [(s, r) for r, s in pairs])
@@ -243,47 +242,49 @@ def _oriented(pair: tuple[int, int], antisymmetric: frozenset) -> tuple[tuple[in
 def verify_relations(t: TetraModule) -> VerificationReport:
     """Evaluate every defining relation instance as an exact matrix identity.
 
-    Each residual is a Matrix, and a Matrix is exact integer rows over one
-    denominator, so an instance passes exactly when its residual is zero.
+    Each instance is one comparison of its two sides (x_rs and -x_sr;
+    [x_rs, x_st] and 2(x_rs + x_st); [x, [x, [x, y]]] and 4[x, y]), and a
+    Matrix is canonical integer rows over one denominator, so == decides it
+    exactly. The residual, lhs - rhs, is formed only for a failing instance.
     Antisymmetry is checked on every pair and assumed nowhere. Where it
-    holds, the other instances are computed on six generators: triangle
-    (t, s, r) has residual -residual(r, s, t) once x_sr = -x_rs and
+    passes, the other instances are computed on six generators: triangle
+    (t, s, r) has the sides of (r, s, t) negated once x_sr = -x_rs and
     x_ts = -x_st, and Dolan-Grady is odd in each of its two generators, so
-    the four orientations of {r, s}, {t, u} share one residual up to sign.
-    The inner commutator of Dolan-Grady is shared too, since
+    the four orientations of {r, s}, {t, u} share one pair of sides up to
+    sign. The inner commutator of Dolan-Grady is shared too, since
     [x_tu, x_rs] = -[x_rs, x_tu] for any two matrices.
     """
     x = t.x
-    antisymmetric = _antisymmetric_pairs(t)
     checks: list[CheckResult] = []
 
-    def record(relation: str, instance: tuple, residual: Matrix, sign: int = 1) -> None:
-        passed = residual.is_zero()
-        checks.append(CheckResult(relation, instance, passed, None if passed else sign * residual))
+    def record(relation: str, instance: tuple, lhs: Matrix, rhs: Matrix, sign: int = 1) -> None:
+        passed = lhs == rhs
+        checks.append(CheckResult(relation, instance, passed, None if passed else sign * (lhs - rhs)))
 
     for r, s in UNORDERED_PAIRS:
-        record("antisymmetry", (r, s), x[(r, s)] + x[(s, r)])
+        record("antisymmetry", (r, s), x[(r, s)], -x[(s, r)])
+    antisymmetric = frozenset(pair for c in checks if c.passed for pair in (c.instance, c.instance[::-1]))
     triangles: dict = {}
     for r, s, tt in permutations(CORNERS, 3):
         if r > tt and {(r, s), (s, tt)} <= antisymmetric:
-            record("triangle", (r, s, tt), triangles[(tt, s, r)], -1)
+            record("triangle", (r, s, tt), *triangles[(tt, s, r)], -1)
             continue
         a, b = x[(r, s)], x[(s, tt)]
-        triangles[(r, s, tt)] = residual = commutator(a, b) - 2 * (a + b)
-        record("triangle", (r, s, tt), residual)
+        triangles[(r, s, tt)] = sides = commutator(a, b), 2 * (a + b)
+        record("triangle", (r, s, tt), *sides)
     inner: dict = {}
     dolan_grady: dict = {}
     for r, s, tt, u in permutations(CORNERS, 4):
         first, sign_first = _oriented((r, s), antisymmetric)
         second, sign_second = _oriented((tt, u), antisymmetric)
-        residual = dolan_grady.get((first, second))
-        if residual is None:
+        sides = dolan_grady.get((first, second))
+        if sides is None:
             if (second, first) in inner:
                 bracket = -inner[(second, first)]
             else:
                 bracket = inner[(first, second)] = commutator(x[first], x[second])
-            residual = dolan_grady[(first, second)] = _dolan_grady_residual(x[first], bracket)
-        record("dolan_grady", (r, s, tt, u), residual, sign_first * sign_second)
+            sides = dolan_grady[(first, second)] = commutator(x[first], commutator(x[first], bracket)), 4 * bracket
+        record("dolan_grady", (r, s, tt, u), *sides, sign_first * sign_second)
     return VerificationReport(tuple(checks))
 
 
@@ -291,14 +292,14 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
     """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
 
     Computed once per pair and kept on t; t.x is read-only, so the chain
-    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr exactly, the
-    chain of x_rs is the chain of x_sr reversed, so on a file that passes
-    antisymmetry the eigenspace table, the action table and the
+    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr exactly (one
+    comparison), the chain of x_rs is x_sr's reversed, so on a file that
+    passes antisymmetry the eigenspace table, the action table and the
     flag-independence check share six chains, and twelve otherwise.
     """
     chain = t._chains.get(pair)
     if chain is None:
-        if pair[0] > pair[1] and pair in _antisymmetric_pairs(t):
+        if pair[0] > pair[1] and t.x[pair] == -t.x[pair[::-1]]:
             chain = _eigenspace_chain(t, pair[::-1])[::-1]
         else:
             d = t.diameter
@@ -379,9 +380,10 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
         chain = _eigenspace_chain(t, (r, s))
         stacked = hstack(*(space.basis for space in chain))
         x_rs = t.x[(r, s)]
+        shifts = {1: x_rs, -1: -x_rs}
         for tt, u in own:
             _, sign, offsets = _action_case(r, s, tt, u)
-            image = (t.x[(tt, u)] + sign * x_rs) * stacked
+            image = (t.x[(tt, u)] + shifts[sign] if sign else t.x[(tt, u)]) * stacked
             targets = [[lam - 2 * k for k in offsets if abs(lam - 2 * k) <= d] for lam in ladder]
             blocks = [(space.dim, roots) for space, roots in zip(chain, targets)]
             verdicts[((r, s), (tt, u))] = annihilates(x_rs, image, blocks)

@@ -12,11 +12,11 @@ Diagonalizability is decided over Q, the working field of this package, by
 linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
 minimal polynomial on one vector, certified when their eigenspaces fill the
 space, and those eigenspaces are the ones the ordering test reads (the
-descending order first, else the one the other operator's joins between
-them allow, _standard_ordering). They are also the ones irreducibility is
-asked at: classify._full_algebra runs Norton's test at the first of them,
-from the top down, that is a line, and the Burnside closure only when none
-is (or a is not diagonalizable).
+descending order first, else the one the exact pattern of the other
+operator's joins between them decides, _standard_ordering). Irreducibility
+is asked at them too: classify._full_algebra runs Norton's test at the
+first, from the top down, that is a line, and the Burnside closure only
+when none is (or a is not diagonalizable).
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def _standard_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[F
     tridiagonal, or None. The descending one is tried first. Otherwise E_i and
     E_j are joined when block (i, j) or (j, i) of acting in the eigenbasis is
     nonzero. An order exists exactly when the joins form disjoint paths; a path
-    reversed keeps its joins, so each is read from its larger end, larger first."""
+    reversed keeps its joins, so each is read from its larger end, larger first.
+    That order is block tridiagonal as read: the exact pattern holds every
+    nonzero block, and each join is between neighbors on one path."""
     if _block_tridiagonal_ordering(acting, diagonal, eigenvalues, spaces):
         return tuple(eigenvalues)
     basis = hstack(*(space.basis for space in spaces))
@@ -86,8 +88,7 @@ def _standard_ordering(acting: Matrix, diagonal: Matrix, eigenvalues: Sequence[F
             step, previous = next(iter(joins[step] - {previous}), None), step
     if len(order) < len(spaces):  # the rest are cycles
         return None
-    ordering = tuple(eigenvalues[i] for i in order)
-    return ordering if _block_tridiagonal_ordering(acting, diagonal, ordering, [spaces[i] for i in order]) else None
+    return tuple(eigenvalues[i] for i in order)
 
 
 def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:

@@ -540,11 +540,13 @@ def reference_deep_checks(module, t, two_build_roundtrip, spec=None):
     """The deep checks from their definitions: the file's pair (x_01, x_23)
     rebuilt, the module section compared with that pair matrix by matrix, the
     pair's two-build round trip and, for an echoed spec, the spec's module
-    compared with the pair and its Kronecker fold with the file."""
+    compared with the pair and its Kronecker fold with the file. The rebuild
+    matches when it gives the file's twelve matrices and its declared d."""
     out = {"pass": True}
     try:
         standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
-        out["rebuild_matches"] = build_tetra(standard).x == t.x
+        rebuilt = build_tetra(standard)
+        out["rebuild_matches"] = rebuilt.diameter == t.diameter and rebuilt.x == t.x
         is_pair = module is None or (module.dim, module.A, module.Astar) == (t.dim, t.x[(0, 1)], t.x[(2, 3)])
         out["roundtrip_uniqueness"] = is_pair and two_build_roundtrip(standard)
         if spec is not None:
@@ -579,6 +581,12 @@ def _module_of_dim_two(data):
 
 def _no_module(data):
     del data["module"]
+
+
+def _misdeclared_d_no_spec(data):
+    # every eigentable dim reads 0 at d = 3; only the declared d tells the rebuild apart
+    data["tetra"]["d"] = 3
+    del data["spec"]
 
 
 def _reducible_spec(data):
@@ -659,8 +667,8 @@ class TestDeepChecksDifferential:
     @pytest.mark.parametrize(
         "edit, roundtrip",
         [(None, True), (_tamper_x13, True), (_module_a_is_not_x01, False), (_module_of_dim_two, False),
-         (_no_module, True)],
-        ids=["clean", "x13", "module_A", "module_dim2", "no_module"],
+         (_no_module, True), (_misdeclared_d_no_spec, True)],
+        ids=["clean", "x13", "module_A", "module_dim2", "no_module", "misdeclared_d_no_spec"],
     )
     def test_same_report(self, d4_build, monkeypatch, two_build_roundtrip, edit, roundtrip):
         data = copy.deepcopy(d4_build)
@@ -727,6 +735,15 @@ class TestDeepReadsTheFile:
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": True,
                         "spec_matches": False, "pairwise_burnside": True}
         assert [m.dim for m in calls] == [4]
+
+    def test_misdeclared_d_without_a_spec_fails_the_rebuild(self, d4_build, tmp_path, capsys):
+        data = copy.deepcopy(d4_build)
+        _misdeclared_d_no_spec(data)
+        assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert all(dims == [0, 0, 0, 0] for dims in report["eigentable"]["dims"].values())
+        assert report["deep"] == {"pass": False, "rebuild_matches": False, "roundtrip_uniqueness": True,
+                                  "pairwise_burnside": True}
 
 
 class TestNonLadderGenerator:

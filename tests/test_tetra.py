@@ -432,41 +432,57 @@ class TestSixGenerators:
         return build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
 
     def count_work(self, t, monkeypatch):
-        """Eigenspace calls over the four checks, and annihilates calls per check."""
-        calls = {"eigenspace": 0, "annihilates": 0}
-        for name in calls:
-            original = getattr(tetra, name)
+        """Eigenspace calls over the four checks, and per check the annihilates
+        calls and the matrices built (each Matrix constructor runs __post_init__)."""
+        calls = {"eigenspace": 0, "annihilates": 0, "matrices": 0}
+        for owner, name in ((tetra, "eigenspace"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
+            original = getattr(owner, name)
+            key = "matrices" if owner is linalg.Matrix else name
 
-            def spy(*args, _name=name, _original=original):
-                calls[_name] += 1
+            def spy(*args, _key=key, _original=original):
+                calls[_key] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(tetra, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
-        annihilators = {}
+        annihilators, matrices = {}, {}
         for check in (verify_relations, eigentable, verify_action_table, flag_independence_check):
-            before = calls["annihilates"]
+            before = dict(calls)
             check(fresh)
-            annihilators[check.__name__] = calls["annihilates"] - before
-        return calls["eigenspace"], annihilators
+            annihilators[check.__name__] = calls["annihilates"] - before["annihilates"]
+            matrices[check.__name__] = calls["matrices"] - before["matrices"]
+        return calls["eigenspace"], annihilators, matrices
 
     def test_built_module(self, d16, monkeypatch):
         assert _antisymmetric_pairs(d16) == frozenset(ORDERED_PAIRS)
-        eigenspaces, annihilators = self.count_work(d16, monkeypatch)
+        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch)
         assert eigenspaces == 6 * (d16.diameter + 1)
         # flag independence: two calls per corner
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
                                 "verify_action_table": 36, "flag_independence_check": 8}
+        # relations: 6 negated x_sr, 12 triangles of 3, 6 Dolan-Grady pairs of
+        # sides of 3 and 3 inner commutators with their negations; action
+        # table: 6 antisymmetry negations, and per row one stack, one -x_rs,
+        # 5 sums with products and 1 product; flag independence: one
+        # comparison per mirrored chain and one stack per (r, t); eigentable:
+        # one basis per eigenspace
+        assert matrices == {"verify_relations": 66, "eigentable": 42,
+                            "verify_action_table": 84, "flag_independence_check": 14}
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
         assert _antisymmetric_pairs(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
-        eigenspaces, annihilators = self.count_work(t, monkeypatch)
+        eigenspaces, annihilators, matrices = self.count_work(t, monkeypatch)
         assert eigenspaces == 7 * (t.diameter + 1)
         # flag independence: corner 0 passes with its two calls, and corner 1
         # fails on the dimensions of x_10's chain before any call
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
                                 "verify_action_table": 49, "flag_independence_check": 2}
+        # relations: 2 more Dolan-Grady pairs of sides and 4 more triangles,
+        # and the residuals of 1 + 4 + 4 failing instances; action table: a
+        # seventh row and column, and x_10's chain with its one comparison
+        assert matrices == {"verify_relations": 104, "eigentable": 42,
+                            "verify_action_table": 118, "flag_independence_check": 2}
 
     def test_mirrored_chain_is_the_reversed_chain(self, d16):
         t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
