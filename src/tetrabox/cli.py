@@ -2,11 +2,21 @@
 
 `build` has the spec, so it folds the twelve generators from the spec's
 evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
-`verify --deep` reads every key off the file's matrices and one flag-route
-build of the module (x_01, x_23), of which the module section is a copy:
-the rebuild (matrices and d), the pair's round trip and, for an echoed
-spec, whether the spec's module is that pair and the rebuild matches: such
-a spec is irreducible and unshifted, so its fold would be that one build.
+`verify --deep` reads every key off the file's matrices and the rebuild of
+the module (x_01, x_23), of which the module section is a copy: the rebuild
+(matrices and d), the pair's round trip and, for an echoed spec, whether
+the spec's module is that pair and the rebuild matches: such a spec is
+irreducible and unshifted, so its fold would be that rebuild. When the
+file passed all 54 relation instances and its eigentable at the declared
+d, every entry of the eigentable's (0, 1) row is positive and Norton's test
+finds the pair irreducible at the first eigenline of x_01, the rebuild is
+the file itself (tetra._rebuild_is_the_file gives the argument), and no
+build runs: rebuild_matches holds, the round trip gives x_01 and x_23 back,
+so roundtrip_uniqueness reads whether the module section is the pair, and
+spec_matches whether the spec's module is. Every other file takes the
+exact route, one flag-route build: a file that fails a plain check, whose
+(0, 1) row has a zero, whose pair Norton finds reducible (the "error" is
+ReducibleModuleError's text) or whose x_01 has no eigenline.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
@@ -62,6 +72,7 @@ from .serialize import (
 )
 from .tetra import (
     TetraModule,
+    _rebuild_is_the_file,
     build_tetra,
     build_tetra_from_spec,
     eigentable,
@@ -127,9 +138,10 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
     if spec is None:
         keys.remove("spec_matches")
     try:
-        # the module section is a copy of x_01, x_23: every key is read off this one build
+        # the module section is a copy of x_01, x_23: every key is read off the rebuild of that pair,
+        # which is the file itself wherever the plain checks and Norton's test say so
         standard = OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)])
-        rebuilt = build_tetra(standard)
+        rebuilt = tetra if _rebuild_is_the_file(tetra) else build_tetra(standard)
         out["rebuild_matches"] = rebuilt.diameter == tetra.diameter and rebuilt.x == tetra.x
         gives_back = rebuilt.x[(0, 1)] == standard.A and rebuilt.x[(2, 3)] == standard.Astar
         # an absent module section counts as the pair itself

@@ -48,6 +48,38 @@ the sign: its eigenspace chain is x_rs's reversed, its action-table rows and
 columns repeat x_rs's verdicts, and its triangle and Dolan-Grady sides are
 x_rs's up to sign. So the reports equal those of twelve independent
 generators, and a pair that is not antisymmetric is computed in full.
+
+The action table and flag independence are consequences of the relations.
+verify_relations and eigentable keep their verdicts on the TetraModule, as
+its chains are kept (t.x is read-only, so a kept verdict stays true). Once
+all 54 relation instances and the eigentable have passed at the declared d,
+verify_action_table and flag_independence_check return the passing result
+without computing; on every other file, and on a TetraModule whose
+relations or eigentable have not been verified, they compute exactly. The
+argument, with E_lam the eigenspace of x_rs at lam:
+
+- sums_to_dim makes every x_rs diagonalizable with its eigenvalues on the
+  ladder d, d-2, ..., -d (x_sr = -x_rs shares the ladder), so the image of
+  any product of factors x_rs - mu is the sum of the E_lam it does not kill,
+  and an eigenspace off the ladder is 0. E_lam = ker(x_rs - lam) gives the
+  fixes row, and x_sr = -x_rs the negates row.
+- The triangle relation [x_rs, x_st] = 2 x_rs + 2 x_st gives, for v in
+  E_lam, x_rs (x_st + lam) v = (lam+2)(x_st + lam) v: the raises_plus row
+  (at lam = d the image is 0, as the check with no target states), and with
+  x_ts = -x_st the raises_minus row. The same relation for x_sr, whose
+  eigenspace at -lam is E_lam, gives x_rs (x_ru - lam) v =
+  (lam-2)(x_ru - lam) v: the lowering rows.
+- For v in E_lam, ad(x_rs)^k (y) v = (x_rs - lam)^k y v, so Dolan-Grady
+  [x_rs, [x_rs, [x_rs, x_tu]]] = 4 [x_rs, x_tu] gives
+  (x_rs - lam)(x_rs - lam - 2)(x_rs - lam + 2) x_tu v = 0, and with
+  sums_to_dim x_tu v lies in E_{lam+2} + E_lam + E_{lam-2}: the adjacent rows.
+- Flag independence. Let G_k = E_{-d} + ... + E_{2k-d}, the k-th partial sum
+  of x_rs from -d. By the lowering row, (x_rt - mu) E_mu lies in E_{mu-2},
+  so x_rt keeps every G_k and (x_rt - theta_k) G_k lies in G_{k-1}
+  (theta_k = 2k - d). So prod_{j<=k} (x_rt - theta_j) kills G_k, and G_k lies
+  in its kernel, the k-th partial sum of x_rt. constant_across_pairs and
+  symmetric make the twelve generators' rows of eigenspace dimensions equal,
+  so the two sums have one dimension and are equal.
 """
 
 from __future__ import annotations
@@ -220,16 +252,26 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
-def _antisymmetric_pairs(t: TetraModule) -> frozenset[tuple[int, int]]:
+def _antisymmetric_pairs(t: TetraModule, negated: dict | None = None) -> frozenset[tuple[int, int]]:
     """The ordered pairs (r, s), both orders, on which x_sr = -x_rs holds exactly.
 
     Decided on t's own matrices by one comparison of canonical forms per
-    pair r < s, never assumed. On such a pair every check on x_sr is a check
-    on x_rs read through the sign, so verify_action_table computes the
-    pair's row and column once.
+    pair r < s, never assumed; negated, when given, holds -x_rs for each
+    r < s. On such a pair every check on x_sr is a check on x_rs read through
+    the sign, so verify_action_table computes the pair's row and column once.
     """
-    pairs = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == -t.x[(r, s)]]
+    if negated is None:
+        negated = {(r, s): -t.x[(r, s)] for r, s in UNORDERED_PAIRS}
+    pairs = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == negated[(r, s)]]
     return frozenset(pairs + [(s, r) for r, s in pairs])
+
+
+def _proved_by_relations(t: TetraModule) -> bool:
+    """Have all 54 relation instances and the eigentable passed on t, by the
+    verdicts verify_relations and eigentable keep on it (set by
+    object.__setattr__ when they run, as classify keeps Norton's)? Then the
+    action table and flag independence hold (module docstring)."""
+    return getattr(t, "_relations_passed", False) and getattr(t, "_eigentable_passed", False)
 
 
 def _oriented(pair: tuple[int, int], antisymmetric: frozenset) -> tuple[tuple[int, int], int]:
@@ -285,7 +327,9 @@ def verify_relations(t: TetraModule) -> VerificationReport:
                 bracket = inner[(first, second)] = commutator(x[first], x[second])
             sides = dolan_grady[(first, second)] = commutator(x[first], commutator(x[first], bracket)), 4 * bracket
         record("dolan_grady", (r, s, tt, u), *sides, sign_first * sign_second)
-    return VerificationReport(tuple(checks))
+    report = VerificationReport(tuple(checks))
+    object.__setattr__(t, "_relations_passed", report.all_passed)
+    return report
 
 
 def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
@@ -320,7 +364,9 @@ def eigentable(t: TetraModule) -> EigenTable:
     symmetric = all(row == row[::-1] for row in rows)
     sums = all(sum(row) == t.dim for row in rows)
     attained = any(row[0] > 0 for row in rows)
-    return EigenTable(eigenvalues, dims, constant, symmetric, sums, attained)
+    table = EigenTable(eigenvalues, dims, constant, symmetric, sums, attained)
+    object.__setattr__(t, "_eigentable_passed", table.all_passed)
+    return table
 
 
 def _action_case(r: int, s: int, tt: int, u: int) -> tuple[str, int, tuple[int, ...]]:
@@ -354,6 +400,28 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     the sign fixed by which index is shared), and four distinct indices keep
     the vector within the three adjacent eigenspaces.
 
+    On a TetraModule whose kept verdicts say that all 54 relation instances
+    and the eigentable passed, every inclusion holds (module docstring), so
+    the checks are returned passed, with nothing computed. Otherwise they are
+    computed exactly (_action_verdicts).
+    """
+    d = t.diameter
+    ladder = [d - 2 * i for i in range(d + 1)]
+    verdicts = None if _proved_by_relations(t) else _action_verdicts(t, ladder)
+    passed = [True] * (d + 1)
+    checks: list[CheckResult] = []
+    for r, s in ORDERED_PAIRS:
+        for tt, u in ORDERED_PAIRS:
+            case = _action_case(r, s, tt, u)[0]
+            column = passed if verdicts is None else verdicts[((r, s), (tt, u))]
+            checks.extend(CheckResult(f"action_{case}", (r, s, tt, u, str(lam)), ok) for lam, ok in zip(ladder, column))
+    return VerificationReport(tuple(checks))
+
+
+def _action_verdicts(t: TetraModule, ladder: list[int]) -> dict:
+    """The action table's verdicts at lam = d, d-2, ..., -d, for each row
+    (r, s) and column (t, u), computed exactly.
+
     With P_i the basis of the eigenspace E_i of x_rs at lam_i = d-2i, the
     inclusion (x_tu + c lam_i) E_i in the sum of the E_j over the targets j
     (those in 0..d; none means the image is zero) holds exactly when
@@ -368,11 +436,13 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     the offsets both change sign (fixes and negates, raises_plus and
     lowers_minus, raises_minus and lowers_plus trade places); with
     x_ut = -x_tu, column (u, t) states what column (t, u) does at every lam.
-    So a file that passes antisymmetry takes 36 of the 144 pairs.
+    So a file that passes antisymmetry takes 36 of the 144 pairs. One -x_rs
+    per pair r < s serves both the antisymmetry comparison and the row's
+    shifts.
     """
     d = t.diameter
-    ladder = [d - 2 * i for i in range(d + 1)]
-    antisymmetric = _antisymmetric_pairs(t)
+    negated = {(r, s): -t.x[(r, s)] for r, s in UNORDERED_PAIRS}
+    antisymmetric = _antisymmetric_pairs(t, negated)
     oriented = {pair: _oriented(pair, antisymmetric) for pair in ORDERED_PAIRS}
     own = [pair for pair in ORDERED_PAIRS if oriented[pair][0] == pair]
     verdicts: dict = {}
@@ -380,22 +450,17 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
         chain = _eigenspace_chain(t, (r, s))
         stacked = hstack(*(space.basis for space in chain))
         x_rs = t.x[(r, s)]
-        shifts = {1: x_rs, -1: -x_rs}
+        # an own pair with r > s is not antisymmetric, so its negation is formed here
+        shifts = {1: x_rs, -1: negated[(r, s)] if r < s else -x_rs}
         for tt, u in own:
             _, sign, offsets = _action_case(r, s, tt, u)
             image = (t.x[(tt, u)] + shifts[sign] if sign else t.x[(tt, u)]) * stacked
             targets = [[lam - 2 * k for k in offsets if abs(lam - 2 * k) <= d] for lam in ladder]
             blocks = [(space.dim, roots) for space, roots in zip(chain, targets)]
             verdicts[((r, s), (tt, u))] = annihilates(x_rs, image, blocks)
-    checks: list[CheckResult] = []
-    for r, s in ORDERED_PAIRS:
-        row, row_sign = oriented[(r, s)]
-        for tt, u in ORDERED_PAIRS:
-            case = _action_case(r, s, tt, u)[0]
-            # row_sign -1 reverses: x_rs at lam is read off x_sr at -lam
-            for lam, passed in zip(ladder, verdicts[(row, oriented[(tt, u)][0])][::row_sign]):
-                checks.append(CheckResult(f"action_{case}", (r, s, tt, u, str(lam)), passed))
-    return VerificationReport(tuple(checks))
+    # row_sign -1 reverses: x_rs at lam is read off x_sr at -lam
+    return {(row, column): verdicts[(oriented[row][0], oriented[column][0])][::oriented[row][1]]
+            for row in ORDERED_PAIRS for column in ORDERED_PAIRS}
 
 
 def flag_independence_check(t: TetraModule) -> bool:
@@ -409,8 +474,13 @@ def flag_independence_check(t: TetraModule) -> bool:
     then have equal dimensions) and that product annihilates the k-th
     eigenspace of x_rt for every k (each sum of x_rt then lies in the one of
     x_rs): one linalg.annihilates call for each of the two other t, and no
-    subspace sum.
+    subspace sum. On a TetraModule whose kept verdicts say that all 54
+    relation instances and the eigentable passed, the sums agree by the
+    lowering rows (module docstring), and True is returned with nothing
+    computed.
     """
+    if _proved_by_relations(t):
+        return True
     d = t.diameter
     thetas = [2 * j - d for j in range(d + 1)]
     for r in CORNERS:
@@ -440,6 +510,49 @@ def pairwise_burnside(t: TetraModule) -> bool:
     d = t.diameter
     return all(_full_algebra(t.x[p1], t.x[p2], zip(range(d, -d - 1, -2), _eigenspace_chain(t, p1)))
                for p1, p2 in OPPOSITE_PAIRS)
+
+
+def _rebuild_is_the_file(t: TetraModule) -> bool:
+    """Would build_tetra of the pair (x_01, x_23) give back t, its twelve
+    matrices and its declared d? True when the kept verdicts say that all 54
+    relation instances and the eigentable passed, every entry of the (0, 1)
+    row of the eigentable is positive, and Norton's test on (x_01, x_23), at
+    the first eigenline of x_01's chain, finds the pair irreducible; that
+    verdict is kept on x_01 (classify._full_algebra), and pairwise_burnside
+    and build_tetra read it back. False on every other t, with no build run.
+
+    This is the paper's uniqueness, four flags fix every x_rs, read off
+    checks that have run:
+
+    1. Antisymmetry: x_sr = -x_rs for every pair (the relations).
+    2. Spectra: x_01, and x_23 with the same row, are diagonalizable with
+       the eigenvalues d, d-2, ..., -d, each of positive multiplicity
+       (sums_to_dim, the positive row, constant_across_pairs). So
+       module_type reads diameter d and type (0, 0): build_tetra refuses no
+       shift, and its d is the declared d.
+    3. Irreducibility: the pair is irreducible, and build_tetra's test of it
+       is exact (on the file's own x_01 it reads the kept verdict back), so
+       it refuses nothing.
+    4. Flags: by flag independence (module docstring), flag r is the
+       ascending partial eigenspace sums of x_rs for every s != r. build_tetra
+       takes flags 0 and 1 off x_01, flags 2 and 3 off x_23, and the
+       descending sums of x_rs are the ascending sums of x_sr = -x_rs. So,
+       with E_0, ..., E_d the eigenspaces of x_rs at -d, ..., d, its piece i
+       of the pair r < s is (E_0 + ... + E_i) & (E_i + ... + E_d) = E_i,
+       since the E_j sum directly to V. Every E_i is nonzero (the twelve rows
+       equal the positive (0, 1) row), so the flags are opposite, and the
+       rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
+       the file's x_sr by 1.
+    """
+    if not _proved_by_relations(t):
+        return False
+    d = t.diameter
+    chain = _eigenspace_chain(t, (0, 1))
+    line = next(((lam, space) for lam, space in zip(range(d, -d - 1, -2), chain) if space.dim == 1), None)
+    # with no eigenline Norton cannot decide; the closure is left to build_tetra
+    if line is None or not all(space.dim > 0 for space in chain):
+        return False
+    return _full_algebra(t.x[(0, 1)], t.x[(2, 3)], [line])
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

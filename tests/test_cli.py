@@ -632,6 +632,10 @@ def _misdeclared_d(data):
     data["tetra"]["d"] += 1
 
 
+def _misdeclared_d_minus_2(data):
+    data["tetra"]["d"] -= 2
+
+
 def _tamper_x02(data):
     row = data["tetra"]["x"]["02"][0]
     row[1] = str(F(row[1]) + F(1, 7))
@@ -695,6 +699,8 @@ class TestDeepChecksDifferential:
 
     @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
     def test_one_flag_route_build_and_no_fold(self, d16_build, tmp_path, monkeypatch, capsys, edit):
+        # a file that passes the plain checks, with a pair Norton finds irreducible, is its own
+        # rebuild and runs no build; the two edits that fail a plain check run one
         data = copy.deepcopy(d16_build)
         if edit is not None:
             edit(data)
@@ -707,12 +713,15 @@ class TestDeepChecksDifferential:
         main(["verify", path, "--deep"])
         assert "deep" in json.loads(capsys.readouterr().out)
         t = tetra_from_json(data["tetra"])
-        assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
+        rebuilt = edit in (_misdeclared_d, _tamper_x02)
+        assert calls == ([OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])] if rebuilt else [])
         assert factor_builds == [] and folds == []
 
 
 class TestDeepReadsTheFile:
-    """A file that contradicts itself fails verify --deep, with every key decided."""
+    """A file that contradicts itself fails verify --deep, with every key decided.
+    Where its twelve matrices pass the plain checks, it is its own rebuild and
+    no build runs."""
 
     @pytest.mark.parametrize("edit", [_module_a_is_not_x01, _module_of_dim_two], ids=["module_A", "module_dim2"])
     def test_module_section_other_than_the_pair_fails(self, d4_build, tmp_path, monkeypatch, capsys, edit):
@@ -723,7 +732,7 @@ class TestDeepReadsTheFile:
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": False,
                         "spec_matches": True, "pairwise_burnside": True}
-        assert [m.dim for m in calls] == [4]
+        assert calls == []
 
     @pytest.mark.parametrize("edit", [_reducible_spec, _shifted_spec], ids=["reducible", "shifted"])
     def test_echoed_spec_of_another_module_reads_false(self, d4_build, tmp_path, monkeypatch, capsys, edit):
@@ -734,7 +743,7 @@ class TestDeepReadsTheFile:
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": True,
                         "spec_matches": False, "pairwise_burnside": True}
-        assert [m.dim for m in calls] == [4]
+        assert calls == []
 
     def test_misdeclared_d_without_a_spec_fails_the_rebuild(self, d4_build, tmp_path, capsys):
         data = copy.deepcopy(d4_build)
@@ -744,6 +753,131 @@ class TestDeepReadsTheFile:
         assert all(dims == [0, 0, 0, 0] for dims in report["eigentable"]["dims"].values())
         assert report["deep"] == {"pass": False, "rebuild_matches": False, "roundtrip_uniqueness": True,
                                   "pairwise_burnside": True}
+
+
+def block_diagonal(t1, t2):
+    """The twelve matrices of the direct sum of two structures of one diameter."""
+    n, m = t1.dim, t2.dim
+
+    def block(a, b):
+        rows = [list(a.entries[i * n:(i + 1) * n]) + [0] * m for i in range(n)]
+        return Matrix.from_rows(rows + [[0] * n + list(b.entries[i * m:(i + 1) * m]) for i in range(m)])
+
+    return tetra.TetraModule(dim=n + m, diameter=t1.diameter, x={pair: block(t1.x[pair], t2.x[pair]) for pair in t1.x})
+
+
+def conjugations(dim):
+    """P = L U, with L and U unitriangular, so invertible, with small integer entries."""
+    entries = st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim)
+
+    def unitriangular(values, below):
+        return Matrix.from_rows([[1 if i == j else values[i * dim + j] if (j < i) == below else 0
+                                  for j in range(dim)] for i in range(dim)])
+
+    return st.tuples(entries, entries).map(lambda lu: unitriangular(lu[0], True) * unitriangular(lu[1], False))
+
+
+class TestImpliedRouteDifferential:
+    """The action table, flag independence and the deep checks read off the
+    kept verdicts of the relations, the eigentable and Norton's test, against
+    the exact route: a fresh TetraModule with no kept verdicts, whose deep
+    checks run build_tetra as before."""
+
+    @staticmethod
+    def assert_same(t, calls, module=None, spec=None):
+        """The three stages on a copy of t verified in verify's order against a
+        fresh copy; returns whether the plain checks passed, the flag-route
+        builds of the verified copy's deep checks and their dict."""
+        exact, implied = tetra_from_json(tetra_to_json(t)), tetra_from_json(tetra_to_json(t))
+        plain = tetra.verify_relations(implied).all_passed and tetra.eigentable(implied).all_passed
+        assert tetra.verify_action_table(implied) == tetra.verify_action_table(exact)
+        assert tetra.flag_independence_check(implied) is tetra.flag_independence_check(exact)
+        expected = cli._deep_checks(module, exact, spec)
+        assert len(calls) == 1  # the exact route builds
+        calls.clear()
+        deep = cli._deep_checks(module, implied, spec)
+        assert deep == expected
+        return plain, list(calls), deep
+
+    def test_grid_files(self, built_irreducible_grid, monkeypatch):
+        calls = spy_flag_route_builds(monkeypatch)
+        for spec, t in built_irreducible_grid.items():
+            module = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
+            plain, builds, deep = self.assert_same(t, calls, module, spec)
+            assert plain and builds == [] and deep["pass"] is True
+            calls.clear()
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_conjugated_grid_files(self, built_irreducible_grid, monkeypatch, data):
+        # P x_rs P^-1 is again a module: the relations hold and every chain is P's image
+        t = data.draw(st.sampled_from([t for t in built_irreducible_grid.values() if t.dim <= 9]))
+        p = data.draw(conjugations(t.dim))
+        p_inverse = linalg.inverse(p)
+        conjugated = tetra.TetraModule(dim=t.dim, diameter=t.diameter,
+                                       x={pair: p * mat * p_inverse for pair, mat in t.x.items()})
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(conjugated, calls)
+        assert plain and builds == [] and deep["pass"] is True
+
+    @pytest.mark.parametrize("pair", tetra.ORDERED_PAIRS, ids=lambda pair: "x%d%d" % pair)
+    def test_one_tampered_generator(self, d4_build, monkeypatch, pair):
+        data = copy.deepcopy(d4_build)
+        row = data["tetra"]["x"]["%d%d" % pair][0]
+        row[1] = str(F(row[1]) + F(1, 7))
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(tetra_from_json(data["tetra"]), calls, module_from_json(data["module"]),
+                                               spec_from_json(data["spec"]))
+        assert not plain and len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "build, edit",
+        [("d4_build", _misdeclared_d), ("d4_build", _misdeclared_d_no_spec), ("d16_build", _misdeclared_d),
+         # every chain fills V at d + 2, and only diameter_attained fails
+         ("d16_build", lambda data: _misdeclared_d(data) or _misdeclared_d(data)),
+         # the top eigenvalues are off the ladder at d - 2, so the exact action table has failures
+         ("d4_build", _misdeclared_d_minus_2), ("d16_build", _misdeclared_d_minus_2)],
+        ids=["d4_plus_1", "d4_3_no_spec", "d16_plus_1", "d16_plus_2", "d4_minus_2", "d16_minus_2"],
+    )
+    def test_misdeclared_d(self, request, monkeypatch, build, edit):
+        data = copy.deepcopy(request.getfixturevalue(build))
+        edit(data)
+        spec = spec_from_json(data["spec"]) if "spec" in data else None
+        calls = spy_flag_route_builds(monkeypatch)
+        t = tetra_from_json(data["tetra"])
+        plain, builds, deep = self.assert_same(t, calls, module_from_json(data["module"]), spec)
+        assert not plain and len(builds) == 1 and deep["rebuild_matches"] is False
+        if edit is _misdeclared_d_minus_2:
+            assert not tetra.verify_action_table(t).all_passed
+
+    def test_v_plus_v(self, doubled_v, monkeypatch):
+        # the relations and the eigentable pass, but x_01 has no eigenline: the closure refuses in build_tetra
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(doubled_v, calls)
+        assert plain and len(builds) == 1
+        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
+        calls.clear()
+        plain, builds, deep = self.assert_same(doubled_v, calls)
+        assert plain and len(builds) == 1 and deep["rebuild_matches"] == "skipped" and "guard" in deep["skipped"]
+
+    def test_v_plus_trivial(self, d4_build, monkeypatch):
+        # x_01 has a top eigenline, and Norton's spin of it stops at V: the build refuses the pair
+        t = tetra_from_json(d4_build["tetra"])
+        trivial = tetra.TetraModule(dim=1, diameter=t.diameter, x={pair: Matrix.zeros(1, 1) for pair in t.x})
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(block_diagonal(t, trivial), calls)
+        assert plain and len(builds) == 1
+        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+
+    def test_passing_deep_verify_computes_no_inclusion_and_builds_nothing(self, d16_build, tmp_path, monkeypatch,
+                                                                         capsys):
+        calls = spy_flag_route_builds(monkeypatch)
+        for owner, name in ((tetra, "annihilates"), (linalg, "annihilates"), (tetra, "build_tetra")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
+        assert main(["verify", write_json(tmp_path / "m.json", d16_build), "--deep"]) == 0
+        assert json.loads(capsys.readouterr().out)["deep"]["pass"] is True
+        assert calls == []
 
 
 class TestNonLadderGenerator:

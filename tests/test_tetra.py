@@ -365,7 +365,9 @@ class TestActionTableDifferential:
     """The annihilator action table against the vector-by-vector route."""
 
     def assert_same(self, t):
-        got = [(c.relation, c.instance, c.passed) for c in verify_action_table(t).checks]
+        # a copy with no kept verdicts, so the table is computed, also on a shared fixture the relations have passed
+        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        got = [(c.relation, c.instance, c.passed) for c in verify_action_table(fresh).checks]
         assert got == reference_action_table(t)
         return got
 
@@ -431,7 +433,10 @@ class TestSixGenerators:
     def d16(self):
         return build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
 
-    def count_work(self, t, monkeypatch):
+    # the relations last, so the action table and flag independence are computed, not read off their verdict
+    EXACT = (eigentable, verify_action_table, flag_independence_check, verify_relations)
+
+    def count_work(self, t, monkeypatch, checks=EXACT):
         """Eigenspace calls over the four checks, and per check the annihilates
         calls and the matrices built (each Matrix constructor runs __post_init__)."""
         calls = {"eigenspace": 0, "annihilates": 0, "matrices": 0}
@@ -446,7 +451,7 @@ class TestSixGenerators:
             monkeypatch.setattr(owner, name, spy)
         fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
         annihilators, matrices = {}, {}
-        for check in (verify_relations, eigentable, verify_action_table, flag_independence_check):
+        for check in checks:
             before = dict(calls)
             check(fresh)
             annihilators[check.__name__] = calls["annihilates"] - before["annihilates"]
@@ -462,12 +467,21 @@ class TestSixGenerators:
                                 "verify_action_table": 36, "flag_independence_check": 8}
         # relations: 6 negated x_sr, 12 triangles of 3, 6 Dolan-Grady pairs of
         # sides of 3 and 3 inner commutators with their negations; action
-        # table: 6 antisymmetry negations, and per row one stack, one -x_rs,
-        # 5 sums with products and 1 product; flag independence: one
-        # comparison per mirrored chain and one stack per (r, t); eigentable:
-        # one basis per eigenspace
+        # table: 6 negations, each shared by its antisymmetry comparison and
+        # its row, and per row one stack, 5 sums with products and 1 product;
+        # flag independence: one comparison per mirrored chain and one stack
+        # per (r, t); eigentable: one basis per eigenspace
         assert matrices == {"verify_relations": 66, "eigentable": 42,
-                            "verify_action_table": 84, "flag_independence_check": 14}
+                            "verify_action_table": 78, "flag_independence_check": 14}
+
+    def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
+        # in verify's order the two kept verdicts have passed, so nothing is computed after them
+        checks = (verify_relations, eigentable, verify_action_table, flag_independence_check)
+        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch, checks)
+        assert eigenspaces == 6 * (d16.diameter + 1)
+        assert annihilators == dict.fromkeys(annihilators, 0)
+        assert matrices == {"verify_relations": 66, "eigentable": 42,
+                            "verify_action_table": 0, "flag_independence_check": 0}
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
@@ -480,9 +494,10 @@ class TestSixGenerators:
                                 "verify_action_table": 49, "flag_independence_check": 2}
         # relations: 2 more Dolan-Grady pairs of sides and 4 more triangles,
         # and the residuals of 1 + 4 + 4 failing instances; action table: a
-        # seventh row and column, and x_10's chain with its one comparison
+        # seventh row and column, with the negation of x_10, and x_10's chain
+        # with its one comparison
         assert matrices == {"verify_relations": 104, "eigentable": 42,
-                            "verify_action_table": 118, "flag_independence_check": 2}
+                            "verify_action_table": 112, "flag_independence_check": 2}
 
     def test_mirrored_chain_is_the_reversed_chain(self, d16):
         t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
