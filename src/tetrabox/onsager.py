@@ -6,6 +6,21 @@ representations, turned into evaluation modules A = e + f, Astar = a e + a^-1 f,
 and combined by tensor products (Kronecker sums). The diameter d and the
 type shift (alpha, alphastar) describe the spectra {d - 2i + alpha} and
 {d - 2i + alphastar} of the two generators.
+
+Every generator x_rs of the tetrahedron algebra acts on the evaluation
+factor V(n, a) as rho_n(X_rs), with X_rs = gamma h + alpha e + beta f an
+element of sl2 fixed by a (_EVALUATION):
+
+- On V(1, a) = Q^2, x_01 = A and x_23 = Astar have eigenvalues -1 and 1,
+  with eigenlines L_0, L_1 = span(1, -/+1) for A and L_2, L_3 =
+  span(a, -/+1) for Astar. These lines are the four flags, and the flags
+  fix every x_rs: it is -1 on L_r and 1 on L_s, which for a != +-1 is the
+  one matrix [[gamma, alpha], [beta, -gamma]] of the table.
+- rho_n is a Lie map, so the matrices rho_n(X_rs) satisfy the defining
+  relations of the tetrahedron algebra, as the X_rs do on V(1, a), with
+  x_01 = rho_n(e + f) = A and x_23 = rho_n(a e + a^-1 f) = Astar. On an
+  irreducible module x_01 and x_23 fix the four flags and the flags fix
+  every x_rs, so these are the matrices tetra.build_tetra derives.
 """
 
 from __future__ import annotations
@@ -118,15 +133,37 @@ class ModuleSpec(Record):
         return sum(n for n, _ in self.factors)
 
 
+# (gamma, alpha, beta) of X_rs = gamma h + alpha e + beta f, the action of x_rs
+# (r < s) on V(1, a); the four pairs that mix A and Astar need a != +-1
+_EVALUATION = {
+    (0, 1): lambda a: (Q0, Q1, Q1),
+    (2, 3): lambda a: (Q0, a, 1 / a),
+    (0, 2): lambda a: ((a + 1) / (a - 1), 2 * a / (a - 1), -2 / (a - 1)),
+    (1, 3): lambda a: ((a + 1) / (a - 1), -2 * a / (a - 1), 2 / (a - 1)),
+    (0, 3): lambda a: ((a - 1) / (a + 1), 2 * a / (a + 1), 2 / (a + 1)),
+    (1, 2): lambda a: ((a - 1) / (a + 1), -2 * a / (a + 1), -2 / (a + 1)),
+}
+
+
+def _evaluation_generators(n: int, a: Fraction, pairs) -> dict[tuple[int, int], Matrix]:
+    """x_rs = rho_n(gamma h + alpha e + beta f) on V(n, a) for each pair r < s
+    asked for (module docstring); a zero h term is not formed."""
+    triple = sl2_irreducible(n)
+    x = {}
+    for pair in pairs:
+        gamma, alpha, beta = _EVALUATION[pair](a)
+        m = alpha * triple.e + beta * triple.f
+        x[pair] = gamma * triple.h + m if gamma else m
+    return x
+
+
 def evaluation_module(n: int, a) -> OnsagerModule:
     """Evaluation module of dimension n+1: A = e + f, Astar = a e + a^-1 f."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("evaluation parameter must be nonzero")
-    triple = sl2_irreducible(n)
-    A = triple.e + triple.f
-    Astar = a * triple.e + (1 / a) * triple.f
-    return OnsagerModule(n + 1, A, Astar)
+    x = _evaluation_generators(n, a, ((0, 1), (2, 3)))
+    return OnsagerModule(n + 1, x[(0, 1)], x[(2, 3)])
 
 
 def trivial_module() -> OnsagerModule:
@@ -151,8 +188,19 @@ def _fold(matrices: Iterable[Matrix]) -> Matrix:
     return folded
 
 
+def _folded_generators(spec: ModuleSpec, pairs) -> dict[tuple[int, int], Matrix]:
+    """x_rs on the spec's unshifted module for each pair r < s asked for: the
+    left fold (_fold) of its evaluation factors' matrices. A trivial factor
+    (n = 0) acts as the 1 x 1 zero and is skipped. A spec above the
+    dimension guard is refused before any factor is built."""
+    require_within_guard(spec.dim, "module dimension")
+    factors = [_evaluation_generators(n, a, pairs) for n, a in spec.factors if n]
+    return {pair: _fold(factor[pair] for factor in factors) for pair in pairs}
+
+
 def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
-    """Tensor product of the evaluation factors (A and Astar each by _fold), then the type shift.
+    """Tensor product of the evaluation factors (A = x_01 and Astar = x_23 by
+    _folded_generators), then the type shift.
 
     The module has diameter spec.degree_sum and type spec.shift, which
     module_type recomputes from the matrices: each factor (n, a) has A and
@@ -161,9 +209,8 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
     eigenvalues. A spec above the dimension guard is refused before any
     factor is built.
     """
-    require_within_guard(spec.dim, "module dimension")
-    factors = [evaluation_module(n, a) for n, a in spec.factors]
-    module = OnsagerModule(spec.dim, _fold(f.A for f in factors), _fold(f.Astar for f in factors))
+    x = _folded_generators(spec, ((0, 1), (2, 3)))
+    module = OnsagerModule(spec.dim, x[(0, 1)], x[(2, 3)])
     alpha, alphastar = spec.shift
     if alpha or alphastar:
         ident = Matrix.identity(module.dim)

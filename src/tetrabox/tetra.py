@@ -4,13 +4,11 @@ Two routes build the twelve matrices, and they agree entry for entry.
 
 From a spec, build_tetra_from_spec follows the paper's classification:
 an irreducible module is a tensor product of evaluation modules, and the
-tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. So each
-small evaluation factor is built by the flag route below, whose x_01 and
-x_23 are its A and Astar, and the six x_rs with r < s are folded by
-onsager._fold, as build_from_spec folds A and Astar, and negated for x_sr.
-So x_01 = A and x_23 = Astar by construction; the four flags of the fold
-are the eigenspace flags of x_01, x_10, x_23 and x_32, and those flags fix
-every x_rs, so it is the structure the flag route derives.
+tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. On each
+evaluation factor V(n, a), x_rs is rho_n of a fixed element of sl2, read off
+the four flags of V(1, a) (onsager module docstring), so the six x_rs with
+r < s are folded from closed forms, as build_from_spec folds A and Astar,
+and negated for x_sr. No spectrum, flag or solve is computed.
 
 From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
@@ -92,22 +90,8 @@ from ._record import Record
 from .classify import _full_algebra, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
 from .flags import _acting_as, _flag_components, _induced_subspaces
-from .linalg import (
-    Matrix,
-    Subspace,
-    annihilates,
-    commutator,
-    eigenspace,
-    hstack,
-    require_within_guard,
-)
-from .onsager import (
-    ModuleSpec,
-    OnsagerModule,
-    _fold,
-    _module_spectra,
-    evaluation_module,
-)
+from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstack
+from .onsager import ModuleSpec, OnsagerModule, _folded_generators, _module_spectra
 
 CORNERS = (0, 1, 2, 3)
 
@@ -224,19 +208,21 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
 def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     """The twelve generator matrices of a spec's module, folded from its factors.
 
-    Each evaluation factor (n_i, a_i) is built by build_tetra, and the
-    factors' matrices are folded by onsager._fold, as build_from_spec folds
-    A and Astar, so x_01 and x_23 equal its A and Astar entry for entry and
-    every x_rs equals build_tetra(build_from_spec(spec)).x[rs].
+    On each evaluation factor (n_i, a_i), x_rs for r < s is rho_n of its
+    closed form in sl2, and the factors' matrices are folded as
+    build_from_spec folds A and Astar (onsager._folded_generators), so x_01
+    and x_23 equal its A and Astar entry for entry and every x_rs equals
+    build_tetra(build_from_spec(spec)).x[rs] (onsager module docstring).
     Only x_rs with r < s is folded: x_sr = -x_rs on each factor, and a
     Kronecker sum is linear.
 
     Refuses the specs build_tetra(build_from_spec(spec)) refuses, before any
     factor is built, in this order and with the one-line texts `tetrabox
     build` prints: ReducibleModuleError when the evaluation-parameter
-    criterion fails (a collision between two factors is invisible to each
-    factor alone), TypeShiftError on a nonzero shift, DimensionGuardError
-    when spec.dim is above linalg.DIM_GUARD.
+    criterion fails (a = +-1, where the closed forms have no value, or a
+    collision between two factors, which is invisible to each factor
+    alone), TypeShiftError on a nonzero shift, DimensionGuardError when
+    spec.dim is above linalg.DIM_GUARD.
     """
     reason = _reducibility_diagnostic(spec)
     if reason is not None:
@@ -245,9 +231,7 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
                              "only type-(0,0) modules carry the six-generator structure")
-    require_within_guard(spec.dim, "module dimension")
-    factors = [build_tetra(evaluation_module(n, a)).x for n, a in spec.factors]
-    x = {pair: _fold(factor[pair] for factor in factors) for pair in UNORDERED_PAIRS}
+    x = _folded_generators(spec, UNORDERED_PAIRS)
     x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,12 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import Matrix, classify, cli, linalg, tetra
+from tetrabox import Matrix, classify, cli, flags, linalg, onsager, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
 from tetrabox.onsager import ModuleSpec, OnsagerModule, build_from_spec, module_type
-from tetrabox.tetra import build_tetra
+from tetrabox.tetra import build_tetra, verify_relations
 from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
@@ -125,6 +126,43 @@ class TestBuild:
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert capsys.readouterr() == ("", f"error: {line}\n")
         assert not (tmp_path / "out.json").exists()
+
+    def test_spec_route_runs_no_flag_route(self, tmp_path, monkeypatch):
+        # every factor is folded from its closed forms: no spectrum, Norton spin, flag or solve
+        calls = []
+        for owner, name in [(tetra, "build_tetra"), (onsager, "_module_spectra"), (classify, "_full_algebra"),
+                            (flags, "_acting_as"), (flags, "_partial_sums")]:
+            original = getattr(owner, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            # the name is patched wherever a module imported it
+            for module in (tetrabox, classify, cli, flags, onsager, tetra):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+        for factors in ([(1, "2"), (1, "3")], [(3, "2"), (3, "3")], [(2, "2"), (2, "3"), (2, "5")]):
+            spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors]})
+            assert main(["build", spec, "-o", str(tmp_path / "m.json")]) == 0
+        assert calls == []
+        # build_from_spec takes a = -1 (a reducible module): it forms x_01 and x_23 only, never dividing by a + 1
+        triple = onsager.sl2_irreducible(1)
+        m = build_from_spec(ModuleSpec.of([(2, 3), (1, -1)]))
+        first = onsager.evaluation_module(2, 3)
+        assert m.A == onsager.kronecker_sum(first.A, triple.e + triple.f)
+        assert m.Astar == onsager.kronecker_sum(first.Astar, -triple.e - triple.f)
+
+    def test_large_single_factor_builds_fast(self, tmp_path):
+        # the flag route spent over a minute on this factor's spectra alone; the closed forms take well under 1 s
+        spec = write_json(tmp_path / "d65.json", {"factors": [{"n": 64, "a": "2"}]})
+        out = tmp_path / "d65.module.json"
+        start = time.monotonic()
+        assert main(["build", spec, "-o", str(out)]) == 0
+        assert time.monotonic() - start < 20
+        t = tetra_from_json(json.loads(out.read_text())["tetra"])
+        assert t.dim == 65 and verify_relations(t).all_passed
 
     def test_trivial_spec_builds(self, tmp_path):
         spec = write_json(tmp_path / "trivial.json", SPEC_TRIVIAL)

@@ -116,7 +116,8 @@ class TestBuild:
             build_tetra(m)
 
 
-PARAMETER_POOL = (F(2), F(3), F(5), F(1, 2), F(-1, 3), F(-2))
+# 1 and -1 make a factor reducible unless it is trivial (n = 0)
+PARAMETER_POOL = (F(2), F(3), F(5), F(1, 2), F(-1, 3), F(-2), F(1), F(-1))
 
 
 @st.composite
@@ -209,6 +210,30 @@ class TestBuildFromSpec:
     def test_shifted_spec_rejected(self):
         with pytest.raises(TypeShiftError):
             build_tetra_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))
+
+
+def assert_closed_forms_match(n: int, a: F) -> None:
+    expected = build_tetra(evaluation_module(n, a)).x
+    got = onsager._evaluation_generators(n, a, UNORDERED_PAIRS)
+    assert {pair: expected[pair] for pair in UNORDERED_PAIRS} == got, (n, a)
+
+
+class TestEvaluationFactors:
+    """The closed forms rho_n(gamma h + alpha e + beta f) of one factor against the flag route on it."""
+
+    # the acceptance grid's parameters but 1 and -1, where the factor is reducible
+    @pytest.mark.parametrize("a", [F(2), F(3), F(5), F(1, 2)])
+    def test_matches_flag_route_at_the_grid_parameters(self, a):
+        for n in range(1, 13):
+            assert_closed_forms_match(n, a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        a=st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(lambda a: a not in (0, 1, -1)),
+    )
+    def test_matches_flag_route_at_drawn_parameters(self, n, a):
+        assert_closed_forms_match(n, a)
 
 
 class TestRelations:
