@@ -39,13 +39,13 @@ change of basis, no inverse and no subspace sum. A TetraModule's matrices
 are read-only, so the eigenspace chain of each generator is computed once
 per TetraModule and shared by every check that needs it.
 
-Verification runs on six generators once antisymmetry is shown. Wherever
-a file's own x_sr equals -x_rs exactly (one comparison of canonical forms,
-never assumed), every check on x_sr is the same check on x_rs read through
-the sign: its eigenspace chain is x_rs's reversed, its action-table rows and
-columns repeat x_rs's verdicts, and its triangle and Dolan-Grady sides are
-x_rs's up to sign. So the reports equal those of twelve independent
-generators, and a pair that is not antisymmetric is computed in full.
+Verification runs on six generators once antisymmetry is shown. Whether a
+file's x_sr equals -x_rs exactly is decided once per TetraModule and kept
+(_antisymmetric). Wherever it does, every check on x_sr is the same check on
+x_rs read through the sign: its eigenspace chain is x_rs's reversed, its
+action-table rows and columns repeat x_rs's verdicts, and its triangle and
+Dolan-Grady sides are x_rs's up to sign. So the reports equal those of twelve
+independent generators; a pair that is not antisymmetric is computed in full.
 
 The action table and flag independence are consequences of the relations.
 verify_relations and eigentable keep their verdicts on the TetraModule, as
@@ -236,18 +236,18 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
-def _antisymmetric_pairs(t: TetraModule, negated: dict | None = None) -> frozenset[tuple[int, int]]:
+def _antisymmetric(t: TetraModule) -> frozenset[tuple[int, int]]:
     """The ordered pairs (r, s), both orders, on which x_sr = -x_rs holds exactly.
 
-    Decided on t's own matrices by one comparison of canonical forms per
-    pair r < s, never assumed; negated, when given, holds -x_rs for each
-    r < s. On such a pair every check on x_sr is a check on x_rs read through
-    the sign, so verify_action_table computes the pair's row and column once.
+    One comparison of canonical forms per pair r < s, never assumed, when a
+    check first asks; kept on t as its chains are, since t.x is read-only.
     """
-    if negated is None:
-        negated = {(r, s): -t.x[(r, s)] for r, s in UNORDERED_PAIRS}
-    pairs = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == negated[(r, s)]]
-    return frozenset(pairs + [(s, r) for r, s in pairs])
+    pairs = getattr(t, "_antisymmetric", None)
+    if pairs is None:
+        mirrored = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == -t.x[(r, s)]]
+        pairs = frozenset(mirrored + [(s, r) for r, s in mirrored])
+        object.__setattr__(t, "_antisymmetric", pairs)
+    return pairs
 
 
 def _proved_by_relations(t: TetraModule) -> bool:
@@ -268,11 +268,11 @@ def _oriented(pair: tuple[int, int], antisymmetric: frozenset) -> tuple[tuple[in
 def verify_relations(t: TetraModule) -> VerificationReport:
     """Evaluate every defining relation instance as an exact matrix identity.
 
-    Each instance is one comparison of its two sides (x_rs and -x_sr;
-    [x_rs, x_st] and 2(x_rs + x_st); [x, [x, [x, y]]] and 4[x, y]), and a
-    Matrix is canonical integer rows over one denominator, so == decides it
-    exactly. The residual, lhs - rhs, is formed only for a failing instance.
-    Antisymmetry is checked on every pair and assumed nowhere. Where it
+    Each instance is one comparison of its two sides (x_rs and -x_sr, kept
+    by _antisymmetric; [x_rs, x_st] and 2(x_rs + x_st); [x, [x, [x, y]]] and
+    4[x, y]), and a Matrix is canonical integer rows over one denominator, so
+    == decides it exactly. The residual, lhs - rhs (x_rs + x_sr for
+    antisymmetry), is formed only for a failing instance. Where antisymmetry
     passes, the other instances are computed on six generators: triangle
     (t, s, r) has the sides of (r, s, t) negated once x_sr = -x_rs and
     x_ts = -x_st, and Dolan-Grady is odd in each of its two generators, so
@@ -287,9 +287,10 @@ def verify_relations(t: TetraModule) -> VerificationReport:
         passed = lhs == rhs
         checks.append(CheckResult(relation, instance, passed, None if passed else sign * (lhs - rhs)))
 
+    antisymmetric = _antisymmetric(t)
     for r, s in UNORDERED_PAIRS:
-        record("antisymmetry", (r, s), x[(r, s)], -x[(s, r)])
-    antisymmetric = frozenset(pair for c in checks if c.passed for pair in (c.instance, c.instance[::-1]))
+        passed = (r, s) in antisymmetric
+        checks.append(CheckResult("antisymmetry", (r, s), passed, None if passed else x[(r, s)] + x[(s, r)]))
     triangles: dict = {}
     for r, s, tt in permutations(CORNERS, 3):
         if r > tt and {(r, s), (s, tt)} <= antisymmetric:
@@ -320,19 +321,17 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
     """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
 
     Computed once per pair and kept on t; t.x is read-only, so the chain
-    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr exactly (one
-    comparison), the chain of x_rs is x_sr's reversed, so on a file that
-    passes antisymmetry the eigenspace table, the action table and the
+    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr (_antisymmetric),
+    the chain of x_rs is x_sr's reversed, so on a file that passes
+    antisymmetry the eigenspace table, the action table and the
     flag-independence check share six chains, and twelve otherwise.
     """
+    if pair[0] > pair[1] and pair in _antisymmetric(t):
+        return _eigenspace_chain(t, pair[::-1])[::-1]
     chain = t._chains.get(pair)
     if chain is None:
-        if pair[0] > pair[1] and t.x[pair] == -t.x[pair[::-1]]:
-            chain = _eigenspace_chain(t, pair[::-1])[::-1]
-        else:
-            d = t.diameter
-            chain = tuple(eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1))
-        t._chains[pair] = chain
+        d = t.diameter
+        chain = t._chains[pair] = tuple(eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1))
     return chain
 
 
@@ -420,13 +419,12 @@ def _action_verdicts(t: TetraModule, ladder: list[int]) -> dict:
     the offsets both change sign (fixes and negates, raises_plus and
     lowers_minus, raises_minus and lowers_plus trade places); with
     x_ut = -x_tu, column (u, t) states what column (t, u) does at every lam.
-    So a file that passes antisymmetry takes 36 of the 144 pairs. One -x_rs
-    per pair r < s serves both the antisymmetry comparison and the row's
-    shifts.
+    So a file that passes antisymmetry takes 36 of the 144 pairs. On a
+    mirrored pair the row's shift -x_rs is the file's own x_sr, and only a
+    pair that is not mirrored forms its negation.
     """
     d = t.diameter
-    negated = {(r, s): -t.x[(r, s)] for r, s in UNORDERED_PAIRS}
-    antisymmetric = _antisymmetric_pairs(t, negated)
+    antisymmetric = _antisymmetric(t)
     oriented = {pair: _oriented(pair, antisymmetric) for pair in ORDERED_PAIRS}
     own = [pair for pair in ORDERED_PAIRS if oriented[pair][0] == pair]
     verdicts: dict = {}
@@ -434,8 +432,7 @@ def _action_verdicts(t: TetraModule, ladder: list[int]) -> dict:
         chain = _eigenspace_chain(t, (r, s))
         stacked = hstack(*(space.basis for space in chain))
         x_rs = t.x[(r, s)]
-        # an own pair with r > s is not antisymmetric, so its negation is formed here
-        shifts = {1: x_rs, -1: negated[(r, s)] if r < s else -x_rs}
+        shifts = {1: x_rs, -1: t.x[(s, r)] if (r, s) in antisymmetric else -x_rs}
         for tt, u in own:
             _, sign, offsets = _action_case(r, s, tt, u)
             image = (t.x[(tt, u)] + shifts[sign] if sign else t.x[(tt, u)]) * stacked

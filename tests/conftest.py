@@ -14,6 +14,7 @@ from tetrabox import (
     build_tetra,
     build_tetra_from_spec,
     determinant,
+    inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
     kernel,
@@ -151,3 +152,24 @@ def intertwiner_system():
 def reference_intertwiner():
     """find_intertwiner as the kernel of that system: the differential reference."""
     return _reference_intertwiner
+
+
+def _diagonal(*entries) -> Matrix:
+    return Matrix.from_rows([[e if i == j else 0 for j, _ in enumerate(entries)] for i, e in enumerate(entries)])
+
+
+@pytest.fixture(scope="session")
+def non_opposite_flags():
+    """Two dim-5 pairs (A, Astar = P D P^-1), D = diag(2, 2, 0, 0, -2), each
+    irreducible by Norton and of type (0, 0) with d = 2, whose flags 0 and 2
+    are not opposite, with the text build_tetra raises on each."""
+    d = _diagonal(2, 2, 0, 0, -2)
+    cases = (
+        (d, [[2, 2, 2, 0, -1], [2, -1, 2, 2, -1], [2, 1, 0, -1, 1], [-1, -1, -1, -1, 2], [0, 2, -1, 0, 2]],
+         "component intersections do not sum directly to the full space"),
+        (_diagonal(2, 2, 2, 0, -2), [[-1, 1, 0, 1, -1], [0, 1, 1, -1, 0], [0, 1, 0, 1, 1], [2, 1, 2, 2, -1],
+                                     [-1, 1, 2, 1, 2]],
+         "component intersection 1 is zero"),
+    )
+    return [(OnsagerModule(5, a, Matrix.from_rows(p) * d * inverse(Matrix.from_rows(p))),
+             f"flags 0 and 2 are not opposite: {reason}") for a, p, reason in cases]

@@ -91,6 +91,12 @@ class TestBuild:
         spec = write_json(tmp_path / "zero.json", {"factors": [{"n": 1, "a": "0"}]})
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 2
 
+    def test_output_into_a_missing_directory(self, tmp_path, spec_v2, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["build", spec_v2, "-o", str(out)]) == 2
+        assert_one_error_line(*capsys.readouterr())
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "factors, digest",
         [
@@ -241,7 +247,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "section, key, value",
         [("module", "Astar", None), ("module", "dim", "4"), ("tetra", "d", "x"), ("module", "diameter", -1),
-         ("module", "diameter", "1"), ("module", "type", ["0"]), ("module", "type", ["x", "0"])],
+         ("module", "diameter", "1"), ("module", "type", ["0"]), ("module", "type", ["x", "0"]),
+         ("tetra", "d", None)],
     )
     def test_malformed_field_exits_2(self, built_v2, tmp_path, capsys, section, key, value):
         data = json.loads(built_v2.read_text())
@@ -326,6 +333,15 @@ class TestVerify:
         if code == 2:
             assert_one_error_line(*capsys.readouterr())
 
+    def test_bad_generator_key_exits_2(self, built_v2, tmp_path, capsys):
+        data = json.loads(built_v2.read_text())
+        x = data["tetra"]["x"]
+        x["0x"] = x.pop("02")
+        path = write_json(tmp_path / "renamed.json", data)
+        capsys.readouterr()
+        assert main(["verify", path]) == 2
+        assert_one_error_line(*capsys.readouterr())
+
     def test_garbage_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
@@ -407,6 +423,20 @@ class TestCompare:
     def test_dimension_mismatch(self, tmp_path, capsys):
         assert self.run(tmp_path, SPEC_V2, {"factors": [{"n": 2, "a": "2"}]}) == 1
         assert json.loads(capsys.readouterr().out) == {"isomorphic": False}
+        other = {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
+        assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "isomorphic": False, "intertwiner_found": False, "oracle_agrees": True,
+        }
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_shifted_input(self, tmp_path, capsys, position):
+        specs = [SPEC_V2, SPEC_V2]
+        specs[position] = {"factors": [{"n": 1, "a": "2"}], "shift": ["1", "0"]}
+        assert self.run(tmp_path, *specs) == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(out, err)
+        assert err.endswith(f"s{position + 1}.json: type shift is not (0, 0); normalize before comparing\n")
 
     def test_reducible_input(self, tmp_path, capsys):
         assert self.run(tmp_path, SPEC_V2, SPEC_REDUCIBLE) == 2
@@ -782,6 +812,18 @@ class TestDeepReadsTheFile:
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": True,
                         "spec_matches": False, "pairwise_burnside": True}
         assert calls == []
+
+    def test_flags_not_opposite_is_the_deep_error(self, non_opposite_flags, tmp_path, capsys):
+        # x_01 = A, x_23 = Astar, zero mixed pairs: the flag-route rebuild refuses the pair
+        for m, text in non_opposite_flags:
+            zero = Matrix.zeros(m.dim, m.dim)
+            x = {pair: zero for pair in tetra.ORDERED_PAIRS}
+            x.update({(0, 1): m.A, (1, 0): -m.A, (2, 3): m.Astar, (3, 2): -m.Astar})
+            t = tetra.TetraModule(dim=m.dim, diameter=2, x=x)
+            path = write_json(tmp_path / "t.json", {"tetra": tetra_to_json(t)})
+            capsys.readouterr()
+            assert main(["verify", path, "--deep"]) == 1
+            assert json.loads(capsys.readouterr().out)["deep"] == {"pass": False, "error": text}
 
     def test_misdeclared_d_without_a_spec_fails_the_rebuild(self, d4_build, tmp_path, capsys):
         data = copy.deepcopy(d4_build)

@@ -104,6 +104,12 @@ class TestOpposition:
         with pytest.raises(OppositionError):
             are_opposite(f, g)
 
+    def test_ambient_dimension_mismatch(self):
+        f = flag_from_decomposition(Decomposition((E1, E2)))
+        g = Flag((line(1, 0, 0), Subspace.full(3)))
+        with pytest.raises(OppositionError, match="^flags live in different ambient spaces$"):
+            are_opposite(f, g)
+
 
 class TestInducedDecomposition:
     def test_recovers_the_inducing_decomposition(self):

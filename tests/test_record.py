@@ -325,8 +325,8 @@ def test_a_class_attribute_is_the_default():
 def test_tetra_module_memo_is_outside_the_fields():
     tetra = build_tetra(build_from_spec(V))
     assert tetra._chains == {} and "_chains" not in tetra._fields and "_chains" not in repr(tetra)
-    # the verdicts of verify_relations and eigentable are kept only once those have run
-    assert not {"_relations_passed", "_eigentable_passed"} & set(vars(tetra))
+    # the verdicts of verify_relations and eigentable, and the antisymmetric pairs, are kept only once asked for
+    assert not {"_relations_passed", "_eigentable_passed", "_antisymmetric"} & set(vars(tetra))
     assert isinstance(tetra.x, MappingProxyType)
     twin = TetraModule(tetra.dim, tetra.diameter, tetra.x)
     assert twin != tetra and twin._chains is not tetra._chains

@@ -10,6 +10,7 @@ from tetrabox import (
     Subspace,
     ModuleSpec,
     OnsagerModule,
+    OppositionError,
     ReducibleModuleError,
     TetraboxError,
     TypeShiftError,
@@ -44,7 +45,7 @@ from tetrabox.tetra import (
     UNORDERED_PAIRS,
     CheckResult,
     TetraModule,
-    _antisymmetric_pairs,
+    _antisymmetric,
 )
 
 SAMPLE_SPECS = [
@@ -100,6 +101,14 @@ class TestBuild:
         monkeypatch.setattr(linalg, "DIM_GUARD", 3)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
+
+    def test_irreducible_input_with_flags_not_opposite_is_refused(self, non_opposite_flags):
+        # Norton passes both pairs; only the opposition of flags 0 and 2 fails
+        for m, text in non_opposite_flags:
+            assert module_type(m) == (2, 0, 0) and pair_generates_full_algebra(m.A, m.Astar)
+            with pytest.raises(OppositionError) as refused:
+                build_tetra(m)
+            assert str(refused.value) == text
 
     def test_undecided_reducible_input_is_refused(self, doubled_v, monkeypatch):
         # V + V passes the flag-opposition scan, so only the closure rejects it
@@ -355,6 +364,11 @@ def reference_action_table(t):
     return out
 
 
+def direct_antisymmetric(t):
+    """The ordered pairs on which x_rs + x_sr is zero, each pair compared afresh."""
+    return frozenset(pair for pair in ORDERED_PAIRS if (t.x[pair] + t.x[pair[::-1]]).is_zero())
+
+
 def with_generator(t, pair, mat):
     x = dict(t.x)
     x[pair] = mat
@@ -367,7 +381,7 @@ def with_mirrored_change(t, pair, delta):
     e = Matrix.from_rows([[delta if (i, j) == (0, 1) else 0 for j in range(t.dim)] for i in range(t.dim)])
     changed = with_generator(t, pair, t.x[pair] + e)
     changed = with_generator(changed, pair[::-1], t.x[pair[::-1]] - e)
-    assert pair in _antisymmetric_pairs(changed)
+    assert pair in _antisymmetric(changed)
     return changed
 
 
@@ -394,6 +408,7 @@ class TestActionTableDifferential:
         fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
         got = [(c.relation, c.instance, c.passed) for c in verify_action_table(fresh).checks]
         assert got == reference_action_table(t)
+        assert _antisymmetric(fresh) == direct_antisymmetric(t)
         return got
 
     def test_built_modules(self, built):
@@ -416,7 +431,7 @@ class TestActionTableDifferential:
         # x_sr is no longer -x_rs, so that row and column are computed in full
         t = built[SAMPLE_SPECS[2]]
         t = with_generator(t, pair, with_entry_changed(t.x[pair], 1, 2, F(1, 7)))
-        assert pair not in _antisymmetric_pairs(t)
+        assert pair not in _antisymmetric(t)
         got = self.assert_same(t)
         assert not all(passed for _, _, passed in got)
 
@@ -484,20 +499,20 @@ class TestSixGenerators:
         return calls["eigenspace"], annihilators, matrices
 
     def test_built_module(self, d16, monkeypatch):
-        assert _antisymmetric_pairs(d16) == frozenset(ORDERED_PAIRS)
+        assert _antisymmetric(d16) == frozenset(ORDERED_PAIRS)
         eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch)
         assert eigenspaces == 6 * (d16.diameter + 1)
         # flag independence: two calls per corner
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
                                 "verify_action_table": 36, "flag_independence_check": 8}
-        # relations: 6 negated x_sr, 12 triangles of 3, 6 Dolan-Grady pairs of
-        # sides of 3 and 3 inner commutators with their negations; action
-        # table: 6 negations, each shared by its antisymmetry comparison and
-        # its row, and per row one stack, 5 sums with products and 1 product;
-        # flag independence: one comparison per mirrored chain and one stack
-        # per (r, t); eigentable: one basis per eigenspace
-        assert matrices == {"verify_relations": 66, "eigentable": 42,
-                            "verify_action_table": 78, "flag_independence_check": 14}
+        # relations: 12 triangles of 3, 6 Dolan-Grady pairs of sides of 3 and
+        # 3 inner commutators with their negations; action table: the 6
+        # negations of the antisymmetry comparisons, kept for every later
+        # check, and per row one stack, 5 sums with products and 1 product;
+        # flag independence: one stack per (r, t); eigentable: one basis per
+        # eigenspace
+        assert matrices == {"verify_relations": 60, "eigentable": 42,
+                            "verify_action_table": 78, "flag_independence_check": 8}
 
     def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
         # in verify's order the two kept verdicts have passed, so nothing is computed after them
@@ -510,7 +525,7 @@ class TestSixGenerators:
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
-        assert _antisymmetric_pairs(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
+        assert _antisymmetric(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
         eigenspaces, annihilators, matrices = self.count_work(t, monkeypatch)
         assert eigenspaces == 7 * (t.diameter + 1)
         # flag independence: corner 0 passes with its two calls, and corner 1
@@ -519,10 +534,27 @@ class TestSixGenerators:
                                 "verify_action_table": 49, "flag_independence_check": 2}
         # relations: 2 more Dolan-Grady pairs of sides and 4 more triangles,
         # and the residuals of 1 + 4 + 4 failing instances; action table: a
-        # seventh row and column, with the negation of x_10, and x_10's chain
-        # with its one comparison
-        assert matrices == {"verify_relations": 104, "eigentable": 42,
+        # seventh row and column, and the negations of x_01 and x_10, which
+        # are not mirrored
+        assert matrices == {"verify_relations": 97, "eigentable": 42,
                             "verify_action_table": 112, "flag_independence_check": 2}
+
+    def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch):
+        # x_sr = -x_rs is compared once per pair r < s, and every stage reads the kept verdict; the
+        # relations come last, so the action table and flag independence compute
+        fresh = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
+        compared = []
+        real = linalg.Matrix.__eq__
+
+        def spy(a, b):
+            if any(a is mat or b is mat for mat in fresh.x.values()):
+                compared.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(linalg.Matrix, "__eq__", spy)
+        for check in self.EXACT + (pairwise_burnside,):
+            check(fresh)
+        assert [id(a) for a in compared] == [id(fresh.x[(s, r)]) for r, s in UNORDERED_PAIRS]
 
     def test_mirrored_chain_is_the_reversed_chain(self, d16):
         t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
@@ -581,6 +613,7 @@ class TestRelationsDifferential:
     def assert_same(self, t):
         got = verify_relations(t).checks
         assert got == reference_relations(t)
+        assert _antisymmetric(t) == direct_antisymmetric(t)
         return got
 
     def test_built_irreducible_grid(self, built_irreducible_grid):
