@@ -78,12 +78,32 @@ argument, with E_lam the eigenspace of x_rs at lam:
   in its kernel, the k-th partial sum of x_rt. constant_across_pairs and
   symmetric make the twelve generators' rows of eigenspace dimensions equal,
   so the two sums have one dimension and are equal.
+
+The eigentable needs one chain once the relations hold. After all 54
+instances have passed (the verdict verify_relations keeps), eigentable
+computes the chain of x_01 alone and reports its row for all six pairs; on
+every other TetraModule it computes six chains. The argument (Hartwig and
+Terwilliger, J. Algebra 2007; Benkart and Terwilliger, The equitable basis
+for sl2, Math. Z. 2011): for distinct r, s, t put (x, y, z) = (x_rs, x_st, x_tr) and
+e = (x + z)/2, f = -(y + z)/2, h = z. The triangle instances (t, r, s),
+(s, t, r) and (r, s, t) give [h, e] = 2e, [h, f] = -2f and [e, f] = h, so
+these are a representation rho of sl2 on Q^n, and rho(e), rho(f) are
+nilpotent (they move the generalized eigenspaces of rho(h) by +2 and -2).
+Since (ad e)^2 h = [e, -2e] = 0, exp rho(e) rho(h) exp(-rho(e)) =
+rho(h - 2e) = -x, and likewise exp rho(f) rho(h) exp(-rho(f)) =
+rho(h + 2f) = -y. The weights of a finite-dimensional sl2-module are
+symmetric about 0, with dim ker(rho(h) - lam) = dim ker(rho(h) + lam) at
+every lam, so x, y, z and their negatives all have the eigenspace
+dimensions of rho(h) at every lam; with antisymmetry, so do x_sr, x_ts and
+x_rt. Every edge shares a triangle with {0, 1} except {2, 3}, which shares
+one with {0, 2}, so all six rows equal the row of x_01 at any declared d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from operator import neg
 from types import MappingProxyType
 
 from ._record import Record
@@ -244,10 +264,16 @@ def _antisymmetric(t: TetraModule) -> frozenset[tuple[int, int]]:
     """
     pairs = getattr(t, "_antisymmetric", None)
     if pairs is None:
-        mirrored = [(r, s) for r, s in UNORDERED_PAIRS if t.x[(s, r)] == -t.x[(r, s)]]
+        mirrored = [(r, s) for r, s in UNORDERED_PAIRS if _negates(t.x[(r, s)], t.x[(s, r)])]
         pairs = frozenset(mirrored + [(s, r) for r, s in mirrored])
         object.__setattr__(t, "_antisymmetric", pairs)
     return pairs
+
+
+def _negates(a: Matrix, b: Matrix) -> bool:
+    """b == -a on two matrices of one shape, read off their canonical forms
+    (one denominator, numerator rows of opposite sign) with no Matrix built."""
+    return a._den == b._den and all(tuple(map(neg, row_a)) == row_b for row_a, row_b in zip(a._num, b._num))
 
 
 def _proved_by_relations(t: TetraModule) -> bool:
@@ -322,9 +348,11 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
 
     Computed once per pair and kept on t; t.x is read-only, so the chain
     stays the chain of t.x[pair]. For r > s with x_rs = -x_sr (_antisymmetric),
-    the chain of x_rs is x_sr's reversed, so on a file that passes
-    antisymmetry the eigenspace table, the action table and the
-    flag-independence check share six chains, and twelve otherwise.
+    the chain of x_rs is x_sr's reversed, so the exact eigentable, action
+    table and flag-independence check share six chains on a file that
+    passes antisymmetry, and twelve otherwise. On a file whose relations
+    have passed, eigentable asks for the chain of x_01 alone (module
+    docstring), and once it has passed too the other two checks ask for none.
     """
     if pair[0] > pair[1] and pair in _antisymmetric(t):
         return _eigenspace_chain(t, pair[::-1])[::-1]
@@ -336,12 +364,20 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
 
 
 def eigentable(t: TetraModule) -> EigenTable:
-    """Eigenspace dimension table over all six generator pairs."""
+    """Eigenspace dimension table over all six generator pairs.
+
+    When the verdict verify_relations keeps on t says that all 54 instances
+    passed, the six rows are equal (module docstring), so only the chain of
+    x_01 is computed and its row is reported for every pair. Otherwise, and
+    on a TetraModule whose relations have not been verified, each of the
+    six chains is computed.
+    """
     d = t.diameter
     eigenvalues = tuple(Fraction(d - 2 * i) for i in range(d + 1))
-    dims: dict[tuple[int, int], tuple[int, ...]] = {}
-    for pair in UNORDERED_PAIRS:
-        dims[pair] = tuple(space.dim for space in _eigenspace_chain(t, pair))
+    if getattr(t, "_relations_passed", False):
+        dims = dict.fromkeys(UNORDERED_PAIRS, tuple(space.dim for space in _eigenspace_chain(t, (0, 1))))
+    else:
+        dims = {pair: tuple(space.dim for space in _eigenspace_chain(t, pair)) for pair in UNORDERED_PAIRS}
     rows = list(dims.values())
     constant = all(row == rows[0] for row in rows)
     symmetric = all(row == row[::-1] for row in rows)
@@ -481,16 +517,21 @@ def pairwise_burnside(t: TetraModule) -> bool:
     """Each of the three disjoint generator pairs alone generates End(V).
 
     Norton's test is sound at any eigenvalue whose eigenspace is a line, so
-    each pair is decided at any dimension by one spin, at the first line of
-    the eigenspace chain of x_p (d, d-2, ...), which eigentable has already
-    computed and kept on t; on every irreducible structure that is
-    ker(x_p - d). Where the chain has no line, the Burnside closure
-    decides, within the guard; a verdict already kept on x_p (classify) is
-    read back.
+    each pair is decided at any dimension by one spin, at the first line
+    among the eigenspaces of x_p at d, d-2, ...; on every irreducible
+    structure that is ker(x_p - d). A chain already kept on t is read; with
+    none kept the eigenspaces are computed one at a time, as they are asked
+    for, and not kept. Where x_p has no eigenline on the ladder, the
+    Burnside closure decides, within the guard; a verdict already kept on
+    x_p (classify) is read back.
     """
-    d = t.diameter
-    return all(_full_algebra(t.x[p1], t.x[p2], zip(range(d, -d - 1, -2), _eigenspace_chain(t, p1)))
-               for p1, p2 in OPPOSITE_PAIRS)
+    ladder = range(t.diameter, -t.diameter - 1, -2)
+
+    def eigenpairs(pair: tuple[int, int]):
+        chain = t._chains.get(pair)
+        return zip(ladder, chain) if chain is not None else ((lam, eigenspace(t.x[pair], lam)) for lam in ladder)
+
+    return all(_full_algebra(t.x[p1], t.x[p2], eigenpairs(p1)) for p1, p2 in OPPOSITE_PAIRS)
 
 
 def _rebuild_is_the_file(t: TetraModule) -> bool:

@@ -858,18 +858,21 @@ def conjugations(dim):
 
 
 class TestImpliedRouteDifferential:
-    """The action table, flag independence and the deep checks read off the
-    kept verdicts of the relations, the eigentable and Norton's test, against
-    the exact route: a fresh TetraModule with no kept verdicts, whose deep
-    checks run build_tetra as before."""
+    """The eigentable, the action table, flag independence and the deep checks
+    read off the kept verdicts of the relations, the eigentable and Norton's
+    test, against the exact route: a fresh TetraModule with no kept verdicts,
+    whose eigentable computes six chains and whose deep checks run
+    build_tetra as before."""
 
     @staticmethod
     def assert_same(t, calls, module=None, spec=None):
-        """The three stages on a copy of t verified in verify's order against a
+        """The four stages on a copy of t verified in verify's order against a
         fresh copy; returns whether the plain checks passed, the flag-route
         builds of the verified copy's deep checks and their dict."""
         exact, implied = tetra_from_json(tetra_to_json(t)), tetra_from_json(tetra_to_json(t))
-        plain = tetra.verify_relations(implied).all_passed and tetra.eigentable(implied).all_passed
+        relations, table = tetra.verify_relations(implied), tetra.eigentable(implied)
+        assert table == tetra.eigentable(exact)
+        plain = relations.all_passed and table.all_passed
         assert tetra.verify_action_table(implied) == tetra.verify_action_table(exact)
         assert tetra.flag_independence_check(implied) is tetra.flag_independence_check(exact)
         expected = cli._deep_checks(module, exact, spec)
@@ -948,6 +951,23 @@ class TestImpliedRouteDifferential:
         calls = spy_flag_route_builds(monkeypatch)
         plain, builds, deep = self.assert_same(block_diagonal(t, trivial), calls)
         assert plain and len(builds) == 1
+        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+
+    @pytest.mark.parametrize(
+        "summands, d",
+        [(("d16", "d4"), 6), (("v3", "d4"), 2), (("v3", "d4"), 3)],
+        ids=["d16_plus_d4", "v3_plus_d4", "v3_plus_d4_d3"],
+    )
+    def test_reducible_sums(self, d4_build, d16_build, monkeypatch, summands, d):
+        # the relations hold on a direct sum of modules, so the eigentable reads its six rows off x_01's chain,
+        # also at a declared d that neither summand has; the build finds the pair reducible and refuses
+        built = {"d4": tetra_from_json(d4_build["tetra"]), "d16": tetra_from_json(d16_build["tetra"]),
+                 "v3": tetra.build_tetra_from_spec(ModuleSpec.of([(2, 5)]))}
+        t = block_diagonal(*(built[name] for name in summands))
+        t = tetra.TetraModule(dim=t.dim, diameter=d, x=t.x)
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(t, calls)
+        assert plain is (d == built[summands[0]].diameter) and len(builds) == 1
         assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
 
     def test_passing_deep_verify_computes_no_inclusion_and_builds_nothing(self, d16_build, tmp_path, monkeypatch,

@@ -506,22 +506,49 @@ class TestSixGenerators:
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
                                 "verify_action_table": 36, "flag_independence_check": 8}
         # relations: 12 triangles of 3, 6 Dolan-Grady pairs of sides of 3 and
-        # 3 inner commutators with their negations; action table: the 6
-        # negations of the antisymmetry comparisons, kept for every later
-        # check, and per row one stack, 5 sums with products and 1 product;
-        # flag independence: one stack per (r, t); eigentable: one basis per
-        # eigenspace
+        # 3 inner commutators with their negations; action table: per row one
+        # stack, 5 sums with products and 1 product (the antisymmetry
+        # comparisons build no matrix); flag independence: one stack per
+        # (r, t); eigentable: one basis per eigenspace
         assert matrices == {"verify_relations": 60, "eigentable": 42,
-                            "verify_action_table": 78, "flag_independence_check": 8}
+                            "verify_action_table": 72, "flag_independence_check": 8}
 
     def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
-        # in verify's order the two kept verdicts have passed, so nothing is computed after them
+        # in verify's order the relations have passed, so the eigentable computes the chain of x_01
+        # alone, and once it has passed too nothing is computed after it
         checks = (verify_relations, eigentable, verify_action_table, flag_independence_check)
         eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch, checks)
-        assert eigenspaces == 6 * (d16.diameter + 1)
+        assert eigenspaces == d16.diameter + 1
         assert annihilators == dict.fromkeys(annihilators, 0)
-        assert matrices == {"verify_relations": 66, "eigentable": 42,
+        assert matrices == {"verify_relations": 60, "eigentable": 7,
                             "verify_action_table": 0, "flag_independence_check": 0}
+
+    def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
+        # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23); pairwise_burnside
+        # reads it back and computes ker(x_p - d), a line, for p = (0, 2) and (0, 3); the matrices are
+        # copied, so no Norton verdict kept on the fixture's matrices is read
+        copied = TetraModule(dim=d16.dim, diameter=d16.diameter,
+                             x={pair: Matrix._of(m.rows, m.cols, m._num, m._den) for pair, m in d16.x.items()})
+        checks = (verify_relations, eigentable, verify_action_table, flag_independence_check,
+                  tetra._rebuild_is_the_file, pairwise_burnside)
+        eigenspaces, annihilators, _ = self.count_work(copied, monkeypatch, checks)
+        assert eigenspaces == d16.diameter + 3
+        assert annihilators == dict.fromkeys(annihilators, 0)
+
+    @pytest.mark.parametrize("relations", ["unverified", "failed", "passed"])
+    def test_six_chains_unless_the_relations_passed(self, d16, monkeypatch, relations):
+        # the eigentable reads every row off the chain of x_01 only where the kept verdict says all 54
+        # instances passed; a mirrored change still passes antisymmetry but fails the triangle relations
+        t = with_mirrored_change(d16, (0, 2), F(1, 7)) if relations == "failed" else d16
+        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        if relations != "unverified":
+            assert verify_relations(fresh).all_passed is (relations == "passed")
+        chains = []
+        real = tetra._eigenspace_chain
+        monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real(t, pair))
+        eigentable(fresh)
+        expected = [(0, 1)] if relations == "passed" else list(UNORDERED_PAIRS)
+        assert chains == expected and set(fresh._chains) == set(expected)
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
@@ -537,24 +564,36 @@ class TestSixGenerators:
         # seventh row and column, and the negations of x_01 and x_10, which
         # are not mirrored
         assert matrices == {"verify_relations": 97, "eigentable": 42,
-                            "verify_action_table": 112, "flag_independence_check": 2}
+                            "verify_action_table": 106, "flag_independence_check": 2}
 
     def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch):
-        # x_sr = -x_rs is compared once per pair r < s, and every stage reads the kept verdict; the
-        # relations come last, so the action table and flag independence compute
+        # x_sr = -x_rs is compared once per pair r < s, on the stored forms, and every stage reads the
+        # kept verdict; the relations come last, so the action table and flag independence compute
         fresh = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
-        compared = []
-        real = linalg.Matrix.__eq__
+        compared, equalities = [], []
+        real_negates, real_eq = tetra._negates, linalg.Matrix.__eq__
 
-        def spy(a, b):
+        def spy_eq(a, b):
             if any(a is mat or b is mat for mat in fresh.x.values()):
-                compared.append(a)
-            return real(a, b)
+                equalities.append(a)
+            return real_eq(a, b)
 
-        monkeypatch.setattr(linalg.Matrix, "__eq__", spy)
+        monkeypatch.setattr(tetra, "_negates", lambda a, b: compared.append((a, b)) or real_negates(a, b))
+        monkeypatch.setattr(linalg.Matrix, "__eq__", spy_eq)
         for check in self.EXACT + (pairwise_burnside,):
             check(fresh)
-        assert [id(a) for a in compared] == [id(fresh.x[(s, r)]) for r, s in UNORDERED_PAIRS]
+        assert [(id(a), id(b)) for a, b in compared] == [(id(fresh.x[(r, s)]), id(fresh.x[(s, r)]))
+                                                         for r, s in UNORDERED_PAIRS]
+        assert equalities == []
+
+    def test_negates_on_built_and_changed_matrices(self, d16):
+        for r, s in UNORDERED_PAIRS:
+            a, b = d16.x[(r, s)], d16.x[(s, r)]
+            assert tetra._negates(a, b) and tetra._negates(b, a)
+            assert not tetra._negates(a, a) and not tetra._negates(a, 2 * b)
+            assert not tetra._negates(a, with_entry_changed(b, 3, 5, F(1, 9)))
+        zero = Matrix.zeros(3, 3)
+        assert tetra._negates(zero, zero)
 
     def test_mirrored_chain_is_the_reversed_chain(self, d16):
         t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
