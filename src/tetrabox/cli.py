@@ -2,21 +2,24 @@
 
 `build` has the spec, so it folds the twelve generators from the spec's
 evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
+`verify` runs its four plain checks through tetra._verify, which reads the
+eigentable off x_01's chain once the relations pass, and the action table
+and flag independence off both once the eigentable passes too; `inspect
+--table` computes the eigentable from six chains.
 `verify --deep` reads every key off the file's matrices and the rebuild of
 the module (x_01, x_23), of which the module section is a copy: the rebuild
 (matrices and d), the pair's round trip and, for an echoed spec, whether
 the spec's module is that pair and the rebuild matches: such a spec is
 irreducible and unshifted, so its fold would be that rebuild. When the
-file passed all 54 relation instances and its eigentable at the declared
-d, every entry of the eigentable's (0, 1) row is positive and Norton's test
-finds the pair irreducible at the first eigenline of x_01, the rebuild is
-the file itself (tetra._rebuild_is_the_file gives the argument), and no
-build runs: rebuild_matches holds, the round trip gives x_01 and x_23 back,
-so roundtrip_uniqueness reads whether the module section is the pair, and
-spec_matches whether the spec's module is. Every other file takes the
-exact route, one flag-route build: a file that fails a plain check, whose
-(0, 1) row has a zero, whose pair Norton finds reducible (the "error" is
-ReducibleModuleError's text) or whose x_01 has no eigenline.
+file passed the plain checks, every entry of the eigentable's (0, 1) row is
+positive and Norton's test finds the pair irreducible at the first eigenline
+of x_01, the rebuild is the file itself (tetra._rebuild_is_the_file gives
+the argument), and no build runs: rebuild_matches holds, the round trip
+gives x_01 and x_23 back, so roundtrip_uniqueness reads whether the module
+section is the pair, and spec_matches whether the spec's module is. Every
+other file takes the exact route, one flag-route build: a file that fails a
+plain check, whose (0, 1) row has a zero, whose pair Norton finds reducible
+(the "error" is ReducibleModuleError's text) or whose x_01 has no eigenline.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
@@ -73,13 +76,11 @@ from .serialize import (
 from .tetra import (
     TetraModule,
     _rebuild_is_the_file,
+    _verify,
     build_tetra,
     build_tetra_from_spec,
     eigentable,
-    flag_independence_check,
     pairwise_burnside,
-    verify_action_table,
-    verify_relations,
 )
 
 
@@ -132,7 +133,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleSpec | None) -> dict:
+def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleSpec | None, verified: bool) -> dict:
+    # verified: the four plain checks passed, which _rebuild_is_the_file presumes
     out = {"pass": True}
     keys = ["rebuild_matches", "roundtrip_uniqueness", "spec_matches", "pairwise_burnside"]
     if spec is None:
@@ -141,7 +143,7 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
         # the module section is a copy of x_01, x_23: every key is read off the rebuild of that pair,
         # which is the file itself wherever the plain checks and Norton's test say so
         standard = OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)])
-        rebuilt = tetra if _rebuild_is_the_file(tetra) else build_tetra(standard)
+        rebuilt = tetra if verified and _rebuild_is_the_file(tetra) else build_tetra(standard)
         out["rebuild_matches"] = rebuilt.diameter == tetra.diameter and rebuilt.x == tetra.x
         gives_back = rebuilt.x[(0, 1)] == standard.A and rebuilt.x[(2, 3)] == standard.Astar
         # an absent module section counts as the pair itself
@@ -173,10 +175,7 @@ def cmd_verify(args) -> int:
             spec = spec_from_json(data["spec"]) if "spec" in data else None
     except (ValueError, KeyError) as exc:
         raise _InputError(f"invalid module file {args.module}: {exc}") from None
-    relations = verify_relations(tetra)
-    table = eigentable(tetra)
-    actions = verify_action_table(tetra)
-    independent = flag_independence_check(tetra)
+    relations, table, actions, independent = _verify(tetra)
     report = {
         "dim": tetra.dim,
         "d": tetra.diameter,
@@ -195,7 +194,7 @@ def cmd_verify(args) -> int:
     }
     ok = relations.all_passed and table.all_passed and actions.all_passed and independent
     if args.deep:
-        deep = _deep_checks(module, tetra, spec)
+        deep = _deep_checks(module, tetra, spec, ok)
         report["deep"] = deep
         ok = ok and deep["pass"]
     report["pass"] = ok

@@ -48,12 +48,11 @@ Dolan-Grady sides are x_rs's up to sign. So the reports equal those of twelve
 independent generators; a pair that is not antisymmetric is computed in full.
 
 The action table and flag independence are consequences of the relations.
-verify_relations and eigentable keep their verdicts on the TetraModule, as
-its chains are kept (t.x is read-only, so a kept verdict stays true). Once
-all 54 relation instances and the eigentable have passed at the declared d,
-verify_action_table and flag_independence_check return the passing result
-without computing; on every other file, and on a TetraModule whose
-relations or eigentable have not been verified, they compute exactly. The
+_verify runs the four stages of `tetrabox verify` in order and decides its
+route from the verdicts it holds: once all 54 relation instances and the
+eigentable have passed at the declared d, it returns the action table and
+flag independence passed, with nothing computed, and on every other file it
+computes them exactly. The public functions always compute exactly. The
 argument, with E_lam the eigenspace of x_rs at lam:
 
 - sums_to_dim makes every x_rs diagonalizable with its eigenvalues on the
@@ -80,9 +79,9 @@ argument, with E_lam the eigenspace of x_rs at lam:
   so the two sums have one dimension and are equal.
 
 The eigentable needs one chain once the relations hold. After all 54
-instances have passed (the verdict verify_relations keeps), eigentable
-computes the chain of x_01 alone and reports its row for all six pairs; on
-every other TetraModule it computes six chains. The argument (Hartwig and
+instances have passed, _verify computes the chain of x_01 alone and reports
+its row for all six pairs; on every other file, as in the public
+eigentable, six chains are computed. The argument (Hartwig and
 Terwilliger, J. Algebra 2007; Benkart and Terwilliger, The equitable basis
 for sl2, Math. Z. 2011): for distinct r, s, t put (x, y, z) = (x_rs, x_st, x_tr) and
 e = (x + z)/2, f = -(y + z)/2, h = z. The triangle instances (t, r, s),
@@ -276,14 +275,6 @@ def _negates(a: Matrix, b: Matrix) -> bool:
     return a._den == b._den and all(tuple(map(neg, row_a)) == row_b for row_a, row_b in zip(a._num, b._num))
 
 
-def _proved_by_relations(t: TetraModule) -> bool:
-    """Have all 54 relation instances and the eigentable passed on t, by the
-    verdicts verify_relations and eigentable keep on it (set by
-    object.__setattr__ when they run, as classify keeps Norton's)? Then the
-    action table and flag independence hold (module docstring)."""
-    return getattr(t, "_relations_passed", False) and getattr(t, "_eigentable_passed", False)
-
-
 def _oriented(pair: tuple[int, int], antisymmetric: frozenset) -> tuple[tuple[int, int], int]:
     """The pair whose checks decide pair's, and the sign: (s, r) and -1 when
     r > s and x_rs = -x_sr, else pair itself and 1."""
@@ -338,9 +329,7 @@ def verify_relations(t: TetraModule) -> VerificationReport:
                 bracket = inner[(first, second)] = commutator(x[first], x[second])
             sides = dolan_grady[(first, second)] = commutator(x[first], commutator(x[first], bracket)), 4 * bracket
         record("dolan_grady", (r, s, tt, u), *sides, sign_first * sign_second)
-    report = VerificationReport(tuple(checks))
-    object.__setattr__(t, "_relations_passed", report.all_passed)
-    return report
+    return VerificationReport(tuple(checks))
 
 
 def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
@@ -348,11 +337,11 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
 
     Computed once per pair and kept on t; t.x is read-only, so the chain
     stays the chain of t.x[pair]. For r > s with x_rs = -x_sr (_antisymmetric),
-    the chain of x_rs is x_sr's reversed, so the exact eigentable, action
-    table and flag-independence check share six chains on a file that
-    passes antisymmetry, and twelve otherwise. On a file whose relations
-    have passed, eigentable asks for the chain of x_01 alone (module
-    docstring), and once it has passed too the other two checks ask for none.
+    the chain of x_rs is x_sr's reversed, so the eigentable, action table
+    and flag-independence check share six chains on a file that passes
+    antisymmetry, and twelve otherwise. On a file whose relations have
+    passed, _verify asks for the chain of x_01 alone (module docstring), and
+    once the eigentable has passed too, for no other.
     """
     if pair[0] > pair[1] and pair in _antisymmetric(t):
         return _eigenspace_chain(t, pair[::-1])[::-1]
@@ -364,17 +353,16 @@ def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, 
 
 
 def eigentable(t: TetraModule) -> EigenTable:
-    """Eigenspace dimension table over all six generator pairs.
+    """Eigenspace dimension table over all six generator pairs, one chain each."""
+    return _eigentable(t, one_chain=False)
 
-    When the verdict verify_relations keeps on t says that all 54 instances
-    passed, the six rows are equal (module docstring), so only the chain of
-    x_01 is computed and its row is reported for every pair. Otherwise, and
-    on a TetraModule whose relations have not been verified, each of the
-    six chains is computed.
-    """
+
+def _eigentable(t: TetraModule, one_chain: bool) -> EigenTable:
+    """eigentable, or with one_chain x_01's row for all six pairs, which is sound
+    once all 54 relation instances have passed (module docstring)."""
     d = t.diameter
     eigenvalues = tuple(Fraction(d - 2 * i) for i in range(d + 1))
-    if getattr(t, "_relations_passed", False):
+    if one_chain:
         dims = dict.fromkeys(UNORDERED_PAIRS, tuple(space.dim for space in _eigenspace_chain(t, (0, 1))))
     else:
         dims = {pair: tuple(space.dim for space in _eigenspace_chain(t, pair)) for pair in UNORDERED_PAIRS}
@@ -383,9 +371,7 @@ def eigentable(t: TetraModule) -> EigenTable:
     symmetric = all(row == row[::-1] for row in rows)
     sums = all(sum(row) == t.dim for row in rows)
     attained = any(row[0] > 0 for row in rows)
-    table = EigenTable(eigenvalues, dims, constant, symmetric, sums, attained)
-    object.__setattr__(t, "_eigentable_passed", table.all_passed)
-    return table
+    return EigenTable(eigenvalues, dims, constant, symmetric, sums, attained)
 
 
 def _action_case(r: int, s: int, tt: int, u: int) -> tuple[str, int, tuple[int, ...]]:
@@ -417,16 +403,17 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     inclusion depends on how {t,u} meets {r,s}: equal or reversed pairs act
     as scalars, one shared index shifts the eigenvalue by 2 (up or down, with
     the sign fixed by which index is shared), and four distinct indices keep
-    the vector within the three adjacent eigenspaces.
-
-    On a TetraModule whose kept verdicts say that all 54 relation instances
-    and the eigentable passed, every inclusion holds (module docstring), so
-    the checks are returned passed, with nothing computed. Otherwise they are
+    the vector within the three adjacent eigenspaces. Each inclusion is
     computed exactly (_action_verdicts).
     """
+    return _action_table(t, _action_verdicts(t))
+
+
+def _action_table(t: TetraModule, verdicts: dict | None) -> VerificationReport:
+    """The action table's report of verdicts, or with None every check passed
+    (sound once the relations and the eigentable have passed, module docstring)."""
     d = t.diameter
     ladder = [d - 2 * i for i in range(d + 1)]
-    verdicts = None if _proved_by_relations(t) else _action_verdicts(t, ladder)
     passed = [True] * (d + 1)
     checks: list[CheckResult] = []
     for r, s in ORDERED_PAIRS:
@@ -437,7 +424,7 @@ def verify_action_table(t: TetraModule) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _action_verdicts(t: TetraModule, ladder: list[int]) -> dict:
+def _action_verdicts(t: TetraModule) -> dict:
     """The action table's verdicts at lam = d, d-2, ..., -d, for each row
     (r, s) and column (t, u), computed exactly.
 
@@ -460,6 +447,7 @@ def _action_verdicts(t: TetraModule, ladder: list[int]) -> dict:
     pair that is not mirrored forms its negation.
     """
     d = t.diameter
+    ladder = [d - 2 * i for i in range(d + 1)]
     antisymmetric = _antisymmetric(t)
     oriented = {pair: _oriented(pair, antisymmetric) for pair in ORDERED_PAIRS}
     own = [pair for pair in ORDERED_PAIRS if oriented[pair][0] == pair]
@@ -491,13 +479,8 @@ def flag_independence_check(t: TetraModule) -> bool:
     then have equal dimensions) and that product annihilates the k-th
     eigenspace of x_rt for every k (each sum of x_rt then lies in the one of
     x_rs): one linalg.annihilates call for each of the two other t, and no
-    subspace sum. On a TetraModule whose kept verdicts say that all 54
-    relation instances and the eigentable passed, the sums agree by the
-    lowering rows (module docstring), and True is returned with nothing
-    computed.
+    subspace sum.
     """
-    if _proved_by_relations(t):
-        return True
     d = t.diameter
     thetas = [2 * j - d for j in range(d + 1)]
     for r in CORNERS:
@@ -511,6 +494,20 @@ def flag_independence_check(t: TetraModule) -> bool:
             if not all(annihilates(t.x[(r, s)], hstack(*(space.basis for space in chain)), blocks)):
                 return False
     return True
+
+
+def _verify(t: TetraModule) -> tuple[VerificationReport, EigenTable, VerificationReport, bool]:
+    """The four stages of `tetrabox verify` in order: relations, eigentable,
+    action table and flag independence. Once all 54 relation instances pass,
+    the eigentable's six rows are read off x_01's chain; once it passes too,
+    the last two hold (module docstring) and are returned passed, with nothing
+    computed. Every other stage is computed as its public function computes it.
+    """
+    relations = verify_relations(t)
+    table = _eigentable(t, one_chain=True) if relations.all_passed else eigentable(t)
+    if relations.all_passed and table.all_passed:
+        return relations, table, _action_table(t, None), True
+    return relations, table, verify_action_table(t), flag_independence_check(t)
 
 
 def pairwise_burnside(t: TetraModule) -> bool:
@@ -536,12 +533,13 @@ def pairwise_burnside(t: TetraModule) -> bool:
 
 def _rebuild_is_the_file(t: TetraModule) -> bool:
     """Would build_tetra of the pair (x_01, x_23) give back t, its twelve
-    matrices and its declared d? True when the kept verdicts say that all 54
-    relation instances and the eigentable passed, every entry of the (0, 1)
-    row of the eigentable is positive, and Norton's test on (x_01, x_23), at
-    the first eigenline of x_01's chain, finds the pair irreducible; that
-    verdict is kept on x_01 (classify._full_algebra), and pairwise_burnside
-    and build_tetra read it back. False on every other t, with no build run.
+    matrices and its declared d? Precondition: all 54 relation instances and
+    the eigentable at the declared d have passed on t (cli._deep_checks calls
+    it only then). True when every entry of the (0, 1) row of the eigentable
+    is positive and Norton's test on (x_01, x_23), at the first eigenline of
+    x_01's chain, finds the pair irreducible; that verdict is kept on x_01
+    (classify._full_algebra), and pairwise_burnside and build_tetra read it
+    back. False otherwise, with no build run.
 
     This is the paper's uniqueness, four flags fix every x_rs, read off
     checks that have run:
@@ -566,8 +564,6 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
        rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
        the file's x_sr by 1.
     """
-    if not _proved_by_relations(t):
-        return False
     d = t.diameter
     chain = _eigenspace_chain(t, (0, 1))
     line = next(((lam, space) for lam, space in zip(range(d, -d - 1, -2), chain) if space.dim == 1), None)

@@ -39,7 +39,6 @@ from tetrabox import (
     verify_tridiagonal_pair,
 )
 from tetrabox.cli import main as cli_main
-from tetrabox.tetra import TetraModule
 from tetrabox.tridiagonal import eigenvalue_sequences
 
 
@@ -52,13 +51,6 @@ def report(criterion: str, failures: list) -> None:
 @pytest.fixture(scope="module")
 def built_suite(relation_suite_specs):
     return {spec: build_tetra(build_from_spec(spec)) for spec in relation_suite_specs}
-
-
-def unverified(tetra):
-    """tetra's matrices with no kept verdicts: the action table and flag
-    independence are then computed, not read off the relations that criteria 1
-    and 2 passed on the shared fixture."""
-    return TetraModule(dim=tetra.dim, diameter=tetra.diameter, x=tetra.x)
 
 
 def test_criterion_1_relation_suite(relation_suite_specs, built_suite):
@@ -126,7 +118,7 @@ def test_criterion_4_flag_suite(relation_suite_specs, built_suite):
                 for j in range(d - i):  # i + j < d
                     if not intersect(f.components[i], g.components[j]).is_zero():
                         failures.append((spec.factors, f"nonzero intersection at {i},{j}"))
-        if not flag_independence_check(unverified(tetra)):
+        if not flag_independence_check(tetra):
             failures.append((spec.factors, "flag independence"))
     report("criterion 4 (flag suite)", failures)
 
@@ -143,7 +135,7 @@ def test_criterion_5_action_table(relation_suite_specs, built_suite):
         "action_adjacent",
     }
     for spec in relation_suite_specs:
-        result = verify_action_table(unverified(built_suite[spec]))
+        result = verify_action_table(built_suite[spec])
         seen = {c.relation for c in result.checks}
         if seen != expected_cases:
             failures.append((spec.factors, "row types missing", expected_cases - seen))

@@ -751,19 +751,24 @@ class TestDeepChecksDifferential:
         expected = reference_deep_checks(module, t, two_build_roundtrip)
         assert expected["roundtrip_uniqueness"] is roundtrip
         calls = spy_flag_route_builds(monkeypatch)
-        assert cli._deep_checks(module, t, None) == expected
+        # given no passing verdict of the plain checks, the deep checks take the exact route: one build
+        assert cli._deep_checks(module, t, None, False) == expected
         assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
 
     @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
     @pytest.mark.parametrize("build", ["d4_build", "d16_build"])
     def test_same_report_with_the_spec_folded(self, request, two_build_roundtrip, build, edit):
-        # the reference folds the spec by the Kronecker route; the CLI reads the rebuild
+        # the reference folds the spec by the Kronecker route; the CLI reads the rebuild, given the verdict of
+        # the plain checks and given none
         data = copy.deepcopy(request.getfixturevalue(build))
         if edit is not None:
             edit(data)
         t, spec = tetra_from_json(data["tetra"]), spec_from_json(data["spec"])
         module = module_from_json(data["module"])
-        assert cli._deep_checks(module, t, spec) == reference_deep_checks(module, t, two_build_roundtrip, spec)
+        expected = reference_deep_checks(module, t, two_build_roundtrip, spec)
+        relations, table, actions, independent = tetra._verify(t)
+        for verified in (relations.all_passed and table.all_passed and actions.all_passed and independent, False):
+            assert cli._deep_checks(module, t, spec, verified) == expected
 
     @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
     def test_one_flag_route_build_and_no_fold(self, d16_build, tmp_path, monkeypatch, capsys, edit):
@@ -858,29 +863,32 @@ def conjugations(dim):
 
 
 class TestImpliedRouteDifferential:
-    """The eigentable, the action table, flag independence and the deep checks
-    read off the kept verdicts of the relations, the eigentable and Norton's
-    test, against the exact route: a fresh TetraModule with no kept verdicts,
-    whose eigentable computes six chains and whose deep checks run
-    build_tetra as before."""
+    """tetra._verify, which reads the eigentable off x_01's chain once the
+    relations pass and the action table and flag independence off the
+    relations and the eigentable, and the deep checks given its verdict,
+    which read the rebuild off Norton's test, against the exact route: the
+    four public stages, the eigentable from six chains, and the deep checks
+    given no passing verdict, which run build_tetra."""
 
     @staticmethod
     def assert_same(t, calls, module=None, spec=None):
-        """The four stages on a copy of t verified in verify's order against a
-        fresh copy; returns whether the plain checks passed, the flag-route
-        builds of the verified copy's deep checks and their dict."""
-        exact, implied = tetra_from_json(tetra_to_json(t)), tetra_from_json(tetra_to_json(t))
-        relations, table = tetra.verify_relations(implied), tetra.eigentable(implied)
-        assert table == tetra.eigentable(exact)
+        """_verify against the public stages on t itself, and the deep checks
+        given its verdict against those given False; returns whether the
+        relations and the eigentable passed, the flag-route builds of the deep
+        checks given the verdict and their dict."""
+        relations, table, actions, independent = tetra._verify(t)
+        assert relations == tetra.verify_relations(t)
+        assert table == tetra.eigentable(t)
+        assert actions == tetra.verify_action_table(t)
+        assert independent is tetra.flag_independence_check(t)
         plain = relations.all_passed and table.all_passed
-        assert tetra.verify_action_table(implied) == tetra.verify_action_table(exact)
-        assert tetra.flag_independence_check(implied) is tetra.flag_independence_check(exact)
-        expected = cli._deep_checks(module, exact, spec)
-        assert len(calls) == 1  # the exact route builds
+        # the implied route first, so that its Norton verdict is its own and not the one the build keeps
+        deep = cli._deep_checks(module, t, spec, plain and actions.all_passed and independent)
+        builds = list(calls)
         calls.clear()
-        deep = cli._deep_checks(module, implied, spec)
-        assert deep == expected
-        return plain, list(calls), deep
+        assert deep == cli._deep_checks(module, t, spec, False)
+        assert len(calls) == 1  # the exact route builds
+        return plain, builds, deep
 
     def test_grid_files(self, built_irreducible_grid, monkeypatch):
         calls = spy_flag_route_builds(monkeypatch)

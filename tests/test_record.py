@@ -31,13 +31,15 @@ from tetrabox import (
     build_from_spec,
     build_tetra,
     eigentable,
+    flag_independence_check,
     four_flags,
     induced_decomposition,
     sl2_irreducible,
+    verify_action_table,
     verify_relations,
     verify_tridiagonal_pair,
 )
-from tetrabox.tetra import ORDERED_PAIRS, CheckResult
+from tetrabox.tetra import ORDERED_PAIRS, CheckResult, _verify
 
 RECORDS = (
     Matrix,
@@ -325,8 +327,14 @@ def test_a_class_attribute_is_the_default():
 def test_tetra_module_memo_is_outside_the_fields():
     tetra = build_tetra(build_from_spec(V))
     assert tetra._chains == {} and "_chains" not in tetra._fields and "_chains" not in repr(tetra)
-    # the verdicts of verify_relations and eigentable, and the antisymmetric pairs, are kept only once asked for
-    assert not {"_relations_passed", "_eigentable_passed", "_antisymmetric"} & set(vars(tetra))
+    # the antisymmetric pairs are kept only once asked for
+    assert "_antisymmetric" not in vars(tetra)
+    # every check keeps its chains and the antisymmetric pairs, which cannot change a result, and no verdict
+    assert verify_relations(tetra).all_passed and eigentable(tetra).all_passed
+    assert verify_action_table(tetra).all_passed and flag_independence_check(tetra)
+    relations, table, actions, independent = _verify(tetra)
+    assert relations.all_passed and table.all_passed and actions.all_passed and independent
+    assert set(vars(tetra)) == {"dim", "diameter", "x", "_chains", "_antisymmetric"}
     assert isinstance(tetra.x, MappingProxyType)
     twin = TetraModule(tetra.dim, tetra.diameter, tetra.x)
     assert twin != tetra and twin._chains is not tetra._chains

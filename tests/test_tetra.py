@@ -404,11 +404,9 @@ class TestActionTableDifferential:
     """The annihilator action table against the vector-by-vector route."""
 
     def assert_same(self, t):
-        # a copy with no kept verdicts, so the table is computed, also on a shared fixture the relations have passed
-        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
-        got = [(c.relation, c.instance, c.passed) for c in verify_action_table(fresh).checks]
+        got = [(c.relation, c.instance, c.passed) for c in verify_action_table(t).checks]
         assert got == reference_action_table(t)
-        assert _antisymmetric(fresh) == direct_antisymmetric(t)
+        assert _antisymmetric(t) == direct_antisymmetric(t)
         return got
 
     def test_built_modules(self, built):
@@ -473,12 +471,13 @@ class TestSixGenerators:
     def d16(self):
         return build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
 
-    # the relations last, so the action table and flag independence are computed, not read off their verdict
-    EXACT = (eigentable, verify_action_table, flag_independence_check, verify_relations)
+    # the four public checks in verify's order; each computes exactly, whatever ran before it
+    EXACT = (verify_relations, eigentable, verify_action_table, flag_independence_check)
 
     def count_work(self, t, monkeypatch, checks=EXACT):
-        """Eigenspace calls over the four checks, and per check the annihilates
-        calls and the matrices built (each Matrix constructor runs __post_init__)."""
+        """Eigenspace calls over the checks, and per check the annihilates calls
+        and the matrices built (each Matrix constructor runs __post_init__), on
+        a copy of t that keeps no chain of an earlier test."""
         calls = {"eigenspace": 0, "annihilates": 0, "matrices": 0}
         for owner, name in ((tetra, "eigenspace"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
             original = getattr(owner, name)
@@ -514,14 +513,27 @@ class TestSixGenerators:
                             "verify_action_table": 72, "flag_independence_check": 8}
 
     def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
-        # in verify's order the relations have passed, so the eigentable computes the chain of x_01
-        # alone, and once it has passed too nothing is computed after it
-        checks = (verify_relations, eigentable, verify_action_table, flag_independence_check)
-        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch, checks)
+        # _verify: the relations have passed, so the eigentable computes the chain of x_01 alone, and once
+        # it has passed too nothing is computed after it; the matrices are the relations' 60 and 7 bases
+        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch, (tetra._verify,))
         assert eigenspaces == d16.diameter + 1
-        assert annihilators == dict.fromkeys(annihilators, 0)
-        assert matrices == {"verify_relations": 60, "eigentable": 7,
-                            "verify_action_table": 0, "flag_independence_check": 0}
+        assert annihilators == {"_verify": 0}
+        assert matrices == {"_verify": 67}
+
+    def test_public_checks_compute_whatever_ran_before(self, d16, monkeypatch):
+        # verify's stages through the public functions on one TetraModule: the relations pass, and the three
+        # later stages still compute six chains and every inclusion; no verdict is kept on the module
+        t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
+        chains, annihilators = [], []
+        real_chain, real_annihilates = tetra._eigenspace_chain, tetra.annihilates
+        monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real_chain(t, pair))
+        monkeypatch.setattr(tetra, "annihilates", lambda *args: annihilators.append(args) or real_annihilates(*args))
+        assert verify_relations(t).all_passed
+        assert eigentable(t).all_passed
+        assert set(t._chains) == set(chains) == set(UNORDERED_PAIRS)
+        assert verify_action_table(t).all_passed and len(annihilators) == 36
+        assert flag_independence_check(t) and len(annihilators) == 36 + 8
+        assert not {"_relations_passed", "_eigentable_passed"} & set(vars(t))
 
     def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
         # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23); pairwise_burnside
@@ -529,24 +541,27 @@ class TestSixGenerators:
         # copied, so no Norton verdict kept on the fixture's matrices is read
         copied = TetraModule(dim=d16.dim, diameter=d16.diameter,
                              x={pair: Matrix._of(m.rows, m.cols, m._num, m._den) for pair, m in d16.x.items()})
-        checks = (verify_relations, eigentable, verify_action_table, flag_independence_check,
-                  tetra._rebuild_is_the_file, pairwise_burnside)
+        checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
         eigenspaces, annihilators, _ = self.count_work(copied, monkeypatch, checks)
         assert eigenspaces == d16.diameter + 3
         assert annihilators == dict.fromkeys(annihilators, 0)
 
     @pytest.mark.parametrize("relations", ["unverified", "failed", "passed"])
     def test_six_chains_unless_the_relations_passed(self, d16, monkeypatch, relations):
-        # the eigentable reads every row off the chain of x_01 only where the kept verdict says all 54
-        # instances passed; a mirrored change still passes antisymmetry but fails the triangle relations
+        # _verify reads every row off the chain of x_01 once all 54 instances have passed; the public
+        # eigentable computes six chains, after relations that failed as after none (a mirrored change
+        # still passes antisymmetry but fails the triangle relations)
         t = with_mirrored_change(d16, (0, 2), F(1, 7)) if relations == "failed" else d16
         fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
-        if relations != "unverified":
-            assert verify_relations(fresh).all_passed is (relations == "passed")
+        if relations == "failed":
+            assert not verify_relations(fresh).all_passed
         chains = []
         real = tetra._eigenspace_chain
         monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real(t, pair))
-        eigentable(fresh)
+        if relations == "passed":
+            assert tetra._verify(fresh)[1].all_passed
+        else:
+            eigentable(fresh)
         expected = [(0, 1)] if relations == "passed" else list(UNORDERED_PAIRS)
         assert chains == expected and set(fresh._chains) == set(expected)
 
@@ -568,7 +583,7 @@ class TestSixGenerators:
 
     def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch):
         # x_sr = -x_rs is compared once per pair r < s, on the stored forms, and every stage reads the
-        # kept verdict; the relations come last, so the action table and flag independence compute
+        # pairs _antisymmetric keeps
         fresh = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
         compared, equalities = [], []
         real_negates, real_eq = tetra._negates, linalg.Matrix.__eq__
@@ -784,8 +799,7 @@ class TestFlagIndependenceDifferential:
     """The annihilator flag-independence check against canonical subspace sums."""
 
     def assert_same(self, t):
-        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
-        verdict = flag_independence_check(fresh)
+        verdict = flag_independence_check(t)
         assert verdict is reference_flag_independence(t)
         return verdict
 
