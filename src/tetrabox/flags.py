@@ -14,10 +14,10 @@ lies in F_i "intersect" G_{d-i-1}, inside P_i, which meets P_{>i} only in
 flags. The pair (G, F) induces the same pieces reversed.
 
 A flag's components are the partial sums of its decomposition, read off one
-echelon that takes each piece's basis in turn and is read canonically after
-each (_partial_sums). Records are built only at the public API: build_tetra
-intersects the component tuples of _flag_components, builds no Flag and
-reads each generator off one solve of its pieces' bases (_acting_as).
+echelon that takes each piece's basis in turn and keeps the reduced rows of
+each read (_partial_sums). Records are built only at the public API:
+build_tetra intersects the component tuples of _flag_components, builds no
+Flag and reads each generator off one solve of its pieces' bases (_acting_as).
 
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.

@@ -35,20 +35,18 @@ direct sum of the kernels of the factors, so annihilates decides it by
 integer products with x alone, whether or not x is diagonalizable.
 
 The spectrum of a matrix m that should be diagonalizable is read off one
-pass, diagonal_spectrum: the minimal polynomial mu_v of m on one fixed
-vector v (a Krylov sequence, an echelon n wide where minimal_polynomial
-needs n^2) gives the candidate eigenvalues, a ladder c, c-2, ... without a
-divisor search. mu_v divides the minimal polynomial of m, so a repeated or
-irrational root refutes diagonalizability at once. Otherwise the
-eigenspaces at the roots are independent, and when their dimensions add up
-to n they are the certificate: m is diagonalizable with exactly those
-eigenvalues, and the eigenspaces are returned for the caller to use. Only
-when they fall short (v missed an eigenvalue, or m has a Jordan block) does
-the minimal polynomial of m decide. Only a mu_v that is no ladder goes to
-rational_roots, whose divisor search grows with the entries. The generators
-of an Onsager module must have a ladder spectrum, and ladder_spectrum
-reads theirs by the ladder test alone: a mu_v that is no ladder may have
-missed a rung, so the minimal polynomial of m decides, by the same test.
+pass, diagonal_spectrum. The minimal polynomial mu_v of m on v = e_0 (a
+Krylov sequence, n wide where minimal_polynomial is n^2) gives candidate
+eigenvalues; on a built module's A and A* it is their minimal polynomial
+(_krylov_start). It divides that of m, so a repeated or irrational root
+refutes diagonalizability at once. Otherwise the eigenspaces at the roots
+are independent, and when their dimensions add up to n they certify the
+spectrum and are returned; only a shortfall (v missed an eigenvalue, or m
+has a Jordan block) runs the minimal polynomial of m. A ladder c, c-2, ...
+is read with no divisor search; any other mu_v goes to rational_roots,
+whose search grows with the entries. ladder_spectrum reads a generator's
+ladder by the ladder test alone: a mu_v that is no ladder may have missed
+a rung, so the minimal polynomial of m decides, by the same test.
 
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
@@ -308,11 +306,10 @@ class _Echelon:
         return True
 
     def reduced_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Back-substituted basis rows in pivot order, and their pivots.
-
-        Each returned row vanishes in every other row's pivot column, so
-        dividing it by its pivot entry gives a row of the reduced echelon form.
-        """
+        """Back-substituted basis rows in pivot order, and their pivots. Each
+        row vanishes in every other row's pivot column, so divided by its pivot
+        entry it is a row of the reduced echelon form. The echelon keeps these
+        rows, so a later call back-substitutes only the new pivots."""
         pivots = sorted(self.rows)
         rows = [self.rows[c] for c in pivots]
         for k in range(len(pivots) - 1, -1, -1):
@@ -323,6 +320,7 @@ class _Echelon:
                 ci = rows[i][c]
                 if ci:
                     rows[i] = _strip_gcd([p * x - ci * y for x, y in zip(rows[i], rk)])
+        self.rows = dict(zip(pivots, rows))
         return rows, pivots
 
 
@@ -637,14 +635,16 @@ def minimal_polynomial(m: Matrix) -> tuple[Fraction, ...]:
 
 
 def _krylov_start(n: int) -> list[int]:
-    """A fixed integer vector with no symmetry. (With modulus 13 it would
-    start 1, 3, 5, 7, which misses the eigenvalue -2 of A on every (1, a)(1, b).)"""
-    return [1 + (7919 * i) % 101 for i in range(n)]
+    """e_0. Each factor of a built module is tridiagonal in the weight basis with
+    nonzero off-diagonal entries, so v_0 is cyclic for its A and A*, and e_0 =
+    v_0 (x) ... (x) v_0 meets every eigenspace of both. On other input (say a
+    conjugated or block-diagonal matrix) a shortfall runs the minimal polynomial."""
+    return [1] + [0] * (n - 1)
 
 
 def _krylov_polynomial(m: Matrix) -> tuple[Fraction, ...]:
-    """The minimal polynomial of m on the start vector s, which divides that
-    of m: the first linear dependence among s, M s, M^2 s, ..., n wide."""
+    """The minimal polynomial of m on s = e_0, which divides that of m and is
+    it on a built module: the first dependence among s, M s, M^2 s, ..., n wide."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in m._num]
 
     def powers():

@@ -11,23 +11,28 @@ from tetrabox import (
     ModuleSpec,
     Subspace,
     build_from_spec,
+    build_tetra,
     build_tetra_from_spec,
     commutator,
     determinant,
     eigenspace,
+    evaluation_module,
+    four_flags,
     hstack,
     intersect,
     inverse,
     is_diagonalizable_with,
+    is_irreducible_criterion,
     kernel,
     kron,
     kronecker_sum,
     minimal_polynomial,
+    module_type,
     rational_roots,
     rref,
     subspace_sum,
 )
-from tetrabox import linalg
+from tetrabox import classify, linalg
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -571,8 +576,9 @@ class TestDiagonalSpectrum:
         assert calls == [m]
 
     def test_repeated_root_needs_no_fallback(self, monkeypatch):
+        # a Jordan block whose start vector is no eigenvector: mu_v = (x - 1)^2
         monkeypatch.setattr(linalg, "minimal_polynomial", None)
-        assert linalg.diagonal_spectrum(Matrix.from_rows([[1, 1], [0, 1]])) is None
+        assert linalg.diagonal_spectrum(Matrix.from_rows([[1, 0], [1, 1]])) is None
         assert linalg.diagonal_spectrum(Matrix.from_rows([[0, 2], [1, 0]])) is None  # x^2 - 2
 
     @settings(deadline=None, max_examples=100)
@@ -615,3 +621,68 @@ class TestDiagonalSpectrum:
         for shape in ((0, 0), (2, 3)):
             with pytest.raises(ValueError):
                 linalg.ladder_spectrum(Matrix.zeros(*shape))
+
+
+# -- the Krylov start e_0 on built modules, and its fallback elsewhere -----------
+
+LARGE = ModuleSpec.of([(32, 2)])
+
+
+def direct_sum(x: Matrix, y: Matrix) -> Matrix:
+    zx, zy = [0] * x.cols, [0] * y.cols
+    return Matrix.from_rows([row + zy for row in x.to_rows()] + [zx + row for row in y.to_rows()])
+
+
+class TestKrylovStart:
+    def test_the_start_is_the_first_unit_vector(self):
+        assert linalg._krylov_start(4) == [1, 0, 0, 0]
+
+    def test_krylov_polynomial_is_the_minimal_polynomial_on_built_modules(self, grid_modules):
+        # e_0 = v_0 (x) ... (x) v_0 has a component in every eigenspace of A and of A*
+        for m in [*grid_modules.values(), build_from_spec(LARGE)]:
+            for x in (m.A, m.Astar):
+                assert linalg._krylov_polynomial(x) == minimal_polynomial(x)
+
+    def test_spectral_routes_run_no_minimal_polynomial_on_built_modules(self, grid_modules, monkeypatch):
+        calls = []
+        for module in (linalg, classify):
+            real = module.minimal_polynomial
+            monkeypatch.setattr(module, "minimal_polynomial", lambda x, real=real: calls.append(x) or real(x))
+        for spec, m in [*grid_modules.items(), (LARGE, build_from_spec(LARGE))]:
+            assert module_type(m)[1:] == (0, 0)
+            assert len(four_flags(m)) == 4
+            if is_irreducible_criterion(spec):
+                assert build_tetra(m).dim == m.dim
+        assert calls == []
+
+    @pytest.mark.parametrize("generator", ["A", "Astar"])
+    def test_a_block_that_lacks_eigenvalues_falls_back_once(self, generator, monkeypatch):
+        # V(1) + V(3): e_0 lies in the V(1) block, which lacks the eigenvalues +-3
+        m = direct_sum(getattr(evaluation_module(1, 2), generator), getattr(evaluation_module(3, 3), generator))
+        assert linalg._krylov_polynomial(m) == (F(-1), F(0), F(1))
+        expected = reference_spectrum(m)
+        assert expected[0] == (F(3), F(1), F(-1), F(-3))
+        real = linalg.minimal_polynomial
+        for spectrum in (linalg.ladder_spectrum, linalg.diagonal_spectrum):
+            calls = []
+            monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+            assert spectrum(m) == expected
+            assert calls == [m]
+
+
+class TestEchelonKeepsReducedRows:
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.integers(1, 5), st.integers(0, 3))
+    def test_later_vectors_give_a_fresh_echelons_rows(self, data, n, tail):
+        # tail == 0: plain vectors; otherwise each carries a tail through the elimination
+        vector = st.lists(st.integers(-2, 2), min_size=n + tail, max_size=n + tail)
+        vectors = data.draw(st.lists(vector, max_size=8))
+        reads = data.draw(st.sets(st.integers(0, len(vectors))))
+        echelon = linalg._Echelon(n)
+        for k, v in enumerate(vectors + [None]):
+            if k in reads:
+                rows, pivots = echelon.reduced_rows()
+                assert echelon.rows == dict(zip(pivots, rows))
+            if v is not None:
+                echelon.add(list(v))
+        assert echelon.reduced_rows() == linalg._echelon(n, [list(v) for v in vectors]).reduced_rows()
