@@ -39,10 +39,10 @@ So the matrix side has one route, _full_algebra. Each caller hands it the
 (eigenvalue, eigenspace) pairs of the first generator that it already
 holds: build_tetra and pairwise_burnside their eigenspace chains at d,
 d-2, ..., the tridiagonal-pair checks a's diagonal spectrum, and
-pair_generates_full_algebra (with it is_irreducible_burnside) the
-eigenspaces at the roots of a ladder minimal polynomial, computed one at a
-time. Norton's test decides, in both directions, at the first of them that
-is a line. The closure decides only when none is.
+pair_generates_full_algebra (with it is_irreducible_burnside) the ladder
+eigenspaces of linalg._ladder_eigenpairs, computed one at a time. Norton's
+test decides, in both directions, at the first of them that is a line. The
+closure decides only when none is.
 
 Norton's verdict on a pair is kept on its first generator, a, in a dict
 keyed by the partner b, set by object.__setattr__ as TetraModule's chains
@@ -70,21 +70,20 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
-from .errors import ReducibleModuleError, SpectrumError
+from .errors import ReducibleModuleError
 from .linalg import (
     Matrix,
     Subspace,
     _Echelon,
     _echelon,
     _integer_columns,
+    _ladder_eigenpairs,
     _strip_gcd,
-    _ladder_roots,
     _tails,
     eigenspace,
-    minimal_polynomial,
     require_within_guard,
 )
-from .onsager import _NOT_A_LADDER, ModuleSpec, OnsagerModule
+from .onsager import ModuleSpec, OnsagerModule, _generator_spectrum
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
 
@@ -275,14 +274,13 @@ def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | in
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
     """True iff the algebra generated by a, b is all of End(V).
 
-    When a is diagonalizable with a spectrum {c, c-2, ...}, read off its
-    minimal polynomial, its eigenspaces are offered from the top down, one
-    at a time, and Norton's test decides at any dimension at the first that
-    is a line; otherwise the Burnside closure decides, within the guard.
+    The eigenspaces of a are offered one at a time, top first, as
+    linalg._ladder_eigenpairs reads them, and Norton's test decides at any
+    dimension at the first that is a line; when none is, the Burnside
+    closure decides, within the guard.
     """
     _require_square_pair(a, b)
-    roots = _ladder_roots(minimal_polynomial(a)) or ()
-    return _full_algebra(a, b, ((lam, eigenspace(a, lam)) for lam in roots))
+    return _full_algebra(a, b, _ladder_eigenpairs(a) if a.rows else ())
 
 
 def is_irreducible_burnside(m: OnsagerModule) -> bool:
@@ -302,17 +300,14 @@ def find_intertwiner(m1: OnsagerModule, m2: OnsagerModule) -> Matrix | None:
     """Invertible S with S A1 = A2 S and S Astar1 = Astar2 S, if one exists.
 
     The domain is an m1 whose A1 has a top eigenline <v1> = ker(A1 - c I);
-    every irreducible module has one. c is read off the spectrum of A1,
-    whose minimal polynomial is an elimination dim^2 wide (about 0.1 s at
-    dim 64); a caller that knows c, as compare --oracle knows d + alpha
-    from the spec, passes it to _intertwiner_with_top instead.
+    every irreducible module has one. c is the top of A1's certified ladder
+    spectrum, as module_type reads it (SpectrumError when there is none); a
+    caller that knows c, as compare --oracle knows d + alpha from the spec,
+    passes it to _intertwiner_with_top instead.
     """
     if m1.dim != m2.dim:
         return None
-    roots = _ladder_roots(minimal_polynomial(m1.A))
-    if roots is None:
-        raise SpectrumError(_NOT_A_LADDER)
-    return _intertwiner_with_top(m1, m2, roots[0])
+    return _intertwiner_with_top(m1, m2, _generator_spectrum(m1.A)[0][0])
 
 
 def _intertwiner_with_top(m1: OnsagerModule, m2: OnsagerModule, c: Fraction) -> Matrix | None:

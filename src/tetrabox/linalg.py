@@ -47,6 +47,9 @@ is read with no divisor search; any other mu_v goes to rational_roots,
 whose search grows with the entries. ladder_spectrum reads a generator's
 ladder by the ladder test alone: a mu_v that is no ladder may have missed
 a rung, so the minimal polynomial of m decides, by the same test.
+_ladder_eigenpairs offers those eigenspaces lazily to Norton's test. No
+other module reads a polynomial, so for every caller the minimal
+polynomial runs only on a shortfall.
 
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
@@ -656,29 +659,21 @@ def _krylov_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     return _first_dependence(m, m.rows, powers())
 
 
-def _ladder_top(poly: Sequence[Fraction]) -> Fraction | None:
-    """The top root c when the monic poly is prod_{i=0}^{d} (x - c + 2i), of
-    degree d + 1; else None.
+def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
+    """The roots c, c-2, ..., c-2d of the monic poly in descending order when
+    it is prod_{i=0}^{d} (x - c + 2i), of degree d + 1; else None.
 
     The degree gives d and the sum of the roots, (d + 1)(c - d), gives c;
     the product of the d + 1 linear factors is then compared with poly.
     """
     d = len(poly) - 2
     c = Fraction(-poly[d], d + 1) + d
-    expected = [Fraction(1)]
-    for i in range(d + 1):
-        lam = c - 2 * i
+    roots, expected = [c - 2 * i for i in range(d + 1)], [Fraction(1)]
+    for lam in roots:
         expected = [Fraction(0)] + expected
         for k in range(len(expected) - 1):
             expected[k] = expected[k] - lam * expected[k + 1]
-    return c if tuple(expected) == tuple(poly) else None
-
-
-def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
-    """The roots c, c-2, ... of poly in descending order when it is a ladder
-    (_ladder_top), else None."""
-    c = _ladder_top(poly)
-    return None if c is None else [c - 2 * i for i in range(len(poly) - 1)]
+    return roots if tuple(expected) == tuple(poly) else None
 
 
 def _distinct_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
@@ -737,6 +732,15 @@ def ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ..
     if not m.is_square or m.rows == 0:
         raise ValueError("a ladder spectrum requires a nonempty square matrix")
     return _certified_spectrum(m, _ladder_roots(_krylov_polynomial(m)) or [], _ladder_roots)
+
+
+def _ladder_eigenpairs(m: Matrix) -> Iterator[tuple[Fraction, Subspace]]:
+    """(lam, eigenspace of m at lam), one at a time, at the ladder roots of the
+    Krylov polynomial of m, top first; then the pairs of ladder_spectrum(m),
+    which runs the minimal polynomial only on a shortfall. m is nonempty."""
+    for lam in _ladder_roots(_krylov_polynomial(m)) or ():
+        yield lam, eigenspace(m, lam)
+    yield from zip(*(ladder_spectrum(m) or ((), ())))
 
 
 def _divisors(n: int) -> list[int]:

@@ -5,7 +5,7 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tetrabox import (
     DimensionGuardError,
@@ -13,6 +13,7 @@ from tetrabox import (
     ModuleSpec,
     OnsagerModule,
     ReducibleModuleError,
+    SpectrumError,
     are_equivalent,
     build_from_spec,
     build_tetra,
@@ -337,6 +338,8 @@ class TestNortonDifferential:
 
     @settings(max_examples=80, deadline=None)
     @given(conjugated_pairs())
+    # e_0 is the eigenvector at 0: its Krylov polynomial x is a one-rung ladder, and that eigenspace a line
+    @example(("non_ladder", Matrix.from_rows([[0, 0], [0, -1]]), Matrix.zeros(2, 2)))
     def test_conjugated_pairs(self, drawn):
         kind, a, b = drawn
         n = a.rows
@@ -354,7 +357,10 @@ class TestNortonDifferential:
             # two ladders of lengths k and n - k share their top: a line below it unless k = n - k
             assert (b in verdicts) == (2 * (len(linalg.minimal_polynomial(a)) - 1) != n)
         else:
-            assert verdicts == {}
+            # no ladder spectrum, so a verdict is kept iff an eigenspace at a ladder root of mu_(e_0) is a line
+            assert linalg.ladder_spectrum(a) is None
+            roots = linalg._ladder_roots(linalg._krylov_polynomial(a)) or ()
+            assert (b in verdicts) == any(eigenspace(a, lam).dim == 1 for lam in roots)
 
     @settings(max_examples=60, deadline=None)
     @given(conjugated_pairs(), st.data())
@@ -379,6 +385,60 @@ class TestNortonDifferential:
         assert calls == []
         assert not is_irreducible_burnside(doubled(evaluation_module(1, F(2))))
         assert calls
+
+
+def spy_minimal_polynomial(monkeypatch) -> list[Matrix]:
+    """The matrices whose minimal polynomial linalg computes from now on."""
+    calls = []
+    real = linalg.minimal_polynomial
+    monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+class TestOneLadderRoute:
+    """pair_generates_full_algebra reads a's ladder in linalg (_ladder_eigenpairs),
+    and find_intertwiner its top off the certified pass of module_type."""
+
+    def test_no_minimal_polynomial_on_built_modules(self, grid_specs, monkeypatch):
+        # fresh builds, so no Norton verdict kept on an earlier matrix answers in place of the route
+        specs = [s for s in grid_specs if is_irreducible_criterion(s)] + [spec((32, 2))]
+        calls = spy_minimal_polynomial(monkeypatch)
+        for s in specs:
+            assert is_irreducible_burnside(build_from_spec(s)), s.factors
+            m = build_from_spec(s)
+            assert find_intertwiner(m, m) == Matrix.identity(m.dim), s.factors
+        assert calls == []
+
+    @pytest.mark.parametrize("small_first", [True, False], ids=["V(1,2)+V(3,3)", "V(3,3)+V(1,2)"])
+    def test_a_short_krylov_ladder_falls_back_to_the_ladder_spectrum(self, monkeypatch, small_first):
+        # with V(1, 2) first, e_0 lies in it: mu_(e_0) is the ladder {1, -1}, and both its eigenspaces are
+        # planes, so the line at 3 comes from ladder_spectrum, whose minimal polynomial runs once
+        v, w = evaluation_module(1, F(2)), evaluation_module(3, F(3))
+        if not small_first:
+            v, w = w, v
+
+        def module() -> OnsagerModule:
+            return OnsagerModule(6, block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar))
+
+        a = module().A
+        krylov = (F(-1), F(0), F(1)) if small_first else linalg.minimal_polynomial(a)
+        assert linalg._krylov_polynomial(a) == krylov
+        expected = exact_closure_dimension(a, module().Astar) == 36
+        assert expected is False
+        monkeypatch.setattr(linalg, "DIM_GUARD", 10)
+        closures, polynomials = spy_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
+        m = module()
+        assert pair_generates_full_algebra(m.A, m.Astar) is expected
+        assert vars(m.A)["_norton_verdicts"] == {m.Astar: expected}
+        assert closures == []
+        assert polynomials == ([m.A] if small_first else [])
+
+    def test_empty_module(self):
+        z = Matrix.zeros(0, 0)
+        assert pair_generates_full_algebra(z, z)
+        # a 0 x 0 A1 has no spectrum, as module_type says
+        with pytest.raises(SpectrumError, match="scalar spectrum could not be extracted"):
+            find_intertwiner(OnsagerModule(0, z, z), OnsagerModule(0, z, z))
 
 
 def lower_eigenline_module() -> OnsagerModule:

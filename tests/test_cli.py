@@ -480,9 +480,8 @@ class TestCompare:
     def test_oracle_reads_the_top_off_the_spec(self, tmp_path, monkeypatch, capsys):
         # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
         calls, widths = [], []
-        for module in (linalg, tetrabox.classify):
-            real = module.minimal_polynomial
-            monkeypatch.setattr(module, "minimal_polynomial", lambda m, real=real: calls.append(m) or real(m))
+        real = linalg.minimal_polynomial
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
 
         class Spy(linalg._Echelon):
             def __init__(self, n):

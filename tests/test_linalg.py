@@ -32,7 +32,7 @@ from tetrabox import (
     rref,
     subspace_sum,
 )
-from tetrabox import classify, linalg
+from tetrabox import linalg
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -645,9 +645,8 @@ class TestKrylovStart:
 
     def test_spectral_routes_run_no_minimal_polynomial_on_built_modules(self, grid_modules, monkeypatch):
         calls = []
-        for module in (linalg, classify):
-            real = module.minimal_polynomial
-            monkeypatch.setattr(module, "minimal_polynomial", lambda x, real=real: calls.append(x) or real(x))
+        real = linalg.minimal_polynomial
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
         for spec, m in [*grid_modules.items(), (LARGE, build_from_spec(LARGE))]:
             assert module_type(m)[1:] == (0, 0)
             assert len(four_flags(m)) == 4

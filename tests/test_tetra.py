@@ -881,15 +881,14 @@ class TestGlobalStructure:
 class TestPairwiseBurnsideAtD:
     """pairwise_burnside asks Norton's test at the first line of each chain
     at the structure's d, d-2, ..., against pair_generates_full_algebra,
-    which reads each spectrum off a minimal polynomial."""
+    which reads each generator's ladder in linalg (_ladder_eigenpairs)."""
 
     def assert_same(self, t, monkeypatch):
         expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
         calls = []
         real = linalg.minimal_polynomial
         with monkeypatch.context() as patch:
-            for module in (linalg, classify):
-                patch.setattr(module, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+            patch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
             assert pairwise_burnside(t) is expected
         assert calls == []
         return expected
@@ -924,8 +923,7 @@ class TestOneSpectralPass:
         # every mu_v is a ladder whose eigenspaces fill the space: no fallback, no divisor search
         calls = []
         real_poly, real_roots = linalg.minimal_polynomial, linalg.rational_roots
-        for module in (linalg, classify):
-            monkeypatch.setattr(module, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
         monkeypatch.setattr(linalg, "rational_roots", lambda p: calls.append(p) or real_roots(p))
         for spec, t in built_irreducible_grid.items():
             m = grid_modules[spec]
