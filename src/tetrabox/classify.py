@@ -52,11 +52,16 @@ stays true of a, and is_irreducible_burnside, build_tetra, pairwise_burnside
 and the tridiagonal checks spin once per pair of matrix objects. The dict is no
 Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
 and dies with its matrix, and an equal matrix built separately runs its own
-test, so there is no process-wide table to bound. Only Norton's bools are
-kept. The closure's verdict is not: its guard is read at call time, so a
-pair it decided is refused again once the guard is lowered, and a
-DimensionGuardError is raised on every call. No subspace is kept either:
-eigenspaces would live as long as every matrix that produced one.
+test. A bool costs nothing to keep, so every matrix keeps its verdicts. The
+closure's verdict is not kept: its guard is read at call time, so a pair
+it decided is refused again once the guard is lowered, and a
+DimensionGuardError is raised on every call. Subspaces do cost memory, so
+linalg keeps eigenspaces (the lines Norton spins among them) on only the
+eight matrices that made one last, in a bounded memo with the same
+lifetime (see its docstring): the second of two questions on one pair,
+such as check_onsager_equivalence after build_tetra, forms no kernel the
+first one formed, and a caller that keeps every result does not keep
+every subspace.
 
 The spins, the intertwiner's included, have no size bound. The closure
 works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it

@@ -51,6 +51,21 @@ _ladder_eigenpairs offers those eigenspaces lazily to Norton's test. No
 other module reads a polynomial, so for every caller the minimal
 polynomial runs only on a shortfall.
 
+A matrix keeps what eigenspace and _krylov_polynomial compute on it, so
+every spectral route above, and each caller's (build_tetra's pass, then
+check_onsager_equivalence's on the same A and A*), forms each kernel once
+per matrix object. The memo is a dict on the matrix, set by
+object.__setattr__ and read by getattr (never through __dict__, which would
+materialize and slow every field read), outside the fields that ==, hash
+and repr see: eigenspaces keyed by eigenvalue and the Krylov polynomial by
+None, all immutable values. It lives and dies with its matrix, and an equal
+matrix built separately computes its own. At most _MEMO_BOUND matrices hold
+one: weak references to the holders queue oldest first, and a new holder
+past the bound pops the oldest and deletes its memo if it still lives, so
+a caller that keeps every result retains no more than eight matrices'
+subspaces. A hit checks the matrix's side against DIM_GUARD first, as the
+kernel's basis does on a miss, so a lowered guard refuses on every call.
+
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
 here, a spec's module dimension and a Burnside closure's dim^2, each before
@@ -59,6 +74,8 @@ that problem is built.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
@@ -477,17 +494,42 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return _span(n, common)
 
 
+_MEMO_BOUND = 8  # matrices that hold a spectral memo at one time
+_memo_holders: deque[weakref.ref] = deque()  # their weak references, oldest first
+
+
+def _spectral_memo(m: Matrix) -> dict:
+    """The memo of m: its eigenspaces keyed by eigenvalue and its Krylov
+    polynomial keyed by None. A matrix that makes one joins the holders, and
+    past the bound the oldest holder leaves them, with its memo if it lives."""
+    memo = getattr(m, "_spectral_memo", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(m, "_spectral_memo", memo)
+        _memo_holders.append(weakref.ref(m))
+        if len(_memo_holders) > _MEMO_BOUND:
+            oldest = _memo_holders.popleft()()
+            if oldest is not None:
+                object.__delattr__(oldest, "_spectral_memo")
+    return memo
+
+
 def eigenspace(m: Matrix, lam) -> Subspace:
     """All vectors v with m v = lam v; zero subspace when lam is not an eigenvalue."""
     if not m.is_square:
         raise ValueError("eigenspace requires a square matrix")
+    require_within_guard(m.cols, "matrix side")  # as the kernel's basis would, on a hit too
     lam = Fraction(lam)
-    # q den (m - lam I) with lam = p/q: the rows of q * num, less p * den on the diagonal
-    q, shift = lam.denominator, lam.numerator * m._den
-    rows = [[q * x for x in row] for row in m._num]
-    for i, row in enumerate(rows):
-        row[i] -= shift
-    return _kernel(m.cols, rows)
+    memo = _spectral_memo(m)
+    space = memo.get(lam)
+    if space is None:
+        # q den (m - lam I) with lam = p/q: the rows of q * num, less p * den on the diagonal
+        q, shift = lam.denominator, lam.numerator * m._den
+        rows = [[q * x for x in row] for row in m._num]
+        for i, row in enumerate(rows):
+            row[i] -= shift
+        space = memo[lam] = _kernel(m.cols, rows)
+    return space
 
 
 def is_diagonalizable_with(m: Matrix, eigenvalues: Sequence) -> bool:
@@ -648,15 +690,18 @@ def _krylov_start(n: int) -> list[int]:
 def _krylov_polynomial(m: Matrix) -> tuple[Fraction, ...]:
     """The minimal polynomial of m on s = e_0, which divides that of m and is
     it on a built module: the first dependence among s, M s, M^2 s, ..., n wide."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m._num]
+    memo = _spectral_memo(m)
+    if None not in memo:
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in m._num]
 
-    def powers():
-        vector = _krylov_start(m.rows)
-        while True:
-            yield vector
-            vector = [sum(x * vector[j] for j, x in row) for row in rows]
+        def powers():
+            vector = _krylov_start(m.rows)
+            while True:
+                yield vector
+                vector = [sum(x * vector[j] for j, x in row) for row in rows]
 
-    return _first_dependence(m, m.rows, powers())
+        memo[None] = _first_dependence(m, m.rows, powers())
+    return memo[None]
 
 
 def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
@@ -692,15 +737,15 @@ def _certified_spectrum(
     m: Matrix, roots: Sequence[Fraction], read_roots: Callable[[Sequence[Fraction]], list[Fraction] | None]
 ) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
     """The candidate roots with their eigenspaces when those fill the space;
-    otherwise read_roots on the minimal polynomial of m decides, reusing the
-    eigenspaces already found, and None is its refutation."""
-    spaces = {lam: eigenspace(m, lam) for lam in roots}
-    if sum(space.dim for space in spaces.values()) < m.rows:
+    otherwise read_roots on the minimal polynomial of m decides, with the
+    eigenspaces already found read off m's memo, and None is its refutation."""
+    spaces = [eigenspace(m, lam) for lam in roots]
+    if sum(space.dim for space in spaces) < m.rows:
         roots = read_roots(minimal_polynomial(m))
         if roots is None:
             return None
-        spaces = {lam: spaces[lam] if lam in spaces else eigenspace(m, lam) for lam in roots}
-    return tuple(roots), tuple(spaces[lam] for lam in roots)
+        spaces = [eigenspace(m, lam) for lam in roots]
+    return tuple(roots), tuple(spaces)
 
 
 def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:

@@ -752,6 +752,14 @@ def spy_eigenspaces(monkeypatch) -> list:
     return calls
 
 
+def spy_kernels(monkeypatch) -> list:
+    """The width of every kernel linalg forms from now on, eigenspaces included."""
+    calls = []
+    real = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda width, rows: calls.append(width) or real(width, rows))
+    return calls
+
+
 def recomputed(calls: list) -> list:
     """The (size, eigenvalue) of every call that repeats an earlier one on the same matrix object."""
     keys = [(id(m), lam) for m, lam in calls]
@@ -809,6 +817,33 @@ class TestOneNortonVerdictPerPair:
         a, astar = weakref.ref(m.A), weakref.ref(m.Astar)
         del m
         assert a() is None and astar() is None
+        # so do the eigenspaces build_tetra and the tridiagonal check read, kept on A and Astar
+        m = build_from_spec(spec((1, 2), (1, 3)))
+        assert is_irreducible_burnside(m) and build_tetra(m).dim == 4 and check_onsager_equivalence(m.A, m.Astar)
+        assert len(m.A._spectral_memo) == len(m.Astar._spectral_memo) == 4  # 3 rungs and the Krylov polynomial
+        a, astar = weakref.ref(m.A), weakref.ref(m.Astar)
+        del m
+        assert a() is None and astar() is None
+
+    def test_three_questions_form_each_kernel_once(self, monkeypatch):
+        # a fresh d16 build: Norton's lines in A and A^T; then the 7 + 7 eigenspaces of A and Astar but the
+        # top line of A, which Norton formed; then none, as every eigenspace is read off the memo
+        m = build_from_spec(spec((3, 2), (3, 3)))
+        kernels = spy_kernels(monkeypatch)
+        counts = []
+        for question in (is_irreducible_burnside, build_tetra, lambda m: check_onsager_equivalence(m.A, m.Astar)):
+            before = len(kernels)
+            assert question(m)
+            counts.append(len(kernels) - before)
+        assert counts == [2, 13, 0]
+
+    def test_find_intertwiner_forms_the_top_line_once(self, monkeypatch):
+        # A1's certified pass forms its 10 eigenspaces, the top line among them, and A2's top line is the 11th
+        s = spec((3, 2), (3, 3), (3, 5))
+        m1, m2 = build_from_spec(s), build_from_spec(s)
+        kernels = spy_kernels(monkeypatch)
+        assert find_intertwiner(m1, m2) == Matrix.identity(m1.dim)
+        assert len(kernels) == 11
 
     def test_guard_refusal_is_raised_on_every_call(self, monkeypatch):
         # V + V has no top line, so only the closure decides, and its dim^2 16 is above the guard

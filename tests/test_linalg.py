@@ -685,3 +685,82 @@ class TestEchelonKeepsReducedRows:
             if v is not None:
                 echelon.add(list(v))
         assert echelon.reduced_rows() == linalg._echelon(n, [list(v) for v in vectors]).reduced_rows()
+
+
+# -- the spectral memo: eigenspaces and Krylov polynomial kept on their matrix ----
+
+def fresh_copy(m: Matrix) -> Matrix:
+    """An equal matrix object, which carries no memo an earlier call kept."""
+    return Matrix._of(m.rows, m.cols, m._num, m._den)
+
+
+def outcome(route, *args):
+    """What route(*args) returns, or the type and text of what it raises."""
+    try:
+        return route(*args)
+    except (ValueError, DimensionGuardError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix from 0 x 0 to 4 x 4, or a conjugated block matrix, whose
+    spectrum, ladder or not, is often rational."""
+    if draw(st.booleans()):
+        return draw(conjugated_block_matrices(max_dim=5))
+    n = draw(st.integers(0, 4))
+    return Matrix(n, n, draw(st.lists(sparse_entries, min_size=n * n, max_size=n * n)))
+
+
+SPECTRAL_ROUTES = {
+    "ladder_spectrum": linalg.ladder_spectrum,
+    "diagonal_spectrum": linalg.diagonal_spectrum,
+    "_krylov_polynomial": linalg._krylov_polynomial,
+}
+
+
+class TestSpectralMemo:
+    """eigenspace and _krylov_polynomial keep what they compute on the matrix, in a
+    memo that at most linalg._MEMO_BOUND matrices hold at once (its lifetime is pinned
+    by test_classify.py::TestOneNortonVerdictPerPair::test_verdict_dies_with_its_matrix)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(square_matrices(), st.lists(st.one_of(spectrum_values, entries), max_size=4))
+    def test_two_calls_answer_as_a_fresh_copy_does(self, m, eigenvalues):
+        # eigenvalues and non-eigenvalues alike; the second call forms no kernel
+        for lam in eigenvalues:
+            expected = eigenspace(fresh_copy(m), lam)
+            first = eigenspace(m, lam)
+            with mock.patch.object(linalg, "_kernel", side_effect=AssertionError("kernel formed again")):
+                second = eigenspace(m, lam)
+            assert first == second == expected and second is first
+        for name, route in SPECTRAL_ROUTES.items():
+            expected = outcome(route, fresh_copy(m))
+            assert outcome(route, m) == outcome(route, m) == expected, name
+
+    def test_the_oldest_holder_beyond_the_bound_loses_its_memo(self):
+        held = [Matrix.from_rows([[k, 1], [0, -k]]) for k in range(1, linalg._MEMO_BOUND + 2)]
+        for m in held:
+            assert eigenspace(m, 0).dim == 0
+        oldest, *rest = held
+        assert getattr(oldest, "_spectral_memo", None) is None
+        assert all(0 in m._spectral_memo for m in rest)
+        # the memo is no field: ==, hash and repr read the stored form alone
+        assert rest[-1] == fresh_copy(rest[-1]) and hash(rest[-1]) == hash(fresh_copy(rest[-1]))
+        assert "_spectral_memo" not in repr(rest[-1])
+        for m in held:
+            copy = fresh_copy(m)
+            assert [eigenspace(m, lam) for lam in (m[0, 0], 0)] == [eigenspace(copy, lam) for lam in (m[0, 0], 0)]
+            assert linalg.ladder_spectrum(m) == linalg.ladder_spectrum(copy)
+
+    @pytest.mark.parametrize("route", [lambda m: eigenspace(m, 3), linalg.ladder_spectrum, linalg.diagonal_spectrum],
+                             ids=["eigenspace", "ladder_spectrum", "diagonal_spectrum"])
+    def test_a_lowered_guard_refuses_a_hit_as_a_miss(self, monkeypatch, route):
+        hit = evaluation_module(3, 2).A
+        assert route(hit) == route(fresh_copy(hit))
+        miss = fresh_copy(hit)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
+        refusals = [outcome(route, m) for m in (hit, miss, hit)]
+        assert refusals == [(DimensionGuardError, "matrix side 4 exceeds the dimension guard 3")] * 3
+        monkeypatch.setattr(linalg, "DIM_GUARD", 4)
+        assert route(hit) == route(miss)

@@ -369,6 +369,11 @@ def direct_antisymmetric(t):
     return frozenset(pair for pair in ORDERED_PAIRS if (t.x[pair] + t.x[pair[::-1]]).is_zero())
 
 
+def fresh_matrix(m):
+    """An equal matrix object, which carries no memo or verdict an earlier call kept."""
+    return Matrix._of(m.rows, m.cols, m._num, m._den)
+
+
 def with_generator(t, pair, mat):
     x = dict(t.x)
     x[pair] = mat
@@ -477,7 +482,9 @@ class TestSixGenerators:
     def count_work(self, t, monkeypatch, checks=EXACT):
         """Eigenspace calls over the checks, and per check the annihilates calls
         and the matrices built (each Matrix constructor runs __post_init__), on
-        a copy of t that keeps no chain of an earlier test."""
+        a copy of t with new matrix objects, so no chain, eigenspace or Norton
+        verdict that an earlier test kept is read."""
+        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x={pair: fresh_matrix(m) for pair, m in t.x.items()})
         calls = {"eigenspace": 0, "annihilates": 0, "matrices": 0}
         for owner, name in ((tetra, "eigenspace"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
             original = getattr(owner, name)
@@ -488,7 +495,6 @@ class TestSixGenerators:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, spy)
-        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
         annihilators, matrices = {}, {}
         for check in checks:
             before = dict(calls)
@@ -537,12 +543,9 @@ class TestSixGenerators:
 
     def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
         # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23); pairwise_burnside
-        # reads it back and computes ker(x_p - d), a line, for p = (0, 2) and (0, 3); the matrices are
-        # copied, so no Norton verdict kept on the fixture's matrices is read
-        copied = TetraModule(dim=d16.dim, diameter=d16.diameter,
-                             x={pair: Matrix._of(m.rows, m.cols, m._num, m._den) for pair, m in d16.x.items()})
+        # reads it back and computes ker(x_p - d), a line, for p = (0, 2) and (0, 3)
         checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
-        eigenspaces, annihilators, _ = self.count_work(copied, monkeypatch, checks)
+        eigenspaces, annihilators, _ = self.count_work(d16, monkeypatch, checks)
         assert eigenspaces == d16.diameter + 3
         assert annihilators == dict.fromkeys(annihilators, 0)
 
