@@ -10,9 +10,9 @@ never reassigned: assignment and deletion raise AttributeError. `==` and
 `hash` compare the field tuple, and `repr` reads `Name(f=v, ...)`.
 
 The base builds no code at class creation, so importing the package loads
-neither dataclasses nor inspect. An attribute that is not a field (a memo
-a class keeps) goes straight into the instance __dict__; ==, hash and repr
-never see it.
+neither dataclasses nor inspect. An attribute that is not a field (a
+Matrix's spectral memo, a TetraModule's antisymmetric pairs) goes straight
+into the instance __dict__; ==, hash and repr never see it.
 """
 
 from __future__ import annotations

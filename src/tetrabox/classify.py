@@ -37,31 +37,29 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
 
 So the matrix side has one route, _full_algebra. Each caller hands it the
 (eigenvalue, eigenspace) pairs of the first generator that it already
-holds: build_tetra and pairwise_burnside their eigenspace chains at d,
-d-2, ..., the tridiagonal-pair checks a's diagonal spectrum, and
-pair_generates_full_algebra (with it is_irreducible_burnside) the ladder
-eigenspaces of linalg._ladder_eigenpairs, computed one at a time. Norton's
+holds or reads off its memo: build_tetra the eigenspaces of A at d, d-2,
+..., pairwise_burnside those of x_p, one at a time, the tridiagonal-pair
+checks a's diagonal spectrum, and pair_generates_full_algebra (with it
+is_irreducible_burnside) the ladder eigenspaces of
+linalg._ladder_eigenpairs, computed one at a time. Norton's
 test decides, in both directions, at the first of them that is a line. The
 closure decides only when none is.
 
-Norton's verdict on a pair is kept on its first generator, a, in a dict
-keyed by the partner b, set by object.__setattr__ as TetraModule's chains
-are (a.__dict__ would materialize and slow every field read): the verdict
-is exact whichever eigenline decided it. A Matrix is immutable, so the bool
-stays true of a, and is_irreducible_burnside, build_tetra, pairwise_burnside
-and the tridiagonal checks spin once per pair of matrix objects. The dict is no
-Matrix field, so ==, hash and repr of a Matrix do not see it; it lives
-and dies with its matrix, and an equal matrix built separately runs its own
-test. A bool costs nothing to keep, so every matrix keeps its verdicts. The
-closure's verdict is not kept: its guard is read at call time, so a pair
-it decided is refused again once the guard is lowered, and a
-DimensionGuardError is raised on every call. Subspaces do cost memory, so
-linalg keeps eigenspaces (the lines Norton spins among them) on only the
-eight matrices that made one last, in a bounded memo with the same
-lifetime (see its docstring): the second of two questions on one pair,
-such as check_onsager_equivalence after build_tetra, forms no kernel the
-first one formed, and a caller that keeps every result does not keep
-every subspace.
+Norton's verdict on a pair is kept in the spectral memo of its first
+generator, a, keyed by the partner b (linalg._spectral_memo), beside a's
+eigenspaces, the lines Norton spins among them: the verdict is exact
+whichever eigenline decided it, and a Matrix is immutable, so the bool
+stays true of a. is_irreducible_burnside, build_tetra, pairwise_burnside
+and the tridiagonal checks spin once per pair of matrix objects while a
+holds its memo, and the second of two questions on one pair, such as
+check_onsager_equivalence after build_tetra, forms no kernel the first one
+formed. The memo has one lifetime and one bound for every fact it keeps
+(see its docstring): it is no Matrix field, so ==, hash and repr do not
+see it, it dies with its matrix, an equal matrix built separately runs
+its own test, and a caller that keeps every result does not keep every
+subspace or verdict. The closure's verdict is not kept: its guard is read
+at call time, so a pair it decided is refused again once the guard is
+lowered, and a DimensionGuardError is raised on every call.
 
 The spins, the intertwiner's included, have no size bound. The closure
 works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
@@ -83,6 +81,8 @@ from .linalg import (
     _echelon,
     _integer_columns,
     _ladder_eigenpairs,
+    _shifted_kernel,
+    _spectral_memo,
     _strip_gcd,
     _tails,
     eigenspace,
@@ -249,12 +249,14 @@ def _norton(a: Matrix, b: Matrix, lam: Fraction | int, line: Subspace) -> bool:
     a^T, b^T, which is exactly when a and b generate End(V) (see the module
     docstring). A False verdict is a spin that stopped short: a proper
     invariant subspace of V, or of V* under the transposes. The spin has no
-    size guard.
+    size guard. w is read off a's transposed integer rows by the kernel that
+    eigenspace forms (linalg._shifted_kernel), so no transpose is built and
+    none takes a memo.
     """
     gens = [a._num, b._num]
     if len(_spin(_integer_columns(line.basis)[0], [_sparse_rows(g) for g in gens])) < a.rows:
         return False
-    dual_line = _integer_columns(eigenspace(a.transpose(), lam).basis)[0]
+    dual_line = _integer_columns(_shifted_kernel(zip(*a._num), a._den, lam).basis)[0]
     return len(_spin(dual_line, [_sparse_rows(zip(*g)) for g in gens])) == a.rows
 
 
@@ -262,18 +264,16 @@ def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | in
     """pair_generates_full_algebra for a caller that holds (eigenvalue,
     eigenspace) pairs of a. They are read lazily, and Norton's test runs at
     the first eigenspace that is a line; only when none is offered does the
-    closure decide. Norton's verdict, exact at any line, is kept on a, keyed
-    by b, and read back before any pair is read (see the module docstring)."""
-    verdicts = getattr(a, "_norton_verdicts", None)
-    if verdicts is None:
-        verdicts = {}
-        object.__setattr__(a, "_norton_verdicts", verdicts)
-    if b not in verdicts:
+    closure decide. Norton's verdict, exact at any line, is kept in a's
+    memo, keyed by b, and read back before any pair is read (see the module
+    docstring)."""
+    memo = _spectral_memo(a)
+    if b not in memo:
         found = next(((lam, space) for lam, space in eigenpairs if space.dim == 1), None)
         if found is None:
             return generated_algebra_dimension(a, b) == a.rows**2
-        verdicts[b] = _norton(a, b, *found)
-    return verdicts[b]
+        memo[b] = _norton(a, b, *found)
+    return memo[b]
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:

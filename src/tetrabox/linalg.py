@@ -54,17 +54,21 @@ polynomial runs only on a shortfall.
 A matrix keeps what eigenspace and _krylov_polynomial compute on it, so
 every spectral route above, and each caller's (build_tetra's pass, then
 check_onsager_equivalence's on the same A and A*), forms each kernel once
-per matrix object. The memo is a dict on the matrix, set by
+per matrix object. The memo is the one place where the package keeps a
+derived fact about a matrix: a dict on the matrix, set by
 object.__setattr__ and read by getattr (never through __dict__, which would
 materialize and slow every field read), outside the fields that ==, hash
-and repr see: eigenspaces keyed by eigenvalue and the Krylov polynomial by
-None, all immutable values. It lives and dies with its matrix, and an equal
-matrix built separately computes its own. At most _MEMO_BOUND matrices hold
-one: weak references to the holders queue oldest first, and a new holder
-past the bound pops the oldest and deletes its memo if it still lives, so
-a caller that keeps every result retains no more than eight matrices'
-subspaces. A hit checks the matrix's side against DIM_GUARD first, as the
-kernel's basis does on a miss, so a lowered guard refuses on every call.
+and repr see. Eigenspaces are keyed by eigenvalue, the Krylov polynomial by
+None and Norton's verdicts (classify) by the partner matrix, which never
+equals a Fraction or None; all are immutable values. It lives and dies
+with its matrix, and an equal matrix built separately computes its own.
+At most _MEMO_BOUND matrices hold one, the twelve generators of one
+TetraModule: weak references to the holders queue oldest first, and a new
+holder past the bound pops the oldest and deletes its memo if it still
+lives, so a caller that keeps every result retains no more than twelve
+matrices' subspaces and verdicts. A hit checks the matrix's side against
+DIM_GUARD first, as the kernel's basis does on a miss, so a lowered guard
+refuses on every call.
 
 Every size bound in the package is the one constant DIM_GUARD, checked by
 require_within_guard on the side of each problem: a matrix's larger side
@@ -494,14 +498,15 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return _span(n, common)
 
 
-_MEMO_BOUND = 8  # matrices that hold a spectral memo at one time
+_MEMO_BOUND = 12  # matrices that hold a spectral memo at one time: a TetraModule's generators
 _memo_holders: deque[weakref.ref] = deque()  # their weak references, oldest first
 
 
 def _spectral_memo(m: Matrix) -> dict:
-    """The memo of m: its eigenspaces keyed by eigenvalue and its Krylov
-    polynomial keyed by None. A matrix that makes one joins the holders, and
-    past the bound the oldest holder leaves them, with its memo if it lives."""
+    """The memo of m: its eigenspaces keyed by eigenvalue, its Krylov
+    polynomial keyed by None and Norton's verdicts keyed by the partner
+    matrix. A matrix that makes one joins the holders, and past the bound
+    the oldest holder leaves them, with its memo if it lives."""
     memo = getattr(m, "_spectral_memo", None)
     if memo is None:
         memo = {}
@@ -523,13 +528,18 @@ def eigenspace(m: Matrix, lam) -> Subspace:
     memo = _spectral_memo(m)
     space = memo.get(lam)
     if space is None:
-        # q den (m - lam I) with lam = p/q: the rows of q * num, less p * den on the diagonal
-        q, shift = lam.denominator, lam.numerator * m._den
-        rows = [[q * x for x in row] for row in m._num]
-        for i, row in enumerate(rows):
-            row[i] -= shift
-        space = memo[lam] = _kernel(m.cols, rows)
+        space = memo[lam] = _shifted_kernel(m._num, m._den, lam)
     return space
+
+
+def _shifted_kernel(num: Iterable[Sequence[int]], den: int, lam: Fraction | int) -> Subspace:
+    """ker(num / den - lam I) for square integer rows num: with lam = p/q, the
+    kernel of q den (num / den - lam I), the rows of q num less p den on the diagonal."""
+    q, shift = lam.denominator, lam.numerator * den
+    rows = [[q * x for x in row] for row in num]
+    for i, row in enumerate(rows):
+        row[i] -= shift
+    return _kernel(len(rows), rows)
 
 
 def is_diagonalizable_with(m: Matrix, eigenvalues: Sequence) -> bool:

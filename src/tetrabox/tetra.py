@@ -35,9 +35,9 @@ Each inclusion of the image of an eigenspace of x_rs under a shifted x_tu
 in a sum of eigenspaces of x_rs, and each inclusion of an eigenspace of x_rt
 in a partial eigenspace sum of x_rs (flag independence), is the test that a
 product of factors x_rs - mu I annihilates it (linalg.annihilates): no
-change of basis, no inverse and no subspace sum. A TetraModule's matrices
-are read-only, so the eigenspace chain of each generator is computed once
-per TetraModule and shared by every check that needs it.
+change of basis, no inverse and no subspace sum. Each eigenspace of a
+generator is formed once and kept in that matrix's spectral memo (linalg),
+so every check that needs a chain shares it; a TetraModule keeps no chain.
 
 Verification runs on six generators once antisymmetry is shown. Whether a
 file's x_sr equals -x_rs exactly is decided once per TetraModule and kept
@@ -178,7 +178,6 @@ class TetraModule(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "x", MappingProxyType(dict(self.x)))
-        object.__setattr__(self, "_chains", {})
         if set(self.x) != set(ORDERED_PAIRS):
             raise ValueError("expected one matrix per ordered pair of distinct corners")
         for pair, mat in self.x.items():
@@ -259,7 +258,7 @@ def _antisymmetric(t: TetraModule) -> frozenset[tuple[int, int]]:
     """The ordered pairs (r, s), both orders, on which x_sr = -x_rs holds exactly.
 
     One comparison of canonical forms per pair r < s, never assumed, when a
-    check first asks; kept on t as its chains are, since t.x is read-only.
+    check first asks; kept on t, since t.x is read-only.
     """
     pairs = getattr(t, "_antisymmetric", None)
     if pairs is None:
@@ -335,21 +334,19 @@ def verify_relations(t: TetraModule) -> VerificationReport:
 def _eigenspace_chain(t: TetraModule, pair: tuple[int, int]) -> tuple[Subspace, ...]:
     """Eigenspaces of x_pair at d, d-2, ..., -d (zero subspace when absent).
 
-    Computed once per pair and kept on t; t.x is read-only, so the chain
-    stays the chain of t.x[pair]. For r > s with x_rs = -x_sr (_antisymmetric),
-    the chain of x_rs is x_sr's reversed, so the eigentable, action table
-    and flag-independence check share six chains on a file that passes
-    antisymmetry, and twelve otherwise. On a file whose relations have
-    passed, _verify asks for the chain of x_01 alone (module docstring), and
-    once the eigentable has passed too, for no other.
+    Each is formed once and kept in the memo of t.x[pair] (linalg), whose
+    bound admits the twelve generators of one module. For r > s with
+    x_rs = -x_sr (_antisymmetric), the chain of x_rs is x_sr's reversed, so
+    the eigentable, action table and flag-independence check share six
+    chains on a file that passes antisymmetry, and up to twelve otherwise.
+    On a file whose relations have passed, _verify asks for the chain of
+    x_01 alone (module docstring), and once the eigentable has passed too,
+    for no other.
     """
     if pair[0] > pair[1] and pair in _antisymmetric(t):
         return _eigenspace_chain(t, pair[::-1])[::-1]
-    chain = t._chains.get(pair)
-    if chain is None:
-        d = t.diameter
-        chain = t._chains[pair] = tuple(eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1))
-    return chain
+    d = t.diameter
+    return tuple(eigenspace(t.x[pair], Fraction(d - 2 * i)) for i in range(d + 1))
 
 
 def eigentable(t: TetraModule) -> EigenTable:
@@ -516,19 +513,15 @@ def pairwise_burnside(t: TetraModule) -> bool:
     Norton's test is sound at any eigenvalue whose eigenspace is a line, so
     each pair is decided at any dimension by one spin, at the first line
     among the eigenspaces of x_p at d, d-2, ...; on every irreducible
-    structure that is ker(x_p - d). A chain already kept on t is read; with
-    none kept the eigenspaces are computed one at a time, as they are asked
-    for, and not kept. Where x_p has no eigenline on the ladder, the
-    Burnside closure decides, within the guard; a verdict already kept on
-    x_p (classify) is read back.
+    structure that is ker(x_p - d). The eigenspaces are read one at a time,
+    as the spin asks for them, off the memo of x_p (linalg), so a chain an
+    earlier check formed is not formed again. Where x_p has no eigenline on
+    the ladder, the Burnside closure decides, within the guard; a verdict
+    already kept in x_p's memo (classify) is read back.
     """
     ladder = range(t.diameter, -t.diameter - 1, -2)
-
-    def eigenpairs(pair: tuple[int, int]):
-        chain = t._chains.get(pair)
-        return zip(ladder, chain) if chain is not None else ((lam, eigenspace(t.x[pair], lam)) for lam in ladder)
-
-    return all(_full_algebra(t.x[p1], t.x[p2], eigenpairs(p1)) for p1, p2 in OPPOSITE_PAIRS)
+    return all(_full_algebra(t.x[p1], t.x[p2], ((lam, eigenspace(t.x[p1], lam)) for lam in ladder))
+               for p1, p2 in OPPOSITE_PAIRS)
 
 
 def _rebuild_is_the_file(t: TetraModule) -> bool:
@@ -537,9 +530,9 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
     the eigentable at the declared d have passed on t (cli._deep_checks calls
     it only then). True when every entry of the (0, 1) row of the eigentable
     is positive and Norton's test on (x_01, x_23), at the first eigenline of
-    x_01's chain, finds the pair irreducible; that verdict is kept on x_01
-    (classify._full_algebra), and pairwise_burnside and build_tetra read it
-    back. False otherwise, with no build run.
+    x_01's chain, finds the pair irreducible; that verdict is kept in x_01's
+    memo (classify._full_algebra), and pairwise_burnside and build_tetra
+    read it back. False otherwise, with no build run.
 
     This is the paper's uniqueness, four flags fix every x_rs, read off
     checks that have run:

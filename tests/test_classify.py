@@ -1,3 +1,4 @@
+import gc
 import weakref
 from collections import deque
 from fractions import Fraction as F
@@ -347,8 +348,8 @@ class TestNortonDifferential:
         assert (generated_algebra_dimension(a, b) == n * n) == expected
         assert pair_generates_full_algebra(a, b) == expected
         assert is_irreducible_burnside(OnsagerModule(n, a, b)) == expected
-        # a Norton verdict is kept on a exactly when the entry found an eigenline to spin
-        verdicts = vars(a)["_norton_verdicts"]
+        # a Norton verdict is kept in a's memo exactly when the entry found an eigenline to spin
+        verdicts = norton_verdicts(a)
         if kind == "triangular":
             assert verdicts == {b: False}
         elif kind == "generic":
@@ -371,7 +372,7 @@ class TestNortonDifferential:
         roots = sorted(linalg.rational_roots(linalg.minimal_polynomial(a)), reverse=True)
         eigenpairs = [(lam, eigenspace(a, lam)) for lam in roots]
         for order in (eigenpairs, eigenpairs[::-1], data.draw(st.permutations(eigenpairs))):
-            vars(a).pop("_norton_verdicts", None)
+            linalg._spectral_memo(a).pop(b, None)
             assert classify._full_algebra(a, b, order) == expected
 
     def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
@@ -429,7 +430,7 @@ class TestOneLadderRoute:
         closures, polynomials = spy_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
         m = module()
         assert pair_generates_full_algebra(m.A, m.Astar) is expected
-        assert vars(m.A)["_norton_verdicts"] == {m.Astar: expected}
+        assert norton_verdicts(m.A) == {m.Astar: expected}
         assert closures == []
         assert polynomials == ([m.A] if small_first else [])
 
@@ -742,22 +743,36 @@ def spy_norton(monkeypatch) -> list:
     return calls
 
 
-def spy_eigenspaces(monkeypatch) -> list:
-    """(matrix, eigenvalue) of every eigenspace kernel from now on. The list
-    holds each matrix, so no two of them share an id while it lives."""
-    calls = []
-    real = linalg.eigenspace
-    for module in (linalg, classify, tetra):
-        monkeypatch.setattr(module, "eigenspace", lambda m, lam: calls.append((m, lam)) or real(m, lam))
-    return calls
-
-
 def spy_kernels(monkeypatch) -> list:
     """The width of every kernel linalg forms from now on, eigenspaces included."""
     calls = []
     real = linalg._kernel
     monkeypatch.setattr(linalg, "_kernel", lambda width, rows: calls.append(width) or real(width, rows))
     return calls
+
+
+def spy_eigenspaces(monkeypatch) -> list:
+    """(matrix, eigenvalue) of every eigenspace call that forms its kernel from
+    now on; a memo hit forms none. The list holds each matrix, so no two of
+    them share an id while it lives."""
+    calls, kernels = [], spy_kernels(monkeypatch)
+    real = linalg.eigenspace
+
+    def spy(m, lam):
+        before = len(kernels)
+        space = real(m, lam)
+        if len(kernels) > before:
+            calls.append((m, lam))
+        return space
+
+    for module in (linalg, classify, tetra):
+        monkeypatch.setattr(module, "eigenspace", spy)
+    return calls
+
+
+def norton_verdicts(a: Matrix) -> dict:
+    """Norton's verdicts kept in a's spectral memo, keyed by the partner matrix."""
+    return {b: verdict for b, verdict in a._spectral_memo.items() if isinstance(b, Matrix)}
 
 
 def recomputed(calls: list) -> list:
@@ -799,15 +814,15 @@ class TestOneNortonVerdictPerPair:
         first, second = (build_from_spec(spec((2, 3), (1, 5))) for _ in range(2))
         assert first.A == second.A and first.A is not second.A
         before = (hash(first.A), repr(first.A))
-        assert "_norton_verdicts" not in vars(first.A)
+        assert "_spectral_memo" not in vars(first.A)
         calls = spy_norton(monkeypatch)
         assert is_irreducible_burnside(first) and is_irreducible_burnside(first)
         assert len(calls) == 1
         assert is_irreducible_burnside(second)
         assert len(calls) == 2 and calls[1][0] is second.A
-        # the verdict sits in the instance __dict__, outside the fields that ==, hash and repr read
-        assert vars(first.A)["_norton_verdicts"] == {first.Astar: True}
-        assert "_norton_verdicts" not in Matrix._fields
+        # the verdict sits in the memo in the instance __dict__, outside the fields that ==, hash and repr read
+        assert norton_verdicts(first.A) == {first.Astar: True}
+        assert "_spectral_memo" not in Matrix._fields
         assert first.A == second.A
         assert (hash(first.A), repr(first.A)) == before == (hash(second.A), repr(second.A))
 
@@ -820,7 +835,8 @@ class TestOneNortonVerdictPerPair:
         # so do the eigenspaces build_tetra and the tridiagonal check read, kept on A and Astar
         m = build_from_spec(spec((1, 2), (1, 3)))
         assert is_irreducible_burnside(m) and build_tetra(m).dim == 4 and check_onsager_equivalence(m.A, m.Astar)
-        assert len(m.A._spectral_memo) == len(m.Astar._spectral_memo) == 4  # 3 rungs and the Krylov polynomial
+        # 3 rungs and the Krylov polynomial on each, and on A Norton's verdict on (A, Astar)
+        assert (len(m.A._spectral_memo), len(m.Astar._spectral_memo)) == (5, 4)
         a, astar = weakref.ref(m.A), weakref.ref(m.Astar)
         del m
         assert a() is None and astar() is None
@@ -855,7 +871,7 @@ class TestOneNortonVerdictPerPair:
             for check in checks:
                 with pytest.raises(DimensionGuardError, match="Burnside closure dimension 16"):
                     check(m)
-        assert vars(m.A).get("_norton_verdicts", {}) == {}
+        assert norton_verdicts(m.A) == {}
 
     @pytest.mark.parametrize("factors", [[(1, 2), (2, 3)], [(1, 2), (2, F(1, 2))]], ids=["irreducible", "reducible"])
     def test_no_eigenspace_recomputes_a_line_in_hand(self, monkeypatch, factors):
@@ -880,3 +896,45 @@ class TestOneNortonVerdictPerPair:
             eigentable(t)
             assert pairwise_burnside(t)
             assert recomputed(calls) == []
+
+
+def count_subspaces() -> int:
+    """The Subspace objects alive now."""
+    gc.collect()
+    return sum(isinstance(obj, linalg.Subspace) for obj in gc.get_objects())
+
+
+class TestOneMemoPerMatrix:
+    """linalg's spectral memo is the one place where a derived fact about a matrix is kept: a TetraModule
+    keeps no chain and a Matrix no verdict beside it, so one bound holds for every kept subspace."""
+
+    def test_kept_modules_keep_the_subspaces_of_the_bounded_holders(self):
+        # 30 kept d16 modules after their eigentables: at most _MEMO_BOUND generators keep their d + 1 eigenspaces
+        s = spec((3, 2), (3, 3))
+        before, kept = count_subspaces(), []
+        for _ in range(30):
+            kept.append(build_tetra_from_spec(s))
+            assert eigentable(kept[-1]).all_passed
+        assert count_subspaces() - before <= linalg._MEMO_BOUND * (s.degree_sum + 1)
+
+    def test_matrices_and_modules_keep_nothing_beside_the_memo(self):
+        m = build_from_spec(spec((3, 2), (3, 3)))
+        assert is_irreducible_burnside(m)
+        t = build_tetra(m)
+        assert check_onsager_equivalence(m.A, m.Astar)
+        relations, table, actions, independent = tetra._verify(t)
+        assert relations.all_passed and table.all_passed and actions.all_passed and independent
+        assert pairwise_burnside(t)
+        fields = set(Matrix._fields) | {"_spectral_memo"}
+        assert set(vars(m.A)) == set(vars(m.Astar)) == fields
+        assert all(set(vars(x)) <= fields for x in t.x.values())
+        assert set(vars(t)) == {"dim", "diameter", "x", "_antisymmetric"}
+
+    def test_norton_makes_its_first_generator_the_only_new_holder(self, monkeypatch):
+        # the dual line ker(A^T - d) is read off A's transposed rows: no transpose is built to hold a memo
+        m = build_from_spec(spec((3, 2), (3, 3)))
+        before = list(linalg._memo_holders)
+        calls = spy_norton(monkeypatch)
+        assert is_irreducible_burnside(m) and len(calls) == 1
+        new = [ref() for ref in linalg._memo_holders if all(ref is not old for old in before)]
+        assert len(new) == 1 and new[0] is m.A

@@ -721,8 +721,9 @@ SPECTRAL_ROUTES = {
 
 class TestSpectralMemo:
     """eigenspace and _krylov_polynomial keep what they compute on the matrix, in a
-    memo that at most linalg._MEMO_BOUND matrices hold at once (its lifetime is pinned
-    by test_classify.py::TestOneNortonVerdictPerPair::test_verdict_dies_with_its_matrix)."""
+    memo that at most linalg._MEMO_BOUND matrices hold at once and that also keeps
+    Norton's verdicts (its lifetime is pinned by
+    test_classify.py::TestOneNortonVerdictPerPair::test_verdict_dies_with_its_matrix)."""
 
     @settings(deadline=None, max_examples=150)
     @given(square_matrices(), st.lists(st.one_of(spectrum_values, entries), max_size=4))
@@ -737,6 +738,13 @@ class TestSpectralMemo:
         for name, route in SPECTRAL_ROUTES.items():
             expected = outcome(route, fresh_copy(m))
             assert outcome(route, m) == outcome(route, m) == expected, name
+
+    @settings(deadline=None, max_examples=100)
+    @given(square_matrices(), st.lists(st.one_of(spectrum_values, entries), max_size=3))
+    def test_a_kernel_of_transposed_rows_is_the_transposes_eigenspace(self, m, eigenvalues):
+        # Norton's dual line: read off the transposed integer rows, with no transpose to hold a memo
+        for lam in eigenvalues:
+            assert linalg._shifted_kernel(zip(*m._num), m._den, lam) == eigenspace(m.transpose(), lam)
 
     def test_the_oldest_holder_beyond_the_bound_loses_its_memo(self):
         held = [Matrix.from_rows([[k, 1], [0, -k]]) for k in range(1, linalg._MEMO_BOUND + 2)]

@@ -326,16 +326,17 @@ def test_a_class_attribute_is_the_default():
 
 def test_tetra_module_memo_is_outside_the_fields():
     tetra = build_tetra(build_from_spec(V))
-    assert tetra._chains == {} and "_chains" not in tetra._fields and "_chains" not in repr(tetra)
     # the antisymmetric pairs are kept only once asked for
-    assert "_antisymmetric" not in vars(tetra)
-    # every check keeps its chains and the antisymmetric pairs, which cannot change a result, and no verdict
+    assert set(vars(tetra)) == {"dim", "diameter", "x"}
+    # every check keeps the antisymmetric pairs, which cannot change a result, and no chain or verdict:
+    # eigenspaces are kept in the memos of the matrices (linalg)
     assert verify_relations(tetra).all_passed and eigentable(tetra).all_passed
     assert verify_action_table(tetra).all_passed and flag_independence_check(tetra)
     relations, table, actions, independent = _verify(tetra)
     assert relations.all_passed and table.all_passed and actions.all_passed and independent
-    assert set(vars(tetra)) == {"dim", "diameter", "x", "_chains", "_antisymmetric"}
+    assert set(vars(tetra)) == {"dim", "diameter", "x", "_antisymmetric"}
+    assert "_antisymmetric" not in tetra._fields and "_antisymmetric" not in repr(tetra)
     assert isinstance(tetra.x, MappingProxyType)
     twin = TetraModule(tetra.dim, tetra.diameter, tetra.x)
-    assert twin != tetra and twin._chains is not tetra._chains
+    assert twin != tetra and "_antisymmetric" not in vars(twin)
     assert tetra == tetra and hash(tetra) == object.__hash__(tetra)

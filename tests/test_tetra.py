@@ -374,6 +374,16 @@ def fresh_matrix(m):
     return Matrix._of(m.rows, m.cols, m._num, m._den)
 
 
+def fresh_module(t):
+    """An equal module on fresh matrix objects, which hold no memo an earlier call kept."""
+    return TetraModule(dim=t.dim, diameter=t.diameter, x={pair: fresh_matrix(m) for pair, m in t.x.items()})
+
+
+def memo_holders(t):
+    """The pairs whose generator in t holds a spectral memo."""
+    return {pair for pair, m in t.x.items() if hasattr(m, "_spectral_memo")}
+
+
 def with_generator(t, pair, mat):
     x = dict(t.x)
     x[pair] = mat
@@ -480,13 +490,13 @@ class TestSixGenerators:
     EXACT = (verify_relations, eigentable, verify_action_table, flag_independence_check)
 
     def count_work(self, t, monkeypatch, checks=EXACT):
-        """Eigenspace calls over the checks, and per check the annihilates calls
+        """Kernels formed over the checks, and per check the annihilates calls
         and the matrices built (each Matrix constructor runs __post_init__), on
-        a copy of t with new matrix objects, so no chain, eigenspace or Norton
-        verdict that an earlier test kept is read."""
-        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x={pair: fresh_matrix(m) for pair, m in t.x.items()})
-        calls = {"eigenspace": 0, "annihilates": 0, "matrices": 0}
-        for owner, name in ((tetra, "eigenspace"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
+        a copy of t with new matrix objects, so no eigenspace or Norton verdict
+        that an earlier test kept in a matrix's memo is read."""
+        fresh = fresh_module(t)
+        calls = {"_kernel": 0, "annihilates": 0, "matrices": 0}
+        for owner, name in ((linalg, "_kernel"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
             original = getattr(owner, name)
             key = "matrices" if owner is linalg.Matrix else name
 
@@ -501,12 +511,12 @@ class TestSixGenerators:
             check(fresh)
             annihilators[check.__name__] = calls["annihilates"] - before["annihilates"]
             matrices[check.__name__] = calls["matrices"] - before["matrices"]
-        return calls["eigenspace"], annihilators, matrices
+        return calls["_kernel"], annihilators, matrices
 
     def test_built_module(self, d16, monkeypatch):
         assert _antisymmetric(d16) == frozenset(ORDERED_PAIRS)
-        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch)
-        assert eigenspaces == 6 * (d16.diameter + 1)
+        kernels, annihilators, matrices = self.count_work(d16, monkeypatch)
+        assert kernels == 6 * (d16.diameter + 1)
         # flag independence: two calls per corner
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
                                 "verify_action_table": 36, "flag_independence_check": 8}
@@ -521,32 +531,34 @@ class TestSixGenerators:
     def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
         # _verify: the relations have passed, so the eigentable computes the chain of x_01 alone, and once
         # it has passed too nothing is computed after it; the matrices are the relations' 60 and 7 bases
-        eigenspaces, annihilators, matrices = self.count_work(d16, monkeypatch, (tetra._verify,))
-        assert eigenspaces == d16.diameter + 1
+        kernels, annihilators, matrices = self.count_work(d16, monkeypatch, (tetra._verify,))
+        assert kernels == d16.diameter + 1
         assert annihilators == {"_verify": 0}
         assert matrices == {"_verify": 67}
 
     def test_public_checks_compute_whatever_ran_before(self, d16, monkeypatch):
         # verify's stages through the public functions on one TetraModule: the relations pass, and the three
         # later stages still compute six chains and every inclusion; no verdict is kept on the module
-        t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
+        t = fresh_module(d16)
         chains, annihilators = [], []
         real_chain, real_annihilates = tetra._eigenspace_chain, tetra.annihilates
         monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real_chain(t, pair))
         monkeypatch.setattr(tetra, "annihilates", lambda *args: annihilators.append(args) or real_annihilates(*args))
         assert verify_relations(t).all_passed
         assert eigentable(t).all_passed
-        assert set(t._chains) == set(chains) == set(UNORDERED_PAIRS)
+        assert memo_holders(t) == set(chains) == set(UNORDERED_PAIRS)
         assert verify_action_table(t).all_passed and len(annihilators) == 36
         assert flag_independence_check(t) and len(annihilators) == 36 + 8
+        assert memo_holders(t) == set(UNORDERED_PAIRS)
         assert not {"_relations_passed", "_eigentable_passed"} & set(vars(t))
 
     def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
-        # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23); pairwise_burnside
-        # reads it back and computes ker(x_p - d), a line, for p = (0, 2) and (0, 3)
+        # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23), forming the dual
+        # line ker(x_01^T - d); pairwise_burnside reads it back and forms ker(x_p - d), a line, and its dual
+        # line for p = (0, 2) and (0, 3)
         checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
-        eigenspaces, annihilators, _ = self.count_work(d16, monkeypatch, checks)
-        assert eigenspaces == d16.diameter + 3
+        kernels, annihilators, _ = self.count_work(d16, monkeypatch, checks)
+        assert kernels == d16.diameter + 6
         assert annihilators == dict.fromkeys(annihilators, 0)
 
     @pytest.mark.parametrize("relations", ["unverified", "failed", "passed"])
@@ -555,7 +567,7 @@ class TestSixGenerators:
         # eigentable computes six chains, after relations that failed as after none (a mirrored change
         # still passes antisymmetry but fails the triangle relations)
         t = with_mirrored_change(d16, (0, 2), F(1, 7)) if relations == "failed" else d16
-        fresh = TetraModule(dim=t.dim, diameter=t.diameter, x=dict(t.x))
+        fresh = fresh_module(t)
         if relations == "failed":
             assert not verify_relations(fresh).all_passed
         chains = []
@@ -566,13 +578,13 @@ class TestSixGenerators:
         else:
             eigentable(fresh)
         expected = [(0, 1)] if relations == "passed" else list(UNORDERED_PAIRS)
-        assert chains == expected and set(fresh._chains) == set(expected)
+        assert chains == expected and memo_holders(fresh) == set(expected)
 
     def test_one_reversed_generator_changed(self, d16, monkeypatch):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
         assert _antisymmetric(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
-        eigenspaces, annihilators, matrices = self.count_work(t, monkeypatch)
-        assert eigenspaces == 7 * (t.diameter + 1)
+        kernels, annihilators, matrices = self.count_work(t, monkeypatch)
+        assert kernels == 7 * (t.diameter + 1)
         # flag independence: corner 0 passes with its two calls, and corner 1
         # fails on the dimensions of x_10's chain before any call
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
@@ -583,6 +595,16 @@ class TestSixGenerators:
         # are not mirrored
         assert matrices == {"verify_relations": 97, "eigentable": 42,
                             "verify_action_table": 106, "flag_independence_check": 2}
+
+    @pytest.mark.parametrize("changed, kernels", [(0, 7), (1, 49), (2, 56), (3, 63), (6, 84)])
+    def test_verify_forms_each_chain_once(self, d16, monkeypatch, changed, kernels):
+        # each pair that is not mirrored adds the chain of x_sr to the six; the memo holds the twelve
+        # generators of one module, so with 9 to 12 chains none is formed twice
+        t = d16
+        for r, s in UNORDERED_PAIRS[:changed]:
+            t = with_generator(t, (s, r), with_entry_changed(t.x[(s, r)], 0, 0, 1))
+        assert len(_antisymmetric(t)) == 2 * (6 - changed)
+        assert self.count_work(t, monkeypatch, (tetra._verify,))[0] == kernels
 
     def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch):
         # x_sr = -x_rs is compared once per pair r < s, on the stored forms, and every stage reads the
