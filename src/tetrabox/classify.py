@@ -7,6 +7,9 @@ absolutely irreducibly exactly when the unital associative algebra it
 generates is the full matrix algebra, of dimension dim^2. Isomorphism is
 decided either by equivalence of evaluation data (permutations and
 parameter inversions) or by an explicit intertwiner, one spin in M1 + M2.
+The criterion and the equivalence key read a spec alone, so they live in
+onsager beside ModuleSpec, and this module re-exports them; the matrix
+routes are here.
 
 The Burnside closure has one entry, generated_algebra_dimension. It runs
 the word closure over the prime field F_65521 first: full rank there proves
@@ -89,53 +92,11 @@ from .linalg import (
     require_within_guard,
 )
 from .onsager import ModuleSpec, OnsagerModule, _generator_spectrum
+# the criterion and the key read a spec alone and live in onsager; re-exported here
+from .onsager import _canonical_parameter, _reducibility_diagnostic, are_equivalent, equivalence_key
+from .onsager import is_irreducible_criterion
 
 _PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
-
-
-def _canonical_parameter(a: Fraction) -> str:
-    """Representative of {a, 1/a}: the lexicographically smaller serialization."""
-    return min(str(a), str(1 / a))
-
-
-def equivalence_key(spec: ModuleSpec) -> tuple[tuple[int, str], ...]:
-    """Multiset key invariant under factor permutation and parameter inversion.
-
-    Trivial (n = 0) factors do not change the module and are dropped.
-    """
-    items = [(n, _canonical_parameter(a)) for n, a in spec.factors if n >= 1]
-    return tuple(sorted(items))
-
-
-def is_irreducible_criterion(spec: ModuleSpec) -> bool:
-    """Evaluation-parameter criterion: the 2n values a_i, a_i^-1 are distinct.
-
-    The type shift never affects irreducibility and is ignored. A spec with
-    no nontrivial factor is the one-dimensional module, which is irreducible.
-    """
-    values: list[Fraction] = []
-    for n, a in spec.factors:
-        if n >= 1:
-            values.append(a)
-            values.append(1 / a)
-    return len(set(values)) == len(values)
-
-
-def _reducibility_diagnostic(spec: ModuleSpec) -> str | None:
-    """Why spec fails the criterion, as one line; None when it passes."""
-    if is_irreducible_criterion(spec):
-        return None
-    if any(n >= 1 and a * a == 1 for n, a in spec.factors):
-        return "reducible: a = ±1 in an evaluation factor"
-    return "reducible: the parameters a_i, a_i^-1 are not mutually distinct"
-
-
-def are_equivalent(s1: ModuleSpec, s2: ModuleSpec) -> bool:
-    """Equal up to factor permutation and replacing parameters by inverses."""
-    for s in (s1, s2):
-        if s.shift != (Fraction(0), Fraction(0)):
-            raise ValueError("equivalence is defined for type-(0,0) specs; normalize first")
-    return equivalence_key(s1) == equivalence_key(s2)
 
 
 def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:

@@ -1,7 +1,7 @@
 """Command-line front end: build, verify, classify, compare, inspect.
 
 `build` has the spec, so it folds the twelve generators from the spec's
-evaluation factors (tetra.build_tetra_from_spec) and prints its refusals.
+evaluation factors (onsager.build_tetra_from_spec) and prints its refusals.
 `verify` runs its four plain checks through tetra._verify, which reads the
 eigentable off x_01's chain once the relations pass, and the action table
 and flag independence off both once the eigentable passes too; `inspect
@@ -23,6 +23,13 @@ plain check, whose (0, 1) row has a zero, whose pair Norton finds reducible
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
+The module's top level imports only errors, and each command imports what
+it runs when it runs, so a process compiles only those modules: `build`,
+its refusals and `classify` load onsager, serialize and what they import
+(linalg, errors, _record); `verify` and `inspect --table` add tetra,
+`verify --deep` tetra and classify, `compare` classify and `inspect
+--flags` flags.
+
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed checks or input above the dimension guard
@@ -40,8 +47,9 @@ A module file whose diameter d is at least its dimension is malformed
 generator's eigenvalue fails verification (exit 1). A stdout closed early
 (`tetrabox verify m.json | head -1`) ends the process by SIGPIPE, as it ends
 other filters, with no traceback and not with exit 1. The same entry point
-lifts Python's limit on the digits of an int-string conversion, so a file's
-rational literals and a failed check's residual may be of any length.
+lifts Python's limit on the digits of an int-string conversion, so a failed
+check's residual may be of any length; a rational literal in a file may be
+up to serialize.LITERAL_GUARD characters long, and a longer one exits 2.
 """
 
 from __future__ import annotations
@@ -51,37 +59,7 @@ import json
 import signal
 import sys
 
-from .classify import (
-    _intertwiner_with_top,
-    _reducibility_diagnostic,
-    equivalence_key,
-    is_irreducible_criterion,
-    is_isomorphic,
-)
 from .errors import DimensionGuardError, TetraboxError
-from .flags import four_flags
-from .linalg import require_within_guard
-from .onsager import ModuleSpec, OnsagerModule, build_from_spec
-from .serialize import (
-    eigentable_to_json,
-    flags_to_json,
-    module_from_json,
-    module_to_json,
-    report_to_json,
-    spec_from_json,
-    spec_to_json,
-    tetra_from_json,
-    tetra_to_json,
-)
-from .tetra import (
-    TetraModule,
-    _rebuild_is_the_file,
-    _verify,
-    build_tetra,
-    build_tetra_from_spec,
-    eigentable,
-    pairwise_burnside,
-)
 
 
 class _InputError(Exception):
@@ -101,6 +79,8 @@ def _load_json(path: str):
 
 
 def _load_spec(path: str) -> ModuleSpec:
+    from .serialize import spec_from_json
+
     try:
         return spec_from_json(_load_json(path))
     except ValueError as exc:
@@ -117,6 +97,9 @@ def _emit(payload) -> None:
 
 
 def cmd_build(args) -> int:
+    from .onsager import OnsagerModule, build_tetra_from_spec
+    from .serialize import module_to_json, spec_to_json, tetra_to_json
+
     spec = _load_spec(args.spec)
     tetra = build_tetra_from_spec(spec)  # its refusals (reducible, shifted, guard) exit 1 in main
     # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
@@ -135,6 +118,9 @@ def cmd_build(args) -> int:
 
 def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleSpec | None, verified: bool) -> dict:
     # verified: the four plain checks passed, which _rebuild_is_the_file presumes
+    from .onsager import OnsagerModule, build_from_spec
+    from .tetra import _rebuild_is_the_file, build_tetra, pairwise_burnside
+
     out = {"pass": True}
     keys = ["rebuild_matches", "roundtrip_uniqueness", "spec_matches", "pairwise_burnside"]
     if spec is None:
@@ -167,6 +153,9 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
 
 
 def cmd_verify(args) -> int:
+    from .serialize import eigentable_to_json, module_from_json, report_to_json, spec_from_json, tetra_from_json
+    from .tetra import _verify
+
     data = _load_json(args.module)
     try:
         tetra = tetra_from_json(_section(data, "tetra"))
@@ -203,6 +192,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .linalg import require_within_guard
+    from .onsager import equivalence_key, is_irreducible_criterion
+
     spec = _load_spec(args.spec)
     # diameter and type are the spec's degree sum and shift; nothing is built
     require_within_guard(spec.dim, "module dimension")
@@ -220,6 +212,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .classify import _intertwiner_with_top, is_isomorphic
+    from .onsager import _reducibility_diagnostic, build_from_spec
+
     s1 = _load_spec(args.spec1)
     s2 = _load_spec(args.spec2)
     for path, spec in ((args.spec1, s1), (args.spec2, s2)):
@@ -252,9 +247,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .serialize import eigentable_to_json, flags_to_json, module_from_json, tetra_from_json
+
     data = _load_json(args.module)
     try:
         if args.flags:
+            from .flags import four_flags
+            from .onsager import OnsagerModule
+
             module = module_from_json(_section(data, "module"))
             payload = {"flags": flags_to_json(four_flags(module))}
             # a build file's module section is a copy of its x_01, x_23, as verify --deep reads it
@@ -263,6 +263,8 @@ def cmd_inspect(args) -> int:
                 _fail(f"{args.module}: the module section is not the tetra section's (x_01, x_23)")
                 return 1
         else:
+            from .tetra import eigentable
+
             tetra = tetra_from_json(_section(data, "tetra"))
             payload = {"eigentable": eigentable_to_json(eigentable(tetra))}
     except (ValueError, KeyError) as exc:

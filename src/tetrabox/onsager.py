@@ -21,15 +21,23 @@ element of sl2 fixed by a (_EVALUATION):
   x_01 = rho_n(e + f) = A and x_23 = rho_n(a e + a^-1 f) = Astar. On an
   irreducible module x_01 and x_23 fix the four flags and the flags fix
   every x_rs, so these are the matrices tetra.build_tetra derives.
+
+Everything a spec alone decides lives here, beside ModuleSpec: the
+evaluation-parameter criterion and its one-line diagnostic, the equivalence
+key, and the spec route of the twelve generators (build_tetra_from_spec,
+with the TetraModule record it fills and the corner constants). So
+`tetrabox build` loads neither classify nor tetra; both re-export these
+names, and every import path keeps working.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from ._record import Record
-from .errors import SpectrumError
+from .errors import ReducibleModuleError, SpectrumError, TypeShiftError
 from .linalg import Matrix, Subspace, commutator, kron, ladder_spectrum, require_within_guard
 
 Q0 = Fraction(0)
@@ -133,6 +141,51 @@ class ModuleSpec(Record):
         return sum(n for n, _ in self.factors)
 
 
+def _canonical_parameter(a: Fraction) -> str:
+    """Representative of {a, 1/a}: the lexicographically smaller serialization."""
+    return min(str(a), str(1 / a))
+
+
+def equivalence_key(spec: ModuleSpec) -> tuple[tuple[int, str], ...]:
+    """Multiset key invariant under factor permutation and parameter inversion.
+
+    Trivial (n = 0) factors do not change the module and are dropped.
+    """
+    items = [(n, _canonical_parameter(a)) for n, a in spec.factors if n >= 1]
+    return tuple(sorted(items))
+
+
+def is_irreducible_criterion(spec: ModuleSpec) -> bool:
+    """Evaluation-parameter criterion: the 2n values a_i, a_i^-1 are distinct.
+
+    The type shift never affects irreducibility and is ignored. A spec with
+    no nontrivial factor is the one-dimensional module, which is irreducible.
+    """
+    values: list[Fraction] = []
+    for n, a in spec.factors:
+        if n >= 1:
+            values.append(a)
+            values.append(1 / a)
+    return len(set(values)) == len(values)
+
+
+def _reducibility_diagnostic(spec: ModuleSpec) -> str | None:
+    """Why spec fails the criterion, as one line; None when it passes."""
+    if is_irreducible_criterion(spec):
+        return None
+    if any(n >= 1 and a * a == 1 for n, a in spec.factors):
+        return "reducible: a = ±1 in an evaluation factor"
+    return "reducible: the parameters a_i, a_i^-1 are not mutually distinct"
+
+
+def are_equivalent(s1: ModuleSpec, s2: ModuleSpec) -> bool:
+    """Equal up to factor permutation and replacing parameters by inverses."""
+    for s in (s1, s2):
+        if s.shift != (Fraction(0), Fraction(0)):
+            raise ValueError("equivalence is defined for type-(0,0) specs; normalize first")
+    return equivalence_key(s1) == equivalence_key(s2)
+
+
 # (gamma, alpha, beta) of X_rs = gamma h + alpha e + beta f, the action of x_rs
 # (r < s) on V(1, a); the four pairs that mix A and Astar need a != +-1
 _EVALUATION = {
@@ -216,6 +269,68 @@ def build_from_spec(spec: ModuleSpec) -> OnsagerModule:
         ident = Matrix.identity(module.dim)
         module = OnsagerModule(module.dim, module.A + alpha * ident, module.Astar + alphastar * ident)
     return module
+
+
+CORNERS = (0, 1, 2, 3)
+
+ORDERED_PAIRS = tuple((r, s) for r in CORNERS for s in CORNERS if r != s)
+
+UNORDERED_PAIRS = tuple((r, s) for r in CORNERS for s in CORNERS if r < s)
+
+# the three ways to split the four corners into two disjoint pairs
+OPPOSITE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+class TetraModule(Record):
+    """The twelve generator matrices x_rs on one module, as a read-only copy
+    of the table given; the four flags are four_flags of (x_01, x_23)."""
+
+    dim: int
+    diameter: int
+    x: MappingProxyType[tuple[int, int], Matrix]
+    _fields = ("dim", "diameter", "x")
+    # compared by identity: x is a mapping proxy, which has no hash
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", MappingProxyType(dict(self.x)))
+        if set(self.x) != set(ORDERED_PAIRS):
+            raise ValueError("expected one matrix per ordered pair of distinct corners")
+        for pair, mat in self.x.items():
+            if not mat.is_square or mat.rows != self.dim:
+                raise ValueError(f"matrix for {pair} does not act on the module")
+
+
+def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
+    """The twelve generator matrices of a spec's module, folded from its factors.
+
+    On each evaluation factor (n_i, a_i), x_rs for r < s is rho_n of its
+    closed form in sl2, and the factors' matrices are folded as
+    build_from_spec folds A and Astar (_folded_generators), so x_01 and x_23
+    equal its A and Astar entry for entry and every x_rs equals
+    tetra.build_tetra(build_from_spec(spec)).x[rs] (module docstring).
+    Only x_rs with r < s is folded: x_sr = -x_rs on each factor, and a
+    Kronecker sum is linear.
+
+    Refuses the specs tetra.build_tetra(build_from_spec(spec)) refuses,
+    before any factor is built, in this order and with the one-line texts
+    `tetrabox build` prints: ReducibleModuleError when the
+    evaluation-parameter criterion fails (a = +-1, where the closed forms
+    have no value, or a collision between two factors, which is invisible
+    to each factor alone), TypeShiftError on a nonzero shift,
+    DimensionGuardError when spec.dim is above linalg.DIM_GUARD.
+    """
+    reason = _reducibility_diagnostic(spec)
+    if reason is not None:
+        raise ReducibleModuleError(reason)
+    alpha, alphastar = spec.shift
+    if alpha != 0 or alphastar != 0:
+        raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
+                             "only type-(0,0) modules carry the six-generator structure")
+    x = _folded_generators(spec, UNORDERED_PAIRS)
+    x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
+    return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
 # the refusal of a generator that is not diagonalizable with spectrum c, c-2, ..., c-2d

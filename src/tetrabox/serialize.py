@@ -4,6 +4,10 @@ Rationals serialize as strings "p/q" (or "p" when the denominator is 1)
 with the sign on the numerator; matrices as row-major nested arrays of such
 strings. Encoders emit plain dicts with a fixed key order so that dumps are
 byte-reproducible.
+
+A literal read back may be at most LITERAL_GUARD characters long, and a
+longer one is refused before it is converted: int(str) is quadratic in the
+digits, and one 400 000-digit entry kept a d4 verify busy for minutes.
 """
 
 from __future__ import annotations
@@ -12,16 +16,22 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .flags import Flag
 from .linalg import Matrix
-from .onsager import ModuleSpec, OnsagerModule
-from .tetra import EigenTable, TetraModule, VerificationReport
+from .onsager import ModuleSpec, OnsagerModule, TetraModule
+
+# Flag, EigenTable and VerificationReport appear in annotations only, so
+# flags and tetra are not imported: `tetrabox build` loads neither.
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+# characters of one rational literal read back; 4000-digit entries pass
+LITERAL_GUARD = 10_000
 
 
 def _rational_parts(text: str) -> tuple[int, int]:
     """Numerator and positive denominator of a validated literal, as written."""
+    if isinstance(text, str) and len(text) > LITERAL_GUARD:
+        raise ValueError(f"rational literal of {len(text)} characters exceeds the literal guard {LITERAL_GUARD}")
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")

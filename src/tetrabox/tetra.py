@@ -8,7 +8,13 @@ tetrahedron algebra acts on V (x) W by x_rs (x) I + I (x) x_rs. On each
 evaluation factor V(n, a), x_rs is rho_n of a fixed element of sl2, read off
 the four flags of V(1, a) (onsager module docstring), so the six x_rs with
 r < s are folded from closed forms, as build_from_spec folds A and Astar,
-and negated for x_sr. No spectrum, flag or solve is computed.
+and negated for x_sr. No spectrum, flag or solve is computed. That route
+reads the spec alone, so it lives in onsager with the TetraModule record
+and the corner constants, and this module re-exports them: `tetrabox build`
+loads no tetra. This module holds the matrix routes, and it imports classify
+(Norton's test) and flags only inside build_tetra, pairwise_burnside and
+_rebuild_is_the_file, so `tetrabox verify` loads neither and
+`verify --deep` only classify.
 
 From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
@@ -103,23 +109,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from operator import neg
-from types import MappingProxyType
 
 from ._record import Record
-from .classify import _full_algebra, _reducibility_diagnostic
 from .errors import OppositionError, ReducibleModuleError, TypeShiftError
-from .flags import _acting_as, _flag_components, _induced_subspaces
 from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstack
-from .onsager import ModuleSpec, OnsagerModule, _folded_generators, _module_spectra
-
-CORNERS = (0, 1, 2, 3)
-
-ORDERED_PAIRS = tuple((r, s) for r in CORNERS for s in CORNERS if r != s)
-
-UNORDERED_PAIRS = tuple((r, s) for r in CORNERS for s in CORNERS if r < s)
-
-# the three ways to split the four corners into two disjoint pairs
-OPPOSITE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+from .onsager import OnsagerModule, _module_spectra
+# the spec route, its record and the corner constants live beside ModuleSpec; re-exported here
+from .onsager import CORNERS, OPPOSITE_PAIRS, ORDERED_PAIRS, UNORDERED_PAIRS, TetraModule, build_tetra_from_spec
 
 
 class CheckResult(Record):
@@ -164,27 +160,6 @@ class EigenTable(Record):
         return self.constant_across_pairs and self.symmetric and self.sums_to_dim and self.diameter_attained
 
 
-class TetraModule(Record):
-    """The twelve generator matrices x_rs on one module, as a read-only copy
-    of the table given; the four flags are four_flags of (x_01, x_23)."""
-
-    dim: int
-    diameter: int
-    x: MappingProxyType[tuple[int, int], Matrix]
-    _fields = ("dim", "diameter", "x")
-    # compared by identity: x is a mapping proxy, which has no hash
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", MappingProxyType(dict(self.x)))
-        if set(self.x) != set(ORDERED_PAIRS):
-            raise ValueError("expected one matrix per ordered pair of distinct corners")
-        for pair, mat in self.x.items():
-            if not mat.is_square or mat.rows != self.dim:
-                raise ValueError(f"matrix for {pair} does not act on the module")
-
-
 def build_tetra(m: OnsagerModule) -> TetraModule:
     """Assemble all twelve generator matrices from the four flags of m.
 
@@ -206,6 +181,9 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     DimensionGuardError rather than build: the flag-opposition scan passes
     some reducible modules, such as V + V. four_flags(m) gives the flags.
     """
+    from .classify import _full_algebra
+    from .flags import _acting_as, _flag_components, _induced_subspaces
+
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
@@ -221,37 +199,6 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
         x[(r, s)] = _acting_as(range(-d, d + 1, 2), pieces)
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x)
-
-
-def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
-    """The twelve generator matrices of a spec's module, folded from its factors.
-
-    On each evaluation factor (n_i, a_i), x_rs for r < s is rho_n of its
-    closed form in sl2, and the factors' matrices are folded as
-    build_from_spec folds A and Astar (onsager._folded_generators), so x_01
-    and x_23 equal its A and Astar entry for entry and every x_rs equals
-    build_tetra(build_from_spec(spec)).x[rs] (onsager module docstring).
-    Only x_rs with r < s is folded: x_sr = -x_rs on each factor, and a
-    Kronecker sum is linear.
-
-    Refuses the specs build_tetra(build_from_spec(spec)) refuses, before any
-    factor is built, in this order and with the one-line texts `tetrabox
-    build` prints: ReducibleModuleError when the evaluation-parameter
-    criterion fails (a = +-1, where the closed forms have no value, or a
-    collision between two factors, which is invisible to each factor
-    alone), TypeShiftError on a nonzero shift, DimensionGuardError when
-    spec.dim is above linalg.DIM_GUARD.
-    """
-    reason = _reducibility_diagnostic(spec)
-    if reason is not None:
-        raise ReducibleModuleError(reason)
-    alpha, alphastar = spec.shift
-    if alpha != 0 or alphastar != 0:
-        raise TypeShiftError(f"type shift ({alpha}, {alphastar}) is not (0, 0); "
-                             "only type-(0,0) modules carry the six-generator structure")
-    x = _folded_generators(spec, UNORDERED_PAIRS)
-    x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
-    return TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
 
 
 def _antisymmetric(t: TetraModule) -> frozenset[tuple[int, int]]:
@@ -519,6 +466,8 @@ def pairwise_burnside(t: TetraModule) -> bool:
     the ladder, the Burnside closure decides, within the guard; a verdict
     already kept in x_p's memo (classify) is read back.
     """
+    from .classify import _full_algebra
+
     ladder = range(t.diameter, -t.diameter - 1, -2)
     return all(_full_algebra(t.x[p1], t.x[p2], ((lam, eigenspace(t.x[p1], lam)) for lam in ladder))
                for p1, p2 in OPPOSITE_PAIRS)
@@ -557,6 +506,8 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
        rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
        the file's x_sr by 1.
     """
+    from .classify import _full_algebra
+
     d = t.diameter
     chain = _eigenspace_chain(t, (0, 1))
     line = next(((lam, space) for lam, space in zip(range(d, -d - 1, -2), chain) if space.dim == 1), None)

@@ -21,7 +21,14 @@ from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, TetraboxError
 from tetrabox.onsager import ModuleSpec, OnsagerModule, build_from_spec, module_type
 from tetrabox.tetra import build_tetra, verify_relations
-from tetrabox.serialize import module_from_json, module_to_json, spec_from_json, tetra_from_json, tetra_to_json
+from tetrabox.serialize import (
+    LITERAL_GUARD,
+    module_from_json,
+    module_to_json,
+    spec_from_json,
+    tetra_from_json,
+    tetra_to_json,
+)
 
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
 SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
@@ -213,7 +220,10 @@ class TestVerify:
         def refuse(spec):
             raise AssertionError("a spec of another dimension was built")
 
-        monkeypatch.setattr(cli, "build_tetra_from_spec", refuse)
+        # cli imports each name from its defining module when a command runs, so the spies patch that module;
+        # build_from_spec is the fold spec_matches would compare
+        for name in ("build_tetra_from_spec", "build_from_spec"):
+            monkeypatch.setattr(onsager, name, refuse)
         data = json.loads(built_v2.read_text())
         data["spec"]["factors"][0]["n"] = 2
         assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
@@ -391,7 +401,7 @@ class TestClassify:
         data = {"factors": [{"n": 2, "a": "3"}, {"n": 0, "a": "5"}], "shift": ["1/2", "-3"]}
         d, alpha, alphastar = module_type(build_from_spec(spec_from_json(data)))
         calls = []
-        monkeypatch.setattr(cli, "build_from_spec", lambda s: calls.append(s))
+        monkeypatch.setattr(onsager, "build_from_spec", lambda s: calls.append(s))
         assert main(["classify", write_json(tmp_path / "s.json", data)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert calls == []
@@ -725,10 +735,11 @@ ECHOED_SPEC_EDITS = {
 
 
 def spy_flag_route_builds(monkeypatch):
-    """The modules cli hands to the flag-route build_tetra, in call order."""
+    """The modules handed to the flag-route build_tetra, in call order: cli imports
+    it from tetra when a command runs, so the spy on tetra sees every caller."""
     calls = []
-    real = cli.build_tetra
-    monkeypatch.setattr(cli, "build_tetra", lambda m: calls.append(m) or real(m))
+    real = tetra.build_tetra
+    monkeypatch.setattr(tetra, "build_tetra", lambda m: calls.append(m) or real(m))
     return calls
 
 
@@ -777,17 +788,17 @@ class TestDeepChecksDifferential:
         if edit is not None:
             edit(data)
         path = write_json(tmp_path / "m.json", data)
+        # the spy on tetra sees every flag-route build, cli's and any other, so one list counts them all
         calls = spy_flag_route_builds(monkeypatch)
-        factor_builds, folds = [], []
-        real_build, real_fold = tetra.build_tetra, cli.build_tetra_from_spec
-        monkeypatch.setattr(tetra, "build_tetra", lambda m: factor_builds.append(m) or real_build(m))
-        monkeypatch.setattr(cli, "build_tetra_from_spec", lambda spec: folds.append(spec) or real_fold(spec))
+        folds = []
+        real_fold = onsager.build_tetra_from_spec
+        monkeypatch.setattr(onsager, "build_tetra_from_spec", lambda spec: folds.append(spec) or real_fold(spec))
         main(["verify", path, "--deep"])
         assert "deep" in json.loads(capsys.readouterr().out)
         t = tetra_from_json(data["tetra"])
         rebuilt = edit in (_misdeclared_d, _tamper_x02)
         assert calls == ([OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])] if rebuilt else [])
-        assert factor_builds == [] and folds == []
+        assert folds == []
 
 
 class TestDeepReadsTheFile:
@@ -1044,6 +1055,28 @@ class TestCrossProcessDeterminism:
         assert outputs[0] == outputs[1]
 
 
+BUILD_MODULES = {"cli", "errors", "_record", "linalg", "onsager", "serialize"}
+
+
+def imported_modules(*args) -> tuple[int, list[str]]:
+    """The exit code of a console-script process running one command, and every
+    module it imports, in import order.
+
+    -X importtime lists them on stderr; -S keeps out what the site hooks import,
+    so the list is tetrabox's own. The process runs the installed `tetrabox`
+    script's entry, so tetrabox.cli is imported by name (under -m it runs as
+    __main__ and is not listed)."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "from tetrabox.cli import run; run()", *args],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")]
+
+
+def tetrabox_modules(imported: list[str]) -> set[str]:
+    return {name.split(".", 1)[1] for name in imported if name.startswith("tetrabox.")}
+
+
 class TestImports:
     def test_build_verify_and_deep_verify_load_no_dataclasses_inspect_or_numpy(self, tmp_path):
         # -X importtime lists every module the process imports on stderr; -S
@@ -1058,9 +1091,32 @@ class TestImports:
             )
             assert proc.returncode == 0, proc.stderr
             imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-            assert "tetrabox.classify" in imported
             loaded = {name.split(".")[0] for name in imported} & {"dataclasses", "inspect", "numpy", "typing"}
             assert not loaded, (args, loaded)
+
+    @pytest.mark.parametrize(
+        "factors, shift, code",
+        [([(1, "2"), (1, "3")], "0", 0), ([(1, "2"), (1, "1/2")], "0", 1), ([(2, "3"), (1, "-1")], "0", 1),
+         ([(1, "2"), (1, "3")], "1", 1)],
+        ids=["build", "reducible", "minus_one", "shifted"],
+    )
+    def test_build_and_its_refusals_load_six_modules(self, tmp_path, factors, shift, code):
+        # the spec route is onsager's; neither classify nor tetra nor flags is compiled
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors],
+                                                "shift": [shift, "0"]})
+        out = tmp_path / "m.json"
+        exit_code, imported = imported_modules("build", spec, "-o", str(out))
+        assert exit_code == code and out.exists() is (code == 0)
+        assert tetrabox_modules(imported) == BUILD_MODULES
+
+    @pytest.mark.parametrize("deep, extra", [([], {"tetra"}), (["--deep"], {"tetra", "classify"})],
+                             ids=["verify", "deep"])
+    def test_verify_loads_tetra_and_deep_verify_classify(self, built_v2, deep, extra):
+        # the relations and the eigentable are tetra's; Norton's test in the deep checks is classify's
+        exit_code, imported = imported_modules("verify", str(built_v2), *deep)
+        loaded = tetrabox_modules(imported)
+        assert exit_code == 0 and loaded == BUILD_MODULES | extra
+        assert not loaded & {"flags", "tridiagonal"}
 
     def test_burnside_on_an_irreducible_build_does_not_load_numpy(self):
         # Norton's spin decides; the mod-p certificate, and numpy with it, never runs
@@ -1117,6 +1173,49 @@ class TestLongIntegers:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert json.loads(proc.stdout)["deep"]["pairwise_burnside"] is True
+
+
+class TestLiteralGuard:
+    """One rational literal longer than serialize.LITERAL_GUARD characters is
+    malformed input: exit 2 with one error line, before any digit is converted."""
+
+    @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["verify", "deep"])
+    def test_a_long_entry_exits_2_at_once(self, tmp_path, capsys, deep):
+        # one 400 000-digit entry kept a d4 verify in the matrix arithmetic for minutes
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["x"]["02"][0][1] = "7" * 400_000
+        tampered = write_json(tmp_path / "tampered.json", data)
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["verify", *deep, tampered]) == 2
+        assert time.monotonic() - start < 10
+        out, err = capsys.readouterr()
+        assert_one_error_line(out, err)
+        assert err.endswith(": rational literal of 400000 characters exceeds the literal guard 10000\n")
+
+    @pytest.mark.parametrize("command", ["build", "classify", "compare"])
+    def test_a_long_parameter_exits_2(self, tmp_path, capsys, command):
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "1/" + "7" * LITERAL_GUARD}]})
+        extra = {"build": ["-o", str(tmp_path / "out.json")], "classify": [],
+                 "compare": [write_json(tmp_path / "v2.json", SPEC_V2)]}[command]
+        assert main([command, spec, *extra]) == 2
+        assert_one_error_line(*capsys.readouterr())
+        assert not (tmp_path / "out.json").exists()
+
+    def test_an_entry_at_the_guard_is_read(self, tmp_path):
+        spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+        out = tmp_path / "m.json"
+        assert main(["build", spec, "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["tetra"]["x"]["02"][0][1] = "1/" + "7" * (LITERAL_GUARD - 2)
+        tampered = write_json(tmp_path / "tampered.json", data)
+        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", tampered],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is False
 
 
 def assert_one_error_line(out: str, err: str) -> None:

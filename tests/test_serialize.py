@@ -1,4 +1,6 @@
+import contextlib
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tetrabox import Matrix, ModuleSpec, build_from_spec, build_tetra, evaluation_module
 from tetrabox.cli import main
 from tetrabox.serialize import (
+    LITERAL_GUARD,
     fraction_from_str,
     matrix_from_json,
     matrix_to_json,
@@ -32,6 +35,34 @@ class TestFractionStrings:
     def test_rejects_non_rational_literals(self, bad):
         with pytest.raises(ValueError):
             fraction_from_str(bad)
+
+    def test_a_literal_at_the_guard_is_read(self):
+        text = "1/" + "7" * (LITERAL_GUARD - 2)
+        with no_int_digit_limit():
+            assert fraction_from_str(text) == F(1, int(text[2:]))
+
+    @pytest.mark.parametrize("text", ["7" * (LITERAL_GUARD + 1), "1/" + "7" * (LITERAL_GUARD - 1), "7" * 400_000 + "x"],
+                             ids=["integer", "fraction", "malformed"])
+    def test_a_longer_literal_is_refused_before_it_is_converted(self, text):
+        # the interpreter's digit limit is in force here, so any conversion would raise its own error
+        with pytest.raises(ValueError, match=rf"^rational literal of {len(text)} characters exceeds the literal guard "
+                                             rf"{LITERAL_GUARD}$"):
+            fraction_from_str(text)
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Python's limit on int-string conversions lifted, as the `tetrabox` command
+    lifts it (cli.run); a Python without the limit needs nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestMatrixJson:
