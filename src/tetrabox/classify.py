@@ -11,14 +11,10 @@ The criterion and the equivalence key read a spec alone, so they live in
 onsager beside ModuleSpec, and this module re-exports them; the matrix
 routes are here.
 
-The Burnside closure has one entry, generated_algebra_dimension. It runs
-the word closure over the prime field F_65521 first: full rank there proves
-full rank over the rationals, since specializing mod p never increases
-rank. Only when that certificate stops short does the exact closure run,
-the spin of the identity matrix under right multiplication by each
-generator, by the same routine and the same integer echelon
-(linalg._Echelon) as Norton's spin below. numpy is imported only when the
-certificate runs.
+The Burnside closure is one exact routine, _closure_dimension_exact: the
+spin of the identity matrix under right multiplication by each generator,
+by the same routine and the same integer echelon (linalg._Echelon) as
+Norton's spin below.
 
 Norton's spinning test (the MeatAxe irreducibility test, run here in exact
 arithmetic) decides the same question without building the algebra of
@@ -44,19 +40,25 @@ holds or reads off its memo: build_tetra the eigenspaces of A at d, d-2,
 ..., pairwise_burnside those of x_p, one at a time, the tridiagonal-pair
 checks a's diagonal spectrum, and pair_generates_full_algebra (with it
 is_irreducible_burnside) the ladder eigenspaces of
-linalg._ladder_eigenpairs, computed one at a time. Norton's
-test decides, in both directions, at the first of them that is a line. The
-closure decides only when none is.
+linalg._ladder_eigenpairs, computed one at a time. Norton's test decides,
+in both directions, at the first of them that is a line. When none is, it
+runs at the first ladder eigenline of the second generator, since (b, a)
+generates the same algebra as (a, b). The closure decides only when
+neither generator offers a line. generated_algebra_dimension runs the same
+Norton step (on a's ladder, then b's) after its guard, returns dim^2 when
+the verdict is full, and runs the closure otherwise: a full verdict is
+End(V), so dim^2 is a proven equivalent, and a short one still needs the
+closure for the dimension.
 
 Norton's verdict on a pair is kept in the spectral memo of its first
 generator, a, keyed by the partner b (linalg._spectral_memo), beside a's
 eigenspaces, the lines Norton spins among them: the verdict is exact
-whichever eigenline decided it, and a Matrix is immutable, so the bool
-stays true of a. is_irreducible_burnside, build_tetra, pairwise_burnside
-and the tridiagonal checks spin once per pair of matrix objects while a
-holds its memo, and the second of two questions on one pair, such as
-check_onsager_equivalence after build_tetra, forms no kernel the first one
-formed. The memo has one lifetime and one bound for every fact it keeps
+whichever eigenline of a or b decided it, and a Matrix is immutable, so
+the bool stays true of a. is_irreducible_burnside, build_tetra,
+pairwise_burnside and the tridiagonal checks spin once per pair of matrix
+objects while a holds its memo, and the second of two questions on one
+pair, such as check_onsager_equivalence after build_tetra, forms no kernel
+the first one formed. The memo has one lifetime and one bound for every fact it keeps
 (see its docstring): it is no Matrix field, so ==, hash and repr do not
 see it, it dies with its matrix, an equal matrix built separately runs
 its own test, and a caller that keeps every result does not keep every
@@ -95,54 +97,6 @@ from .onsager import ModuleSpec, OnsagerModule, _generator_spectrum
 # the criterion and the key read a spec alone and live in onsager; re-exported here
 from .onsager import _canonical_parameter, _reducibility_diagnostic, are_equivalent, equivalence_key
 from .onsager import is_irreducible_criterion
-
-_PRIME = 65521  # largest prime below 2^16: dot products of reduced rows fit in int64
-
-
-def _closure_full_mod_p(gens: list[list[list[int]]], n: int) -> bool:
-    """True iff the word closure of gens spans all of End(V) over F_p.
-
-    A True answer certifies full span over Q as well; False is inconclusive.
-    """
-    import numpy as np
-
-    nn = n * n
-    basis = np.zeros((nn, nn), dtype=np.int64)
-    piv_cols: list[int] = []
-    size = 0
-
-    def try_add(vec: np.ndarray) -> bool:
-        nonlocal size
-        v = vec % _PRIME
-        if size:
-            v = (v - v[piv_cols] @ basis[:size]) % _PRIME
-        support = np.nonzero(v)[0]
-        if support.size == 0:
-            return False
-        p = int(support[0])
-        v = (v * pow(int(v[p]), _PRIME - 2, _PRIME)) % _PRIME
-        col = basis[:size, p].copy()
-        if np.any(col):
-            basis[:size] = (basis[:size] - np.outer(col, v)) % _PRIME
-        basis[size] = v
-        piv_cols.append(p)
-        size += 1
-        return True
-
-    # entries may exceed int64, so reduce mod p in Python first
-    mats = [np.array([[x % _PRIME for x in row] for row in g], dtype=np.int64) for g in gens]
-    ident = np.eye(n, dtype=np.int64)
-    queue = [ident]
-    try_add(ident.reshape(-1).copy())
-    while queue and size < nn:
-        word = queue.pop(0)
-        for g in mats:
-            product = (word @ g) % _PRIME
-            if try_add(product.reshape(-1).copy()):
-                queue.append(product)
-                if size == nn:
-                    return True
-    return size == nn
 
 
 def _spin(vector: list[int], sparse_gens: list[list[list[tuple[int, int]]]]) -> _Echelon:
@@ -193,14 +147,20 @@ def _require_square_pair(a: Matrix, b: Matrix) -> None:
 
 
 def generated_algebra_dimension(a: Matrix, b: Matrix) -> int:
-    """Dimension of the unital algebra generated by a and b: the package's one
-    Burnside closure, within the guard, run on their integer rows (scaling a
-    generator rescales every word and keeps every span). dim^2 when the mod-p
-    certificate reaches full rank, which proves it, else the exact closure."""
+    """Dimension of the unital algebra generated by a and b, within the guard.
+
+    dim^2 when Norton's verdict on the pair, at the first ladder eigenline of
+    a or else of b, is full: that verdict is End(V), so it is a proven
+    equivalent. Otherwise the package's one Burnside closure decides, run
+    exactly on their integer rows (scaling a generator rescales every word
+    and keeps every span).
+    """
     _require_square_pair(a, b)
-    gens, n = [a._num, b._num], a.rows
+    n = a.rows
     require_within_guard(n * n, "Burnside closure dimension")
-    return n * n if _closure_full_mod_p(gens, n) else _closure_dimension_exact(gens, n)
+    if n and _norton_verdict(a, b, _ladder_eigenpairs(a)):
+        return n * n
+    return _closure_dimension_exact([a._num, b._num], n)
 
 
 def _norton(a: Matrix, b: Matrix, lam: Fraction | int, line: Subspace) -> bool:
@@ -221,20 +181,33 @@ def _norton(a: Matrix, b: Matrix, lam: Fraction | int, line: Subspace) -> bool:
     return len(_spin(dual_line, [_sparse_rows(zip(*g)) for g in gens])) == a.rows
 
 
-def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> bool:
-    """pair_generates_full_algebra for a caller that holds (eigenvalue,
-    eigenspace) pairs of a. They are read lazily, and Norton's test runs at
-    the first eigenspace that is a line; only when none is offered does the
-    closure decide. Norton's verdict, exact at any line, is kept in a's
-    memo, keyed by b, and read back before any pair is read (see the module
-    docstring)."""
+def _first_line(eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> tuple[Fraction | int, Subspace] | None:
+    return next(((lam, space) for lam, space in eigenpairs if space.dim == 1), None)
+
+
+def _norton_verdict(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> bool | None:
+    """Norton's verdict on (a, b), or None when it cannot run: at the first
+    line among the (eigenvalue, eigenspace) pairs of a, read lazily, else at
+    the first ladder eigenline of b, since (b, a) generates the same
+    algebra. The verdict, exact at any line, is kept in a's memo, keyed by
+    b, and read back before any pair is read (see the module docstring)."""
     memo = _spectral_memo(a)
     if b not in memo:
-        found = next(((lam, space) for lam, space in eigenpairs if space.dim == 1), None)
-        if found is None:
-            return generated_algebra_dimension(a, b) == a.rows**2
-        memo[b] = _norton(a, b, *found)
+        if (found := _first_line(eigenpairs)) is not None:
+            memo[b] = _norton(a, b, *found)
+        elif a.rows and (found := _first_line(_ladder_eigenpairs(b))) is not None:
+            memo[b] = _norton(b, a, *found)
+        else:
+            return None
     return memo[b]
+
+
+def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> bool:
+    """pair_generates_full_algebra for a caller that holds (eigenvalue,
+    eigenspace) pairs of a: Norton's verdict (_norton_verdict), and only when
+    neither a's pairs nor b's ladder offer a line, the Burnside closure."""
+    verdict = _norton_verdict(a, b, eigenpairs)
+    return generated_algebra_dimension(a, b) == a.rows**2 if verdict is None else verdict
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
@@ -242,8 +215,9 @@ def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:
 
     The eigenspaces of a are offered one at a time, top first, as
     linalg._ladder_eigenpairs reads them, and Norton's test decides at any
-    dimension at the first that is a line; when none is, the Burnside
-    closure decides, within the guard.
+    dimension at the first that is a line, or else at the first ladder
+    eigenline of b; when neither generator has one, the Burnside closure
+    decides, within the guard.
     """
     _require_square_pair(a, b)
     return _full_algebra(a, b, _ladder_eigenpairs(a) if a.rows else ())

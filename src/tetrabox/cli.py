@@ -50,6 +50,8 @@ other filters, with no traceback and not with exit 1. The same entry point
 lifts Python's limit on the digits of an int-string conversion, so a failed
 check's residual may be of any length; a rational literal in a file may be
 up to serialize.LITERAL_GUARD characters long, and a longer one exits 2.
+So `build` refuses (exit 1, no file written) a spec whose generators would
+write a longer literal, a file its own `verify` would refuse.
 """
 
 from __future__ import annotations
@@ -98,15 +100,23 @@ def _emit(payload) -> None:
 
 def cmd_build(args) -> int:
     from .onsager import OnsagerModule, build_tetra_from_spec
-    from .serialize import module_to_json, spec_to_json, tetra_to_json
+    from .serialize import LITERAL_GUARD, module_to_json, spec_to_json, tetra_to_json
 
     spec = _load_spec(args.spec)
     tetra = build_tetra_from_spec(spec)  # its refusals (reducible, shifted, guard) exit 1 in main
+    tetra_json = tetra_to_json(tetra)
+    # the module section copies x_01 and x_23, and the spec's literals were read within the guard,
+    # so these are the file's longest literals: a longer one would make a file verify refuses
+    longest = max((len(entry) for rows in tetra_json["x"].values() for row in rows for entry in row), default=0)
+    if longest > LITERAL_GUARD:
+        _fail(f"{args.spec}: the build has a rational literal of {longest} characters, "
+              f"above the literal guard {LITERAL_GUARD} that verify reads")
+        return 1
     # the fold's x_01 and x_23 are build_from_spec(spec)'s A and Astar
     module = module_to_json(OnsagerModule(spec.dim, tetra.x[(0, 1)], tetra.x[(2, 3)]))
     # the spec's diameter and type, which module_type would recompute from the matrices
     module.update(diameter=spec.degree_sum, type=[str(x) for x in spec.shift])
-    payload = {"spec": spec_to_json(spec), "module": module, "tetra": tetra_to_json(tetra)}
+    payload = {"spec": spec_to_json(spec), "module": module, "tetra": tetra_json}
     text = json.dumps(payload, indent=2) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -23,8 +23,8 @@ pivot unknown through free unknowns of smaller index, so the null vector of
 each free unknown leads there and vanishes at the other free positions, and
 these vectors are the canonical basis as they stand. An intersection reads
 the dependencies between two bases off tails carried through the
-elimination. The public rref, the minimal polynomial, the spins and
-closures of ``classify`` and every solve M T = N (_solve, one elimination
+elimination. The public rref, the minimal polynomial, the spins and the
+closure of ``classify`` and every solve M T = N (_solve, one elimination
 of the integer rows [M | N]; an inverse solves [num | den I]) use the same
 echelon: the identical reduced echelon form, much faster than on Fractions.
 The public determinant runs Bareiss elimination; no runtime path calls it.

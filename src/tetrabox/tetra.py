@@ -176,7 +176,8 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     The input must be irreducible of type (0,0). Norton's spinning test
     decides that at any dimension at the first eigenline of A at d, d-2,
     ..., the eigenspaces the spectral pass holds; on every irreducible
-    module that is the one at d. Where A has no eigenline the Burnside
+    module that is the one at d. Where A has no eigenline it runs at the
+    first ladder eigenline of Astar. Where neither has one the Burnside
     closure decides, and when dim^2 is above linalg.DIM_GUARD it raises
     DimensionGuardError rather than build: the flag-opposition scan passes
     some reducible modules, such as V + V. four_flags(m) gives the flags.
@@ -463,8 +464,10 @@ def pairwise_burnside(t: TetraModule) -> bool:
     structure that is ker(x_p - d). The eigenspaces are read one at a time,
     as the spin asks for them, off the memo of x_p (linalg), so a chain an
     earlier check formed is not formed again. Where x_p has no eigenline on
-    the ladder, the Burnside closure decides, within the guard; a verdict
-    already kept in x_p's memo (classify) is read back.
+    the ladder, the spin runs at the first ladder eigenline of the pair's
+    other generator, and only where neither has one does the Burnside
+    closure decide, within the guard; a verdict already kept in x_p's memo
+    (classify) is read back.
     """
     from .classify import _full_algebra
 
@@ -506,12 +509,12 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
        rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
        the file's x_sr by 1.
     """
-    from .classify import _full_algebra
+    from .classify import _first_line, _full_algebra
 
     d = t.diameter
     chain = _eigenspace_chain(t, (0, 1))
-    line = next(((lam, space) for lam, space in zip(range(d, -d - 1, -2), chain) if space.dim == 1), None)
-    # with no eigenline Norton cannot decide; the closure is left to build_tetra
+    line = _first_line(zip(range(d, -d - 1, -2), chain))
+    # with no eigenline of x_01 this test cannot decide; that is left to build_tetra
     if line is None or not all(space.dim > 0 for space in chain):
         return False
     return _full_algebra(t.x[(0, 1)], t.x[(2, 3)], [line])

@@ -15,8 +15,8 @@ space, and those eigenspaces are the ones the ordering test reads (the
 descending order first, else the one the exact pattern of the other
 operator's joins between them decides, _standard_ordering). Irreducibility
 is asked at them too: classify._full_algebra runs Norton's test at the
-first, from the top down, that is a line, and the Burnside closure only
-when none is (or a is not diagonalizable).
+first, from the top down, that is a line, else at the first ladder
+eigenline of astar, and the Burnside closure only when neither offers one.
 """
 
 from __future__ import annotations

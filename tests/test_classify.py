@@ -348,20 +348,21 @@ class TestNortonDifferential:
         assert (generated_algebra_dimension(a, b) == n * n) == expected
         assert pair_generates_full_algebra(a, b) == expected
         assert is_irreducible_burnside(OnsagerModule(n, a, b)) == expected
-        # a Norton verdict is kept in a's memo exactly when the entry found an eigenline to spin
+        # a Norton verdict is kept in a's memo exactly when a, or else b, offered an eigenline to spin
         verdicts = norton_verdicts(a)
+        b_line = offers_line(b)
         if kind == "triangular":
             assert verdicts == {b: False}
         elif kind == "generic":
             assert verdicts == {b: expected}
         elif kind == "repeated_top":
             # two ladders of lengths k and n - k share their top: a line below it unless k = n - k
-            assert (b in verdicts) == (2 * (len(linalg.minimal_polynomial(a)) - 1) != n)
+            assert (b in verdicts) == (2 * (len(linalg.minimal_polynomial(a)) - 1) != n or b_line)
         else:
-            # no ladder spectrum, so a verdict is kept iff an eigenspace at a ladder root of mu_(e_0) is a line
+            # no ladder spectrum, so a offers a line iff an eigenspace at a ladder root of mu_(e_0) is one
             assert linalg.ladder_spectrum(a) is None
             roots = linalg._ladder_roots(linalg._krylov_polynomial(a)) or ()
-            assert (b in verdicts) == any(eigenspace(a, lam).dim == 1 for lam in roots)
+            assert (b in verdicts) == (any(eigenspace(a, lam).dim == 1 for lam in roots) or b_line)
 
     @settings(max_examples=60, deadline=None)
     @given(conjugated_pairs(), st.data())
@@ -377,7 +378,7 @@ class TestNortonDifferential:
 
     def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
         calls = []
-        for name in ("generated_algebra_dimension", "_closure_full_mod_p", "_closure_dimension_exact"):
+        for name in ("generated_algebra_dimension", "_closure_dimension_exact"):
             real = getattr(classify, name)
             monkeypatch.setattr(classify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
         for s, t in built_irreducible_grid.items():
@@ -387,6 +388,71 @@ class TestNortonDifferential:
         assert not is_irreducible_burnside(doubled(evaluation_module(1, F(2))))
         assert calls
 
+
+
+def offers_line(m: Matrix) -> bool:
+    """Whether one of m's ladder eigenspaces, as linalg._ladder_eigenpairs reads them, is a line."""
+    return classify._first_line(linalg._ladder_eigenpairs(m)) is not None
+
+
+def spy_exact_closures(monkeypatch) -> list[int]:
+    """The dimensions at which classify._closure_dimension_exact runs from now on."""
+    calls = []
+    real = classify._closure_dimension_exact
+    monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: calls.append(n) or real(gens, n))
+    return calls
+
+
+def long_entry_pair(digits: int) -> tuple[Matrix, Matrix]:
+    """(x_02, x_13) of the d6 build (2, 2)(1, 3), with entries (0, 1) and (1, 0) of
+    x_02 replaced by the integer 77...7 of the given length, as the long-entry
+    file of the CLI tests has them at 4000 digits."""
+    t = build_tetra_from_spec(spec((2, 2), (1, 3)))
+    rows = [list(row) for row in t.x[(0, 2)].to_rows()]
+    rows[0][1] = rows[1][0] = F("7" * digits)
+    return Matrix.from_rows(rows), t.x[(1, 3)]
+
+
+class TestSecondGeneratorLine:
+    """Where the first generator offers no eigenline, Norton's test runs at the
+    first ladder eigenline of the second, since (b, a) generates the same
+    algebra: against the exact closure, which a spy then never sees."""
+
+    @pytest.mark.parametrize("digits", [20, 60])
+    def test_long_entries_of_x_02(self, monkeypatch, digits):
+        a, b = long_entry_pair(digits)
+        assert not offers_line(a) and offers_line(b)
+        assert exact_closure_dimension(a, b) == 36
+        closures = spy_exact_closures(monkeypatch)
+        assert pair_generates_full_algebra(a, b) is True
+        assert norton_verdicts(a) == {b: True}
+        assert generated_algebra_dimension(a, b) == 36
+        assert closures == []
+
+    def test_decides_above_the_guard(self, monkeypatch):
+        # the closure's dim^2 36 would be refused; the spin at x_13's top line has no size bound
+        a, b = long_entry_pair(20)
+        monkeypatch.setattr(linalg, "DIM_GUARD", 35)
+        assert pair_generates_full_algebra(a, b)
+        with pytest.raises(DimensionGuardError):
+            generated_algebra_dimension(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugated_pairs())
+    def test_conjugated_pairs_with_the_roles_swapped(self, drawn):
+        # the drawn b comes first, so mostly only the ladder, now second, offers a line
+        _, a, b = drawn
+        n = a.rows
+        expected = exact_closure_dimension(b, a) == n * n
+        with pytest.MonkeyPatch.context() as mp:
+            closures = spy_exact_closures(mp)
+            assert pair_generates_full_algebra(b, a) == expected
+            assert is_irreducible_burnside(OnsagerModule(n, b, a)) == expected
+        if offers_line(b) or offers_line(a):
+            assert norton_verdicts(b) == {a: expected}
+            assert closures == []
+        else:
+            assert closures == [n, n]
 
 def spy_minimal_polynomial(monkeypatch) -> list[Matrix]:
     """The matrices whose minimal polynomial linalg computes from now on."""

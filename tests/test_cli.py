@@ -18,7 +18,7 @@ import tetrabox
 from tetrabox import Matrix, classify, cli, flags, linalg, onsager, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
-from tetrabox.errors import DimensionGuardError, TetraboxError
+from tetrabox.errors import DimensionGuardError, ReducibleModuleError, TetraboxError
 from tetrabox.onsager import ModuleSpec, OnsagerModule, build_from_spec, module_type
 from tetrabox.tetra import build_tetra, verify_relations
 from tetrabox.serialize import (
@@ -486,6 +486,25 @@ class TestCompare:
             "skipped": "module dimension 16 exceeds the dimension guard 8",
         }
         assert captured.err == ""
+
+    def test_an_oracle_that_disagrees_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a stand-in oracle that finds no intertwiner between isomorphic specs
+        monkeypatch.setattr(classify, "_intertwiner_with_top", lambda m1, m2, c: None)
+        assert self.run(tmp_path, SPEC_V2, {"factors": [{"n": 1, "a": "1/2"}]}, "--oracle") == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"isomorphic": True, "intertwiner_found": False, "oracle_agrees": False}
+        assert captured.err == "error: intertwiner oracle disagrees with the equivalence criterion\n"
+
+    def test_a_library_error_of_the_oracle_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a refusal of the oracle's modules other than the guard's is malformed input: no report is written
+        def refuse(m1, m2, c):
+            raise ReducibleModuleError("m1 is reducible: stand-in refusal")
+
+        monkeypatch.setattr(classify, "_intertwiner_with_top", refuse)
+        assert self.run(tmp_path, SPEC_V2, SPEC_V2, "--oracle") == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(out, err)
+        assert err == "error: m1 is reducible: stand-in refusal\n"
 
     def test_oracle_reads_the_top_off_the_spec(self, tmp_path, monkeypatch, capsys):
         # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
@@ -1119,7 +1138,7 @@ class TestImports:
         assert not loaded & {"flags", "tridiagonal"}
 
     def test_burnside_on_an_irreducible_build_does_not_load_numpy(self):
-        # Norton's spin decides; the mod-p certificate, and numpy with it, never runs
+        # Norton's spin decides, and no module of the package imports numpy
         code = ("import sys; from tetrabox import ModuleSpec, build_from_spec, is_irreducible_burnside; "
                 "assert is_irreducible_burnside(build_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))); "
                 "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))")
@@ -1159,8 +1178,9 @@ class TestLongIntegers:
         assert json.loads(proc.stdout)["pass"] is False
 
     def test_deep_closure_on_long_entries_is_decided_by_the_certificate(self, tmp_path):
-        # two 4000-digit entries leave x_02 no eigenline, so the Burnside closure decides (x_02, x_13):
-        # the mod-p certificate in milliseconds, where the exact closure alone runs for more than a minute
+        # two 4000-digit entries leave x_02 no eigenline, so Norton's test decides (x_02, x_13) at the top
+        # line of x_13, where the exact closure alone runs for more than a minute; a spy in the child process
+        # reports every exact closure on stderr
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}],
                                                 "shift": ["0", "0"]})
         out = tmp_path / "m.json"
@@ -1168,10 +1188,15 @@ class TestLongIntegers:
         data = json.loads(out.read_text())
         data["tetra"]["x"]["02"][0][1] = data["tetra"]["x"]["02"][1][0] = "7" * 4000
         tampered = write_json(tmp_path / "tampered.json", data)
-        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", "--deep", tampered],
+        spy = ("import sys; from tetrabox import classify; from tetrabox.cli import run; "
+               "real = classify._closure_dimension_exact; "
+               "classify._closure_dimension_exact = lambda gens, n: print('exact closure', n, file=sys.stderr) "
+               "or real(gens, n); run()")
+        proc = subprocess.run([sys.executable, "-c", spy, "verify", "--deep", tampered],
                               capture_output=True, text=True, env=subprocess_env(), timeout=30)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
+        assert "exact closure" not in proc.stderr, proc.stderr
         assert json.loads(proc.stdout)["deep"]["pairwise_burnside"] is True
 
 
@@ -1204,6 +1229,35 @@ class TestLiteralGuard:
         assert main([command, spec, *extra]) == 2
         assert_one_error_line(*capsys.readouterr())
         assert not (tmp_path / "out.json").exists()
+
+    @staticmethod
+    def build_long_parameters(tmp_path, digits: int) -> tuple[subprocess.CompletedProcess, Path]:
+        # a child process, whose entry point lifts Python's limit on the digits of an int-string conversion
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "7" * digits}, {"n": 1, "a": "3" * digits}],
+                                                "shift": ["0", "0"]})
+        out = tmp_path / "out.json"
+        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "build", spec, "-o", str(out)],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        return proc, out
+
+    def test_a_build_that_would_write_a_long_literal_exits_1(self, tmp_path):
+        # each parameter is read within the guard, but the generators of (1, a)(1, b) hold a literal of
+        # 4 digits + 1 characters: the file would be one that verify refuses, so none is written
+        proc, out = self.build_long_parameters(tmp_path, 3000)
+        assert proc.returncode == 1, proc.stderr
+        assert_one_error_line(proc.stdout, proc.stderr)
+        assert proc.stderr.endswith(": the build has a rational literal of 12001 characters, "
+                                    "above the literal guard 10000 that verify reads\n")
+        assert not out.exists()
+
+    def test_a_build_at_the_guard_is_written_and_verified(self, tmp_path):
+        proc, out = self.build_long_parameters(tmp_path, 2499)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(out.read_text())
+        assert max(len(x) for rows in data["tetra"]["x"].values() for row in rows for x in row) == 9997
+        proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", str(out)],
+                              capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_an_entry_at_the_guard_is_read(self, tmp_path):
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)

@@ -16,6 +16,10 @@ among them, and cli's top level imports only errors; every other import of
 cli is made by the command that runs it. A later top-level import cannot
 quietly put tetra or classify back on the build path.
 
+The package needs the standard library alone: every elimination is
+linalg's integer echelon, so no module imports an array library, and
+pyproject.toml lists no runtime dependency.
+
 Every spectrum is read in linalg. No other module reaches the minimal
 polynomial, the Krylov polynomial or the ladder test, and inside linalg the
 dim^2-wide minimal polynomial runs only in _certified_spectrum, on a
@@ -23,6 +27,8 @@ Krylov polynomial's shortfall.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +118,23 @@ def test_cli_imports_only_errors_at_its_top_level():
 
 def test_the_package_imports_no_submodule():
     assert top_level_imports("__init__") == set()
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """The top-level package of every absolute import in a module, at any depth."""
+    tree = ast.parse(path.read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_the_package_imports_only_the_standard_library(path):
+    # every elimination is linalg's integer echelon: no array library, and no runtime dependency
+    assert absolute_imports(path) <= set(sys.stdlib_module_names) | {"tetrabox"}
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", project, re.M) == ["[]"]
