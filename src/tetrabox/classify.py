@@ -44,11 +44,13 @@ linalg._ladder_eigenpairs, computed one at a time. Norton's test decides,
 in both directions, at the first of them that is a line. When none is, it
 runs at the first ladder eigenline of the second generator, since (b, a)
 generates the same algebra as (a, b). The closure decides only when
-neither generator offers a line. generated_algebra_dimension runs the same
-Norton step (on a's ladder, then b's) after its guard, returns dim^2 when
-the verdict is full, and runs the closure otherwise: a full verdict is
-End(V), so dim^2 is a proven equivalent, and a short one still needs the
-closure for the dimension.
+neither generator offers a line: _full_algebra then checks the dim^2 guard
+and runs the closure itself, so no pair is put to Norton twice and no
+spectrum is read twice for one question. generated_algebra_dimension runs
+the same Norton step (on a's ladder, then b's) after its guard, returns
+dim^2 when the verdict is full, and runs the closure otherwise: a full
+verdict is End(V), so dim^2 is a proven equivalent, and a short one still
+needs the closure for the dimension.
 
 Norton's verdict on a pair is kept in the spectral memo of its first
 generator, a, keyed by the partner b (linalg._spectral_memo), beside a's
@@ -205,9 +207,14 @@ def _norton_verdict(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | 
 def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | int, Subspace]]) -> bool:
     """pair_generates_full_algebra for a caller that holds (eigenvalue,
     eigenspace) pairs of a: Norton's verdict (_norton_verdict), and only when
-    neither a's pairs nor b's ladder offer a line, the Burnside closure."""
+    neither a's pairs nor b's ladder offer a line, the Burnside closure,
+    within the guard, with no second Norton attempt."""
     verdict = _norton_verdict(a, b, eigenpairs)
-    return generated_algebra_dimension(a, b) == a.rows**2 if verdict is None else verdict
+    if verdict is None:
+        n = a.rows
+        require_within_guard(n * n, "Burnside closure dimension")
+        verdict = _closure_dimension_exact([a._num, b._num], n) == n * n
+    return verdict
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:

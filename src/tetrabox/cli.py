@@ -46,10 +46,11 @@ A module file whose diameter d is at least its dimension is malformed
 (exit 2, before any eigenspace is computed); a smaller d that is no
 generator's eigenvalue fails verification (exit 1). A stdout closed early
 (`tetrabox verify m.json | head -1`) ends the process by SIGPIPE, as it ends
-other filters, with no traceback and not with exit 1. The same entry point
-lifts Python's limit on the digits of an int-string conversion, so a failed
-check's residual may be of any length; a rational literal in a file may be
-up to serialize.LITERAL_GUARD characters long, and a longer one exits 2.
+other filters, with no traceback and not with exit 1. main lifts Python's
+limit on the digits of an int-string conversion, for the console script and
+for a caller in process alike, so a failed check's residual may be of any
+length; a rational literal in a file may be up to serialize.LITERAL_GUARD
+characters long, and a longer one exits 2.
 So `build` refuses (exit 1, no file written) a spec whose generators would
 write a longer literal, a file its own `verify` would refuse.
 """
@@ -321,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+, and 3.10.7+
+        sys.set_int_max_str_digits(0)  # exact entries and residuals have no length limit
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -336,8 +339,6 @@ def main(argv=None) -> int:
 def run() -> None:
     if hasattr(signal, "SIGPIPE"):  # not on Windows
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+, and 3.10.7+
-        sys.set_int_max_str_digits(0)  # exact entries and residuals have no length limit
     sys.exit(main())
 
 

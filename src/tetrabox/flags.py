@@ -5,8 +5,8 @@ full space; a flag is the increasing chain of its partial sums. Two flags
 are opposite when one decomposition induces the first and its inversion the
 second; that decomposition is recovered componentwise as P_i = F_i
 "intersect" G_{d-i}, which is also how opposition is decided here: the P_i
-must be nonzero and sum directly to the full space (one rank). Nothing more
-is needed. Write P_{<=i} and P_{>i} for the sums of the P_j with j <= i and
+must be nonzero and sum directly to the full space. Nothing more is
+needed. Write P_{<=i} and P_{>i} for the sums of the P_j with j <= i and
 j > i. Then P_{<=i} lies in F_i and P_{>i} in G_{d-i-1}, so by the modular
 law F_i = P_{<=i} + (F_i "intersect" P_{>i}), and F_i "intersect" P_{>i}
 lies in F_i "intersect" G_{d-i-1}, inside P_i, which meets P_{>i} only in
@@ -18,6 +18,13 @@ echelon that takes each piece's basis in turn and keeps the reduced rows of
 each read (_partial_sums). Records are built only at the public API:
 build_tetra intersects the component tuples of _flag_components, builds no
 Flag and reads each generator off one solve of its pieces' bases (_acting_as).
+
+Whether the nonzero P_i sum directly to the full space is decided once, by
+the one elimination that already runs on them: Decomposition's rank of the
+stacked bases for induced_decomposition and are_opposite, and in build_tetra
+the solve of _acting_as, which refuses pieces that are no direct sum filling
+the space. _induced_subspaces only intersects, and each caller maps that
+refusal to the one reason _NOT_DIRECT.
 
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.
@@ -45,13 +52,6 @@ def _partial_sums(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
     return tuple(sums)
 
 
-def _sum_is_direct_and_full(spaces: tuple[Subspace, ...]) -> bool:
-    """Do the spaces sum directly to the full space? One rank of the stacked bases."""
-    n = spaces[0].ambient_dim
-    columns = [column for space in spaces for column in _integer_columns(space.basis)]
-    return len(columns) == n and len(_echelon(n, columns)) == n
-
-
 def _acting_as(eigenvalues: Iterable[int], pieces: Sequence[Subspace]) -> Matrix:
     """The X with X B = B D, B the stacked piece bases and D their scalars:
     one solve of B^T X^T = (B D)^T, whose rows are (b, lam b). Raises
@@ -75,7 +75,9 @@ class Decomposition(Record):
                 raise ValueError("ambient dimension mismatch")
             if space.is_zero():
                 raise ValueError("decomposition subspaces must be nonzero")
-        if not _sum_is_direct_and_full(self.subspaces):
+        # direct and full: one rank of the stacked bases
+        columns = [column for space in self.subspaces for column in _integer_columns(space.basis)]
+        if len(columns) != ambient or len(_echelon(ambient, columns)) != ambient:
             raise ValueError("subspaces do not form a direct sum filling the space")
 
     @property
@@ -126,7 +128,10 @@ def invert_decomposition(dec: Decomposition) -> Decomposition:
 
 
 def _induced_subspaces(f: Sequence[Subspace], g: Sequence[Subspace]) -> tuple[Subspace, ...] | str:
-    """Componentwise intersections of flag components, or a reason string when not opposite."""
+    """The componentwise intersections F_i & G_{d-i}, or the reason when one is
+    zero. Whether they sum directly to the full space is left to the one
+    elimination their caller runs on them: Decomposition's rank, or the solve
+    of _acting_as."""
     d = len(f) - 1
     pieces = []
     for i in range(d + 1):
@@ -134,9 +139,11 @@ def _induced_subspaces(f: Sequence[Subspace], g: Sequence[Subspace]) -> tuple[Su
         if piece.is_zero():
             return f"component intersection {i} is zero"
         pieces.append(piece)
-    if not _sum_is_direct_and_full(tuple(pieces)):
-        return "component intersections do not sum directly to the full space"
     return tuple(pieces)
+
+
+# the reason for pieces that are all nonzero but no direct sum filling the space
+_NOT_DIRECT = "component intersections do not sum directly to the full space"
 
 
 def _require_comparable(f: Flag, g: Flag) -> None:
@@ -146,19 +153,30 @@ def _require_comparable(f: Flag, g: Flag) -> None:
         raise OppositionError(f"flag diameters differ ({f.diameter} vs {g.diameter})")
 
 
+def _induced(f: Flag, g: Flag) -> Decomposition | str:
+    """The decomposition inducing f and g, or why they are not opposite: the
+    intersections, then Decomposition's one rank of them."""
+    _require_comparable(f, g)
+    pieces = _induced_subspaces(f.components, g.components)
+    if isinstance(pieces, str):
+        return pieces
+    try:
+        return Decomposition(pieces)
+    except ValueError:
+        return _NOT_DIRECT
+
+
 def are_opposite(f: Flag, g: Flag) -> bool:
     """True iff some decomposition induces f and its inversion induces g."""
-    _require_comparable(f, g)
-    return not isinstance(_induced_subspaces(f.components, g.components), str)
+    return not isinstance(_induced(f, g), str)
 
 
 def induced_decomposition(f: Flag, g: Flag) -> Decomposition:
     """The unique decomposition inducing the opposite flags f and g."""
-    _require_comparable(f, g)
-    result = _induced_subspaces(f.components, g.components)
+    result = _induced(f, g)
     if isinstance(result, str):
         raise OppositionError(f"flags are not opposite: {result}")
-    return Decomposition(result)
+    return result
 
 
 def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:

@@ -97,8 +97,10 @@ def require_within_guard(side: int, what: str) -> None:
         raise DimensionGuardError(f"{what} {side} exceeds the dimension guard {DIM_GUARD}")
 
 
-def _as_rational(value) -> int | Fraction:
-    """An int or Fraction as it is; a string literal parsed to a Fraction."""
+def as_rational(value) -> int | Fraction:
+    """An int or Fraction as it is; a string literal parsed to a Fraction.
+    Every scalar the package takes is read here, so a float is refused
+    (TypeError), never rounded to the binary fraction it stores."""
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
@@ -135,7 +137,7 @@ class Matrix(Record):
     _fields = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        values = [_as_rational(x) for x in entries]
+        values = [as_rational(x) for x in entries]
         if len(values) != rows * cols:
             raise ValueError("entry count does not match matrix shape")
         den = lcm(*(x.denominator for x in values))
@@ -524,7 +526,7 @@ def eigenspace(m: Matrix, lam) -> Subspace:
     if not m.is_square:
         raise ValueError("eigenspace requires a square matrix")
     require_within_guard(m.cols, "matrix side")  # as the kernel's basis would, on a hit too
-    lam = Fraction(lam)
+    lam = Fraction(as_rational(lam))
     memo = _spectral_memo(m)
     space = memo.get(lam)
     if space is None:
@@ -546,7 +548,7 @@ def is_diagonalizable_with(m: Matrix, eigenvalues: Sequence) -> bool:
     """True iff the eigenspaces of the listed eigenvalues fill the whole space."""
     if not m.is_square:
         raise ValueError("diagonalizability requires a square matrix")
-    vals = [Fraction(x) for x in eigenvalues]
+    vals = [Fraction(as_rational(x)) for x in eigenvalues]
     if len(set(vals)) != len(vals):
         raise ValueError("eigenvalues must be distinct")
     total = sum(eigenspace(m, lam).dim for lam in vals)
@@ -624,7 +626,7 @@ def annihilates(x: Matrix, m: Matrix, blocks: Sequence[tuple[int, Sequence]]) ->
         raise ValueError(f"shape mismatch: {x.rows}x{x.cols} acting on {m.rows}x{m.cols}")
     if sum(width for width, _ in blocks) != m.cols:
         raise ValueError("block widths do not add up to the column count")
-    column_roots = [[_as_rational(mu) for mu in roots] for width, roots in blocks for _ in range(width)]
+    column_roots = [[as_rational(mu) for mu in roots] for width, roots in blocks for _ in range(width)]
     y = [list(row) for row in m._num]
     for k in range(max(map(len, column_roots), default=0)):
         if not any(map(any, y)):
@@ -824,7 +826,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int] | None:
     Returns None when the polynomial does not split into rational linear
     factors. Coefficients are constant term first.
     """
-    poly = [Fraction(c) for c in coeffs]
+    poly = [Fraction(as_rational(c)) for c in coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
     if len(poly) <= 1:

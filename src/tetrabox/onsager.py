@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 from ._record import Record
 from .errors import ReducibleModuleError, SpectrumError, TypeShiftError
-from .linalg import Matrix, Subspace, commutator, kron, ladder_spectrum, require_within_guard
+from .linalg import Matrix, Subspace, as_rational, commutator, kron, ladder_spectrum, require_within_guard
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -74,16 +74,16 @@ def sl2_irreducible(n: int) -> Sl2Triple:
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = n + 1
-    e = [[Q0] * m for _ in range(m)]
-    f = [[Q0] * m for _ in range(m)]
-    h = [[Q0] * m for _ in range(m)]
+    e = [[0] * m for _ in range(m)]
+    f = [[0] * m for _ in range(m)]
+    h = [[0] * m for _ in range(m)]
     for i in range(m):
-        h[i][i] = Fraction(n - 2 * i)
+        h[i][i] = n - 2 * i
         if i + 1 <= n:
-            f[i + 1][i] = Q1
+            f[i + 1][i] = 1
         if i >= 1:
-            e[i - 1][i] = Fraction(i * (n - i + 1))
-    return Sl2Triple(Matrix.from_rows(e), Matrix.from_rows(f), Matrix.from_rows(h))
+            e[i - 1][i] = i * (n - i + 1)
+    return Sl2Triple(*(Matrix._of(m, m, rows, 1) for rows in (e, f, h)))
 
 
 class OnsagerModule(Record):
@@ -126,8 +126,10 @@ class ModuleSpec(Record):
 
     @classmethod
     def of(cls, factors: Sequence[tuple[int, object]], shift=(0, 0)) -> "ModuleSpec":
-        fs = tuple((int(n), Fraction(a)) for n, a in factors)
-        return cls(fs, (Fraction(shift[0]), Fraction(shift[1])))
+        """The spec of int, Fraction or string values; a float, or a weight
+        that is no integer, is refused rather than rounded."""
+        fs = tuple((_weight(n), Fraction(as_rational(a))) for n, a in factors)
+        return cls(fs, (Fraction(as_rational(shift[0])), Fraction(as_rational(shift[1]))))
 
     @property
     def dim(self) -> int:
@@ -139,6 +141,15 @@ class ModuleSpec(Record):
     @property
     def degree_sum(self) -> int:
         return sum(n for n, _ in self.factors)
+
+
+def _weight(n) -> int:
+    """A factor weight as an int, read exactly (linalg.as_rational); ValueError
+    when it is no integer."""
+    value = as_rational(n)
+    if value.denominator != 1:
+        raise ValueError(f"factor weight must be an integer, not {n!r}")
+    return int(value)
 
 
 def _canonical_parameter(a: Fraction) -> str:
@@ -212,7 +223,7 @@ def _evaluation_generators(n: int, a: Fraction, pairs) -> dict[tuple[int, int], 
 
 def evaluation_module(n: int, a) -> OnsagerModule:
     """Evaluation module of dimension n+1: A = e + f, Astar = a e + a^-1 f."""
-    a = Fraction(a)
+    a = Fraction(as_rational(a))
     if a == 0:
         raise ValueError("evaluation parameter must be nonzero")
     x = _evaluation_generators(n, a, ((0, 1), (2, 3)))

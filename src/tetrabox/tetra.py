@@ -25,7 +25,8 @@ decompositions, reads x_rs for r < s off one integer elimination each
 (flags._acting_as) and negates it for x_sr. The decompositions of (0, 1)
 and (2, 3) are the eigenspace chains of A and Astar that certify their
 spectra (onsager.module_type), so only the four pairs that mix A and Astar
-intersect flags.
+intersect flags, and that elimination is also what decides whether their
+intersections sum directly to the space: no other rank of them is taken.
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
@@ -166,7 +167,9 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     For each pair r < s, x_rs is the one matrix that acts on piece i of the
     decomposition the flags r and s induce as the scalar 2i - d, read off
     one elimination (flags._acting_as); x_sr is -x_rs, since the pair
-    (s, r) induces the same pieces in reverse order.
+    (s, r) induces the same pieces in reverse order. That solve decides
+    opposition too: a zero intersection, or pieces the solve refuses as no
+    direct sum filling the space, raise OppositionError naming the pair.
 
     Flag 1 is flag 0's decomposition inverted, so the pieces of (0, 1) are
     the eigenspaces of A at 2i - d that module_type certified the spectra
@@ -183,7 +186,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     some reducible modules, such as V + V. four_flags(m) gives the flags.
     """
     from .classify import _full_algebra
-    from .flags import _acting_as, _flag_components, _induced_subspaces
+    from .flags import _NOT_DIRECT, _acting_as, _flag_components, _induced_subspaces
 
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
@@ -197,7 +200,10 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
         pieces = chains[(r, s)] if (r, s) in chains else _induced_subspaces(flags[r], flags[s])
         if isinstance(pieces, str):
             raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
-        x[(r, s)] = _acting_as(range(-d, d + 1, 2), pieces)
+        try:  # the solve refuses pieces that are no direct sum filling the space
+            x[(r, s)] = _acting_as(range(-d, d + 1, 2), pieces)
+        except ValueError:
+            raise OppositionError(f"flags {r} and {s} are not opposite: {_NOT_DIRECT}") from None
         x[(s, r)] = -x[(r, s)]
     return TetraModule(dim=m.dim, diameter=d, x=x)
 

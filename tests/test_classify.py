@@ -10,12 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetrabox import (
     DimensionGuardError,
+    Flag,
     Matrix,
     ModuleSpec,
     OnsagerModule,
+    OppositionError,
     ReducibleModuleError,
     SpectrumError,
+    Subspace,
     are_equivalent,
+    are_opposite,
     build_from_spec,
     build_tetra,
     build_tetra_from_spec,
@@ -26,7 +30,9 @@ from tetrabox import (
     equivalence_key,
     evaluation_module,
     find_intertwiner,
+    four_flags,
     generated_algebra_dimension,
+    induced_decomposition,
     inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
@@ -37,7 +43,7 @@ from tetrabox import (
     trivial_module,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, linalg, tetra
+from tetrabox import classify, flags, linalg, tetra
 from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
 
@@ -128,11 +134,11 @@ def doubled(v: OnsagerModule) -> OnsagerModule:
     return OnsagerModule(2 * v.dim, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
 
 
-def spy_closures(monkeypatch) -> list[int]:
-    """The dimensions at which classify.generated_algebra_dimension runs from now on."""
+def spy_exact_closures(monkeypatch) -> list[int]:
+    """The dimensions at which classify._closure_dimension_exact runs from now on."""
     calls = []
-    real = classify.generated_algebra_dimension
-    monkeypatch.setattr(classify, "generated_algebra_dimension", lambda a, b: calls.append(a.rows) or real(a, b))
+    real = classify._closure_dimension_exact
+    monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: calls.append(n) or real(gens, n))
     return calls
 
 
@@ -141,7 +147,7 @@ class TestSpin:
 
     def test_agrees_with_burnside_and_criterion_on_grid(self, monkeypatch, grid_modules):
         # every grid module's top eigenspace is a line, so no verdict needs the closure
-        closures = spy_closures(monkeypatch)
+        closures = spy_exact_closures(monkeypatch)
         for s, module in grid_modules.items():
             assert is_irreducible_burnside(module) == is_irreducible_criterion(s), s.factors
         assert closures == []
@@ -153,7 +159,7 @@ class TestSpin:
     def test_direct_sum_takes_the_burnside_fallback(self, monkeypatch):
         m = doubled(evaluation_module(1, F(2)))
         assert eigenspace(m.A, 1).dim == 2
-        closures = spy_closures(monkeypatch)
+        closures = spy_exact_closures(monkeypatch)
         assert not is_irreducible_burnside(m)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
@@ -395,14 +401,6 @@ def offers_line(m: Matrix) -> bool:
     return classify._first_line(linalg._ladder_eigenpairs(m)) is not None
 
 
-def spy_exact_closures(monkeypatch) -> list[int]:
-    """The dimensions at which classify._closure_dimension_exact runs from now on."""
-    calls = []
-    real = classify._closure_dimension_exact
-    monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: calls.append(n) or real(gens, n))
-    return calls
-
-
 def long_entry_pair(digits: int) -> tuple[Matrix, Matrix]:
     """(x_02, x_13) of the d6 build (2, 2)(1, 3), with entries (0, 1) and (1, 0) of
     x_02 replaced by the integer 77...7 of the given length, as the long-entry
@@ -493,7 +491,7 @@ class TestOneLadderRoute:
         expected = exact_closure_dimension(a, module().Astar) == 36
         assert expected is False
         monkeypatch.setattr(linalg, "DIM_GUARD", 10)
-        closures, polynomials = spy_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
+        closures, polynomials = spy_exact_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
         m = module()
         assert pair_generates_full_algebra(m.A, m.Astar) is expected
         assert norton_verdicts(m.A) == {m.Astar: expected}
@@ -519,7 +517,7 @@ def test_a_lower_eigenline_decides_where_the_top_is_a_plane(monkeypatch):
     # each check on its own matrices, so each finds the line at 0 itself; a closure of dim^2 16 would be refused
     assert [eigenspace(lower_eigenline_module().A, lam).dim for lam in (2, 0, -2)] == [2, 1, 1]
     monkeypatch.setattr(linalg, "DIM_GUARD", 15)
-    closures = spy_closures(monkeypatch)
+    closures = spy_exact_closures(monkeypatch)
     assert not is_irreducible_burnside(lower_eigenline_module())
     with pytest.raises(ReducibleModuleError):
         build_tetra(lower_eigenline_module())
@@ -1004,3 +1002,73 @@ class TestOneMemoPerMatrix:
         assert is_irreducible_burnside(m) and len(calls) == 1
         new = [ref() for ref in linalg._memo_holders if all(ref is not old for old in before)]
         assert len(new) == 1 and new[0] is m.A
+
+
+class TestOneDecisionPerQuestion:
+    """Each piece set reaches one elimination and each Burnside question one
+    Norton verdict: the solve that reads x_rs decides whether build_tetra's
+    pieces sum directly, Decomposition's rank decides it for
+    induced_decomposition and are_opposite, and a pair Norton cannot decide
+    goes to the closure without being asked again."""
+
+    @staticmethod
+    def spy_eliminations(monkeypatch) -> list[str]:
+        """The eliminations flags runs from now on: a rank (_echelon) or a solve (_solve)."""
+        calls = []
+        for name in ("_echelon", "_solve"):
+            real = getattr(flags, name)
+            monkeypatch.setattr(flags, name, lambda n, rows, real=real, name=name: calls.append(name) or real(n, rows))
+        return calls
+
+    def test_build_tetra_solves_each_pair_once(self, grid_modules, built_irreducible_grid, monkeypatch):
+        calls = self.spy_eliminations(monkeypatch)
+        for s, t in built_irreducible_grid.items():
+            before = len(calls)
+            assert build_tetra(grid_modules[s]).x == t.x
+            assert calls[before:] == ["_solve"] * 6, s.factors
+
+    def test_induced_decomposition_ranks_its_pieces_once(self, non_opposite_flags, monkeypatch):
+        opposite = four_flags(build_from_spec(spec((1, 2), (1, 3))))
+        f0, _, f2, _ = four_flags(non_opposite_flags[0][0])
+        calls = self.spy_eliminations(monkeypatch)
+        for r, s in permutations(range(4), 2):
+            assert are_opposite(opposite[r], opposite[s])
+            assert induced_decomposition(opposite[r], opposite[s]).diameter == 2
+        assert calls == ["_echelon"] * 24
+        # three lines in Q^5 (non_opposite_flags' first pair), refused by their count before any elimination;
+        # then a flag (L, Q^2) against itself, whose pieces L, L fill no plane: one rank each
+        line = Subspace.span_columns(Matrix.from_rows([[1], [2]]))
+        same = Flag((line, Subspace.full(2)))
+        for f, g, ranks in ((f0, f2, 0), (same, same, 1)):
+            del calls[:]
+            assert not are_opposite(f, g)
+            with pytest.raises(OppositionError) as refused:
+                induced_decomposition(f, g)
+            assert str(refused.value) == (
+                "flags are not opposite: component intersections do not sum directly to the full space"
+            )
+            assert calls == ["_echelon"] * 2 * ranks
+
+    def test_an_undecided_pair_asks_norton_once(self, monkeypatch):
+        # V + V of the d4 build: no eigenline in either generator, so the one verdict is None and the closure decides
+        t = build_tetra_from_spec(spec((1, 2), (1, 3)))
+        a, b = (block_diagonal(t.x[p], t.x[p]) for p in ((0, 1), (2, 3)))
+        calls = []
+        real = classify._norton_verdict
+        monkeypatch.setattr(classify, "_norton_verdict", lambda *args: calls.append("norton") or real(*args))
+        closures = spy_exact_closures(monkeypatch)
+        assert not pair_generates_full_algebra(a, b)
+        assert calls == ["norton"] and closures == [8]
+
+    def test_a_non_ladder_pair_reads_each_minimal_polynomial_once(self, monkeypatch):
+        # a has the irrational eigenvalues +-sqrt(2) and b = diag(1, 1, 0, 0) a plane at 1 and no ladder,
+        # so Norton cannot run; the closure decides with no second pass over either spectrum
+        j = Matrix.from_rows([[0, 1], [2, 0]])
+        a, b = block_diagonal(j, j), Matrix.from_rows([[int(i == k < 2) for k in range(4)] for i in range(4)])
+        calls = []
+        real_verdict, real_poly = classify._norton_verdict, linalg.minimal_polynomial
+        monkeypatch.setattr(classify, "_norton_verdict", lambda *args: calls.append("norton") or real_verdict(*args))
+        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
+        closures = spy_exact_closures(monkeypatch)
+        assert not pair_generates_full_algebra(a, b)
+        assert calls == ["norton", a, b] and closures == [4]

@@ -318,7 +318,7 @@ class TestVerify:
         data["tetra"]["d"] = 8
         path = write_json(tmp_path / "d8.json", data)
         # pairwise_burnside asks Norton at the first line of each chain, at 6, so no closure runs
-        monkeypatch.setattr(classify, "generated_algebra_dimension", lambda a, b: pytest.fail("a closure ran"))
+        monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: pytest.fail("a closure ran"))
         for deep in ([], ["--deep"]):
             capsys.readouterr()
             assert main(["verify", path, *deep]) == 1
@@ -1258,6 +1258,23 @@ class TestLiteralGuard:
         proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", str(out)],
                               capture_output=True, text=True, env=subprocess_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_an_in_process_build_at_the_guard_is_written_and_verified(self, tmp_path, capsys):
+        # main lifts Python's limit on int-string conversions itself, so a caller in process gets what the
+        # console script gets; the limit is put back to its default first, whatever an earlier call left
+        if hasattr(sys, "set_int_max_str_digits"):
+            old = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "7" * 2499}, {"n": 1, "a": "3" * 2499}],
+                                                    "shift": ["0", "0"]})
+            out = tmp_path / "out.json"
+            assert main(["build", spec, "-o", str(out)]) == 0
+            assert main(["verify", str(out)]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+        finally:
+            if hasattr(sys, "set_int_max_str_digits"):
+                sys.set_int_max_str_digits(old)
 
     def test_an_entry_at_the_guard_is_read(self, tmp_path):
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)

@@ -185,6 +185,29 @@ class TestEigenspace:
             assert m * Matrix(m.rows, 1, col) == lam * Matrix(m.rows, 1, col)
 
 
+class TestExactScalars:
+    """eigenspace, is_diagonalizable_with and rational_roots read each scalar
+    exactly (as_rational), as Matrix does: strings and Fractions, never a float."""
+
+    def test_eigenspace(self):
+        m = Matrix.from_rows([[F(1, 10), 0], [0, 1]])
+        assert eigenspace(m, "1/10") == eigenspace(m, F(1, 10)) == span_of_columns([1, 0])
+        with pytest.raises(TypeError, match="as an exact rational"):
+            eigenspace(m, 0.1)
+
+    def test_is_diagonalizable_with(self):
+        m = Matrix.from_rows([[F(1, 10), 0], [0, 1]])
+        assert is_diagonalizable_with(m, ["1/10", 1])
+        with pytest.raises(TypeError, match="as an exact rational"):
+            is_diagonalizable_with(m, [0.1, 1])
+
+    def test_rational_roots(self):
+        # (10x - 1)(x - 1) = 10x^2 - 11x + 1
+        assert rational_roots([1, "-11", F(10)]) == {F(1, 10): 1, F(1): 1}
+        with pytest.raises(TypeError, match="as an exact rational"):
+            rational_roots([-0.1, 1])
+
+
 class TestDiagonalizability:
     def test_diagonal(self):
         m = Matrix.from_rows([[1, 0], [0, -1]])

@@ -51,6 +51,44 @@ class TestSl2:
         with pytest.raises(ValueError):
             sl2_irreducible(-1)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_integer_rows_equal_the_fraction_build(self, n):
+        # the rows the docstring states, built as Fractions and converted entry by entry
+        m = n + 1
+        h = [[F(n - 2 * i) if i == j else F(0) for j in range(m)] for i in range(m)]
+        e = [[F(j * (n - j + 1)) if i == j - 1 else F(0) for j in range(m)] for i in range(m)]
+        f = [[F(1) if i == j + 1 else F(0) for j in range(m)] for i in range(m)]
+        t = sl2_irreducible(n)
+        assert (t.e, t.f, t.h) == tuple(Matrix.from_rows(rows) for rows in (e, f, h))
+        assert all(x._den == 1 for x in (t.e, t.f, t.h))
+
+
+class TestExactInputs:
+    """Every scalar a spec or an evaluation module takes is read exactly
+    (linalg.as_rational): int, Fraction and string values, never a float."""
+
+    def test_spec_values_are_read_exactly(self):
+        spec = ModuleSpec.of([(1, "1/10"), ("2", F(3)), (F(1), 5)], shift=("1/2", F(-1)))
+        assert spec == ModuleSpec(((1, F(1, 10)), (2, F(3)), (1, F(5))), (F(1, 2), F(-1)))
+        assert all(type(n) is int for n, _ in spec.factors)
+
+    @pytest.mark.parametrize("factors, shift", [([(1, 0.1)], (0, 0)), ([(1.9, 2)], (0, 0)), ([(1, 2)], (0.1, 0)),
+                                                ([(1, 2)], (0, 0.5))],
+                             ids=["parameter", "weight", "shift", "shift_star"])
+    def test_spec_refuses_floats(self, factors, shift):
+        with pytest.raises(TypeError, match="as an exact rational"):
+            ModuleSpec.of(factors, shift=shift)
+
+    @pytest.mark.parametrize("n", [F(3, 2), "1/2"])
+    def test_spec_refuses_a_weight_that_is_no_integer(self, n):
+        with pytest.raises(ValueError, match="factor weight must be an integer"):
+            ModuleSpec.of([(n, 2)])
+
+    def test_evaluation_module_refuses_a_float_parameter(self):
+        assert evaluation_module(1, "2") == evaluation_module(1, F(2)) == evaluation_module(1, 2)
+        with pytest.raises(TypeError, match="as an exact rational"):
+            evaluation_module(1, 0.1)
+
 
 class TestEvaluationModule:
     def test_parameter_two(self):

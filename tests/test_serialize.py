@@ -53,7 +53,7 @@ class TestFractionStrings:
 @contextlib.contextmanager
 def no_int_digit_limit():
     """Python's limit on int-string conversions lifted, as the `tetrabox` command
-    lifts it (cli.run); a Python without the limit needs nothing."""
+    lifts it (cli.main); a Python without the limit needs nothing."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

@@ -88,13 +88,14 @@ class TestBuild:
             build_tetra(build_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2))])))
 
     def test_reducible_input_fails_opposition_scan(self, monkeypatch):
-        # the flag scan behind the irreducibility test rejects on its own,
-        # naming the first failing pair in the text build_tetra raises
+        # past the irreducibility test the flag scan rejects on its own: the solve of the first pair whose
+        # pieces are no direct sum refuses, and build_tetra names that pair
         m = build_from_spec(ModuleSpec.of([(2, 1)]))
-        components = tuple(f.components for f in four_flags(m))
-        reasons = [(r, s, flags._induced_subspaces(components[r], components[s])) for r, s in UNORDERED_PAIRS]
-        r, s, reason = next(failure for failure in reasons if isinstance(failure[2], str))
-        assert f"flags {r} and {s} are not opposite: {reason}" == (
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: True)
+            with pytest.raises(OppositionError) as refused:
+                build_tetra(m)
+        assert str(refused.value) == (
             "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
         )
         # spinning needs no guard, so the scan is never reached
@@ -931,9 +932,9 @@ class TestPairwiseBurnsideAtD:
         t = build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
         misdeclared = TetraModule(dim=t.dim, diameter=8, x=t.x)
         closures = []
-        real = classify.generated_algebra_dimension
+        real = classify._closure_dimension_exact
         with monkeypatch.context() as patch:
-            patch.setattr(classify, "generated_algebra_dimension", lambda a, b: closures.append(a.rows) or real(a, b))
+            patch.setattr(classify, "_closure_dimension_exact", lambda gens, n: closures.append(n) or real(gens, n))
             assert pairwise_burnside(misdeclared)
         assert closures == []
         assert self.assert_same(misdeclared, monkeypatch) is True
