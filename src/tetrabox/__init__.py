@@ -2,10 +2,12 @@
 tetrahedron-algebra and Onsager-algebra modules over the rationals.
 
 The package binds its public names on first use (PEP 562): `tetrabox.X`
-imports the one submodule that defines X and keeps X in the package
+imports the one submodule that exports X and keeps X in the package
 globals, so a later lookup is a plain attribute read, and a process loads
 only the submodules it uses. A stand-in patched onto that submodule is
-handed out while it is there but never kept.
+handed out while it is there but never kept. Matrix, commutator and kron
+are defined in the matrix core, and exported from linalg, which re-exports
+them.
 """
 
 from importlib import import_module
@@ -42,11 +44,10 @@ def __getattr__(name: str):
         return import_module(f"{__name__}.{name}")  # the import binds the submodule here
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = f"{__name__}.{_HOME[name]}"
-    value = getattr(import_module(home), name)
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     # a stand-in (a spy, a tracer's wrapper) is not kept: once its patch is undone the package gives the
-    # original again
-    if getattr(value, "__module__", None) == home:
+    # original again. What a submodule defines is kept, at its home or re-exported there (linalg's Matrix)
+    if getattr(value, "__module__", "").startswith(f"{__name__}."):
         globals()[name] = value
     return value
 

@@ -69,7 +69,7 @@ at call time, so a pair it decided is refused again once the guard is
 lowered, and a DimensionGuardError is raised on every call.
 
 The spins, the intertwiner's included, have no size bound. The closure
-works in End(V) and refuses a dim^2 above linalg.DIM_GUARD before it
+works in End(V) and refuses a dim^2 above matrix.DIM_GUARD before it
 starts, so at the default 4096 it runs up to dim 64.
 """
 
@@ -93,8 +93,8 @@ from .linalg import (
     _strip_gcd,
     _tails,
     eigenspace,
-    require_within_guard,
 )
+from .matrix import require_within_guard
 from .onsager import ModuleSpec, OnsagerModule, _generator_spectrum
 # the criterion and the key read a spec alone and live in onsager; re-exported here
 from .onsager import _canonical_parameter, _reducibility_diagnostic, are_equivalent, equivalence_key

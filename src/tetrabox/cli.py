@@ -26,9 +26,12 @@ section that is not that pair, after checking its type as for any module.
 The module's top level imports only errors, and each command imports what
 it runs when it runs, so a process compiles only those modules: `build`,
 its refusals and `classify` load onsager, serialize and what they import
-(linalg, errors, _record); `verify` and `inspect --table` add tetra,
-`verify --deep` tetra and classify, `compare` classify and `inspect
---flags` flags.
+(matrix, errors, _record), which is no elimination engine: the matrix core
+holds the products, Kronecker products and the dimension guard that a
+closed-form fold runs, and linalg, where every elimination lives, is not
+loaded. `verify` and `inspect --table` add tetra and linalg, `verify
+--deep` those and classify, `compare` classify and linalg and `inspect
+--flags` flags and linalg.
 
 All reports are JSON on stdout with a fixed key order, so identical
 invocations produce byte-identical output; diagnostics go to stderr.
@@ -47,8 +50,9 @@ A module file whose diameter d is at least its dimension is malformed
 generator's eigenvalue fails verification (exit 1). A stdout closed early
 (`tetrabox verify m.json | head -1`) ends the process by SIGPIPE, as it ends
 other filters, with no traceback and not with exit 1. main lifts Python's
-limit on the digits of an int-string conversion, for the console script and
-for a caller in process alike, so a failed check's residual may be of any
+limit on the digits of an int-string conversion while it runs, for the
+console script and for a caller in process alike, and puts the caller's
+limit back when it returns, so a failed check's residual may be of any
 length; a rational literal in a file may be up to serialize.LITERAL_GUARD
 characters long, and a longer one exits 2.
 So `build` refuses (exit 1, no file written) a spec whose generators would
@@ -203,7 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .linalg import require_within_guard
+    from .matrix import require_within_guard
     from .onsager import equivalence_key, is_irreducible_criterion
 
     spec = _load_spec(args.spec)
@@ -322,10 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11+, and 3.10.7+
+    limited = hasattr(sys, "set_int_max_str_digits")  # Python 3.11+, and 3.10.7+
+    if limited:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # exact entries and residuals have no length limit
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
         _fail(str(exc))
@@ -334,6 +340,9 @@ def main(argv=None) -> int:
         # a library refusal (a size guard, reducible or shifted input): one line, exit 1
         _fail(str(exc))
         return 1
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)  # the caller's, as it was
 
 
 def run() -> None:

@@ -6,7 +6,7 @@ class TetraboxError(Exception):
 
 
 class DimensionGuardError(TetraboxError):
-    """A problem is above linalg.DIM_GUARD on its own side (see linalg.require_within_guard)."""
+    """A problem is above matrix.DIM_GUARD on its own side (see matrix.require_within_guard)."""
 
 
 class SpectrumError(TetraboxError):

@@ -27,7 +27,9 @@ evaluation-parameter criterion and its one-line diagnostic, the equivalence
 key, and the spec route of the twelve generators (build_tetra_from_spec,
 with the TetraModule record it fills and the corner constants). So
 `tetrabox build` loads neither classify nor tetra; both re-export these
-names, and every import path keeps working.
+names, and every import path keeps working. Nor does it load linalg: the
+fold runs only the matrix core's products and Kronecker products, and
+linalg's ladder_spectrum is imported where module_type reads a spectrum.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from types import MappingProxyType
 
 from ._record import Record
 from .errors import ReducibleModuleError, SpectrumError, TypeShiftError
-from .linalg import Matrix, Subspace, as_rational, commutator, kron, ladder_spectrum, require_within_guard
+from .matrix import Matrix, as_rational, commutator, kron, require_within_guard
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -111,6 +113,9 @@ class ModuleSpec(Record):
 
     Each factor (n, a) stands for the (n+1)-dimensional evaluation module
     with nonzero evaluation parameter a; n = 0 gives the trivial factor.
+    Every value is read exactly, as ModuleSpec.of reads it: the weights
+    become ints and the parameters and the shift Fractions, and a float, or
+    a weight that is no integer, is refused rather than rounded.
     """
 
     factors: tuple[tuple[int, Fraction], ...]
@@ -118,18 +123,21 @@ class ModuleSpec(Record):
     _fields = ("factors", "shift")
 
     def __post_init__(self):
-        for n, a in self.factors:
+        factors = tuple((_weight(n), Fraction(as_rational(a))) for n, a in self.factors)
+        for n, a in factors:
             if n < 0:
                 raise ValueError("factor weight must be nonnegative")
             if a == 0:
                 raise ValueError("evaluation parameter must be nonzero")
+        alpha, alphastar = self.shift
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "shift", (Fraction(as_rational(alpha)), Fraction(as_rational(alphastar))))
 
     @classmethod
     def of(cls, factors: Sequence[tuple[int, object]], shift=(0, 0)) -> "ModuleSpec":
         """The spec of int, Fraction or string values; a float, or a weight
         that is no integer, is refused rather than rounded."""
-        fs = tuple((_weight(n), Fraction(as_rational(a))) for n, a in factors)
-        return cls(fs, (Fraction(as_rational(shift[0])), Fraction(as_rational(shift[1]))))
+        return cls(tuple(factors), tuple(shift))
 
     @property
     def dim(self) -> int:
@@ -144,7 +152,7 @@ class ModuleSpec(Record):
 
 
 def _weight(n) -> int:
-    """A factor weight as an int, read exactly (linalg.as_rational); ValueError
+    """A factor weight as an int, read exactly (matrix.as_rational); ValueError
     when it is no integer."""
     value = as_rational(n)
     if value.denominator != 1:
@@ -330,7 +338,7 @@ def build_tetra_from_spec(spec: ModuleSpec) -> TetraModule:
     evaluation-parameter criterion fails (a = +-1, where the closed forms
     have no value, or a collision between two factors, which is invisible
     to each factor alone), TypeShiftError on a nonzero shift,
-    DimensionGuardError when spec.dim is above linalg.DIM_GUARD.
+    DimensionGuardError when spec.dim is above matrix.DIM_GUARD.
     """
     reason = _reducibility_diagnostic(spec)
     if reason is not None:
@@ -355,6 +363,8 @@ def _generator_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace
     """The eigenvalues c, c-2, ..., c-2d of a generator m and its eigenspaces
     at them (linalg.ladder_spectrum); SpectrumError when m is not
     diagonalizable over Q with such a spectrum, or is 0 x 0."""
+    from .linalg import ladder_spectrum  # the elimination engine, which a spec build never loads
+
     if m.rows == 0:
         raise SpectrumError("scalar spectrum could not be extracted")
     spectrum = ladder_spectrum(m)

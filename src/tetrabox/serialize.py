@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import Matrix
+from .matrix import Matrix
 from .onsager import ModuleSpec, OnsagerModule, TetraModule
 
 # Flag, EigenTable and VerificationReport appear in annotations only, so

@@ -181,7 +181,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     ..., the eigenspaces the spectral pass holds; on every irreducible
     module that is the one at d. Where A has no eigenline it runs at the
     first ladder eigenline of Astar. Where neither has one the Burnside
-    closure decides, and when dim^2 is above linalg.DIM_GUARD it raises
+    closure decides, and when dim^2 is above matrix.DIM_GUARD it raises
     DimensionGuardError rather than build: the flag-opposition scan passes
     some reducible modules, such as V + V. four_flags(m) gives the flags.
     """

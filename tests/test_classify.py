@@ -43,7 +43,7 @@ from tetrabox import (
     trivial_module,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, flags, linalg, tetra
+from tetrabox import classify, flags, linalg, matrix, tetra
 from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
 
@@ -93,7 +93,7 @@ class TestBurnside:
     def test_guard(self, monkeypatch):
         # V + V has no top line, so only the closure can decide, and its dim^2 is above the guard
         m = doubled(evaluation_module(1, F(2)))
-        monkeypatch.setattr(linalg, "DIM_GUARD", 4)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 4)
         with pytest.raises(DimensionGuardError, match="Burnside closure dimension 16"):
             is_irreducible_burnside(m)
 
@@ -103,7 +103,7 @@ class TestBurnside:
         calls = []
         real = classify._spin
         monkeypatch.setattr(classify, "_spin", lambda *args: calls.append(args) or real(*args))
-        monkeypatch.setattr(linalg, "DIM_GUARD", 64)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 64)
         assert not is_irreducible_burnside(m)
         assert len(calls) == 1
 
@@ -167,7 +167,7 @@ class TestSpin:
 
     def test_reducible_beyond_the_oracle_guard(self):
         m = build_from_spec(spec((4, 2), (12, F(1, 2))))
-        assert m.dim == 65 and m.dim * m.dim > linalg.DIM_GUARD
+        assert m.dim == 65 and m.dim * m.dim > matrix.DIM_GUARD
         assert not is_irreducible_burnside(m)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
@@ -430,7 +430,7 @@ class TestSecondGeneratorLine:
     def test_decides_above_the_guard(self, monkeypatch):
         # the closure's dim^2 36 would be refused; the spin at x_13's top line has no size bound
         a, b = long_entry_pair(20)
-        monkeypatch.setattr(linalg, "DIM_GUARD", 35)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 35)
         assert pair_generates_full_algebra(a, b)
         with pytest.raises(DimensionGuardError):
             generated_algebra_dimension(a, b)
@@ -490,7 +490,7 @@ class TestOneLadderRoute:
         assert linalg._krylov_polynomial(a) == krylov
         expected = exact_closure_dimension(a, module().Astar) == 36
         assert expected is False
-        monkeypatch.setattr(linalg, "DIM_GUARD", 10)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 10)
         closures, polynomials = spy_exact_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
         m = module()
         assert pair_generates_full_algebra(m.A, m.Astar) is expected
@@ -516,7 +516,7 @@ def lower_eigenline_module() -> OnsagerModule:
 def test_a_lower_eigenline_decides_where_the_top_is_a_plane(monkeypatch):
     # each check on its own matrices, so each finds the line at 0 itself; a closure of dim^2 16 would be refused
     assert [eigenspace(lower_eigenline_module().A, lam).dim for lam in (2, 0, -2)] == [2, 1, 1]
-    monkeypatch.setattr(linalg, "DIM_GUARD", 15)
+    monkeypatch.setattr(matrix, "DIM_GUARD", 15)
     closures = spy_exact_closures(monkeypatch)
     assert not is_irreducible_burnside(lower_eigenline_module())
     with pytest.raises(ReducibleModuleError):
@@ -545,7 +545,7 @@ def test_oracle_guard_binds_only_the_closures(monkeypatch, check, refuses):
     # on a d16 whose dim^2 is above the guard the spin still answers, and the dim^2 oracles refuse
     t = build_tetra_from_spec(spec((3, 2), (3, 3)))
     m = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
-    monkeypatch.setattr(linalg, "DIM_GUARD", 64)
+    monkeypatch.setattr(matrix, "DIM_GUARD", 64)
     if refuses:
         with pytest.raises(DimensionGuardError):
             check(t, m)
@@ -555,7 +555,7 @@ def test_oracle_guard_binds_only_the_closures(monkeypatch, check, refuses):
 
 def test_one_guard_bounds_each_problem_by_its_own_side(monkeypatch):
     # a matrix by its larger side, a closure by dim^2; the intertwiner is a spin, with no side of its own
-    monkeypatch.setattr(linalg, "DIM_GUARD", 32)
+    monkeypatch.setattr(matrix, "DIM_GUARD", 32)
     assert Matrix.zeros(1, 32).cols == 32
     with pytest.raises(DimensionGuardError, match="matrix side 33 exceeds the dimension guard 32"):
         Matrix.zeros(1, 33)
@@ -625,7 +625,7 @@ class TestIntertwiner:
     def test_guard(self, monkeypatch):
         # the spin is 2 dim wide: a d16 decides where its dim^2 is above the guard
         m = build_from_spec(spec((3, 2), (3, 3)))
-        monkeypatch.setattr(linalg, "DIM_GUARD", 64)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 64)
         assert find_intertwiner(m, m) == Matrix.identity(16)
 
 
@@ -928,7 +928,7 @@ class TestOneNortonVerdictPerPair:
     def test_guard_refusal_is_raised_on_every_call(self, monkeypatch):
         # V + V has no top line, so only the closure decides, and its dim^2 16 is above the guard
         m = doubled(evaluation_module(1, F(2)))
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         checks = (is_irreducible_burnside, build_tetra, lambda m: verify_tridiagonal_pair(m.A, m.Astar),
                   lambda m: check_onsager_equivalence(m.A, m.Astar))
         for _ in range(2):

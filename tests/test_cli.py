@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tetrabox
-from tetrabox import Matrix, classify, cli, flags, linalg, onsager, tetra
+from tetrabox import Matrix, classify, cli, flags, linalg, matrix, onsager, tetra
 from tetrabox.classify import find_intertwiner
 from tetrabox.cli import main
 from tetrabox.errors import DimensionGuardError, ReducibleModuleError, TetraboxError
@@ -276,7 +276,7 @@ class TestVerify:
         # V + V above the guard: the spin cannot decide it and the closure refuses
         module = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
         path = write_json(tmp_path / "vv.json", {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)})
-        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         assert main(["verify", path, "--deep"]) == 0
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep["pass"] is True
@@ -462,7 +462,7 @@ class TestCompare:
     )
     def test_oracle_decides_under_a_low_guard(self, tmp_path, monkeypatch, capsys, other, code):
         # the oracle is a spin 2 dim wide: a d4 decides at guard 16, where its dim^2 is at the guard
-        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == code
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {
@@ -474,7 +474,7 @@ class TestCompare:
 
     def test_oracle_refusal_of_a_module_build_is_skipped(self, tmp_path, monkeypatch, capsys):
         # build_from_spec refuses each d16 module; the criterion still decides
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         d16 = {"factors": [{"n": 1, "a": a} for a in ("2", "3", "5", "7")], "shift": ["0", "0"]}
         other = {"factors": [{"n": 1, "a": a} for a in ("7", "1/5", "1/3", "2")], "shift": ["0", "0"]}
         assert self.run(tmp_path, d16, other, "--oracle") == 0
@@ -618,13 +618,13 @@ class TestModuleMetadata:
 
 class TestGuardOverride:
     def test_guard_limits_build(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 3)
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)  # dim 4 module
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert "guard" in capsys.readouterr().err
 
     def test_oversized_spec_refused_by_classify(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "2"}] * 4, "shift": ["0", "0"]})
         assert main(["classify", spec]) == 1
         captured = capsys.readouterr()
@@ -976,7 +976,7 @@ class TestImpliedRouteDifferential:
         plain, builds, deep = self.assert_same(doubled_v, calls)
         assert plain and len(builds) == 1
         assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
-        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         calls.clear()
         plain, builds, deep = self.assert_same(doubled_v, calls)
         assert plain and len(builds) == 1 and deep["rebuild_matches"] == "skipped" and "guard" in deep["skipped"]
@@ -1074,7 +1074,8 @@ class TestCrossProcessDeterminism:
         assert outputs[0] == outputs[1]
 
 
-BUILD_MODULES = {"cli", "errors", "_record", "linalg", "onsager", "serialize"}
+# the matrix core and not linalg: the fold runs products and Kronecker products, and no elimination
+BUILD_MODULES = {"cli", "errors", "_record", "matrix", "onsager", "serialize"}
 
 
 def imported_modules(*args) -> tuple[int, list[str]]:
@@ -1120,18 +1121,28 @@ class TestImports:
         ids=["build", "reducible", "minus_one", "shifted"],
     )
     def test_build_and_its_refusals_load_six_modules(self, tmp_path, factors, shift, code):
-        # the spec route is onsager's; neither classify nor tetra nor flags is compiled
+        # the spec route is onsager's; neither classify nor tetra nor flags is compiled, nor the elimination engine
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors],
                                                 "shift": [shift, "0"]})
         out = tmp_path / "m.json"
         exit_code, imported = imported_modules("build", spec, "-o", str(out))
         assert exit_code == code and out.exists() is (code == 0)
         assert tetrabox_modules(imported) == BUILD_MODULES
+        assert "tetrabox.linalg" not in imported
 
-    @pytest.mark.parametrize("deep, extra", [([], {"tetra"}), (["--deep"], {"tetra", "classify"})],
+    @pytest.mark.parametrize("factors", [[(1, "2"), (1, "3")], [(1, "2"), (1, "1/2")]], ids=["irreducible", "reducible"])
+    def test_classify_loads_the_build_modules(self, tmp_path, factors):
+        # the criterion, the key and the guard read the spec alone: nothing is built or eliminated
+        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors]})
+        exit_code, imported = imported_modules("classify", spec)
+        assert exit_code == 0 and tetrabox_modules(imported) == BUILD_MODULES
+        assert "tetrabox.linalg" not in imported
+
+    @pytest.mark.parametrize("deep, extra", [([], {"tetra", "linalg"}), (["--deep"], {"tetra", "linalg", "classify"})],
                              ids=["verify", "deep"])
     def test_verify_loads_tetra_and_deep_verify_classify(self, built_v2, deep, extra):
-        # the relations and the eigentable are tetra's; Norton's test in the deep checks is classify's
+        # the relations and the eigentable are tetra's, on linalg's eigenspaces; Norton's test in the deep checks
+        # is classify's
         exit_code, imported = imported_modules("verify", str(built_v2), *deep)
         loaded = tetrabox_modules(imported)
         assert exit_code == 0 and loaded == BUILD_MODULES | extra
@@ -1176,6 +1187,31 @@ class TestLongIntegers:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert json.loads(proc.stdout)["pass"] is False
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit")
+    def test_main_leaves_the_digit_limit_as_it_found_it(self, tmp_path, capsys):
+        # main lifts the limit while it runs and puts the caller's back, on a report, a failed check and an
+        # argparse exit alike; the residual of a 4000-digit entry is still written in full
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
+            assert main(["classify", spec]) == 0
+            assert sys.get_int_max_str_digits() == 4300
+            out = tmp_path / "m.json"
+            assert main(["build", spec, "-o", str(out)]) == 0
+            data = json.loads(out.read_text())
+            data["tetra"]["x"]["02"][0][1] = "7" * 4000
+            tampered = write_json(tmp_path / "tampered.json", data)
+            capsys.readouterr()
+            assert main(["verify", tampered]) == 1
+            assert json.loads(capsys.readouterr().out)["pass"] is False
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(SystemExit):
+                main(["no-such-command"])
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_deep_closure_on_long_entries_is_decided_by_the_certificate(self, tmp_path):
         # two 4000-digit entries leave x_02 no eigenline, so Norton's test decides (x_02, x_13) at the top

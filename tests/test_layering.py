@@ -1,12 +1,13 @@
-"""The stored form of a Matrix stays inside linalg.
+"""The stored form of a Matrix stays inside the matrix core and linalg.
 
 A Matrix is integer rows over one denominator. Modules that only do matrix
-algebra must not reach for linalg's private helpers, or that representation
-leaks into them again. classify (the spins and closures) and flags (one rank
-and one solve) work on the integer echelon itself and are not listed.
+algebra must not reach for the private helpers of linalg or of the matrix
+core, or that representation leaks into them again. classify (the spins and
+closures) and flags (one rank and one solve) work on the integer echelon
+itself and are not listed.
 
 No module reads the environment either: the size bounds are the constants
-linalg.DIM_GUARD (every computation, by its own side) and
+matrix.DIM_GUARD (every computation, by its own side) and
 serialize.LITERAL_GUARD (the characters of one rational literal in a file),
 so no setting can change a result from outside.
 
@@ -14,7 +15,9 @@ The build path stays small. A module's top-level imports run in every
 process that loads it, so those of the modules `tetrabox build` loads stay
 among them, and cli's top level imports only errors; every other import of
 cli is made by the command that runs it. A later top-level import cannot
-quietly put tetra or classify back on the build path.
+quietly put tetra or classify back on the build path. The path holds the
+matrix core, not linalg: the closed-form fold never eliminates, and the
+core imports nothing from linalg, so the elimination engine stays off it.
 
 The package needs the standard library alone: every elimination is
 linalg's integer echelon, so no module imports an array library, and
@@ -43,7 +46,7 @@ def private_linalg_imports(module: str) -> list[str]:
     return [
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("linalg", "matrix")
         for alias in node.names
         if alias.name.startswith("_")
     ]
@@ -56,7 +59,7 @@ def test_no_private_linalg_names(module):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_setting_comes_from_the_environment(path):
-    # every bound is a constant (linalg.DIM_GUARD, serialize.LITERAL_GUARD), never an environment variable
+    # every bound is a constant (matrix.DIM_GUARD, serialize.LITERAL_GUARD), never an environment variable
     tree = ast.parse(path.read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
@@ -86,7 +89,18 @@ def test_the_minimal_polynomial_runs_only_on_a_shortfall():
     assert len(calls_of(certified, "minimal_polynomial")) == len(calls_of(tree, "minimal_polynomial")) == 1
 
 
-BUILD_PATH = {"onsager", "serialize", "linalg", "errors", "_record"}
+BUILD_PATH = {"onsager", "serialize", "matrix", "errors", "_record"}
+
+
+def package_modules(node: ast.AST) -> set[str]:
+    """The tetrabox modules one import statement names; none for any other node."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return {node.module} if node.module else {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tetrabox":
+        return {node.module.partition(".")[2] or alias.name for alias in node.names}
+    if isinstance(node, ast.Import):
+        return {alias.name.partition(".")[2] for alias in node.names if alias.name.split(".")[0] == "tetrabox"}
+    return set()
 
 
 def top_level_imports(module: str) -> set[str]:
@@ -97,12 +111,7 @@ def top_level_imports(module: str) -> set[str]:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found |= {node.module} if node.module else {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tetrabox":
-            found |= {node.module.partition(".")[2] or alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
-            found |= {alias.name.partition(".")[2] for alias in node.names if alias.name.split(".")[0] == "tetrabox"}
+        found |= package_modules(node)
         pending.extend(ast.iter_child_nodes(node))
     return found
 
@@ -110,6 +119,22 @@ def top_level_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(BUILD_PATH))
 def test_the_build_path_imports_only_itself(module):
     assert top_level_imports(module) <= BUILD_PATH
+
+
+def package_imports(module: str) -> set[str]:
+    """The tetrabox modules a module imports anywhere, in a function or not."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return set().union(*map(package_modules, ast.walk(tree)))
+
+
+def test_the_matrix_core_imports_nothing_from_linalg():
+    # at any depth: the core, and what it imports, import linalg neither at the top level nor in a function
+    seen, pending = set(), ["matrix"]
+    while pending:
+        module = pending.pop()
+        seen.add(module)
+        pending.extend(package_imports(module) - seen)
+    assert seen == {"matrix", "errors", "_record"}
 
 
 def test_cli_imports_only_errors_at_its_top_level():

@@ -32,7 +32,7 @@ from tetrabox import (
     rref,
     subspace_sum,
 )
-from tetrabox import linalg
+from tetrabox import linalg, matrix
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -309,7 +309,7 @@ class TestScalarHelpers:
 
 class TestGuardsAndPlumbing:
     def test_dimension_guard_override(self, monkeypatch):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         assert Matrix.identity(8).rows == 8
         with pytest.raises(DimensionGuardError):
             Matrix.identity(9)
@@ -790,8 +790,8 @@ class TestSpectralMemo:
         hit = evaluation_module(3, 2).A
         assert route(hit) == route(fresh_copy(hit))
         miss = fresh_copy(hit)
-        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 3)
         refusals = [outcome(route, m) for m in (hit, miss, hit)]
         assert refusals == [(DimensionGuardError, "matrix side 4 exceeds the dimension guard 3")] * 3
-        monkeypatch.setattr(linalg, "DIM_GUARD", 4)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 4)
         assert route(hit) == route(miss)

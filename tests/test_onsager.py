@@ -12,6 +12,7 @@ from tetrabox import (
     build_from_spec,
     dolan_grady_holds,
     eigenspace,
+    equivalence_key,
     evaluation_module,
     module_type,
     normalize_type,
@@ -19,7 +20,7 @@ from tetrabox import (
     tensor,
     trivial_module,
 )
-from tetrabox import linalg, onsager
+from tetrabox import matrix, onsager
 from tetrabox.serialize import module_from_json, module_to_json
 
 SAMPLE_FACTORS = [(1, F(2)), (2, F(3)), (3, F(1, 2)), (1, F(-1)), (2, F(1)), (2, F(5))]
@@ -65,7 +66,7 @@ class TestSl2:
 
 class TestExactInputs:
     """Every scalar a spec or an evaluation module takes is read exactly
-    (linalg.as_rational): int, Fraction and string values, never a float."""
+    (matrix.as_rational): int, Fraction and string values, never a float."""
 
     def test_spec_values_are_read_exactly(self):
         spec = ModuleSpec.of([(1, "1/10"), ("2", F(3)), (F(1), 5)], shift=("1/2", F(-1)))
@@ -83,6 +84,27 @@ class TestExactInputs:
     def test_spec_refuses_a_weight_that_is_no_integer(self, n):
         with pytest.raises(ValueError, match="factor weight must be an integer"):
             ModuleSpec.of([(n, 2)])
+
+    @pytest.mark.parametrize("factors, shift", [(((1, 0.1),), (0, 0)), (((1.5, 2),), (0, 0)),
+                                                (((1, F(2)),), (F(0), 0.5))],
+                             ids=["parameter", "weight", "shift"])
+    def test_the_constructor_refuses_floats(self, factors, shift):
+        # a float parameter once passed the criterion, keyed as '0.1' and failed in build_from_spec with a bare
+        # TypeError; a float weight gave a dim of 2.5
+        with pytest.raises(TypeError, match="cannot interpret .* as an exact rational"):
+            ModuleSpec(factors, shift)
+
+    def test_the_constructor_refuses_a_weight_that_is_no_integer(self):
+        with pytest.raises(ValueError, match=r"factor weight must be an integer, not Fraction\(3, 2\)"):
+            ModuleSpec(((F(3, 2), 2),))
+
+    def test_the_constructor_reads_what_of_reads(self):
+        # an int parameter is a Fraction, as ModuleSpec.of makes it, so 1/a is exact and the key reads '1/2'
+        spec = ModuleSpec(((1, 2), (F(2), "3")), ("1/2", 0))
+        assert spec == ModuleSpec.of([(1, 2), (2, 3)], shift=(F(1, 2), 0))
+        assert [type(x) for n, a in spec.factors for x in (n, a)] == [int, F, int, F]
+        assert [type(x) for x in spec.shift] == [F, F]
+        assert spec.dim == 6 and equivalence_key(spec) == ((1, "1/2"), (2, "1/3"))
 
     def test_evaluation_module_refuses_a_float_parameter(self):
         assert evaluation_module(1, "2") == evaluation_module(1, F(2)) == evaluation_module(1, 2)
@@ -160,7 +182,7 @@ class TestTensor:
 
         m1 = evaluation_module(2, F(2))
         m2 = evaluation_module(3, F(3))
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         with pytest.raises(DimensionGuardError):
             tensor(m1, m2)  # 3 * 4 = 12 > 8
 
@@ -231,7 +253,7 @@ class TestBuildFromSpec:
             ModuleSpec.of([(-1, 2)])
 
     def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
             original = getattr(onsager, name)
@@ -246,7 +268,7 @@ class TestBuildFromSpec:
         assert calls == []
 
     def test_spec_at_the_guard_builds(self, monkeypatch):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         assert build_from_spec(ModuleSpec.of([(1, 2)] * 3)).dim == 8
 
 

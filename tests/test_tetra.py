@@ -38,7 +38,7 @@ from tetrabox import (
     verify_relations,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, flags, linalg, onsager, tetra
+from tetrabox import classify, flags, linalg, matrix, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -99,7 +99,7 @@ class TestBuild:
             "flags 0 and 2 are not opposite: component intersections do not sum directly to the full space"
         )
         # spinning needs no guard, so the scan is never reached
-        monkeypatch.setattr(linalg, "DIM_GUARD", 3)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 3)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
 
@@ -116,7 +116,7 @@ class TestBuild:
         m = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
-        monkeypatch.setattr(linalg, "DIM_GUARD", 16)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         with pytest.raises(DimensionGuardError):
             build_tetra(m)
 
@@ -179,7 +179,7 @@ class TestBuildFromSpec:
         assert all(t.x[(s, r)] == -t.x[(r, s)] for r, s in UNORDERED_PAIRS)
 
     def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
             original = getattr(onsager, name)
@@ -198,7 +198,7 @@ class TestBuildFromSpec:
 
     def test_refusals_in_the_cli_order(self, monkeypatch):
         # criterion, then shift, then guard, each with the one line `tetrabox build` prints
-        monkeypatch.setattr(linalg, "DIM_GUARD", 8)
+        monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         shifted_and_large = ModuleSpec.of([(1, 2), (1, 3), (1, 5), (1, 7)], shift=(1, 0))
         with pytest.raises(ReducibleModuleError, match=r"^reducible: a = ±1 in an evaluation factor$"):
             build_tetra_from_spec(ModuleSpec.of([(1, -1), (1, 2)] * 2, shift=(1, 0)))
