@@ -11,15 +11,16 @@ the module (x_01, x_23), of which the module section is a copy: the rebuild
 (matrices and d), the pair's round trip and, for an echoed spec, whether
 the spec's module is that pair and the rebuild matches: such a spec is
 irreducible and unshifted, so its fold would be that rebuild. When the
-file passed the plain checks, every entry of the eigentable's (0, 1) row is
-positive and Norton's test finds the pair irreducible at the first eigenline
-of x_01, the rebuild is the file itself (tetra._rebuild_is_the_file gives
-the argument), and no build runs: rebuild_matches holds, the round trip
-gives x_01 and x_23 back, so roundtrip_uniqueness reads whether the module
-section is the pair, and spec_matches whether the spec's module is. Every
-other file takes the exact route, one flag-route build: a file that fails a
-plain check, whose (0, 1) row has a zero, whose pair Norton finds reducible
-(the "error" is ReducibleModuleError's text) or whose x_01 has no eigenline.
+file passed the plain checks, one decision settles the rebuild
+(tetra._rebuild_is_the_file gives the argument): where the eigenspace of
+x_01 at d is a line and Norton's test at it finds the pair irreducible, the
+rebuild is the file itself and no build runs: rebuild_matches holds, the
+round trip gives x_01 and x_23 back, so roundtrip_uniqueness reads whether
+the module section is the pair, and spec_matches whether the spec's module
+is. Otherwise the module is not absolutely irreducible, and the "error" is
+the text of build_tetra's refusal (ReducibleModuleError), with no build and
+no closure run. Only a file that fails a plain check takes the exact route,
+one flag-route build.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
@@ -38,10 +39,11 @@ invocations produce byte-identical output; diagnostics go to stderr.
 Exit codes: 0 success, 1 failed checks or input above the dimension guard
 or rejected (reducible/shifted) build input, 2 unreadable or malformed
 input (and reducible input for `compare`), 3 oracle/criterion disagreement
-in `compare`. When the guard refuses a deep check (a module whose
-irreducibility the spin cannot decide and whose closure is above it), that
-check and every later one read "skipped", "skipped" holds the reason, and
-the refusal does not fail verification. Likewise, when the guard refuses
+in `compare`. When the guard refuses a deep check, which only a file that
+failed a plain check can reach (a pair whose irreducibility the spin cannot
+decide and whose closure is above it), that check and every later one read
+"skipped", "skipped" holds the reason, and the refusal does not fail
+verification. Likewise, when the guard refuses
 the modules of `compare --oracle`, "intertwiner_found" and
 "oracle_agrees" read "skipped" and the exit code is the criterion's (0 or
 1).
@@ -66,7 +68,7 @@ import json
 import signal
 import sys
 
-from .errors import DimensionGuardError, TetraboxError
+from .errors import DimensionGuardError, ReducibleModuleError, TetraboxError
 
 
 class _InputError(Exception):
@@ -134,17 +136,19 @@ def cmd_build(args) -> int:
 def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleSpec | None, verified: bool) -> dict:
     # verified: the four plain checks passed, which _rebuild_is_the_file presumes
     from .onsager import OnsagerModule, build_from_spec
-    from .tetra import _rebuild_is_the_file, build_tetra, pairwise_burnside
+    from .tetra import _NOT_FULL, _rebuild_is_the_file, build_tetra, pairwise_burnside
 
     out = {"pass": True}
     keys = ["rebuild_matches", "roundtrip_uniqueness", "spec_matches", "pairwise_burnside"]
     if spec is None:
         keys.remove("spec_matches")
     try:
-        # the module section is a copy of x_01, x_23: every key is read off the rebuild of that pair,
-        # which is the file itself wherever the plain checks and Norton's test say so
+        # the module section is a copy of x_01, x_23: every key is read off the rebuild of that pair. On a verified
+        # file Norton's test at the top of x_01 says whether that is the file itself or build_tetra would refuse it
         standard = OnsagerModule(tetra.dim, tetra.x[(0, 1)], tetra.x[(2, 3)])
-        rebuilt = tetra if verified and _rebuild_is_the_file(tetra) else build_tetra(standard)
+        if verified and not _rebuild_is_the_file(tetra):
+            raise ReducibleModuleError(_NOT_FULL)
+        rebuilt = tetra if verified else build_tetra(standard)
         out["rebuild_matches"] = rebuilt.diameter == tetra.diameter and rebuilt.x == tetra.x
         gives_back = rebuilt.x[(0, 1)] == standard.A and rebuilt.x[(2, 3)] == standard.Astar
         # an absent module section counts as the pair itself

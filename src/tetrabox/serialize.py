@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .matrix import Matrix
-from .onsager import ModuleSpec, OnsagerModule, TetraModule
+from .onsager import ORDERED_PAIRS, ModuleSpec, OnsagerModule, TetraModule
 
 # Flag, EigenTable and VerificationReport appear in annotations only, so
 # flags and tetra are not imported: `tetrabox build` loads neither.
@@ -122,6 +122,10 @@ def _pair_key(pair: tuple[int, int]) -> str:
     return f"{pair[0]}{pair[1]}"
 
 
+# the twelve keys a file may name, "01" to "32": so no two keys name one generator
+_GENERATOR_KEYS = {_pair_key(pair): pair for pair in ORDERED_PAIRS}
+
+
 def tetra_to_json(t: TetraModule) -> dict:
     keys = sorted(t.x)
     return {
@@ -136,10 +140,9 @@ def tetra_from_json(data) -> TetraModule:
         raise ValueError("tetra structure must be an object with an 'x' table")
     x = {}
     for key, mat in data["x"].items():
-        if not isinstance(key, str) or len(key) != 2 or not key.isdigit():
+        if key not in _GENERATOR_KEYS:
             raise ValueError(f"bad generator key {key!r}")
-        pair = (int(key[0]), int(key[1]))
-        x[pair] = matrix_from_json(mat)
+        x[_GENERATOR_KEYS[key]] = matrix_from_json(mat)
     dims = {mat.rows for mat in x.values()}
     if len(dims) != 1:
         raise ValueError("generator matrices have inconsistent sizes")

@@ -103,6 +103,12 @@ every lam, so x, y, z and their negatives all have the eigenspace
 dimensions of rho(h) at every lam; with antisymmetry, so do x_sr, x_ts and
 x_rt. Every edge shares a triangle with {0, 1} except {2, 3}, which shares
 one with {0, 2}, so all six rows equal the row of x_01 at any declared d.
+
+Irreducibility needs one line once the four stages have passed. By the
+paper's classification, ker(x_01 - d) is a line on every absolutely
+irreducible module, so where it is no line the module is not, and where it
+is, Norton's test at it decides (_rebuild_is_the_file): `verify --deep`
+builds nothing and runs no closure on such a file.
 """
 
 from __future__ import annotations
@@ -117,6 +123,10 @@ from .linalg import Matrix, Subspace, annihilates, commutator, eigenspace, hstac
 from .onsager import OnsagerModule, _module_spectra
 # the spec route, its record and the corner constants live beside ModuleSpec; re-exported here
 from .onsager import CORNERS, OPPOSITE_PAIRS, ORDERED_PAIRS, UNORDERED_PAIRS, TetraModule, build_tetra_from_spec
+
+
+# build_tetra's refusal of a pair that does not generate End(V), and verify --deep's of a verified file
+_NOT_FULL = "module is reducible: the generated algebra is not full"
 
 
 class CheckResult(Record):
@@ -192,7 +202,7 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
     if not _full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
-        raise ReducibleModuleError("module is reducible: the generated algebra is not full")
+        raise ReducibleModuleError(_NOT_FULL)
     chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
     flags = _flag_components(*chains.values())
     x: dict[tuple[int, int], Matrix] = {}
@@ -486,14 +496,30 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
     """Would build_tetra of the pair (x_01, x_23) give back t, its twelve
     matrices and its declared d? Precondition: all 54 relation instances and
     the eigentable at the declared d have passed on t (cli._deep_checks calls
-    it only then). True when every entry of the (0, 1) row of the eigentable
-    is positive and Norton's test on (x_01, x_23), at the first eigenline of
-    x_01's chain, finds the pair irreducible; that verdict is kept in x_01's
-    memo (classify._full_algebra), and pairwise_burnside and build_tetra
-    read it back. False otherwise, with no build run.
+    it only then). True when ker(x_01 - d), kept in x_01's memo by the
+    one-chain eigentable, is a line and Norton's test at it finds (x_01, x_23)
+    irreducible; that verdict is kept in x_01's memo (classify._full_algebra),
+    and pairwise_burnside reads it back. False otherwise, and then the module
+    is not absolutely irreducible, so build_tetra would refuse the pair:
+    nothing else is asked, and no build or closure runs.
 
-    This is the paper's uniqueness, four flags fix every x_rs, read off
-    checks that have run:
+    Why a top that is no line decides: over an algebraic closure K of Q the
+    54 relations still hold, so the twelve matrices are a module over K, and
+    a pair that generates End(V) over Q does over K (spans are ranks). By the
+    paper's classification (Hartwig and Terwilliger, J. Algebra 2007) that
+    module is then a tensor product of evaluation modules V(n_i, a_i), on
+    which x_01 has the top eigenvalue sum n_i with the line of the top weight
+    vectors as its eigenspace. By sums_to_dim and diameter_attained the top
+    eigenvalue of x_01 is d, so ker(x_01 - d) is a line on every absolutely
+    irreducible file. By the module docstring's sl2 argument the (0, 1) row
+    holds the weight multiplicities of a finite-dimensional sl2-module with
+    top weight d: the entry at lam counts its irreducible constituents of top
+    weight at least |lam|, so every entry is positive and none is smaller
+    than the top one, and no eigenspace below the top is a line when the top
+    is not.
+
+    Where the verdict is True, this is the paper's uniqueness, four flags fix
+    every x_rs, read off checks that have run:
 
     1. Antisymmetry: x_sr = -x_rs for every pair (the relations).
     2. Spectra: x_01, and x_23 with the same row, are diagonalizable with
@@ -515,15 +541,10 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
        rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
        the file's x_sr by 1.
     """
-    from .classify import _first_line, _full_algebra
+    from .classify import _full_algebra
 
-    d = t.diameter
-    chain = _eigenspace_chain(t, (0, 1))
-    line = _first_line(zip(range(d, -d - 1, -2), chain))
-    # with no eigenline of x_01 this test cannot decide; that is left to build_tetra
-    if line is None or not all(space.dim > 0 for space in chain):
-        return False
-    return _full_algebra(t.x[(0, 1)], t.x[(2, 3)], [line])
+    top = eigenspace(t.x[(0, 1)], t.diameter)
+    return top.dim == 1 and _full_algebra(t.x[(0, 1)], t.x[(2, 3)], [(t.diameter, top)])
 
 
 def roundtrip_uniqueness(m: OnsagerModule) -> bool:

@@ -272,13 +272,33 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("renamed", [False, True], ids=["added", "renamed"])
+    def test_generator_key_with_a_non_ascii_digit_exits_2(self, built_v2, tmp_path, capsys, renamed):
+        # "0\u0661" is two Unicode digits: read as digits it would name x_01, so an added key of zeros would
+        # replace x_01 and a renamed x_01 would verify
+        data = json.loads(built_v2.read_text())
+        x = data["tetra"]["x"]
+        x["0\u0661"] = x.pop("01") if renamed else [["0"] * len(row) for row in x["01"]]
+        path = write_json(tmp_path / "key.json", data)
+        assert main(["verify", path]) == 2
+        out, err = capsys.readouterr()
+        assert_one_error_line(out, err)
+        assert "bad generator key" in err
+
     def test_guard_refusal_is_skipped_not_failed(self, doubled_v, tmp_path, monkeypatch, capsys):
-        # V + V above the guard: the spin cannot decide it and the closure refuses
+        # V + V with one entry of x_02 tampered fails the plain checks, so the deep checks build its pair
+        # (x_01, x_23), which is V + V's: the spin cannot decide it and the closure is above the guard
         module = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
-        path = write_json(tmp_path / "vv.json", {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)})
+        data = {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)}
+        row = data["tetra"]["x"]["02"][0]
+        row[1] = str(F(row[1]) + F(1, 7))
+        path = write_json(tmp_path / "vv.json", data)
         monkeypatch.setattr(matrix, "DIM_GUARD", 16)
-        assert main(["verify", path, "--deep"]) == 0
-        deep = json.loads(capsys.readouterr().out)["deep"]
+        assert main(["verify", path, "--deep"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        # the exit is the plain checks'; the refused deep check does not fail verification
+        assert report["pass"] is False and report["relations"]["failures"]
+        deep = report["deep"]
         assert deep["pass"] is True
         assert deep["pairwise_burnside"] == "skipped"
         assert deep["rebuild_matches"] == "skipped"
@@ -891,29 +911,39 @@ def conjugations(dim):
     return st.tuples(entries, entries).map(lambda lu: unitriangular(lu[0], True) * unitriangular(lu[1], False))
 
 
+REDUCIBLE = {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+
+
 class TestImpliedRouteDifferential:
     """tetra._verify, which reads the eigentable off x_01's chain once the
     relations pass and the action table and flag independence off the
     relations and the eigentable, and the deep checks given its verdict,
-    which read the rebuild off Norton's test, against the exact route: the
-    four public stages, the eigentable from six chains, and the deep checks
-    given no passing verdict, which run build_tetra."""
+    which read the rebuild off Norton's test at the top of x_01, against the
+    exact route: the four public stages, the eigentable from six chains, and
+    the deep checks given no passing verdict, which run build_tetra."""
 
     @staticmethod
     def assert_same(t, calls, module=None, spec=None):
         """_verify against the public stages on t itself, and the deep checks
-        given its verdict against those given False; returns whether the
-        relations and the eigentable passed, the flag-route builds of the deep
-        checks given the verdict and their dict."""
+        given its verdict against those given False; on a verified t the deep
+        checks run no build and no closure. Returns whether the relations and
+        the eigentable passed, the flag-route builds of the deep checks given
+        the verdict and their dict."""
         relations, table, actions, independent = tetra._verify(t)
         assert relations == tetra.verify_relations(t)
         assert table == tetra.eigentable(t)
         assert actions == tetra.verify_action_table(t)
         assert independent is tetra.flag_independence_check(t)
         plain = relations.all_passed and table.all_passed
+        verified = plain and actions.all_passed and independent
+        closures = []
+        real = classify._closure_dimension_exact
         # the implied route first, so that its Norton verdict is its own and not the one the build keeps
-        deep = cli._deep_checks(module, t, spec, plain and actions.all_passed and independent)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_closure_dimension_exact", lambda gens, n: closures.append(n) or real(gens, n))
+            deep = cli._deep_checks(module, t, spec, verified)
         builds = list(calls)
+        assert not verified or (builds, closures) == ([], [])
         calls.clear()
         assert deep == cli._deep_checks(module, t, spec, False)
         assert len(calls) == 1  # the exact route builds
@@ -971,24 +1001,54 @@ class TestImpliedRouteDifferential:
             assert not tetra.verify_action_table(t).all_passed
 
     def test_v_plus_v(self, doubled_v, monkeypatch):
-        # the relations and the eigentable pass, but x_01 has no eigenline: the closure refuses in build_tetra
+        # the relations and the eigentable pass, but the top eigenspace of x_01 is a plane: the verified route
+        # refuses with build_tetra's text, where build_tetra's closure finds the pair reducible
         calls = spy_flag_route_builds(monkeypatch)
         plain, builds, deep = self.assert_same(doubled_v, calls)
-        assert plain and len(builds) == 1
-        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+        assert plain and builds == []
+        assert deep == REDUCIBLE
+
+    def test_v_plus_v_below_a_lowered_guard(self, doubled_v, monkeypatch):
+        # with dim^2 above the guard the build route's closure refuses and its keys read "skipped";
+        # the verified route needs no closure and still decides
+        calls = spy_flag_route_builds(monkeypatch)
         monkeypatch.setattr(matrix, "DIM_GUARD", 16)
-        calls.clear()
-        plain, builds, deep = self.assert_same(doubled_v, calls)
-        assert plain and len(builds) == 1 and deep["rebuild_matches"] == "skipped" and "guard" in deep["skipped"]
+        monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: pytest.fail("a closure ran"))
+        assert cli._deep_checks(None, doubled_v, None, True) == REDUCIBLE
+        assert calls == []
+        deep = cli._deep_checks(None, doubled_v, None, False)
+        assert len(calls) == 1 and deep["rebuild_matches"] == "skipped" and "guard" in deep["skipped"]
+        assert deep["pass"] is True
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_conjugated_v_plus_v(self, doubled_v, monkeypatch, data):
+        # P (V + V) P^-1 is again a verified module whose top eigenspace of x_01 is a plane
+        p = data.draw(conjugations(doubled_v.dim))
+        p_inverse = linalg.inverse(p)
+        conjugated = tetra.TetraModule(dim=doubled_v.dim, diameter=doubled_v.diameter,
+                                       x={pair: p * mat * p_inverse for pair, mat in doubled_v.x.items()})
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(conjugated, calls)
+        assert plain and builds == [] and deep == REDUCIBLE
+
+    def test_v_plus_w(self, d4_build, monkeypatch):
+        # two non-isomorphic irreducible modules of one d and one dimension: every row is the sum of theirs,
+        # so the top eigenspace of x_01 is a plane
+        v = tetra_from_json(d4_build["tetra"])
+        w = tetra.build_tetra_from_spec(ModuleSpec.of([(1, 5), (1, F(-1, 3))]))
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(block_diagonal(v, w), calls)
+        assert plain and builds == [] and deep == REDUCIBLE
 
     def test_v_plus_trivial(self, d4_build, monkeypatch):
-        # x_01 has a top eigenline, and Norton's spin of it stops at V: the build refuses the pair
+        # x_01 has a top eigenline, and Norton's spin of it stops at V: the pair is reducible
         t = tetra_from_json(d4_build["tetra"])
         trivial = tetra.TetraModule(dim=1, diameter=t.diameter, x={pair: Matrix.zeros(1, 1) for pair in t.x})
         calls = spy_flag_route_builds(monkeypatch)
         plain, builds, deep = self.assert_same(block_diagonal(t, trivial), calls)
-        assert plain and len(builds) == 1
-        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+        assert plain and builds == []
+        assert deep == REDUCIBLE
 
     @pytest.mark.parametrize(
         "summands, d",
@@ -997,15 +1057,16 @@ class TestImpliedRouteDifferential:
     )
     def test_reducible_sums(self, d4_build, d16_build, monkeypatch, summands, d):
         # the relations hold on a direct sum of modules, so the eigentable reads its six rows off x_01's chain,
-        # also at a declared d that neither summand has; the build finds the pair reducible and refuses
+        # also at a declared d that neither summand has; Norton's test at x_01's top, or the build where the
+        # plain checks fail, finds the pair reducible
         built = {"d4": tetra_from_json(d4_build["tetra"]), "d16": tetra_from_json(d16_build["tetra"]),
                  "v3": tetra.build_tetra_from_spec(ModuleSpec.of([(2, 5)]))}
         t = block_diagonal(*(built[name] for name in summands))
         t = tetra.TetraModule(dim=t.dim, diameter=d, x=t.x)
         calls = spy_flag_route_builds(monkeypatch)
         plain, builds, deep = self.assert_same(t, calls)
-        assert plain is (d == built[summands[0]].diameter) and len(builds) == 1
-        assert deep == {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+        assert plain is (d == built[summands[0]].diameter) and len(builds) == (0 if plain else 1)
+        assert deep == REDUCIBLE
 
     def test_passing_deep_verify_computes_no_inclusion_and_builds_nothing(self, d16_build, tmp_path, monkeypatch,
                                                                          capsys):
@@ -1080,17 +1141,23 @@ BUILD_MODULES = {"cli", "errors", "_record", "matrix", "onsager", "serialize"}
 
 def imported_modules(*args) -> tuple[int, list[str]]:
     """The exit code of a console-script process running one command, and every
-    module it imports, in import order.
+    module it holds when it exits, in import order.
 
-    -X importtime lists them on stderr; -S keeps out what the site hooks import,
-    so the list is tetrabox's own. The process runs the installed `tetrabox`
+    The child writes the keys of sys.modules to a file as it exits: a module
+    that the package's lazy __getattr__ loads through importlib.import_module
+    is in sys.modules but in no -X importtime profile. -S keeps out what the
+    site hooks import, so the list is the interpreter's start-up modules and
+    what the command imports. The process runs the installed `tetrabox`
     script's entry, so tetrabox.cli is imported by name (under -m it runs as
-    __main__ and is not listed)."""
-    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "from tetrabox.cli import run; run()", *args],
-                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
-    assert "Traceback" not in proc.stderr, proc.stderr
-    return proc.returncode, [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                             if line.startswith("import time:")]
+    __main__)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        listing = Path(scratch) / "modules.txt"
+        code = ("import sys\ntry:\n    from tetrabox.cli import run; run()\nfinally:\n"
+                f"    open({str(listing)!r}, 'w').write('\\n'.join(sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        return proc.returncode, listing.read_text().splitlines()
 
 
 def tetrabox_modules(imported: list[str]) -> set[str]:
@@ -1099,18 +1166,11 @@ def tetrabox_modules(imported: list[str]) -> set[str]:
 
 class TestImports:
     def test_build_verify_and_deep_verify_load_no_dataclasses_inspect_or_numpy(self, tmp_path):
-        # -X importtime lists every module the process imports on stderr; -S
-        # keeps out what the site hooks import, so the list is tetrabox's own
-        env = subprocess_env()
         spec = write_json(tmp_path / "s.json", SPEC_V2_V3)
         out = str(tmp_path / "m.json")
         for args in (["build", spec, "-o", out], ["verify", out], ["verify", out, "--deep"]):
-            proc = subprocess.run(
-                [sys.executable, "-S", "-X", "importtime", "-m", "tetrabox.cli", *args],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+            exit_code, imported = imported_modules(*args)
+            assert exit_code == 0
             loaded = {name.split(".")[0] for name in imported} & {"dataclasses", "inspect", "numpy", "typing"}
             assert not loaded, (args, loaded)
 

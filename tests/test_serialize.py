@@ -190,6 +190,13 @@ class TestTetraJson:
         assert decoded.x == t.x
         assert decoded.dim == t.dim and decoded.diameter == t.diameter
 
+    @pytest.mark.parametrize("key", ["0\u0661", "\u00b2\u00b3", "00", "14", "1", "012", 1])
+    def test_only_the_twelve_ascii_keys_name_a_generator(self, key):
+        encoded = tetra_to_json(build_tetra(evaluation_module(1, F(2))))
+        encoded["x"][key] = encoded["x"]["01"]
+        with pytest.raises(ValueError, match="bad generator key"):
+            tetra_from_json(encoded)
+
     def test_rejects_inconsistent_sizes(self):
         t = build_tetra(evaluation_module(1, F(2)))
         encoded = tetra_to_json(t)

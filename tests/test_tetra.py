@@ -554,7 +554,7 @@ class TestSixGenerators:
         assert not {"_relations_passed", "_eigentable_passed"} & set(vars(t))
 
     def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
-        # the rebuild reads the chain of x_01 and keeps Norton's verdict on (x_01, x_23), forming the dual
+        # the rebuild reads ker(x_01 - d) off x_01's memo and keeps Norton's verdict on (x_01, x_23), forming the dual
         # line ker(x_01^T - d); pairwise_burnside reads it back and forms ker(x_p - d), a line, and its dual
         # line for p = (0, 2) and (0, 3)
         checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
