@@ -15,9 +15,12 @@ flags. The pair (G, F) induces the same pieces reversed.
 
 A flag's components are the partial sums of its decomposition, read off one
 echelon that takes each piece's basis in turn and keeps the reduced rows of
-each read (_partial_sums). Records are built only at the public API:
-build_tetra intersects the component tuples of _flag_components, builds no
-Flag and reads each generator off one solve of its pieces' bases (_acting_as).
+each read (_partial_sums). They nest by construction, so the flags of
+four_flags and flag_from_decomposition check dimensions only (Flag._of); a
+Flag built from public input proves each containment. Records are built
+only at the public API: build_tetra intersects the component tuples of
+_flag_components, builds no Flag and reads each generator off one solve of
+its pieces' bases (_acting_as).
 
 Whether the nonzero P_i sum directly to the full space is decided once, by
 the one elimination that already runs on them: Decomposition's rank of the
@@ -96,6 +99,20 @@ class Flag(Record):
     _fields = ("components",)
 
     def __post_init__(self):
+        self._check_dimensions()
+        if not all(cur.contains(prev) for prev, cur in zip(self.components, self.components[1:])):
+            raise ValueError("flag components must increase strictly")
+
+    @classmethod
+    def _of(cls, components: tuple[Subspace, ...]) -> "Flag":
+        """The flag of partial sums, which nest by construction (_partial_sums):
+        its dimensions are checked, and no containment is proved again."""
+        flag = cls.__new__(cls)
+        object.__setattr__(flag, "components", components)
+        flag._check_dimensions()
+        return flag
+
+    def _check_dimensions(self) -> None:
         if not self.components:
             raise ValueError("a flag needs at least one component")
         ambient = self.components[0].ambient_dim
@@ -106,7 +123,7 @@ class Flag(Record):
         for prev, cur in zip(self.components, self.components[1:]):
             if cur.ambient_dim != ambient:
                 raise ValueError("ambient dimension mismatch")
-            if prev.dim >= cur.dim or not cur.contains(prev):
+            if prev.dim >= cur.dim:
                 raise ValueError("flag components must increase strictly")
 
     @property
@@ -120,7 +137,7 @@ class Flag(Record):
 
 def flag_from_decomposition(dec: Decomposition) -> Flag:
     """The flag of partial sums V_0, V_0 + V_1, ..."""
-    return Flag(_partial_sums(dec.subspaces))
+    return Flag._of(_partial_sums(dec.subspaces))
 
 
 def invert_decomposition(dec: Decomposition) -> Decomposition:
@@ -190,7 +207,7 @@ def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
     _, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
-    return tuple(Flag(components) for components in _flag_components(spaces_a[::-1], spaces_s[::-1]))
+    return tuple(Flag._of(components) for components in _flag_components(spaces_a[::-1], spaces_s[::-1]))
 
 
 def _flag_components(chain_a: Sequence[Subspace], chain_s: Sequence[Subspace]) -> tuple[tuple[Subspace, ...], ...]:

@@ -10,7 +10,8 @@ equal.
 
 Exact elimination has one engine: the incremental integer echelon
 ``_Echelon``, which reads the stored integer rows or columns directly
-(two-term integer row combinations, gcd-stripped after every update).
+(two-term integer row combinations whose multipliers share no factor; a
+row is gcd-stripped once, when the echelon keeps it).
 Subspaces go to it directly: a span, a sum or a membership test is the
 echelon of integer basis columns (its rank, or its reduced rows as the
 canonical basis). A kernel is one elimination of the matrix's rows with
@@ -99,15 +100,44 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _cancel(p: int, c: int, v: list[int], row: list[int]) -> list[int]:
+    """(p v - c row) / g for g = gcd(p, c), p > 0: v with its entry c at the
+    lead p of row eliminated, by one two-integer gcd and no strip of the row."""
+    g = gcd(p, c)
+    if g == p:
+        c //= g
+        return [x - c * y for x, y in zip(v, row)]
+    p //= g
+    c //= g
+    return [p * x - c * y for x, y in zip(v, row)]
+
+
 class _Echelon:
     """Incremental integer echelon basis of a subspace of Q^n.
 
     Each row is gcd-stripped and keyed by the position of its leading
-    entry, which is positive. Reductions are two-term integer combinations
-    with gcd stripping, which realizes exact rational elimination without
-    Fraction overhead. Vectors may be longer than n: only the first n
-    positions are eliminated, and the tail is carried along, so a tail of
-    unit vectors records which combination of the inputs a residual is.
+    entry, which is positive. Reductions are two-term integer combinations,
+    which realize exact rational elimination without Fraction overhead.
+    Vectors may be longer than n: only the first n positions are
+    eliminated, and the tail is carried along, so a tail of unit vectors
+    records which combination of the inputs a residual is.
+
+    One step of reduce eliminates the entry c of the residual v at the lead
+    p > 0 of a kept row as (p v - c row) / gcd(p, c), a fraction-free step
+    whose two multipliers share no factor, and strips nothing: a row is
+    stripped once, in add, when it is kept. This keeps the rows that a strip
+    after every step would keep. By induction each residual is a
+    positive rational multiple of the stripped one: when v = t w with t > 0,
+    the entry read off v is t times that of w, and (p v - c row) / g is a
+    positive multiple of p w - c' row for c' = c / t, so also of its strip.
+    A positive multiple has the same zero pattern and lead, so every step
+    meets the same rows in the same order, and add's strip and sign then
+    keep the same primitive row. reduced_rows cancels gcd(p, c) the same way
+    and strips each updated row, which is kept, so the stored rows and
+    their back-substituted forms are those of the stripped elimination too.
+    A residual's tail is only determined up to that positive factor: a
+    caller that reads it (intersect, _first_dependence) canonicalizes it,
+    by _span in intersect and by monic normalization in _first_dependence.
     """
 
     def __init__(self, n: int):
@@ -132,8 +162,7 @@ class _Echelon:
             row = rows.get(pos)
             if row is None:
                 return pos, v
-            p = row[pos]
-            v = _strip_gcd([p * x - c * y for x, y in zip(v, row)])
+            v = _cancel(row[pos], c, v, row)
         return None, v
 
     def add(self, vec: list[int]) -> bool:
@@ -161,7 +190,7 @@ class _Echelon:
             for i in range(k):
                 ci = rows[i][c]
                 if ci:
-                    rows[i] = _strip_gcd([p * x - ci * y for x, y in zip(rows[i], rk)])
+                    rows[i] = _strip_gcd(_cancel(p, ci, rows[i], rk))
         self.rows = dict(zip(pivots, rows))
         return rows, pivots
 
@@ -537,16 +566,21 @@ def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
     it is prod_{i=0}^{d} (x - c + 2i), of degree d + 1; else None.
 
     The degree gives d and the sum of the roots, (d + 1)(c - d), gives c;
-    the product of the d + 1 linear factors is then compared with poly.
+    for c = p / q in lowest terms, the integer product of the d + 1 factors
+    q x - p + 2iq, which is q^(d+1) times the monic ladder, is then
+    compared with q^(d+1) poly.
     """
     d = len(poly) - 2
     c = Fraction(-poly[d], d + 1) + d
-    roots, expected = [c - 2 * i for i in range(d + 1)], [Fraction(1)]
-    for lam in roots:
-        expected = [Fraction(0)] + expected
-        for k in range(len(expected) - 1):
-            expected[k] = expected[k] - lam * expected[k + 1]
-    return roots if tuple(expected) == tuple(poly) else None
+    p, q = c.numerator, c.denominator
+    expected = [1]
+    for i in range(d + 1):
+        r = p - 2 * i * q
+        expected = [q * lower - r * same for same, lower in zip(expected + [0], [0] + expected)]
+    scale = q ** (d + 1)
+    if any(e != scale * a for e, a in zip(expected, poly)):
+        return None
+    return [c - 2 * i for i in range(d + 1)]
 
 
 def _distinct_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:

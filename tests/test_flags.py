@@ -67,6 +67,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Flag((E1, E2))  # not increasing
 
+    def test_public_flag_proves_nesting(self):
+        # dimensions 1, 2, 3 increase, but e_0 does not lie in <e_1, e_2>
+        e0, plane = line(1, 0, 0), Subspace.span_columns(Matrix.from_rows([[0, 1, 0], [0, 0, 1]]).transpose())
+        with pytest.raises(ValueError, match="increase strictly"):
+            Flag((e0, plane, Subspace.full(3)))
+        # the private constructor trusts nesting by construction, and still checks dimensions
+        with pytest.raises(ValueError, match="increase strictly"):
+            Flag._of((plane, e0, Subspace.full(3)))
+        with pytest.raises(ValueError, match="full space"):
+            Flag._of((e0, plane))
+
 
 class TestInversion:
     def test_single(self):
@@ -160,6 +171,19 @@ class TestFourFlags:
         flags = four_flags(m)
         for flag in flags:
             assert tuple(c.dim for c in flag.components) == (1, 3, 4)
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(2, 2), (1, 3)], [(3, 2), (3, 3)], [(6, 2)]])
+    def test_flags_are_those_the_public_constructor_validates(self, factors, monkeypatch):
+        m = build_from_spec(ModuleSpec.of(factors))
+        calls = []
+        real = Subspace.contains
+        monkeypatch.setattr(Subspace, "contains", lambda self, other: calls.append(1) or real(self, other))
+        flags = four_flags(m)
+        # _partial_sums nests the components by construction: no containment is proved again
+        assert calls == []
+        for flag in flags:
+            assert Flag(flag.components) == flag
+        assert len(calls) == sum(flag.diameter for flag in flags)
 
     def test_shifted_module_rejected(self):
         m = build_from_spec(ModuleSpec.of([(1, 2)], shift=(3, 0)))

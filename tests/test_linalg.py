@@ -692,12 +692,18 @@ class TestKrylovStart:
             assert calls == [m]
 
 
+# entries from [-2, 2], where a pivot often divides or shares a factor with the entry it eliminates, and up to
+# +-10^6, where the coefficients of an elimination grow
+echelon_entries = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+
+
 class TestEchelonKeepsReducedRows:
     @settings(deadline=None, max_examples=150)
     @given(st.data(), st.integers(1, 5), st.integers(0, 3))
     def test_later_vectors_give_a_fresh_echelons_rows(self, data, n, tail):
-        # tail == 0: plain vectors; otherwise each carries a tail through the elimination
-        vector = st.lists(st.integers(-2, 2), min_size=n + tail, max_size=n + tail)
+        # tail == 0: plain vectors; otherwise each carries a tail through the elimination. Small entries make
+        # pivots that divide the entry they eliminate (the step's p == 1 branch) or share a factor with it
+        vector = st.lists(echelon_entries, min_size=n + tail, max_size=n + tail)
         vectors = data.draw(st.lists(vector, max_size=8))
         reads = data.draw(st.sets(st.integers(0, len(vectors))))
         echelon = linalg._Echelon(n)
@@ -708,6 +714,188 @@ class TestEchelonKeepsReducedRows:
             if v is not None:
                 echelon.add(list(v))
         assert echelon.reduced_rows() == linalg._echelon(n, [list(v) for v in vectors]).reduced_rows()
+
+
+# -- the gcd-cancelling step against the echelon that strips every update -----------
+
+
+class StrippingEchelon(linalg._Echelon):
+    """The reference engine: every two-term update p v - c row is gcd-stripped."""
+
+    def reduce(self, vec):
+        rows = self.rows
+        v = vec
+        for pos in range(self.n):
+            c = v[pos]
+            if not c:
+                continue
+            row = rows.get(pos)
+            if row is None:
+                return pos, v
+            p = row[pos]
+            v = linalg._strip_gcd([p * x - c * y for x, y in zip(v, row)])
+        return None, v
+
+    def reduced_rows(self):
+        pivots = sorted(self.rows)
+        rows = [self.rows[c] for c in pivots]
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            rk = rows[k]
+            p = rk[c]
+            for i in range(k):
+                ci = rows[i][c]
+                if ci:
+                    rows[i] = linalg._strip_gcd([p * x - ci * y for x, y in zip(rows[i], rk)])
+        self.rows = dict(zip(pivots, rows))
+        return rows, pivots
+
+
+def is_positive_multiple(u, v):
+    """Is u = t v for some rational t > 0?"""
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None:
+        return not any(u)
+    return u[lead] * v[lead] > 0 and all(a * v[lead] == b * u[lead] for a, b in zip(u, v))
+
+
+@st.composite
+def echelon_inputs(draw, width, count):
+    """count integer vectors of the given width; some are small combinations of
+    earlier ones, so that their residuals vanish on the eliminated positions."""
+    vectors = []
+    for _ in range(count):
+        if vectors and draw(st.booleans()):
+            coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+            vectors.append([sum(a * v[i] for a, v in zip(coefficients, vectors)) for i in range(width)])
+        else:
+            vectors.append(draw(st.lists(echelon_entries, min_size=width, max_size=width)))
+    return vectors
+
+
+@st.composite
+def large_matrices(draw, max_dim=5):
+    """An integer matrix of up to max_dim rows and columns with entries up to +-10^6,
+    over a drawn denominator; some rows are combinations of earlier ones."""
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    return Matrix._of(rows, cols, draw(echelon_inputs(cols, rows)), draw(st.integers(1, 12)))
+
+
+class TestCancellingStepDifferential:
+    """_Echelon cancels gcd(p, c) from the two multipliers and strips a row once,
+    when it is kept; the reference strips every update. The kept rows, reduced
+    rows, verdicts and leads are equal, each residual is a positive multiple of
+    the reference's, and every routine that eliminates answers as on the reference."""
+
+    def test_the_two_cancellation_branches(self):
+        echelon = linalg._Echelon(3)
+        assert echelon.add([2, 0, 1]) and echelon.add([0, 6, 5])
+        # p = 2 divides c = 4: v - 2 row = [0, 2, 0], which the reference strips to [0, 1, 0]; then
+        # gcd(6, 2) = 2: 3 v - row = [0, 0, -5], five times the reference's stripped [0, 0, -1]
+        assert echelon.reduce([4, 2, 2]) == (2, [0, 0, -5])
+        assert StrippingEchelon.reduce(echelon, [4, 2, 2]) == (2, [0, 0, -1])
+        # add keeps the stripped row, with its lead positive
+        assert echelon.add([4, 2, 2]) and echelon.rows[2] == [0, 0, 1]
+        assert echelon.reduced_rows() == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data(), st.integers(1, 6), st.integers(0, 3))
+    def test_rows_verdicts_leads_and_residuals(self, data, n, tail):
+        vectors = data.draw(echelon_inputs(n + tail, data.draw(st.integers(0, 10))))
+        reads = data.draw(st.sets(st.integers(0, len(vectors))))
+        echelon, reference = linalg._Echelon(n), StrippingEchelon(n)
+        for k, v in enumerate(vectors + [None]):
+            if k in reads:
+                assert echelon.reduced_rows() == reference.reduced_rows()
+            if v is None:
+                continue
+            lead, residual = echelon.reduce(list(v))
+            expected_lead, expected = reference.reduce(list(v))
+            assert lead == expected_lead
+            assert is_positive_multiple(residual, expected)
+            assert echelon.add(list(v)) == reference.add(list(v))
+            assert echelon.rows == reference.rows
+        assert echelon.reduced_rows() == reference.reduced_rows()
+
+    @settings(deadline=None, max_examples=150)
+    @given(large_matrices())
+    def test_kernel_and_rref(self, m):
+        with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
+            expected = linalg._kernel(m.cols, m._num), rref(m)
+        assert (linalg._kernel(m.cols, m._num), rref(m)) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.integers(1, 5))
+    def test_intersect(self, data, n):
+        # v's columns are drawn after u's, so some are combinations of u's
+        columns = data.draw(echelon_inputs(n, data.draw(st.integers(0, 2 * n))))
+        cut = data.draw(st.integers(0, len(columns)))
+        u, v = (linalg._span(n, part) for part in (columns[:cut], columns[cut:]))
+        with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
+            expected = intersect(u, v)
+        assert intersect(u, v) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.integers(1, 5))
+    def test_solve(self, data, n):
+        rows = data.draw(echelon_inputs(2 * n, n))
+        with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
+            expected = outcome(linalg._solve, n, rows)
+        assert outcome(linalg._solve, n, rows) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.integers(1, 5))
+    def test_first_dependence(self, data, n):
+        # both routes of _first_dependence, each on a matrix object that holds no memo
+        m = Matrix._of(n, n, data.draw(echelon_inputs(n, n)), data.draw(st.integers(1, 12)))
+        with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
+            expected = linalg._krylov_polynomial(fresh_copy(m)), minimal_polynomial(m)
+        assert (linalg._krylov_polynomial(fresh_copy(m)), minimal_polynomial(m)) == expected
+
+
+# -- _ladder_roots on integers against the Fraction expansion -------------------
+
+
+def monic_with_roots(roots):
+    """prod (x - lam) over the roots, expanded in Fractions, constant term first."""
+    poly = [F(1)]
+    for lam in roots:
+        poly = [F(0)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] -= lam * poly[k + 1]
+    return tuple(poly)
+
+
+def reference_ladder_roots(poly):
+    """The ladder test on Fractions: expand prod_i (x - c + 2i) and compare with poly."""
+    d = len(poly) - 2
+    c = F(-poly[d], d + 1) + d
+    roots = [c - 2 * i for i in range(d + 1)]
+    return roots if monic_with_roots(roots) == tuple(poly) else None
+
+
+class TestLadderRootsDifferential:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 8),
+        st.fractions(min_value=-30, max_value=30, max_denominator=9),
+        st.one_of(st.none(), st.tuples(st.integers(0, 8), st.fractions(min_value=-3, max_value=3, max_denominator=5))),
+    )
+    def test_ladders_and_perturbed_ladders(self, d, c, perturbation):
+        roots = [c - 2 * i for i in range(d + 1)]
+        if perturbation is not None:
+            index, shift = perturbation
+            roots[index % (d + 1)] += shift
+        poly = monic_with_roots(roots)
+        assert linalg._ladder_roots(poly) == reference_ladder_roots(poly)
+        if perturbation is None:
+            assert linalg._ladder_roots(poly) == roots
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(entries, min_size=1, max_size=6))
+    def test_any_monic_polynomial(self, lower):
+        poly = tuple(lower) + (F(1),)
+        assert linalg._ladder_roots(poly) == reference_ladder_roots(poly)
 
 
 # -- the spectral memo: eigenspaces and Krylov polynomial kept on their matrix ----

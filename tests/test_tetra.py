@@ -972,11 +972,12 @@ class TestOneSpectralPass:
 
 class TestFlagComponents:
     def test_builds_no_flag_record_and_no_subspace_sum(self, grid_modules, built_irreducible_grid, monkeypatch):
-        # build_tetra intersects the flags' component tuples; only four_flags wraps them in Flag records
+        # build_tetra intersects the flags' component tuples; only four_flags wraps them in Flag records. Every
+        # Flag, public or of partial sums (Flag._of), checks its dimensions
         made = []
-        for record in (flags.Flag, flags.Decomposition):
-            real = record.__post_init__
-            monkeypatch.setattr(record, "__post_init__", lambda self, real=real: made.append(type(self)) or real(self))
+        for record, check in ((flags.Flag, "_check_dimensions"), (flags.Decomposition, "__post_init__")):
+            real = getattr(record, check)
+            monkeypatch.setattr(record, check, lambda self, real=real: made.append(type(self)) or real(self))
         real_sum = linalg.subspace_sum
         for module in (linalg, flags, tetra):
             if hasattr(module, "subspace_sum"):
