@@ -17,10 +17,12 @@ x_01 at d is a line and Norton's test at it finds the pair irreducible, the
 rebuild is the file itself and no build runs: rebuild_matches holds, the
 round trip gives x_01 and x_23 back, so roundtrip_uniqueness reads whether
 the module section is the pair, and spec_matches whether the spec's module
-is. Otherwise the module is not absolutely irreducible, and the "error" is
+is, and pairwise_burnside holds: the module is absolutely irreducible, so
+the other two disjoint pairs generate End(V) too, and no other spin runs.
+Otherwise the module is not absolutely irreducible, and the "error" is
 the text of build_tetra's refusal (ReducibleModuleError), with no build and
 no closure run. Only a file that fails a plain check takes the exact route,
-one flag-route build.
+one flag-route build and pairwise_burnside's spin of each pair.
 `inspect --flags` on a build file likewise refuses (exit 1) a module
 section that is not that pair, after checking its type as for any module.
 
@@ -157,7 +159,8 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
             # the spec's fold would be the rebuild (module docstring)
             same_shape = spec.dim == tetra.dim and spec.degree_sum == tetra.diameter
             out["spec_matches"] = same_shape and build_from_spec(spec) == standard and out["rebuild_matches"]
-        out["pairwise_burnside"] = pairwise_burnside(tetra)
+        # on a verified file the top-line verdict implies the other two pairs (_rebuild_is_the_file)
+        out["pairwise_burnside"] = verified or pairwise_burnside(tetra)
     except DimensionGuardError as exc:
         # a refused check is not a failed one
         for key in keys:

@@ -107,8 +107,10 @@ one with {0, 2}, so all six rows equal the row of x_01 at any declared d.
 Irreducibility needs one line once the four stages have passed. By the
 paper's classification, ker(x_01 - d) is a line on every absolutely
 irreducible module, so where it is no line the module is not, and where it
-is, Norton's test at it decides (_rebuild_is_the_file): `verify --deep`
-builds nothing and runs no closure on such a file.
+is, Norton's test at it decides (_rebuild_is_the_file), for (x_01, x_23)
+and with it for the other two disjoint pairs: `verify --deep` builds
+nothing, runs no closure and spins no other pair on such a file. The public
+pairwise_burnside always spins all three.
 """
 
 from __future__ import annotations
@@ -498,10 +500,10 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
     the eigentable at the declared d have passed on t (cli._deep_checks calls
     it only then). True when ker(x_01 - d), kept in x_01's memo by the
     one-chain eigentable, is a line and Norton's test at it finds (x_01, x_23)
-    irreducible; that verdict is kept in x_01's memo (classify._full_algebra),
-    and pairwise_burnside reads it back. False otherwise, and then the module
-    is not absolutely irreducible, so build_tetra would refuse the pair:
-    nothing else is asked, and no build or closure runs.
+    irreducible, and then pairwise_burnside(t) is True as well (the last
+    paragraph), so cli._deep_checks spins no other pair. False otherwise, and
+    then the module is not absolutely irreducible, so build_tetra would
+    refuse the pair: nothing else is asked, and no build or closure runs.
 
     Why a top that is no line decides: over an algebraic closure K of Q the
     54 relations still hold, so the twelve matrices are a module over K, and
@@ -540,6 +542,41 @@ def _rebuild_is_the_file(t: TetraModule) -> bool:
        equal the positive (0, 1) row), so the flags are opposite, and the
        rebuilt x_rs, 2i - d on E_i, is the file's x_rs; x_sr = -x_rs is
        the file's x_sr by 1.
+
+    Where the verdict is True, each of the three disjoint pairs generates
+    End(V). Over K the pair (x_01, x_23) does, so the twelve matrices are an
+    irreducible module of the tetrahedron algebra. The relations are
+    invariant when the four corners are permuted (Hartwig and Terwilliger,
+    J. Algebra 2007), so for sigma in S_4 the twist x'_rs = x_{sigma(r)sigma(s)}
+    is a module too, with the same operators and so the same invariant
+    subspaces: it is irreducible. sigma = (12) carries (x_01, x_23) to
+    (x_02, x_13), and sigma = (13) to (x_03, x_21) = (x_03, -x_12), which
+    generates what (x_03, x_12) does. So it suffices that (x_01, x_23)
+    generates End(V) on every irreducible module over K. By the
+    classification it is a tensor product of V(n_i, a_i), n_i >= 1, with the
+    a_i and a_i^-1 mutually distinct and no a_i = +-1 (the empty product is
+    the trivial module, whose End(V) is the scalars). The algebra acts
+    through its evaluations at the a_i, into a sum of copies g_i of sl2, g_i
+    on V(n_i). Let L be the Lie algebra that x_01 and x_23 generate, and A_i,
+    A*_i their components in g_i, the pair of the 2-dimensional V(1, a_i):
+    - L projects onto each g_i. Its image is generated by A_i and A*_i, and
+      a proper subalgebra of sl2 is solvable, so by Lie's theorem it would
+      fix a line of K^2; but V(1, a_i) is irreducible, as a_i != +-1.
+    - L projects onto each g_i + g_j. By Goursat's lemma, a subalgebra of
+      the sum of two simple Lie algebras that projects onto both is the sum
+      or the graph of an isomorphism phi, and a graph needs phi(A_i) = A_j
+      and phi(A*_i) = A*_j. An automorphism of sl2 keeps the trace form, so
+      tr(A_i A*_i) = tr(A_j A*_j). But tr(A_i A*_i) = 2 c_i with
+      c_i = (a_i + a_i^-1)/2, and the c_i are distinct, as the a_i^+-1 are.
+    - So L is the whole sum. Induct on the factors: L projects onto the sum
+      without the last factor, and the kernel of that projection is an ideal
+      of the last one, as L projects onto it, so it is 0 or all of it. Were
+      it 0, L would be the graph of a homomorphism onto the last factor,
+      which kills all but one earlier factor, and L would project onto that
+      pair as a graph.
+    The tensor product of the V(n_i) is an irreducible module of the sum, so
+    by Burnside's theorem the associative algebra L generates, which is the
+    one x_01 and x_23 generate, is End(V).
     """
     from .classify import _full_algebra
 

@@ -81,8 +81,9 @@ def built_irreducible_grid(grid_specs, grid_modules):
 def doubled_v():
     """The twelve matrices of V + V for V = (1,2)(1,3), as V (x) Q^2 with Q^2
     trivial: each is kronecker_sum(x_rs, 0). The module is reducible and the
-    top eigenspace of A is a plane, so the spin cannot decide it; only the
-    Burnside closure can."""
+    top eigenspace of A is a plane, so no spin at A's or Astar's ladder can
+    decide it: build_tetra takes the Burnside closure. The deep checks of a
+    verified file decide it at that plane, with no spin or closure."""
     t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 3)]))
     x = {pair: kronecker_sum(mat, Matrix.zeros(2, 2)) for pair, mat in t.x.items()}
     return TetraModule(dim=8, diameter=t.diameter, x=x)

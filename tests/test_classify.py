@@ -864,7 +864,8 @@ class TestOneNortonVerdictPerPair:
         assert len(calls) == 1 and calls[0][0] is m.A and calls[0][1] is m.Astar
 
     def test_pairwise_burnside_reads_the_build_verdict(self, monkeypatch):
-        # verify --deep: the flag-route rebuild of a file's (x_01, x_23), then pairwise_burnside on the file
+        # the library route that verify --deep takes on a file that failed a plain check: the flag-route rebuild
+        # of the file's (x_01, x_23), then pairwise_burnside on the file
         t = build_tetra_from_spec(spec((3, 2), (3, 3)))
         standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
         calls = spy_norton(monkeypatch)

@@ -911,6 +911,26 @@ def conjugations(dim):
     return st.tuples(entries, entries).map(lambda lu: unitriangular(lu[0], True) * unitriangular(lu[1], False))
 
 
+def conjugated(t, p):
+    """P x_rs P^-1 for each generator: again a module, the relations hold and every chain is P's image."""
+    p_inverse = linalg.inverse(p)
+    return tetra.TetraModule(dim=t.dim, diameter=t.diameter, x={pair: p * mat * p_inverse for pair, mat in t.x.items()})
+
+
+def folded(factors):
+    """The twelve matrices of a spec's tensor product, folded as build_tetra_from_spec folds them but
+    with no refusal, so also where two points collide and the module is reducible."""
+    spec = ModuleSpec.of(factors)
+    x = onsager._folded_generators(spec, tetra.UNORDERED_PAIRS)
+    x.update({(s, r): -x[(r, s)] for r, s in tetra.UNORDERED_PAIRS})
+    return tetra.TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
+
+
+# tensor products at a repeated point: the top of x_01 is a line, and constituents lie below the top
+# ((1,2)(1,2) is V(2, 2) + V(0), (1,2)(1,1/2)(1,3) is V(2,2) (x) V(1,3) + V(1,3))
+REDUCIBLE_FOLDS = {"1_2_1_2": [(1, 2), (1, 2)], "1_2_2_2": [(1, 2), (2, 2)],
+                   "1_2_1_half_1_3": [(1, 2), (1, F(1, 2)), (1, 3)]}
+
 REDUCIBLE = {"pass": False, "error": "module is reducible: the generated algebra is not full"}
 
 
@@ -926,9 +946,11 @@ class TestImpliedRouteDifferential:
     def assert_same(t, calls, module=None, spec=None):
         """_verify against the public stages on t itself, and the deep checks
         given its verdict against those given False; on a verified t the deep
-        checks run no build and no closure. Returns whether the relations and
-        the eigentable passed, the flag-route builds of the deep checks given
-        the verdict and their dict."""
+        checks run no build and no closure, and put the pair (x_01, x_23) alone
+        to classify._full_algebra, so no pairwise_burnside runs: once where
+        ker(x_01 - d) is a line, and not at all where it is not. Returns
+        whether the relations and the eigentable passed, the flag-route builds
+        of the deep checks given the verdict and their dict."""
         relations, table, actions, independent = tetra._verify(t)
         assert relations == tetra.verify_relations(t)
         assert table == tetra.eigentable(t)
@@ -936,14 +958,19 @@ class TestImpliedRouteDifferential:
         assert independent is tetra.flag_independence_check(t)
         plain = relations.all_passed and table.all_passed
         verified = plain and actions.all_passed and independent
-        closures = []
-        real = classify._closure_dimension_exact
+        closures, pairs = [], []
+        real, real_full = classify._closure_dimension_exact, classify._full_algebra
         # the implied route first, so that its Norton verdict is its own and not the one the build keeps
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "_closure_dimension_exact", lambda gens, n: closures.append(n) or real(gens, n))
+            patch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: pairs.append((a, b))
+                          or real_full(a, b, eigenpairs))
             deep = cli._deep_checks(module, t, spec, verified)
         builds = list(calls)
-        assert not verified or (builds, closures) == ([], [])
+        if verified:
+            assert (builds, closures) == ([], [])
+            spins = 1 if linalg.eigenspace(t.x[(0, 1)], t.diameter).dim == 1 else 0
+            assert len(pairs) == spins and all(a is t.x[(0, 1)] and b is t.x[(2, 3)] for a, b in pairs)
         calls.clear()
         assert deep == cli._deep_checks(module, t, spec, False)
         assert len(calls) == 1  # the exact route builds
@@ -960,14 +987,9 @@ class TestImpliedRouteDifferential:
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_conjugated_grid_files(self, built_irreducible_grid, monkeypatch, data):
-        # P x_rs P^-1 is again a module: the relations hold and every chain is P's image
         t = data.draw(st.sampled_from([t for t in built_irreducible_grid.values() if t.dim <= 9]))
-        p = data.draw(conjugations(t.dim))
-        p_inverse = linalg.inverse(p)
-        conjugated = tetra.TetraModule(dim=t.dim, diameter=t.diameter,
-                                       x={pair: p * mat * p_inverse for pair, mat in t.x.items()})
         calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(conjugated, calls)
+        plain, builds, deep = self.assert_same(conjugated(t, data.draw(conjugations(t.dim))), calls)
         assert plain and builds == [] and deep["pass"] is True
 
     @pytest.mark.parametrize("pair", tetra.ORDERED_PAIRS, ids=lambda pair: "x%d%d" % pair)
@@ -1024,12 +1046,24 @@ class TestImpliedRouteDifferential:
     @given(data=st.data())
     def test_conjugated_v_plus_v(self, doubled_v, monkeypatch, data):
         # P (V + V) P^-1 is again a verified module whose top eigenspace of x_01 is a plane
-        p = data.draw(conjugations(doubled_v.dim))
-        p_inverse = linalg.inverse(p)
-        conjugated = tetra.TetraModule(dim=doubled_v.dim, diameter=doubled_v.diameter,
-                                       x={pair: p * mat * p_inverse for pair, mat in doubled_v.x.items()})
         calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(conjugated, calls)
+        plain, builds, deep = self.assert_same(conjugated(doubled_v, data.draw(conjugations(doubled_v.dim))), calls)
+        assert plain and builds == [] and deep == REDUCIBLE
+
+    @pytest.mark.parametrize("factors", REDUCIBLE_FOLDS.values(), ids=REDUCIBLE_FOLDS)
+    def test_reducible_folds(self, monkeypatch, factors):
+        # the fold passes the plain checks, and Norton's test at the top line of x_01 finds the pair reducible
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(folded(factors), calls)
+        assert plain and builds == [] and deep == REDUCIBLE
+
+    @pytest.mark.parametrize("factors", REDUCIBLE_FOLDS.values(), ids=REDUCIBLE_FOLDS)
+    @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_conjugated_reducible_folds(self, monkeypatch, factors, data):
+        t = folded(factors)
+        calls = spy_flag_route_builds(monkeypatch)
+        plain, builds, deep = self.assert_same(conjugated(t, data.draw(conjugations(t.dim))), calls)
         assert plain and builds == [] and deep == REDUCIBLE
 
     def test_v_plus_w(self, d4_build, monkeypatch):

@@ -38,7 +38,7 @@ from tetrabox import (
     verify_relations,
     verify_tridiagonal_pair,
 )
-from tetrabox import classify, flags, linalg, matrix, onsager, tetra
+from tetrabox import classify, cli, flags, linalg, matrix, onsager, tetra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -553,10 +553,21 @@ class TestSixGenerators:
         assert memo_holders(t) == set(UNORDERED_PAIRS)
         assert not {"_relations_passed", "_eigentable_passed"} & set(vars(t))
 
-    def test_deep_verify_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
-        # the rebuild reads ker(x_01 - d) off x_01's memo and keeps Norton's verdict on (x_01, x_23), forming the dual
-        # line ker(x_01^T - d); pairwise_burnside reads it back and forms ker(x_p - d), a line, and its dual
-        # line for p = (0, 2) and (0, 3)
+    def test_verified_deep_checks_add_one_dual_line(self, d16, monkeypatch):
+        # the deep checks of a verified file read ker(x_01 - d) off x_01's memo and form the dual line
+        # ker(x_01^T - d) of Norton's test at it; the other two pairs follow from that verdict and spin nothing
+        def deep_checks(t):
+            return cli._deep_checks(None, t, None, True)
+
+        kernels, annihilators, _ = self.count_work(d16, monkeypatch, (tetra._verify, deep_checks))
+        assert kernels == d16.diameter + 2
+        assert annihilators == dict.fromkeys(annihilators, 0)
+
+    def test_pairwise_burnside_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
+        # the library route, which the deep checks of a verified file do not take: the top-line decision reads
+        # ker(x_01 - d) off x_01's memo and keeps Norton's verdict on (x_01, x_23), forming the dual line
+        # ker(x_01^T - d); pairwise_burnside reads it back and forms ker(x_p - d), a line, and its dual line
+        # for p = (0, 2) and (0, 3)
         checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
         kernels, annihilators, _ = self.count_work(d16, monkeypatch, checks)
         assert kernels == d16.diameter + 6
