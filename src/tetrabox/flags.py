@@ -18,16 +18,31 @@ echelon that takes each piece's basis in turn and keeps the reduced rows of
 each read (_partial_sums). They nest by construction, so the flags of
 four_flags and flag_from_decomposition check dimensions only (Flag._of); a
 Flag built from public input proves each containment. Records are built
-only at the public API: build_tetra intersects the component tuples of
-_flag_components, builds no Flag and reads each generator off one solve of
-its pieces' bases (_acting_as).
+only at the public API: build_tetra builds no Flag and no partial sum, and
+reads each generator off one solve of its pieces' bases (_acting_as).
+
+The pieces are read off bases, with no intersection (_pieces). Take a basis
+q_1, ..., q_n adapted to F and stacked in reverse, so that F_i is spanned by
+its last k_i = dim F_i vectors, and blocks adapted to G, so that G_j is
+spanned by blocks 0..j. One solve writes G's blocks in the coordinates of
+the q's (_coordinate_blocks), and one echelon takes them block by block; its
+kept rows have distinct leads (first nonzero coordinates). After the blocks
+of G_{d-i} its rows span G_{d-i}, and a combination of them has the least
+lead among the rows it uses as its own lead: it lies in F_i, the span of the
+last k_i coordinates, exactly when it uses only rows led at n - k_i or
+later. So those rows, mapped back by the q's, span F_i "intersect" G_{d-i}:
+piece i is that subspace, and no opposition is assumed. A Flag's adapted
+blocks are the basis columns of F_0, F_1, ... that one echelon accepts in
+turn (_adapted_blocks). In build_tetra the eigenspaces of A and Astar are
+the adapted blocks of all four flags, in one order or the reverse, so the
+four pairs that mix A and Astar share one solve (_mixed_pieces).
 
 Whether the nonzero P_i sum directly to the full space is decided once, by
 the one elimination that already runs on them: Decomposition's rank of the
 stacked bases for induced_decomposition and are_opposite, and in build_tetra
 the solve of _acting_as, which refuses pieces that are no direct sum filling
-the space. _induced_subspaces only intersects, and each caller maps that
-refusal to the one reason _NOT_DIRECT.
+the space. _pieces only reads the pieces, and each caller maps that refusal
+to the one reason _NOT_DIRECT.
 
 An Onsager module of type (0,0) carries four distinguished flags built
 from the eigenspace chains of its two generators, one per corner index 0..3.
@@ -35,11 +50,13 @@ from the eigenspace chains of its two generators, one per corner index 0..3.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, islice
+from operator import mul
 
 from ._record import Record
 from .errors import OppositionError, TypeShiftError
-from .linalg import Matrix, Subspace, _Echelon, _echelon, _integer_columns, _reduced_echelon, _solve, intersect
+from .linalg import Matrix, Subspace, _Echelon, _echelon, _integer_columns, _reduced_echelon, _solve, _span
 from .onsager import OnsagerModule, _module_spectra
 
 
@@ -55,12 +72,60 @@ def _partial_sums(spaces: Sequence[Subspace]) -> tuple[Subspace, ...]:
     return tuple(sums)
 
 
-def _acting_as(eigenvalues: Iterable[int], pieces: Sequence[Subspace]) -> Matrix:
-    """The X with X B = B D, B the stacked piece bases and D their scalars:
-    one solve of B^T X^T = (B D)^T, whose rows are (b, lam b). Raises
-    ValueError unless the pieces sum directly to the full space."""
-    rows = [b + [lam * x for x in b] for lam, piece in zip(eigenvalues, pieces) for b in _integer_columns(piece.basis)]
-    return _solve(pieces[0].ambient_dim, rows).transpose()
+def _acting_as(eigenvalues: Iterable[int], pieces: Sequence[Sequence[list[int]]]) -> Matrix:
+    """The X with X B = B D, B the stacked piece bases (integer vectors) and D
+    their scalars: one solve of B^T X^T = (B D)^T, whose rows are (b, lam b).
+    Raises ValueError unless the pieces sum directly to the full space."""
+    rows = [b + [lam * x for x in b] for lam, piece in zip(eigenvalues, pieces) for b in piece]
+    return _solve(len(pieces[0][0]), rows).transpose()
+
+
+def _adapted_blocks(components: Sequence[Subspace]) -> list[list[list[int]]]:
+    """Blocks of a basis adapted to the nested components F_0, F_1, ...: the
+    basis columns of each that one echelon accepts, so blocks 0..i span F_i."""
+    echelon = _Echelon(components[0].ambient_dim)
+    return [[column for column in _integer_columns(space.basis) if echelon.add(column)] for space in components]
+
+
+def _coordinate_blocks(basis: Sequence[list[int]], blocks: Sequence[Sequence[list[int]]]) -> list[list[list[int]]]:
+    """The vectors of blocks, n in all, in the coordinates of the n basis vectors
+    (each a positive multiple): one solve Q C = R of the stacked columns."""
+    rows = [list(row) for row in zip(*basis, *(v for block in blocks for v in block))]
+    columns = iter(_integer_columns(_solve(len(basis), rows)))
+    return [list(islice(columns, len(block))) for block in blocks]
+
+
+def _pieces(basis: Sequence[list[int]], dims: Sequence[int], g_blocks: Sequence[Sequence[list[int]]]) -> list | str:
+    """Integer bases of the pieces F_i & G_{d-i} (module docstring), or the
+    reason when one is zero: F_i is spanned by the last dims[0] + ... +
+    dims[i] basis vectors, and g_blocks are G's adapted blocks in their
+    coordinates. Whether the pieces sum directly is left to the caller."""
+    echelon = _Echelon(len(basis))
+    pieces = []  # block j of G completes G_j, whose rows led in F_{d-j} give piece d - j
+    for block, k in zip(g_blocks, reversed(list(accumulate(dims)))):
+        for c in block:
+            echelon.add(c)
+        rows = [(lead, row) for lead, row in echelon.rows.items() if lead >= echelon.n - k]
+        pieces.insert(0, [[sum(map(mul, row[lead:], entries)) for entries in zip(*basis[lead:])] for lead, row in rows])
+    return next((f"component intersection {i} is zero" for i, piece in enumerate(pieces) if not piece), pieces)
+
+
+def _mixed_pieces(spaces_a: Sequence[Subspace], spaces_s: Sequence[Subspace]) -> Iterator[tuple[tuple, list | str]]:
+    """The pieces of the pairs (0, 2), (0, 3), (1, 2), (1, 3) in turn, as
+    _pieces gives them, from the eigenspaces of A and Astar at d, d-2, ..., -d.
+
+    Each component of flag 0 is spanned by a tail of A's eigenbasis stacked
+    in that order, and each of flag 1 by a tail of it reversed; Astar's
+    eigenspaces are flag 3's adapted blocks, and reversed flag 2's. So the
+    four pairs share the one solve of Astar's eigenbasis in A's.
+    """
+    basis = [q for space in spaces_a for q in _integer_columns(space.basis)]
+    dims = [space.dim for space in spaces_a]
+    flag3 = _coordinate_blocks(basis, [_integer_columns(space.basis) for space in spaces_s])
+    reversed3 = [[c[::-1] for c in block] for block in flag3]  # the same vectors in the reversed basis
+    for r, f_basis, f_dims, g_blocks in ((0, basis, dims[::-1], flag3), (1, basis[::-1], dims, reversed3)):
+        yield (r, 2), _pieces(f_basis, f_dims, g_blocks[::-1])
+        yield (r, 3), _pieces(f_basis, f_dims, g_blocks)
 
 
 class Decomposition(Record):
@@ -144,21 +209,6 @@ def invert_decomposition(dec: Decomposition) -> Decomposition:
     return Decomposition(tuple(reversed(dec.subspaces)))
 
 
-def _induced_subspaces(f: Sequence[Subspace], g: Sequence[Subspace]) -> tuple[Subspace, ...] | str:
-    """The componentwise intersections F_i & G_{d-i}, or the reason when one is
-    zero. Whether they sum directly to the full space is left to the one
-    elimination their caller runs on them: Decomposition's rank, or the solve
-    of _acting_as."""
-    d = len(f) - 1
-    pieces = []
-    for i in range(d + 1):
-        piece = intersect(f[i], g[d - i])
-        if piece.is_zero():
-            return f"component intersection {i} is zero"
-        pieces.append(piece)
-    return tuple(pieces)
-
-
 # the reason for pieces that are all nonzero but no direct sum filling the space
 _NOT_DIRECT = "component intersections do not sum directly to the full space"
 
@@ -172,13 +222,17 @@ def _require_comparable(f: Flag, g: Flag) -> None:
 
 def _induced(f: Flag, g: Flag) -> Decomposition | str:
     """The decomposition inducing f and g, or why they are not opposite: the
-    intersections, then Decomposition's one rank of them."""
+    pieces read off bases adapted to f and g, each canonicalized, then
+    Decomposition's one rank of them."""
     _require_comparable(f, g)
-    pieces = _induced_subspaces(f.components, g.components)
+    f_blocks = _adapted_blocks(f.components)
+    basis = [q for block in reversed(f_blocks) for q in block]
+    g_blocks = _coordinate_blocks(basis, _adapted_blocks(g.components))
+    pieces = _pieces(basis, [len(block) for block in f_blocks], g_blocks)
     if isinstance(pieces, str):
         return pieces
     try:
-        return Decomposition(pieces)
+        return Decomposition(tuple(_span(f.ambient_dim, piece) for piece in pieces))
     except ValueError:
         return _NOT_DIRECT
 
@@ -207,10 +261,4 @@ def four_flags(m: OnsagerModule) -> tuple[Flag, Flag, Flag, Flag]:
     _, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}), expected (0, 0)")
-    return tuple(Flag._of(components) for components in _flag_components(spaces_a[::-1], spaces_s[::-1]))
-
-
-def _flag_components(chain_a: Sequence[Subspace], chain_s: Sequence[Subspace]) -> tuple[tuple[Subspace, ...], ...]:
-    """Components of flags 0..3 from the eigenspaces of A and Astar at
-    -d, 2-d, ..., d: each chain summed upward, then downward."""
-    return (_partial_sums(chain_a), _partial_sums(chain_a[::-1]), _partial_sums(chain_s), _partial_sums(chain_s[::-1]))
+    return tuple(Flag._of(_partial_sums(chain)) for chain in (spaces_a[::-1], spaces_a, spaces_s[::-1], spaces_s))

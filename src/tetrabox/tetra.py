@@ -20,13 +20,16 @@ From bare matrices (no factorization known), every ordered pair (r, s) of
 distinct corner indices determines a decomposition of the space (induced by
 the opposite flags r and s), and the generator x_rs acts on its i-th piece
 as the scalar 2i - d. The pair (s, r) induces the same pieces in reverse
-order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs: this module builds six
-decompositions, reads x_rs for r < s off one integer elimination each
-(flags._acting_as) and negates it for x_sr. The decompositions of (0, 1)
-and (2, 3) are the eigenspace chains of A and Astar that certify their
-spectra (onsager.module_type), so only the four pairs that mix A and Astar
-intersect flags, and that elimination is also what decides whether their
-intersections sum directly to the space: no other rank of them is taken.
+order, and 2(d-i) - d = -(2i - d), so x_sr = -x_rs. The pieces of (0, 1)
+and (2, 3) are the eigenspaces of A and Astar that certify their spectra
+(onsager.module_type), so x_01 is A and x_23 is Astar, taken as they are.
+The four pairs that mix A and Astar read their pieces off one solve, which
+writes Astar's eigenbasis in the coordinates of A's, and one echelon each
+(flags._mixed_pieces, with the proof in the flags module docstring): no
+flag is summed and no subspace intersected. Each of those x_rs is read off
+one integer elimination (flags._acting_as), which is also what decides
+whether its pieces sum directly to the space: no other rank of them is
+taken.
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
@@ -177,16 +180,17 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     """Assemble all twelve generator matrices from the four flags of m.
 
     For each pair r < s, x_rs is the one matrix that acts on piece i of the
-    decomposition the flags r and s induce as the scalar 2i - d, read off
-    one elimination (flags._acting_as); x_sr is -x_rs, since the pair
-    (s, r) induces the same pieces in reverse order. That solve decides
-    opposition too: a zero intersection, or pieces the solve refuses as no
-    direct sum filling the space, raise OppositionError naming the pair.
+    decomposition the flags r and s induce as the scalar 2i - d; x_sr is
+    -x_rs, since the pair (s, r) induces the same pieces in reverse order.
 
     Flag 1 is flag 0's decomposition inverted, so the pieces of (0, 1) are
     the eigenspaces of A at 2i - d that module_type certified the spectra
-    with, in the canonical form an intersection gives, and those of (2, 3)
-    are Astar's: only the four pairs that mix A and Astar intersect flags.
+    with, and x_01 is A itself; likewise x_23 is Astar. The pieces of the
+    four pairs that mix A and Astar are read off Astar's eigenbasis written
+    in A's (one solve for all four), one echelon per pair, and x_rs off one
+    elimination of their bases (flags._acting_as). That solve decides
+    opposition too: a zero piece, or pieces the solve refuses as no direct
+    sum filling the space, raise OppositionError naming the pair.
 
     The input must be irreducible of type (0,0). Norton's spinning test
     decides that at any dimension at the first eigenline of A at d, d-2,
@@ -198,25 +202,22 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     some reducible modules, such as V + V. four_flags(m) gives the flags.
     """
     from .classify import _full_algebra
-    from .flags import _NOT_DIRECT, _acting_as, _flag_components, _induced_subspaces
+    from .flags import _NOT_DIRECT, _acting_as, _mixed_pieces
 
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
     if not _full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
         raise ReducibleModuleError(_NOT_FULL)
-    chains = {(0, 1): spaces_a[::-1], (2, 3): spaces_s[::-1]}  # eigenvalues -d up to d
-    flags = _flag_components(*chains.values())
-    x: dict[tuple[int, int], Matrix] = {}
-    for r, s in UNORDERED_PAIRS:
-        pieces = chains[(r, s)] if (r, s) in chains else _induced_subspaces(flags[r], flags[s])
+    x: dict[tuple[int, int], Matrix] = {(0, 1): m.A, (2, 3): m.Astar}
+    for (r, s), pieces in _mixed_pieces(spaces_a, spaces_s):
         if isinstance(pieces, str):
             raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
         try:  # the solve refuses pieces that are no direct sum filling the space
             x[(r, s)] = _acting_as(range(-d, d + 1, 2), pieces)
         except ValueError:
             raise OppositionError(f"flags {r} and {s} are not opposite: {_NOT_DIRECT}") from None
-        x[(s, r)] = -x[(r, s)]
+    x.update({(s, r): -x[(r, s)] for r, s in UNORDERED_PAIRS})
     return TetraModule(dim=m.dim, diameter=d, x=x)
 
 
@@ -588,11 +589,12 @@ def roundtrip_uniqueness(m: OnsagerModule) -> bool:
     """Round trip of the construction: t = build_tetra(m) has x_01 = A and
     x_23 = Astar, entry for entry.
 
-    One build decides it. When t passes, a rebuild from t's standard
-    generators x_01, x_23 would hand build_tetra exactly m's dim, A and
-    Astar, which is all of its input that build_tetra reads, so the rebuild
-    would repeat t's twelve matrices and its comparison with t could not
-    fail.
+    One build decides it. build_tetra takes A and Astar as x_01 and x_23
+    once it accepts m, so the comparison holds whenever the build does. A
+    rebuild from t's standard generators x_01, x_23 would hand build_tetra
+    exactly m's dim, A and Astar, which is all of its input that build_tetra
+    reads, so the rebuild would repeat t's twelve matrices and its
+    comparison with t could not fail.
     """
     t = build_tetra(m)
     return t.x[(0, 1)] == m.A and t.x[(2, 3)] == m.Astar

@@ -1010,7 +1010,8 @@ class TestOneDecisionPerQuestion:
     Norton verdict: the solve that reads x_rs decides whether build_tetra's
     pieces sum directly, Decomposition's rank decides it for
     induced_decomposition and are_opposite, and a pair Norton cannot decide
-    goes to the closure without being asked again."""
+    goes to the closure without being asked again. The pieces themselves are
+    read off one solve of coordinates, shared by build_tetra's four mixed pairs."""
 
     @staticmethod
     def spy_eliminations(monkeypatch) -> list[str]:
@@ -1021,12 +1022,32 @@ class TestOneDecisionPerQuestion:
             monkeypatch.setattr(flags, name, lambda n, rows, real=real, name=name: calls.append(name) or real(n, rows))
         return calls
 
-    def test_build_tetra_solves_each_pair_once(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_build_tetra_solves_once_per_mixed_pair(self, grid_modules, built_irreducible_grid, monkeypatch):
+        # x_01 and x_23 are A and Astar as given; one solve writes Astar's eigenbasis in A's, and each of the
+        # pairs (0, 2), (0, 3), (1, 2), (1, 3) reads its x_rs off one more
         calls = self.spy_eliminations(monkeypatch)
         for s, t in built_irreducible_grid.items():
             before = len(calls)
+            m = grid_modules[s]
+            built = build_tetra(m)
+            assert built.x == t.x
+            assert built.x[(0, 1)] is m.A and built.x[(2, 3)] is m.Astar
+            assert calls[before:] == ["_solve"] * 5, s.factors
+
+    def test_build_tetra_intersects_nothing(self, grid_modules, built_irreducible_grid, monkeypatch):
+        # no linalg.intersect and no flag's partial sums: the pieces are read off one echelon per mixed pair
+        calls = []
+        for owner, name in ((linalg, "intersect"), (flags, "_partial_sums")):
+            real = getattr(owner, name)
+            spy = (lambda real, name: lambda *args: calls.append(name) or real(*args))(real, name)
+            for module in (linalg, flags, tetra, classify):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        for s, t in built_irreducible_grid.items():
             assert build_tetra(grid_modules[s]).x == t.x
-            assert calls[before:] == ["_solve"] * 6, s.factors
+        assert calls == []
+        four_flags(grid_modules[next(iter(built_irreducible_grid))])
+        assert calls == ["_partial_sums"] * 4
 
     def test_induced_decomposition_ranks_its_pieces_once(self, non_opposite_flags, monkeypatch):
         opposite = four_flags(build_from_spec(spec((1, 2), (1, 3))))
@@ -1035,8 +1056,9 @@ class TestOneDecisionPerQuestion:
         for r, s in permutations(range(4), 2):
             assert are_opposite(opposite[r], opposite[s])
             assert induced_decomposition(opposite[r], opposite[s]).diameter == 2
-        assert calls == ["_echelon"] * 24
-        # three lines in Q^5 (non_opposite_flags' first pair), refused by their count before any elimination;
+        # one solve of g's adapted basis in f's coordinates, then one rank of the pieces
+        assert calls == ["_solve", "_echelon"] * 24
+        # three lines in Q^5 (non_opposite_flags' first pair), refused by their count before any rank;
         # then a flag (L, Q^2) against itself, whose pieces L, L fill no plane: one rank each
         line = Subspace.span_columns(Matrix.from_rows([[1], [2]]))
         same = Flag((line, Subspace.full(2)))
@@ -1048,7 +1070,7 @@ class TestOneDecisionPerQuestion:
             assert str(refused.value) == (
                 "flags are not opposite: component intersections do not sum directly to the full space"
             )
-            assert calls == ["_echelon"] * 2 * ranks
+            assert calls == (["_solve"] + ["_echelon"] * ranks) * 2
 
     def test_an_undecided_pair_asks_norton_once(self, monkeypatch):
         # V + V of the d4 build: no eigenline in either generator, so the one verdict is None and the closure decides

@@ -25,6 +25,7 @@ from tetrabox import (
     subspace_sum,
 )
 from tetrabox.flags import _acting_as, _partial_sums
+from tetrabox.linalg import _integer_columns
 from tetrabox.onsager import _module_spectra
 
 
@@ -320,8 +321,13 @@ class TestPartialSums:
         assert _partial_sums(spaces + spaces[:1]) == running_sums(spaces + spaces[:1])
 
 
+def integer_bases(pieces):
+    return [_integer_columns(piece.basis) for piece in pieces]
+
+
 class TestActingAs:
-    """_acting_as, one solve, against the change of basis B D B^-1 it replaces."""
+    """_acting_as, one solve, against the change of basis B D B^-1 it replaces.
+    It takes each piece as integer basis vectors (integer_bases)."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -330,19 +336,19 @@ class TestActingAs:
         dims = data.draw(compositions(n, data.draw(st.integers(1, n)))) if n > 1 else [1]
         pieces = data.draw(decompositions(dims)).subspaces
         scalars = data.draw(st.lists(st.integers(-4, 4), min_size=len(pieces), max_size=len(pieces)))
-        x = _acting_as(scalars, pieces)
+        x = _acting_as(scalars, integer_bases(pieces))
         weighted = hstack(*(c * piece.basis for c, piece in zip(scalars, pieces)))
         assert x == weighted * inverse(hstack(*(piece.basis for piece in pieces)))
         assert all(x * piece.basis == c * piece.basis for c, piece in zip(scalars, pieces))
 
     def test_refuses_pieces_that_are_not_a_direct_sum(self):
         with pytest.raises(ValueError, match="singular"):
-            _acting_as([1, -1], [line(1, 1), line(2, 2)])
+            _acting_as([1, -1], integer_bases([line(1, 1), line(2, 2)]))
         with pytest.raises(ValueError, match="1 rows for 2 unknowns"):
-            _acting_as([1], [line(1, 1)])
+            _acting_as([1], integer_bases([line(1, 1)]))
 
     def test_refuses_too_many_columns(self):
         with pytest.raises(ValueError, match="3 rows for 2 unknowns"):
-            _acting_as([1, 0, -1], [line(1, 0), line(0, 1), line(1, 1)])
+            _acting_as([1, 0, -1], integer_bases([line(1, 0), line(0, 1), line(1, 1)]))
         with pytest.raises(ValueError, match="3 rows for 2 unknowns"):
-            _acting_as([1, -1], [Subspace.full(2), line(1, 1)])
+            _acting_as([1, -1], integer_bases([Subspace.full(2), line(1, 1)]))

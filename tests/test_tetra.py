@@ -24,6 +24,7 @@ from tetrabox import (
     evaluation_module,
     hstack,
     inverse,
+    intersect,
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
@@ -39,6 +40,7 @@ from tetrabox import (
     verify_tridiagonal_pair,
 )
 from tetrabox import classify, cli, flags, linalg, matrix, onsager, tetra
+from tetrabox.onsager import _module_spectra
 from tetrabox.tetra import (
     CORNERS,
     ORDERED_PAIRS,
@@ -971,20 +973,20 @@ class TestOneSpectralPass:
         assert calls == []
 
     def test_chains_are_the_pieces_of_their_pair(self, grid_modules, built_irreducible_grid):
-        # F0_i meet F1_(d-i) is the eigenspace of A at 2i - d, in the canonical form of an intersection
+        # F0_i meet F1_(d-i) is the eigenspace of A at 2i - d, in the canonical form of an intersection, so
+        # build_tetra takes A and Astar themselves as x_01 and x_23
         for spec, t in built_irreducible_grid.items():
             m, d = grid_modules[spec], t.diameter
-            components = tuple(f.components for f in four_flags(m))
-            pieces_01 = flags._induced_subspaces(components[0], components[1])
-            pieces_23 = flags._induced_subspaces(components[2], components[3])
+            pieces_01 = intersected_pieces(four_flags(m), 0, 1)
+            pieces_23 = intersected_pieces(four_flags(m), 2, 3)
             assert pieces_01 == tuple(eigenspace(m.A, F(2 * i - d)) for i in range(d + 1))
             assert pieces_23 == tuple(eigenspace(m.Astar, F(2 * i - d)) for i in range(d + 1))
 
 
 class TestFlagComponents:
     def test_builds_no_flag_record_and_no_subspace_sum(self, grid_modules, built_irreducible_grid, monkeypatch):
-        # build_tetra intersects the flags' component tuples; only four_flags wraps them in Flag records. Every
-        # Flag, public or of partial sums (Flag._of), checks its dimensions
+        # build_tetra reads its pieces off eigenbases; only four_flags builds Flag records. Every Flag, public or
+        # of partial sums (Flag._of), checks its dimensions
         made = []
         for record, check in ((flags.Flag, "_check_dimensions"), (flags.Decomposition, "__post_init__")):
             real = getattr(record, check)
@@ -1000,28 +1002,106 @@ class TestFlagComponents:
         assert made == [flags.Flag] * 4
 
 
+def intersected_pieces(flag_records, r, s):
+    """The pieces F_i & G_{d-i} of the flags r and s by linalg.intersect of
+    their partial sums, or the reason when one is zero: the reference."""
+    f, g = flag_records[r].components, flag_records[s].components
+    d = len(f) - 1
+    pieces = tuple(intersect(f[i], g[d - i]) for i in range(d + 1))
+    zero = next((i for i, piece in enumerate(pieces) if piece.is_zero()), None)
+    return pieces if zero is None else f"component intersection {zero} is zero"
+
+
 def change_of_basis_generators(m):
     """The twelve x_rs by the change of basis the one solve replaces:
     hstack(theta_i P_i) times inverse(hstack(P_i)), with P_i the pieces
-    the flags r and s induce and theta_i = 2i - d."""
-    components = tuple(f.components for f in four_flags(m))
-    d = len(components[0]) - 1
+    the flags r and s induce (intersected_pieces) and theta_i = 2i - d.
+    Raises OppositionError, as build_tetra words it, for the first pair r < s
+    whose pieces are not all nonzero or do not sum directly to the space."""
+    flag_records = four_flags(m)
+    d = flag_records[0].diameter
     x = {}
     for r, s in UNORDERED_PAIRS:
-        pieces = flags._induced_subspaces(components[r], components[s])
-        weighted = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces)))
-        x[(r, s)] = weighted * inverse(hstack(*(piece.basis for piece in pieces)))
+        pieces = intersected_pieces(flag_records, r, s)
+        if isinstance(pieces, str):
+            raise OppositionError(f"flags {r} and {s} are not opposite: {pieces}")
+        try:
+            inverted = inverse(hstack(*(piece.basis for piece in pieces)))
+        except ValueError:
+            raise OppositionError(f"flags {r} and {s} are not opposite: component intersections do not sum "
+                                  "directly to the full space") from None
+        x[(r, s)] = hstack(*((2 * i - d) * piece.basis for i, piece in enumerate(pieces))) * inverted
         x[(s, r)] = -x[(r, s)]
     return x
 
 
+def assert_pieces_are_intersections(m):
+    """flags._mixed_pieces reads, for each pair that mixes A and Astar, the
+    subspaces intersected_pieces gives, or the same reason."""
+    _, _, _, spaces_a, spaces_s = _module_spectra(m)
+    flag_records = four_flags(m)
+    seen = []
+    for (r, s), pieces in flags._mixed_pieces(spaces_a, spaces_s):
+        seen.append((r, s))
+        expected = intersected_pieces(flag_records, r, s)
+        if isinstance(expected, str):
+            assert pieces == expected
+        else:
+            assert tuple(Subspace.span_columns(Matrix.from_rows(piece).transpose()) for piece in pieces) == expected
+    assert seen == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+def build_outcome(m):
+    """build_tetra's twelve matrices, or the text of its OppositionError."""
+    try:
+        return dict(build_tetra(m).x)
+    except OppositionError as refused:
+        return str(refused)
+
+
+def reference_outcome(m):
+    try:
+        return change_of_basis_generators(m)
+    except OppositionError as refused:
+        return str(refused)
+
+
+@st.composite
+def ladder_pairs(draw):
+    """(A, Astar) of type (0, 0) with one drawn d: A diagonal, Astar = P D P^-1
+    for a sparse unimodular P, so that many pairs are not opposite. Half the
+    draws give Astar A's eigenvalue multiplicities, and palindromic ones,
+    which opposite flags need."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=d, max_size=d)))
+    dims = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    if draw(st.booleans()):
+        dims = [max(a, b) for a, b in zip(dims, dims[::-1])]
+        n = sum(dims)
+
+    def ladder(dims):
+        values = [2 * i - d for i, k in enumerate(dims) for _ in range(k)]
+        order = draw(st.permutations(range(n)))
+        return Matrix.from_rows([[values[order[i]] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    other = dims if draw(st.booleans()) else draw(st.permutations(dims))
+    small = st.sampled_from([0, 1, -1, 2])
+    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+    return OnsagerModule(n, ladder(dims), p * ladder(other) * inverse(p))
+
+
 class TestOneSolvePerGenerator:
     """build_tetra reads each x_rs off one elimination, with the change of
-    basis as the differential reference."""
+    basis as the differential reference, and its pieces off one echelon per
+    pair, with linalg.intersect of the partial sums as the reference."""
 
     def test_grid(self, grid_modules, built_irreducible_grid):
         for spec, t in built_irreducible_grid.items():
             assert t.x == change_of_basis_generators(grid_modules[spec]), spec.factors
+            assert_pieces_are_intersections(grid_modules[spec])
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -1035,7 +1115,31 @@ class TestOneSolvePerGenerator:
         p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
         p_inv = inverse(p)
         conjugate = OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
-        assert build_tetra(conjugate).x == change_of_basis_generators(conjugate)
+        built = build_tetra(conjugate)
+        assert built.x == change_of_basis_generators(conjugate)
+        assert built.x[(0, 1)] is conjugate.A and built.x[(2, 3)] is conjugate.Astar
+        assert_pieces_are_intersections(conjugate)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ladder_pairs())
+    def test_drawn_pairs_past_the_irreducibility_test(self, m):
+        # the flag route on pairs Norton might refuse: the same twelve matrices, or the same refusal text
+        assert_pieces_are_intersections(m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: True)
+            assert build_outcome(m) == reference_outcome(m)
+
+    def test_refusals(self, non_opposite_flags, monkeypatch):
+        # a non-direct sum and an empty piece, each as the reference words it, then a reducible V(2, 1)
+        # past the irreducibility test, whose pieces of (0, 2) are no direct sum
+        cases = list(non_opposite_flags)
+        reducible = build_from_spec(ModuleSpec.of([(2, 1)]))
+        cases.append((reducible, "flags 0 and 2 are not opposite: component intersections do not sum directly "
+                                 "to the full space"))
+        monkeypatch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: True)
+        for m, text in cases:
+            assert_pieces_are_intersections(m)
+            assert build_outcome(m) == reference_outcome(m) == text
 
     def test_no_inverse_hstack_product_or_determinant(self, grid_modules, built_irreducible_grid, monkeypatch):
         # spies on every module that could hold the names, so an import by name is seen too
