@@ -36,10 +36,14 @@ spins to V under X, Y and w spins to V* under X^T, Y^T:
 
 So the matrix side has one route, _full_algebra. Each caller hands it the
 (eigenvalue, eigenspace) pairs of the first generator that it already
-holds or reads off its memo: build_tetra the eigenspaces of A at d, d-2,
-..., pairwise_burnside those of x_p, one at a time, the tridiagonal-pair
-checks a's diagonal spectrum, and pair_generates_full_algebra (with it
-is_irreducible_burnside) the ladder eigenspaces of
+holds or reads off its memo, read lazily, so a verdict the memo keeps
+reads none of them: build_tetra the eigenspaces of A at d, d-2, ..., -d,
+asked before either spectrum is certified when the Krylov ladders of A
+and Astar at e_0 read type (0, 0) with one d (_verdict_before_spectra),
+and otherwise at the certified pass after the type; pairwise_burnside
+those of x_p, one at a time; the tridiagonal-pair checks a's diagonal
+spectrum, computed only on a verdict miss; and pair_generates_full_algebra
+(with it is_irreducible_burnside) the ladder eigenspaces of
 linalg._ladder_eigenpairs, computed one at a time. Norton's test decides,
 in both directions, at the first of them that is a line. When none is, it
 runs at the first ladder eigenline of the second generator, since (b, a)
@@ -87,6 +91,7 @@ from .linalg import (
     _Echelon,
     _echelon,
     _integer_columns,
+    _krylov_ladder,
     _ladder_eigenpairs,
     _shifted_kernel,
     _spectral_memo,
@@ -215,6 +220,25 @@ def _full_algebra(a: Matrix, b: Matrix, eigenpairs: Iterable[tuple[Fraction | in
         require_within_guard(n * n, "Burnside closure dimension")
         verdict = _closure_dimension_exact([a._num, b._num], n) == n * n
     return verdict
+
+
+def _verdict_before_spectra(a: Matrix, b: Matrix) -> bool | None:
+    """_full_algebra on the pair of a module candidate, asked before either
+    spectrum is certified: when the Krylov ladders of a and b at e_0
+    (linalg._krylov_ladder) both read type (0, 0) with one d, Norton's
+    verdict (else the closure's) on a's eigenspaces at d, d-2, ..., -d, read
+    lazily, so a verdict kept in a's memo reads none of them; None otherwise.
+
+    Where both spectra certify at type (0, 0) with that d, a's roots are
+    these (the Krylov polynomial divides the minimal polynomial), so the
+    eigenspaces offered are the ones the certified pass holds, and the
+    verdict, or the guard's refusal, is the one build_tetra would read
+    after the type; its docstring names the inputs where it is not.
+    """
+    ladder = _krylov_ladder(a) if a.rows else None
+    if ladder is None or ladder[0] != len(ladder) - 1 or _krylov_ladder(b) != ladder:
+        return None
+    return _full_algebra(a, b, ((lam, eigenspace(a, lam)) for lam in ladder))
 
 
 def pair_generates_full_algebra(a: Matrix, b: Matrix) -> bool:

@@ -638,14 +638,22 @@ def ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ..
     """
     if not m.is_square or m.rows == 0:
         raise ValueError("a ladder spectrum requires a nonempty square matrix")
-    return _certified_spectrum(m, _ladder_roots(_krylov_polynomial(m)) or [], _ladder_roots)
+    return _certified_spectrum(m, _krylov_ladder(m) or [], _ladder_roots)
+
+
+def _krylov_ladder(m: Matrix) -> list[Fraction] | None:
+    """The ladder roots c, c-2, ..., c-2d of the Krylov polynomial of m at
+    e_0, top first, when it is such a ladder; else None. The polynomial is
+    kept in m's memo, so a second reading costs one ladder test. m is
+    nonempty and square."""
+    return _ladder_roots(_krylov_polynomial(m))
 
 
 def _ladder_eigenpairs(m: Matrix) -> Iterator[tuple[Fraction, Subspace]]:
     """(lam, eigenspace of m at lam), one at a time, at the ladder roots of the
     Krylov polynomial of m, top first; then the pairs of ladder_spectrum(m),
     which runs the minimal polynomial only on a shortfall. m is nonempty."""
-    for lam in _ladder_roots(_krylov_polynomial(m)) or ():
+    for lam in _krylov_ladder(m) or ():
         yield lam, eigenspace(m, lam)
     yield from zip(*(ladder_spectrum(m) or ((), ())))
 

@@ -29,7 +29,11 @@ writes Astar's eigenbasis in the coordinates of A's, and one echelon each
 flag is summed and no subspace intersected. Each of those x_rs is read off
 one integer elimination (flags._acting_as), which is also what decides
 whether its pieces sum directly to the space: no other rank of them is
-taken.
+taken. Only an irreducible type-(0,0) pair is built, and irreducibility
+is asked first: where the Krylov ladders of A and Astar at e_0 read type
+(0, 0) with one d, a reducible pair is refused before either spectrum is
+certified, and otherwise after the spectra and the type (build_tetra
+gives the order, and the one class of input whose refusal it changes).
 
 It verifies against any twelve matrices (a file's are independent data)
 every defining relation of the tetrahedron algebra: antisymmetry
@@ -192,22 +196,46 @@ def build_tetra(m: OnsagerModule) -> TetraModule:
     opposition too: a zero piece, or pieces the solve refuses as no direct
     sum filling the space, raise OppositionError naming the pair.
 
-    The input must be irreducible of type (0,0). Norton's spinning test
-    decides that at any dimension at the first eigenline of A at d, d-2,
-    ..., the eigenspaces the spectral pass holds; on every irreducible
-    module that is the one at d. Where A has no eigenline it runs at the
-    first ladder eigenline of Astar. Where neither has one the Burnside
-    closure decides, and when dim^2 is above matrix.DIM_GUARD it raises
-    DimensionGuardError rather than build: the flag-opposition scan passes
-    some reducible modules, such as V + V. four_flags(m) gives the flags.
+    The input must be irreducible of type (0,0), and irreducibility is asked
+    once, first where it can be. The spectral pass reads each generator's
+    candidate eigenvalues off its minimal polynomial on e_0 (its Krylov
+    ladder, kept in its memo). When those of A and Astar both read type
+    (0, 0) with one d, the pair is decided before either spectrum is
+    certified (classify._verdict_before_spectra): a reducible pair with an
+    eigenline of A is refused having formed A's eigenspaces down to the
+    first line, and none when A's memo keeps the verdict, as after
+    is_irreducible_burnside.
+    Otherwise the order is the spectra (SpectrumError), then the type
+    (TypeShiftError), then irreducibility at the certified eigenspaces of A.
+    Either way Norton's spinning test decides at any dimension at the first
+    eigenline of A at d, d-2, ...; on every irreducible module that is the
+    one at d. Where A has none it runs at the first ladder eigenline of
+    Astar. Where neither has one the Burnside closure decides, and when
+    dim^2 is above matrix.DIM_GUARD it raises DimensionGuardError rather
+    than build: the flag-opposition scan passes some reducible modules,
+    such as V + V.
+
+    Where the certified spectra are the Krylov ladders, the early question
+    is the one the certified pass would ask, on the same eigenspaces, so the
+    outcome is that of spectra first. One class of input is refused
+    differently: the Krylov ladders read type (0, 0) with one d, but a
+    spectrum fails certification (a generator is not diagonalizable, or its
+    minimal polynomial is a longer ladder) or certifies to a shifted ladder.
+    There a reducible pair gets ReducibleModuleError, and a pair with no
+    eigenline above the closure's guard DimensionGuardError, where the
+    spectra-first order raised SpectrumError or TypeShiftError; both
+    refusals are true. four_flags(m) gives the flags.
     """
-    from .classify import _full_algebra
+    from .classify import _full_algebra, _verdict_before_spectra
     from .flags import _NOT_DIRECT, _acting_as, _mixed_pieces
 
+    irreducible = _verdict_before_spectra(m.A, m.Astar)
+    if irreducible is False:
+        raise ReducibleModuleError(_NOT_FULL)
     d, alpha, alphastar, spaces_a, spaces_s = _module_spectra(m)
     if alpha != 0 or alphastar != 0:
         raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
-    if not _full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
+    if irreducible is None and not _full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
         raise ReducibleModuleError(_NOT_FULL)
     x: dict[tuple[int, int], Matrix] = {(0, 1): m.A, (2, 3): m.Astar}
     for (r, s), pieces in _mixed_pieces(spaces_a, spaces_s):
@@ -589,12 +617,13 @@ def roundtrip_uniqueness(m: OnsagerModule) -> bool:
     """Round trip of the construction: t = build_tetra(m) has x_01 = A and
     x_23 = Astar, entry for entry.
 
-    One build decides it. build_tetra takes A and Astar as x_01 and x_23
-    once it accepts m, so the comparison holds whenever the build does. A
+    Whether the build succeeds decides it. build_tetra returns A and Astar
+    themselves as x_01 and x_23 once it accepts m, so the round trip holds
+    whenever the build does, and its refusal is raised otherwise. A
     rebuild from t's standard generators x_01, x_23 would hand build_tetra
     exactly m's dim, A and Astar, which is all of its input that build_tetra
     reads, so the rebuild would repeat t's twelve matrices and its
     comparison with t could not fail.
     """
-    t = build_tetra(m)
-    return t.x[(0, 1)] == m.A and t.x[(2, 3)] == m.Astar
+    build_tetra(m)
+    return True

@@ -14,15 +14,22 @@ minimal polynomial on one vector, certified when their eigenspaces fill the
 space, and those eigenspaces are the ones the ordering test reads (the
 descending order first, else the one the exact pattern of the other
 operator's joins between them decides, _standard_ordering). Irreducibility
-is asked at them too: classify._full_algebra runs Norton's test at the
-first, from the top down, that is a line, else at the first ladder
-eigenline of astar, and the Burnside closure only when neither offers one.
+is asked first, at a's eigenspaces, read lazily (_irreducible_first):
+classify._full_algebra reads back a verdict kept in a's memo, with no
+root and no eigenspace read, and on a miss runs Norton's test at the
+first certified eigenspace of a, from the top down, that is a line, else
+at the first ladder eigenline of astar, and the Burnside closure only when
+neither offers one. So after build_tetra or is_irreducible_burnside on the
+same matrices a reducible pair is refused by check_onsager_equivalence and
+eigenvalue_sequences with no spectrum computed, and a's spectrum is
+computed once whatever the verdict.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from ._record import Record
@@ -107,12 +114,26 @@ def _report(a: Matrix, astar: Matrix, spec_a, irreducible: bool) -> TdpReport:
     )
 
 
+def _irreducible_first(a: Matrix, astar: Matrix) -> tuple[bool, Callable[[], tuple | None]]:
+    """Whether (a, astar) generates End(V), asked before a's spectrum is read,
+    and a's diagonal spectrum, computed at most once. _full_algebra reads a's
+    (eigenvalue, eigenspace) pairs lazily, so a verdict kept in a's memo reads
+    no root and no eigenspace, and a miss reads the certified pairs of
+    diagonal_spectrum(a), as the report then does."""
+    spectrum_a = cache(lambda: diagonal_spectrum(a))
+
+    def pairs():
+        yield from zip(*(spectrum_a() or ((), ())))
+
+    return _full_algebra(a, astar, pairs()), spectrum_a
+
+
 def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
     """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
     decided at a's diagonal spectrum (see the module docstring)."""
     _require_square_pair(a, astar)
-    spec_a = diagonal_spectrum(a)
-    return _report(a, astar, spec_a, _full_algebra(a, astar, zip(*spec_a) if spec_a else ()))
+    irreducible, spectrum_a = _irreducible_first(a, astar)
+    return _report(a, astar, spectrum_a(), irreducible)
 
 
 def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
@@ -122,11 +143,15 @@ def _is_arithmetic_step_two(seq: tuple[Fraction, ...]) -> bool:
 def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Descending eigenvalue sequence and dual sequence of a tridiagonal pair.
 
-    Raises SpectrumError when either sequence is not arithmetic with common
-    difference 2 (a pair outside this package's scope).
+    Raises ValueError when (a, astar) is no tridiagonal pair, on a reducible
+    pair before a's spectrum is read (_irreducible_first), and SpectrumError
+    when either sequence is not arithmetic with common difference 2 (a pair
+    outside this package's scope).
     """
-    report = verify_tridiagonal_pair(a, astar)
-    if not report.verdict:
+    _require_square_pair(a, astar)
+    irreducible, spectrum_a = _irreducible_first(a, astar)
+    report = _report(a, astar, spectrum_a(), True) if irreducible else None
+    if report is None or not report.verdict:
         raise ValueError("not a tridiagonal pair")
     seq = report.standard_ordering_A
     dual = report.standard_ordering_Astar
@@ -143,15 +168,16 @@ def check_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
 
     Irreducibility is a condition of both sides, so it is decided first: on
     a pair that does not generate End(V) both sides are false and the
-    equivalence holds, with no spectrum of astar, no ordering and no
-    Dolan-Grady relation computed. Otherwise both sides are computed in full,
+    equivalence holds, with no ordering and no Dolan-Grady relation computed,
+    no spectrum of astar, and no spectrum of a where a's memo keeps the
+    verdict (_irreducible_first). Otherwise both sides are computed in full,
     on a's spectrum and the one irreducibility verdict.
     """
     _require_square_pair(a, astar)
-    spec_a = diagonal_spectrum(a)
-    if not _full_algebra(a, astar, zip(*spec_a) if spec_a else ()):
+    irreducible, spectrum_a = _irreducible_first(a, astar)
+    if not irreducible:
         return True
-    report = _report(a, astar, spec_a, True)
+    report = _report(a, astar, spectrum_a(), True)
     side_tdp = (
         report.verdict
         and _is_arithmetic_step_two(report.standard_ordering_A)

@@ -961,6 +961,14 @@ class TestOneNortonVerdictPerPair:
             eigentable(t)
             assert pairwise_burnside(t)
             assert recomputed(calls) == []
+        else:
+            # build_tetra asks before either spectrum: A's top line, where Norton's spin stops short, is the
+            # one eigenspace it forms
+            m = build_from_spec(s)
+            calls.clear()
+            with pytest.raises(ReducibleModuleError):
+                build_tetra(m)
+            assert [(mat is m.A, lam) for mat, lam in calls] == [(True, s.degree_sum)]
 
 
 def count_subspaces() -> int:

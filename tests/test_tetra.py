@@ -12,11 +12,13 @@ from tetrabox import (
     OnsagerModule,
     OppositionError,
     ReducibleModuleError,
+    SpectrumError,
     TetraboxError,
     TypeShiftError,
     build_from_spec,
     build_tetra,
     build_tetra_from_spec,
+    check_onsager_equivalence,
     commutator,
     dolan_grady_holds,
     eigenspace,
@@ -28,6 +30,7 @@ from tetrabox import (
     flag_independence_check,
     four_flags,
     is_diagonalizable_with,
+    is_irreducible_burnside,
     is_irreducible_criterion,
     module_type,
     pair_generates_full_algebra,
@@ -1191,3 +1194,135 @@ class TestRoundtrip:
 
     def test_dim_four(self):
         assert roundtrip_uniqueness(build_from_spec(ModuleSpec.of([(1, 2), (1, 3)])))
+
+
+def spectra_first_build(m: OnsagerModule) -> TetraModule:
+    """build_tetra with its refusals in the order spectra, type, then irreducibility at the certified
+    eigenspaces of A: the reference that asking irreducibility first agrees with outside build_tetra's
+    documented class. Past them it is build_tetra, told the pair is irreducible, as the reference decided."""
+    d, alpha, alphastar, spaces_a, _ = _module_spectra(m)
+    if alpha != 0 or alphastar != 0:
+        raise TypeShiftError(f"module has type ({alpha}, {alphastar}); normalize to (0, 0) first")
+    if not classify._full_algebra(m.A, m.Astar, zip(range(d, -d - 1, -2), spaces_a)):
+        raise ReducibleModuleError(tetra._NOT_FULL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_verdict_before_spectra", lambda a, b: True)
+        return build_tetra(m)
+
+
+def build_result(build, m: OnsagerModule):
+    """The twelve matrices build(m) gives, or the type and text of its refusal."""
+    try:
+        return dict(build(m).x)
+    except TetraboxError as refused:
+        return type(refused), str(refused)
+
+
+def assert_refused_as_before(m: OnsagerModule) -> None:
+    """build_tetra on m and the spectra-first reference on fresh matrix objects, so that neither reads a
+    verdict or eigenspace the other kept, give the same matrices or the same refusal."""
+    fresh = OnsagerModule(m.dim, fresh_matrix(m.A), fresh_matrix(m.Astar))
+    assert build_result(build_tetra, m) == build_result(spectra_first_build, fresh)
+
+
+def stacked(*modules: OnsagerModule) -> OnsagerModule:
+    """The direct sum of modules, block diagonal in the order given."""
+    n = sum(m.dim for m in modules)
+
+    def blocks(name):
+        rows, start = [], 0
+        for m in modules:
+            rows += [[0] * start + row + [0] * (n - start - m.dim) for row in getattr(m, name).to_rows()]
+            start += m.dim
+        return Matrix.from_rows(rows)
+
+    return OnsagerModule(n, blocks("A"), blocks("Astar"))
+
+
+@st.composite
+def conjugated_grid_modules(draw, grid_specs):
+    """P m P^-1 for a grid module of dim <= 9, irreducible or not, possibly shifted, and a unit lower times
+    unit upper triangular P."""
+    spec = draw(st.sampled_from([s for s in grid_specs if s.dim <= 9]))
+    shift = draw(st.sampled_from(((0, 0), (1, 0), (0, F(-1, 2)), (1, 1))))
+    m = build_from_spec(ModuleSpec(spec.factors, shift))
+    n, small = m.dim, st.integers(-2, 2)
+    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+    p_inv = inverse(p)
+    return OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+
+
+# a reducible pair in the one class whose refusal changed: V(1, 2) + W, where on W A is diag(1, -1) and Astar a
+# Jordan block at 1. e_0 lies in V(1, 2), so both Krylov ladders read 1, -1, type (0, 0) with d = 1, but Astar
+# is not diagonalizable
+JORDAN_W = OnsagerModule(2, Matrix.from_rows([[1, 0], [0, -1]]), Matrix.from_rows([[1, 1], [0, 1]]))
+
+
+class TestIrreducibilityBeforeSpectra:
+    """build_tetra asks irreducibility before either spectrum where the Krylov ladders of A and Astar at
+    e_0 read type (0, 0) with one d, against a reference that refuses in the order spectra, type, then
+    irreducibility: the same twelve matrices or the same refusal, outside the one documented class."""
+
+    def test_grid(self, grid_modules):
+        for m in grid_modules.values():
+            assert_refused_as_before(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_conjugates(self, grid_specs, data):
+        assert_refused_as_before(data.draw(conjugated_grid_modules(grid_specs)))
+
+    @pytest.mark.parametrize("factors", [[(1, 2)], [(1, 2), (1, 3)], [(2, 1)]])
+    def test_v_plus_v(self, factors, monkeypatch):
+        # no eigenline on either side: the closure decides, and below its guard both refuse as the guard words it
+        v = build_from_spec(ModuleSpec.of(factors))
+        assert_refused_as_before(stacked(v, v))
+        monkeypatch.setattr(matrix, "DIM_GUARD", 2 * v.dim)
+        assert_refused_as_before(stacked(v, v))
+        assert build_result(build_tetra, stacked(v, v))[0] is DimensionGuardError
+
+    @pytest.mark.parametrize("factors", [[(1, 2), (1, 2)], [(1, 2), (2, 2)], [(1, 2), (1, F(1, 2)), (1, 3)]])
+    def test_reducible_folds(self, factors):
+        # tensor products at a repeated point, folded with no refusal: the top of A is a line
+        spec = ModuleSpec.of(factors)
+        x = onsager._folded_generators(spec, [(0, 1), (2, 3)])
+        m = OnsagerModule(spec.dim, x[(0, 1)], x[(2, 3)])
+        assert build_result(build_tetra, m) == (ReducibleModuleError, tetra._NOT_FULL)
+        assert_refused_as_before(m)
+
+    def test_the_documented_class(self):
+        m = stacked(evaluation_module(1, F(2)), JORDAN_W)
+        assert linalg._krylov_ladder(m.A) == linalg._krylov_ladder(m.Astar) == [1, -1]
+        assert not is_diagonalizable_with(m.Astar, [1, -1])
+        # refused as reducible before the spectra, where the spectra-first order refused Astar's spectrum
+        assert build_result(build_tetra, m) == (ReducibleModuleError, tetra._NOT_FULL)
+        assert build_result(spectra_first_build, m) == (SpectrumError, onsager._NOT_A_LADDER)
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, F(-1, 2)), (1, 1)], ids=["A", "Astar", "both"])
+    def test_shifted_reducible_module_is_refused_as_shifted(self, shift):
+        # a Krylov ladder of a shifted type asks nothing early, even where both read one ladder: the type is
+        # refused, as before
+        m = build_from_spec(ModuleSpec.of([(1, 2), (1, F(1, 2))], shift=shift))
+        text = f"module has type ({shift[0]}, {shift[1]}); normalize to (0, 0) first"
+        assert build_result(build_tetra, m) == (TypeShiftError, text)
+        assert_refused_as_before(m)
+        assert not is_irreducible_burnside(m)
+
+    def test_kept_verdict_forms_no_kernel(self, grid_specs, monkeypatch):
+        # after is_irreducible_burnside, a reducible pair is refused by build_tetra and answered by
+        # check_onsager_equivalence off the verdict kept in A's memo, with no eigenspace or other kernel formed
+        kernels = []
+        real = linalg._kernel
+        monkeypatch.setattr(linalg, "_kernel", lambda width, rows: kernels.append(width) or real(width, rows))
+        for spec in grid_specs:
+            if is_irreducible_criterion(spec):
+                continue
+            m = build_from_spec(spec)
+            assert not is_irreducible_burnside(m)
+            kernels.clear()
+            with pytest.raises(ReducibleModuleError):
+                build_tetra(m)
+            assert check_onsager_equivalence(m.A, m.Astar)
+            assert kernels == [], spec.factors

@@ -217,9 +217,32 @@ def reference_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
     return side_tdp == side_onsager
 
 
+def reference_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[F, ...], tuple[F, ...]]:
+    """eigenvalue_sequences read off the full reference report, whatever its irreducibility verdict."""
+    report = reference_report(a, astar)
+    if not report.verdict:
+        raise ValueError("not a tridiagonal pair")
+    for name, s in (("eigenvalue", report.standard_ordering_A), ("dual eigenvalue", report.standard_ordering_Astar)):
+        if not _is_arithmetic_step_two(s):
+            raise SpectrumError(f"{name} sequence {tuple(map(str, s))} is not arithmetic with difference 2")
+    return report.standard_ordering_A, report.standard_ordering_Astar
+
+
+def sequences_outcome(sequences, a: Matrix, astar: Matrix):
+    """The two sequences, or the type and text of the refusal."""
+    try:
+        return sequences(a, astar)
+    except (ValueError, SpectrumError) as refused:
+        return type(refused), str(refused)
+
+
 def assert_agrees_with_reference(a: Matrix, astar: Matrix) -> None:
+    # eigenvalue_sequences on fresh copies misses a's memo; after verify_tridiagonal_pair it reads the verdict kept
+    sequences = sequences_outcome(reference_sequences, a, astar)
+    assert sequences_outcome(eigenvalue_sequences, fresh(a), fresh(astar)) == sequences
     assert verify_tridiagonal_pair(a, astar) == reference_report(a, astar)
     assert check_onsager_equivalence(a, astar) == reference_onsager_equivalence(a, astar)
+    assert sequences_outcome(eigenvalue_sequences, a, astar) == sequences
 
 
 # a = 1 and -1 and the pair 2, 1/2 make reducible modules
@@ -274,11 +297,16 @@ class TestIrreducibilityFirst:
             monkeypatch.setattr(tridiagonal, name, lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args))
         return calls
 
-    def test_reducible_pair_reads_only_the_spectrum_of_a(self, grid_specs, grid_modules, monkeypatch):
-        reducible = [grid_modules[s] for s in grid_specs if not is_irreducible_criterion(s)]
+    def test_reducible_pair_reads_only_the_spectrum_of_a(self, grid_specs, monkeypatch):
+        # on fresh matrices the verdict is a miss and reads a's spectrum alone; it is kept in a's memo, so a
+        # second check, and eigenvalue_sequences's refusal, read no spectrum at all
+        reducible = [build_from_spec(s) for s in grid_specs if not is_irreducible_criterion(s)]
         calls = self.spy(monkeypatch)
         for m in reducible:
             assert check_onsager_equivalence(m.A, m.Astar)
+            assert check_onsager_equivalence(m.A, m.Astar)
+            with pytest.raises(ValueError, match="not a tridiagonal pair"):
+                eigenvalue_sequences(m.A, m.Astar)
         assert len(calls["diagonal_spectrum"]) == len(reducible)
         assert all(seen is m.A for seen, m in zip(calls["diagonal_spectrum"], reducible))
         assert calls["annihilates"] == [] and calls["dolan_grady_holds"] == []
