@@ -174,8 +174,19 @@ def _deep_checks(module: OnsagerModule | None, tetra: TetraModule, spec: ModuleS
     return out
 
 
+def _summary(report: VerificationReport) -> dict:
+    """One check report as verify prints it: its total, its passed count and its failures."""
+    from .serialize import report_to_json
+
+    return {
+        "total": len(report.checks),
+        "passed": sum(1 for c in report.checks if c.passed),
+        "failures": report_to_json(report),
+    }
+
+
 def cmd_verify(args) -> int:
-    from .serialize import eigentable_to_json, module_from_json, report_to_json, spec_from_json, tetra_from_json
+    from .serialize import eigentable_to_json, module_from_json, spec_from_json, tetra_from_json
     from .tetra import _verify
 
     data = _load_json(args.module)
@@ -190,17 +201,9 @@ def cmd_verify(args) -> int:
     report = {
         "dim": tetra.dim,
         "d": tetra.diameter,
-        "relations": {
-            "total": len(relations.checks),
-            "passed": sum(1 for c in relations.checks if c.passed),
-            "failures": report_to_json(relations),
-        },
+        "relations": _summary(relations),
         "eigentable": eigentable_to_json(table),
-        "action_table": {
-            "total": len(actions.checks),
-            "passed": sum(1 for c in actions.checks if c.passed),
-            "failures": report_to_json(actions),
-        },
+        "action_table": _summary(actions),
         "flag_independence": independent,
     }
     ok = relations.all_passed and table.all_passed and actions.all_passed and independent

@@ -119,7 +119,9 @@ def _irreducible_first(a: Matrix, astar: Matrix) -> tuple[bool, Callable[[], tup
     and a's diagonal spectrum, computed at most once. _full_algebra reads a's
     (eigenvalue, eigenspace) pairs lazily, so a verdict kept in a's memo reads
     no root and no eigenspace, and a miss reads the certified pairs of
-    diagonal_spectrum(a), as the report then does."""
+    diagonal_spectrum(a), as the report then does. The pair's shape is checked
+    first, before any other work."""
+    _require_square_pair(a, astar)
     spectrum_a = cache(lambda: diagonal_spectrum(a))
 
     def pairs():
@@ -131,7 +133,6 @@ def _irreducible_first(a: Matrix, astar: Matrix) -> tuple[bool, Callable[[], tup
 def verify_tridiagonal_pair(a: Matrix, astar: Matrix) -> TdpReport:
     """Check all four tridiagonal-pair axioms for (a, astar). Irreducibility is
     decided at a's diagonal spectrum (see the module docstring)."""
-    _require_square_pair(a, astar)
     irreducible, spectrum_a = _irreducible_first(a, astar)
     return _report(a, astar, spectrum_a(), irreducible)
 
@@ -148,7 +149,6 @@ def eigenvalue_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[Fraction, ...]
     when either sequence is not arithmetic with common difference 2 (a pair
     outside this package's scope).
     """
-    _require_square_pair(a, astar)
     irreducible, spectrum_a = _irreducible_first(a, astar)
     report = _report(a, astar, spectrum_a(), True) if irreducible else None
     if report is None or not report.verdict:
@@ -173,7 +173,6 @@ def check_onsager_equivalence(a: Matrix, astar: Matrix) -> bool:
     verdict (_irreducible_first). Otherwise both sides are computed in full,
     on a's spectrum and the one irreducibility verdict.
     """
-    _require_square_pair(a, astar)
     irreducible, spectrum_a = _irreducible_first(a, astar)
     if not irreducible:
         return True

@@ -1,10 +1,14 @@
-"""Shared fixtures: the classification test grid and cached verdicts."""
+"""Shared fixtures: the classification test grid and cached verdicts, and the
+kit's spy, whose tests are marked work_count."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from math import lcm
 
 import pytest
+
+import corpus
 
 from tetrabox import (
     Matrix,
@@ -14,7 +18,6 @@ from tetrabox import (
     build_tetra,
     build_tetra_from_spec,
     determinant,
-    inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
     kernel,
@@ -172,5 +175,19 @@ def non_opposite_flags():
                                      [-1, 1, 2, 1, 2]],
          "component intersection 1 is zero"),
     )
-    return [(OnsagerModule(5, a, Matrix.from_rows(p) * d * inverse(Matrix.from_rows(p))),
+    return [(OnsagerModule(5, a, corpus.conjugated(d, Matrix.from_rows(p))),
              f"flags 0 and 2 are not opposite: {reason}") for a, p, reason in cases]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """corpus.spy on this test's monkeypatch: spy(owner, name, record, calls, bindings)."""
+    return partial(corpus.spy, monkeypatch)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_collection_modifyitems(items):
+    # before -m selects: a test that counts work through the kit's spy is a work-count pin
+    for item in items:
+        if "spy" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.work_count)

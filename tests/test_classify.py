@@ -33,7 +33,6 @@ from tetrabox import (
     four_flags,
     generated_algebra_dimension,
     induced_decomposition,
-    inverse,
     is_irreducible_burnside,
     is_irreducible_criterion,
     is_isomorphic,
@@ -46,6 +45,9 @@ from tetrabox import (
 from tetrabox import classify, flags, linalg, matrix, tetra
 from tetrabox.linalg import _Echelon
 from tetrabox.tetra import OPPOSITE_PAIRS
+
+import corpus
+from corpus import conjugated, direct_sum, unitriangular_matrices
 
 
 def spec(*factors, shift=(0, 0)):
@@ -92,17 +94,15 @@ class TestBurnside:
 
     def test_guard(self, monkeypatch):
         # V + V has no top line, so only the closure can decide, and its dim^2 is above the guard
-        m = doubled(evaluation_module(1, F(2)))
+        m = direct_sum(evaluation_module(1, F(2)), evaluation_module(1, F(2)))
         monkeypatch.setattr(matrix, "DIM_GUARD", 4)
         with pytest.raises(DimensionGuardError, match="Burnside closure dimension 16"):
             is_irreducible_burnside(m)
 
-    def test_spin_refutes_reducible_input_above_the_guard(self, monkeypatch):
+    def test_spin_refutes_reducible_input_above_the_guard(self, monkeypatch, spy):
         # the d9 (2,3)(2,3) is reducible, and its top line spins short: no closure, so no guard
         m = build_from_spec(spec((2, 3), (2, 3)))
-        calls = []
-        real = classify._spin
-        monkeypatch.setattr(classify, "_spin", lambda *args: calls.append(args) or real(*args))
+        calls = spy(classify, "_spin", lambda *args: args)
         monkeypatch.setattr(matrix, "DIM_GUARD", 64)
         assert not is_irreducible_burnside(m)
         assert len(calls) == 1
@@ -123,31 +123,12 @@ class TestBurnside:
         assert is_irreducible_burnside(build_from_spec(s)) == is_irreducible_criterion(s)
 
 
-def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
-    rows = [row + [0] * b.cols for row in a.to_rows()]
-    rows += [[0] * a.cols + row for row in b.to_rows()]
-    return Matrix.from_rows(rows)
-
-
-def doubled(v: OnsagerModule) -> OnsagerModule:
-    """V + V: every eigenspace of A is a plane, so Norton's test says nothing."""
-    return OnsagerModule(2 * v.dim, block_diagonal(v.A, v.A), block_diagonal(v.Astar, v.Astar))
-
-
-def spy_exact_closures(monkeypatch) -> list[int]:
-    """The dimensions at which classify._closure_dimension_exact runs from now on."""
-    calls = []
-    real = classify._closure_dimension_exact
-    monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: calls.append(n) or real(gens, n))
-    return calls
-
-
 class TestSpin:
     """is_irreducible_burnside decides by Norton's spin wherever A has an eigenline."""
 
-    def test_agrees_with_burnside_and_criterion_on_grid(self, monkeypatch, grid_modules):
+    def test_agrees_with_burnside_and_criterion_on_grid(self, spy, grid_modules):
         # every grid module's top eigenspace is a line, so no verdict needs the closure
-        closures = spy_exact_closures(monkeypatch)
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         for s, module in grid_modules.items():
             assert is_irreducible_burnside(module) == is_irreducible_criterion(s), s.factors
         assert closures == []
@@ -156,10 +137,11 @@ class TestSpin:
         assert is_irreducible_burnside(build_from_spec(spec((1, 2), (1, 3), shift=(3, -1))))
         assert not is_irreducible_burnside(build_from_spec(spec((1, 2), (1, F(1, 2)), shift=(3, -1))))
 
-    def test_direct_sum_takes_the_burnside_fallback(self, monkeypatch):
-        m = doubled(evaluation_module(1, F(2)))
+    def test_direct_sum_takes_the_burnside_fallback(self, spy):
+        # V + V: every eigenspace of A is a plane, so Norton's test says nothing
+        m = direct_sum(evaluation_module(1, F(2)), evaluation_module(1, F(2)))
         assert eigenspace(m.A, 1).dim == 2
-        closures = spy_exact_closures(monkeypatch)
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         assert not is_irreducible_burnside(m)
         with pytest.raises(ReducibleModuleError):
             build_tetra(m)
@@ -224,18 +206,11 @@ class TestClosureDifferential:
         assert generated_algebra_dimension(m.A, m.Astar) == 84
 
     def test_direct_sum(self):
-        v, w = evaluation_module(1, F(2)), evaluation_module(2, F(3))
-        a, b = block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar)
+        m = direct_sum(evaluation_module(1, F(2)), evaluation_module(2, F(3)))
+        a, b = m.A, m.Astar
         # End(V) + End(W) plus nothing else: the summands are not isomorphic
         assert exact_closure_dimension(a, b) == word_closure_dimension(a, b) == 4 + 9
         assert generated_algebra_dimension(a, b) == 4 + 9
-
-
-def unitriangular_product(n: int, entries: list) -> Matrix:
-    """L U with L unit lower and U unit upper triangular: determinant 1."""
-    lower = [[F(1) if i == j else (entries.pop() if j < i else F(0)) for j in range(n)] for i in range(n)]
-    upper = [[F(1) if i == j else (entries.pop() if j > i else F(0)) for j in range(n)] for i in range(n)]
-    return Matrix.from_rows(lower) * Matrix.from_rows(upper)
 
 
 SMALL = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
@@ -284,9 +259,8 @@ def conjugated_pairs(draw):
             for i in range(k):
                 for j in range(k, n):
                     t[i][j] = F(0)
-    p = unitriangular_product(n, [draw(SMALL) for _ in range(n * (n - 1))])
-    p_inv = inverse(p)
-    return kind, p * Matrix.from_rows(d) * p_inv, p * Matrix.from_rows(t) * p_inv
+    m = conjugated(OnsagerModule(n, Matrix.from_rows(d), Matrix.from_rows(t)), draw(unitriangular_matrices(n, SMALL)))
+    return kind, m.A, m.Astar
 
 
 @st.composite
@@ -312,9 +286,8 @@ def quotient_pairs(draw):
     t_split = [[F(0) if split and i < k <= j else x for j, x in enumerate(row)] for i, row in enumerate(t)]
     modules = []
     for b in (t, t_split):
-        p = unitriangular_product(n, [draw(SMALL) for _ in range(n * (n - 1))])
-        p_inv = inverse(p)
-        modules.append(OnsagerModule(n, p * Matrix.from_rows(d) * p_inv, p * Matrix.from_rows(b) * p_inv))
+        p = draw(unitriangular_matrices(n, SMALL))
+        modules.append(conjugated(OnsagerModule(n, Matrix.from_rows(d), Matrix.from_rows(b)), p))
     return modules[0], modules[1], split
 
 
@@ -382,16 +355,15 @@ class TestNortonDifferential:
             linalg._spectral_memo(a).pop(b, None)
             assert classify._full_algebra(a, b, order) == expected
 
-    def test_burnside_and_pairwise_need_no_closure(self, monkeypatch, grid_modules, built_irreducible_grid):
+    def test_burnside_and_pairwise_need_no_closure(self, spy, grid_modules, built_irreducible_grid):
         calls = []
         for name in ("generated_algebra_dimension", "_closure_dimension_exact"):
-            real = getattr(classify, name)
-            monkeypatch.setattr(classify, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+            spy(classify, name, name, calls)
         for s, t in built_irreducible_grid.items():
             assert pairwise_burnside(t), s.factors
             assert is_irreducible_burnside(grid_modules[s]), s.factors
         assert calls == []
-        assert not is_irreducible_burnside(doubled(evaluation_module(1, F(2))))
+        assert not is_irreducible_burnside(direct_sum(evaluation_module(1, F(2)), evaluation_module(1, F(2))))
         assert calls
 
 
@@ -417,11 +389,11 @@ class TestSecondGeneratorLine:
     algebra: against the exact closure, which a spy then never sees."""
 
     @pytest.mark.parametrize("digits", [20, 60])
-    def test_long_entries_of_x_02(self, monkeypatch, digits):
+    def test_long_entries_of_x_02(self, spy, digits):
         a, b = long_entry_pair(digits)
         assert not offers_line(a) and offers_line(b)
         assert exact_closure_dimension(a, b) == 36
-        closures = spy_exact_closures(monkeypatch)
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         assert pair_generates_full_algebra(a, b) is True
         assert norton_verdicts(a) == {b: True}
         assert generated_algebra_dimension(a, b) == 36
@@ -443,7 +415,7 @@ class TestSecondGeneratorLine:
         n = a.rows
         expected = exact_closure_dimension(b, a) == n * n
         with pytest.MonkeyPatch.context() as mp:
-            closures = spy_exact_closures(mp)
+            closures = corpus.spy(mp, classify, "_closure_dimension_exact", lambda gens, n: n)
             assert pair_generates_full_algebra(b, a) == expected
             assert is_irreducible_burnside(OnsagerModule(n, b, a)) == expected
         if offers_line(b) or offers_line(a):
@@ -452,22 +424,15 @@ class TestSecondGeneratorLine:
         else:
             assert closures == [n, n]
 
-def spy_minimal_polynomial(monkeypatch) -> list[Matrix]:
-    """The matrices whose minimal polynomial linalg computes from now on."""
-    calls = []
-    real = linalg.minimal_polynomial
-    monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
-    return calls
-
 
 class TestOneLadderRoute:
     """pair_generates_full_algebra reads a's ladder in linalg (_ladder_eigenpairs),
     and find_intertwiner its top off the certified pass of module_type."""
 
-    def test_no_minimal_polynomial_on_built_modules(self, grid_specs, monkeypatch):
+    def test_no_minimal_polynomial_on_built_modules(self, grid_specs, spy):
         # fresh builds, so no Norton verdict kept on an earlier matrix answers in place of the route
         specs = [s for s in grid_specs if is_irreducible_criterion(s)] + [spec((32, 2))]
-        calls = spy_minimal_polynomial(monkeypatch)
+        calls = spy(linalg, "minimal_polynomial")
         for s in specs:
             assert is_irreducible_burnside(build_from_spec(s)), s.factors
             m = build_from_spec(s)
@@ -475,7 +440,7 @@ class TestOneLadderRoute:
         assert calls == []
 
     @pytest.mark.parametrize("small_first", [True, False], ids=["V(1,2)+V(3,3)", "V(3,3)+V(1,2)"])
-    def test_a_short_krylov_ladder_falls_back_to_the_ladder_spectrum(self, monkeypatch, small_first):
+    def test_a_short_krylov_ladder_falls_back_to_the_ladder_spectrum(self, monkeypatch, spy, small_first):
         # with V(1, 2) first, e_0 lies in it: mu_(e_0) is the ladder {1, -1}, and both its eigenspaces are
         # planes, so the line at 3 comes from ladder_spectrum, whose minimal polynomial runs once
         v, w = evaluation_module(1, F(2)), evaluation_module(3, F(3))
@@ -483,7 +448,7 @@ class TestOneLadderRoute:
             v, w = w, v
 
         def module() -> OnsagerModule:
-            return OnsagerModule(6, block_diagonal(v.A, w.A), block_diagonal(v.Astar, w.Astar))
+            return direct_sum(v, w)
 
         a = module().A
         krylov = (F(-1), F(0), F(1)) if small_first else linalg.minimal_polynomial(a)
@@ -491,7 +456,8 @@ class TestOneLadderRoute:
         expected = exact_closure_dimension(a, module().Astar) == 36
         assert expected is False
         monkeypatch.setattr(matrix, "DIM_GUARD", 10)
-        closures, polynomials = spy_exact_closures(monkeypatch), spy_minimal_polynomial(monkeypatch)
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
+        polynomials = spy(linalg, "minimal_polynomial")
         m = module()
         assert pair_generates_full_algebra(m.A, m.Astar) is expected
         assert norton_verdicts(m.A) == {m.Astar: expected}
@@ -509,15 +475,15 @@ class TestOneLadderRoute:
 def lower_eigenline_module() -> OnsagerModule:
     """evaluation_module(2, 2) plus a 1 x 1 block 2 in both generators: A has
     a plane at its top 2 and lines at 0 and -2."""
-    v, two = evaluation_module(2, F(2)), Matrix.from_rows([[2]])
-    return OnsagerModule(4, block_diagonal(v.A, two), block_diagonal(v.Astar, two))
+    two = Matrix.from_rows([[2]])
+    return direct_sum(evaluation_module(2, F(2)), OnsagerModule(1, two, two))
 
 
-def test_a_lower_eigenline_decides_where_the_top_is_a_plane(monkeypatch):
+def test_a_lower_eigenline_decides_where_the_top_is_a_plane(monkeypatch, spy):
     # each check on its own matrices, so each finds the line at 0 itself; a closure of dim^2 16 would be refused
     assert [eigenspace(lower_eigenline_module().A, lam).dim for lam in (2, 0, -2)] == [2, 1, 1]
     monkeypatch.setattr(matrix, "DIM_GUARD", 15)
-    closures = spy_exact_closures(monkeypatch)
+    closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
     assert not is_irreducible_burnside(lower_eigenline_module())
     with pytest.raises(ReducibleModuleError):
         build_tetra(lower_eigenline_module())
@@ -669,10 +635,8 @@ class TestIntertwinerDifferential:
     def test_conjugates(self, grid_specs, grid_modules, reference_intertwiner, data):
         # (m, P m P^-1) in either order
         s = data.draw(st.sampled_from([s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]))
-        m, n = grid_modules[s], grid_modules[s].dim
-        p = unitriangular_product(n, [data.draw(SMALL) for _ in range(n * (n - 1))])
-        p_inv = inverse(p)
-        conjugate = OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+        m = grid_modules[s]
+        conjugate = conjugated(m, data.draw(unitriangular_matrices(m.dim, SMALL)))
         m1, m2 = (conjugate, m) if data.draw(st.booleans()) else (m, conjugate)
         witness = find_intertwiner(m1, m2)
         assert witness is not None and witness == reference_intertwiner(m1, m2)
@@ -717,7 +681,7 @@ class TestIntertwinerDifferential:
     def test_no_line_in_a2(self, reference_intertwiner):
         # A2 = diag(A, A) of a d2 has no eigenvalue 2, the top of the d4's A1
         m1, v = build_from_spec(spec((1, 2), (1, 3))), evaluation_module(1, F(2))
-        m2 = doubled(v)
+        m2 = direct_sum(v, v)
         assert find_intertwiner(m1, m2) is None and reference_intertwiner(m1, m2) is None
 
     @pytest.mark.parametrize("factors", [[(1, 2), (1, 2)], [(1, 2), (1, 1)]], ids=["v2_v2", "v2_v1"])
@@ -749,16 +713,9 @@ class TestIntertwinerDifferential:
         verdict = decided_as_by_the_determinant(m1, m2)
         assert not (verdict is False and not split)  # m2 isomorphic to m1: S invertible
 
-    def test_no_elimination_wider_than_the_spin(self, monkeypatch):
-        widths = []
-
-        class Spy(linalg._Echelon):
-            def __init__(self, n):
-                widths.append(n)
-                super().__init__(n)
-
-        monkeypatch.setattr(linalg, "_Echelon", Spy)
-        monkeypatch.setattr(classify, "_Echelon", Spy)
+    def test_no_elimination_wider_than_the_spin(self, spy):
+        # the width of every echelon, whichever module builds it
+        widths = spy(linalg._Echelon, "__init__", lambda self, n: n)
         for first, second, found in [
             ([(3, 2), (3, 3)], [(3, F(1, 3)), (3, 2)], True),
             ([(3, 2), (3, 3)], [(3, 2), (3, 5)], False),
@@ -799,38 +756,21 @@ class TestIsomorphism:
             is_isomorphic(spec((1, 1)), spec((1, 2)))
 
 
-def spy_norton(monkeypatch) -> list:
-    """The pairs (a, b) on which classify._norton runs from now on."""
-    calls = []
-    real = classify._norton
-    monkeypatch.setattr(classify, "_norton", lambda a, b, *args: calls.append((a, b)) or real(a, b, *args))
-    return calls
-
-
-def spy_kernels(monkeypatch) -> list:
-    """The width of every kernel linalg forms from now on, eigenspaces included."""
-    calls = []
-    real = linalg._kernel
-    monkeypatch.setattr(linalg, "_kernel", lambda width, rows: calls.append(width) or real(width, rows))
-    return calls
-
-
 def spy_eigenspaces(monkeypatch) -> list:
     """(matrix, eigenvalue) of every eigenspace call that forms its kernel from
     now on; a memo hit forms none. The list holds each matrix, so no two of
     them share an id while it lives."""
-    calls, kernels = [], spy_kernels(monkeypatch)
+    calls, kernels = [], corpus.spy(monkeypatch, linalg, "_kernel")
     real = linalg.eigenspace
 
-    def spy(m, lam):
+    def formed(m, lam):
         before = len(kernels)
         space = real(m, lam)
         if len(kernels) > before:
             calls.append((m, lam))
         return space
 
-    for module in (linalg, classify, tetra):
-        monkeypatch.setattr(module, "eigenspace", spy)
+    corpus.rebind(monkeypatch, linalg, "eigenspace", formed, (classify, tetra))
     return calls
 
 
@@ -845,14 +785,15 @@ def recomputed(calls: list) -> list:
     return [(m.rows, lam) for i, (m, lam) in enumerate(calls) if keys[i] in keys[:i]]
 
 
+@pytest.mark.work_count
 class TestOneNortonVerdictPerPair:
     """Norton's verdict is kept on the first generator, keyed by the second,
     so every entry point on the same matrices spins once."""
 
     @pytest.mark.parametrize("factors, irreducible", [([(1, 2), (2, 3)], True), ([(1, 2), (2, F(1, 2))], False)])
-    def test_three_entry_points_one_test(self, monkeypatch, factors, irreducible):
+    def test_three_entry_points_one_test(self, spy, factors, irreducible):
         m = build_from_spec(spec(*factors))
-        calls = spy_norton(monkeypatch)
+        calls = spy(classify, "_norton", lambda a, b, *args: (a, b))
         assert is_irreducible_burnside(m) == irreducible
         if irreducible:
             assert build_tetra(m).x[(0, 1)] == m.A
@@ -863,24 +804,24 @@ class TestOneNortonVerdictPerPair:
         assert verify_tridiagonal_pair(m.A, m.Astar).irreducible == irreducible
         assert len(calls) == 1 and calls[0][0] is m.A and calls[0][1] is m.Astar
 
-    def test_pairwise_burnside_reads_the_build_verdict(self, monkeypatch):
+    def test_pairwise_burnside_reads_the_build_verdict(self, spy):
         # the library route that verify --deep takes on a file that failed a plain check: the flag-route rebuild
         # of the file's (x_01, x_23), then pairwise_burnside on the file
         t = build_tetra_from_spec(spec((3, 2), (3, 3)))
         standard = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
-        calls = spy_norton(monkeypatch)
+        calls = spy(classify, "_norton", lambda a, b, *args: (a, b))
         assert build_tetra(standard).x == t.x
         assert pairwise_burnside(t)
         # build_tetra's test answers for (x_01, x_23); the other two pairs run their own
         assert calls == [(t.x[p1], t.x[p2]) for p1, p2 in OPPOSITE_PAIRS]
         assert calls[0][0] is standard.A and calls[0][1] is standard.Astar
 
-    def test_equal_modules_each_run_their_own_test(self, monkeypatch):
+    def test_equal_modules_each_run_their_own_test(self, spy):
         first, second = (build_from_spec(spec((2, 3), (1, 5))) for _ in range(2))
         assert first.A == second.A and first.A is not second.A
         before = (hash(first.A), repr(first.A))
         assert "_spectral_memo" not in vars(first.A)
-        calls = spy_norton(monkeypatch)
+        calls = spy(classify, "_norton", lambda a, b, *args: (a, b))
         assert is_irreducible_burnside(first) and is_irreducible_burnside(first)
         assert len(calls) == 1
         assert is_irreducible_burnside(second)
@@ -906,11 +847,11 @@ class TestOneNortonVerdictPerPair:
         del m
         assert a() is None and astar() is None
 
-    def test_three_questions_form_each_kernel_once(self, monkeypatch):
+    def test_three_questions_form_each_kernel_once(self, spy):
         # a fresh d16 build: Norton's lines in A and A^T; then the 7 + 7 eigenspaces of A and Astar but the
         # top line of A, which Norton formed; then none, as every eigenspace is read off the memo
         m = build_from_spec(spec((3, 2), (3, 3)))
-        kernels = spy_kernels(monkeypatch)
+        kernels = spy(linalg, "_kernel")
         counts = []
         for question in (is_irreducible_burnside, build_tetra, lambda m: check_onsager_equivalence(m.A, m.Astar)):
             before = len(kernels)
@@ -918,17 +859,17 @@ class TestOneNortonVerdictPerPair:
             counts.append(len(kernels) - before)
         assert counts == [2, 13, 0]
 
-    def test_find_intertwiner_forms_the_top_line_once(self, monkeypatch):
+    def test_find_intertwiner_forms_the_top_line_once(self, spy):
         # A1's certified pass forms its 10 eigenspaces, the top line among them, and A2's top line is the 11th
         s = spec((3, 2), (3, 3), (3, 5))
         m1, m2 = build_from_spec(s), build_from_spec(s)
-        kernels = spy_kernels(monkeypatch)
+        kernels = spy(linalg, "_kernel")
         assert find_intertwiner(m1, m2) == Matrix.identity(m1.dim)
         assert len(kernels) == 11
 
     def test_guard_refusal_is_raised_on_every_call(self, monkeypatch):
         # V + V has no top line, so only the closure decides, and its dim^2 16 is above the guard
-        m = doubled(evaluation_module(1, F(2)))
+        m = direct_sum(evaluation_module(1, F(2)), evaluation_module(1, F(2)))
         monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         checks = (is_irreducible_burnside, build_tetra, lambda m: verify_tridiagonal_pair(m.A, m.Astar),
                   lambda m: check_onsager_equivalence(m.A, m.Astar))
@@ -977,6 +918,7 @@ def count_subspaces() -> int:
     return sum(isinstance(obj, linalg.Subspace) for obj in gc.get_objects())
 
 
+@pytest.mark.work_count
 class TestOneMemoPerMatrix:
     """linalg's spectral memo is the one place where a derived fact about a matrix is kept: a TetraModule
     keeps no chain and a Matrix no verdict beside it, so one bound holds for every kept subspace."""
@@ -1003,11 +945,11 @@ class TestOneMemoPerMatrix:
         assert all(set(vars(x)) <= fields for x in t.x.values())
         assert set(vars(t)) == {"dim", "diameter", "x", "_antisymmetric"}
 
-    def test_norton_makes_its_first_generator_the_only_new_holder(self, monkeypatch):
+    def test_norton_makes_its_first_generator_the_only_new_holder(self, spy):
         # the dual line ker(A^T - d) is read off A's transposed rows: no transpose is built to hold a memo
         m = build_from_spec(spec((3, 2), (3, 3)))
         before = list(linalg._memo_holders)
-        calls = spy_norton(monkeypatch)
+        calls = spy(classify, "_norton", lambda a, b, *args: (a, b))
         assert is_irreducible_burnside(m) and len(calls) == 1
         new = [ref() for ref in linalg._memo_holders if all(ref is not old for old in before)]
         assert len(new) == 1 and new[0] is m.A
@@ -1022,18 +964,17 @@ class TestOneDecisionPerQuestion:
     read off one solve of coordinates, shared by build_tetra's four mixed pairs."""
 
     @staticmethod
-    def spy_eliminations(monkeypatch) -> list[str]:
+    def spy_eliminations(spy) -> list[str]:
         """The eliminations flags runs from now on: a rank (_echelon) or a solve (_solve)."""
         calls = []
         for name in ("_echelon", "_solve"):
-            real = getattr(flags, name)
-            monkeypatch.setattr(flags, name, lambda n, rows, real=real, name=name: calls.append(name) or real(n, rows))
+            spy(flags, name, name, calls)
         return calls
 
-    def test_build_tetra_solves_once_per_mixed_pair(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_build_tetra_solves_once_per_mixed_pair(self, grid_modules, built_irreducible_grid, spy):
         # x_01 and x_23 are A and Astar as given; one solve writes Astar's eigenbasis in A's, and each of the
         # pairs (0, 2), (0, 3), (1, 2), (1, 3) reads its x_rs off one more
-        calls = self.spy_eliminations(monkeypatch)
+        calls = self.spy_eliminations(spy)
         for s, t in built_irreducible_grid.items():
             before = len(calls)
             m = grid_modules[s]
@@ -1042,25 +983,21 @@ class TestOneDecisionPerQuestion:
             assert built.x[(0, 1)] is m.A and built.x[(2, 3)] is m.Astar
             assert calls[before:] == ["_solve"] * 5, s.factors
 
-    def test_build_tetra_intersects_nothing(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_build_tetra_intersects_nothing(self, grid_modules, built_irreducible_grid, spy):
         # no linalg.intersect and no flag's partial sums: the pieces are read off one echelon per mixed pair
         calls = []
         for owner, name in ((linalg, "intersect"), (flags, "_partial_sums")):
-            real = getattr(owner, name)
-            spy = (lambda real, name: lambda *args: calls.append(name) or real(*args))(real, name)
-            for module in (linalg, flags, tetra, classify):
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, spy)
+            spy(owner, name, name, calls, (linalg, flags, tetra, classify))
         for s, t in built_irreducible_grid.items():
             assert build_tetra(grid_modules[s]).x == t.x
         assert calls == []
         four_flags(grid_modules[next(iter(built_irreducible_grid))])
         assert calls == ["_partial_sums"] * 4
 
-    def test_induced_decomposition_ranks_its_pieces_once(self, non_opposite_flags, monkeypatch):
+    def test_induced_decomposition_ranks_its_pieces_once(self, non_opposite_flags, spy):
         opposite = four_flags(build_from_spec(spec((1, 2), (1, 3))))
         f0, _, f2, _ = four_flags(non_opposite_flags[0][0])
-        calls = self.spy_eliminations(monkeypatch)
+        calls = self.spy_eliminations(spy)
         for r, s in permutations(range(4), 2):
             assert are_opposite(opposite[r], opposite[s])
             assert induced_decomposition(opposite[r], opposite[s]).diameter == 2
@@ -1080,26 +1017,22 @@ class TestOneDecisionPerQuestion:
             )
             assert calls == (["_solve"] + ["_echelon"] * ranks) * 2
 
-    def test_an_undecided_pair_asks_norton_once(self, monkeypatch):
+    def test_an_undecided_pair_asks_norton_once(self, spy):
         # V + V of the d4 build: no eigenline in either generator, so the one verdict is None and the closure decides
         t = build_tetra_from_spec(spec((1, 2), (1, 3)))
-        a, b = (block_diagonal(t.x[p], t.x[p]) for p in ((0, 1), (2, 3)))
-        calls = []
-        real = classify._norton_verdict
-        monkeypatch.setattr(classify, "_norton_verdict", lambda *args: calls.append("norton") or real(*args))
-        closures = spy_exact_closures(monkeypatch)
+        a, b = (direct_sum(t.x[p], t.x[p]) for p in ((0, 1), (2, 3)))
+        calls = spy(classify, "_norton_verdict", "norton")
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         assert not pair_generates_full_algebra(a, b)
         assert calls == ["norton"] and closures == [8]
 
-    def test_a_non_ladder_pair_reads_each_minimal_polynomial_once(self, monkeypatch):
+    def test_a_non_ladder_pair_reads_each_minimal_polynomial_once(self, spy):
         # a has the irrational eigenvalues +-sqrt(2) and b = diag(1, 1, 0, 0) a plane at 1 and no ladder,
         # so Norton cannot run; the closure decides with no second pass over either spectrum
         j = Matrix.from_rows([[0, 1], [2, 0]])
-        a, b = block_diagonal(j, j), Matrix.from_rows([[int(i == k < 2) for k in range(4)] for i in range(4)])
-        calls = []
-        real_verdict, real_poly = classify._norton_verdict, linalg.minimal_polynomial
-        monkeypatch.setattr(classify, "_norton_verdict", lambda *args: calls.append("norton") or real_verdict(*args))
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
-        closures = spy_exact_closures(monkeypatch)
+        a, b = direct_sum(j, j), Matrix.from_rows([[int(i == k < 2) for k in range(4)] for i in range(4)])
+        calls = spy(classify, "_norton_verdict", "norton")
+        spy(linalg, "minimal_polynomial", calls=calls)
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         assert not pair_generates_full_algebra(a, b)
         assert calls == ["norton", a, b] and closures == [4]

@@ -30,6 +30,9 @@ from tetrabox.serialize import (
     tetra_to_json,
 )
 
+import corpus
+from corpus import REDUCIBLE_FOLDS, conjugated, direct_sum, folded, unitriangular_matrices
+
 SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
 SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
 SPEC_REDUCIBLE = {"factors": [{"n": 1, "a": "1"}], "shift": ["0", "0"]}
@@ -140,22 +143,13 @@ class TestBuild:
         assert capsys.readouterr() == ("", f"error: {line}\n")
         assert not (tmp_path / "out.json").exists()
 
-    def test_spec_route_runs_no_flag_route(self, tmp_path, monkeypatch):
+    def test_spec_route_runs_no_flag_route(self, tmp_path, spy):
         # every factor is folded from its closed forms: no spectrum, Norton spin, flag or solve
         calls = []
         for owner, name in [(tetra, "build_tetra"), (onsager, "_module_spectra"), (classify, "_full_algebra"),
                             (flags, "_acting_as"), (flags, "_partial_sums")]:
-            original = getattr(owner, name)
-
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
             # the name is patched wherever a module imported it
-            for module in (tetrabox, classify, cli, flags, onsager, tetra):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, spy)
+            spy(owner, name, name, calls, (tetrabox, classify, cli, flags, onsager, tetra))
         for factors in ([(1, "2"), (1, "3")], [(3, "2"), (3, "3")], [(2, "2"), (2, "3"), (2, "5")]):
             spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors]})
             assert main(["build", spec, "-o", str(tmp_path / "m.json")]) == 0
@@ -526,19 +520,9 @@ class TestCompare:
         assert_one_error_line(out, err)
         assert err == "error: m1 is reducible: stand-in refusal\n"
 
-    def test_oracle_reads_the_top_off_the_spec(self, tmp_path, monkeypatch, capsys):
+    def test_oracle_reads_the_top_off_the_spec(self, tmp_path, spy, capsys):
         # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
-        calls, widths = [], []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
-
-        class Spy(linalg._Echelon):
-            def __init__(self, n):
-                widths.append(n)
-                super().__init__(n)
-
-        monkeypatch.setattr(linalg, "_Echelon", Spy)
-        monkeypatch.setattr(tetrabox.classify, "_Echelon", Spy)
+        calls, widths = spy(linalg, "minimal_polynomial"), spy(linalg._Echelon, "__init__", lambda self, n: n)
         d16 = {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}], "shift": ["0", "0"]}
         for other, code in (({"factors": [{"n": 3, "a": "1/3"}, {"n": 3, "a": "2"}]}, 0),
                             ({"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "5"}]}, 1)):
@@ -773,17 +757,9 @@ ECHOED_SPEC_EDITS = {
 }
 
 
-def spy_flag_route_builds(monkeypatch):
-    """The modules handed to the flag-route build_tetra, in call order: cli imports
-    it from tetra when a command runs, so the spy on tetra sees every caller."""
-    calls = []
-    real = tetra.build_tetra
-    monkeypatch.setattr(tetra, "build_tetra", lambda m: calls.append(m) or real(m))
-    return calls
-
-
 class TestDeepChecksDifferential:
-    """The deep checks against a reference that builds the file's pair itself."""
+    """The deep checks against a reference that builds the file's pair itself. cli imports
+    build_tetra from tetra when a command runs, so spy(tetra, "build_tetra") sees every build."""
 
     @pytest.mark.parametrize(
         "edit, roundtrip",
@@ -791,7 +767,7 @@ class TestDeepChecksDifferential:
          (_no_module, True), (_misdeclared_d_no_spec, True)],
         ids=["clean", "x13", "module_A", "module_dim2", "no_module", "misdeclared_d_no_spec"],
     )
-    def test_same_report(self, d4_build, monkeypatch, two_build_roundtrip, edit, roundtrip):
+    def test_same_report(self, d4_build, spy, two_build_roundtrip, edit, roundtrip):
         data = copy.deepcopy(d4_build)
         if edit is not None:
             edit(data)
@@ -799,7 +775,7 @@ class TestDeepChecksDifferential:
         module = module_from_json(data["module"]) if "module" in data else None
         expected = reference_deep_checks(module, t, two_build_roundtrip)
         assert expected["roundtrip_uniqueness"] is roundtrip
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         # given no passing verdict of the plain checks, the deep checks take the exact route: one build
         assert cli._deep_checks(module, t, None, False) == expected
         assert calls == [OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])]
@@ -820,7 +796,7 @@ class TestDeepChecksDifferential:
             assert cli._deep_checks(module, t, spec, verified) == expected
 
     @pytest.mark.parametrize("edit", ECHOED_SPEC_EDITS.values(), ids=ECHOED_SPEC_EDITS)
-    def test_one_flag_route_build_and_no_fold(self, d16_build, tmp_path, monkeypatch, capsys, edit):
+    def test_one_flag_route_build_and_no_fold(self, d16_build, tmp_path, spy, capsys, edit):
         # a file that passes the plain checks, with a pair Norton finds irreducible, is its own
         # rebuild and runs no build; the two edits that fail a plain check run one
         data = copy.deepcopy(d16_build)
@@ -828,10 +804,8 @@ class TestDeepChecksDifferential:
             edit(data)
         path = write_json(tmp_path / "m.json", data)
         # the spy on tetra sees every flag-route build, cli's and any other, so one list counts them all
-        calls = spy_flag_route_builds(monkeypatch)
-        folds = []
-        real_fold = onsager.build_tetra_from_spec
-        monkeypatch.setattr(onsager, "build_tetra_from_spec", lambda spec: folds.append(spec) or real_fold(spec))
+        calls = spy(tetra, "build_tetra")
+        folds = spy(onsager, "build_tetra_from_spec")
         main(["verify", path, "--deep"])
         assert "deep" in json.loads(capsys.readouterr().out)
         t = tetra_from_json(data["tetra"])
@@ -846,10 +820,10 @@ class TestDeepReadsTheFile:
     no build runs."""
 
     @pytest.mark.parametrize("edit", [_module_a_is_not_x01, _module_of_dim_two], ids=["module_A", "module_dim2"])
-    def test_module_section_other_than_the_pair_fails(self, d4_build, tmp_path, monkeypatch, capsys, edit):
+    def test_module_section_other_than_the_pair_fails(self, d4_build, tmp_path, spy, capsys, edit):
         data = copy.deepcopy(d4_build)
         edit(data)
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": False,
@@ -857,10 +831,10 @@ class TestDeepReadsTheFile:
         assert calls == []
 
     @pytest.mark.parametrize("edit", [_reducible_spec, _shifted_spec], ids=["reducible", "shifted"])
-    def test_echoed_spec_of_another_module_reads_false(self, d4_build, tmp_path, monkeypatch, capsys, edit):
+    def test_echoed_spec_of_another_module_reads_false(self, d4_build, tmp_path, spy, capsys, edit):
         data = copy.deepcopy(d4_build)
         edit(data)
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         assert main(["verify", write_json(tmp_path / "m.json", data), "--deep"]) == 1
         deep = json.loads(capsys.readouterr().out)["deep"]
         assert deep == {"pass": False, "rebuild_matches": True, "roundtrip_uniqueness": True,
@@ -889,48 +863,6 @@ class TestDeepReadsTheFile:
                                   "pairwise_burnside": True}
 
 
-def block_diagonal(t1, t2):
-    """The twelve matrices of the direct sum of two structures of one diameter."""
-    n, m = t1.dim, t2.dim
-
-    def block(a, b):
-        rows = [list(a.entries[i * n:(i + 1) * n]) + [0] * m for i in range(n)]
-        return Matrix.from_rows(rows + [[0] * n + list(b.entries[i * m:(i + 1) * m]) for i in range(m)])
-
-    return tetra.TetraModule(dim=n + m, diameter=t1.diameter, x={pair: block(t1.x[pair], t2.x[pair]) for pair in t1.x})
-
-
-def conjugations(dim):
-    """P = L U, with L and U unitriangular, so invertible, with small integer entries."""
-    entries = st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim)
-
-    def unitriangular(values, below):
-        return Matrix.from_rows([[1 if i == j else values[i * dim + j] if (j < i) == below else 0
-                                  for j in range(dim)] for i in range(dim)])
-
-    return st.tuples(entries, entries).map(lambda lu: unitriangular(lu[0], True) * unitriangular(lu[1], False))
-
-
-def conjugated(t, p):
-    """P x_rs P^-1 for each generator: again a module, the relations hold and every chain is P's image."""
-    p_inverse = linalg.inverse(p)
-    return tetra.TetraModule(dim=t.dim, diameter=t.diameter, x={pair: p * mat * p_inverse for pair, mat in t.x.items()})
-
-
-def folded(factors):
-    """The twelve matrices of a spec's tensor product, folded as build_tetra_from_spec folds them but
-    with no refusal, so also where two points collide and the module is reducible."""
-    spec = ModuleSpec.of(factors)
-    x = onsager._folded_generators(spec, tetra.UNORDERED_PAIRS)
-    x.update({(s, r): -x[(r, s)] for r, s in tetra.UNORDERED_PAIRS})
-    return tetra.TetraModule(dim=spec.dim, diameter=spec.degree_sum, x=x)
-
-
-# tensor products at a repeated point: the top of x_01 is a line, and constituents lie below the top
-# ((1,2)(1,2) is V(2, 2) + V(0), (1,2)(1,1/2)(1,3) is V(2,2) (x) V(1,3) + V(1,3))
-REDUCIBLE_FOLDS = {"1_2_1_2": [(1, 2), (1, 2)], "1_2_2_2": [(1, 2), (2, 2)],
-                   "1_2_1_half_1_3": [(1, 2), (1, F(1, 2)), (1, 3)]}
-
 REDUCIBLE = {"pass": False, "error": "module is reducible: the generated algebra is not full"}
 
 
@@ -958,13 +890,10 @@ class TestImpliedRouteDifferential:
         assert independent is tetra.flag_independence_check(t)
         plain = relations.all_passed and table.all_passed
         verified = plain and actions.all_passed and independent
-        closures, pairs = [], []
-        real, real_full = classify._closure_dimension_exact, classify._full_algebra
         # the implied route first, so that its Norton verdict is its own and not the one the build keeps
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classify, "_closure_dimension_exact", lambda gens, n: closures.append(n) or real(gens, n))
-            patch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: pairs.append((a, b))
-                          or real_full(a, b, eigenpairs))
+            closures = corpus.spy(patch, classify, "_closure_dimension_exact", lambda gens, n: n)
+            pairs = corpus.spy(patch, classify, "_full_algebra", lambda a, b, eigenpairs: (a, b))
             deep = cli._deep_checks(module, t, spec, verified)
         builds = list(calls)
         if verified:
@@ -976,8 +905,8 @@ class TestImpliedRouteDifferential:
         assert len(calls) == 1  # the exact route builds
         return plain, builds, deep
 
-    def test_grid_files(self, built_irreducible_grid, monkeypatch):
-        calls = spy_flag_route_builds(monkeypatch)
+    def test_grid_files(self, built_irreducible_grid, spy):
+        calls = spy(tetra, "build_tetra")
         for spec, t in built_irreducible_grid.items():
             module = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
             plain, builds, deep = self.assert_same(t, calls, module, spec)
@@ -986,18 +915,18 @@ class TestImpliedRouteDifferential:
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_conjugated_grid_files(self, built_irreducible_grid, monkeypatch, data):
+    def test_conjugated_grid_files(self, built_irreducible_grid, spy, data):
         t = data.draw(st.sampled_from([t for t in built_irreducible_grid.values() if t.dim <= 9]))
-        calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(conjugated(t, data.draw(conjugations(t.dim))), calls)
+        calls = spy(tetra, "build_tetra")
+        plain, builds, deep = self.assert_same(conjugated(t, data.draw(unitriangular_matrices(t.dim))), calls)
         assert plain and builds == [] and deep["pass"] is True
 
     @pytest.mark.parametrize("pair", tetra.ORDERED_PAIRS, ids=lambda pair: "x%d%d" % pair)
-    def test_one_tampered_generator(self, d4_build, monkeypatch, pair):
+    def test_one_tampered_generator(self, d4_build, spy, pair):
         data = copy.deepcopy(d4_build)
         row = data["tetra"]["x"]["%d%d" % pair][0]
         row[1] = str(F(row[1]) + F(1, 7))
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         plain, builds, deep = self.assert_same(tetra_from_json(data["tetra"]), calls, module_from_json(data["module"]),
                                                spec_from_json(data["spec"]))
         assert not plain and len(builds) == 1
@@ -1011,29 +940,29 @@ class TestImpliedRouteDifferential:
          ("d4_build", _misdeclared_d_minus_2), ("d16_build", _misdeclared_d_minus_2)],
         ids=["d4_plus_1", "d4_3_no_spec", "d16_plus_1", "d16_plus_2", "d4_minus_2", "d16_minus_2"],
     )
-    def test_misdeclared_d(self, request, monkeypatch, build, edit):
+    def test_misdeclared_d(self, request, spy, build, edit):
         data = copy.deepcopy(request.getfixturevalue(build))
         edit(data)
         spec = spec_from_json(data["spec"]) if "spec" in data else None
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         t = tetra_from_json(data["tetra"])
         plain, builds, deep = self.assert_same(t, calls, module_from_json(data["module"]), spec)
         assert not plain and len(builds) == 1 and deep["rebuild_matches"] is False
         if edit is _misdeclared_d_minus_2:
             assert not tetra.verify_action_table(t).all_passed
 
-    def test_v_plus_v(self, doubled_v, monkeypatch):
+    def test_v_plus_v(self, doubled_v, spy):
         # the relations and the eigentable pass, but the top eigenspace of x_01 is a plane: the verified route
         # refuses with build_tetra's text, where build_tetra's closure finds the pair reducible
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         plain, builds, deep = self.assert_same(doubled_v, calls)
         assert plain and builds == []
         assert deep == REDUCIBLE
 
-    def test_v_plus_v_below_a_lowered_guard(self, doubled_v, monkeypatch):
+    def test_v_plus_v_below_a_lowered_guard(self, doubled_v, monkeypatch, spy):
         # with dim^2 above the guard the build route's closure refuses and its keys read "skipped";
         # the verified route needs no closure and still decides
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         monkeypatch.setattr(classify, "_closure_dimension_exact", lambda gens, n: pytest.fail("a closure ran"))
         assert cli._deep_checks(None, doubled_v, None, True) == REDUCIBLE
@@ -1044,43 +973,44 @@ class TestImpliedRouteDifferential:
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_conjugated_v_plus_v(self, doubled_v, monkeypatch, data):
+    def test_conjugated_v_plus_v(self, doubled_v, spy, data):
         # P (V + V) P^-1 is again a verified module whose top eigenspace of x_01 is a plane
-        calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(conjugated(doubled_v, data.draw(conjugations(doubled_v.dim))), calls)
+        calls = spy(tetra, "build_tetra")
+        p = data.draw(unitriangular_matrices(doubled_v.dim))
+        plain, builds, deep = self.assert_same(conjugated(doubled_v, p), calls)
         assert plain and builds == [] and deep == REDUCIBLE
 
     @pytest.mark.parametrize("factors", REDUCIBLE_FOLDS.values(), ids=REDUCIBLE_FOLDS)
-    def test_reducible_folds(self, monkeypatch, factors):
+    def test_reducible_folds(self, spy, factors):
         # the fold passes the plain checks, and Norton's test at the top line of x_01 finds the pair reducible
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         plain, builds, deep = self.assert_same(folded(factors), calls)
         assert plain and builds == [] and deep == REDUCIBLE
 
     @pytest.mark.parametrize("factors", REDUCIBLE_FOLDS.values(), ids=REDUCIBLE_FOLDS)
     @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_conjugated_reducible_folds(self, monkeypatch, factors, data):
+    def test_conjugated_reducible_folds(self, spy, factors, data):
         t = folded(factors)
-        calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(conjugated(t, data.draw(conjugations(t.dim))), calls)
+        calls = spy(tetra, "build_tetra")
+        plain, builds, deep = self.assert_same(conjugated(t, data.draw(unitriangular_matrices(t.dim))), calls)
         assert plain and builds == [] and deep == REDUCIBLE
 
-    def test_v_plus_w(self, d4_build, monkeypatch):
+    def test_v_plus_w(self, d4_build, spy):
         # two non-isomorphic irreducible modules of one d and one dimension: every row is the sum of theirs,
         # so the top eigenspace of x_01 is a plane
         v = tetra_from_json(d4_build["tetra"])
         w = tetra.build_tetra_from_spec(ModuleSpec.of([(1, 5), (1, F(-1, 3))]))
-        calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(block_diagonal(v, w), calls)
+        calls = spy(tetra, "build_tetra")
+        plain, builds, deep = self.assert_same(direct_sum(v, w), calls)
         assert plain and builds == [] and deep == REDUCIBLE
 
-    def test_v_plus_trivial(self, d4_build, monkeypatch):
+    def test_v_plus_trivial(self, d4_build, spy):
         # x_01 has a top eigenline, and Norton's spin of it stops at V: the pair is reducible
         t = tetra_from_json(d4_build["tetra"])
         trivial = tetra.TetraModule(dim=1, diameter=t.diameter, x={pair: Matrix.zeros(1, 1) for pair in t.x})
-        calls = spy_flag_route_builds(monkeypatch)
-        plain, builds, deep = self.assert_same(block_diagonal(t, trivial), calls)
+        calls = spy(tetra, "build_tetra")
+        plain, builds, deep = self.assert_same(direct_sum(t, trivial), calls)
         assert plain and builds == []
         assert deep == REDUCIBLE
 
@@ -1089,22 +1019,22 @@ class TestImpliedRouteDifferential:
         [(("d16", "d4"), 6), (("v3", "d4"), 2), (("v3", "d4"), 3)],
         ids=["d16_plus_d4", "v3_plus_d4", "v3_plus_d4_d3"],
     )
-    def test_reducible_sums(self, d4_build, d16_build, monkeypatch, summands, d):
+    def test_reducible_sums(self, d4_build, d16_build, spy, summands, d):
         # the relations hold on a direct sum of modules, so the eigentable reads its six rows off x_01's chain,
         # also at a declared d that neither summand has; Norton's test at x_01's top, or the build where the
         # plain checks fail, finds the pair reducible
         built = {"d4": tetra_from_json(d4_build["tetra"]), "d16": tetra_from_json(d16_build["tetra"]),
                  "v3": tetra.build_tetra_from_spec(ModuleSpec.of([(2, 5)]))}
-        t = block_diagonal(*(built[name] for name in summands))
+        t = direct_sum(*(built[name] for name in summands))
         t = tetra.TetraModule(dim=t.dim, diameter=d, x=t.x)
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         plain, builds, deep = self.assert_same(t, calls)
         assert plain is (d == built[summands[0]].diameter) and len(builds) == (0 if plain else 1)
         assert deep == REDUCIBLE
 
-    def test_passing_deep_verify_computes_no_inclusion_and_builds_nothing(self, d16_build, tmp_path, monkeypatch,
+    def test_passing_deep_verify_computes_no_inclusion_and_builds_nothing(self, d16_build, tmp_path, monkeypatch, spy,
                                                                          capsys):
-        calls = spy_flag_route_builds(monkeypatch)
+        calls = spy(tetra, "build_tetra")
         for owner, name in ((tetra, "annihilates"), (linalg, "annihilates"), (tetra, "build_tetra")):
             monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran"))
         assert main(["verify", write_json(tmp_path / "m.json", d16_build), "--deep"]) == 0
@@ -1310,7 +1240,7 @@ class TestLongIntegers:
     def test_deep_closure_on_long_entries_is_decided_by_the_certificate(self, tmp_path):
         # two 4000-digit entries leave x_02 no eigenline, so Norton's test decides (x_02, x_13) at the top
         # line of x_13, where the exact closure alone runs for more than a minute; a spy in the child process
-        # reports every exact closure on stderr
+        # reports every exact closure on stderr (hand-written: the child imports no test kit)
         spec = write_json(tmp_path / "s.json", {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}],
                                                 "shift": ["0", "0"]})
         out = tmp_path / "m.json"

@@ -28,6 +28,8 @@ from tetrabox.flags import _acting_as, _partial_sums
 from tetrabox.linalg import _integer_columns
 from tetrabox.onsager import _module_spectra
 
+from corpus import unitriangular_matrices
+
 
 def line(*coords):
     return Subspace.span_columns(Matrix.from_rows([list(coords)]).transpose())
@@ -174,11 +176,9 @@ class TestFourFlags:
             assert tuple(c.dim for c in flag.components) == (1, 3, 4)
 
     @pytest.mark.parametrize("factors", [[(1, 2), (1, 3)], [(2, 2), (1, 3)], [(3, 2), (3, 3)], [(6, 2)]])
-    def test_flags_are_those_the_public_constructor_validates(self, factors, monkeypatch):
+    def test_flags_are_those_the_public_constructor_validates(self, factors, spy):
         m = build_from_spec(ModuleSpec.of(factors))
-        calls = []
-        real = Subspace.contains
-        monkeypatch.setattr(Subspace, "contains", lambda self, other: calls.append(1) or real(self, other))
+        calls = spy(Subspace, "contains", 1)
         flags = four_flags(m)
         # _partial_sums nests the components by construction: no containment is proved again
         assert calls == []
@@ -239,10 +239,7 @@ def decompositions(draw, dims):
     its columns permuted, so its determinant is +-1.
     """
     n = sum(dims)
-    entries = st.integers(-2, 2)
-    lower = [[draw(entries) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    upper = [[draw(entries) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    basis = Matrix.from_rows(lower) * Matrix.from_rows(upper)
+    basis = draw(unitriangular_matrices(n))
     order = draw(st.permutations(range(n)))
     columns = [basis.col_list(j) for j in order]
     pieces, start = [], 0

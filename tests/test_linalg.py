@@ -34,6 +34,8 @@ from tetrabox import (
 )
 from tetrabox import linalg, matrix
 
+from corpus import conjugated, direct_sum, fresh, grids, outcome, unitriangular_matrices
+
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -41,8 +43,7 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 def matrices(draw, max_dim=4, square=False):
     rows = draw(st.integers(1, max_dim))
     cols = rows if square else draw(st.integers(1, max_dim))
-    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    return Matrix.from_rows(data)
+    return draw(grids(rows, cols, entries))
 
 
 @st.composite
@@ -470,14 +471,10 @@ def any_shape(draw):
     """A rows x cols matrix for every shape from 0x0 to 6x8: sparse entries,
     or a product through an inner size 0..3, so low rank is common."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
-
-    def grid(r, c):
-        return Matrix(r, c, draw(st.lists(sparse_entries, min_size=r * c, max_size=r * c)))
-
     if draw(st.booleans()):
-        return grid(rows, cols)
+        return draw(grids(rows, cols, sparse_entries))
     inner = draw(st.integers(0, 3))
-    return grid(rows, inner) * grid(inner, cols)
+    return draw(grids(rows, inner, sparse_entries)) * draw(grids(inner, cols, sparse_entries))
 
 
 class TestKernelDifferential:
@@ -551,11 +548,7 @@ def conjugated_block_matrices(draw, max_dim=6):
         for i, row in enumerate(block):
             t[offset + i][offset : offset + len(row)] = row
         offset += len(block)
-    small = st.integers(-2, 2)
-    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    s = Matrix.from_rows(lower) * Matrix.from_rows(upper)
-    return s * Matrix.from_rows(t) * inverse(s)
+    return conjugated(Matrix.from_rows(t), draw(unitriangular_matrices(n)))
 
 
 class TestDiagonalSpectrum:
@@ -569,32 +562,28 @@ class TestDiagonalSpectrum:
     def test_any_matrix(self, m):
         assert linalg.diagonal_spectrum(m) == reference_spectrum(m)
 
-    def test_start_vector_is_an_eigenvector(self, monkeypatch):
+    def test_start_vector_is_an_eigenvector(self, spy):
         # the minimal polynomial of m on the start vector is x - 2: its one
         # eigenspace is a line, so the full minimal polynomial must decide
         n = 3
         columns = [linalg._krylov_start(n), [0, 1, 0], [0, 0, 1]]
         s = Matrix.from_rows(columns).transpose()
-        m = s * Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]) * inverse(s)
-        calls = []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        m = conjugated(Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]), s)
+        calls = spy(linalg, "minimal_polynomial")
         spectrum = linalg.diagonal_spectrum(m)
         assert calls == [m]
         assert spectrum == reference_spectrum(m)
         assert spectrum[0] == (F(2), F(0), F(-2))
         assert spectrum[1][0] == Subspace.span_columns(Matrix.from_rows([columns[0]]).transpose())
 
-    def test_jordan_block_behind_an_eigenvector(self, monkeypatch):
+    def test_jordan_block_behind_an_eigenvector(self, spy):
         # the start vector is an eigenvector of a matrix with a Jordan block:
         # the fallback's minimal polynomial has a double root
         n = 3
         columns = [linalg._krylov_start(n), [0, 1, 0], [0, 0, 1]]
         s = Matrix.from_rows(columns).transpose()
-        m = s * Matrix.from_rows([[1, 0, 0], [0, 3, 1], [0, 0, 3]]) * inverse(s)
-        calls = []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        m = conjugated(Matrix.from_rows([[1, 0, 0], [0, 3, 1], [0, 0, 3]]), s)
+        calls = spy(linalg, "minimal_polynomial")
         assert linalg.diagonal_spectrum(m) is None
         assert calls == [m]
 
@@ -613,18 +602,16 @@ class TestDiagonalSpectrum:
         with mock.patch.object(linalg, "rational_roots", side_effect=AssertionError("divisor search")):
             assert linalg.ladder_spectrum(m) == expected
 
-    def test_ladder_route_with_a_missed_rung(self, monkeypatch):
+    def test_ladder_route_with_a_missed_rung(self, monkeypatch, spy):
         # the start vector has no component at eigenvalue 0: mu_v = x^2 - 4 is
         # no ladder, so the minimal polynomial of m decides, by the ladder test
         n = 3
         columns = [[x - (i == 1) for i, x in enumerate(linalg._krylov_start(n))], [0, 0, 1], [0, 1, 0]]
         s = Matrix.from_rows(columns).transpose()
-        m = s * Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]) * inverse(s)
+        m = conjugated(Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, -2]]), s)
         assert linalg._krylov_polynomial(m) == (F(-4), F(0), F(1))
         expected = reference_spectrum(m)
-        calls = []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+        calls = spy(linalg, "minimal_polynomial")
         monkeypatch.setattr(linalg, "rational_roots", None)
         assert linalg.ladder_spectrum(m) == expected
         assert calls == [m]
@@ -651,11 +638,6 @@ class TestDiagonalSpectrum:
 LARGE = ModuleSpec.of([(32, 2)])
 
 
-def direct_sum(x: Matrix, y: Matrix) -> Matrix:
-    zx, zy = [0] * x.cols, [0] * y.cols
-    return Matrix.from_rows([row + zy for row in x.to_rows()] + [zx + row for row in y.to_rows()])
-
-
 class TestKrylovStart:
     def test_the_start_is_the_first_unit_vector(self):
         assert linalg._krylov_start(4) == [1, 0, 0, 0]
@@ -666,10 +648,8 @@ class TestKrylovStart:
             for x in (m.A, m.Astar):
                 assert linalg._krylov_polynomial(x) == minimal_polynomial(x)
 
-    def test_spectral_routes_run_no_minimal_polynomial_on_built_modules(self, grid_modules, monkeypatch):
-        calls = []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+    def test_spectral_routes_run_no_minimal_polynomial_on_built_modules(self, grid_modules, spy):
+        calls = spy(linalg, "minimal_polynomial")
         for spec, m in [*grid_modules.items(), (LARGE, build_from_spec(LARGE))]:
             assert module_type(m)[1:] == (0, 0)
             assert len(four_flags(m)) == 4
@@ -678,16 +658,14 @@ class TestKrylovStart:
         assert calls == []
 
     @pytest.mark.parametrize("generator", ["A", "Astar"])
-    def test_a_block_that_lacks_eigenvalues_falls_back_once(self, generator, monkeypatch):
+    def test_a_block_that_lacks_eigenvalues_falls_back_once(self, generator, spy):
         # V(1) + V(3): e_0 lies in the V(1) block, which lacks the eigenvalues +-3
         m = direct_sum(getattr(evaluation_module(1, 2), generator), getattr(evaluation_module(3, 3), generator))
         assert linalg._krylov_polynomial(m) == (F(-1), F(0), F(1))
         expected = reference_spectrum(m)
         assert expected[0] == (F(3), F(1), F(-1), F(-3))
-        real = linalg.minimal_polynomial
         for spectrum in (linalg.ladder_spectrum, linalg.diagonal_spectrum):
-            calls = []
-            monkeypatch.setattr(linalg, "minimal_polynomial", lambda x: calls.append(x) or real(x))
+            calls = spy(linalg, "minimal_polynomial")
             assert spectrum(m) == expected
             assert calls == [m]
 
@@ -840,8 +818,8 @@ class TestCancellingStepDifferential:
     def test_solve(self, data, n):
         rows = data.draw(echelon_inputs(2 * n, n))
         with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
-            expected = outcome(linalg._solve, n, rows)
-        assert outcome(linalg._solve, n, rows) == expected
+            expected = outcome(REFUSALS, linalg._solve, n, rows)
+        assert outcome(REFUSALS, linalg._solve, n, rows) == expected
 
     @settings(deadline=None, max_examples=150)
     @given(st.data(), st.integers(1, 5))
@@ -849,8 +827,8 @@ class TestCancellingStepDifferential:
         # both routes of _first_dependence, each on a matrix object that holds no memo
         m = Matrix._of(n, n, data.draw(echelon_inputs(n, n)), data.draw(st.integers(1, 12)))
         with mock.patch.object(linalg, "_Echelon", StrippingEchelon):
-            expected = linalg._krylov_polynomial(fresh_copy(m)), minimal_polynomial(m)
-        assert (linalg._krylov_polynomial(fresh_copy(m)), minimal_polynomial(m)) == expected
+            expected = linalg._krylov_polynomial(fresh(m)), minimal_polynomial(m)
+        assert (linalg._krylov_polynomial(fresh(m)), minimal_polynomial(m)) == expected
 
 
 # -- _ladder_roots on integers against the Fraction expansion -------------------
@@ -900,17 +878,8 @@ class TestLadderRootsDifferential:
 
 # -- the spectral memo: eigenspaces and Krylov polynomial kept on their matrix ----
 
-def fresh_copy(m: Matrix) -> Matrix:
-    """An equal matrix object, which carries no memo an earlier call kept."""
-    return Matrix._of(m.rows, m.cols, m._num, m._den)
-
-
-def outcome(route, *args):
-    """What route(*args) returns, or the type and text of what it raises."""
-    try:
-        return route(*args)
-    except (ValueError, DimensionGuardError) as exc:
-        return type(exc), str(exc)
+# what a route refuses with, compared by type and text
+REFUSALS = (ValueError, DimensionGuardError)
 
 
 @st.composite
@@ -920,7 +889,7 @@ def square_matrices(draw):
     if draw(st.booleans()):
         return draw(conjugated_block_matrices(max_dim=5))
     n = draw(st.integers(0, 4))
-    return Matrix(n, n, draw(st.lists(sparse_entries, min_size=n * n, max_size=n * n)))
+    return draw(grids(n, n, sparse_entries))
 
 
 SPECTRAL_ROUTES = {
@@ -930,6 +899,7 @@ SPECTRAL_ROUTES = {
 }
 
 
+@pytest.mark.work_count
 class TestSpectralMemo:
     """eigenspace and _krylov_polynomial keep what they compute on the matrix, in a
     memo that at most linalg._MEMO_BOUND matrices hold at once and that also keeps
@@ -941,14 +911,14 @@ class TestSpectralMemo:
     def test_two_calls_answer_as_a_fresh_copy_does(self, m, eigenvalues):
         # eigenvalues and non-eigenvalues alike; the second call forms no kernel
         for lam in eigenvalues:
-            expected = eigenspace(fresh_copy(m), lam)
+            expected = eigenspace(fresh(m), lam)
             first = eigenspace(m, lam)
             with mock.patch.object(linalg, "_kernel", side_effect=AssertionError("kernel formed again")):
                 second = eigenspace(m, lam)
             assert first == second == expected and second is first
         for name, route in SPECTRAL_ROUTES.items():
-            expected = outcome(route, fresh_copy(m))
-            assert outcome(route, m) == outcome(route, m) == expected, name
+            expected = outcome(REFUSALS, route, fresh(m))
+            assert outcome(REFUSALS, route, m) == outcome(REFUSALS, route, m) == expected, name
 
     @settings(deadline=None, max_examples=100)
     @given(square_matrices(), st.lists(st.one_of(spectrum_values, entries), max_size=3))
@@ -965,10 +935,10 @@ class TestSpectralMemo:
         assert getattr(oldest, "_spectral_memo", None) is None
         assert all(0 in m._spectral_memo for m in rest)
         # the memo is no field: ==, hash and repr read the stored form alone
-        assert rest[-1] == fresh_copy(rest[-1]) and hash(rest[-1]) == hash(fresh_copy(rest[-1]))
+        assert rest[-1] == fresh(rest[-1]) and hash(rest[-1]) == hash(fresh(rest[-1]))
         assert "_spectral_memo" not in repr(rest[-1])
         for m in held:
-            copy = fresh_copy(m)
+            copy = fresh(m)
             assert [eigenspace(m, lam) for lam in (m[0, 0], 0)] == [eigenspace(copy, lam) for lam in (m[0, 0], 0)]
             assert linalg.ladder_spectrum(m) == linalg.ladder_spectrum(copy)
 
@@ -976,10 +946,10 @@ class TestSpectralMemo:
                              ids=["eigenspace", "ladder_spectrum", "diagonal_spectrum"])
     def test_a_lowered_guard_refuses_a_hit_as_a_miss(self, monkeypatch, route):
         hit = evaluation_module(3, 2).A
-        assert route(hit) == route(fresh_copy(hit))
-        miss = fresh_copy(hit)
+        assert route(hit) == route(fresh(hit))
+        miss = fresh(hit)
         monkeypatch.setattr(matrix, "DIM_GUARD", 3)
-        refusals = [outcome(route, m) for m in (hit, miss, hit)]
+        refusals = [outcome(REFUSALS, route, m) for m in (hit, miss, hit)]
         assert refusals == [(DimensionGuardError, "matrix side 4 exceeds the dimension guard 3")] * 3
         monkeypatch.setattr(matrix, "DIM_GUARD", 4)
         assert route(hit) == route(miss)

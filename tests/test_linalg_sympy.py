@@ -27,6 +27,8 @@ from tetrabox import (  # noqa: E402
     subspace_sum,
 )
 
+from corpus import conjugated, grids  # noqa: E402
+
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # many zero entries make rank deficiency and repeated eigenvalues common
 sparse_entries = st.one_of(st.just(F(0)), entries)
@@ -36,12 +38,7 @@ sparse_entries = st.one_of(st.just(F(0)), entries)
 def matrices(draw, max_dim=5, square=False, rows=None):
     rows = rows or draw(st.integers(1, max_dim))
     cols = rows if square else draw(st.integers(1, max_dim))
-    data = draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    return Matrix.from_rows(data)
-
-
-def _grid(draw, rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, tuple(draw(st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols))))
+    return draw(grids(rows, cols, sparse_entries))
 
 
 @st.composite
@@ -51,7 +48,7 @@ def edge_matrices(draw, rows=None, cols=None):
     rows = draw(st.integers(0, 4)) if rows is None else rows
     inner = draw(st.integers(0, 4))
     cols = draw(st.integers(0, 4)) if cols is None else cols
-    return _grid(draw, rows, inner) * _grid(draw, inner, cols)
+    return draw(grids(rows, inner, sparse_entries)) * draw(grids(inner, cols, sparse_entries))
 
 
 edge_pairs = st.integers(0, 4).flatmap(lambda n: st.tuples(edge_matrices(rows=n), edge_matrices(rows=n)))
@@ -229,7 +226,7 @@ def annihilator_cases(draw):
         s = Matrix.from_rows([[1 if i == j else draw(sparse_entries) if i > j else 0 for j in range(n)]
                               for i in range(n)])
         s = s * s.transpose()  # unit lower times unit upper: invertible
-        x = s * Matrix.from_rows(triangular) * inverse(s)
+        x = conjugated(Matrix.from_rows(triangular), s)
     else:
         x = draw(matrices(square=True, rows=n))
     xs = to_sympy(x)
@@ -240,11 +237,11 @@ def annihilator_cases(draw):
         power = draw(st.sampled_from([1, 2]))
         vectors = [v for mu in roots for v in ((xs - mu * sympy.eye(n)) ** power).nullspace()]
         if vectors and draw(st.booleans()):
-            part = from_sympy(sympy.Matrix.hstack(*vectors)) * _grid(draw, len(vectors), width)
+            part = from_sympy(sympy.Matrix.hstack(*vectors)) * draw(grids(len(vectors), width, sparse_entries))
             if draw(st.booleans()):
-                part = hstack(part, _grid(draw, n, 1))
+                part = hstack(part, draw(grids(n, 1, sparse_entries)))
         else:
-            part = _grid(draw, n, width)
+            part = draw(grids(n, width, sparse_entries))
         blocks.append((part.cols, roots))
         parts.append(part)
     return x, hstack(*parts), blocks
@@ -297,7 +294,7 @@ def jordan_conjugates(draw):
     s = Matrix.from_rows([[1 if i == j else draw(sparse_entries) if i > j else 0 for j in range(n)]
                           for i in range(n)])
     s = s * s.transpose()
-    return s * Matrix.from_rows(jordan) * inverse(s)
+    return conjugated(Matrix.from_rows(jordan), s)
 
 
 @settings(deadline=None, max_examples=150)

@@ -252,17 +252,11 @@ class TestBuildFromSpec:
         with pytest.raises(ValueError):
             ModuleSpec.of([(-1, 2)])
 
-    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
+    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch, spy):
         monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
-            original = getattr(onsager, name)
-
-            def spy(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(onsager, name, spy)
+            spy(onsager, name, name, calls)
         with pytest.raises(DimensionGuardError, match="dimension 16 exceeds the dimension guard 8"):
             build_from_spec(ModuleSpec.of([(1, 2)] * 4))
         assert calls == []

@@ -41,6 +41,8 @@ from tetrabox import (
 )
 from tetrabox.tetra import ORDERED_PAIRS, CheckResult, _verify
 
+from corpus import grids
+
 RECORDS = (
     Matrix,
     Subspace,
@@ -188,7 +190,7 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 def matrices(draw, rows=None, cols=None):
     rows = draw(st.integers(0, 3)) if rows is None else rows
     cols = draw(st.integers(0, 3)) if cols is None else cols
-    return Matrix(rows, cols, draw(st.lists(fractions, min_size=rows * cols, max_size=rows * cols)))
+    return draw(grids(rows, cols, fractions))
 
 
 def coordinate_space(n: int, indices) -> Subspace:

@@ -53,6 +53,9 @@ from tetrabox.tetra import (
     _antisymmetric,
 )
 
+import corpus
+from corpus import REDUCIBLE_FOLDS, conjugated, direct_sum, folded, fresh, grids, outcome, unitriangular_matrices
+
 SAMPLE_SPECS = [
     ModuleSpec.of([(1, 2)]),
     ModuleSpec.of([(1, 2), (1, 3)]),
@@ -174,26 +177,18 @@ class TestBuildFromSpec:
         else:
             assert_same_structure(build_tetra_from_spec(spec), expected)
 
-    def test_folds_six_generators_per_factor(self, monkeypatch):
+    def test_folds_six_generators_per_factor(self, spy):
         # x_sr = -x_rs on each factor, and a Kronecker sum is linear; the fold is onsager's
-        calls = []
-        real = onsager.kronecker_sum
-        monkeypatch.setattr(onsager, "kronecker_sum", lambda a, b: calls.append(1) or real(a, b))
+        calls = spy(onsager, "kronecker_sum", 1)
         t = build_tetra_from_spec(ModuleSpec.of([(1, 2), (2, 3), (1, 5)]))
         assert len(calls) == 6 * 3
         assert all(t.x[(s, r)] == -t.x[(r, s)] for r, s in UNORDERED_PAIRS)
 
-    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch):
+    def test_oversized_spec_refused_before_any_factor_is_built(self, monkeypatch, spy):
         monkeypatch.setattr(matrix, "DIM_GUARD", 8)
         calls = []
         for name in ("kron", "sl2_irreducible"):
-            original = getattr(onsager, name)
-
-            def spy(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(onsager, name, spy)
+            spy(onsager, name, name, calls)
         with pytest.raises(DimensionGuardError, match="dimension 16 exceeds the dimension guard 8"):
             build_tetra_from_spec(ModuleSpec.of([(1, 2), (1, 3), (1, 5), (1, 7)]))
         # the criterion comes before the guard: (1,2) x 4 is reducible
@@ -375,16 +370,6 @@ def direct_antisymmetric(t):
     return frozenset(pair for pair in ORDERED_PAIRS if (t.x[pair] + t.x[pair[::-1]]).is_zero())
 
 
-def fresh_matrix(m):
-    """An equal matrix object, which carries no memo or verdict an earlier call kept."""
-    return Matrix._of(m.rows, m.cols, m._num, m._den)
-
-
-def fresh_module(t):
-    """An equal module on fresh matrix objects, which hold no memo an earlier call kept."""
-    return TetraModule(dim=t.dim, diameter=t.diameter, x={pair: fresh_matrix(m) for pair, m in t.x.items()})
-
-
 def memo_holders(t):
     """The pairs whose generator in t holds a spectral memo."""
     return {pair for pair, m in t.x.items() if hasattr(m, "_spectral_memo")}
@@ -485,6 +470,7 @@ class TestActionTableDifferential:
         assert not all(passed for _, _, passed in got)
 
 
+@pytest.mark.work_count
 class TestSixGenerators:
     """Where x_sr = -x_rs holds, the chains and the action table are computed once per pair."""
 
@@ -495,33 +481,26 @@ class TestSixGenerators:
     # the four public checks in verify's order; each computes exactly, whatever ran before it
     EXACT = (verify_relations, eigentable, verify_action_table, flag_independence_check)
 
-    def count_work(self, t, monkeypatch, checks=EXACT):
+    def count_work(self, t, spy, checks=EXACT):
         """Kernels formed over the checks, and per check the annihilates calls
         and the matrices built (each Matrix constructor runs __post_init__), on
         a copy of t with new matrix objects, so no eigenspace or Norton verdict
-        that an earlier test kept in a matrix's memo is read."""
-        fresh = fresh_module(t)
-        calls = {"_kernel": 0, "annihilates": 0, "matrices": 0}
-        for owner, name in ((linalg, "_kernel"), (tetra, "annihilates"), (linalg.Matrix, "__post_init__")):
-            original = getattr(owner, name)
-            key = "matrices" if owner is linalg.Matrix else name
-
-            def spy(*args, _key=key, _original=original):
-                calls[_key] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(owner, name, spy)
+        that an earlier test kept in a matrix's memo is read. The spies record
+        None, so they keep no object alive."""
+        copy = fresh(t)
+        kernels, annihilations = spy(linalg, "_kernel", None), spy(tetra, "annihilates", None)
+        constructed = spy(linalg.Matrix, "__post_init__", None)
         annihilators, matrices = {}, {}
         for check in checks:
-            before = dict(calls)
-            check(fresh)
-            annihilators[check.__name__] = calls["annihilates"] - before["annihilates"]
-            matrices[check.__name__] = calls["matrices"] - before["matrices"]
-        return calls["_kernel"], annihilators, matrices
+            before = len(annihilations), len(constructed)
+            check(copy)
+            annihilators[check.__name__] = len(annihilations) - before[0]
+            matrices[check.__name__] = len(constructed) - before[1]
+        return len(kernels), annihilators, matrices
 
-    def test_built_module(self, d16, monkeypatch):
+    def test_built_module(self, d16, spy):
         assert _antisymmetric(d16) == frozenset(ORDERED_PAIRS)
-        kernels, annihilators, matrices = self.count_work(d16, monkeypatch)
+        kernels, annihilators, matrices = self.count_work(d16, spy)
         assert kernels == 6 * (d16.diameter + 1)
         # flag independence: two calls per corner
         assert annihilators == {"verify_relations": 0, "eigentable": 0,
@@ -534,22 +513,20 @@ class TestSixGenerators:
         assert matrices == {"verify_relations": 60, "eigentable": 42,
                             "verify_action_table": 72, "flag_independence_check": 8}
 
-    def test_passed_relations_and_eigentable_decide_the_rest(self, d16, monkeypatch):
+    def test_passed_relations_and_eigentable_decide_the_rest(self, d16, spy):
         # _verify: the relations have passed, so the eigentable computes the chain of x_01 alone, and once
         # it has passed too nothing is computed after it; the matrices are the relations' 60 and 7 bases
-        kernels, annihilators, matrices = self.count_work(d16, monkeypatch, (tetra._verify,))
+        kernels, annihilators, matrices = self.count_work(d16, spy, (tetra._verify,))
         assert kernels == d16.diameter + 1
         assert annihilators == {"_verify": 0}
         assert matrices == {"_verify": 67}
 
-    def test_public_checks_compute_whatever_ran_before(self, d16, monkeypatch):
+    def test_public_checks_compute_whatever_ran_before(self, d16, spy):
         # verify's stages through the public functions on one TetraModule: the relations pass, and the three
         # later stages still compute six chains and every inclusion; no verdict is kept on the module
-        t = fresh_module(d16)
-        chains, annihilators = [], []
-        real_chain, real_annihilates = tetra._eigenspace_chain, tetra.annihilates
-        monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real_chain(t, pair))
-        monkeypatch.setattr(tetra, "annihilates", lambda *args: annihilators.append(args) or real_annihilates(*args))
+        t = fresh(d16)
+        chains = spy(tetra, "_eigenspace_chain", lambda t, pair: pair)
+        annihilators = spy(tetra, "annihilates", lambda *args: args)
         assert verify_relations(t).all_passed
         assert eigentable(t).all_passed
         assert memo_holders(t) == set(chains) == set(UNORDERED_PAIRS)
@@ -558,49 +535,47 @@ class TestSixGenerators:
         assert memo_holders(t) == set(UNORDERED_PAIRS)
         assert not {"_relations_passed", "_eigentable_passed"} & set(vars(t))
 
-    def test_verified_deep_checks_add_one_dual_line(self, d16, monkeypatch):
+    def test_verified_deep_checks_add_one_dual_line(self, d16, spy):
         # the deep checks of a verified file read ker(x_01 - d) off x_01's memo and form the dual line
         # ker(x_01^T - d) of Norton's test at it; the other two pairs follow from that verdict and spin nothing
         def deep_checks(t):
             return cli._deep_checks(None, t, None, True)
 
-        kernels, annihilators, _ = self.count_work(d16, monkeypatch, (tetra._verify, deep_checks))
+        kernels, annihilators, _ = self.count_work(d16, spy, (tetra._verify, deep_checks))
         assert kernels == d16.diameter + 2
         assert annihilators == dict.fromkeys(annihilators, 0)
 
-    def test_pairwise_burnside_adds_one_eigenspace_per_other_pair(self, d16, monkeypatch):
+    def test_pairwise_burnside_adds_one_eigenspace_per_other_pair(self, d16, spy):
         # the library route, which the deep checks of a verified file do not take: the top-line decision reads
         # ker(x_01 - d) off x_01's memo and keeps Norton's verdict on (x_01, x_23), forming the dual line
         # ker(x_01^T - d); pairwise_burnside reads it back and forms ker(x_p - d), a line, and its dual line
         # for p = (0, 2) and (0, 3)
         checks = (tetra._verify, tetra._rebuild_is_the_file, pairwise_burnside)
-        kernels, annihilators, _ = self.count_work(d16, monkeypatch, checks)
+        kernels, annihilators, _ = self.count_work(d16, spy, checks)
         assert kernels == d16.diameter + 6
         assert annihilators == dict.fromkeys(annihilators, 0)
 
     @pytest.mark.parametrize("relations", ["unverified", "failed", "passed"])
-    def test_six_chains_unless_the_relations_passed(self, d16, monkeypatch, relations):
+    def test_six_chains_unless_the_relations_passed(self, d16, spy, relations):
         # _verify reads every row off the chain of x_01 once all 54 instances have passed; the public
         # eigentable computes six chains, after relations that failed as after none (a mirrored change
         # still passes antisymmetry but fails the triangle relations)
         t = with_mirrored_change(d16, (0, 2), F(1, 7)) if relations == "failed" else d16
-        fresh = fresh_module(t)
+        copy = fresh(t)
         if relations == "failed":
-            assert not verify_relations(fresh).all_passed
-        chains = []
-        real = tetra._eigenspace_chain
-        monkeypatch.setattr(tetra, "_eigenspace_chain", lambda t, pair: chains.append(pair) or real(t, pair))
+            assert not verify_relations(copy).all_passed
+        chains = spy(tetra, "_eigenspace_chain", lambda t, pair: pair)
         if relations == "passed":
-            assert tetra._verify(fresh)[1].all_passed
+            assert tetra._verify(copy)[1].all_passed
         else:
-            eigentable(fresh)
+            eigentable(copy)
         expected = [(0, 1)] if relations == "passed" else list(UNORDERED_PAIRS)
-        assert chains == expected and memo_holders(fresh) == set(expected)
+        assert chains == expected and memo_holders(copy) == set(expected)
 
-    def test_one_reversed_generator_changed(self, d16, monkeypatch):
+    def test_one_reversed_generator_changed(self, d16, spy):
         t = with_generator(d16, (1, 0), with_entry_changed(d16.x[(1, 0)], 0, 0, 1))
         assert _antisymmetric(t) == frozenset(ORDERED_PAIRS) - {(0, 1), (1, 0)}
-        kernels, annihilators, matrices = self.count_work(t, monkeypatch)
+        kernels, annihilators, matrices = self.count_work(t, spy)
         assert kernels == 7 * (t.diameter + 1)
         # flag independence: corner 0 passes with its two calls, and corner 1
         # fails on the dimensions of x_10's chain before any call
@@ -614,33 +589,33 @@ class TestSixGenerators:
                             "verify_action_table": 106, "flag_independence_check": 2}
 
     @pytest.mark.parametrize("changed, kernels", [(0, 7), (1, 49), (2, 56), (3, 63), (6, 84)])
-    def test_verify_forms_each_chain_once(self, d16, monkeypatch, changed, kernels):
+    def test_verify_forms_each_chain_once(self, d16, spy, changed, kernels):
         # each pair that is not mirrored adds the chain of x_sr to the six; the memo holds the twelve
         # generators of one module, so with 9 to 12 chains none is formed twice
         t = d16
         for r, s in UNORDERED_PAIRS[:changed]:
             t = with_generator(t, (s, r), with_entry_changed(t.x[(s, r)], 0, 0, 1))
         assert len(_antisymmetric(t)) == 2 * (6 - changed)
-        assert self.count_work(t, monkeypatch, (tetra._verify,))[0] == kernels
+        assert self.count_work(t, spy, (tetra._verify,))[0] == kernels
 
-    def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch):
+    def test_one_comparison_per_pair_over_every_stage(self, d16, monkeypatch, spy):
         # x_sr = -x_rs is compared once per pair r < s, on the stored forms, and every stage reads the
         # pairs _antisymmetric keeps
-        fresh = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
-        compared, equalities = [], []
-        real_negates, real_eq = tetra._negates, linalg.Matrix.__eq__
+        t = TetraModule(dim=d16.dim, diameter=d16.diameter, x=dict(d16.x))
+        equalities = []
+        real_eq = linalg.Matrix.__eq__
 
+        # a conditional spy: only comparisons that involve one of t's matrices are recorded
         def spy_eq(a, b):
-            if any(a is mat or b is mat for mat in fresh.x.values()):
+            if any(a is mat or b is mat for mat in t.x.values()):
                 equalities.append(a)
             return real_eq(a, b)
 
-        monkeypatch.setattr(tetra, "_negates", lambda a, b: compared.append((a, b)) or real_negates(a, b))
+        compared = spy(tetra, "_negates", lambda a, b: (a, b))
         monkeypatch.setattr(linalg.Matrix, "__eq__", spy_eq)
         for check in self.EXACT + (pairwise_burnside,):
-            check(fresh)
-        assert [(id(a), id(b)) for a, b in compared] == [(id(fresh.x[(r, s)]), id(fresh.x[(s, r)]))
-                                                         for r, s in UNORDERED_PAIRS]
+            check(t)
+        assert [(id(a), id(b)) for a, b in compared] == [(id(t.x[(r, s)]), id(t.x[(s, r)])) for r, s in UNORDERED_PAIRS]
         assert equalities == []
 
     def test_negates_on_built_and_changed_matrices(self, d16):
@@ -696,8 +671,7 @@ def with_entry_changed(mat, i, j, delta):
 
 
 def rational_matrices(n):
-    entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7)))
-    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(Matrix.from_rows)
+    return grids(n, n, st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7))))
 
 
 NEW_DENOMINATORS = st.builds(F, st.integers(-6, 6).filter(bool), st.sampled_from((1, 7, 11, 49)))
@@ -887,13 +861,11 @@ class TestFlagIndependenceDifferential:
         assert sum(chain_dims(t, (0, 1))) < t.dim
         assert self.assert_same(t) is True
 
-    def test_only_columns_with_a_factor_left_are_multiplied(self, monkeypatch):
+    def test_only_columns_with_a_factor_left_are_multiplied(self, spy):
         # at d27, 864 column products carry a factor; multiplying every column at every step takes 1512
         t = build_tetra_from_spec(ModuleSpec.of([(2, 2), (2, 3), (2, 5)]))
         eigentable(t)  # the chains, which the check reuses, are not counted
-        columns = []
-        real = linalg._int_matmul
-        monkeypatch.setattr(linalg, "_int_matmul", lambda a, b, cols: columns.append(cols) or real(a, b, cols))
+        columns = spy(linalg, "_int_matmul", lambda a, b, cols: cols)
         assert flag_independence_check(t)
         assert 0 < sum(columns) <= 864
 
@@ -927,10 +899,8 @@ class TestPairwiseBurnsideAtD:
 
     def assert_same(self, t, monkeypatch):
         expected = all(pair_generates_full_algebra(t.x[p], t.x[q]) for p, q in tetra.OPPOSITE_PAIRS)
-        calls = []
-        real = linalg.minimal_polynomial
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+            calls = corpus.spy(patch, linalg, "minimal_polynomial")
             assert pairwise_burnside(t) is expected
         assert calls == []
         return expected
@@ -947,10 +917,8 @@ class TestPairwiseBurnsideAtD:
         # the d6 (3,2)(3,3) declared d = 8: ker(x_p - 8) is zero, and the chain's first line is at 6
         t = build_tetra_from_spec(ModuleSpec.of([(3, 2), (3, 3)]))
         misdeclared = TetraModule(dim=t.dim, diameter=8, x=t.x)
-        closures = []
-        real = classify._closure_dimension_exact
         with monkeypatch.context() as patch:
-            patch.setattr(classify, "_closure_dimension_exact", lambda gens, n: closures.append(n) or real(gens, n))
+            closures = corpus.spy(patch, classify, "_closure_dimension_exact", lambda gens, n: n)
             assert pairwise_burnside(misdeclared)
         assert closures == []
         assert self.assert_same(misdeclared, monkeypatch) is True
@@ -961,12 +929,10 @@ class TestOneSpectralPass:
     each generator's eigenvalues and eigenspaces off one certificate
     (linalg.ladder_spectrum and linalg.diagonal_spectrum)."""
 
-    def test_no_minimal_polynomial_on_the_irreducible_grid(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_no_minimal_polynomial_on_the_irreducible_grid(self, grid_modules, built_irreducible_grid, spy):
         # every mu_v is a ladder whose eigenspaces fill the space: no fallback, no divisor search
-        calls = []
-        real_poly, real_roots = linalg.minimal_polynomial, linalg.rational_roots
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real_poly(m))
-        monkeypatch.setattr(linalg, "rational_roots", lambda p: calls.append(p) or real_roots(p))
+        calls = spy(linalg, "minimal_polynomial")
+        spy(linalg, "rational_roots", calls=calls)
         for spec, t in built_irreducible_grid.items():
             m = grid_modules[spec]
             assert module_type(m) == (t.diameter, 0, 0)
@@ -987,17 +953,13 @@ class TestOneSpectralPass:
 
 
 class TestFlagComponents:
-    def test_builds_no_flag_record_and_no_subspace_sum(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_builds_no_flag_record_and_no_subspace_sum(self, grid_modules, built_irreducible_grid, spy):
         # build_tetra reads its pieces off eigenbases; only four_flags builds Flag records. Every Flag, public or
         # of partial sums (Flag._of), checks its dimensions
         made = []
         for record, check in ((flags.Flag, "_check_dimensions"), (flags.Decomposition, "__post_init__")):
-            real = getattr(record, check)
-            monkeypatch.setattr(record, check, lambda self, real=real: made.append(type(self)) or real(self))
-        real_sum = linalg.subspace_sum
-        for module in (linalg, flags, tetra):
-            if hasattr(module, "subspace_sum"):
-                monkeypatch.setattr(module, "subspace_sum", lambda u, v: made.append("subspace_sum") or real_sum(u, v))
+            spy(record, check, type, made)
+        spy(linalg, "subspace_sum", "subspace_sum", made, (flags, tetra))
         for spec, t in built_irreducible_grid.items():
             assert build_tetra(grid_modules[spec]).x == t.x
         assert made == []
@@ -1054,21 +1016,6 @@ def assert_pieces_are_intersections(m):
     assert seen == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
-def build_outcome(m):
-    """build_tetra's twelve matrices, or the text of its OppositionError."""
-    try:
-        return dict(build_tetra(m).x)
-    except OppositionError as refused:
-        return str(refused)
-
-
-def reference_outcome(m):
-    try:
-        return change_of_basis_generators(m)
-    except OppositionError as refused:
-        return str(refused)
-
-
 @st.composite
 def ladder_pairs(draw):
     """(A, Astar) of type (0, 0) with one drawn d: A diagonal, Astar = P D P^-1
@@ -1089,13 +1036,11 @@ def ladder_pairs(draw):
         return Matrix.from_rows([[values[order[i]] if i == j else 0 for j in range(n)] for i in range(n)])
 
     other = dims if draw(st.booleans()) else draw(st.permutations(dims))
-    small = st.sampled_from([0, 1, -1, 2])
-    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
-    return OnsagerModule(n, ladder(dims), p * ladder(other) * inverse(p))
+    p = draw(unitriangular_matrices(n, st.sampled_from([0, 1, -1, 2])))
+    return OnsagerModule(n, ladder(dims), conjugated(ladder(other), p))
 
 
+@pytest.mark.work_count
 class TestOneSolvePerGenerator:
     """build_tetra reads each x_rs off one elimination, with the change of
     basis as the differential reference, and its pieces off one echelon per
@@ -1111,13 +1056,8 @@ class TestOneSolvePerGenerator:
     def test_conjugates(self, grid_specs, grid_modules, data):
         # P m P^-1 for a unit lower times unit upper triangular P
         spec = data.draw(st.sampled_from([s for s in grid_specs if is_irreducible_criterion(s) and s.dim <= 9]))
-        m, n = grid_modules[spec], grid_modules[spec].dim
-        small = st.integers(-2, 2)
-        lower = [[data.draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-        upper = [[data.draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-        p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
-        p_inv = inverse(p)
-        conjugate = OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+        m = grid_modules[spec]
+        conjugate = conjugated(m, data.draw(unitriangular_matrices(m.dim)))
         built = build_tetra(conjugate)
         assert built.x == change_of_basis_generators(conjugate)
         assert built.x[(0, 1)] is conjugate.A and built.x[(2, 3)] is conjugate.Astar
@@ -1130,7 +1070,8 @@ class TestOneSolvePerGenerator:
         assert_pieces_are_intersections(m)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: True)
-            assert build_outcome(m) == reference_outcome(m)
+            built = build_result(build_tetra, m)
+            assert built == outcome(OppositionError, change_of_basis_generators, m)
 
     def test_refusals(self, non_opposite_flags, monkeypatch):
         # a non-direct sum and an empty piece, each as the reference words it, then a reducible V(2, 1)
@@ -1142,17 +1083,16 @@ class TestOneSolvePerGenerator:
         monkeypatch.setattr(classify, "_full_algebra", lambda a, b, eigenpairs: True)
         for m, text in cases:
             assert_pieces_are_intersections(m)
-            assert build_outcome(m) == reference_outcome(m) == text
+            refused = build_result(build_tetra, m)
+            assert refused == outcome(OppositionError, change_of_basis_generators, m) == (OppositionError, text)
 
-    def test_no_inverse_hstack_product_or_determinant(self, grid_modules, built_irreducible_grid, monkeypatch):
+    def test_no_inverse_hstack_product_or_determinant(self, grid_modules, built_irreducible_grid, monkeypatch, spy):
         # spies on every module that could hold the names, so an import by name is seen too
         calls = []
         for name in ("inverse", "hstack", "determinant"):
-            real = getattr(linalg, name)
-            spy = (lambda real, name: lambda *args: calls.append(name) or real(*args))(real, name)
-            for module in (linalg, flags, tetra, classify):
-                monkeypatch.setattr(module, name, spy, raising=False)
+            spy(linalg, name, name, calls, (flags, tetra, classify))
         real_mul = Matrix.__mul__
+        # a conditional spy: a product by a scalar is no matrix product
         monkeypatch.setattr(Matrix, "__mul__",
                             lambda a, b: (isinstance(b, Matrix) and calls.append("product")) or real_mul(a, b))
         for spec, t in built_irreducible_grid.items():
@@ -1212,31 +1152,13 @@ def spectra_first_build(m: OnsagerModule) -> TetraModule:
 
 def build_result(build, m: OnsagerModule):
     """The twelve matrices build(m) gives, or the type and text of its refusal."""
-    try:
-        return dict(build(m).x)
-    except TetraboxError as refused:
-        return type(refused), str(refused)
+    return outcome(TetraboxError, lambda: dict(build(m).x))
 
 
 def assert_refused_as_before(m: OnsagerModule) -> None:
     """build_tetra on m and the spectra-first reference on fresh matrix objects, so that neither reads a
     verdict or eigenspace the other kept, give the same matrices or the same refusal."""
-    fresh = OnsagerModule(m.dim, fresh_matrix(m.A), fresh_matrix(m.Astar))
-    assert build_result(build_tetra, m) == build_result(spectra_first_build, fresh)
-
-
-def stacked(*modules: OnsagerModule) -> OnsagerModule:
-    """The direct sum of modules, block diagonal in the order given."""
-    n = sum(m.dim for m in modules)
-
-    def blocks(name):
-        rows, start = [], 0
-        for m in modules:
-            rows += [[0] * start + row + [0] * (n - start - m.dim) for row in getattr(m, name).to_rows()]
-            start += m.dim
-        return Matrix.from_rows(rows)
-
-    return OnsagerModule(n, blocks("A"), blocks("Astar"))
+    assert build_result(build_tetra, m) == build_result(spectra_first_build, fresh(m))
 
 
 @st.composite
@@ -1246,12 +1168,7 @@ def conjugated_grid_modules(draw, grid_specs):
     spec = draw(st.sampled_from([s for s in grid_specs if s.dim <= 9]))
     shift = draw(st.sampled_from(((0, 0), (1, 0), (0, F(-1, 2)), (1, 1))))
     m = build_from_spec(ModuleSpec(spec.factors, shift))
-    n, small = m.dim, st.integers(-2, 2)
-    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-    p = Matrix.from_rows(lower) * Matrix.from_rows(upper)
-    p_inv = inverse(p)
-    return OnsagerModule(n, p * m.A * p_inv, p * m.Astar * p_inv)
+    return conjugated(m, draw(unitriangular_matrices(m.dim)))
 
 
 # a reducible pair in the one class whose refusal changed: V(1, 2) + W, where on W A is diag(1, -1) and Astar a
@@ -1278,22 +1195,21 @@ class TestIrreducibilityBeforeSpectra:
     def test_v_plus_v(self, factors, monkeypatch):
         # no eigenline on either side: the closure decides, and below its guard both refuse as the guard words it
         v = build_from_spec(ModuleSpec.of(factors))
-        assert_refused_as_before(stacked(v, v))
+        assert_refused_as_before(direct_sum(v, v))
         monkeypatch.setattr(matrix, "DIM_GUARD", 2 * v.dim)
-        assert_refused_as_before(stacked(v, v))
-        assert build_result(build_tetra, stacked(v, v))[0] is DimensionGuardError
+        assert_refused_as_before(direct_sum(v, v))
+        assert build_result(build_tetra, direct_sum(v, v))[0] is DimensionGuardError
 
-    @pytest.mark.parametrize("factors", [[(1, 2), (1, 2)], [(1, 2), (2, 2)], [(1, 2), (1, F(1, 2)), (1, 3)]])
+    @pytest.mark.parametrize("factors", REDUCIBLE_FOLDS.values())
     def test_reducible_folds(self, factors):
         # tensor products at a repeated point, folded with no refusal: the top of A is a line
-        spec = ModuleSpec.of(factors)
-        x = onsager._folded_generators(spec, [(0, 1), (2, 3)])
-        m = OnsagerModule(spec.dim, x[(0, 1)], x[(2, 3)])
+        t = folded(factors)
+        m = OnsagerModule(t.dim, t.x[(0, 1)], t.x[(2, 3)])
         assert build_result(build_tetra, m) == (ReducibleModuleError, tetra._NOT_FULL)
         assert_refused_as_before(m)
 
     def test_the_documented_class(self):
-        m = stacked(evaluation_module(1, F(2)), JORDAN_W)
+        m = direct_sum(evaluation_module(1, F(2)), JORDAN_W)
         assert linalg._krylov_ladder(m.A) == linalg._krylov_ladder(m.Astar) == [1, -1]
         assert not is_diagonalizable_with(m.Astar, [1, -1])
         # refused as reducible before the spectra, where the spectra-first order refused Astar's spectrum
@@ -1310,12 +1226,10 @@ class TestIrreducibilityBeforeSpectra:
         assert_refused_as_before(m)
         assert not is_irreducible_burnside(m)
 
-    def test_kept_verdict_forms_no_kernel(self, grid_specs, monkeypatch):
+    def test_kept_verdict_forms_no_kernel(self, grid_specs, spy):
         # after is_irreducible_burnside, a reducible pair is refused by build_tetra and answered by
         # check_onsager_equivalence off the verdict kept in A's memo, with no eigenspace or other kernel formed
-        kernels = []
-        real = linalg._kernel
-        monkeypatch.setattr(linalg, "_kernel", lambda width, rows: kernels.append(width) or real(width, rows))
+        kernels = spy(linalg, "_kernel")
         for spec in grid_specs:
             if is_irreducible_criterion(spec):
                 continue

@@ -17,13 +17,14 @@ from tetrabox import (
     dolan_grady_holds,
     eigenspace,
     evaluation_module,
-    inverse,
     is_irreducible_criterion,
     subspace_sum,
     verify_tridiagonal_pair,
 )
 from tetrabox import classify, linalg, tridiagonal
 from tetrabox.tridiagonal import _block_tridiagonal_ordering, _is_arithmetic_step_two, eigenvalue_sequences
+
+from corpus import conjugated, fresh, grids, outcome, unitriangular_matrices
 
 H = Matrix.from_rows([[1, 0], [0, -1]])
 
@@ -89,10 +90,6 @@ def reference_block_tridiagonal(acting, spaces, ambient):
     return True
 
 
-def conjugated(s, rows):
-    return s * Matrix.from_rows(rows) * inverse(s)
-
-
 class TestBlockTridiagonalDifferential:
     """The annihilator test against the vector route, on the given ordering
     and on one with its second and third eigenvalues swapped."""
@@ -124,20 +121,19 @@ class TestBlockTridiagonalDifferential:
         block = [0, 1, 1, 2, 3]
         s = Matrix.from_rows([[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [0, -1, 1, 0, 0], [1, 0, 3, 1, 0], [0, 2, 0, -1, 1]])
         s = s * s.transpose()
-        diagonal = conjugated(s, [[eigenvalues[block[i]] if i == j else 0 for j in range(5)] for i in range(5)])
+        diagonal = Matrix.from_rows([[eigenvalues[block[i]] if i == j else 0 for j in range(5)] for i in range(5)])
+        diagonal = conjugated(diagonal, s)
         near = [[F(i + 2 * j + 1, 3) if abs(block[i] - block[j]) <= 1 else 0 for j in range(5)] for i in range(5)]
         jump = [[1 if (i, j) == (0, 4) else near[i][j] for j in range(5)] for i in range(5)]
-        assert self.verdicts(conjugated(s, near), diagonal, eigenvalues) == [True, False]
+        assert self.verdicts(conjugated(Matrix.from_rows(near), s), diagonal, eigenvalues) == [True, False]
         assert self.verdicts(diagonal, diagonal, eigenvalues) == [True, True]
-        assert self.verdicts(conjugated(s, jump), diagonal, eigenvalues) == [False, False]
+        assert self.verdicts(conjugated(Matrix.from_rows(jump), s), diagonal, eigenvalues) == [False, False]
 
 
 class TestSpectrumReuse:
-    def test_no_minimal_polynomial_on_d16(self, monkeypatch):
+    def test_no_minimal_polynomial_on_d16(self, spy):
         # both spectra are Krylov certificates, and Norton's test reuses A's top
-        calls = []
-        real = linalg.minimal_polynomial
-        monkeypatch.setattr(linalg, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+        calls = spy(linalg, "minimal_polynomial")
         assert verify_tridiagonal_pair(*pair_of([(3, 2), (3, 3)])).verdict
         assert calls == []
 
@@ -184,11 +180,6 @@ class TestOnsagerEquivalence:
         assert check_onsager_equivalence(3 * a, astar)
 
 
-def fresh(m: Matrix) -> Matrix:
-    """An equal matrix object, which carries no verdict an earlier call kept."""
-    return Matrix._of(m.rows, m.cols, m._num, m._den)
-
-
 def reference_report(a: Matrix, astar: Matrix) -> TdpReport:
     """verify_tridiagonal_pair as one pass over all four axioms: both spectra,
     both descending orderings (no other order is tried), then irreducibility
@@ -228,21 +219,15 @@ def reference_sequences(a: Matrix, astar: Matrix) -> tuple[tuple[F, ...], tuple[
     return report.standard_ordering_A, report.standard_ordering_Astar
 
 
-def sequences_outcome(sequences, a: Matrix, astar: Matrix):
-    """The two sequences, or the type and text of the refusal."""
-    try:
-        return sequences(a, astar)
-    except (ValueError, SpectrumError) as refused:
-        return type(refused), str(refused)
-
-
 def assert_agrees_with_reference(a: Matrix, astar: Matrix) -> None:
-    # eigenvalue_sequences on fresh copies misses a's memo; after verify_tridiagonal_pair it reads the verdict kept
-    sequences = sequences_outcome(reference_sequences, a, astar)
-    assert sequences_outcome(eigenvalue_sequences, fresh(a), fresh(astar)) == sequences
+    # eigenvalue_sequences on fresh copies misses a's memo; after verify_tridiagonal_pair it reads the verdict kept;
+    # each gives the two sequences, or the type and text of its refusal
+    refusals = (ValueError, SpectrumError)
+    sequences = outcome(refusals, reference_sequences, a, astar)
+    assert outcome(refusals, eigenvalue_sequences, fresh(a), fresh(astar)) == sequences
     assert verify_tridiagonal_pair(a, astar) == reference_report(a, astar)
     assert check_onsager_equivalence(a, astar) == reference_onsager_equivalence(a, astar)
-    assert sequences_outcome(eigenvalue_sequences, a, astar) == sequences
+    assert outcome(refusals, eigenvalue_sequences, a, astar) == sequences
 
 
 # a = 1 and -1 and the pair 2, 1/2 make reducible modules
@@ -256,12 +241,8 @@ def conjugated_modules(draw):
     factors = draw(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(CONJUGATION_POOL)), min_size=1, max_size=2))
     shift = draw(st.sampled_from(((0, 0), (1, 0), (0, F(-1, 2)))))
     m = build_from_spec(ModuleSpec.of(factors, shift=shift))
-    n, entry = m.dim, st.integers(-2, 2)
-    lower = Matrix.from_rows([[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)])
-    upper = Matrix.from_rows([[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)])
-    p = lower * upper
-    p_inv = inverse(p)
-    return p * m.A * p_inv, p * m.Astar * p_inv
+    m = conjugated(m, draw(unitriangular_matrices(m.dim)))
+    return m.A, m.Astar
 
 
 class TestIrreducibilityFirst:
@@ -269,10 +250,9 @@ class TestIrreducibilityFirst:
     reducible pair; its answers and verify_tridiagonal_pair's reports equal
     those of the full report."""
 
-    def test_grid_modules(self, grid_modules, monkeypatch):
+    def test_grid_modules(self, grid_modules, spy):
         # every grid pair passes in the descending order, so no eigenbasis is inverted
-        inverted = []
-        monkeypatch.setattr(tridiagonal, "inverse", lambda m: inverted.append(m) or inverse(m))
+        inverted = spy(tridiagonal, "inverse")
         for s, m in grid_modules.items():
             assert_agrees_with_reference(m.A, m.Astar)
             assert check_onsager_equivalence(m.A, m.Astar), s.factors
@@ -290,18 +270,11 @@ class TestIrreducibilityFirst:
             assert_agrees_with_reference(*pair)
             assert check_onsager_equivalence(*pair)
 
-    def spy(self, monkeypatch) -> dict[str, list]:
-        calls = {"diagonal_spectrum": [], "annihilates": [], "dolan_grady_holds": []}
-        for name, seen in calls.items():
-            real = getattr(tridiagonal, name)
-            monkeypatch.setattr(tridiagonal, name, lambda *args, real=real, seen=seen: seen.append(args[0]) or real(*args))
-        return calls
-
-    def test_reducible_pair_reads_only_the_spectrum_of_a(self, grid_specs, monkeypatch):
+    def test_reducible_pair_reads_only_the_spectrum_of_a(self, grid_specs, spy):
         # on fresh matrices the verdict is a miss and reads a's spectrum alone; it is kept in a's memo, so a
         # second check, and eigenvalue_sequences's refusal, read no spectrum at all
         reducible = [build_from_spec(s) for s in grid_specs if not is_irreducible_criterion(s)]
-        calls = self.spy(monkeypatch)
+        calls = {name: spy(tridiagonal, name) for name in ("diagonal_spectrum", "annihilates", "dolan_grady_holds")}
         for m in reducible:
             assert check_onsager_equivalence(m.A, m.Astar)
             assert check_onsager_equivalence(m.A, m.Astar)
@@ -311,9 +284,9 @@ class TestIrreducibilityFirst:
         assert all(seen is m.A for seen, m in zip(calls["diagonal_spectrum"], reducible))
         assert calls["annihilates"] == [] and calls["dolan_grady_holds"] == []
 
-    def test_irreducible_pair_computes_both_sides(self, monkeypatch):
+    def test_irreducible_pair_computes_both_sides(self, spy):
         a, astar = pair_of([(1, 2), (2, 3)])
-        calls = self.spy(monkeypatch)
+        calls = {name: spy(tridiagonal, name) for name in ("diagonal_spectrum", "annihilates", "dolan_grady_holds")}
         assert check_onsager_equivalence(a, astar)
         assert [len(calls[name]) for name in calls] == [2, 2, 1]
 
@@ -369,10 +342,10 @@ def diagonal_and_acting(draw):
     diag = [v for v, k in zip(values, mult) for _ in range(k)]
     n = len(diag)
     d = Matrix.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    acting = Matrix.from_rows([[draw(st.sampled_from((0, 0, 0, 1, -2))) for _ in range(n)] for _ in range(n)])
+    acting = draw(grids(n, n, st.sampled_from((0, 0, 0, 1, -2))))
     lower = Matrix.from_rows([[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0 for j in range(n)]
                               for i in range(n)])
-    return lower * acting * inverse(lower), lower * d * inverse(lower)
+    return conjugated(acting, lower), conjugated(d, lower)
 
 
 class TestStandardOrdering:
@@ -387,13 +360,9 @@ class TestStandardOrdering:
             eigenvalue_sequences(LEONARD_A, LEONARD_ASTAR)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
-    def test_conjugated_leonard_pair(self, entries):
-        lower = Matrix.from_rows([[1, 0, 0], [entries[0], 1, 0], [entries[1], entries[2], 1]])
-        upper = Matrix.from_rows([[1, entries[3], entries[4]], [0, 1, entries[5]], [0, 0, 1]])
-        p = lower * upper
-        p_inv = inverse(p)
-        a, astar = p * LEONARD_A * p_inv, p * LEONARD_ASTAR * p_inv
+    @given(unitriangular_matrices(3))
+    def test_conjugated_leonard_pair(self, p):
+        a, astar = conjugated(LEONARD_A, p), conjugated(LEONARD_ASTAR, p)
         assert verify_tridiagonal_pair(a, astar) == TdpReport(True, True, LEONARD_ORDER, LEONARD_ORDER, True, True)
         assert check_onsager_equivalence(a, astar)
 
