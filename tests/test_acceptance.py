@@ -17,7 +17,6 @@ from tetrabox import (
     ModuleSpec,
     OppositionError,
     ReducibleModuleError,
-    TetraboxError,
     TypeShiftError,
     are_opposite,
     build_from_spec,
@@ -30,7 +29,6 @@ from tetrabox import (
     four_flags,
     intersect,
     is_diagonalizable_with,
-    is_irreducible_burnside,
     is_irreducible_criterion,
     is_isomorphic,
     roundtrip_uniqueness,

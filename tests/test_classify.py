@@ -179,7 +179,7 @@ def word_closure_dimension(a: Matrix, b: Matrix) -> int:
 
 
 def exact_closure_dimension(a: Matrix, b: Matrix) -> int:
-    """Reference: the exact closure alone, with no mod-p certificate."""
+    """Reference: the exact closure alone, with no Norton spin first."""
     return classify._closure_dimension_exact([a._num, b._num], a.rows)
 
 

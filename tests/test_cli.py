@@ -33,11 +33,6 @@ from tetrabox.serialize import (
 import corpus
 from corpus import REDUCIBLE_FOLDS, conjugated, direct_sum, folded, unitriangular_matrices
 
-SPEC_V2 = {"factors": [{"n": 1, "a": "2"}], "shift": ["0", "0"]}
-SPEC_V2_V3 = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
-SPEC_REDUCIBLE = {"factors": [{"n": 1, "a": "1"}], "shift": ["0", "0"]}
-SPEC_TRIVIAL = {"factors": [{"n": 0, "a": "1"}], "shift": ["0", "0"]}
-
 
 def subprocess_env(**extra) -> dict:
     """The environment of a child python that imports this tetrabox."""
@@ -48,6 +43,20 @@ def subprocess_env(**extra) -> dict:
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def spec_json(factors, shift="0") -> dict:
+    """The spec document of (n, a) factors, of type shift (shift, 0); with shift None it has no shift key."""
+    spec = {"factors": [{"n": n, "a": a} for n, a in factors]}
+    if shift is not None:
+        spec["shift"] = [shift, "0"]
+    return spec
+
+
+SPEC_V2 = spec_json([(1, "2")])
+SPEC_V2_V3 = spec_json([(1, "2"), (1, "3")])
+SPEC_REDUCIBLE = spec_json([(1, "1")])
+SPEC_TRIVIAL = spec_json([(0, "1")])
 
 
 @pytest.fixture
@@ -83,7 +92,7 @@ class TestBuild:
         assert not (tmp_path / "out.json").exists()
 
     def test_shifted_spec_rejected(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "shifted.json", {"factors": [{"n": 1, "a": "2"}], "shift": ["3", "0"]})
+        spec = write_json(tmp_path / "shifted.json", spec_json([(1, "2")], "3"))
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert "type shift" in err and err.startswith("error: ") and err.count("\n") == 1
@@ -98,7 +107,7 @@ class TestBuild:
         assert main(["build", str(tmp_path / "nope.json"), "-o", str(tmp_path / "out.json")]) == 2
 
     def test_invalid_spec_values(self, tmp_path):
-        spec = write_json(tmp_path / "zero.json", {"factors": [{"n": 1, "a": "0"}]})
+        spec = write_json(tmp_path / "zero.json", spec_json([(1, "0")], None))
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 2
 
     def test_output_into_a_missing_directory(self, tmp_path, spec_v2, capsys):
@@ -106,22 +115,6 @@ class TestBuild:
         assert main(["build", spec_v2, "-o", str(out)]) == 2
         assert_one_error_line(*capsys.readouterr())
         assert not out.parent.exists()
-
-    @pytest.mark.parametrize(
-        "factors, digest",
-        [
-            ([(1, "2"), (1, "3")], "b7a65d0933d32bdd3f32ceafea93b91547351eb574c5f3e62d9ddd155cc3a7ce"),
-            ([(3, "2"), (3, "-1/3")], "ce1a1010f339cb0ed85d8ed89722461b0a38d804c65610e2d2f8f982058c7f96"),
-            ([(2, "2"), (2, "-1/3"), (2, "5")], "056f895e357a00e6c816875523d489473c9a527bd96402210e220bf935f91493"),
-        ],
-        ids=["d4", "d16", "d27"],
-    )
-    def test_output_bytes_are_pinned(self, tmp_path, factors, digest):
-        # the bytes the flag route writes; the Kronecker route must reproduce them
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors], "shift": ["0", "0"]})
-        out = tmp_path / "m.json"
-        assert main(["build", spec, "-o", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "factors, shift, line",
@@ -137,8 +130,7 @@ class TestBuild:
         ids=["reducible", "unit", "shifted", "reducible_shifted", "d8192"],
     )
     def test_refusal_lines_are_pinned(self, tmp_path, capsys, factors, shift, line):
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors],
-                                                "shift": [shift, "0"]})
+        spec = write_json(tmp_path / "s.json", spec_json(factors, shift))
         assert main(["build", spec, "-o", str(tmp_path / "out.json")]) == 1
         assert capsys.readouterr() == ("", f"error: {line}\n")
         assert not (tmp_path / "out.json").exists()
@@ -151,7 +143,7 @@ class TestBuild:
             # the name is patched wherever a module imported it
             spy(owner, name, name, calls, (tetrabox, classify, cli, flags, onsager, tetra))
         for factors in ([(1, "2"), (1, "3")], [(3, "2"), (3, "3")], [(2, "2"), (2, "3"), (2, "5")]):
-            spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors]})
+            spec = write_json(tmp_path / "s.json", spec_json(factors, None))
             assert main(["build", spec, "-o", str(tmp_path / "m.json")]) == 0
         assert calls == []
         # build_from_spec takes a = -1 (a reducible module): it forms x_01 and x_23 only, never dividing by a + 1
@@ -163,7 +155,7 @@ class TestBuild:
 
     def test_large_single_factor_builds_fast(self, tmp_path):
         # the flag route spent over a minute on this factor's spectra alone; the closed forms take well under 1 s
-        spec = write_json(tmp_path / "d65.json", {"factors": [{"n": 64, "a": "2"}]})
+        spec = write_json(tmp_path / "d65.json", spec_json([(64, "2")], None))
         out = tmp_path / "d65.module.json"
         start = time.monotonic()
         assert main(["build", spec, "-o", str(out)]) == 0
@@ -284,8 +276,7 @@ class TestVerify:
         # (x_01, x_23), which is V + V's: the spin cannot decide it and the closure is above the guard
         module = OnsagerModule(8, doubled_v.x[(0, 1)], doubled_v.x[(2, 3)])
         data = {"module": module_to_json(module), "tetra": tetra_to_json(doubled_v)}
-        row = data["tetra"]["x"]["02"][0]
-        row[1] = str(F(row[1]) + F(1, 7))
+        _tamper_x02(data)
         path = write_json(tmp_path / "vv.json", data)
         monkeypatch.setattr(matrix, "DIM_GUARD", 16)
         assert main(["verify", path, "--deep"]) == 1
@@ -298,34 +289,9 @@ class TestVerify:
         assert deep["rebuild_matches"] == "skipped"
         assert "guard" in deep["skipped"] and "\n" not in deep["skipped"]
 
-    @pytest.mark.parametrize(
-        "factors, tampered, code, digest",
-        [
-            ([(2, "2"), (2, "-1/3"), (2, "5")], False, 0,
-             "ef7b30a9710276312ec40137217f06f961f57dbfe64c62a7d5dfa4c889f7db8c"),
-            ([(3, "2"), (3, "-1/3")], True, 1,
-             "4786ff8f5c1245a9edbd30733e8fa178ccfdbd996bd9e61f3517ad6d9aeb35a1"),
-        ],
-        ids=["d27", "d16-tampered"],
-    )
-    def test_output_bytes_are_pinned(self, tmp_path, capsys, factors, tampered, code, digest):
-        # the report the Fraction-matrix relations wrote, failure residuals included
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors], "shift": ["0", "0"]})
-        out = tmp_path / "m.json"
-        assert main(["build", spec, "-o", str(out)]) == 0
-        if tampered:
-            data = json.loads(out.read_text())
-            x02 = data["tetra"]["x"]["02"]
-            x02[0][1] = str(F(x02[0][1]) + F(1, 7))
-            write_json(out, data)
-        capsys.readouterr()
-        assert main(["verify", str(out)]) == code
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
     def test_unattained_diameter_fails(self, tmp_path, monkeypatch, capsys):
         # (3,2)(3,3) has d = 6; a declared 8 only adds zero eigenspaces at both ends
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}],
-                                                "shift": ["0", "0"]})
+        spec = write_json(tmp_path / "s.json", spec_json(D16))
         out = tmp_path / "m.json"
         assert main(["build", spec, "-o", str(out)]) == 0
         data = json.loads(out.read_text())
@@ -392,10 +358,7 @@ class TestClassify:
         }
 
     def test_reducible_spec_still_classifies(self, tmp_path, capsys):
-        spec = write_json(
-            tmp_path / "s.json",
-            {"factors": [{"n": 1, "a": "2"}, {"n": 2, "a": "1/2"}], "shift": ["0", "0"]},
-        )
+        spec = write_json(tmp_path / "s.json", spec_json([(1, "2"), (2, "1/2")]))
         assert main(["classify", spec]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["irreducible"] is False
@@ -433,21 +396,21 @@ class TestCompare:
         return main(["compare", p1, p2, *flags])
 
     def test_inverse_parameter_isomorphic(self, tmp_path, capsys):
-        code = self.run(tmp_path, SPEC_V2, {"factors": [{"n": 1, "a": "1/2"}]}, "--oracle")
+        code = self.run(tmp_path, SPEC_V2, spec_json([(1, "1/2")], None), "--oracle")
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out == {"isomorphic": True, "intertwiner_found": True, "oracle_agrees": True}
 
     def test_distinct_parameters_not_isomorphic(self, tmp_path, capsys):
-        code = self.run(tmp_path, SPEC_V2, {"factors": [{"n": 1, "a": "3"}]}, "--oracle")
+        code = self.run(tmp_path, SPEC_V2, spec_json([(1, "3")], None), "--oracle")
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out == {"isomorphic": False, "intertwiner_found": False, "oracle_agrees": True}
 
     def test_dimension_mismatch(self, tmp_path, capsys):
-        assert self.run(tmp_path, SPEC_V2, {"factors": [{"n": 2, "a": "2"}]}) == 1
+        assert self.run(tmp_path, SPEC_V2, spec_json([(2, "2")], None)) == 1
         assert json.loads(capsys.readouterr().out) == {"isomorphic": False}
-        other = {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}], "shift": ["0", "0"]}
+        other = spec_json([(2, "2"), (1, "3")])
         assert self.run(tmp_path, SPEC_V2_V3, other, "--oracle") == 1
         assert json.loads(capsys.readouterr().out) == {
             "isomorphic": False, "intertwiner_found": False, "oracle_agrees": True,
@@ -456,7 +419,7 @@ class TestCompare:
     @pytest.mark.parametrize("position", [0, 1])
     def test_shifted_input(self, tmp_path, capsys, position):
         specs = [SPEC_V2, SPEC_V2]
-        specs[position] = {"factors": [{"n": 1, "a": "2"}], "shift": ["1", "0"]}
+        specs[position] = spec_json([(1, "2")], "1")
         assert self.run(tmp_path, *specs) == 2
         out, err = capsys.readouterr()
         assert_one_error_line(out, err)
@@ -469,8 +432,8 @@ class TestCompare:
     @pytest.mark.parametrize(
         "other,code",
         [
-            ({"factors": [{"n": 1, "a": "1/3"}, {"n": 1, "a": "1/2"}]}, 0),
-            ({"factors": [{"n": 1, "a": "5"}, {"n": 1, "a": "2"}]}, 1),
+            (spec_json([(1, "1/3"), (1, "1/2")], None), 0),
+            (spec_json([(1, "5"), (1, "2")], None), 1),
         ],
         ids=["isomorphic", "not_isomorphic"],
     )
@@ -489,8 +452,8 @@ class TestCompare:
     def test_oracle_refusal_of_a_module_build_is_skipped(self, tmp_path, monkeypatch, capsys):
         # build_from_spec refuses each d16 module; the criterion still decides
         monkeypatch.setattr(matrix, "DIM_GUARD", 8)
-        d16 = {"factors": [{"n": 1, "a": a} for a in ("2", "3", "5", "7")], "shift": ["0", "0"]}
-        other = {"factors": [{"n": 1, "a": a} for a in ("7", "1/5", "1/3", "2")], "shift": ["0", "0"]}
+        d16 = spec_json([(1, a) for a in ("2", "3", "5", "7")])
+        other = spec_json([(1, a) for a in ("7", "1/5", "1/3", "2")])
         assert self.run(tmp_path, d16, other, "--oracle") == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {
@@ -504,7 +467,7 @@ class TestCompare:
     def test_an_oracle_that_disagrees_exits_3(self, tmp_path, monkeypatch, capsys):
         # a stand-in oracle that finds no intertwiner between isomorphic specs
         monkeypatch.setattr(classify, "_intertwiner_with_top", lambda m1, m2, c: None)
-        assert self.run(tmp_path, SPEC_V2, {"factors": [{"n": 1, "a": "1/2"}]}, "--oracle") == 3
+        assert self.run(tmp_path, SPEC_V2, spec_json([(1, "1/2")], None), "--oracle") == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"isomorphic": True, "intertwiner_found": False, "oracle_agrees": False}
         assert captured.err == "error: intertwiner oracle disagrees with the equivalence criterion\n"
@@ -523,9 +486,9 @@ class TestCompare:
     def test_oracle_reads_the_top_off_the_spec(self, tmp_path, spy, capsys):
         # d + alpha is the spec's degree sum: no minimal polynomial, no elimination wider than the spin
         calls, widths = spy(linalg, "minimal_polynomial"), spy(linalg._Echelon, "__init__", lambda self, n: n)
-        d16 = {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}], "shift": ["0", "0"]}
-        for other, code in (({"factors": [{"n": 3, "a": "1/3"}, {"n": 3, "a": "2"}]}, 0),
-                            ({"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "5"}]}, 1)):
+        d16 = spec_json(D16)
+        for other, code in ((spec_json([(3, "1/3"), (3, "2")], None), 0),
+                            (spec_json([(3, "2"), (3, "5")], None), 1)):
             assert self.run(tmp_path, d16, other, "--oracle") == code
             assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
         assert calls == []
@@ -629,7 +592,7 @@ class TestGuardOverride:
 
     def test_oversized_spec_refused_by_classify(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(matrix, "DIM_GUARD", 8)
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "2"}] * 4, "shift": ["0", "0"]})
+        spec = write_json(tmp_path / "s.json", spec_json([(1, "2")] * 4))
         assert main(["classify", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -690,7 +653,7 @@ def _misdeclared_d_no_spec(data):
 
 
 def _reducible_spec(data):
-    data["spec"] = {"factors": [{"n": 1, "a": "2"}, {"n": 1, "a": "1/2"}], "shift": ["0", "0"]}
+    data["spec"] = spec_json([(1, "2"), (1, "1/2")])
 
 
 def _shifted_spec(data):
@@ -709,8 +672,7 @@ def d4_build(tmp_path_factory):
 def d16_build(tmp_path_factory):
     root = tmp_path_factory.mktemp("deep")
     out = root / "d16.module.json"
-    spec = {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "3"}], "shift": ["0", "0"]}
-    assert main(["build", write_json(root / "d16.json", spec), "-o", str(out)]) == 0
+    assert main(["build", write_json(root / "d16.json", spec_json(D16)), "-o", str(out)]) == 0
     return json.loads(out.read_text())
 
 
@@ -736,9 +698,23 @@ def _misdeclared_d_minus_2(data):
     data["tetra"]["d"] -= 2
 
 
-def _tamper_x02(data):
-    row = data["tetra"]["x"]["02"][0]
-    row[1] = str(F(row[1]) + F(1, 7))
+def _added(deltas):
+    """The edit that adds deltas[key] to entry (0, 1) of x_key, for each key."""
+    def edit(data):
+        for key, delta in deltas.items():
+            row = data["tetra"]["x"][key][0]
+            row[1] = str(F(row[1]) + delta)
+    return edit
+
+
+_tamper_x02 = _added({"02": F(1, 7)})
+
+
+def _doubled(data):
+    # V + V, block-diagonal, as a file of its tetra section alone
+    t = tetra_from_json(data["tetra"])
+    data.clear()
+    data["tetra"] = tetra_to_json(direct_sum(t, t))
 
 
 # echoed-spec files: the spec edited, the rest of the file edited, or the file as built
@@ -755,6 +731,139 @@ ECHOED_SPEC_EDITS = {
     "x02": _tamper_x02,
     "module_A": _module_a_is_not_x01,
 }
+
+REDUCIBLE = {"pass": False, "error": "module is reducible: the generated algebra is not full"}
+
+D4 = [(1, "2"), (1, "3")]
+D16 = [(3, "2"), (3, "3")]
+D16_INV = [(3, "2"), (3, "-1/3")]
+D27 = [(2, "2"), (2, "3"), (2, "5")]
+D27_INV = [(2, "2"), (2, "-1/3"), (2, "5")]
+D49 = [(48, "2")]
+D81 = [(2, "2"), (2, "3"), (2, "5"), (2, "-7")]
+D64 = [(3, "2"), (3, "3"), (3, "5")]
+D8192 = [(1, a) for a in ("2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37", "41")]
+
+
+def _x10_is_computed(report):
+    # x_10 no longer mirrors x_01, so its action row is computed, not read off x_01's
+    failed = [(f["relation"], f["instance"]) for f in report["relations"]["failures"]]
+    rows = [f["instance"][:2] for f in report["action_table"]["failures"]]
+    return ("antisymmetry", [0, 1]) in failed and [1, 0] in rows
+
+
+def _plain_checks_pass_but_reducible(report):
+    # the top eigenspace of x_01 is a plane: the deep error is build_tetra's refusal text, with no build and no
+    # closure run (the (48, 2) sum's closure would be above the guard)
+    return (report["relations"]["failures"] == [] and report["flag_independence"] is True
+            and report["deep"] == REDUCIBLE)
+
+
+def _pin(name, factors, edit, command, code, digest=None, check=None, other=None, seconds=None):
+    return pytest.param(factors, edit, command, code, digest, check, other, seconds, id=name)
+
+
+# every pinned CLI output: the spec, an edit of its build file, the command (on the edited build file, on the
+# spec for build, or on the spec and the spec of the other factors for compare), the exit code, the sha256 of
+# what the command writes (the build file, else stdout), what the JSON written must satisfy, and the seconds
+# the command may take
+PINNED_BYTES = [
+    # the bytes the spec route folds from closed forms
+    _pin("d4-build", D4, None, ["build"], 0, "b7a65d0933d32bdd3f32ceafea93b91547351eb574c5f3e62d9ddd155cc3a7ce"),
+    _pin("d16-build", D16, None, ["build"], 0, "a85ceaadd7037be30cc62f0c3b348c1c62ab4be1f9ca3e4ce27484f5f3fec2e4"),
+    _pin("d16_inv-build", D16_INV, None, ["build"], 0,
+         "ce1a1010f339cb0ed85d8ed89722461b0a38d804c65610e2d2f8f982058c7f96"),
+    _pin("d27_inv-build", D27_INV, None, ["build"], 0,
+         "056f895e357a00e6c816875523d489473c9a527bd96402210e220bf935f91493"),
+    # one large factor: every x_rs is rho_48 of a closed form in sl2, so no spectrum, flag or solve runs
+    _pin("d49-build", D49, None, ["build"], 0, "f00ecd3caf0b6013571e35abf78c1750e366e9b92db0e36a4da11548e5c60a90"),
+    # the four flags: each Krylov sequence starts at e_0, which meets every eigenspace of A and Astar
+    _pin("d16-flags", D16, None, ["inspect", "--flags"], 0,
+         "dd17912f78b55996d6a2edc60f30305f169084e472d2592fef156ced9f956dbe"),
+    _pin("d49-flags", D49, None, ["inspect", "--flags"], 0,
+         "354c58b164a04f3143651effda0ab5c321b8dccdfd1d74d33ada15f63a2a4c08"),
+    _pin("d4-flags", D4, None, ["inspect", "--flags"], 0),
+    # the eigentable, one chain per pair
+    _pin("d16-table", D16, None, ["inspect", "--table"], 0,
+         "1c6ee04be7c9811ccb44fe4c134ef65b5bc126e024279fa2edc3d800cb5acc5b"),
+    # the exact stages: the action table, flag independence and the eigentable read off the relations and the
+    # chain of x_01 once the relations pass
+    _pin("d27-verify", D27, None, ["verify"], 0, "ef7b30a9710276312ec40137217f06f961f57dbfe64c62a7d5dfa4c889f7db8c"),
+    _pin("d27_inv-verify", D27_INV, None, ["verify"], 0,
+         "ef7b30a9710276312ec40137217f06f961f57dbfe64c62a7d5dfa4c889f7db8c"),
+    _pin("d49-verify", D49, None, ["verify"], 0, "5fe5954ccbf58defddc3188df83827f913116e12167d3afcd93782eb666f2864",
+         lambda report: report["pass"] is True),
+    # a tampered file: the report, failure residuals included
+    _pin("d16_inv_x02-verify", D16_INV, _tamper_x02, ["verify"], 1,
+         "4786ff8f5c1245a9edbd30733e8fa178ccfdbd996bd9e61f3517ad6d9aeb35a1"),
+    _pin("d4_x02-verify", D4, _tamper_x02, ["verify"], 1,
+         "7968b65ca78fbeaf026122c223fe8aad8e63f7d91b456515e8b97c5b2b9a3172"),
+    _pin("d4_x10-verify", D4, _added({"10": F(1, 7)}), ["verify"], 1,
+         "7caae852e34dce562e589cd0817df77f5485c42881195598945ff631003667f4", _x10_is_computed),
+    # x_02 + E and x_20 - E still pass antisymmetry but fail the triangle relations, so the exact action table
+    # reads every mirrored row through the sign
+    _pin("d4_mirrored-verify", D4, _added({"02": F(1, 7), "20": F(-1, 7)}), ["verify"], 1,
+         "c63d25093dfbbc9936940b03363a9c4636a9eccfb41b40f897b016146cb60145"),
+    # deep: one Norton decision at the top line of x_01 settles every deep key
+    _pin("d16-deep", D16, None, ["verify", "--deep"], 0,
+         "ca72257af08e72ddcae1de1ee32a27c248c948b1a2ee88f8154d9fd53a2d95fe",
+         lambda report: report["deep"]["pairwise_burnside"] is True),
+    _pin("d81-deep", D81, None, ["verify", "--deep"], 0,
+         "0f690e5a45754e41a9eb8c15b88cfa43c377ede6dbfb51005176ac0f80ca1303"),
+    # Norton's spin at the top line of x_01 runs the elimination engine where coefficient growth would show,
+    # as time before it shows as bytes
+    _pin("d49-deep", D49, None, ["verify", "--deep"], 0,
+         "c5dd50e6bca822b3bf78cb00b61d3eb6ac633174701d156200a69792414da75b", seconds=120),
+    # x_02 + E fails the relations, so the deep check rebuilds the file's (x_01, x_23) through build_tetra
+    _pin("d16_x02_plus_1-deep", D16, _added({"02": 1}), ["verify", "--deep"], 1,
+         "f6d50becce6ff617b773a8d6b66f05bc102d12b50b52b1ade94e100f793ba91e",
+         lambda report: report["deep"]["rebuild_matches"] is False),
+    # an echoed spec with another parameter: the spec's module is not the file's pair
+    _pin("d16_other_a-deep", D16, ECHOED_SPEC_EDITS["other_a"], ["verify", "--deep"], 1,
+         "a2ac77d1c313608c1dc73440a4f5eba5dcd522491922bbe3f3c74e2bf3ff3619",
+         lambda report: report["deep"]["spec_matches"] is False),
+    _pin("d4_vv-deep", D4, _doubled, ["verify", "--deep"], 1, check=_plain_checks_pass_but_reducible),
+    _pin("d49_vv-deep", D49, _doubled, ["verify", "--deep"], 1, check=_plain_checks_pass_but_reducible),
+    # the intertwiner oracle is one spin 2 dim wide, so it decides above the closure's dim^2 bound
+    _pin("d64-compare", D64, None, ["compare", "--oracle"], 0,
+         check=lambda report: report["intertwiner_found"] is True, other=[(3, "1/5"), (3, "2"), (3, "3")]),
+    _pin("d64_other-compare", D64, None, ["compare", "--oracle"], 1,
+         check=lambda report: report["oracle_agrees"] is True, other=[(3, "2"), (3, "3"), (3, "7")]),
+    # both modules are above the dimension guard: the oracle reads "skipped", the criterion decides
+    _pin("d8192-compare", D8192, None, ["compare", "--oracle"], 0,
+         check=lambda report: report["intertwiner_found"] == report["oracle_agrees"] == "skipped",
+         other=[(n, "1/" + a) for n, a in reversed(D8192)]),
+]
+
+
+class TestPinnedBytes:
+    """The CLI's byte contract, in process through main: a change that keeps
+    the written bytes keeps every row's digest."""
+
+    @pytest.mark.parametrize("factors, edit, command, code, digest, check, other, seconds", PINNED_BYTES)
+    def test_output_bytes(self, tmp_path, capsys, factors, edit, command, code, digest, check, other, seconds):
+        spec = write_json(tmp_path / "spec.json", spec_json(factors))
+        built = tmp_path / "built.json"
+        name, *rest = command
+        if name == "build":
+            argv = [name, spec, "-o", str(built)]
+        elif other is not None:
+            argv = [name, spec, write_json(tmp_path / "other.json", spec_json(other)), *rest]
+        else:
+            assert main(["build", spec, "-o", str(built)]) == 0
+            data = json.loads(built.read_text())
+            if edit is not None:
+                edit(data)
+            argv = [name, write_json(tmp_path / "edited.json", data), *rest]
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(argv) == code
+        assert seconds is None or time.monotonic() - start < seconds
+        written = built.read_bytes() if name == "build" else capsys.readouterr().out.encode()
+        if digest is not None:
+            assert hashlib.sha256(written).hexdigest() == digest
+        if check is not None:
+            assert check(json.loads(written)), written
 
 
 class TestDeepChecksDifferential:
@@ -863,9 +972,6 @@ class TestDeepReadsTheFile:
                                   "pairwise_burnside": True}
 
 
-REDUCIBLE = {"pass": False, "error": "module is reducible: the generated algebra is not full"}
-
-
 class TestImpliedRouteDifferential:
     """tetra._verify, which reads the eigentable off x_01's chain once the
     relations pass and the action table and flag independence off the
@@ -924,8 +1030,7 @@ class TestImpliedRouteDifferential:
     @pytest.mark.parametrize("pair", tetra.ORDERED_PAIRS, ids=lambda pair: "x%d%d" % pair)
     def test_one_tampered_generator(self, d4_build, spy, pair):
         data = copy.deepcopy(d4_build)
-        row = data["tetra"]["x"]["%d%d" % pair][0]
-        row[1] = str(F(row[1]) + F(1, 7))
+        _added({"%d%d" % pair: F(1, 7)})(data)
         calls = spy(tetra, "build_tetra")
         plain, builds, deep = self.assert_same(tetra_from_json(data["tetra"]), calls, module_from_json(data["module"]),
                                                spec_from_json(data["spec"]))
@@ -1081,21 +1186,21 @@ class TestNonLadderGenerator:
 
 class TestCrossProcessDeterminism:
     def test_build_and_deep_verify_bytes_ignore_the_hash_seed(self, tmp_path):
-        # string hashing, and with it set and dict iteration order, changes
-        # with PYTHONHASHSEED; the output bytes must not
-        spec = write_json(tmp_path / "d16.json", {"factors": [{"n": 3, "a": "2"}, {"n": 3, "a": "-1/3"}],
-                                                  "shift": ["0", "0"]})
+        # string hashing, and with it set and dict iteration order, changes with PYTHONHASHSEED; the bytes of the
+        # build file, its deep report and its four flags must not
+        spec = write_json(tmp_path / "d16.json", spec_json(D16_INV))
         outputs = []
         for seed in ("0", "1"):
             env = subprocess_env(PYTHONHASHSEED=seed)
             out = tmp_path / f"d16.{seed}.module.json"
-            build = subprocess.run([sys.executable, "-m", "tetrabox.cli", "build", spec, "-o", str(out)],
-                                   capture_output=True, env=env, timeout=300)
-            assert build.returncode == 0, build.stderr
-            verify = subprocess.run([sys.executable, "-m", "tetrabox.cli", "verify", "--deep", str(out)],
-                                    capture_output=True, env=env, timeout=300)
-            assert verify.returncode == 0, verify.stderr
-            outputs.append((out.read_bytes(), verify.stdout))
+            written = []
+            for command in (["build", spec, "-o", str(out)], ["verify", "--deep", str(out)],
+                            ["inspect", "--flags", str(out)]):
+                proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", *command], capture_output=True, env=env,
+                                      timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                written.append(proc.stdout)
+            outputs.append((out.read_bytes(), *written))
         assert outputs[0] == outputs[1]
 
 
@@ -1146,8 +1251,7 @@ class TestImports:
     )
     def test_build_and_its_refusals_load_six_modules(self, tmp_path, factors, shift, code):
         # the spec route is onsager's; neither classify nor tetra nor flags is compiled, nor the elimination engine
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors],
-                                                "shift": [shift, "0"]})
+        spec = write_json(tmp_path / "s.json", spec_json(factors, shift))
         out = tmp_path / "m.json"
         exit_code, imported = imported_modules("build", spec, "-o", str(out))
         assert exit_code == code and out.exists() is (code == 0)
@@ -1157,7 +1261,7 @@ class TestImports:
     @pytest.mark.parametrize("factors", [[(1, "2"), (1, "3")], [(1, "2"), (1, "1/2")]], ids=["irreducible", "reducible"])
     def test_classify_loads_the_build_modules(self, tmp_path, factors):
         # the criterion, the key and the guard read the spec alone: nothing is built or eliminated
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": n, "a": a} for n, a in factors]})
+        spec = write_json(tmp_path / "s.json", spec_json(factors, None))
         exit_code, imported = imported_modules("classify", spec)
         assert exit_code == 0 and tetrabox_modules(imported) == BUILD_MODULES
         assert "tetrabox.linalg" not in imported
@@ -1186,13 +1290,14 @@ class TestImports:
 class TestClosedStdout:
     @pytest.mark.parametrize("command", [["verify"], ["inspect", "--table"]], ids=["verify", "inspect"])
     def test_no_traceback_and_not_a_failed_check(self, built_v2, command):
-        # the reader is gone before the report is written, as in `tetrabox verify m.json | true`
+        # the reader is gone before the report is written, as in `tetrabox verify m.json | true`: nothing
+        # reaches stderr, a traceback least of all
         with subprocess.Popen([sys.executable, "-m", "tetrabox.cli", *command, str(built_v2)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env()) as proc:
             proc.stdout.close()
             err = proc.stderr.read().decode()
         assert proc.returncode != 1
-        assert "Traceback" not in err and "BrokenPipe" not in err, err
+        assert err == ""
 
 
 class TestLongIntegers:
@@ -1238,11 +1343,11 @@ class TestLongIntegers:
             sys.set_int_max_str_digits(old)
 
     def test_deep_closure_on_long_entries_is_decided_by_the_certificate(self, tmp_path):
-        # two 4000-digit entries leave x_02 no eigenline, so Norton's test decides (x_02, x_13) at the top
-        # line of x_13, where the exact closure alone runs for more than a minute; a spy in the child process
-        # reports every exact closure on stderr (hand-written: the child imports no test kit)
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 2, "a": "2"}, {"n": 1, "a": "3"}],
-                                                "shift": ["0", "0"]})
+        # the certificate is Norton's test: two 4000-digit entries leave x_02 no eigenline, so Norton's test
+        # decides (x_02, x_13) at the top line of x_13, where the exact closure alone runs for more than a minute;
+        # a spy in the child process reports every exact closure on stderr (hand-written: the child imports no
+        # test kit)
+        spec = write_json(tmp_path / "s.json", spec_json([(2, "2"), (1, "3")]))
         out = tmp_path / "m.json"
         assert main(["build", spec, "-o", str(out)]) == 0
         data = json.loads(out.read_text())
@@ -1283,7 +1388,7 @@ class TestLiteralGuard:
 
     @pytest.mark.parametrize("command", ["build", "classify", "compare"])
     def test_a_long_parameter_exits_2(self, tmp_path, capsys, command):
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "1/" + "7" * LITERAL_GUARD}]})
+        spec = write_json(tmp_path / "s.json", spec_json([(1, "1/" + "7" * LITERAL_GUARD)], None))
         extra = {"build": ["-o", str(tmp_path / "out.json")], "classify": [],
                  "compare": [write_json(tmp_path / "v2.json", SPEC_V2)]}[command]
         assert main([command, spec, *extra]) == 2
@@ -1293,8 +1398,7 @@ class TestLiteralGuard:
     @staticmethod
     def build_long_parameters(tmp_path, digits: int) -> tuple[subprocess.CompletedProcess, Path]:
         # a child process, whose entry point lifts Python's limit on the digits of an int-string conversion
-        spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "7" * digits}, {"n": 1, "a": "3" * digits}],
-                                                "shift": ["0", "0"]})
+        spec = write_json(tmp_path / "s.json", spec_json([(1, "7" * digits), (1, "3" * digits)]))
         out = tmp_path / "out.json"
         proc = subprocess.run([sys.executable, "-m", "tetrabox.cli", "build", spec, "-o", str(out)],
                               capture_output=True, text=True, env=subprocess_env(), timeout=120)
@@ -1326,8 +1430,7 @@ class TestLiteralGuard:
             old = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(4300)
         try:
-            spec = write_json(tmp_path / "s.json", {"factors": [{"n": 1, "a": "7" * 2499}, {"n": 1, "a": "3" * 2499}],
-                                                    "shift": ["0", "0"]})
+            spec = write_json(tmp_path / "s.json", spec_json([(1, "7" * 2499), (1, "3" * 2499)]))
             out = tmp_path / "out.json"
             assert main(["build", spec, "-o", str(out)]) == 0
             assert main(["verify", str(out)]) == 0

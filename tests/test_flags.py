@@ -54,6 +54,14 @@ class TestConstruction:
         flag = flag_from_decomposition(dec)
         assert flag.components == (line(1, -1), Subspace.full(2))
 
+    @pytest.mark.parametrize(
+        "subspaces, ambient",
+        [((Subspace.full(1),), 1), ((E1, E2), 2), ((line(1, -1), line(1, 1)), 2)],
+        ids=["full_1", "axes", "eigenlines"],
+    )
+    def test_ambient_dim(self, subspaces, ambient):
+        assert Decomposition(subspaces).ambient_dim == ambient
+
     def test_decomposition_validation(self):
         with pytest.raises(ValueError):
             Decomposition((E1, E1))  # not direct

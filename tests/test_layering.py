@@ -27,6 +27,9 @@ Every spectrum is read in linalg. No other module reaches the minimal
 polynomial, the Krylov polynomial or the ladder test, and inside linalg the
 dim^2-wide minimal polynomial runs only in _certified_spectrum, on a
 Krylov polynomial's shortfall.
+
+No test module imports a name it never reads. The package's __init__ is
+not scanned: it binds its public names for its importers.
 """
 
 import ast
@@ -163,3 +166,17 @@ def test_pyproject_lists_no_runtime_dependency():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     assert re.findall(r"^dependencies\s*=\s*(.*)$", project, re.M) == ["[]"]
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names a module's import statements bind that it never reads."""
+    tree = ast.parse(path.read_text())
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_test_module_imports_a_name_it_never_reads(path):
+    assert unread_imports(path) == []

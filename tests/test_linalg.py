@@ -10,6 +10,7 @@ from tetrabox import (
     Matrix,
     ModuleSpec,
     Subspace,
+    annihilates,
     build_from_spec,
     build_tetra,
     build_tetra_from_spec,
@@ -953,3 +954,41 @@ class TestSpectralMemo:
         assert refusals == [(DimensionGuardError, "matrix side 4 exceeds the dimension guard 3")] * 3
         monkeypatch.setattr(matrix, "DIM_GUARD", 4)
         assert route(hit) == route(miss)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: hstack(Matrix.zeros(2, 1), Matrix.zeros(1, 1)), (ValueError, "row count mismatch")),
+        (lambda: is_diagonalizable_with(Matrix.zeros(2, 3), [0]),
+         (ValueError, "diagonalizability requires a square matrix")),
+        (lambda: determinant(Matrix.zeros(2, 3)), (ValueError, "determinant requires a square matrix")),
+        (lambda: determinant(Matrix.zeros(0, 0)), 1),
+        (lambda: annihilates(Matrix.zeros(2, 3), Matrix.zeros(2, 1), [(1, [0])]),
+         (ValueError, "shape mismatch: 2x3 acting on 2x1")),
+        (lambda: annihilates(Matrix.zeros(2, 2), Matrix.zeros(2, 2), [(1, [0])]),
+         (ValueError, "block widths do not add up to the column count")),
+        (lambda: minimal_polynomial(Matrix.zeros(2, 3)), (ValueError, "minimal polynomial requires a square matrix")),
+        (lambda: minimal_polynomial(Matrix.zeros(0, 0)), (0, 1)),
+        # trailing zero coefficients are no degree
+        (lambda: rational_roots([-1, 1, 0]), {1: 1}),
+        (lambda: rational_roots([5, 0]), (ValueError, "polynomial must have positive degree")),
+    ],
+    ids=["hstack", "diagonalizable", "determinant", "determinant_0x0", "annihilates_shape", "annihilates_widths",
+         "minimal_polynomial", "minimal_polynomial_0x0", "rational_roots", "rational_roots_constant"],
+)
+def test_public_input_checks(call, expected):
+    assert outcome(ValueError, call) == expected
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: Matrix.from_rows([[1, 2], [3]]), (ValueError, "ragged rows")),
+        (lambda: Matrix.identity(2) * 1.5, (TypeError, "unsupported operand type(s) for *: 'Matrix' and 'float'")),
+        (lambda: "x" * Matrix.identity(2), (TypeError, "can't multiply sequence by non-int of type 'Matrix'")),
+    ],
+    ids=["ragged", "times_float", "str_times"],
+)
+def test_matrix_input_checks(call, expected):
+    assert outcome((ValueError, TypeError), call) == expected

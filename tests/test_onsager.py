@@ -44,6 +44,10 @@ class TestSl2:
         assert t.e == Matrix.from_rows([[0, 2, 0], [0, 0, 2], [0, 0, 0]])
         assert t.f == Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_dim(self, n):
+        assert sl2_irreducible(n).dim == n + 1
+
     @pytest.mark.parametrize("n", range(11))
     def test_bracket_relations(self, n):
         assert sl2_irreducible(n).brackets_hold()

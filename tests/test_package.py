@@ -1,6 +1,7 @@
 """The package binds its public names lazily (PEP 562) and exports what it
 always did: the same 72 names, each the object its submodule defines."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,6 +39,9 @@ PUBLIC = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in name
 def test_all_is_the_same_72_names():
     assert len(PUBLIC) == 72
     assert tetrabox.__all__ == PUBLIC
+    # the bytes `print(sorted(tetrabox.__all__))` writes
+    assert hashlib.sha256(f"{PUBLIC}\n".encode()).hexdigest() == (
+        "6beb2cb03de83cb70459fcbaf369de226afadc46cd56366ead490468e27d474c")
     assert set(PUBLIC) <= set(dir(tetrabox))  # bound or not yet, as when the package imported them all
 
 

@@ -1208,6 +1208,25 @@ class TestIrreducibilityBeforeSpectra:
         assert build_result(build_tetra, m) == (ReducibleModuleError, tetra._NOT_FULL)
         assert_refused_as_before(m)
 
+    def test_refused_after_the_spectra(self, monkeypatch, spy):
+        # P^-1 (V + V) P, P's first column v_2 + v_-2 of A on the first summand: e_0 meets A's eigenspaces at 2
+        # and -2 alone, which is no ladder, so nothing is asked before the spectra; they certify type (0, 0), and
+        # with no eigenline on either side the closure refuses
+        v = build_from_spec(ModuleSpec.of([(1, 2), (1, 3)]))
+        rows = Matrix.identity(8).to_rows()
+        for i, x in enumerate((2, 0, 0, 2, 0, 0, 0, 0)):
+            rows[i][0] = x
+        m = conjugated(direct_sum(v, v), inverse(Matrix.from_rows(rows)))
+        assert linalg._krylov_ladder(m.A) is None and linalg._krylov_ladder(m.Astar) == [2, 0, -2]
+        assert module_type(fresh(m)) == (2, 0, 0)
+        verdicts, early = [], classify._verdict_before_spectra
+        monkeypatch.setattr(classify, "_verdict_before_spectra",
+                            lambda a, b: verdicts.append(early(a, b)) or verdicts[-1])
+        closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
+        assert build_result(build_tetra, fresh(m)) == (ReducibleModuleError, tetra._NOT_FULL)
+        assert verdicts == [None] and closures == [8]
+        assert_refused_as_before(m)
+
     def test_the_documented_class(self):
         m = direct_sum(evaluation_module(1, F(2)), JORDAN_W)
         assert linalg._krylov_ladder(m.A) == linalg._krylov_ladder(m.Astar) == [1, -1]

@@ -384,3 +384,14 @@ class TestStandardOrdering:
         if ordering is not None:
             spaces = [eigenspace(diagonal, lam) for lam in ordering]
             assert _block_tridiagonal_ordering(acting, diagonal, ordering, spaces)
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [(verify_tridiagonal_pair, TdpReport(True, True, (), (), True, True)), (eigenvalue_sequences, ((), ())),
+     (check_onsager_equivalence, True)],
+    ids=["verify_tridiagonal_pair", "eigenvalue_sequences", "check_onsager_equivalence"],
+)
+def test_the_0x0_pair(check, expected):
+    # a 0 x 0 operator has no eigenspace: every axiom holds vacuously, with empty orderings
+    assert check(Matrix.zeros(0, 0), Matrix.zeros(0, 0)) == expected
