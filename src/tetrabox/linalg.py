@@ -40,13 +40,14 @@ refutes diagonalizability at once. Otherwise the eigenspaces at the roots
 are independent, and when their dimensions add up to n they certify the
 spectrum and are returned; only a shortfall (v missed an eigenvalue, or m
 has a Jordan block) runs the minimal polynomial of m. A ladder c, c-2, ...
-is read with no divisor search; any other mu_v goes to rational_roots,
-whose search grows with the entries. ladder_spectrum reads a generator's
-ladder by the ladder test alone: a mu_v that is no ladder may have missed
-a rung, so the minimal polynomial of m decides, by the same test.
-_ladder_eigenpairs offers those eigenspaces lazily to Norton's test. No
-other module reads a polynomial, so for every caller the minimal
-polynomial runs only on a shortfall.
+is read by the ladder test; any other polynomial goes to rational_roots,
+whose integer Newton steps for one root number at most the degree times
+the bits of a root bound, so its time grows with the coefficients' bits,
+not their values. ladder_spectrum is diagonal_spectrum restricted to
+spectra that step down by 2, and _ladder_eigenpairs offers a generator's
+ladder eigenspaces lazily to Norton's test. No other module reads a
+polynomial, so for every caller the minimal polynomial runs only on a
+shortfall.
 
 A matrix keeps what eigenspace and _krylov_polynomial compute on it, so
 every spectral route above, and each caller's (build_tetra's pass, then
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -85,6 +86,8 @@ from .matrix import Matrix, _int_matmul, as_rational, commutator, kron, require_
 
 def hstack(*mats: Matrix) -> Matrix:
     """Concatenate matrices with equal row counts side by side."""
+    if not mats:
+        raise ValueError("hstack needs at least one matrix")
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch")
@@ -585,29 +588,14 @@ def _ladder_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
 
 def _distinct_roots(poly: Sequence[Fraction]) -> list[Fraction] | None:
     """The roots of poly in descending order when they are rational and
-    simple, else None. A ladder c, c-2, ... is read off without a divisor search."""
+    simple, else None. A ladder c, c-2, ... is read off by the ladder test."""
     roots = _ladder_roots(poly)
     if roots is not None:
         return roots
     roots = rational_roots(poly)
     if roots is None or any(mult > 1 for mult in roots.values()):
         return None
-    return sorted(roots, reverse=True)
-
-
-def _certified_spectrum(
-    m: Matrix, roots: Sequence[Fraction], read_roots: Callable[[Sequence[Fraction]], list[Fraction] | None]
-) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
-    """The candidate roots with their eigenspaces when those fill the space;
-    otherwise read_roots on the minimal polynomial of m decides, with the
-    eigenspaces already found read off m's memo, and None is its refutation."""
-    spaces = [eigenspace(m, lam) for lam in roots]
-    if sum(space.dim for space in spaces) < m.rows:
-        roots = read_roots(minimal_polynomial(m))
-        if roots is None:
-            return None
-        spaces = [eigenspace(m, lam) for lam in roots]
-    return tuple(roots), tuple(spaces)
+    return list(roots)
 
 
 def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
@@ -617,28 +605,34 @@ def diagonal_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, 
     Candidates are the roots of mu_v, the minimal polynomial of m on one
     vector; their eigenspaces certify them when their dimensions add up to
     n (see the module docstring). Only a shortfall runs the minimal
-    polynomial of m, and the eigenspaces already found are kept.
+    polynomial of m, and the eigenspaces already found are read off m's memo.
     """
     if not m.is_square:
         raise ValueError("a spectrum requires a square matrix")
     if m.rows == 0:
         return (), ()
     roots = _distinct_roots(_krylov_polynomial(m))
-    return None if roots is None else _certified_spectrum(m, roots, _distinct_roots)
+    if roots is None:
+        return None
+    spaces = [eigenspace(m, lam) for lam in roots]
+    if sum(space.dim for space in spaces) < m.rows:
+        roots = _distinct_roots(minimal_polynomial(m))
+        if roots is None:
+            return None
+        spaces = [eigenspace(m, lam) for lam in roots]
+    return tuple(roots), tuple(spaces)
 
 
 def ladder_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]] | None:
     """The eigenvalues c, c-2, ..., c-2d of m and its eigenspaces at them,
-    when m is diagonalizable with such a spectrum; None otherwise.
-
-    As diagonal_spectrum, but only the ladder test reads roots: a mu_v that
-    is no ladder may still miss an eigenvalue of a ladder, so the minimal
-    polynomial of m decides, and neither polynomial reaches the divisor
-    search of rational_roots, whose length grows with the entries.
-    """
+    when m is diagonalizable with such a spectrum; None otherwise: the
+    diagonal_spectrum of m when its eigenvalues step down by 2."""
     if not m.is_square or m.rows == 0:
         raise ValueError("a ladder spectrum requires a nonempty square matrix")
-    return _certified_spectrum(m, _krylov_ladder(m) or [], _ladder_roots)
+    spectrum = diagonal_spectrum(m)
+    if spectrum is None or any(a - b != 2 for a, b in zip(spectrum[0], spectrum[0][1:])):
+        return None
+    return spectrum
 
 
 def _krylov_ladder(m: Matrix) -> list[Fraction] | None:
@@ -658,60 +652,60 @@ def _ladder_eigenpairs(m: Matrix) -> Iterator[tuple[Fraction, Subspace]]:
     yield from zip(*(ladder_spectrum(m) or ((), ())))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int] | None:
-    """Roots (with multiplicity) of a polynomial, if they are all rational.
+    """Roots (with multiplicity) of a polynomial, top first, if they are all
+    rational.
 
     Returns None when the polynomial does not split into rational linear
     factors. Coefficients are constant term first.
+
+    For the monic f of degree n, with den the lcm of its denominators,
+    g(y) = den^n f(y / den) is monic with integer coefficients, and its
+    rational roots are the integers den r. From y = B = 2 << max_i
+    ceil(bitlen(g_(n-i)) / i), a power of two at or above Fujiwara's bound
+    2 max_i |g_(n-i)|^(1/i) on every root, Newton's integer steps
+    y <- y - ceil(g(y) / g'(y)) run until g(y) = 0; g is then divided by
+    y - rho at that root rho, and the steps go on from rho, so a repeated
+    root is found again at once and the roots come out top first.
+
+    Suppose g, of degree m, splits. Its roots are real, so by Rolle those of
+    g' and g'' lie at or below its largest root rho, and g, g', g'' are >= 0
+    on [rho, oo). Convexity puts the Newton point of a y > rho in [rho, y),
+    and the ceiling keeps y >= rho, rho being an integer. Since g'/g =
+    sum_j 1/(y - r_j) <= m / (y - rho), each step takes at least (y - rho)/m
+    off the distance y - rho, which is at most 2B when the steps for rho
+    start: after m bitlen(2B) steps it is below 2B e^(-bitlen(2B)) < 1, so
+    zero. Hence when g splits no y meets g(y) < 0, g'(y) <= 0 or a step
+    count past m bitlen(2B), and each of these returns None exactly; every
+    root returned has g(y) = 0 exactly.
     """
     poly = [Fraction(as_rational(c)) for c in coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
     if len(poly) <= 1:
         raise ValueError("polynomial must have positive degree")
+    poly = [c / poly[-1] for c in poly]
+    n, den = len(poly) - 1, lcm(*(c.denominator for c in poly))
+    g = [c.numerator * den ** (n - i) // c.denominator for i, c in enumerate(poly)]
+    y = bound = 2 << max(-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
     roots: dict[Fraction, int] = {}
-    while len(poly) > 1:
-        denom = lcm(*(c.denominator for c in poly))
-        ints = [int(c * denom) for c in poly]
-        if ints[0] == 0:
-            root = Fraction(0)
-        else:
-            candidates = (
-                Fraction(sign * p, q)
-                for p in _divisors(ints[0])
-                for q in _divisors(ints[-1])
-                if gcd(p, q) == 1
-                for sign in (1, -1)
-            )
-            root = next((x for x in candidates if _eval_poly(poly, x) == 0), None)
-            if root is None:
-                return None
+    while len(g) > 1:
+        for _ in range((len(g) - 1) * (2 * bound).bit_length() + 1):
+            value, slope = 1, 0  # g(y) and g'(y), by one Horner pass
+            for c in reversed(g[:-1]):
+                slope = slope * y + value
+                value = value * y + c
+            if value <= 0 or slope <= 0:
+                break
+            y -= -(-value // slope)
+        if value:  # below the root, a slope that is not positive, or too many steps: g does not split
+            return None
+        root = Fraction(y, den)
         roots[root] = roots.get(root, 0) + 1
-        # synthetic division by (x - root); the remainder is zero by construction
-        quotient = [Fraction(0)] * (len(poly) - 1)
-        acc = poly[-1]
-        for i in range(len(poly) - 2, -1, -1):
-            quotient[i] = acc
-            acc = poly[i] + acc * root
-        poly = quotient
+        # g / (x - y) by synthetic division, whose remainder g(y) is zero
+        acc, quotient = 0, []
+        for c in reversed(g):
+            acc = acc * y + c
+            quotient.append(acc)
+        g = quotient[-2::-1]
     return roots

@@ -71,8 +71,10 @@ def sl2_irreducible(n: int) -> Sl2Triple:
     """The (n+1)-dimensional irreducible sl2 module in the weight basis.
 
     Basis v_0, ..., v_n with h v_i = (n-2i) v_i, f v_i = v_{i+1} and
-    e v_i = i(n-i+1) v_{i-1}; all entries are integers.
+    e v_i = i(n-i+1) v_{i-1}; all entries are integers. The weight n is
+    read as ModuleSpec reads one (_weight).
     """
+    n = _weight(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = n + 1
@@ -230,8 +232,9 @@ def _evaluation_generators(n: int, a: Fraction, pairs) -> dict[tuple[int, int], 
 
 
 def evaluation_module(n: int, a) -> OnsagerModule:
-    """Evaluation module of dimension n+1: A = e + f, Astar = a e + a^-1 f."""
-    a = Fraction(as_rational(a))
+    """Evaluation module of dimension n+1: A = e + f, Astar = a e + a^-1 f.
+    The weight and the parameter are read as ModuleSpec reads them."""
+    n, a = _weight(n), Fraction(as_rational(a))
     if a == 0:
         raise ValueError("evaluation parameter must be nonzero")
     x = _evaluation_generators(n, a, ((0, 1), (2, 3)))
@@ -361,8 +364,9 @@ _NOT_A_LADDER = (
 
 def _generator_spectrum(m: Matrix) -> tuple[tuple[Fraction, ...], tuple[Subspace, ...]]:
     """The eigenvalues c, c-2, ..., c-2d of a generator m and its eigenspaces
-    at them (linalg.ladder_spectrum); SpectrumError when m is not
-    diagonalizable over Q with such a spectrum, or is 0 x 0."""
+    at them: linalg.ladder_spectrum, its diagonal spectrum when that steps
+    down by 2. SpectrumError when m is not diagonalizable over Q with such
+    a spectrum, or is 0 x 0."""
     from .linalg import ladder_spectrum  # the elimination engine, which a spec build never loads
 
     if m.rows == 0:
@@ -388,12 +392,13 @@ def module_type(m: OnsagerModule) -> tuple[int, Fraction, Fraction]:
     """Diameter d and type (alpha, alphastar) of a module candidate.
 
     Each generator's distinct eigenvalues must step down by 2 from a top c:
-    linalg.ladder_spectrum reads them by the ladder test off its minimal
-    polynomial on one vector, certified by their eigenspaces, or off its
-    minimal polynomial when those fall short. Then d + 1 is their number
-    and c - d the type. Raises SpectrumError when either generator is not
-    diagonalizable over Q with a spectrum of the form {c, c-2, ..., c-2d}
-    (a 0 x 0 generator has no spectrum), or when the two diameters differ.
+    linalg.ladder_spectrum reads them off its minimal polynomial on one
+    vector, by the ladder test or else linalg.rational_roots, certified by
+    their eigenspaces, or off its minimal polynomial when those fall short.
+    Then d + 1 is their number and c - d the type. Raises SpectrumError
+    when either generator is not diagonalizable over Q with a spectrum of
+    the form {c, c-2, ..., c-2d} (a 0 x 0 generator has no spectrum), or
+    when the two diameters differ.
     """
     return _module_spectra(m)[:3]
 

@@ -10,19 +10,21 @@ decides it first, once, and computes the rest only for a pair that passes.
 
 Diagonalizability is decided over Q, the working field of this package, by
 linalg.diagonal_spectrum: each operator's eigenvalues are the roots of its
-minimal polynomial on one vector, certified when their eigenspaces fill the
-space, and those eigenspaces are the ones the ordering test reads (the
-descending order first, else the one the exact pattern of the other
-operator's joins between them decides, _standard_ordering). Irreducibility
-is asked first, at a's eigenspaces, read lazily (_irreducible_first):
-classify._full_algebra reads back a verdict kept in a's memo, with no
-root and no eigenspace read, and on a miss runs Norton's test at the
-first certified eigenspace of a, from the top down, that is a line, else
-at the first ladder eigenline of astar, and the Burnside closure only when
-neither offers one. So after build_tetra or is_irreducible_burnside on the
-same matrices a reducible pair is refused by check_onsager_equivalence and
-eigenvalue_sequences with no spectrum computed, and a's spectrum is
-computed once whatever the verdict.
+minimal polynomial on one vector, read by the ladder test or else by
+linalg.rational_roots, whose Newton steps are bounded by the coefficients'
+bits, so the time grows with an entry's digits, not its value. They are
+certified when their eigenspaces fill the space, and those eigenspaces are
+the ones the ordering test reads (the descending order first, else the one
+the exact pattern of the other operator's joins between them decides,
+_standard_ordering). Irreducibility is asked first, at a's eigenspaces,
+read lazily (_irreducible_first): classify._full_algebra reads back a
+verdict kept in a's memo, with no root and no eigenspace read, and on a
+miss runs Norton's test at the first certified eigenspace of a, from the
+top down, that is a line, else at the first ladder eigenline of astar, and
+the Burnside closure only when neither offers one. So after build_tetra or
+is_irreducible_burnside on the same matrices a reducible pair is refused by
+check_onsager_equivalence and eigenvalue_sequences with no spectrum
+computed, and a's spectrum is computed once whatever the verdict.
 """
 
 from __future__ import annotations

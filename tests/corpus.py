@@ -1,14 +1,17 @@
-"""The test kit: constructions, fresh copies and work-count spies, each defined once.
+"""The test kit: constructions, fresh copies, work-count spies and a child's environment, each defined once.
 
 Every constructor returns new objects on each call, and the kit holds no
 Matrix at module level, so no test reads an eigenspace or a Norton verdict
 that another test kept in a matrix's spectral memo.
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import tetrabox
 from tetrabox import Matrix, ModuleSpec, OnsagerModule, inverse, onsager
 from tetrabox.tetra import UNORDERED_PAIRS, TetraModule
 
@@ -120,3 +123,9 @@ def spy(monkeypatch, owner, name, record=lambda first, *rest, **kwargs: first, c
 
     rebind(monkeypatch, owner, name, wrapper, bindings)
     return calls
+
+
+def subprocess_env(**extra) -> dict:
+    """The environment of a child python that imports this tetrabox."""
+    src = str(Path(tetrabox.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

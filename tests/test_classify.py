@@ -1027,12 +1027,13 @@ class TestOneDecisionPerQuestion:
         assert calls == ["norton"] and closures == [8]
 
     def test_a_non_ladder_pair_reads_each_minimal_polynomial_once(self, spy):
-        # a has the irrational eigenvalues +-sqrt(2) and b = diag(1, 1, 0, 0) a plane at 1 and no ladder,
-        # so Norton cannot run; the closure decides with no second pass over either spectrum
+        # a has the irrational eigenvalues +-sqrt(2), refuted by its Krylov polynomial x^2 - 2 alone, and
+        # b = diag(1, 1, 0, 0) a plane at 1 and no ladder, so Norton cannot run; the closure decides with no second
+        # pass over either spectrum
         j = Matrix.from_rows([[0, 1], [2, 0]])
         a, b = direct_sum(j, j), Matrix.from_rows([[int(i == k < 2) for k in range(4)] for i in range(4)])
         calls = spy(classify, "_norton_verdict", "norton")
         spy(linalg, "minimal_polynomial", calls=calls)
         closures = spy(classify, "_closure_dimension_exact", lambda gens, n: n)
         assert not pair_generates_full_algebra(a, b)
-        assert calls == ["norton", a, b] and closures == [4]
+        assert calls == ["norton", b] and closures == [4]

@@ -25,8 +25,8 @@ pyproject.toml lists no runtime dependency.
 
 Every spectrum is read in linalg. No other module reaches the minimal
 polynomial, the Krylov polynomial or the ladder test, and inside linalg the
-dim^2-wide minimal polynomial runs only in _certified_spectrum, on a
-Krylov polynomial's shortfall.
+dim^2-wide minimal polynomial runs only in diagonal_spectrum, on a Krylov
+polynomial's shortfall.
 
 No test module imports a name it never reads. The package's __init__ is
 not scanned: it binds its public names for its importers.
@@ -88,8 +88,8 @@ def test_only_linalg_reads_a_polynomial(path):
 
 def test_the_minimal_polynomial_runs_only_on_a_shortfall():
     tree = ast.parse((PACKAGE / "linalg.py").read_text())
-    (certified,) = [node for node in tree.body if getattr(node, "name", None) == "_certified_spectrum"]
-    assert len(calls_of(certified, "minimal_polynomial")) == len(calls_of(tree, "minimal_polynomial")) == 1
+    (spectrum,) = [node for node in tree.body if getattr(node, "name", None) == "diagonal_spectrum"]
+    assert len(calls_of(spectrum, "minimal_polynomial")) == len(calls_of(tree, "minimal_polynomial")) == 1
 
 
 BUILD_PATH = {"onsager", "serialize", "matrix", "errors", "_record"}

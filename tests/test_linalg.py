@@ -1,5 +1,8 @@
-from fractions import Fraction as F
-from math import gcd
+import json
+import subprocess
+import sys
+from fractions import Fraction, Fraction as F
+from math import gcd, isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -34,8 +37,9 @@ from tetrabox import (
     subspace_sum,
 )
 from tetrabox import linalg, matrix
+from tetrabox.matrix import as_rational
 
-from corpus import conjugated, direct_sum, fresh, grids, outcome, unitriangular_matrices
+from corpus import conjugated, direct_sum, fresh, grids, outcome, subprocess_env, unitriangular_matrices
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -600,12 +604,11 @@ class TestDiagonalSpectrum:
         expected = reference_spectrum(m)
         if expected is not None and any(a - b != 2 for a, b in zip(expected[0], expected[0][1:])):
             expected = None
-        with mock.patch.object(linalg, "rational_roots", side_effect=AssertionError("divisor search")):
-            assert linalg.ladder_spectrum(m) == expected
+        assert linalg.ladder_spectrum(m) == expected
 
-    def test_ladder_route_with_a_missed_rung(self, monkeypatch, spy):
-        # the start vector has no component at eigenvalue 0: mu_v = x^2 - 4 is
-        # no ladder, so the minimal polynomial of m decides, by the ladder test
+    def test_ladder_route_with_a_missed_rung(self, spy):
+        # the start vector has no component at eigenvalue 0: mu_v = x^2 - 4 is no
+        # ladder, and its eigenlines at +-2 fall short, so the minimal polynomial of m decides
         n = 3
         columns = [[x - (i == 1) for i, x in enumerate(linalg._krylov_start(n))], [0, 0, 1], [0, 1, 0]]
         s = Matrix.from_rows(columns).transpose()
@@ -613,13 +616,11 @@ class TestDiagonalSpectrum:
         assert linalg._krylov_polynomial(m) == (F(-4), F(0), F(1))
         expected = reference_spectrum(m)
         calls = spy(linalg, "minimal_polynomial")
-        monkeypatch.setattr(linalg, "rational_roots", None)
         assert linalg.ladder_spectrum(m) == expected
         assert calls == [m]
 
-    def test_ladder_route_refuses_large_entries_without_a_divisor_search(self, monkeypatch):
-        # x^2 - (10^30 + 1): rational_roots would try about 10^15 divisors
-        monkeypatch.setattr(linalg, "rational_roots", None)
+    def test_ladder_route_refuses_large_entries_without_a_divisor_search(self):
+        # x^2 - (10^30 + 1) has no rational root, and a Jordan block no spectrum
         assert linalg.ladder_spectrum(Matrix.from_rows([[0, 10**30 + 1], [1, 0]])) is None
         assert linalg.ladder_spectrum(Matrix.from_rows([[1, 1], [0, 1]])) is None
 
@@ -877,6 +878,125 @@ class TestLadderRootsDifferential:
         assert linalg._ladder_roots(poly) == reference_ladder_roots(poly)
 
 
+# -- rational_roots against the divisor search it replaced ---------------------
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _eval_poly(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_rational_roots(coeffs):
+    """The former rational_roots, verbatim: trial division by the divisors of
+    both end coefficients, whose time grows with their values."""
+    poly = [Fraction(as_rational(c)) for c in coeffs]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    if len(poly) <= 1:
+        raise ValueError("polynomial must have positive degree")
+    roots: dict[Fraction, int] = {}
+    while len(poly) > 1:
+        denom = lcm(*(c.denominator for c in poly))
+        ints = [int(c * denom) for c in poly]
+        if ints[0] == 0:
+            root = Fraction(0)
+        else:
+            candidates = (
+                Fraction(sign * p, q)
+                for p in _divisors(ints[0])
+                for q in _divisors(ints[-1])
+                if gcd(p, q) == 1
+                for sign in (1, -1)
+            )
+            root = next((x for x in candidates if _eval_poly(poly, x) == 0), None)
+            if root is None:
+                return None
+        roots[root] = roots.get(root, 0) + 1
+        # synthetic division by (x - root); the remainder is zero by construction
+        quotient = [Fraction(0)] * (len(poly) - 1)
+        acc = poly[-1]
+        for i in range(len(poly) - 2, -1, -1):
+            quotient[i] = acc
+            acc = poly[i] + acc * root
+        poly = quotient
+    return roots
+
+
+def times(p, q):
+    """The product of two polynomials, constant term first."""
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+# (c, b, q): q x^2 + b x + c whose discriminant is no square, irreducible over Q with real or complex roots
+irreducible_quadratics = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3)).filter(
+    lambda cbq: not is_square(cbq[1] ** 2 - 4 * cbq[0] * cbq[2]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # small heights, so that the divisor search finishes; a repeated root is common
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3), max_size=5),
+    st.lists(irreducible_quadratics, max_size=2),
+    entries.filter(bool),
+)
+def test_rational_roots_against_the_divisor_search(roots, quadratics, lead):
+    poly = [lead * c for c in monic_with_roots(roots)]
+    for quadratic in quadratics:
+        poly = times(poly, quadratic)
+    found = outcome(ValueError, rational_roots, poly)
+    assert found == outcome(ValueError, reference_rational_roots, poly)
+    if isinstance(found, dict):
+        assert list(found) == sorted(found, reverse=True)
+
+
+# the calls a divisor search never finished, run in a child process so that a hang fails at the timeout
+LARGE_COEFFICIENTS = """
+import json, sys
+from tetrabox import Matrix, diagonal_spectrum, rational_roots, verify_tridiagonal_pair
+
+polys = json.load(sys.stdin)
+report = verify_tridiagonal_pair(Matrix.from_rows([[0, 10**30 + 1], [1, 0]]), Matrix.from_rows([[1, 0], [0, -1]]))
+spectrum = diagonal_spectrum(Matrix.from_rows([[3**i if i == j else 0 for j in range(9)] for i in range(9)]))
+print(json.dumps([report.diagonalizable_A, [str(lam) for lam in spectrum[0]],
+                  [[[str(r), k] for r, k in rational_roots(poly).items()] for poly in polys]]))
+"""
+
+
+def test_large_coefficients_return():
+    # prod_{i<40} (x - 3^i), four mixed roots and the ladder at d = 128, each times -3/7
+    cases = [[F(3**i) for i in range(39, -1, -1)], [F(5), F(10**12 + 39, 2**40), F(0), F(-7, 3)],
+             [F(lam) for lam in range(128, -129, -2)]]
+    polys = [[str(F(-3, 7) * c) for c in monic_with_roots(roots)] for roots in cases]
+    proc = subprocess.run([sys.executable, "-c", LARGE_COEFFICIENTS], input=json.dumps(polys), capture_output=True,
+                          text=True, env=subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, [str(3**i) for i in range(8, -1, -1)],
+                                       [[[str(r), 1] for r in roots] for roots in cases]]
+
+
 # -- the spectral memo: eigenspaces and Krylov polynomial kept on their matrix ----
 
 # what a route refuses with, compared by type and text
@@ -960,6 +1080,7 @@ class TestSpectralMemo:
     "call, expected",
     [
         (lambda: hstack(Matrix.zeros(2, 1), Matrix.zeros(1, 1)), (ValueError, "row count mismatch")),
+        (lambda: hstack(), (ValueError, "hstack needs at least one matrix")),
         (lambda: is_diagonalizable_with(Matrix.zeros(2, 3), [0]),
          (ValueError, "diagonalizability requires a square matrix")),
         (lambda: determinant(Matrix.zeros(2, 3)), (ValueError, "determinant requires a square matrix")),
@@ -974,8 +1095,8 @@ class TestSpectralMemo:
         (lambda: rational_roots([-1, 1, 0]), {1: 1}),
         (lambda: rational_roots([5, 0]), (ValueError, "polynomial must have positive degree")),
     ],
-    ids=["hstack", "diagonalizable", "determinant", "determinant_0x0", "annihilates_shape", "annihilates_widths",
-         "minimal_polynomial", "minimal_polynomial_0x0", "rational_roots", "rational_roots_constant"],
+    ids=["hstack", "hstack_empty", "diagonalizable", "determinant", "determinant_0x0", "annihilates_shape",
+         "annihilates_widths", "minimal_polynomial", "minimal_polynomial_0x0", "rational_roots", "rational_roots_constant"],
 )
 def test_public_input_checks(call, expected):
     assert outcome(ValueError, call) == expected

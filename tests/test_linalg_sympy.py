@@ -317,18 +317,23 @@ def test_inverse_at_the_edges(m):
         assert inverse(m) == from_sympy(reference.inv())
 
 
+# heights up to 10^30 over denominators up to 10^12, beside small roots that often repeat
+root_heights = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                         st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12)))
+
+
 @settings(deadline=None, max_examples=80)
 @given(
-    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=0, max_size=5),
+    st.lists(st.tuples(root_heights, st.integers(1, 3)), min_size=0, max_size=4),
     st.sampled_from([None, 2, 3, -1]),
     entries.filter(bool),
 )
 def test_rational_roots_against_sympy(roots, square, lead):
-    # lead * prod (x - r), times x^2 - square when one is drawn (irrational or complex roots)
+    # lead * prod (x - r)^k, times x^2 - square when one is drawn (irrational or complex roots)
     x = sympy.Symbol("x")
     expr = sympy.Rational(lead.numerator, lead.denominator) * (x**2 - square if square else 1)
-    for r in roots:
-        expr *= x - sympy.Rational(r.numerator, r.denominator)
+    for r, k in roots:
+        expr *= (x - sympy.Rational(r.numerator, r.denominator)) ** k
     poly = sympy.Poly(expr, x)
     if poly.degree() < 1:
         return
@@ -336,5 +341,6 @@ def test_rational_roots_against_sympy(roots, square, lead):
     expected = sympy.roots(poly)
     if all(r.is_rational for r in expected):
         assert found == {to_fraction(r): k for r, k in expected.items()}
+        assert list(found) == sorted(found, reverse=True)
     else:
         assert found is None

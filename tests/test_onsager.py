@@ -115,6 +115,20 @@ class TestExactInputs:
         with pytest.raises(TypeError, match="as an exact rational"):
             evaluation_module(1, 0.1)
 
+    @pytest.mark.parametrize("n", [F(3), "3"])
+    def test_a_weight_is_read_as_the_spec_reads_it(self, n):
+        assert sl2_irreducible(n) == sl2_irreducible(3)
+        assert evaluation_module(n, 2) == evaluation_module(3, 2)
+        assert type(evaluation_module(n, 2).dim) is int
+
+    @pytest.mark.parametrize("n, error, text", [(1.5, TypeError, "as an exact rational"),
+                                                ("1/2", ValueError, "factor weight must be an integer, not '1/2'")],
+                             ids=["float", "no_integer"])
+    def test_a_weight_that_the_spec_refuses_is_refused(self, n, error, text):
+        for build in (sl2_irreducible, lambda n: evaluation_module(n, 2)):
+            with pytest.raises(error, match=text):
+                build(n)
+
 
 class TestEvaluationModule:
     def test_parameter_two(self):
